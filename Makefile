@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Per-target budget for `make fuzz` (two targets run back to back).
 FUZZTIME ?= 30s
 
-.PHONY: all check build test race lint audit fuzz bench bench-engine bench-replay bench-service bench-cluster cover fmt vet docs
+.PHONY: all check build test race lint audit fuzz bench cover fmt vet docs
 
 all: build test
 
@@ -27,8 +27,8 @@ test:
 
 # lint is the repo-invariant gate: formatting, go vet, then the
 # rapwamlint analyzer suite (internal/lint, cmd/rapwamlint) —
-# determinism, errortaxonomy, hotpath, ctxfirst, versionbump, and the
-# //rapwam:allow annotation audit. Uses only the Go toolchain, so it
+# determinism, errortaxonomy, hotpath, ctxfirst, versionbump,
+# globalstate, and the //rapwam:allow annotation audit. Uses only the Go toolchain, so it
 # runs identically offline.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
@@ -51,40 +51,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
 
 # race covers every concurrent subsystem; internal/core and
-# internal/mem run their sharded-execution suites (ExecShards > 1)
-# under the detector here, which is what keeps the speculative
-# dispatcher's cross-goroutine memory accesses honest.
+# internal/mem run their sharded-execution suites (ExecShards > 1,
+# retained for the benchmark's per-layer probes) under the detector
+# here, which is what keeps the speculative dispatcher's
+# cross-goroutine memory accesses honest.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/
 
-# bench runs the cache-replay benchmarks with -benchmem and records the
-# result in BENCH_cache.json (simrefs/s, allocs/op) so the simulator's
-# perf trajectory is tracked per PR. BENCH_COUNT=5 for quieter numbers.
+# bench runs the repo's benchmark (cmd/rapwambench, declared in
+# BENCHMARK.json): four end-to-end workloads with per-layer
+# attribution. The Go Benchmark* functions stay as micro-benchmarks
+# (`go test -bench`); they are not the headline.
 bench:
-	sh scripts/bench_cache.sh BENCH_cache.json
-
-# bench-engine runs the emulator benchmarks (bare engine + cold trace
-# generation, refs/s and MLIPS) and records BENCH_engine.json.
-bench-engine:
-	sh scripts/bench_engine.sh BENCH_engine.json
-
-# bench-replay runs the intra-cell parallelism benchmarks (set-sharded
-# cache replay vs shard count, pipelined trace generation vs encode
-# workers — both bit-identical to sequential) and records
-# BENCH_replay.json.
-bench-replay:
-	sh scripts/bench_replay.sh BENCH_replay.json
-
-# bench-service runs the serving-layer benchmarks (warm-cache req/s and
-# p50/p99 latency over real HTTP) and records BENCH_service.json.
-bench-service:
-	sh scripts/bench_service.sh BENCH_service.json
-
-# bench-cluster runs the cluster-tier benchmarks (warm local hit vs
-# warm peer-fetch vs cold-compute proxy hop over an in-process
-# two-node fleet) and records BENCH_cluster.json.
-bench-cluster:
-	sh scripts/bench_cluster.sh BENCH_cluster.json
+	bash cmd/rapwambench/run.sh
 
 # cover collects statement coverage across internal packages and
 # enforces the storage+service floor (scripts/check_coverage.sh).

@@ -33,16 +33,6 @@ func (t *Trace) ReplayAll(cfgs []CacheConfig) ([]CacheStats, error) {
 	return cache.SimulateAll(t.buf, cfgs)
 }
 
-// ReplayAllShards is ReplayAll with intra-configuration parallelism:
-// each set-associative configuration is additionally partitioned
-// across up to shards set-shard workers, with per-shard statistics
-// merged by a deterministic reduction — bit-identical to shards = 1.
-// Fully associative configurations (one global LRU pool) cannot shard
-// and automatically run sequentially; see EffectiveCacheShards.
-func (t *Trace) ReplayAllShards(cfgs []CacheConfig, shards int) ([]CacheStats, error) {
-	return cache.SimulateAllShards(t.buf, cfgs, shards)
-}
-
 // WriteTo serializes the trace in the legacy fixed-record binary
 // format ("RWT1", 8 bytes per reference). Prefer WriteCompact for new
 // files: it is roughly 4× smaller and CRC-protected.
@@ -75,8 +65,8 @@ type TraceMeta = trace.Meta
 
 // TraceStore re-exports the persistent, content-addressed trace store.
 // A store is a directory of compact traces keyed by (benchmark, PEs,
-// sequential, emulator version); experiment drivers and TraceBenchmark
-// consult it before re-running the emulator, and replay from it
+// sequential, emulator version); a Runner built over one consults it
+// before re-running the emulator, and replay from it
 // streams chunk by chunk without materializing the trace. See
 // internal/tracestore for the full contract.
 type TraceStore = tracestore.Store
@@ -85,7 +75,7 @@ type TraceStore = tracestore.Store
 type TraceKey = tracestore.Key
 
 // OpenTraceStore creates (if needed) and opens a trace store directory.
-// Attach it with SetTraceStore (or use SetTraceDir to do both).
+// Hand it to NewRunner (or SetTraceStore, for the default Runner).
 func OpenTraceStore(dir string) (*TraceStore, error) { return tracestore.Open(dir) }
 
 // TraceStoreKey returns the store key for a benchmark cell under the
@@ -94,15 +84,20 @@ func TraceStoreKey(benchmark string, pes int, sequential bool) TraceKey {
 	return bench.StoreKey(benchmark, pes, sequential)
 }
 
-// EnsureTraceStored makes sure the attached trace store (SetTraceStore
-// / SetTraceDir) holds the trace and run record for the benchmark
-// cell, generating them with one streaming emulator run if absent.
+// EnsureTraceStored makes sure the Runner's trace store holds the
+// trace and run record for the benchmark cell, generating them with
+// one streaming emulator run if absent (an error without a store).
 // Generation of distinct cells may proceed concurrently; concurrent
 // calls for the same cell run the emulator once. Cancelling ctx aborts
 // an in-flight generation (the partial write is cleaned up) and
 // returns ctx.Err().
+func (r *Runner) EnsureTraceStored(ctx context.Context, b Benchmark, pes int, sequential bool) (TraceKey, error) {
+	return r.r.EnsureStored(ctx, b, pes, sequential)
+}
+
+// EnsureTraceStored is Runner.EnsureTraceStored on the default Runner.
 func EnsureTraceStored(ctx context.Context, b Benchmark, pes int, sequential bool) (TraceKey, error) {
-	return bench.EnsureStored(ctx, b, pes, sequential)
+	return defaultRunner.EnsureTraceStored(ctx, b, pes, sequential)
 }
 
 // TraceStoreEntry re-exports one stored trace found by TraceStore.List.
@@ -179,24 +174,4 @@ func SimulateCache(t *Trace, cfg CacheConfig) (CacheStats, error) {
 	sim := cache.New(cfg)
 	t.buf.Replay(sim)
 	return sim.Stats(), nil
-}
-
-// SimulateCacheShards replays a trace through one cache configuration
-// with up to shards set-shard replay workers (see ReplayAllShards);
-// statistics are bit-identical to SimulateCache.
-func SimulateCacheShards(t *Trace, cfg CacheConfig, shards int) (CacheStats, error) {
-	st, err := cache.SimulateAllShards(t.buf, []cache.Config{cfg}, shards)
-	if err != nil {
-		return CacheStats{}, err
-	}
-	return st[0], nil
-}
-
-// EffectiveCacheShards reports how many set-shard workers a
-// configuration can actually use when shards are requested: the
-// request clamped to the configuration's set count, and always 1 for
-// fully associative caches (Assoc = 0), whose single global LRU pool
-// has no disjoint decomposition.
-func EffectiveCacheShards(cfg CacheConfig, shards int) int {
-	return cache.EffectiveShards(cfg, shards)
 }

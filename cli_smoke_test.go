@@ -93,14 +93,18 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-pes", "0"}, 2, "-pes"},
 		{"cachesim-pes-not-a-number", "cachesim",
 			[]string{"-pes", "abc"}, 2, "-pes"},
+		{"tracegen-negative-par", "tracegen",
+			[]string{"generate", "-tracedir", tmp, "-par", "-2"}, 1, "-par"},
+		// The intra-cell width flags are gone: any value, negative
+		// included, is rejected with the flag package's one line.
 		{"tracegen-negative-shards", "tracegen",
-			[]string{"generate", "-tracedir", tmp, "-shards", "-2"}, 1, "shards"},
+			[]string{"generate", "-tracedir", tmp, "-shards", "-2"}, 2, "not defined: -shards"},
 		{"tracegen-negative-exec-shards", "tracegen",
-			[]string{"generate", "-tracedir", tmp, "-exec-shards", "-2"}, 1, "exec-shards"},
+			[]string{"generate", "-tracedir", tmp, "-exec-shards", "-2"}, 2, "not defined: -exec-shards"},
 		{"experiments-negative-exec-shards", "experiments",
-			[]string{"-exp", "table1", "-exec-shards", "-3"}, 2, "exec-shards"},
+			[]string{"-exp", "table1", "-exec-shards", "-3"}, 2, "not defined: -exec-shards"},
 		{"rapwam-negative-exec-shards", "rapwam",
-			[]string{"-bench", "deriv", "-exec-shards", "-1"}, 1, "exec-shards"},
+			[]string{"-bench", "deriv", "-exec-shards", "-1"}, 2, "not defined: -exec-shards"},
 		{"tracegen-no-subcommand", "tracegen",
 			nil, 2, "usage"},
 		{"rapwamd-malformed-chaos", "rapwamd",
@@ -128,17 +132,36 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 	}
 }
 
+// TestCLIShardFlagsAreUnknown pins the removal of -shards and
+// -exec-shards from every command: each rejects them as undefined
+// flags (exit 2, one line naming the flag) and none documents them.
+func TestCLIShardFlagsAreUnknown(t *testing.T) {
+	for _, cmd := range [][]string{{"rapwam"}, {"cachesim"}, {"experiments"}, {"rapwamd"}, {"tracegen", "generate"}} {
+		for _, flagName := range []string{"-shards", "-exec-shards"} {
+			t.Run(cmd[0]+flagName, func(t *testing.T) {
+				code, out := runCLI(t, cmd[0], append(cmd[1:], flagName, "2")...)
+				if code != 2 || !strings.Contains(out, "flag provided but not defined: "+flagName) {
+					t.Fatalf("%v %s 2: exit %d, want 2 and an undefined-flag line\n%s", cmd, flagName, code, out)
+				}
+				if _, help := runCLI(t, cmd[0], append(cmd[1:], "-h")...); strings.Contains(help, flagName) {
+					t.Fatalf("%v -h still documents %s:\n%s", cmd, flagName, help)
+				}
+			})
+		}
+	}
+}
+
 func TestCLIHelpDocumentsFlags(t *testing.T) {
 	for _, tc := range []struct {
 		bin      string
 		args     []string
 		mentions []string
 	}{
-		{"rapwam", []string{"-h"}, []string{"-bench", "-trace", "-cpuprofile", "-exec-shards"}},
-		{"rapwamd", []string{"-h"}, []string{"-peers", "-self", "-chaos", "-max-computes", "-exec-shards"}},
+		{"rapwam", []string{"-h"}, []string{"-bench", "-trace", "-cpuprofile"}},
+		{"rapwamd", []string{"-h"}, []string{"-peers", "-self", "-chaos", "-max-computes", "-par"}},
 		{"tracegen", []string{"-h"}, []string{"generate", "verify"}},
 		{"cachesim", []string{"-h"}, []string{"-sweep", "-pes", "-tracedir"}},
-		{"experiments", []string{"-h"}, []string{"-exp", "-pes", "-shards", "-exec-shards"}},
+		{"experiments", []string{"-h"}, []string{"-exp", "-pes", "-par"}},
 	} {
 		t.Run(tc.bin, func(t *testing.T) {
 			code, out := runCLI(t, tc.bin, tc.args...)

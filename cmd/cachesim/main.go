@@ -16,10 +16,7 @@
 //
 // -sweep walks the trace once (not once per configuration), feeding
 // every protocol × size simulator concurrently through the streaming
-// fan-out pipeline; -par bounds the simulators per pass. -shards adds
-// set-sharded replay workers inside each simulator (requires -assoc
-// set associativity; fully associative configurations clamp to one
-// shard) with bit-identical statistics at any shard count.
+// fan-out pipeline; -par bounds the simulators per pass.
 //
 // -cpuprofile and -memprofile write pprof profiles of the replay, so a
 // hot-path regression in the simulator kernel can be diagnosed straight
@@ -40,7 +37,6 @@ import (
 
 	"repro"
 
-	"repro/internal/cliflag"
 	"repro/internal/profflag"
 )
 
@@ -62,7 +58,6 @@ func main() {
 		assoc    = flag.Int("assoc", 0, "set associativity (ways); 0 = fully associative (the paper's model)")
 		sweep    = flag.Bool("sweep", false, "sweep cache sizes 64..8192 over all protocols")
 		par      = flag.Int("par", 0, "max cache simulators per trace pass in -sweep (0 = all in one pass)")
-		shards   = cliflag.Shards(flag.CommandLine)
 		traceDir = flag.String("tracedir", "", "persistent trace store directory (use with -bench instead of a trace file)")
 		benchSrc = flag.String("bench", "", "benchmark whose trace to pull from -tracedir (generated and stored on first use)")
 		seqTrace = flag.Bool("seqtrace", false, "with -bench: use the sequential WAM baseline trace")
@@ -76,11 +71,6 @@ func main() {
 	}
 	if *par < 0 {
 		fmt.Fprintf(os.Stderr, "cachesim: -par %d: pass width cannot be negative (0 = all configs in one pass)\n", *par)
-		os.Exit(2)
-	}
-	shardsN, err := cliflag.Resolve("shards", *shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cachesim:", err)
 		os.Exit(2)
 	}
 	// SIGINT/SIGTERM cancel the command context, aborting an in-flight
@@ -119,7 +109,7 @@ func main() {
 	defer stopProfiles()
 
 	if *sweep {
-		runSweep(tr, *pes, *line, *assoc, *par, shardsN)
+		runSweep(tr, *pes, *line, *assoc, *par)
 		stopProfiles()
 		return
 	}
@@ -128,13 +118,11 @@ func main() {
 		PEs: *pes, SizeWords: *size, LineWords: *line,
 		Protocol: proto, WriteAllocate: wa, Assoc: *assoc,
 	}
-	st, err := rapwam.SimulateCacheShards(tr, cfg, shardsN)
+	st, err := rapwam.SimulateCache(tr, cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("protocol:       %v (write-allocate: %v)\n", proto, wa)
-	fmt.Printf("replay shards:  %d requested, %d effective\n",
-		shardsN, rapwam.EffectiveCacheShards(cfg, shardsN))
 	fmt.Printf("traffic ratio:  %.4f\n", st.TrafficRatio())
 	fmt.Printf("miss ratio:     %.4f\n", st.MissRatio())
 	fmt.Printf("bus words:      %d (fills %d, write-backs %d, write-throughs %d, updates %d)\n",
@@ -154,14 +142,15 @@ func loadTrace(ctx context.Context, traceDir, benchName string, pes int, sequent
 		if traceDir == "" || flag.NArg() != 0 {
 			usageExit()
 		}
-		if _, err := rapwam.SetTraceDir(traceDir); err != nil {
+		store, err := rapwam.OpenTraceStore(traceDir)
+		if err != nil {
 			return nil, err
 		}
 		b, ok := rapwam.BenchmarkByName(benchName)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", benchName)
 		}
-		return rapwam.TraceBenchmark(ctx, b, pes, sequential)
+		return rapwam.NewRunner(store, 0, nil).TraceBenchmark(ctx, b, pes, sequential)
 	case flag.NArg() == 1:
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
@@ -192,28 +181,20 @@ func startProfiles(cpuPath, memPath string) func() {
 // runSweep simulates the whole protocol × size grid with the streaming
 // fan-out pipeline: the trace is walked once per pass, feeding up to
 // par concurrent cache simulators (all of them in a single pass by
-// default), instead of once per configuration. shards adds set-sharded
-// replay workers inside each simulator (effective only for
-// set-associative configurations; results are bit-identical either
-// way).
-func runSweep(tr *rapwam.Trace, pes, line, assoc, par, shards int) {
+// default), instead of once per configuration.
+func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	order := []string{"broadcast", "hybrid", "write-through"}
 	var cfgs []rapwam.CacheConfig
-	effective := 1
 	for _, name := range order {
 		proto := protocols[name]
 		for _, s := range sizes {
-			cfg := rapwam.CacheConfig{
+			cfgs = append(cfgs, rapwam.CacheConfig{
 				PEs: pes, SizeWords: s, LineWords: line,
 				Protocol:      proto,
 				WriteAllocate: rapwam.PaperWriteAllocate(proto, s),
 				Assoc:         assoc,
-			}
-			if e := rapwam.EffectiveCacheShards(cfg, shards); e > effective {
-				effective = e
-			}
-			cfgs = append(cfgs, cfg)
+			})
 		}
 	}
 	if par <= 0 || par > len(cfgs) {
@@ -227,10 +208,10 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par, shards int) {
 			hi = len(cfgs)
 		}
 		if passes > 1 {
-			fmt.Fprintf(os.Stderr, "cachesim: pass %d/%d: %d configs, one trace walk, %d/%d replay shards\n",
-				lo/par+1, passes, hi-lo, effective, shards)
+			fmt.Fprintf(os.Stderr, "cachesim: pass %d/%d: %d configs, one trace walk\n",
+				lo/par+1, passes, hi-lo)
 		}
-		st, err := tr.ReplayAllShards(cfgs[lo:hi], shards)
+		st, err := tr.ReplayAll(cfgs[lo:hi])
 		if err != nil {
 			fatal(err)
 		}

@@ -14,9 +14,8 @@
 // Grid experiments (table3, fig4, mlips, bus, ablations) run on a
 // bounded worker pool over memoized traces, simulating all cache
 // configurations per trace concurrently in a single pass; -par bounds
-// the pool, -shards adds intra-cell parallelism (set-sharded replay
-// and parallel trace encoding, bit-identical results) within the same
-// budget, and -progress reports per-cell completion on stderr.
+// the pool (results are identical at any width) and -progress reports
+// per-cell completion on stderr.
 //
 // -tracedir DIR attaches a persistent trace store: every emulator run
 // is performed at most once per emulator version, traces stream to
@@ -69,8 +68,6 @@ func main() {
 		cache    = flag.Int("cache", 256, "cache size (words) for mlips/bus")
 		target   = flag.Float64("target", 2, "MLIPS target")
 		par      = cliflag.Par(flag.CommandLine)
-		shards   = cliflag.Shards(flag.CommandLine)
-		execSh   = cliflag.ExecShards(flag.CommandLine)
 		traceDir = flag.String("tracedir", "", "persistent trace store directory (consulted before any emulator run)")
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -80,8 +77,6 @@ func main() {
 	validatePEs("pes", *pes)
 	validatePEs("maxpes", *maxPEs)
 	parN := resolveWorkers("par", *par)
-	shardsN := resolveWorkers("shards", *shards)
-	execN := resolveWorkers("exec-shards", *execSh)
 
 	// Ctrl-C / SIGTERM cancel the experiment context: in-flight grid
 	// cells (including the emulator's instruction loop) abort promptly,
@@ -96,30 +91,26 @@ func main() {
 	})
 	defer stop()
 
-	rapwam.SetParallelism(parN)
-	rapwam.SetShards(shardsN)
-	rapwam.SetExecShards(execN)
 	var store *rapwam.TraceStore
 	if *traceDir != "" {
-		s, err := rapwam.SetTraceDir(*traceDir)
+		s, err := rapwam.OpenTraceStore(*traceDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 		store = s
 	}
+	var onProgress func(msg string)
 	if *progress {
-		rapwam.SetProgress(func(msg string) {
-			fmt.Fprintf(os.Stderr, "experiments: %s\n", msg)
-		})
-		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d, intra-cell shards %d\n",
-			rapwam.Parallelism(), rapwam.Shards())
+		onProgress = func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) }
+		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d\n", parN)
 	}
+	r := rapwam.NewRunner(store, parN, onProgress)
 	if store != nil {
 		defer func() {
 			st := store.Stats()
 			fmt.Fprintf(os.Stderr, "experiments: trace store %s: %d hits, %d misses, %d traces written, %d emulator runs\n",
-				*traceDir, st.Hits, st.Misses, st.Puts, rapwam.EngineRuns())
+				*traceDir, st.Hits, st.Misses, st.Puts, r.EngineRuns())
 		}()
 	}
 
@@ -149,7 +140,7 @@ func main() {
 		for n := 12; n <= *maxPEs; n += 4 {
 			counts = append(counts, n)
 		}
-		f, err := rapwam.RunFigure2(ctx, counts)
+		f, err := r.RunFigure2(ctx, counts)
 		if err != nil {
 			return err
 		}
@@ -158,7 +149,7 @@ func main() {
 	})
 
 	run("table2", func() error {
-		t2, err := rapwam.RunTable2(ctx, *pes)
+		t2, err := r.RunTable2(ctx, *pes)
 		if err != nil {
 			return err
 		}
@@ -167,7 +158,7 @@ func main() {
 	})
 
 	run("table3", func() error {
-		t3, err := rapwam.RunTable3(ctx)
+		t3, err := r.RunTable3(ctx)
 		if err != nil {
 			return err
 		}
@@ -176,7 +167,7 @@ func main() {
 	})
 
 	run("fig4", func() error {
-		f, err := rapwam.RunFigure4(ctx, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
+		f, err := r.RunFigure4(ctx, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
 		if err != nil {
 			return err
 		}
@@ -185,7 +176,7 @@ func main() {
 	})
 
 	run("mlips", func() error {
-		m, err := rapwam.RunMLIPS(ctx, *cache, *target)
+		m, err := r.RunMLIPS(ctx, *cache, *target)
 		if err != nil {
 			return err
 		}
@@ -194,12 +185,12 @@ func main() {
 	})
 
 	run("bus", func() error {
-		bs, err := rapwam.RunBusStudy(ctx, *pes, *cache)
+		bs, err := r.RunBusStudy(ctx, *pes, *cache)
 		if err != nil {
 			return err
 		}
 		fmt.Print(bs.String())
-		des, err := rapwam.RunBusDES(ctx, "qsort", *pes, *cache, 4)
+		des, err := r.RunBusDES(ctx, "qsort", *pes, *cache, 4)
 		if err != nil {
 			return err
 		}
@@ -209,27 +200,27 @@ func main() {
 	})
 
 	run("ablations", func() error {
-		g, err := rapwam.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6})
+		g, err := r.RunGranularitySweep(ctx, []int{0, 1, 2, 3, 4, 6})
 		if err != nil {
 			return err
 		}
 		fmt.Print(g.String())
 		fmt.Println()
-		l, err := rapwam.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
+		l, err := r.RunLineSizeSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			return err
 		}
 		fmt.Print(l.String())
 		fmt.Println()
 		for _, b := range []string{"deriv", "qsort", "matrix"} {
-			ls, err := rapwam.RunLockShare(ctx, b, *pes)
+			ls, err := r.RunLockShare(ctx, b, *pes)
 			if err != nil {
 				return err
 			}
 			fmt.Print(ls.String())
 		}
 		fmt.Println()
-		a, err := rapwam.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
+		a, err := r.RunAssocSweep(ctx, "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
 		if err != nil {
 			return err
 		}

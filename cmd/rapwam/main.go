@@ -31,7 +31,6 @@ import (
 
 	"repro"
 
-	"repro/internal/cliflag"
 	"repro/internal/profflag"
 	"repro/internal/trace"
 )
@@ -47,14 +46,8 @@ func main() {
 		benchName = flag.String("bench", "", "run a built-in benchmark (deriv, tak, qsort, matrix, nrev, queens, primes, zebra)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-		execSh    = cliflag.ExecShards(flag.CommandLine)
 	)
 	flag.Parse()
-	execN, err := cliflag.Resolve("exec-shards", *execSh)
-	if err != nil {
-		fatal(err)
-	}
-	rapwam.SetExecShards(execN)
 	stopProfiles = startProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
 
@@ -80,7 +73,7 @@ func main() {
 		fmt.Print(prog.Listing())
 		return
 	}
-	res, err := prog.Run(rapwam.RunConfig{PEs: *pes, CaptureTrace: *traceOut != "", ExecShards: execN})
+	res, err := prog.Run(rapwam.RunConfig{PEs: *pes, CaptureTrace: *traceOut != ""})
 	if err != nil {
 		fatal(err)
 	}

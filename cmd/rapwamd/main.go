@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	rapwamd -results results [-tracedir traces] [-addr :8080] [-par N] [-shards K]
+//	rapwamd -results results [-tracedir traces] [-addr :8080] [-par N]
 //	        [-max-computes N] [-max-queue N] [-compute-timeout D]
 //	        [-scrub D] [-sweep-age D] [-chaos SPEC] [-v]
 //	        [-peers URL,URL,... -self URL]
@@ -82,8 +82,6 @@ func main() {
 		resultDir = flag.String("results", "results", "result cache directory (created if needed)")
 		traceDir  = flag.String("tracedir", "", "persistent trace store directory (recommended: cold computations reuse and warm stored traces)")
 		par       = cliflag.Par(flag.CommandLine)
-		shards    = cliflag.Shards(flag.CommandLine)
-		execSh    = cliflag.ExecShards(flag.CommandLine)
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown drain timeout")
 		computes  = flag.Int("max-computes", 0, "max concurrent experiment computations (0 = unlimited; cache hits are never throttled)")
 		queue     = flag.Int("max-queue", 0, "max cold requests queued for a compute slot before shedding with 429 (0 = 4×max-computes)")
@@ -97,7 +95,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: rapwamd [-addr :8080] [-results DIR] [-tracedir DIR] [-par N] [-shards K] [-exec-shards K] [-max-computes N] [-max-queue N] [-compute-timeout D] [-scrub D] [-sweep-age D] [-chaos SPEC] [-peers URLS -self URL] [-v]")
+		fmt.Fprintln(os.Stderr, "usage: rapwamd [-addr :8080] [-results DIR] [-tracedir DIR] [-par N] [-max-computes N] [-max-queue N] [-compute-timeout D] [-scrub D] [-sweep-age D] [-chaos SPEC] [-peers URLS -self URL] [-v]")
 		os.Exit(2)
 	}
 	if *computes < 0 || *queue < 0 {
@@ -119,8 +117,6 @@ func main() {
 		os.Exit(2)
 	}
 	parN := resolveWorkers("par", *par)
-	shardsN := resolveWorkers("shards", *shards)
-	execN := resolveWorkers("exec-shards", *execSh)
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -130,8 +126,6 @@ func main() {
 		ResultDir:      *resultDir,
 		TraceDir:       *traceDir,
 		Parallelism:    parN,
-		Shards:         shardsN,
-		ExecShards:     execN,
 		MaxComputes:    *computes,
 		MaxQueue:       *queue,
 		ComputeTimeout: *budget,
@@ -147,7 +141,6 @@ func main() {
 	}
 	if *verbose {
 		cfg.Log = func(msg string) { fmt.Fprintf(os.Stderr, "rapwamd: %s\n", msg) }
-		rapwam.SetProgress(func(msg string) { fmt.Fprintf(os.Stderr, "rapwamd: grid: %s\n", msg) })
 	}
 
 	if len(peerList) > 0 {

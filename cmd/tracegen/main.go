@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-shards K] [-v]
+//	tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-v]
 //	tracegen ls       -tracedir DIR
 //	tracegen inspect  -tracedir DIR | file.rwt2...
 //	tracegen verify   -tracedir DIR [-repair] | file.rwt2...
@@ -76,7 +76,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-shards K] [-v]
+  tracegen generate -tracedir DIR [-bench LIST] [-pes LIST] [-mode auto|par|seq] [-par N] [-v]
   tracegen ls       -tracedir DIR
   tracegen inspect  -tracedir DIR | file.rwt2...
   tracegen verify   -tracedir DIR [-repair] | file.rwt2...`)
@@ -167,8 +167,6 @@ func cmdGenerate(args []string) {
 		pesList = fs.String("pes", "1,2,4,8", "comma-separated PE counts")
 		mode    = fs.String("mode", "auto", "auto (parallel + 1-PE sequential baseline) | par | seq")
 		par     = cliflag.Par(fs)
-		shards  = cliflag.Shards(fs)
-		execSh  = cliflag.ExecShards(fs)
 		verbose = fs.Bool("v", false, "report each generated cell on stderr")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile (after generation) to this file")
@@ -178,14 +176,6 @@ func cmdGenerate(args []string) {
 		usage()
 	}
 	parN, err := cliflag.Resolve("par", *par)
-	if err != nil {
-		fatal(err)
-	}
-	shardsN, err := cliflag.Resolve("shards", *shards)
-	if err != nil {
-		fatal(err)
-	}
-	execN, err := cliflag.Resolve("exec-shards", *execSh)
 	if err != nil {
 		fatal(err)
 	}
@@ -234,18 +224,15 @@ func cmdGenerate(args []string) {
 		}
 	}
 
-	store, err := rapwam.SetTraceDir(*dir)
+	store, err := rapwam.OpenTraceStore(*dir)
 	if err != nil {
 		fatal(err)
 	}
-	rapwam.SetParallelism(parN)
-	rapwam.SetShards(shardsN)
-	rapwam.SetExecShards(execN)
+	var onProgress func(msg string)
 	if *verbose {
-		rapwam.SetProgress(func(msg string) {
-			fmt.Fprintf(os.Stderr, "tracegen: %s\n", msg)
-		})
+		onProgress = func(msg string) { fmt.Fprintf(os.Stderr, "tracegen: %s\n", msg) }
 	}
+	r := rapwam.NewRunner(store, parN, onProgress)
 
 	// Ctrl-C / SIGTERM cancel generation: in-flight engine runs abort,
 	// their partial temp files are removed, and completed cells stay.
@@ -253,7 +240,7 @@ func cmdGenerate(args []string) {
 	defer stopSignals()
 
 	before := store.Stats()
-	err = rapwam.GenerateTraces(ctx, cells2targets(cells))
+	err = r.GenerateTraces(ctx, cells2targets(cells))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			after := store.Stats()
@@ -267,7 +254,7 @@ func cmdGenerate(args []string) {
 	after := store.Stats()
 	fmt.Printf("store %s: %d cells requested, %d generated, %d already present (%d emulator runs)\n",
 		*dir, len(cells), after.Puts-before.Puts,
-		len(cells)-int(after.Puts-before.Puts), rapwam.EngineRuns())
+		len(cells)-int(after.Puts-before.Puts), r.EngineRuns())
 }
 
 // cells2targets converts the CLI's cell list to the API's target type.
@@ -413,7 +400,7 @@ func cmdVerify(args []string) {
 // this build's benchmarks and emulator version. Foreign cells stay
 // quarantined for inspection.
 func cmdRepair(dir string) {
-	store, err := rapwam.SetTraceDir(dir)
+	store, err := rapwam.OpenTraceStore(dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -438,7 +425,7 @@ func cmdRepair(dir string) {
 	if len(targets) > 0 {
 		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSignals()
-		if err := rapwam.GenerateTraces(ctx, targets); err != nil {
+		if err := rapwam.NewRunner(store, 0, nil).GenerateTraces(ctx, targets); err != nil {
 			fatal(err)
 		}
 	}

@@ -86,24 +86,23 @@ func ExampleOpenTraceStore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rapwam.SetTraceStore(store)
-	defer rapwam.SetTraceStore(nil)
+	// A Runner owns the store, the worker budget and the run counter.
+	r := rapwam.NewRunner(store, 0, nil)
 
 	bm, _ := rapwam.BenchmarkByName("nrev-60")
-	rapwam.ResetEngineRuns()
 
 	// First fetch: generated through the store (one emulator run).
-	tr1, err := rapwam.TraceBenchmark(context.Background(), bm, 2, false)
+	tr1, err := r.TraceBenchmark(context.Background(), bm, 2, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Second fetch: decoded from disk, no emulator run.
-	tr2, err := rapwam.TraceBenchmark(context.Background(), bm, 2, false)
+	tr2, err := r.TraceBenchmark(context.Background(), bm, 2, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("same trace:", tr1.Len() == tr2.Len())
-	fmt.Println("emulator runs:", rapwam.EngineRuns())
+	fmt.Println("emulator runs:", r.EngineRuns())
 
 	key := rapwam.TraceStoreKey(bm.Name, 2, false)
 	fmt.Println("stored cell:", key.Benchmark, "at", key.PEs, "PEs")

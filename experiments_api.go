@@ -3,6 +3,7 @@ package rapwam
 import (
 	"context"
 
+	"repro/internal/bench"
 	"repro/internal/busmodel"
 	"repro/internal/experiments"
 	"repro/internal/tracestore"
@@ -12,102 +13,106 @@ import (
 // paper's tables and figures. Each returns structured data with a
 // String() rendering.
 //
-// The drivers that sweep parameter grids (Figure 4, Table 3, MLIPS,
-// the bus study and the cache ablations) run on a shared grid runner:
-// engine traces are memoized per (benchmark, PEs, sequential), every
-// cache configuration consuming one trace is simulated concurrently in
-// a single pass over it, and independent grid cells execute on a
-// bounded worker pool (see SetParallelism).
+// Every driver runs on a Runner, which owns what runs share: the
+// persistent trace store, the worker budget, the progress callback and
+// the trace memo. The drivers that sweep parameter grids (Figure 4,
+// Table 3, MLIPS, the bus study and the cache ablations) memoize engine
+// traces per (benchmark, PEs, sequential), simulate every cache
+// configuration consuming one trace concurrently in a single pass over
+// it, and execute independent grid cells on the Runner's bounded worker
+// pool. Results are identical at any pool width; only wall-clock time
+// changes.
+//
+// The package-level functions of the same names run on one shared
+// default Runner, configured through SetParallelism, SetProgress and
+// SetTraceStore / SetTraceDir. Configure it before starting work on
+// it, not while a driver is running; programs that need two
+// configurations side by side build their own Runners.
 
-// SetParallelism bounds how many experiment grid cells (engine runs
-// and trace replays) execute concurrently. n <= 0 restores the
-// default, runtime.GOMAXPROCS(0). Results are identical at any
-// parallelism level; only wall-clock time changes.
-func SetParallelism(n int) { experiments.SetParallelism(n) }
+// Runner owns the state experiment and benchmark runs share — trace
+// store, grid worker budget, progress callback, memoized traces and the
+// emulator-run counter. Two Runners never see each other's store, memo
+// or counts. Build one with NewRunner.
+type Runner struct {
+	r bench.Runner
+}
 
-// Parallelism returns the current experiment worker-pool width.
-func Parallelism() int { return experiments.Parallelism() }
+// NewRunner returns a Runner. store (nil: none) is the persistent
+// trace store consulted before any emulator run: with one, every
+// (benchmark, PEs, sequential) cell runs at most once per emulator
+// version — the trace streams into the store's compact codec, the
+// run's statistics go into a sidecar, and every later experiment, in
+// this process or the next, replays from disk chunk by chunk with
+// bit-identical results; without one, traces memoize in RAM. par
+// bounds how many grid cells (engine runs and trace replays) execute
+// concurrently (<= 0: runtime.GOMAXPROCS(0)). progress (nil: silent)
+// receives one short line per completed cell, possibly from several
+// goroutines at once.
+func NewRunner(store *TraceStore, par int, progress func(msg string)) *Runner {
+	return &Runner{r: bench.Runner{Store: store, Par: par, Progress: progress}}
+}
 
-// SetShards configures intra-cell parallelism: how many set-shard
-// workers replay each cache configuration (fully associative
-// configurations still run sequentially — see EffectiveCacheShards)
-// and how many goroutines encode RWT2 chunks during cold trace
-// generation. n <= 0 selects runtime.GOMAXPROCS(0). Results and
-// stored trace bytes are bit-identical at any setting. The grid
-// budget is shared: with parallelism B and shards K at most
-// max(1, B/K) cells run at once.
-func SetShards(n int) { experiments.SetShards(n) }
+// defaultRunner backs the package-level functions.
+var defaultRunner = NewRunner(nil, 0, nil)
 
-// Shards returns the current intra-cell parallelism width (default 1).
-func Shards() int { return experiments.Shards() }
+// SetParallelism sets the default Runner's grid worker budget (n <= 0:
+// runtime.GOMAXPROCS(0)).
+func SetParallelism(n int) { defaultRunner.r.Par = n }
 
-// SetExecShards configures sharded emulation: how many host goroutines
-// each engine run uses to speculate independent PEs' cycles in
-// parallel, with a deterministic merge back into the canonical
-// reference order. n <= 0 selects runtime.GOMAXPROCS(0); 1 restores
-// the serial dispatcher. Traces, results and stored bytes are
-// bit-identical at any setting, so warm trace stores stay valid
-// whichever mode wrote them. The experiment grid's worker budget is
-// shared with SetShards: at most max(1, B/max(shards, execShards))
-// cells run at once.
-func SetExecShards(n int) { experiments.SetExecShards(n) }
+// Parallelism returns the default Runner's worker-pool width.
+func Parallelism() int { return defaultRunner.r.Workers() }
 
-// ExecShards returns the current emulator execution-shard width
-// (default 1, the serial dispatcher).
-func ExecShards() int { return experiments.ExecShards() }
+// SetProgress sets the default Runner's progress callback (nil
+// disables reporting).
+func SetProgress(f func(msg string)) { defaultRunner.r.Progress = f }
 
-// SetProgress installs a callback receiving one short line per
-// completed experiment grid cell (nil disables progress reporting).
-// The callback may be invoked from multiple goroutines concurrently.
-func SetProgress(f func(msg string)) { experiments.SetProgress(f) }
+// ResetTraceCache drops the traces the default Runner memoized for its
+// drivers to share (a few MB per distinct benchmark × PE-count entry).
+func ResetTraceCache() { defaultRunner.r.DropTraces() }
 
-// ResetTraceCache drops the memoized benchmark traces the experiment
-// drivers share (a few MB per distinct benchmark × PE-count entry).
-func ResetTraceCache() { experiments.ResetTraceCache() }
-
-// SetTraceStore attaches (nil: detaches) a persistent trace store.
-// With a store attached, every (benchmark, PEs, sequential) emulator
-// run is performed at most once per emulator version: the trace
-// streams into the store's compact codec, the run's statistics go into
-// a sidecar, and every later experiment — in this process or the next
-// — replays from disk, chunk by chunk, without materializing the
-// trace. Results are bit-identical to the in-memory path.
-func SetTraceStore(s *TraceStore) { experiments.SetStore(s) }
+// SetTraceStore attaches (nil: detaches) the default Runner's
+// persistent trace store (see NewRunner).
+func SetTraceStore(s *TraceStore) { defaultRunner.r.Store = s }
 
 // SetTraceDir opens (creating if needed) the trace store rooted at dir
-// and attaches it; an empty dir detaches the store. It is the
-// one-liner behind the CLIs' -tracedir flag.
+// and attaches it to the default Runner; an empty dir detaches the
+// store.
 func SetTraceDir(dir string) (*TraceStore, error) {
 	if dir == "" {
-		experiments.SetStore(nil)
+		SetTraceStore(nil)
 		return nil, nil
 	}
 	s, err := tracestore.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	experiments.SetStore(s)
+	SetTraceStore(s)
 	return s, nil
 }
+
+// GenerateTraces is Runner.GenerateTraces on the default Runner.
+func GenerateTraces(ctx context.Context, targets []TraceTarget) error {
+	return defaultRunner.GenerateTraces(ctx, targets)
+}
+
+// EngineRuns is Runner.EngineRuns on the default Runner.
+func EngineRuns() int64 { return defaultRunner.EngineRuns() }
+
+// EngineRuns returns the number of emulator executions the Runner has
+// performed — the observable that verifies a warm trace store
+// eliminates regeneration (a full experiment sweep over a warm store
+// reports 0).
+func (r *Runner) EngineRuns() int64 { return r.r.EngineRuns() }
 
 // TraceTarget re-exports one trace-generation cell for GenerateTraces.
 type TraceTarget = experiments.TraceTarget
 
-// GenerateTraces generates every missing target cell into the attached
-// trace store, independent cells concurrently on the bounded worker
-// pool (SetParallelism). cmd/tracegen's generate subcommand is a thin
-// wrapper around it.
-func GenerateTraces(ctx context.Context, targets []TraceTarget) error {
-	return experiments.GenerateTraces(ctx, targets)
+// GenerateTraces generates every missing target cell into the Runner's
+// trace store, independent cells concurrently on its worker pool.
+// cmd/tracegen's generate subcommand is a thin wrapper around it.
+func (r *Runner) GenerateTraces(ctx context.Context, targets []TraceTarget) error {
+	return experiments.GenerateTraces(ctx, &r.r, targets)
 }
-
-// EngineRuns returns the number of emulator executions performed so
-// far — the observable that verifies a warm trace store eliminates
-// regeneration (a full experiment sweep over a warm store reports 0).
-func EngineRuns() int64 { return experiments.EngineRuns() }
-
-// ResetEngineRuns zeroes the emulator-execution counter.
-func ResetEngineRuns() { experiments.ResetEngineRuns() }
 
 // Table1 renders the storage-object classification (paper Table 1).
 func Table1() string { return experiments.Table1() }
@@ -117,8 +122,13 @@ type Figure2 = experiments.Figure2
 
 // RunFigure2 sweeps deriv work/overhead over the given PE counts
 // (paper Figure 2 plots 1 to 40).
+func (r *Runner) RunFigure2(ctx context.Context, peCounts []int) (*Figure2, error) {
+	return experiments.RunFigure2(ctx, &r.r, peCounts)
+}
+
+// RunFigure2 is Runner.RunFigure2 on the default Runner.
 func RunFigure2(ctx context.Context, peCounts []int) (*Figure2, error) {
-	return experiments.RunFigure2(ctx, peCounts)
+	return defaultRunner.RunFigure2(ctx, peCounts)
 }
 
 // Table2 re-exports the benchmark-statistics result type.
@@ -126,8 +136,13 @@ type Table2 = experiments.Table2
 
 // RunTable2 gathers benchmark statistics at the given PE count (the
 // paper uses 8).
+func (r *Runner) RunTable2(ctx context.Context, pes int) (*Table2, error) {
+	return experiments.RunTable2(ctx, &r.r, pes)
+}
+
+// RunTable2 is Runner.RunTable2 on the default Runner.
 func RunTable2(ctx context.Context, pes int) (*Table2, error) {
-	return experiments.RunTable2(ctx, pes)
+	return defaultRunner.RunTable2(ctx, pes)
 }
 
 // Table3 re-exports the locality-fit result type.
@@ -135,15 +150,27 @@ type Table3 = experiments.Table3
 
 // RunTable3 computes the small-vs-large benchmark locality fit at the
 // paper's 512 and 1024 word cache sizes.
-func RunTable3(ctx context.Context) (*Table3, error) { return experiments.RunTable3(ctx) }
+func (r *Runner) RunTable3(ctx context.Context) (*Table3, error) {
+	return experiments.RunTable3(ctx, &r.r)
+}
+
+// RunTable3 is Runner.RunTable3 on the default Runner.
+func RunTable3(ctx context.Context) (*Table3, error) {
+	return defaultRunner.RunTable3(ctx)
+}
 
 // Figure4 re-exports the coherency-traffic sweep result type.
 type Figure4 = experiments.Figure4
 
 // RunFigure4 sweeps traffic ratio over cache sizes, protocols and PE
 // counts (paper Figure 4).
+func (r *Runner) RunFigure4(ctx context.Context, peCounts, sizes []int) (*Figure4, error) {
+	return experiments.RunFigure4(ctx, &r.r, peCounts, sizes)
+}
+
+// RunFigure4 is Runner.RunFigure4 on the default Runner.
 func RunFigure4(ctx context.Context, peCounts, sizes []int) (*Figure4, error) {
-	return experiments.RunFigure4(ctx, peCounts, sizes)
+	return defaultRunner.RunFigure4(ctx, peCounts, sizes)
 }
 
 // MLIPS re-exports the §3.3 feasibility calculation result type.
@@ -151,8 +178,13 @@ type MLIPS = experiments.MLIPS
 
 // RunMLIPS re-derives the paper's 2 MLIPS back-of-the-envelope
 // calculation from measured statistics.
+func (r *Runner) RunMLIPS(ctx context.Context, cacheWords int, targetMLIPS float64) (*MLIPS, error) {
+	return experiments.RunMLIPS(ctx, &r.r, cacheWords, targetMLIPS)
+}
+
+// RunMLIPS is Runner.RunMLIPS on the default Runner.
 func RunMLIPS(ctx context.Context, cacheWords int, targetMLIPS float64) (*MLIPS, error) {
-	return experiments.RunMLIPS(ctx, cacheWords, targetMLIPS)
+	return defaultRunner.RunMLIPS(ctx, cacheWords, targetMLIPS)
 }
 
 // BusStudy re-exports the bus-contention study result type.
@@ -160,8 +192,13 @@ type BusStudy = experiments.BusStudy
 
 // RunBusStudy tabulates shared-memory efficiency against bus bandwidth
 // for the given configuration.
+func (r *Runner) RunBusStudy(ctx context.Context, pes, cacheWords int) (*BusStudy, error) {
+	return experiments.RunBusStudy(ctx, &r.r, pes, cacheWords)
+}
+
+// RunBusStudy is Runner.RunBusStudy on the default Runner.
 func RunBusStudy(ctx context.Context, pes, cacheWords int) (*BusStudy, error) {
-	return experiments.RunBusStudy(ctx, pes, cacheWords)
+	return defaultRunner.RunBusStudy(ctx, pes, cacheWords)
 }
 
 // BusParams re-exports the analytic bus model parameters.
@@ -185,8 +222,13 @@ type GranularitySweep = experiments.GranularitySweep
 // RunGranularitySweep varies deriv's parallelism depth budget,
 // quantifying the parallelism-vs-overhead tradeoff of CGE annotation
 // granularity.
+func (r *Runner) RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, error) {
+	return experiments.RunGranularitySweep(ctx, &r.r, depths)
+}
+
+// RunGranularitySweep is Runner.RunGranularitySweep on the default Runner.
 func RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, error) {
-	return experiments.RunGranularitySweep(ctx, depths)
+	return defaultRunner.RunGranularitySweep(ctx, depths)
 }
 
 // LineSizeSweep re-exports the cache line-size ablation result type.
@@ -194,8 +236,13 @@ type LineSizeSweep = experiments.LineSizeSweep
 
 // RunLineSizeSweep replays a benchmark trace across cache line sizes
 // (the paper fixes 4-word lines; this shows where that sits).
+func (r *Runner) RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
+	return experiments.RunLineSizeSweep(ctx, &r.r, benchName, pes, sizeWords, lines)
+}
+
+// RunLineSizeSweep is Runner.RunLineSizeSweep on the default Runner.
 func RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
-	return experiments.RunLineSizeSweep(ctx, benchName, pes, sizeWords, lines)
+	return defaultRunner.RunLineSizeSweep(ctx, benchName, pes, sizeWords, lines)
 }
 
 // LockShare re-exports the synchronization-traffic measurement type.
@@ -203,8 +250,13 @@ type LockShare = experiments.LockShare
 
 // RunLockShare measures the fraction of references to locked objects
 // (goal stack, parcall counters, messages).
+func (r *Runner) RunLockShare(ctx context.Context, benchName string, pes int) (*LockShare, error) {
+	return experiments.RunLockShare(ctx, &r.r, benchName, pes)
+}
+
+// RunLockShare is Runner.RunLockShare on the default Runner.
 func RunLockShare(ctx context.Context, benchName string, pes int) (*LockShare, error) {
-	return experiments.RunLockShare(ctx, benchName, pes)
+	return defaultRunner.RunLockShare(ctx, benchName, pes)
 }
 
 // BusDES re-exports the discrete-event bus validation type.
@@ -212,8 +264,13 @@ type BusDES = experiments.BusDES
 
 // RunBusDES replays real bus transactions through the discrete-event
 // bus simulator and cross-checks the analytic M/M/1 model.
+func (r *Runner) RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
+	return experiments.RunBusDES(ctx, &r.r, benchName, pes, cacheWords, busWordsPerCycle)
+}
+
+// RunBusDES is Runner.RunBusDES on the default Runner.
 func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
-	return experiments.RunBusDES(ctx, benchName, pes, cacheWords, busWordsPerCycle)
+	return defaultRunner.RunBusDES(ctx, benchName, pes, cacheWords, busWordsPerCycle)
 }
 
 // AssocSweep re-exports the associativity ablation result type.
@@ -222,6 +279,11 @@ type AssocSweep = experiments.AssocSweep
 // RunAssocSweep compares the paper's fully associative cache model with
 // set-associative caches of the same capacity (0 ways = fully
 // associative).
+func (r *Runner) RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
+	return experiments.RunAssocSweep(ctx, &r.r, benchName, pes, sizeWords, ways)
+}
+
+// RunAssocSweep is Runner.RunAssocSweep on the default Runner.
 func RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
-	return experiments.RunAssocSweep(ctx, benchName, pes, sizeWords, ways)
+	return defaultRunner.RunAssocSweep(ctx, benchName, pes, sizeWords, ways)
 }

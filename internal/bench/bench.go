@@ -22,17 +22,12 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // Benchmark is a runnable Prolog workload.
@@ -163,68 +158,6 @@ func parseSize(s string, lo, hi int) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// RunConfig parameterizes a benchmark run.
-type RunConfig struct {
-	// PEs is the number of workers.
-	PEs int
-	// Sequential compiles CGEs away (the WAM baseline).
-	Sequential bool
-	// Sink receives the full memory trace (nil to skip tracing).
-	Sink trace.Sink
-	// Layout overrides worker memory sizes (zero = default).
-	Layout mem.Layout
-	// ExecShards overrides the engine's sharded-execution host-worker
-	// count for this run (0 = use the package default set by
-	// SetExecShards; 1 = force the serial dispatcher).
-	ExecShards int
-}
-
-// Run compiles and executes the benchmark. Every Run is one emulator
-// execution and counts toward EngineRuns. Cancelling ctx aborts the
-// engine mid-run (within a few thousand simulated cycles) and returns
-// ctx.Err().
-func Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	engineRuns.Add(1)
-	code, err := compile.Compile(b.Source, b.Query, compile.Options{Sequential: cfg.Sequential})
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
-	}
-	shards := cfg.ExecShards
-	if shards == 0 {
-		shards = ExecShards()
-	}
-	eng, err := core.New(code, core.Config{
-		PEs:        cfg.PEs,
-		Layout:     cfg.Layout,
-		Sink:       cfg.Sink,
-		Cancel:     ctx.Done(),
-		ExecShards: shards,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
-	}
-	// The result is self-contained (bindings are rendered strings), so
-	// the engine's memory slab can go back to the pool: the next run of
-	// the same shape skips the O(address space) zeroing.
-	eng.Close()
-	if b.Check != nil {
-		if err := b.Check(res); err != nil {
-			return nil, fmt.Errorf("bench %s: wrong answer: %w", b.Name, err)
-		}
-	}
-	return res, nil
 }
 
 func expectSuccess(res *core.Result) error {

@@ -10,7 +10,7 @@ func TestPaperBenchmarksSequential(t *testing.T) {
 	for _, b := range Paper() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, err := Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
+			res, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -24,7 +24,7 @@ func TestPaperBenchmarksParallel8(t *testing.T) {
 	for _, b := range Paper() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, err := Run(context.Background(), b, RunConfig{PEs: 8})
+			res, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestLargeBenchmarks(t *testing.T) {
 	for _, b := range Large() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, err := Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
+			res, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +56,11 @@ func TestParallelResultsMatchSequentialResults(t *testing.T) {
 	for _, b := range Paper() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			seq, err := Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
+			seq, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 1, Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Run(context.Background(), b, RunConfig{PEs: 4})
+			par, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestDerivSpeedsUpWithPEs(t *testing.T) {
 	b := Deriv()
 	var prev int64
 	for i, pes := range []int{1, 4} {
-		res, err := Run(context.Background(), b, RunConfig{PEs: pes})
+		res, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: pes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +117,8 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-func ExampleRun() {
-	res, err := Run(context.Background(), Tak(), RunConfig{PEs: 2})
+func ExampleRunner_Run() {
+	res, err := new(Runner).Run(context.Background(), Tak(), RunConfig{PEs: 2})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -32,12 +32,12 @@ func (c *cancelAfter) Add(trace.Ref) {
 func TestRunHonorsPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := EngineRuns()
-	if _, err := Run(ctx, Deriv(), RunConfig{PEs: 1, Sequential: true}); !errors.Is(err, context.Canceled) {
+	var r Runner
+	if _, err := r.Run(ctx, Deriv(), RunConfig{PEs: 1, Sequential: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if got := EngineRuns(); got != before {
-		t.Fatalf("cancelled-before-start Run still counted an engine run (%d -> %d)", before, got)
+	if got := r.EngineRuns(); got != 0 {
+		t.Fatalf("cancelled-before-start Run still counted %d engine runs", got)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestRunCancelsMidRun(t *testing.T) {
 	for _, pes := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelAfter{n: 5000, cancel: cancel}
-		_, err := Run(ctx, Qsort(), RunConfig{PEs: pes, Sequential: pes == 1, Sink: sink})
+		_, err := new(Runner).Run(ctx, Qsort(), RunConfig{PEs: pes, Sequential: pes == 1, Sink: sink})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("PEs=%d: err = %v, want context.Canceled", pes, err)
@@ -65,18 +65,17 @@ func TestEnsureStoredCancellationNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTraceStore(store)
-	defer SetTraceStore(nil)
+	r := &Runner{Store: store}
 
 	b := QsortSized(300) // distinct cell, cheap regeneration
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EnsureStored(ctx, b, 2, false); !errors.Is(err, context.Canceled) {
+	if _, err := r.EnsureStored(ctx, b, 2, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EnsureStored with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// The cancelled flight must not poison the cell: a caller with a
 	// live context regenerates it.
-	if _, err := EnsureStored(context.Background(), b, 2, false); err != nil {
+	if _, err := r.EnsureStored(context.Background(), b, 2, false); err != nil {
 		t.Fatalf("EnsureStored after cancelled attempt: %v", err)
 	}
 	if !store.Has(StoreKey(b.Name, 2, false)) {
@@ -100,8 +99,7 @@ func TestEnsureStoredMidRunCancellationCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTraceStore(store)
-	defer SetTraceStore(nil)
+	r := &Runner{Store: store}
 
 	b := QsortSized(400)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -109,13 +107,12 @@ func TestEnsureStoredMidRunCancellationCleansUp(t *testing.T) {
 	// EnsureStored drives its own sink (the store's encoder), so the
 	// cancellation comes from outside: cancel as soon as the engine
 	// run has started (detected by the EngineRuns counter moving).
-	before := EngineRuns()
 	done := make(chan error, 1)
 	go func() {
-		_, err := EnsureStored(ctx, b, 4, false)
+		_, err := r.EnsureStored(ctx, b, 4, false)
 		done <- err
 	}()
-	for EngineRuns() == before {
+	for r.EngineRuns() == 0 {
 		runtime.Gosched()
 	}
 	cancel()

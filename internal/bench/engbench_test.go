@@ -7,8 +7,6 @@ package bench
 // measures the full cold-generation path the trace store pays on a
 // miss: emulate + compact-codec encode. Compilation happens once per
 // cell outside the timed loop (tracegen compiles once per cell too).
-// scripts/bench_engine.sh records both into BENCH_engine.json next to
-// the cache-replay numbers.
 
 import (
 	"io"
@@ -157,13 +155,12 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGenerationWorkers measures the pipelined generation
-// path (emulate on one goroutine, chunk encoding on workers) that
-// EnsureStored uses when generation workers are configured. workers=1
-// is pure emulate/encode overlap; higher counts add parallel chunk
+// BenchmarkTraceGenerationWorkers measures pipelined generation
+// (emulate on one goroutine, chunk encoding on workers) through
+// trace.ParallelChunkWriter, which no product path uses. workers=1 is
+// pure emulate/encode overlap; higher counts add parallel chunk
 // encoders. Output bytes are identical at every worker count, so this
-// isolates the wall-clock effect alone. scripts/bench_replay.sh
-// records it into BENCH_replay.json.
+// isolates the wall-clock effect alone.
 func BenchmarkTraceGenerationWorkers(b *testing.B) {
 	cells := []struct {
 		bench string

@@ -84,7 +84,7 @@ func TestSizedVariantsRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("ByName(%q) does not resolve", name)
 		}
-		if _, err := Run(context.Background(), b, RunConfig{PEs: 2}); err != nil {
+		if _, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: 2}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -16,12 +16,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/tracestore"
 )
 
 // parallelFingerprint is traceFingerprint through the parallel encoder.
@@ -41,7 +39,7 @@ func parallelFingerprint(t *testing.T, name string, pes int, sequential bool, wo
 	if err != nil {
 		t.Fatalf("%s: NewParallelChunkWriter: %v", goldenKey(name, pes, sequential), err)
 	}
-	if _, err := Run(context.Background(), b, RunConfig{PEs: pes, Sequential: sequential, Sink: cw}); err != nil {
+	if _, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: pes, Sequential: sequential, Sink: cw}); err != nil {
 		cw.Close()
 		t.Fatalf("%s: run: %v", goldenKey(name, pes, sequential), err)
 	}
@@ -93,51 +91,5 @@ func TestGoldenTraceParityParallelGeneration(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestEnsureStoredParallelWorkersBytes checks the full storage path:
-// a store filled with SetGenWorkers(4) holds byte-identical files (and
-// equal sidecars) to one filled synchronously.
-func TestEnsureStoredParallelWorkersBytes(t *testing.T) {
-	b, ok := ByName("deriv")
-	if !ok {
-		t.Fatal("deriv benchmark missing")
-	}
-	defer SetTraceStore(nil)
-	defer SetGenWorkers(1)
-
-	fill := func(dir string, workers int) ([]byte, RunRecord) {
-		t.Helper()
-		s, err := tracestore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		SetGenWorkers(workers)
-		SetTraceStore(s)
-		k, err := EnsureStored(context.Background(), b, 4, false)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, err := os.ReadFile(s.Path(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec RunRecord
-		if ok, err := s.LoadSidecar(k, &rec); err != nil || !ok {
-			t.Fatalf("workers=%d: sidecar: ok=%v err=%v", workers, ok, err)
-		}
-		return data, rec
-	}
-
-	seqBytes, seqRec := fill(filepath.Join(t.TempDir(), "seq"), 1)
-	parBytes, parRec := fill(filepath.Join(t.TempDir(), "par"), 4)
-	if !bytes.Equal(parBytes, seqBytes) {
-		t.Errorf("stored trace bytes differ: %d vs %d bytes", len(parBytes), len(seqBytes))
-	}
-	seqJSON, _ := json.Marshal(seqRec)
-	parJSON, _ := json.Marshal(parRec)
-	if !bytes.Equal(parJSON, seqJSON) {
-		t.Errorf("sidecars differ:\n par %s\n seq %s", parJSON, seqJSON)
 	}
 }

@@ -12,15 +12,15 @@ package bench
 // machinery end to end.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
-	"repro/internal/tracestore"
+	"repro/internal/compile"
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func execShardCounts() []int {
@@ -71,50 +71,30 @@ func TestGoldenTraceParityShards(t *testing.T) {
 	}
 }
 
-// TestEnsureStoredShardsBytes pins the trace-store contract under
-// sharded generation: a store cold-filled with SetExecShards(2) holds
-// byte-identical files (and equal sidecars) to one filled with the
-// serial dispatcher, so warm stores stay valid whichever mode wrote
-// them.
-func TestEnsureStoredShardsBytes(t *testing.T) {
-	b, ok := ByName("qsort")
-	if !ok {
-		t.Fatal("qsort benchmark missing")
-	}
-	defer SetTraceStore(nil)
-	defer SetExecShards(1)
-
-	fill := func(shards int) ([]byte, RunRecord) {
-		t.Helper()
-		s, err := tracestore.Open(t.TempDir())
+// traceFingerprintShards is traceFingerprint with the engine driven
+// directly under the sharded dispatcher at the given host-shard count
+// (no product path sets core.Config.ExecShards). The goldens are
+// shared: the sharded merge must reproduce the reference stream
+// byte-for-byte at every shard count.
+func traceFingerprintShards(t *testing.T, name string, pes int, sequential bool, shards int) goldenCell {
+	t.Helper()
+	return fingerprintRun(t, name, pes, sequential, func(b Benchmark, sink trace.Sink) error {
+		code, err := compile.Compile(b.Source, b.Query, compile.Options{Sequential: sequential})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		SetExecShards(shards)
-		SetTraceStore(s)
-		k, err := EnsureStored(context.Background(), b, 8, false)
+		eng, err := core.New(code, core.Config{PEs: pes, Sink: sink, ExecShards: shards})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			return err
 		}
-		data, err := os.ReadFile(s.Path(k))
+		res, err := eng.Run()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		var rec RunRecord
-		if ok, err := s.LoadSidecar(k, &rec); err != nil || !ok {
-			t.Fatalf("shards=%d: sidecar: ok=%v err=%v", shards, ok, err)
+		eng.Close()
+		if b.Check != nil {
+			return b.Check(res)
 		}
-		return data, rec
-	}
-
-	serialBytes, serialRec := fill(1)
-	shardBytes, shardRec := fill(2)
-	if !bytes.Equal(shardBytes, serialBytes) {
-		t.Errorf("stored trace bytes differ: %d vs %d bytes", len(shardBytes), len(serialBytes))
-	}
-	serialJSON, _ := json.Marshal(serialRec)
-	shardJSON, _ := json.Marshal(shardRec)
-	if !bytes.Equal(shardJSON, serialJSON) {
-		t.Errorf("sidecars differ:\n shard  %s\n serial %s", shardJSON, serialJSON)
-	}
+		return nil
+	})
 }

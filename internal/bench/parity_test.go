@@ -61,14 +61,15 @@ func goldenKey(name string, pes int, sequential bool) string {
 // its trace: the exact compact-codec bytes plus per-PE counts.
 func traceFingerprint(t *testing.T, name string, pes int, sequential bool) goldenCell {
 	t.Helper()
-	return traceFingerprintShards(t, name, pes, sequential, 1)
+	return fingerprintRun(t, name, pes, sequential, func(b Benchmark, sink trace.Sink) error {
+		_, err := new(Runner).Run(context.Background(), b, RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
+		return err
+	})
 }
 
-// traceFingerprintShards is traceFingerprint under the sharded
-// dispatcher at the given host-shard count (1 = serial dispatcher).
-// The goldens are shared: the sharded merge must reproduce the
-// reference stream byte-for-byte at every shard count.
-func traceFingerprintShards(t *testing.T, name string, pes int, sequential bool, shards int) goldenCell {
+// fingerprintRun fingerprints the reference stream run emits for the
+// cell into the compact encoder.
+func fingerprintRun(t *testing.T, name string, pes int, sequential bool, run func(b Benchmark, sink trace.Sink) error) goldenCell {
 	t.Helper()
 	b, ok := ByName(name)
 	if !ok {
@@ -84,7 +85,7 @@ func traceFingerprintShards(t *testing.T, name string, pes int, sequential bool,
 	if err != nil {
 		t.Fatalf("%s: NewChunkWriter: %v", goldenKey(name, pes, sequential), err)
 	}
-	if _, err := Run(context.Background(), b, RunConfig{PEs: pes, Sequential: sequential, Sink: cw, ExecShards: shards}); err != nil {
+	if err := run(b, cw); err != nil {
 		t.Fatalf("%s: run: %v", goldenKey(name, pes, sequential), err)
 	}
 	if err := cw.Close(); err != nil {

@@ -1,20 +1,16 @@
 package bench
 
-// Persistent trace-store integration. When a store is attached
-// (SetTraceStore), every benchmark cell — one (benchmark, PEs,
-// sequential) engine run — is generated at most once per emulator
-// version: the run streams its reference trace straight into the
-// store's compact encoder (never buffering it) and records its engine
-// statistics in a JSON sidecar, and later callers replay from disk.
-// Trace and the experiments grid runner both consult the store before
-// regenerating.
+// Persistent trace-store integration. When a Runner carries a Store,
+// every benchmark cell — one (benchmark, PEs, sequential) engine run —
+// is generated at most once per emulator version: the run streams its
+// reference trace straight into the store's compact encoder (never
+// buffering it) and records its engine statistics in a JSON sidecar,
+// and later callers replay from disk. Trace and the experiments grid
+// both consult the store before regenerating.
 
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -22,96 +18,11 @@ import (
 	"repro/internal/tracestore"
 )
 
-// engineRuns counts emulator executions (Run calls) since process
-// start or the last ResetEngineRuns — the observable that verifies a
-// warm trace store eliminates regeneration.
-var engineRuns atomic.Int64
-
-// EngineRuns returns the number of emulator executions performed so
-// far (every Run call, including runs on behalf of Trace and the
-// experiment drivers).
-func EngineRuns() int64 { return engineRuns.Load() }
-
-// ResetEngineRuns zeroes the emulator-execution counter.
-func ResetEngineRuns() { engineRuns.Store(0) }
-
-// traceStore is the attached persistent store (nil = disabled).
-var traceStoreP atomic.Pointer[tracestore.Store]
-
-// cellFlights single-flights concurrent generation of the same cell.
-// Flights are removed on completion — success lives on in the store
-// itself (the next caller's Has check hits), and failures are never
-// memoized, so a quarantined or lost cell regenerates on the next
-// call instead of replaying a stale error forever. The memo that made
-// "stored" permanent in-process is gone on purpose: the store is the
-// source of truth now, which is what lets self-healing reads work.
-var cellFlights sync.Map // tracestore.Key -> *cellFlight
-
+// cellFlight is one in-progress generation of a store cell
+// (Runner.flights).
 type cellFlight struct {
 	done chan struct{}
 	err  error
-}
-
-// SetTraceStore attaches (or, with nil, detaches) the persistent trace
-// store consulted by Trace and EnsureStored.
-func SetTraceStore(s *tracestore.Store) {
-	traceStoreP.Store(s)
-}
-
-// TraceStore returns the attached persistent trace store (nil if none).
-func TraceStore() *tracestore.Store { return traceStoreP.Load() }
-
-// genWorkers is the configured trace-encode worker count for cold
-// generation (0 = unset, meaning 1: the fully synchronous encoder).
-var genWorkers atomic.Int64
-
-// SetGenWorkers configures how many goroutines encode RWT2 chunks
-// during cold trace generation (EnsureStored): n > 1 pipelines
-// emulate→encode→write with n encode workers, n = 1 restores the
-// synchronous encoder, and n <= 0 selects GOMAXPROCS. The stored bytes
-// are identical at every setting (trace.ParallelChunkWriter), so the
-// golden hashes and content addresses never move.
-func SetGenWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	genWorkers.Store(int64(n))
-}
-
-// GenWorkers returns the configured generation encode worker count
-// (default 1).
-func GenWorkers() int {
-	if n := int(genWorkers.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// execShards is the configured emulator sharded-execution host-worker
-// count (0 = unset, meaning 1: the serial dispatcher).
-var execShards atomic.Int64
-
-// SetExecShards configures how many host goroutines the emulator uses
-// to speculate independent PEs' cycles in parallel (core.Config
-// ExecShards): n > 1 enables sharded execution for multi-PE parallel
-// runs, n = 1 restores the serial dispatcher, and n <= 0 selects
-// GOMAXPROCS. The emitted trace is byte-identical at every setting
-// (the merge replays the canonical reference order), so the golden
-// hashes and content addresses never move.
-func SetExecShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	execShards.Store(int64(n))
-}
-
-// ExecShards returns the configured sharded-execution host-worker
-// count (default 1).
-func ExecShards() int {
-	if n := int(execShards.Load()); n > 0 {
-		return n
-	}
-	return 1
 }
 
 // StoreKey returns the trace-store key for a benchmark cell under the
@@ -139,28 +50,27 @@ type RunRecord struct {
 	Refs trace.Counter
 }
 
-// EnsureStored makes sure the attached store holds the trace and run
-// sidecar for (b, pes, sequential), generating them with one engine run
-// if absent. Generation is streaming (the trace never materializes in
-// memory) and single-flighted: concurrent callers for the same cell
-// block until the one generation completes — the generating caller's
-// ctx governs the engine run, so every waiter on a cancelled flight
-// observes the context error. It returns the cell's key. Calling
-// EnsureStored with no store attached is an error.
+// EnsureStored makes sure r.Store holds the trace and run sidecar for
+// (b, pes, sequential), generating them with one engine run if absent.
+// Generation is streaming (the trace never materializes in memory) and
+// single-flighted: concurrent callers for the same cell block until
+// the one generation completes — the generating caller's ctx governs
+// the engine run, so every waiter on a cancelled flight observes the
+// context error. It returns the cell's key. Calling EnsureStored on a
+// Runner without a Store is an error.
 //
 // Failures are not memoized: the next call re-checks the store and
 // regenerates, which is how a cell quarantined by a corrupt read comes
 // back. Callers that keep looping on a persistently failing cell are
 // expected to bound their own retries (the experiments grid does).
-func EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
-	s := TraceStore()
+func (r *Runner) EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
 	k := StoreKey(b.Name, pes, sequential)
-	if s == nil {
+	if r.Store == nil {
 		return k, errNoStore
 	}
 	for {
 		f := &cellFlight{done: make(chan struct{})}
-		if v, loaded := cellFlights.LoadOrStore(k, f); loaded {
+		if v, loaded := r.flights.LoadOrStore(k, f); loaded {
 			// Someone else is generating this cell; wait them out,
 			// then re-check the store (their failure is not ours to
 			// inherit — a cancelled or faulted generation must not
@@ -181,44 +91,44 @@ func EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (t
 				return k, ctx.Err()
 			}
 		}
-		f.err = generateCell(ctx, s, k, b, pes, sequential)
-		cellFlights.Delete(k)
+		f.err = r.generateCell(ctx, k, b, pes, sequential)
+		r.flights.Delete(k)
 		close(f.done)
 		return k, f.err
 	}
 }
 
 // generateCell performs one store-check + generation for a cell.
-func generateCell(ctx context.Context, s *tracestore.Store, k tracestore.Key, b Benchmark, pes int, sequential bool) error {
-	if s.Has(k) {
+func (r *Runner) generateCell(ctx context.Context, k tracestore.Key, b Benchmark, pes int, sequential bool) error {
+	if r.Store.Has(k) {
 		return nil
 	}
 	var res *core.Result
-	err := s.PutWorkers(k, GenWorkers(), func(sink trace.Sink) error {
-		r, err := Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
-		res = r
+	err := r.Store.Put(k, func(sink trace.Sink) (err error) {
+		res, err = r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	return s.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
+	return r.Store.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
 }
 
-// errNoStore reports EnsureStored use without an attached store.
-var errNoStore = errors.New("bench: no trace store attached (SetTraceStore)")
+// errNoStore reports EnsureStored use on a Runner without a Store.
+//
+//rapwam:allow globalstate sentinel error value, never reassigned
+var errNoStore = errors.New("bench: Runner has no trace store")
 
 // traceHealAttempts bounds how many times Trace retries a cell whose
 // stored copy keeps failing before degrading to a direct run.
 const traceHealAttempts = 3
 
 // TraceDirect generates the benchmark's full memory-reference trace
-// with one emulator run, bypassing any attached store — the degraded
-// path when storage is unavailable, and the only path when no store is
-// attached.
-func TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
+// with one emulator run, bypassing r.Store — the degraded path when
+// storage is unavailable, and the only path without a store.
+func (r *Runner) TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
 	buf := trace.NewBuffer(1 << 20)
-	res, err := Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf})
+	res, err := r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,11 +136,10 @@ func TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*t
 }
 
 // Trace returns the benchmark's full memory-reference trace, running
-// the emulator to generate it. With a persistent store attached
-// (SetTraceStore) the store is consulted first: a hit decodes the
-// stored trace instead of re-running the emulator (and returns a nil
-// run result, since no run happened), and a miss generates through the
-// store so the next caller hits.
+// the emulator to generate it. When r carries a Store it is consulted
+// first: a hit decodes the stored trace instead of re-running the
+// emulator (and returns a nil run result, since no run happened), and a
+// miss generates through the store so the next caller hits.
 //
 // Store failures self-heal: a corrupt stored trace is quarantined by
 // the read (tracestore.CorruptError reads as a miss), so the retry
@@ -241,17 +150,17 @@ func TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*t
 // them pass their own Sink via RunConfig; callers that should never
 // materialize the trace replay it from the store
 // (tracestore.Store.Replay) instead.
-func Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
-	s := TraceStore()
+func (r *Runner) Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
+	s := r.Store
 	if s == nil {
-		return TraceDirect(ctx, b, pes, sequential)
+		return r.TraceDirect(ctx, b, pes, sequential)
 	}
 	var lastErr error
 	for attempt := 0; attempt < traceHealAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if _, lastErr = EnsureStored(ctx, b, pes, sequential); lastErr != nil {
+		if _, lastErr = r.EnsureStored(ctx, b, pes, sequential); lastErr != nil {
 			if storage.AsBackendError(lastErr) {
 				continue // transient or backend-side: retry, then degrade
 			}
@@ -279,5 +188,5 @@ func Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.B
 	// than fail the caller. The flag makes the bypass visible
 	// (X-Degraded at the serving layer).
 	storage.MarkDegraded(ctx, "trace-store")
-	return TraceDirect(ctx, b, pes, sequential)
+	return r.TraceDirect(ctx, b, pes, sequential)
 }

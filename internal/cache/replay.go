@@ -14,18 +14,7 @@ import "repro/internal/trace"
 // All configurations are validated up front; on error nothing is
 // simulated.
 func SimulateAll(buf *trace.Buffer, cfgs []Config) ([]Stats, error) {
-	return SimulateAllShards(buf, cfgs, 1)
-}
-
-// SimulateAllShards is SimulateAll with intra-configuration
-// parallelism: each configuration that can be set-sharded (see
-// EffectiveShards) is replayed by up to shards workers partitioned by
-// cache set, with statistics merged by the deterministic reduction in
-// Sharded.Close — bit-identical to shards = 1. Configurations that
-// cannot shard (fully associative, or fewer sets than workers) fall
-// back to a sequential simulator automatically.
-func SimulateAllShards(buf *trace.Buffer, cfgs []Config, shards int) ([]Stats, error) {
-	return SimulateAllStreamShards(cfgs, shards, func(sinks []trace.Sink) error {
+	return SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
 		buf.ReplayAll(sinks...)
 		return nil
 	})
@@ -39,48 +28,56 @@ func SimulateAllShards(buf *trace.Buffer, cfgs []Config, shards int) ([]Stats, e
 // statistics. The experiments grid uses it to stream traces from disk
 // without materializing them.
 func SimulateAllStream(cfgs []Config, replay func(sinks []trace.Sink) error) ([]Stats, error) {
-	return SimulateAllStreamShards(cfgs, 1, replay)
-}
-
-// SimulateAllStreamShards is SimulateAllStream with set-sharded
-// intra-configuration parallelism (see SimulateAllShards). Shardable
-// configurations get a Sharded sink, sequential ones a plain Sim; the
-// replay callback drives them identically (both implement the batch
-// sink interfaces), and the sharded sinks are drained and merged after
-// replay returns — also on replay error, so no worker goroutine leaks.
-func SimulateAllStreamShards(cfgs []Config, shards int, replay func(sinks []trace.Sink) error) ([]Stats, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 	}
 	sims := make([]*Sim, len(cfgs))
-	sharded := make([]*Sharded, len(cfgs))
 	sinks := make([]trace.Sink, len(cfgs))
 	for i, cfg := range cfgs {
-		if EffectiveShards(cfg, shards) > 1 {
-			sharded[i] = NewSharded(cfg, shards)
-			sinks[i] = sharded[i]
-		} else {
-			sims[i] = New(cfg)
-			sinks[i] = sims[i]
-		}
+		sims[i] = New(cfg)
+		sinks[i] = sims[i]
 	}
-	err := replay(sinks)
-	for _, sh := range sharded {
-		if sh != nil {
-			sh.Close()
-		}
-	}
-	if err != nil {
+	if err := replay(sinks); err != nil {
 		return nil, err
 	}
 	out := make([]Stats, len(cfgs))
-	for i := range cfgs {
-		if sharded[i] != nil {
-			out[i] = sharded[i].Stats()
+	for i, sim := range sims {
+		out[i] = sim.Stats()
+	}
+	return out, nil
+}
+
+// SimulateAllShards is SimulateAll with each set-shardable
+// configuration (see EffectiveShards) replayed by up to shards workers
+// partitioned by cache set and merged by the deterministic reduction
+// in Sharded.Close — bit-identical to SimulateAll. No product code
+// calls it: it is retained, with sharded.go, for the benchmark
+// harness's per-layer probe (cache.sharded2_mrefcfg_s).
+func SimulateAllShards(buf *trace.Buffer, cfgs []Config, shards int) ([]Stats, error) {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	sinks := make([]trace.Sink, len(cfgs))
+	for i, cfg := range cfgs {
+		if EffectiveShards(cfg, shards) > 1 {
+			sinks[i] = NewSharded(cfg, shards)
 		} else {
-			out[i] = sims[i].Stats()
+			sinks[i] = New(cfg)
+		}
+	}
+	buf.ReplayAll(sinks...)
+	out := make([]Stats, len(cfgs))
+	for i, sink := range sinks {
+		switch s := sink.(type) {
+		case *Sharded:
+			s.Close()
+			out[i] = s.Stats()
+		case *Sim:
+			out[i] = s.Stats()
 		}
 	}
 	return out, nil

@@ -190,8 +190,7 @@ func TestShardedReadBeforeClosePanics(t *testing.T) {
 
 // BenchmarkShardedReplay measures single-configuration replay
 // throughput versus shard count on a set-associative configuration
-// (1024 words, 4-word lines, 2-way: 128 sets), the scaling row in
-// BENCH_replay.json. shards=1 takes the plain sequential kernel path
+// (1024 words, 4-word lines, 2-way: 128 sets). shards=1 takes the plain sequential kernel path
 // via SimulateAllShards, so the baseline includes no fan-out overhead.
 func BenchmarkShardedReplay(b *testing.B) {
 	buf := parityTrace(b, "qsort", 4, false)

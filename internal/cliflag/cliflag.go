@@ -1,8 +1,10 @@
-// Package cliflag holds the worker-count flags shared by the command
-// line tools, so -par and -shards mean the same thing — same help
-// text, same validation, same 0 = GOMAXPROCS convention — in every
-// command that has them (cmd/experiments, cmd/tracegen, cmd/rapwamd,
-// cmd/cachesim).
+// Package cliflag holds the grid worker-budget flag shared by the
+// command line tools that run the experiments grid, so -par means the
+// same thing — same help text, same validation, same 0 = GOMAXPROCS
+// convention — in cmd/experiments, cmd/tracegen and cmd/rapwamd.
+// (cmd/cachesim also has a -par, but it is a different knob — cache
+// simulators per trace pass, 0 = all in one pass — and does not use
+// this package.)
 package cliflag
 
 import (
@@ -11,33 +13,15 @@ import (
 	"runtime"
 )
 
-// ParHelp and ShardsHelp are the single help strings for the two
-// worker-count flags.
-const (
-	ParHelp = "grid worker budget: concurrent experiment cells — engine runs and trace replays (0 = GOMAXPROCS)"
-	// ShardsHelp documents -shards. The default of 1 (not GOMAXPROCS)
-	// is deliberate: the paper's fully associative configurations
-	// cannot shard, and a GOMAXPROCS default would shrink the grid
-	// pool (the budget is shared) with nothing gained inside cells.
-	ShardsHelp = "intra-cell parallelism: set-shard replay workers per cache configuration and trace-encode workers per generation (0 = GOMAXPROCS)"
-	// ExecShardsHelp documents -exec-shards. Like -shards the default
-	// is 1: sharded emulation only pays off for multi-PE parallel
-	// cells, and grid tools share their worker budget with it.
-	ExecShardsHelp = "emulator execution shards: host goroutines speculating independent PEs' cycles inside one engine run, trace-identical to the serial dispatcher (0 = GOMAXPROCS, 1 = serial)"
-)
+// ParHelp is the single help string for -par.
+const ParHelp = "grid worker budget: concurrent experiment cells — engine runs and trace replays (0 = GOMAXPROCS)"
 
 // Par registers the -par flag on fs.
 func Par(fs *flag.FlagSet) *int { return fs.Int("par", 0, ParHelp) }
 
-// Shards registers the -shards flag on fs.
-func Shards(fs *flag.FlagSet) *int { return fs.Int("shards", 1, ShardsHelp) }
-
-// ExecShards registers the -exec-shards flag on fs.
-func ExecShards(fs *flag.FlagSet) *int { return fs.Int("exec-shards", 1, ExecShardsHelp) }
-
 // Resolve validates a worker-count flag value: negative values are
 // rejected, 0 resolves to runtime.GOMAXPROCS(0), positive values pass
-// through. name appears in the error ("par", "shards").
+// through. name appears in the error ("par").
 func Resolve(name string, n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("-%s %d: worker count cannot be negative (0 = GOMAXPROCS)", name, n)

@@ -3,6 +3,7 @@ package cliflag
 import (
 	"flag"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestResolve(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "-par -1") {
 		t.Fatalf("Resolve(-1): error %q does not name the flag and value", err)
 	}
-	if n, err := Resolve("shards", 0); err != nil || n != runtime.GOMAXPROCS(0) {
+	if n, err := Resolve("par", 0); err != nil || n != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Resolve(0) = %d, %v; want GOMAXPROCS=%d", n, err, runtime.GOMAXPROCS(0))
 	}
 	if n, err := Resolve("par", 7); err != nil || n != 7 {
@@ -22,40 +23,32 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-// TestRegistration pins the shared flag names, defaults and help text:
-// every command registering through this package presents identical
-// -par and -shards flags.
+// TestRegistration pins the shared flag name, default and help text:
+// every command registering through this package presents an identical
+// -par flag.
 func TestRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	par := Par(fs)
-	shards := Shards(fs)
 	if *par != 0 {
 		t.Errorf("-par default = %d, want 0 (GOMAXPROCS)", *par)
-	}
-	if *shards != 1 {
-		t.Errorf("-shards default = %d, want 1 (sequential)", *shards)
 	}
 	if f := fs.Lookup("par"); f == nil || f.Usage != ParHelp {
 		t.Errorf("-par help text not the shared ParHelp")
 	}
-	if f := fs.Lookup("shards"); f == nil || f.Usage != ShardsHelp {
-		t.Errorf("-shards help text not the shared ShardsHelp")
-	}
-	if err := fs.Parse([]string{"-par", "3", "-shards", "2"}); err != nil {
+	if err := fs.Parse([]string{"-par", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if *par != 3 || *shards != 2 {
-		t.Fatalf("parsed (par, shards) = (%d, %d), want (3, 2)", *par, *shards)
+	if *par != 3 {
+		t.Fatalf("parsed par = %d, want 3", *par)
 	}
 }
 
-// TestResolveErrorPaths pins the rejection surface for every flag name
-// that routes through Resolve: any negative count fails, the error
-// names the exact flag and value the user typed (so the message is
-// actionable from any of the four commands), the zero value comes back
-// with the error, and the 0 = GOMAXPROCS convention is restated.
+// TestResolveErrorPaths pins Resolve's rejection surface: any negative
+// count fails, the error names the exact flag and value the user typed
+// (so the message is actionable from any command), the zero value comes
+// back with the error, and the 0 = GOMAXPROCS convention is restated.
 func TestResolveErrorPaths(t *testing.T) {
-	for _, name := range []string{"par", "shards", "exec-shards"} {
+	for _, name := range []string{"par", "workers"} {
 		for _, n := range []int{-1, -7, -1 << 30} {
 			got, err := Resolve(name, n)
 			if err == nil {
@@ -75,21 +68,17 @@ func TestResolveErrorPaths(t *testing.T) {
 	}
 }
 
-// TestExecShardsRegistration pins -exec-shards like TestRegistration
-// pins -par and -shards: serial default, shared help text.
-func TestExecShardsRegistration(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	es := ExecShards(fs)
-	if *es != 1 {
-		t.Errorf("-exec-shards default = %d, want 1 (serial dispatcher)", *es)
-	}
-	if f := fs.Lookup("exec-shards"); f == nil || f.Usage != ExecShardsHelp {
-		t.Errorf("-exec-shards help text not the shared ExecShardsHelp")
-	}
-	if err := fs.Parse([]string{"-exec-shards", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if *es != 4 {
-		t.Fatalf("parsed -exec-shards = %d, want 4", *es)
+// TestShardFlagsAreUnknown pins the removal of the intra-cell width
+// flags: a flag set built from this package rejects -shards and
+// -exec-shards as undefined instead of accepting a value nothing reads.
+func TestShardFlagsAreUnknown(t *testing.T) {
+	for _, name := range []string{"shards", "exec-shards"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Par(fs)
+		err := fs.Parse([]string{"-" + name, "2"})
+		if err == nil || !strings.Contains(err.Error(), "not defined: -"+name) {
+			t.Errorf("parsing -%s: err = %v, want flag provided but not defined", name, err)
+		}
 	}
 }

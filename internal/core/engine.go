@@ -277,25 +277,27 @@ func (e *Engine) Memory() *mem.Memory { return e.mem }
 func (e *Engine) Close() { e.mem.Release() }
 
 // Run executes the query to the first solution (or failure).
-func (e *Engine) Run() (*Result, error) {
+func (e *Engine) Run() (res *Result, err error) {
 	w0 := e.workers[0]
 	w0.pc = e.code.QueryEntry
 	w0.cp = cpQueryDone
 	w0.setState(StateRun)
 
-	// Machine errors (overflows, bad code addresses) surface as panics
-	// carrying execution context. The recover lives here — once per
-	// run — instead of in a per-instruction defer on the hot path.
+	// Machine errors (overflows, bad code addresses) are raised as
+	// panics carrying execution context and returned as errors here —
+	// one recover per run instead of a per-instruction defer on the hot
+	// path. Anything else is a bug in the emulator and keeps
+	// propagating.
 	defer func() {
 		if r := recover(); r != nil {
-			if me, ok := r.(machineError); ok {
-				panic(fmt.Errorf("cycle %d pc %d: %s", e.cycle, me.pc, me.msg))
+			me, ok := r.(machineError)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			res, err = nil, fmt.Errorf("cycle %d pc %d: %s", e.cycle, me.pc, me.msg)
 		}
 	}()
 
-	var err error
 	switch {
 	case e.cfg.ReferenceDispatch:
 		err = e.runReference()
@@ -311,7 +313,7 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
+	res = &Result{
 		Success: e.success,
 		Output:  e.out.String(),
 		Refs:    e.mem.Counter(),

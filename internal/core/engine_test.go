@@ -1,6 +1,7 @@
 package core
 
 import (
+	"regexp"
 	"testing"
 
 	"repro/internal/compile"
@@ -715,10 +716,11 @@ func TestHeapOverflowReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("heap overflow not reported")
-		}
-	}()
-	_, _ = eng.Run()
+	res, err := eng.Run()
+	if err == nil || res != nil {
+		t.Fatalf("heap overflow not reported: res = %v, err = %v", res, err)
+	}
+	if ok, _ := regexp.MatchString(`^cycle \d+ pc \d+: pe0: heap overflow`, err.Error()); !ok {
+		t.Errorf("err = %q, want \"cycle N pc M: pe0: heap overflow...\"", err)
+	}
 }

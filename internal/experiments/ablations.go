@@ -33,8 +33,8 @@ type GranularitySweep struct {
 
 // RunGranularitySweep measures deriv at the given depths, serving
 // per-cell statistics from the grid's memo layer.
-func RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, error) {
-	base, _, err := runStats(ctx, bench.DerivDepth(0), 1, true)
+func RunGranularitySweep(ctx context.Context, r *bench.Runner, depths []int) (*GranularitySweep, error) {
+	base, _, err := runStats(ctx, r, bench.DerivDepth(0), 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func RunGranularitySweep(ctx context.Context, depths []int) (*GranularitySweep, 
 	baseCycles := float64(base.Cycles)
 	out := &GranularitySweep{}
 	for _, d := range depths {
-		st, _, err := runStats(ctx, bench.DerivDepth(d), 8, false)
+		st, _, err := runStats(ctx, r, bench.DerivDepth(d), 8, false)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ type LineSizeSweep struct {
 // RunLineSizeSweep replays one benchmark trace across line sizes; all
 // line sizes are simulated concurrently in a single pass over the
 // memoized trace.
-func RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
+func RunLineSizeSweep(ctx context.Context, r *bench.Runner, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
@@ -93,7 +93,7 @@ func RunLineSizeSweep(ctx context.Context, benchName string, pes, sizeWords int,
 			WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, sizeWords),
 		}
 	}
-	sts, err := simulateAll(ctx, b, pes, pes == 1, cfgs)
+	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -130,12 +130,12 @@ type LockShare struct {
 
 // RunLockShare measures one benchmark; the Table 1 reference counter
 // comes from the grid's memo layer (the run sidecar, with a store).
-func RunLockShare(ctx context.Context, benchName string, pes int) (*LockShare, error) {
+func RunLockShare(ctx context.Context, r *bench.Runner, benchName string, pes int) (*LockShare, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	_, refs, err := runStats(ctx, b, pes, false)
+	_, refs, err := runStats(ctx, r, b, pes, false)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ type BusDES struct {
 
 // RunBusDES replays one benchmark's bus transactions through the DES
 // bus and the analytic model.
-func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
+func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
@@ -215,7 +215,7 @@ func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWo
 			return nil, err
 		}
 		fresh()
-		if replayErr = replayCell(ctx, b, pes, pes == 1, sim); replayErr == nil {
+		if replayErr = replayCell(ctx, r, b, pes, pes == 1, sim); replayErr == nil {
 			break
 		}
 		if !storeHealable(replayErr) {
@@ -227,8 +227,8 @@ func RunBusDES(ctx context.Context, benchName string, pes, cacheWords int, busWo
 			return nil, err
 		}
 		storage.MarkDegraded(ctx, "trace-store")
-		progress("bus DES for %s @ %d PEs degrading to direct run: %v", benchName, pes, replayErr)
-		buf, err := cachedTrace(ctx, b, pes, pes == 1, true)
+		r.Progressf("bus DES for %s @ %d PEs degrading to direct run: %v", benchName, pes, replayErr)
+		buf, err := r.CachedTrace(ctx, b, pes, pes == 1, true)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +278,7 @@ type AssocSweep struct {
 // RunAssocSweep replays one benchmark trace across associativities; all
 // ways are simulated concurrently in a single pass over the memoized
 // trace.
-func RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
+func RunAssocSweep(ctx context.Context, r *bench.Runner, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
@@ -292,7 +292,7 @@ func RunAssocSweep(ctx context.Context, benchName string, pes, sizeWords int, wa
 			Assoc:         w,
 		}
 	}
-	sts, err := simulateAll(ctx, b, pes, pes == 1, cfgs)
+	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
 	if err != nil {
 		return nil, err
 	}

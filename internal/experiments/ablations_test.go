@@ -7,7 +7,7 @@ import (
 )
 
 func TestGranularitySweepTradeoff(t *testing.T) {
-	g, err := RunGranularitySweep(context.Background(), []int{0, 1, 2, 4})
+	g, err := RunGranularitySweep(context.Background(), shared, []int{0, 1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGranularitySweepTradeoff(t *testing.T) {
 }
 
 func TestLineSizeSweep(t *testing.T) {
-	l, err := RunLineSizeSweep(context.Background(), "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
+	l, err := RunLineSizeSweep(context.Background(), shared, "qsort", 4, 1024, []int{1, 2, 4, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLineSizeSweep(t *testing.T) {
 }
 
 func TestLockShareIsSmall(t *testing.T) {
-	l, err := RunLockShare(context.Background(), "qsort", 8)
+	l, err := RunLockShare(context.Background(), shared, "qsort", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLockShareIsSmall(t *testing.T) {
 }
 
 func TestBusDESMatchesAnalyticTrend(t *testing.T) {
-	b, err := RunBusDES(context.Background(), "qsort", 4, 512, 4)
+	b, err := RunBusDES(context.Background(), shared, "qsort", 4, 512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBusDESMatchesAnalyticTrend(t *testing.T) {
 }
 
 func TestAssocSweepConvergesToFull(t *testing.T) {
-	a, err := RunAssocSweep(context.Background(), "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
+	a, err := RunAssocSweep(context.Background(), shared, "qsort", 4, 1024, []int{1, 2, 4, 8, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/tracestore"
 )
 
 func TestRunGridReturnsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	err := runGrid(ctx, 10, func(i int) error {
+	err := runGrid(ctx, new(bench.Runner), 10, func(i int) error {
 		calls.Add(1)
 		return nil
 	})
@@ -27,12 +26,10 @@ func TestRunGridReturnsContextError(t *testing.T) {
 }
 
 func TestRunGridStopsAtCellBoundary(t *testing.T) {
-	SetParallelism(2)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	err := runGrid(ctx, 1000, func(i int) error {
+	err := runGrid(ctx, &bench.Runner{Par: 2}, 1000, func(i int) error {
 		if calls.Add(1) == 1 {
 			cancel()
 		}
@@ -48,16 +45,16 @@ func TestRunGridStopsAtCellBoundary(t *testing.T) {
 }
 
 func TestDriverCancellationDoesNotPoisonMemo(t *testing.T) {
-	// Use a sized variant so this test owns its memo cells.
 	name := "qsort-150"
+	r := new(bench.Runner)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLineSizeSweep(ctx, name, 2, 256, []int{2, 4}); !errors.Is(err, context.Canceled) {
+	if _, err := RunLineSizeSweep(ctx, r, name, 2, 256, []int{2, 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep: err = %v, want context.Canceled", err)
 	}
 	// The cancelled cell must not be memoized as failed: the same
 	// driver with a live context succeeds.
-	l, err := RunLineSizeSweep(context.Background(), name, 2, 256, []int{2, 4})
+	l, err := RunLineSizeSweep(context.Background(), r, name, 2, 256, []int{2, 4})
 	if err != nil {
 		t.Fatalf("sweep after cancelled attempt: %v", err)
 	}
@@ -68,14 +65,15 @@ func TestDriverCancellationDoesNotPoisonMemo(t *testing.T) {
 
 func TestCachedTraceEvictsCancelledEntry(t *testing.T) {
 	b, _ := bench.ByName("deriv-12")
+	r := new(bench.Runner)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cachedTrace(ctx, b, 2, false, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cachedTrace with cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := r.CachedTrace(ctx, b, 2, false, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CachedTrace with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	buf, err := cachedTrace(context.Background(), b, 2, false, false)
+	buf, err := r.CachedTrace(context.Background(), b, 2, false, false)
 	if err != nil {
-		t.Fatalf("cachedTrace after cancelled attempt: %v", err)
+		t.Fatalf("CachedTrace after cancelled attempt: %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("retried trace is empty")
@@ -83,19 +81,14 @@ func TestCachedTraceEvictsCancelledEntry(t *testing.T) {
 }
 
 func TestGenerateTracesCancellation(t *testing.T) {
-	store, err := tracestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetStore(store)
-	defer SetStore(nil)
+	r := storeRunner(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	targets := []TraceTarget{{Benchmark: bench.Qsort(), PEs: 2}}
-	if err := GenerateTraces(ctx, targets); !errors.Is(err, context.Canceled) {
+	if err := GenerateTraces(ctx, r, targets); !errors.Is(err, context.Canceled) {
 		t.Fatalf("GenerateTraces with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if err := GenerateTraces(context.Background(), targets); err != nil {
+	if err := GenerateTraces(context.Background(), r, targets); err != nil {
 		t.Fatalf("GenerateTraces retry: %v", err)
 	}
 }

@@ -72,9 +72,9 @@ type Figure2 struct {
 // RunFigure2 sweeps deriv over the given PE counts (the paper plots 1
 // to 40). Per-cell statistics come through the grid's memo layer, so
 // with a warm trace store the sweep runs no emulation at all.
-func RunFigure2(ctx context.Context, peCounts []int) (*Figure2, error) {
+func RunFigure2(ctx context.Context, r *bench.Runner, peCounts []int) (*Figure2, error) {
 	b := bench.Deriv()
-	seq, _, err := runStats(ctx, b, 1, true)
+	seq, _, err := runStats(ctx, r, b, 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func RunFigure2(ctx context.Context, peCounts []int) (*Figure2, error) {
 	wamCycles := seq.Cycles
 	out := &Figure2{Benchmark: b.Name, WAMRefs: wamRefs}
 	for _, pes := range peCounts {
-		st, _, err := runStats(ctx, b, pes, false)
+		st, _, err := runStats(ctx, r, b, pes, false)
 		if err != nil {
 			return nil, err
 		}
@@ -133,14 +133,14 @@ type Table2 struct {
 
 // RunTable2 gathers the paper's Table 2 at the given PE count (8 in the
 // paper), serving per-cell statistics from the grid's memo layer.
-func RunTable2(ctx context.Context, pes int) (*Table2, error) {
+func RunTable2(ctx context.Context, r *bench.Runner, pes int) (*Table2, error) {
 	out := &Table2{PEs: pes}
 	for _, b := range bench.Paper() {
-		seq, _, err := runStats(ctx, b, 1, true)
+		seq, _, err := runStats(ctx, r, b, 1, true)
 		if err != nil {
 			return nil, err
 		}
-		par, _, err := runStats(ctx, b, pes, false)
+		par, _, err := runStats(ctx, r, b, pes, false)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ type Table3 struct {
 // sizes (sequential runs, copyback cache, 4-word lines). All benchmarks
 // run as independent grid cells; each benchmark's trace is walked once,
 // with both cache sizes simulated concurrently in that single pass.
-func RunTable3(ctx context.Context) (*Table3, error) {
+func RunTable3(ctx context.Context, r *bench.Runner) (*Table3, error) {
 	sizes := []int{512, 1024}
 	out := &Table3{CacheSizes: sizes}
 
@@ -228,8 +228,8 @@ func RunTable3(ctx context.Context) (*Table3, error) {
 	}
 	all := append(append([]bench.Benchmark(nil), larges...), smalls...)
 	ratios := make([][]float64, len(all)) // [benchIdx][sizeIdx]
-	err := runGrid(ctx, len(all), func(i int) error {
-		st, err := simulateAll(ctx, all[i], 1, true, cfgs)
+	err := runGrid(ctx, r, len(all), func(i int) error {
+		st, err := simulateAll(ctx, r, all[i], 1, true, cfgs)
 		if err != nil {
 			return err
 		}
@@ -237,7 +237,7 @@ func RunTable3(ctx context.Context) (*Table3, error) {
 		for j, s := range st {
 			ratios[i][j] = s.TrafficRatio()
 		}
-		progress("table3: %s: %d sizes in one pass", all[i].Name, len(st))
+		r.Progressf("table3: %s: %d sizes in one pass", all[i].Name, len(st))
 		return nil
 	})
 	if err != nil {
@@ -255,8 +255,8 @@ func RunTable3(ctx context.Context) (*Table3, error) {
 	out.Z = make([][]float64, len(sizes))
 	for smallIdx := range smalls {
 		for i := range sizes {
-			r := ratios[len(larges)+smallIdx][i]
-			out.Z[i] = append(out.Z[i], stats.ZScore(r, out.Etr[i], out.Sigma[i]))
+			ratio := ratios[len(larges)+smallIdx][i]
+			out.Z[i] = append(out.Z[i], stats.ZScore(ratio, out.Etr[i], out.Sigma[i]))
 		}
 	}
 	for i := range sizes {
@@ -320,7 +320,7 @@ type Figure4 struct {
 // independent (PE count, benchmark) cells execute on the bounded worker
 // pool. The numbers are identical to the sequential formulation — only
 // the wall clock changes.
-func RunFigure4(ctx context.Context, peCounts, sizes []int) (*Figure4, error) {
+func RunFigure4(ctx context.Context, r *bench.Runner, peCounts, sizes []int) (*Figure4, error) {
 	protocols := []cache.Protocol{cache.WriteInBroadcast, cache.Hybrid, cache.WriteThrough}
 	out := &Figure4{CacheSizes: sizes, PECounts: peCounts, Protocols: protocols}
 
@@ -348,15 +348,15 @@ func RunFigure4(ctx context.Context, peCounts, sizes []int) (*Figure4, error) {
 	for i := range cellStats {
 		cellStats[i] = make([][]cache.Stats, len(benches))
 	}
-	err := runGrid(ctx, len(peCounts)*len(benches), func(i int) error {
+	err := runGrid(ctx, r, len(peCounts)*len(benches), func(i int) error {
 		pesIdx, benchIdx := i/len(benches), i%len(benches)
 		pes := peCounts[pesIdx]
-		st, err := simulateAll(ctx, benches[benchIdx], pes, pes == 1, cfgs(pes))
+		st, err := simulateAll(ctx, r, benches[benchIdx], pes, pes == 1, cfgs(pes))
 		if err != nil {
 			return err
 		}
 		cellStats[pesIdx][benchIdx] = st
-		progress("fig4: %s @ %d PEs: %d configs in one pass",
+		r.Progressf("fig4: %s @ %d PEs: %d configs in one pass",
 			benches[benchIdx].Name, pes, len(st))
 		return nil
 	})
@@ -445,14 +445,14 @@ type MLIPS struct {
 // RunMLIPS measures instructions/inference and references/instruction
 // over the benchmark suite, takes the 8-PE write-in broadcast capture
 // ratio at the given cache size, and prices the paper's 2 MLIPS target.
-func RunMLIPS(ctx context.Context, cacheWords int, targetMLIPS float64) (*MLIPS, error) {
+func RunMLIPS(ctx context.Context, r *bench.Runner, cacheWords int, targetMLIPS float64) (*MLIPS, error) {
 	// Sequential instruction/reference statistics: one grid cell per
 	// benchmark, summed after the pool drains.
 	seqBenches := append(bench.Paper(), bench.Large()...)
 	type seqStat struct{ instrs, refs, calls int64 }
 	seqStats := make([]seqStat, len(seqBenches))
-	err := runGrid(ctx, len(seqBenches), func(i int) error {
-		st, _, err := runStats(ctx, seqBenches[i], 1, true)
+	err := runGrid(ctx, r, len(seqBenches), func(i int) error {
+		st, _, err := runStats(ctx, r, seqBenches[i], 1, true)
 		if err != nil {
 			return err
 		}
@@ -461,7 +461,7 @@ func RunMLIPS(ctx context.Context, cacheWords int, targetMLIPS float64) (*MLIPS,
 			refs:   st.TotalWorkRefs(),
 			calls:  st.Inferences,
 		}
-		progress("mlips: measured %s", seqBenches[i].Name)
+		r.Progressf("mlips: measured %s", seqBenches[i].Name)
 		return nil
 	})
 	if err != nil {
@@ -482,7 +482,7 @@ func RunMLIPS(ctx context.Context, cacheWords int, targetMLIPS float64) (*MLIPS,
 
 	// Capture ratio: mean over the paper benchmarks at 8 PEs with
 	// write-in broadcast caches (memoized traces, grid cells).
-	ratios, err := protocolRatios(ctx, bench.Paper(), 8, cacheWords, "mlips")
+	ratios, err := protocolRatios(ctx, r, bench.Paper(), 8, cacheWords, "mlips")
 	if err != nil {
 		return nil, err
 	}
@@ -520,14 +520,14 @@ type BusStudy struct {
 // RunBusStudy evaluates efficiency for a range of bus speeds. The
 // per-benchmark traffic ratios come from memoized traces simulated on
 // the experiment grid.
-func RunBusStudy(ctx context.Context, pes, cacheWords int) (*BusStudy, error) {
-	ratios, err := protocolRatios(ctx, bench.Paper(), pes, cacheWords, "bus")
+func RunBusStudy(ctx context.Context, r *bench.Runner, pes, cacheWords int) (*BusStudy, error) {
+	ratios, err := protocolRatios(ctx, r, bench.Paper(), pes, cacheWords, "bus")
 	if err != nil {
 		return nil, err
 	}
 	out := &BusStudy{PEs: pes, TrafficRatio: stats.Mean(ratios)}
 	for _, bw := range []float64{0.5, 1, 2, 4, 8, 16} {
-		r, err := busmodel.Analytic(busmodel.Params{
+		res, err := busmodel.Analytic(busmodel.Params{
 			PEs:              pes,
 			RefsPerCycle:     1,
 			TrafficRatio:     out.TrafficRatio,
@@ -537,12 +537,12 @@ func RunBusStudy(ctx context.Context, pes, cacheWords int) (*BusStudy, error) {
 			return nil, err
 		}
 		out.Bandwidths = append(out.Bandwidths, bw)
-		eff := r.Efficiency
-		if r.Saturated {
+		eff := res.Efficiency
+		if res.Saturated {
 			eff = 0
 		}
 		out.Efficiency = append(out.Efficiency, eff)
-		out.Utilization = append(out.Utilization, r.Utilization)
+		out.Utilization = append(out.Utilization, res.Utilization)
 	}
 	return out, nil
 }

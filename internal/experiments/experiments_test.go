@@ -18,7 +18,7 @@ func TestTable1RendersAllRows(t *testing.T) {
 }
 
 func TestFigure2ShapeMatchesPaper(t *testing.T) {
-	f, err := RunFigure2(context.Background(), []int{1, 2, 4, 8})
+	f, err := RunFigure2(context.Background(), shared, []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFigure2ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	t2, err := RunTable2(context.Background(), 8)
+	t2, err := RunTable2(context.Background(), shared, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable3FitIsGood(t *testing.T) {
-	t3, err := RunTable3(context.Background())
+	t3, err := RunTable3(context.Background(), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTable3FitIsGood(t *testing.T) {
 
 func TestFigure4OrderingMatchesPaper(t *testing.T) {
 	sizes := []int{64, 256, 1024}
-	f, err := RunFigure4(context.Background(), []int{1, 4}, sizes)
+	f, err := RunFigure4(context.Background(), shared, []int{1, 4}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFigure4BroadcastCapturesMostTraffic(t *testing.T) {
 	// of the traffic (ratio < 0.3). The paper reaches this from 128
 	// words; with our (larger, synthesized) benchmark inputs the
 	// threshold lands one size up, at 256 words — see EXPERIMENTS.md.
-	f, err := RunFigure4(context.Background(), []int{8}, []int{256, 512})
+	f, err := RunFigure4(context.Background(), shared, []int{8}, []int{256, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFigure4BroadcastCapturesMostTraffic(t *testing.T) {
 }
 
 func TestMLIPSNumbersInPaperRange(t *testing.T) {
-	m, err := RunMLIPS(context.Background(), 256, 2)
+	m, err := RunMLIPS(context.Background(), shared, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMLIPSNumbersInPaperRange(t *testing.T) {
 }
 
 func TestBusStudyEfficiencyRisesWithBandwidth(t *testing.T) {
-	bs, err := RunBusStudy(context.Background(), 8, 256)
+	bs, err := RunBusStudy(context.Background(), shared, 8, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestUpdateBroadcastCloseToWriteIn(t *testing.T) {
 	// almost identical to those of the write-in broadcast cache, an
 	// indication that communication traffic in RAP-WAM is low."
 	b, _ := benchByName(t, "qsort")
-	buf, err := cachedTrace(context.Background(), b, 8, false, false)
+	buf, err := shared.CachedTrace(context.Background(), b, 8, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,21 +14,24 @@ import (
 	"repro/internal/tracestore"
 )
 
-// This file is the experiment grid runner. Every driver that sweeps a
-// parameter grid (Figure 4, Table 3, MLIPS, the bus study, the cache
-// ablations) decomposes into the same three layers:
+// This file is the experiment grid runner. Every driver takes the
+// bench.Runner it runs on — store, worker budget, progress callback,
+// memo tables and counters all live there, none here — and every
+// driver that sweeps a parameter grid (Figure 4, Table 3, MLIPS, the
+// bus study, the cache ablations) decomposes into the same three
+// layers:
 //
 //  1. memoized cells — each distinct (benchmark, PEs, sequential)
 //     engine run is executed once, no matter how many grid cells need
 //     it. Without a trace store the trace is memoized in RAM
-//     (cachedTrace); with one attached (SetStore / bench.SetTraceStore)
-//     the run streams into the persistent store and later cells —
-//     including cells in later processes — replay from disk, decoding
-//     chunk by chunk so the trace never materializes in memory;
+//     (Runner.CachedTrace); with Runner.Store set the run streams into
+//     the persistent store and later cells — including cells in later
+//     processes — replay from disk, decoding chunk by chunk so the
+//     trace never materializes in memory;
 //  2. simulateAll — all cache configurations that consume one trace are
 //     simulated concurrently in a single pass over it (trace.FanOut);
 //  3. runGrid — independent grid cells (different traces) execute on a
-//     bounded worker pool.
+//     pool of Runner.Par workers.
 //
 // The engine itself is a deterministic single-goroutine simulation and
 // every cache.Sim is driven by exactly one consumer goroutine, so the
@@ -38,131 +39,14 @@ import (
 // reference stream comes from the engine, a RAM buffer, or a stored
 // compact trace.
 
-// parallelism is the worker-pool width for independent grid cells.
-var parallelism atomic.Int64
-
-// SetParallelism bounds the number of grid cells (engine runs and
-// trace replays) in flight at once. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0).
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int64(n))
-}
-
-// Parallelism returns the current grid worker-pool width.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// intraShards is the configured intra-cell width (0 = unset, meaning
-// 1: every cell fully sequential, the historical behavior).
-var intraShards atomic.Int64
-
-// SetShards configures intra-cell parallelism: how many set-shard
-// workers replay a single cache configuration (cache.SimulateAllShards
-// — fully associative configurations still clamp to 1), and how many
-// goroutines encode RWT2 chunks during cold trace generation
-// (bench.SetGenWorkers). n <= 0 selects GOMAXPROCS. Results are
-// bit-identical at every setting.
-//
-// The grid's worker budget is shared, not multiplied: with parallelism
-// B and shards K, runGrid runs at most max(1, B/K) cells at once, so
-// B bounds total concurrency whether it is spent across cells (warm
-// sweeps, many small configs) or inside one (a cold single-experiment
-// request on an otherwise idle host).
-func SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	intraShards.Store(int64(n))
-	bench.SetGenWorkers(n)
-}
-
-// Shards returns the current intra-cell parallelism width (default 1).
-func Shards() int {
-	if n := int(intraShards.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// execShards is the configured emulator execution-shard width (0 =
-// unset, meaning 1: the serial dispatcher).
-var execShards atomic.Int64
-
-// SetExecShards configures how many host goroutines the emulator uses
-// inside one engine run to speculate independent PEs' cycles in
-// parallel (bench.SetExecShards → core.Config.ExecShards). n <= 0
-// selects GOMAXPROCS. The emitted traces — and therefore every result
-// and stored byte — are identical at any setting.
-//
-// Like Shards, the width spends the shared grid budget: runGrid
-// divides the cell pool by the larger of the two intra-cell widths, so
-// SetParallelism(B) bounds total concurrency whether it is spent
-// across cells or inside one.
-func SetExecShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	execShards.Store(int64(n))
-	bench.SetExecShards(n)
-}
-
-// ExecShards returns the current emulator execution-shard width
-// (default 1).
-func ExecShards() int {
-	if n := int(execShards.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// progressFn gives the stored callback a fixed concrete type so
-// atomic.Value accepts nil installs.
-type progressFn func(msg string)
-
-var onProgress atomic.Value // progressFn
-
-// SetProgress installs a callback receiving a short line for every
-// completed grid cell (e.g. "fig4: deriv @ 8 PEs: 24 configs
-// simulated"); nil disables reporting. The callback may be invoked
-// from multiple worker goroutines concurrently, and may be swapped
-// while a grid run is in flight.
-func SetProgress(f func(msg string)) {
-	onProgress.Store(progressFn(f))
-}
-
-// progress reports one completed cell.
-func progress(format string, args ...any) {
-	if f, _ := onProgress.Load().(progressFn); f != nil {
-		f(fmt.Sprintf(format, args...))
-	}
-}
-
-// runGrid executes fn(0..n-1) on the bounded worker pool and returns
+// runGrid executes fn(0..n-1) on r's bounded worker pool and returns
 // the first error. After an error, cells not yet started are skipped;
 // cells already in flight complete (engine runs inside them observe
 // ctx themselves and abort mid-run). Cancelling ctx stops the pool at
 // the next cell boundary and returns ctx.Err(). Cells must write only
 // to their own result slots.
-func runGrid(ctx context.Context, n int, fn func(i int) error) error {
-	workers := Parallelism()
-	// Intra-cell shards spend the same global budget: B workers ÷ K
-	// shards per cell ≈ B goroutines doing real work either way. Cache
-	// replay shards and emulator execution shards are phases of one
-	// cell, never concurrent with each other, so the divisor is their
-	// maximum, not their product.
-	if k := max(Shards(), ExecShards()); k > 1 {
-		workers /= k
-		if workers < 1 {
-			workers = 1
-		}
-	}
+func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) error {
+	workers := r.Workers()
 	if workers > n {
 		workers = n
 	}
@@ -223,89 +107,14 @@ func storeHealable(err error) bool {
 	return tracestore.IsCorrupt(err) || storage.AsBackendError(err)
 }
 
-// traceKey identifies one memoized engine run. direct marks buffers
-// generated bypassing the store (the degraded path) — kept distinct so
-// a recovered store never serves a slot filled during an outage and
-// vice versa.
-type traceKey struct {
-	bench      string
-	pes        int
-	sequential bool
-	direct     bool
-}
-
-// traceEntry is a once-filled memo slot.
-type traceEntry struct {
-	once sync.Once
-	buf  *trace.Buffer
-	err  error
-}
-
-// traces memoizes reference traces across drivers: `-exp all` shares
-// e.g. the 8-PE paper-benchmark traces between Figure 4, MLIPS and the
-// bus study. Traces are a few MB each; ResetTraceCache frees them.
-var traces sync.Map // traceKey -> *traceEntry
-
-// cachedTrace returns the memoized trace for (b, pes, sequential),
-// running the engine on first use. Concurrent callers for the same key
-// block until the single engine run completes (the generating caller's
-// ctx governs that run). A cancelled generation is evicted from the
-// memo rather than cached, so a later sweep with a live context
-// regenerates the cell instead of replaying the stale context error.
-// direct bypasses any attached store (bench.TraceDirect) — the
-// degraded path when storage keeps failing.
-func cachedTrace(ctx context.Context, b bench.Benchmark, pes int, sequential, direct bool) (*trace.Buffer, error) {
-	key := traceKey{b.Name, pes, sequential, direct}
-	v, _ := traces.LoadOrStore(key, &traceEntry{})
-	e := v.(*traceEntry)
-	e.once.Do(func() {
-		if direct {
-			e.buf, _, e.err = bench.TraceDirect(ctx, b, pes, sequential)
-		} else {
-			e.buf, _, e.err = bench.Trace(ctx, b, pes, sequential)
-		}
-		if e.err == nil {
-			progress("traced %s @ %d PEs (%d refs)", b.Name, pes, e.buf.Len())
-		}
-	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		traces.CompareAndDelete(key, v)
-	}
-	return e.buf, e.err
-}
-
-// ResetTraceCache drops all memoized traces.
-func ResetTraceCache() {
-	traces.Range(func(k, _ any) bool {
-		traces.Delete(k)
-		return true
-	})
-}
-
-// SetStore attaches (nil: detaches) the persistent trace store the
-// grid consults before running the emulator; it forwards to
-// bench.SetTraceStore so bench.Trace shares the same store.
-func SetStore(s *tracestore.Store) { bench.SetTraceStore(s) }
-
-// activeStore returns the attached persistent store (nil if none).
-func activeStore() *tracestore.Store { return bench.TraceStore() }
-
-// EngineRuns returns the number of emulator executions so far (see
-// bench.EngineRuns) — with a warm store a full experiment sweep
-// performs zero.
-func EngineRuns() int64 { return bench.EngineRuns() }
-
-// ResetEngineRuns zeroes the emulator-execution counter.
-func ResetEngineRuns() { bench.ResetEngineRuns() }
-
 // replayCell streams the cell's trace into the sinks in one pass.
-// With a store attached the pass is a chunked streaming decode from
-// disk (the trace is never materialized); otherwise it replays the
+// With r.Store set the pass is a chunked streaming decode from disk
+// (the trace is never materialized); otherwise it replays the
 // RAM-memoized buffer. Either way every sink sees the exact emission
 // order, so results are bit-identical across sources.
-func replayCell(ctx context.Context, b bench.Benchmark, pes int, sequential bool, sinks ...trace.Sink) error {
-	if s := activeStore(); s != nil {
-		k, err := bench.EnsureStored(ctx, b, pes, sequential)
+func replayCell(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, sinks ...trace.Sink) error {
+	if s := r.Store; s != nil {
+		k, err := r.EnsureStored(ctx, b, pes, sequential)
 		if err != nil {
 			return err
 		}
@@ -318,7 +127,7 @@ func replayCell(ctx context.Context, b bench.Benchmark, pes int, sequential bool
 		f.Close()
 		return err
 	}
-	buf, err := cachedTrace(ctx, b, pes, sequential, false)
+	buf, err := r.CachedTrace(ctx, b, pes, sequential, false)
 	if err != nil {
 		return err
 	}
@@ -327,22 +136,22 @@ func replayCell(ctx context.Context, b bench.Benchmark, pes int, sequential bool
 }
 
 // runStats returns the engine statistics and Table 1 reference counter
-// for one cell. With a store attached it is served from the cell's run
+// for one cell. With r.Store set it is served from the cell's run
 // sidecar (generating the cell on first need); otherwise it runs the
 // emulator. Store failures heal: corrupt cells are quarantined by the
 // read and regenerated on retry, transient backend errors retry, and a
 // store that keeps failing is bypassed with a direct engine run
 // (marking the context degraded) — the statistics are a pure function
 // of the cell, so the answer is identical either way.
-func runStats(ctx context.Context, b bench.Benchmark, pes int, sequential bool) (core.Stats, *trace.Counter, error) {
-	if s := activeStore(); s != nil {
+func runStats(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool) (core.Stats, *trace.Counter, error) {
+	if s := r.Store; s != nil {
 		var lastErr error
 	heal:
 		for attempt := 0; attempt < storeHealAttempts; attempt++ {
 			if err := ctx.Err(); err != nil {
 				return core.Stats{}, nil, err
 			}
-			k, err := bench.EnsureStored(ctx, b, pes, sequential)
+			k, err := r.EnsureStored(ctx, b, pes, sequential)
 			if err != nil {
 				if storeHealable(err) {
 					lastErr = err
@@ -366,12 +175,12 @@ func runStats(ctx context.Context, b bench.Benchmark, pes int, sequential bool) 
 			// quarantined as corrupt): run directly and repair the
 			// sidecar so the next query is served from the store again
 			// (best effort: the stats themselves are good).
-			res, err := bench.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential})
+			res, err := r.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential})
 			if err != nil {
 				return core.Stats{}, nil, err
 			}
 			if err := s.PutSidecar(k, bench.RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs}); err != nil {
-				progress("sidecar repair for %v failed: %v", k, err)
+				r.Progressf("sidecar repair for %v failed: %v", k, err)
 			}
 			return res.Stats, res.Refs, nil
 		}
@@ -379,9 +188,9 @@ func runStats(ctx context.Context, b bench.Benchmark, pes int, sequential bool) 
 			return core.Stats{}, nil, err
 		}
 		storage.MarkDegraded(ctx, "trace-store")
-		progress("stats for %s @ %d PEs degrading to direct run: %v", b.Name, pes, lastErr)
+		r.Progressf("stats for %s @ %d PEs degrading to direct run: %v", b.Name, pes, lastErr)
 	}
-	res, err := bench.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential})
+	res, err := r.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential})
 	if err != nil {
 		return core.Stats{}, nil, err
 	}
@@ -398,56 +207,54 @@ type TraceTarget struct {
 	Sequential bool
 }
 
-// GenerateTraces makes sure the attached store holds every target
-// cell, generating missing ones concurrently on the grid's bounded
-// worker pool (SetParallelism) — each generation streaming straight
-// into the store's compact codec. Duplicate targets and targets
+// GenerateTraces makes sure r.Store holds every target cell,
+// generating missing ones concurrently on the grid's bounded worker
+// pool (r.Par) — each generation streaming straight into the store's
+// compact codec. Duplicate targets and targets
 // already present cost nothing. Cancelling ctx aborts in-flight engine
 // runs (partial writes are cleaned up; completed cells stay). It
-// requires an attached store.
-func GenerateTraces(ctx context.Context, targets []TraceTarget) error {
-	if activeStore() == nil {
-		return fmt.Errorf("experiments: GenerateTraces needs an attached trace store (SetStore)")
+// requires r.Store.
+func GenerateTraces(ctx context.Context, r *bench.Runner, targets []TraceTarget) error {
+	if r.Store == nil {
+		return fmt.Errorf("experiments: GenerateTraces needs a Runner with a trace store")
 	}
-	return runGrid(ctx, len(targets), func(i int) error {
+	return runGrid(ctx, r, len(targets), func(i int) error {
 		t := targets[i]
-		k, err := bench.EnsureStored(ctx, t.Benchmark, t.PEs, t.Sequential)
+		k, err := r.EnsureStored(ctx, t.Benchmark, t.PEs, t.Sequential)
 		if err != nil {
 			return fmt.Errorf("generating %v: %w", k, err)
 		}
-		progress("stored %v", k)
+		r.Progressf("stored %v", k)
 		return nil
 	})
 }
 
 // simulateAll replays one memoized trace through all configurations in
 // a single fan-out pass and returns per-configuration statistics. With
-// a store attached the pass streams from disk. Each configuration is
-// additionally set-sharded across Shards() workers when its geometry
-// allows (bit-identical either way).
+// r.Store set the pass streams from disk.
 //
 // Store failures heal here, not inside replayCell, because a mid-stream
 // failure leaves the simulators partially fed: each retry calls
-// SimulateAllStreamShards again so every attempt gets fresh simulator
+// SimulateAllStream again so every attempt gets fresh simulator
 // state. A corrupt stored trace quarantines on the failing read and the
 // retry regenerates it; if the store keeps failing, the cell degrades
 // to a direct in-memory run (marking the context degraded) — identical
 // results, just without persistence.
-func simulateAll(ctx context.Context, b bench.Benchmark, pes int, sequential bool, cfgs []cache.Config) ([]cache.Stats, error) {
-	if activeStore() == nil {
-		buf, err := cachedTrace(ctx, b, pes, sequential, false)
+func simulateAll(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, cfgs []cache.Config) ([]cache.Stats, error) {
+	if r.Store == nil {
+		buf, err := r.CachedTrace(ctx, b, pes, sequential, false)
 		if err != nil {
 			return nil, err
 		}
-		return cache.SimulateAllShards(buf, cfgs, Shards())
+		return cache.SimulateAll(buf, cfgs)
 	}
 	var lastErr error
 	for attempt := 0; attempt < storeHealAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := cache.SimulateAllStreamShards(cfgs, Shards(), func(sinks []trace.Sink) error {
-			return replayCell(ctx, b, pes, sequential, sinks...)
+		st, err := cache.SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
+			return replayCell(ctx, r, b, pes, sequential, sinks...)
 		})
 		if err == nil {
 			return st, nil
@@ -461,32 +268,32 @@ func simulateAll(ctx context.Context, b bench.Benchmark, pes int, sequential boo
 		return nil, err
 	}
 	storage.MarkDegraded(ctx, "trace-store")
-	progress("simulating %s @ %d PEs degrading to direct run: %v", b.Name, pes, lastErr)
-	buf, err := cachedTrace(ctx, b, pes, sequential, true)
+	r.Progressf("simulating %s @ %d PEs degrading to direct run: %v", b.Name, pes, lastErr)
+	buf, err := r.CachedTrace(ctx, b, pes, sequential, true)
 	if err != nil {
 		return nil, err
 	}
-	return cache.SimulateAllShards(buf, cfgs, Shards())
+	return cache.SimulateAll(buf, cfgs)
 }
 
 // protocolRatios computes each benchmark's write-in broadcast traffic
 // ratio at the given PE count and cache size — the quantity both the
 // MLIPS calculation and the bus study average — as one grid cell per
 // benchmark over memoized traces.
-func protocolRatios(ctx context.Context, benches []bench.Benchmark, pes, cacheWords int, tag string) ([]float64, error) {
+func protocolRatios(ctx context.Context, r *bench.Runner, benches []bench.Benchmark, pes, cacheWords int, tag string) ([]float64, error) {
 	cfg := cache.Config{
 		PEs: pes, SizeWords: cacheWords, LineWords: 4,
 		Protocol:      cache.WriteInBroadcast,
 		WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, cacheWords),
 	}
 	ratios := make([]float64, len(benches))
-	err := runGrid(ctx, len(benches), func(i int) error {
-		st, err := simulateAll(ctx, benches[i], pes, pes == 1, []cache.Config{cfg})
+	err := runGrid(ctx, r, len(benches), func(i int) error {
+		st, err := simulateAll(ctx, r, benches[i], pes, pes == 1, []cache.Config{cfg})
 		if err != nil {
 			return err
 		}
 		ratios[i] = st[0].TrafficRatio()
-		progress("%s: %s @ %d PEs: traffic %.3f", tag, benches[i].Name, pes, ratios[i])
+		r.Progressf("%s: %s @ %d PEs: traffic %.3f", tag, benches[i].Name, pes, ratios[i])
 		return nil
 	})
 	if err != nil {

@@ -6,7 +6,25 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/trace"
+	"repro/internal/tracestore"
 )
+
+// shared is the Runner of the tests that only read results: like
+// `experiments -exp all`, they share one trace memo, so each cell is
+// emulated once per test binary. Tests that attach a store, count
+// engine runs or cancel mid-run build their own Runner.
+var shared = new(bench.Runner)
+
+// storeRunner returns a Runner over a fresh store rooted in a test
+// temp dir.
+func storeRunner(t *testing.T) *bench.Runner {
+	t.Helper()
+	s, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &bench.Runner{Store: s}
+}
 
 func benchByName(t *testing.T, name string) (bench.Benchmark, bool) {
 	t.Helper()

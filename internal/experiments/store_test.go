@@ -13,23 +13,6 @@ import (
 	"repro/internal/tracestore"
 )
 
-// withStore attaches a fresh store rooted in a test temp dir and
-// restores the store-less state afterwards.
-func withStore(t *testing.T) *tracestore.Store {
-	t.Helper()
-	s, err := tracestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetStore(s)
-	ResetTraceCache()
-	t.Cleanup(func() {
-		SetStore(nil)
-		ResetTraceCache()
-	})
-	return s
-}
-
 // testConfigs is a small protocol × size grid.
 func testConfigs(pes int) []cache.Config {
 	var cfgs []cache.Config
@@ -66,7 +49,7 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 		cfgs := testConfigs(cell.pes)
 
 		// In-memory reference: buffer the trace, replay per config.
-		buf, _, err := bench.Trace(context.Background(), b, cell.pes, cell.seq)
+		buf, _, err := new(bench.Runner).Trace(context.Background(), b, cell.pes, cell.seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,24 +61,13 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 
 		// Store path: generate into the store, stream from disk through
 		// the fan-out into all configs at once.
-		s := func() *tracestore.Store {
-			st, err := tracestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}()
-		SetStore(s)
-		ResetTraceCache()
-		t.Cleanup(func() { SetStore(nil); ResetTraceCache() })
-
 		gotSims := make([]*cache.Sim, len(cfgs))
 		sinks := make([]trace.Sink, len(cfgs))
 		for i, cfg := range cfgs {
 			gotSims[i] = cache.New(cfg)
 			sinks[i] = gotSims[i]
 		}
-		if err := replayCell(context.Background(), b, cell.pes, cell.seq, sinks...); err != nil {
+		if err := replayCell(context.Background(), storeRunner(t), b, cell.pes, cell.seq, sinks...); err != nil {
 			t.Fatal(err)
 		}
 
@@ -110,8 +82,6 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 				t.Errorf("%s@%d cfg %d: per-PE refs %v != %v", cell.name, cell.pes, i, got, want)
 			}
 		}
-		SetStore(nil)
-		ResetTraceCache()
 	}
 }
 
@@ -121,8 +91,6 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 // performs zero emulator runs, and every result is identical to the
 // cold pass that generated the store.
 func TestWarmStoreRunsNoEmulation(t *testing.T) {
-	withStore(t)
-
 	type results struct {
 		fig2 *Figure2
 		t2   *Table2
@@ -131,42 +99,45 @@ func TestWarmStoreRunsNoEmulation(t *testing.T) {
 		lock *LockShare
 		des  *BusDES
 	}
-	runAll := func() (results, error) {
-		var r results
+	runAll := func(r *bench.Runner) (results, error) {
+		var res results
 		var err error
-		if r.fig2, err = RunFigure2(context.Background(), []int{1, 2}); err != nil {
-			return r, err
+		if res.fig2, err = RunFigure2(context.Background(), r, []int{1, 2}); err != nil {
+			return res, err
 		}
-		if r.t2, err = RunTable2(context.Background(), 2); err != nil {
-			return r, err
+		if res.t2, err = RunTable2(context.Background(), r, 2); err != nil {
+			return res, err
 		}
-		if r.fig4, err = RunFigure4(context.Background(), []int{2}, []int{128, 1024}); err != nil {
-			return r, err
+		if res.fig4, err = RunFigure4(context.Background(), r, []int{2}, []int{128, 1024}); err != nil {
+			return res, err
 		}
-		if r.line, err = RunLineSizeSweep(context.Background(), "qsort", 2, 512, []int{2, 8}); err != nil {
-			return r, err
+		if res.line, err = RunLineSizeSweep(context.Background(), r, "qsort", 2, 512, []int{2, 8}); err != nil {
+			return res, err
 		}
-		if r.lock, err = RunLockShare(context.Background(), "qsort", 2); err != nil {
-			return r, err
+		if res.lock, err = RunLockShare(context.Background(), r, "qsort", 2); err != nil {
+			return res, err
 		}
-		r.des, err = RunBusDES(context.Background(), "qsort", 2, 256, 4)
-		return r, err
+		res.des, err = RunBusDES(context.Background(), r, "qsort", 2, 256, 4)
+		return res, err
 	}
 
-	cold, err := runAll()
+	coldRunner := storeRunner(t)
+	cold, err := runAll(coldRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n == 0 {
+	if n := coldRunner.EngineRuns(); n == 0 {
 		t.Fatal("cold pass reported zero engine runs")
 	}
 
-	ResetEngineRuns()
-	warm, err := runAll()
+	// A second Runner over the same store: nothing carries over in
+	// memory, so zero runs is the store's doing.
+	warmRunner := &bench.Runner{Store: coldRunner.Store}
+	warm, err := runAll(warmRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 0 {
+	if n := warmRunner.EngineRuns(); n != 0 {
 		t.Fatalf("warm store still performed %d emulator runs", n)
 	}
 	if !reflect.DeepEqual(cold, warm) {
@@ -178,28 +149,24 @@ func TestWarmStoreRunsNoEmulation(t *testing.T) {
 // a store and requires identical outputs: the persistence layer must be
 // invisible in the numbers.
 func TestStoreVsMemoryDriverParity(t *testing.T) {
-	run := func() (*Figure4, *Table2, *LockShare) {
-		f4, err := RunFigure4(context.Background(), []int{2}, []int{256})
+	run := func(r *bench.Runner) (*Figure4, *Table2, *LockShare) {
+		f4, err := RunFigure4(context.Background(), r, []int{2}, []int{256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := RunTable2(context.Background(), 2)
+		t2, err := RunTable2(context.Background(), r, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := RunLockShare(context.Background(), "matrix", 2)
+		ls, err := RunLockShare(context.Background(), r, "matrix", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f4, t2, ls
 	}
 
-	SetStore(nil)
-	ResetTraceCache()
-	memF4, memT2, memLS := run()
-
-	withStore(t)
-	stoF4, stoT2, stoLS := run()
+	memF4, memT2, memLS := run(new(bench.Runner))
+	stoF4, stoT2, stoLS := run(storeRunner(t))
 
 	if !reflect.DeepEqual(memF4, stoF4) {
 		t.Errorf("Figure4 differs: mem %+v store %+v", memF4, stoF4)
@@ -217,30 +184,29 @@ func TestStoreVsMemoryDriverParity(t *testing.T) {
 // query falls back to one emulator run and rewrites the sidecar, so
 // later queries are served from the store again.
 func TestRunStatsRepairsMissingSidecar(t *testing.T) {
-	s := withStore(t)
+	r := storeRunner(t)
 	b, _ := bench.ByName("matrix")
-	if _, err := bench.EnsureStored(context.Background(), b, 2, false); err != nil {
+	k, err := r.EnsureStored(context.Background(), b, 2, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	k := bench.StoreKey("matrix", 2, false)
-	sidecar := strings.TrimSuffix(s.Path(k), tracestore.TraceExt) + ".json"
+	sidecar := strings.TrimSuffix(r.Store.Path(k), tracestore.TraceExt) + ".json"
 	if err := os.Remove(sidecar); err != nil {
 		t.Fatalf("removing sidecar: %v", err)
 	}
 
-	ResetEngineRuns()
-	if _, _, err := runStats(context.Background(), b, 2, false); err != nil {
+	before := r.EngineRuns()
+	if _, _, err := runStats(context.Background(), r, b, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 1 {
+	if n := r.EngineRuns() - before; n != 1 {
 		t.Fatalf("fallback performed %d engine runs, want 1", n)
 	}
-	ResetEngineRuns()
-	if _, _, err := runStats(context.Background(), b, 2, false); err != nil {
+	if _, _, err := runStats(context.Background(), r, b, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if n := EngineRuns(); n != 0 {
-		t.Fatalf("sidecar not repaired: %d engine runs on second query", n)
+	if n := r.EngineRuns() - before; n != 1 {
+		t.Fatalf("sidecar not repaired: %d engine runs on second query", n-1)
 	}
 }
 
@@ -248,18 +214,17 @@ func TestRunStatsRepairsMissingSidecar(t *testing.T) {
 // needing the same trace generate it exactly once, while distinct cells
 // generate in parallel on the pool.
 func TestParallelGenerationSingleFlight(t *testing.T) {
-	withStore(t)
-	bench.ResetEngineRuns()
+	r := storeRunner(t)
 
 	// 4 distinct cells × 3 configs each, all cells touched twice.
 	benches := []string{"qsort", "matrix"}
 	pesList := []int{1, 2}
 	var total int
 	for range []int{0, 1} { // two sweeps over the same cells
-		err := runGrid(context.Background(), len(benches)*len(pesList), func(i int) error {
+		err := runGrid(context.Background(), r, len(benches)*len(pesList), func(i int) error {
 			b, _ := bench.ByName(benches[i%len(benches)])
 			pes := pesList[i/len(benches)]
-			_, err := simulateAll(context.Background(), b, pes, pes == 1, testConfigs(pes)[:3])
+			_, err := simulateAll(context.Background(), r, b, pes, pes == 1, testConfigs(pes)[:3])
 			return err
 		})
 		if err != nil {
@@ -267,7 +232,7 @@ func TestParallelGenerationSingleFlight(t *testing.T) {
 		}
 		total += len(benches) * len(pesList)
 	}
-	if n := bench.EngineRuns(); n != int64(len(benches)*len(pesList)) {
+	if n := r.EngineRuns(); n != int64(len(benches)*len(pesList)) {
 		t.Fatalf("%d cells over %d sweeps ran the emulator %d times, want once per cell (%d)",
 			total, 2, n, len(benches)*len(pesList))
 	}

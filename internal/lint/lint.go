@@ -17,7 +17,11 @@
 //     polled live (PR 5: cancellation threaded end to end);
 //   - versionbump — the byte layout of trace emission is fingerprinted;
 //     changing it without bumping core.EmulatorVersion is a finding
-//     (PR 3: stored traces are keyed by emulator version).
+//     (PR 3: stored traces are keyed by emulator version);
+//   - globalstate — internal/bench and internal/experiments declare no
+//     package-level variables: store, budget, memo and counters live on
+//     the bench.Runner passed to every call (PR 13: any number of
+//     servers and tests share a process).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer with a Run func over a type-checked Pass — but is built
@@ -120,6 +124,7 @@ func Analyzers() []*Analyzer {
 		HotPath,
 		CtxFirst,
 		VersionBump,
+		GlobalState,
 	}
 }
 

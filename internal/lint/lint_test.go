@@ -46,6 +46,15 @@ func TestCtxFirstFixture(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "ctxfirst"), lint.CtxFirst)
 }
 
+// TestGlobalStateFixture: every package-level variable in a fixture
+// package whose path ends in internal/bench or internal/experiments is
+// a finding, whatever its type; blank assertions, constants, struct
+// fields, locals, annotated sentinels and out-of-scope packages are
+// not.
+func TestGlobalStateFixture(t *testing.T) {
+	linttest.Run(t, filepath.Join("testdata", "globalstate"), lint.GlobalState)
+}
+
 // TestAnnotationFixture asserts directly (want-comments on annotation
 // lines would themselves be parsed as annotation text): malformed and
 // unknown-analyzer annotations are reported, and none of them

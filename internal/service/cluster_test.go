@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,25 +13,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/storage"
 )
 
 // This file is the in-process multi-daemon cluster harness: N complete
-// rapwamd services, each over its own in-memory backend, wired to each
+// rapwamd services, each over its own in-memory result cache and trace
+// store (every Server owns its grid state, so nothing aliases between
+// nodes), wired to each
 // other through real HTTP (httptest listeners) exactly as a production
 // fleet would be — peer blob fetches, proxied computes and health
 // probes all cross real sockets. Nodes can be killed (connections
 // reset), restarted over their surviving storage, or restarted over
 // fresh storage (disk loss), and the peer wire can be made hostile by
 // injecting storage.Fault via Config.PeerWrap.
-//
-// The nodes deliberately run WITHOUT trace stores: the experiments
-// grid is process-global, so per-node trace stores would alias through
-// it and the harness would no longer model independent daemons.
-// Result caches are fully per-node, which is where all the cluster
-// machinery lives.
 
 // testNode is one fleet member: a fixed URL whose handler can be
 // swapped — the live server, or a connection-resetting tombstone when
@@ -41,7 +36,14 @@ type testNode struct {
 	hts     *httptest.Server
 	handler atomic.Pointer[http.Handler]
 	result  *storage.Mem
+	trace   *storage.Mem
 	srv     *Server
+}
+
+// loseDisk replaces the node's storage with empty backends (reboot it
+// to rejoin empty).
+func (nd *testNode) loseDisk() {
+	nd.result, nd.trace = storage.NewMem(), storage.NewMem()
 }
 
 type testFleet struct {
@@ -57,10 +59,10 @@ type testFleet struct {
 // clean).
 func newTestFleet(t *testing.T, n int, wrap func(storage.Backend) storage.Backend) *testFleet {
 	t.Helper()
-	experiments.SetStore(nil)
 	f := &testFleet{t: t, wrap: wrap}
 	for i := 0; i < n; i++ {
-		nd := &testNode{result: storage.NewMem()}
+		nd := new(testNode)
+		nd.loseDisk()
 		nd.hts = newNodeListener(nd)
 		t.Cleanup(nd.hts.Close)
 		nd.url = nd.hts.URL
@@ -88,6 +90,7 @@ func (f *testFleet) boot(nd *testNode) {
 	f.t.Helper()
 	srv, err := New(Config{
 		ResultBackend: nd.result,
+		TraceBackend:  nd.trace,
 		Parallelism:   2,
 		Peers:         f.urls,
 		SelfURL:       nd.url,
@@ -134,6 +137,24 @@ func (f *testFleet) get(i int, path string) (*http.Response, []byte) {
 		f.t.Fatalf("GET node%d %s: reading body: %v", i, path, err)
 	}
 	return resp, body
+}
+
+// sumEngineRuns totals the live nodes' own engine_runs, as each
+// reports them in /v1/stats.
+func (f *testFleet) sumEngineRuns() int64 {
+	f.t.Helper()
+	var n int64
+	for i, nd := range f.nodes {
+		if nd.srv == nil {
+			continue
+		}
+		var stats statsBody
+		if _, body := f.get(i, "/v1/stats"); json.Unmarshal(body, &stats) != nil {
+			f.t.Fatalf("node%d stats: %s", i, body)
+		}
+		n += stats.EngineRuns
+	}
+	return n
 }
 
 // sumComputes totals experiment computations across live nodes — the
@@ -193,8 +214,6 @@ func corruptObject(t *testing.T, b storage.Backend, name string) {
 // emulates nothing anywhere.
 func TestClusterExactlyOnce(t *testing.T) {
 	f := newTestFleet(t, 3, nil)
-	experiments.ResetTraceCache()
-	bench.ResetEngineRuns()
 
 	const path = "/v1/experiments/fig2?pes=1,2"
 	const clients = 48
@@ -222,7 +241,7 @@ func TestClusterExactlyOnce(t *testing.T) {
 	if n := f.sumComputes(); n != 1 {
 		t.Fatalf("fleet performed %d computations for one cell, want exactly 1", n)
 	}
-	coldRuns := bench.EngineRuns()
+	coldRuns := f.sumEngineRuns()
 	if coldRuns == 0 {
 		t.Fatal("cold sweep ran no emulator at all")
 	}
@@ -241,8 +260,35 @@ func TestClusterExactlyOnce(t *testing.T) {
 	if n := f.sumComputes(); n != 1 {
 		t.Fatalf("warm round raised fleet computations to %d", n)
 	}
-	if got := bench.EngineRuns(); got != coldRuns {
+	if got := f.sumEngineRuns(); got != coldRuns {
 		t.Fatalf("warm round ran the emulator (%d -> %d runs)", coldRuns, got)
+	}
+}
+
+// TestClusterEngineRunsOncePerCell pins the trace tier end to end, now
+// that every node has its own store: fig4 sent to every node of a
+// 3-node fleet costs the fleet — summed over the nodes' own engine_runs
+// — exactly one engine run per distinct (benchmark, PEs) cell, and a
+// second result cell over the same traces, wherever its owner is, costs
+// none: the traces come from a local store or a peer's.
+func TestClusterEngineRunsOncePerCell(t *testing.T) {
+	f := newTestFleet(t, 3, nil)
+	const cells = 4 * 2 // paper benchmarks × PE counts
+	for _, path := range []string{
+		"/v1/experiments/fig4?pes=1,2&sizes=64,256",
+		"/v1/experiments/fig4?pes=1,2&sizes=128",
+	} {
+		for i := range f.nodes {
+			if resp, body := f.get(i, path); resp.StatusCode != http.StatusOK {
+				t.Fatalf("node %d %s: status %d: %s", i, path, resp.StatusCode, body)
+			}
+		}
+		if n := f.sumEngineRuns(); n != cells {
+			t.Fatalf("after %s at every node the fleet has run the emulator %d times, want %d (once per cell)", path, n, cells)
+		}
+	}
+	if n := f.sumComputes(); n != 2 {
+		t.Fatalf("fleet performed %d computations for two result cells", n)
 	}
 }
 
@@ -281,7 +327,7 @@ func TestClusterByteIdentityAcrossNodesAndRestarts(t *testing.T) {
 
 	// Node 2 loses its disk and rejoins empty: the cell comes back over
 	// peer fetch, not recomputation, and writes through locally.
-	f.nodes[2].result = storage.NewMem()
+	f.nodes[2].loseDisk()
 	f.boot(f.nodes[2])
 	resp, body := f.get(2, path)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, golden) {
@@ -421,7 +467,7 @@ func TestClusterCorruptPeerBlobHeals(t *testing.T) {
 	// layers gone, the other node's storage empty — every path now leads
 	// through the corrupt object.
 	corruptObject(t, f.nodes[owner].result, key.name())
-	f.nodes[other].result = storage.NewMem()
+	f.nodes[other].loseDisk()
 	for _, nd := range f.nodes {
 		f.boot(nd)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -34,21 +33,9 @@ type Config struct {
 	// TraceBackend attaches a trace store even when TraceDir is "".
 	ResultBackend storage.Backend
 	TraceBackend  storage.Backend
-	// Parallelism bounds the experiments grid worker pool (0 keeps the
-	// current setting).
+	// Parallelism bounds the server's experiments grid worker pool
+	// (<= 0: GOMAXPROCS).
 	Parallelism int
-	// Shards sets intra-cell parallelism — set-shard replay workers
-	// per cache configuration and trace-generation encode workers —
-	// within the grid's shared budget (0 keeps the current setting,
-	// negative selects GOMAXPROCS). Results are bit-identical at any
-	// setting.
-	Shards int
-	// ExecShards sets sharded emulation — host goroutines speculating
-	// independent PEs' cycles inside each engine run — within the same
-	// shared grid budget (0 keeps the current setting, negative
-	// selects GOMAXPROCS, 1 is the serial dispatcher). Traces and
-	// results are bit-identical at any setting.
-	ExecShards int
 	// MaxComputes caps concurrent experiment computations (flights);
 	// 0 means unlimited. Cache hits are never throttled.
 	MaxComputes int
@@ -85,7 +72,8 @@ type Config struct {
 	// hostile.
 	PeerWrap func(b storage.Backend) storage.Backend
 	// Log, when non-nil, receives one line per notable server event
-	// (startup, compute begin/end, cache write failures, scrubs).
+	// (startup, compute begin/end, cache write failures, scrubs) and,
+	// prefixed "grid: ", one per completed grid cell.
 	Log func(msg string)
 }
 
@@ -93,9 +81,13 @@ type Config struct {
 // the /v1 API over the result cache, admission gate, single-flight
 // group and experiments grid.
 type Server struct {
-	cfg     Config
-	cache   *ResultCache
-	store   *tracestore.Store
+	cfg   Config
+	cache *ResultCache
+	// runner is this server's own grid state — trace store (nil when
+	// none is attached), worker budget, trace memo, engine-run counter
+	// — so any number of servers share a process without seeing each
+	// other's.
+	runner  bench.Runner
 	mux     *http.ServeMux
 	flights flightGroup
 	start   time.Time
@@ -122,13 +114,6 @@ type Server struct {
 
 // New builds a Server: opens (creating if needed) the result cache,
 // attaches the trace store when configured, and wires the routes.
-//
-// The experiments grid the server computes on is process-global
-// (experiments.SetStore / SetParallelism), so run ONE server per
-// process: constructing a second server with a different TraceDir
-// rewires the first one's compute path to the new store. Sequential
-// construction over the same directories (the restart pattern, and
-// what the tests do) is fine.
 func New(cfg Config) (*Server, error) {
 	tempAge := cfg.StaleTempAge
 	if tempAge <= 0 {
@@ -184,22 +169,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cache = NewResultCacheOn(resultB)
 	if traceB != nil {
-		s.store = tracestore.NewOn(traceB)
+		s.runner.Store = tracestore.NewOn(traceB)
 	}
 
 	s.flights.adm = newAdmission(cfg.MaxComputes, cfg.MaxQueue)
 	s.flights.timeout = cfg.ComputeTimeout
-	if s.store != nil {
-		experiments.SetStore(s.store)
-	}
-	if cfg.Parallelism != 0 {
-		experiments.SetParallelism(cfg.Parallelism)
-	}
-	if cfg.Shards != 0 {
-		experiments.SetShards(cfg.Shards)
-	}
-	if cfg.ExecShards != 0 {
-		experiments.SetExecShards(cfg.ExecShards)
+	s.runner.Par = cfg.Parallelism
+	if cfg.Log != nil {
+		s.runner.Progress = func(msg string) { cfg.Log("grid: " + msg) }
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -236,7 +213,7 @@ func (s *Server) ResultCache() *ResultCache { return s.cache }
 
 // TraceStore exposes the server's trace store (nil when none is
 // attached).
-func (s *Server) TraceStore() *tracestore.Store { return s.store }
+func (s *Server) TraceStore() *tracestore.Store { return s.runner.Store }
 
 // Computes returns how many experiment computations (cache fills) the
 // server has performed — the observable that verifies single-flight
@@ -295,8 +272,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	probe("result_cache", localBackend(s.cache.Backend()))
-	if s.store != nil {
-		probe("trace_store", localBackend(s.store.Backend()))
+	if s.runner.Store != nil {
+		probe("trace_store", localBackend(s.runner.Store.Backend()))
 	}
 	if s.cluster != nil {
 		// Peer reachability is informational: a dead peer degrades the
@@ -341,8 +318,6 @@ type statsBody struct {
 	EmulatorVersion string            `json:"emulator_version"`
 	CodecVersion    int               `json:"codec_version"`
 	Parallelism     int               `json:"parallelism"`
-	Shards          int               `json:"shards"`
-	ExecShards      int               `json:"exec_shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -355,16 +330,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Sheds:           s.Sheds(),
 		ComputeTimeouts: s.timeouts.Load(),
 		DegradedServes:  s.degraded.Load(),
-		EngineRuns:      bench.EngineRuns(),
+		EngineRuns:      s.runner.EngineRuns(),
 		ResultCache:     s.cache.Stats(),
 		EmulatorVersion: core.EmulatorVersion,
 		CodecVersion:    trace.CodecVersion,
-		Parallelism:     experiments.Parallelism(),
-		Shards:          experiments.Shards(),
-		ExecShards:      experiments.ExecShards(),
+		Parallelism:     s.runner.Workers(),
 	}
-	if s.store != nil {
-		st := s.store.Stats()
+	if s.runner.Store != nil {
+		st := s.runner.Store.Stats()
 		body.TraceStore = &st
 	}
 	if s.cluster != nil {
@@ -496,7 +469,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // (cancelled cells are evicted from every memo layer), or in the worst
 // case joins another doomed flight and loops again. Shed and
 // compute-timeout errors are final — never retried here.
-func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run func(context.Context) (any, error), proxied bool) (flightResult, error) {
+func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
 	for {
 		res, err := s.computeOnce(ctx, key, ps, run, proxied)
 		if err != nil && ctx.Err() == nil &&
@@ -507,7 +480,7 @@ func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run func
 	}
 }
 
-func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run func(context.Context) (any, error), proxied bool) (flightResult, error) {
+func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
 	return s.flights.do(ctx, key.hash(), func(cctx context.Context) (flightResult, error) {
 		// Double check under the flight: a racing request may have
 		// completed (and cached) this cell between our miss and this
@@ -543,7 +516,7 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run 
 		s.computes.Add(1)
 		s.logf("computing %s?%s", key.Experiment, key.Params)
 		t0 := time.Now()
-		v, err := run(cctx)
+		v, err := run(cctx, &s.runner)
 		if err != nil {
 			s.logf("compute %s?%s failed after %v: %v", key.Experiment, key.Params, time.Since(t0), err)
 			return flightResult{}, err
@@ -637,11 +610,11 @@ func traceBody(meta trace.Meta, size int64) traceEntryBody {
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if s.runner.Store == nil {
 		s.fail(w, http.StatusNotFound, "no trace store attached (start rapwamd with -tracedir)")
 		return
 	}
-	entries, err := s.store.List()
+	entries, err := s.runner.Store.List()
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "listing trace store: %v", err)
 		return
@@ -658,7 +631,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 // missing cell is a 404 (warm it with tracegen or by requesting an
 // experiment that needs it).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if s.runner.Store == nil {
 		s.fail(w, http.StatusNotFound, "no trace store attached (start rapwamd with -tracedir)")
 		return
 	}
@@ -682,7 +655,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := bench.StoreKey(name, pes, mode == "seq")
-	meta, size, err := s.store.Meta(k)
+	meta, size, err := s.runner.Store.Meta(k)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "trace %v not stored: %v", k, err)
 		return
@@ -714,9 +687,9 @@ func (s *Server) Scrub() ScrubSummary {
 	var sum ScrubSummary
 	sum.CacheReport = s.cache.Scrub()
 	sum.Swept += s.cache.Sweep(tempAge)
-	if s.store != nil {
-		sum.TraceReport = s.store.Scrub()
-		sum.Swept += s.store.Sweep(tempAge)
+	if s.runner.Store != nil {
+		sum.TraceReport = s.runner.Store.Scrub()
+		sum.Swept += s.runner.Store.Sweep(tempAge)
 	}
 	if n := len(sum.TraceReport.Quarantined) + len(sum.CacheReport.Quarantined); n > 0 || sum.Swept > 0 {
 		s.logf("scrub: %d checked, %d quarantined, %d swept",

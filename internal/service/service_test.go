@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -21,8 +22,7 @@ import (
 )
 
 // newTestServer builds a server over fresh temp directories (its own
-// result cache and trace store) and detaches the global trace store on
-// cleanup.
+// result cache and trace store).
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
 	return newTestServerAt(t, t.TempDir(), t.TempDir())
@@ -34,7 +34,6 @@ func newTestServerAt(t *testing.T, resultDir, traceDir string) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { experiments.SetStore(nil) })
 	return s
 }
 
@@ -93,8 +92,8 @@ func newBlockingExperiment(t *testing.T, name string) *blockingExperiment {
 	b.exp = &Experiment{
 		Name:    name,
 		Summary: "test-only blocking experiment",
-		prepare: func(q url.Values) ([]param, func(context.Context) (any, error), error) {
-			return nil, func(ctx context.Context) (any, error) {
+		prepare: func(q url.Values) ([]param, runFunc, error) {
+			return nil, func(ctx context.Context, _ *bench.Runner) (any, error) {
 				b.started <- struct{}{}
 				select {
 				case <-ctx.Done():
@@ -295,7 +294,6 @@ func TestSingleFlight(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bench.ResetEngineRuns()
 	const n = 32
 	bodies := make([][]byte, n)
 	errs := make([]error, n)
@@ -331,7 +329,7 @@ func TestSingleFlight(t *testing.T) {
 	if got := s.Computes(); got != 1 {
 		t.Fatalf("%d concurrent identical requests performed %d computations, want 1", n, got)
 	}
-	coldRuns := bench.EngineRuns()
+	coldRuns := s.runner.EngineRuns()
 	if coldRuns == 0 {
 		t.Fatal("cold computation performed no engine runs — test is vacuous")
 	}
@@ -346,7 +344,7 @@ func TestSingleFlight(t *testing.T) {
 	if got := s.Computes(); got != 1 {
 		t.Fatalf("warm request recomputed (computes = %d)", got)
 	}
-	if got := bench.EngineRuns(); got != coldRuns {
+	if got := s.runner.EngineRuns(); got != coldRuns {
 		t.Fatalf("warm request ran the emulator (%d -> %d runs)", coldRuns, got)
 	}
 }
@@ -362,10 +360,11 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 
 	const fig4Path = "/v1/experiments/fig4?pes=1,2&sizes=64,256"
 	cold := getOK(t, h, fig4Path)
-	runsAfterCold := bench.EngineRuns()
+	runsAfterCold := s.runner.EngineRuns()
 
-	// Bit-identity vs the direct driver, over the same (now warm)
-	// trace store.
+	// Bit-identity vs the direct driver, on a Runner of the test's own
+	// over the same (now warm) trace store.
+	direct := &bench.Runner{Store: s.TraceStore()}
 	var env Envelope
 	if err := json.Unmarshal(cold.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
@@ -374,12 +373,12 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 	if err := json.Unmarshal(env.Result, &served); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := experiments.RunFigure4(context.Background(), []int{1, 2}, []int{64, 256})
+	directF4, err := experiments.RunFigure4(context.Background(), direct, []int{1, 2}, []int{64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(&served, direct) {
-		t.Fatalf("served fig4 differs from direct driver:\nserved: %+v\ndirect: %+v", &served, direct)
+	if !reflect.DeepEqual(&served, directF4) {
+		t.Fatalf("served fig4 differs from direct driver:\nserved: %+v\ndirect: %+v", &served, directF4)
 	}
 
 	t3cold := getOK(t, h, "/v1/experiments/table3")
@@ -388,7 +387,7 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 	if err := json.Unmarshal(env.Result, &servedT3); err != nil {
 		t.Fatal(err)
 	}
-	directT3, err := experiments.RunTable3(context.Background())
+	directT3, err := experiments.RunTable3(context.Background(), direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +398,6 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 	// Daemon restart: a fresh server over the same directories serves
 	// the identical bytes from disk with zero computations and zero
 	// emulator runs.
-	runsBeforeRestart := bench.EngineRuns()
 	s2 := newTestServerAt(t, resultDir, traceDir)
 	warm := getOK(t, s2.Handler(), fig4Path)
 	if got := warm.Header().Get("X-Result-Source"); got != "disk" {
@@ -411,8 +409,8 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 	if got := s2.Computes(); got != 0 {
 		t.Fatalf("restarted daemon recomputed (computes = %d)", got)
 	}
-	if got := bench.EngineRuns(); got != runsBeforeRestart {
-		t.Fatalf("restarted daemon ran the emulator (%d -> %d)", runsBeforeRestart, got)
+	if got := s2.runner.EngineRuns(); got != 0 {
+		t.Fatalf("restarted daemon ran the emulator %d times", got)
 	}
 	if runsAfterCold == 0 {
 		t.Fatal("cold fig4 performed no engine runs — test is vacuous")
@@ -565,7 +563,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("in-flight request never completed")
 	}
 	// Neither store carries temp droppings after shutdown.
-	for _, dir := range []string{s.cache.Dir(), s.store.Dir()} {
+	for _, dir := range []string{s.cache.Dir(), s.runner.Store.Dir()} {
 		assertNoTemps(t, dir)
 	}
 }
@@ -579,4 +577,46 @@ func assertNoTemps(t *testing.T, dir string) {
 	if len(matches) != 0 {
 		t.Errorf("temp droppings in %s: %v", dir, matches)
 	}
+}
+
+// TestServersInOneProcessDoNotAlias pins what the per-Server Runner
+// buys: two live servers over different trace dirs compute on their own
+// stores and counters — each store holds (and each engine_runs counts)
+// only its own server's cells.
+func TestServersInOneProcessDoNotAlias(t *testing.T) {
+	a, b := newTestServer(t), newTestServer(t)
+	getOK(t, a.Handler(), "/v1/experiments/table2?pes=2") // 4 benchmarks × {1 PE seq, 2 PEs}
+	getOK(t, b.Handler(), "/v1/experiments/fig2?pes=2")   // deriv × {1 PE seq, 2 PEs}
+	for _, tc := range []struct {
+		name  string
+		s     *Server
+		cells int64
+	}{{"a", a, 8}, {"b", b, 2}} {
+		if got := tc.s.TraceStore().Stats().Puts; got != tc.cells {
+			t.Errorf("server %s: trace store holds %d cells, want its own %d", tc.name, got, tc.cells)
+		}
+		if got := tc.s.runner.EngineRuns(); got != tc.cells {
+			t.Errorf("server %s: engine_runs = %d, want its own %d", tc.name, got, tc.cells)
+		}
+	}
+}
+
+// TestMachineFaultIsAnErrorResponse: a cell whose emulation overflows a
+// machine area (qsort-17540 at 8 PEs exhausts the local stack) answers
+// 500 naming the fault, and the server keeps serving.
+func TestMachineFaultIsAnErrorResponse(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	w := get(t, h, "/v1/experiments/bus?desbench=qsort-17540&pes=8")
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("faulting cell: status %d, want 500: %s", w.Code, w.Body.String())
+	}
+	var body apiError
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body is not JSON: %s", w.Body.String())
+	}
+	if ok, _ := regexp.MatchString(`cycle \d+ pc \d+: pe\d+: local stack overflow`, body.Error); !ok {
+		t.Fatalf("error %q does not name the machine fault", body.Error)
+	}
+	getOK(t, h, "/v1/experiments/table1")
 }

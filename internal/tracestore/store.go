@@ -424,16 +424,6 @@ func verifyMeta(k Key, m trace.Meta) error {
 // full reference stream. Any error (from gen or the encoder) leaves
 // the store unchanged.
 func (s *Store) Put(k Key, gen func(trace.Sink) error) error {
-	return s.PutWorkers(k, 1, gen)
-}
-
-// PutWorkers is Put with a parallel encoder: workers > 1 stages the
-// stream through trace.ParallelChunkWriter, which encodes RWT2 chunks
-// on that many goroutines (plus a dedicated in-order writer goroutine,
-// overlapping generation with encode and I/O) while producing bytes
-// identical to the sequential encoder — same content address, same
-// golden hashes. workers <= 1 keeps the fully synchronous encoder.
-func (s *Store) PutWorkers(k Key, workers int, gen func(trace.Sink) error) error {
 	meta := trace.Meta{
 		Benchmark:       k.Benchmark,
 		PEs:             k.PEs,
@@ -441,29 +431,14 @@ func (s *Store) PutWorkers(k Key, workers int, gen func(trace.Sink) error) error
 		EmulatorVersion: k.EmulatorVersion,
 	}
 	err := s.b.Put(k.name(), func(w io.Writer) error {
-		// Both writer kinds behind one closure pair; the parallel
-		// writer must be Closed even when gen fails, or its pipeline
-		// goroutines leak.
-		var sink trace.Sink
-		var closeWriter func() error
-		if workers > 1 {
-			cw, err := trace.NewParallelChunkWriter(w, meta, workers)
-			if err != nil {
-				return err
-			}
-			sink, closeWriter = cw, cw.Close
-		} else {
-			cw, err := trace.NewChunkWriter(w, meta)
-			if err != nil {
-				return err
-			}
-			sink, closeWriter = cw, cw.Close
-		}
-		if err := gen(sink); err != nil {
-			closeWriter()
+		cw, err := trace.NewChunkWriter(w, meta)
+		if err != nil {
 			return err
 		}
-		return closeWriter()
+		if err := gen(cw); err != nil {
+			return err
+		}
+		return cw.Close()
 	})
 	if err != nil {
 		return err

@@ -33,14 +33,15 @@
 // # Persistent traces
 //
 // Traces are pure functions of (benchmark, PEs, sequential, emulator
-// version), so they persist: SetTraceDir attaches a content-addressed
-// store of compact binary traces (docs/TRACE_FORMAT.md) that the
-// experiment drivers and TraceBenchmark consult before running the
-// emulator, streaming generation to disk and replay from disk so even
-// larger-than-RAM traces flow through the full simulator grid. With a
-// warm store a complete experiment sweep performs zero emulator runs
-// (EngineRuns is the observable). GenerateTraces warms cells in bulk,
-// concurrently; cmd/tracegen is its CLI.
+// version), so they persist: a Runner built over a TraceStore
+// (NewRunner; SetTraceDir for the default Runner) consults that
+// content-addressed store of compact binary traces
+// (docs/TRACE_FORMAT.md) before running the emulator, streaming
+// generation to disk and replay from disk so even larger-than-RAM
+// traces flow through the full simulator grid. With a warm store a
+// complete experiment sweep performs zero emulator runs (EngineRuns is
+// the observable). GenerateTraces warms cells in bulk, concurrently;
+// cmd/tracegen is its CLI.
 package rapwam
 
 import (
@@ -146,11 +147,6 @@ type RunConfig struct {
 	// HeapWords overrides the per-worker heap size (0 = default);
 	// other areas scale with the defaults in internal/mem.
 	HeapWords int
-	// ExecShards sets how many host goroutines the emulator may use to
-	// speculate independent PEs' cycles in parallel (0 or 1 = the
-	// serial dispatcher). The emitted trace and every result field are
-	// identical at any setting; only wall-clock time changes.
-	ExecShards int
 }
 
 // Result is the outcome of running a Program.
@@ -194,11 +190,10 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 		}
 	}
 	eng, err := core.New(p.code, core.Config{
-		PEs:        pes,
-		Layout:     layout,
-		Sink:       sink,
-		MaxCycles:  cfg.MaxCycles,
-		ExecShards: cfg.ExecShards,
+		PEs:       pes,
+		Layout:    layout,
+		Sink:      sink,
+		MaxCycles: cfg.MaxCycles,
 	})
 	if err != nil {
 		return nil, err
@@ -259,31 +254,44 @@ func EmulatorVersion() string { return core.EmulatorVersion }
 // RunBenchmark executes a benchmark with the given parallelism,
 // validating its answer. Cancelling ctx aborts the emulator mid-run
 // and returns ctx.Err().
-func RunBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Result, error) {
-	res, err := bench.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential})
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res), nil
+func (r *Runner) RunBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Result, error) {
+	return r.TraceBenchmarkTo(ctx, b, pes, sequential, nil)
 }
 
-// TraceBenchmark runs a benchmark capturing its memory trace.
-func TraceBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Trace, error) {
-	buf, _, err := bench.Trace(ctx, b, pes, sequential)
+// RunBenchmark is Runner.RunBenchmark on the default Runner.
+func RunBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Result, error) {
+	return defaultRunner.RunBenchmark(ctx, b, pes, sequential)
+}
+
+// TraceBenchmark returns a benchmark's memory trace: decoded from the
+// Runner's trace store when it has one (generating and storing the cell
+// on first need), otherwise captured from one emulator run.
+func (r *Runner) TraceBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Trace, error) {
+	buf, _, err := r.r.Trace(ctx, b, pes, sequential)
 	if err != nil {
 		return nil, err
 	}
 	return &Trace{buf: buf}, nil
 }
 
+// TraceBenchmark is Runner.TraceBenchmark on the default Runner.
+func TraceBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Trace, error) {
+	return defaultRunner.TraceBenchmark(ctx, b, pes, sequential)
+}
+
 // TraceBenchmarkTo streams a benchmark's memory trace into sink as it
 // is generated, without buffering it — the streaming counterpart of
 // TraceBenchmark for runs whose traces should not be materialized
 // (e.g. the engine feeding cache simulators directly).
-func TraceBenchmarkTo(ctx context.Context, b Benchmark, pes int, sequential bool, sink Sink) (*Result, error) {
-	res, err := bench.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
+func (r *Runner) TraceBenchmarkTo(ctx context.Context, b Benchmark, pes int, sequential bool, sink Sink) (*Result, error) {
+	res, err := r.r.Run(ctx, b, bench.RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
 	if err != nil {
 		return nil, err
 	}
 	return newResult(res), nil
+}
+
+// TraceBenchmarkTo is Runner.TraceBenchmarkTo on the default Runner.
+func TraceBenchmarkTo(ctx context.Context, b Benchmark, pes int, sequential bool, sink Sink) (*Result, error) {
+	return defaultRunner.TraceBenchmarkTo(ctx, b, pes, sequential, sink)
 }

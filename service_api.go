@@ -34,21 +34,9 @@ type ServeConfig struct {
 	// TraceDir optionally attaches a persistent trace store so cold
 	// computations reuse — and warm — stored traces.
 	TraceDir string
-	// Parallelism bounds the experiments grid worker pool (0 keeps the
-	// current setting).
+	// Parallelism bounds the service's experiments grid worker pool
+	// (<= 0: runtime.GOMAXPROCS(0)).
 	Parallelism int
-	// Shards sets intra-cell parallelism — set-shard replay workers
-	// per cache configuration and trace-generation encode workers —
-	// within the grid's shared worker budget (0 keeps the current
-	// setting, negative selects GOMAXPROCS). Results are bit-identical
-	// at any setting; see SetShards.
-	Shards int
-	// ExecShards sets sharded emulation — host goroutines speculating
-	// independent PEs' cycles inside each engine run — within the same
-	// shared grid budget (0 keeps the current setting, negative
-	// selects GOMAXPROCS, 1 is the serial dispatcher). Traces and
-	// results are bit-identical at any setting; see SetExecShards.
-	ExecShards int
 	// MaxComputes caps concurrent experiment computations; 0 means
 	// unlimited. Cache hits and joins of an in-flight identical
 	// computation are never throttled — only the request that would
@@ -90,7 +78,8 @@ type ServeConfig struct {
 	// normally much faster: cancelling the serve context also cancels
 	// every in-flight request's computation.
 	DrainTimeout time.Duration
-	// Log, when non-nil, receives one line per notable server event.
+	// Log, when non-nil, receives one line per notable server event,
+	// and one ("grid: ...") per completed experiment grid cell.
 	Log func(msg string)
 }
 
@@ -101,16 +90,13 @@ type Service struct {
 
 // NewService opens the result cache (and trace store, when configured)
 // and builds the service. Use Handler to mount it, or Serve to run a
-// complete daemon. The experiments grid underneath is process-global,
-// so build one live service per process (sequential construction over
-// the same directories — the restart pattern — is fine).
+// complete daemon. Each service owns its grid state (its own Runner),
+// so any number of services can live in one process.
 func NewService(cfg ServeConfig) (*Service, error) {
 	scfg := service.Config{
 		ResultDir:      cfg.ResultDir,
 		TraceDir:       cfg.TraceDir,
 		Parallelism:    cfg.Parallelism,
-		Shards:         cfg.Shards,
-		ExecShards:     cfg.ExecShards,
 		MaxComputes:    cfg.MaxComputes,
 		MaxQueue:       cfg.MaxQueue,
 		ComputeTimeout: cfg.ComputeTimeout,
