@@ -84,9 +84,10 @@ func TraceStoreKey(benchmark string, pes int, sequential bool) TraceKey {
 	return bench.StoreKey(benchmark, pes, sequential)
 }
 
-// EnsureTraceStored makes sure the Runner's trace store holds the
-// trace and run record for the benchmark cell, generating them with
-// one streaming emulator run if absent (an error without a store).
+// EnsureTraceStored makes sure the Runner's trace store (its private
+// in-memory one if it was built without a store) holds the trace and
+// run record for the benchmark cell, generating them with one
+// streaming emulator run if absent.
 // Generation of distinct cells may proceed concurrently; concurrent
 // calls for the same cell run the emulator once. Cancelling ctx aborts
 // an in-flight generation (the partial write is cleaned up) and

@@ -89,6 +89,12 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-exp", "table2", "-pes", "99"}, 2, "-pes"},
 		{"experiments-negative-par", "experiments",
 			[]string{"-exp", "table1", "-par", "-3"}, 2, "par"},
+		{"experiments-unknown-exp", "experiments",
+			[]string{"-exp", "fig5"}, 2, "valid names: table1, fig2"},
+		{"experiments-cache-below-a-line", "experiments",
+			[]string{"-exp", "table1", "-cache", "0"}, 2, "-cache"},
+		{"experiments-negative-target", "experiments",
+			[]string{"-exp", "table1", "-target", "-1"}, 2, "-target"},
 		{"cachesim-pes-out-of-range", "cachesim",
 			[]string{"-pes", "0"}, 2, "-pes"},
 		{"cachesim-pes-not-a-number", "cachesim",
@@ -148,6 +154,35 @@ func TestCLIShardFlagsAreUnknown(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCLIExperimentsSameOutputWithAndWithoutTraceDir pins the one cell
+// data path end to end: `experiments -exp all` prints the same bytes
+// whether its trace store is the private in-memory one or a directory,
+// cold or warm.
+func TestCLIExperimentsSameOutputWithAndWithoutTraceDir(t *testing.T) {
+	stdout := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(buildCLIs(t), "experiments"), append([]string{"-exp", "all"}, args...)...)
+		var errOut strings.Builder
+		cmd.Stderr = &errOut
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("experiments -exp all %v: %v\n%s", args, err, errOut.String())
+		}
+		return string(out)
+	}
+	dir := t.TempDir()
+	mem := stdout()
+	if len(mem) == 0 {
+		t.Fatal("experiments -exp all printed nothing")
+	}
+	if cold := stdout("-tracedir", dir); cold != mem {
+		t.Errorf("stdout differs between no -tracedir and a cold -tracedir")
+	}
+	if warm := stdout("-tracedir", dir); warm != mem {
+		t.Errorf("stdout differs between no -tracedir and a warm -tracedir")
 	}
 }
 

@@ -11,18 +11,19 @@
 //	experiments -exp mlips [-cache 256] [-target 2]
 //	experiments -exp bus [-pes 8] [-cache 256]
 //
-// Grid experiments (table3, fig4, mlips, bus, ablations) run on a
-// bounded worker pool over memoized traces, simulating all cache
-// configurations per trace concurrently in a single pass; -par bounds
-// the pool (results are identical at any width) and -progress reports
-// per-cell completion on stderr.
+// Every cell — one (benchmark, PEs, sequential) emulator run — streams
+// into a trace store in the compact codec once and is replayed from it
+// chunk by chunk by every experiment that needs it; grid experiments
+// (table3, fig4, mlips, bus, ablations) run on a bounded worker pool,
+// simulating all cache configurations per trace concurrently in a
+// single pass. -par bounds the pool (results are identical at any
+// width) and -progress reports per-cell completion on stderr.
 //
-// -tracedir DIR attaches a persistent trace store: every emulator run
-// is performed at most once per emulator version, traces stream to
-// disk in the compact codec and replay from disk chunk by chunk. A
-// second -exp all over the same directory performs zero emulator runs
-// (the run summary on stderr reports the count). Warm the store ahead
-// of time with cmd/tracegen.
+// The store is in memory unless -tracedir DIR makes it persistent:
+// then every emulator run is performed at most once per emulator
+// version, and a second -exp all over the same directory performs zero
+// emulator runs (the run summary on stderr reports the count). Warm
+// the store ahead of time with cmd/tracegen.
 package main
 
 import (
@@ -32,11 +33,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
 	"repro"
 
 	"repro/internal/cliflag"
+	"repro/internal/experiments"
 	"repro/internal/profflag"
 )
 
@@ -45,6 +49,37 @@ import (
 func validatePEs(flagName string, n int) {
 	if n < 1 || n > rapwam.MaxPEs {
 		fmt.Fprintf(os.Stderr, "experiments: -%s %d: PE count must be in [1, %d]\n", flagName, n, rapwam.MaxPEs)
+		os.Exit(2)
+	}
+}
+
+// expNames lists the experiments in the order -exp all prints them.
+var expNames = []string{"table1", "fig2", "table2", "table3", "fig4", "mlips", "bus", "ablations"}
+
+// validateExp rejects an -exp value that names no experiment, which
+// would otherwise print nothing and exit 0.
+func validateExp(name string) {
+	if name != "all" && !slices.Contains(expNames, name) {
+		fmt.Fprintf(os.Stderr, "experiments: -exp %q: unknown experiment; valid names: %s, all\n", name, strings.Join(expNames, ", "))
+		os.Exit(2)
+	}
+}
+
+// validateCache bounds -cache with the simulators' own geometry check,
+// so a size below one line fails here instead of mid-run after earlier
+// experiments have printed.
+func validateCache(words int) {
+	if err := experiments.CheckCacheWords(words); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -cache %d: %v\n", words, err)
+		os.Exit(2)
+	}
+}
+
+// validateTarget requires a positive -target (a negative one prices a
+// negative bus bandwidth).
+func validateTarget(mlips float64) {
+	if !(mlips > 0) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "experiments: -target %v: the MLIPS target must be positive\n", mlips)
 		os.Exit(2)
 	}
 }
@@ -62,7 +97,7 @@ func resolveWorkers(name string, n int) int {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|fig2|table2|table3|fig4|mlips|bus|ablations|all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(expNames, "|")+"|all")
 		pes      = flag.Int("pes", 8, "PE count for table2/bus")
 		maxPEs   = flag.Int("maxpes", 16, "largest PE count for fig2")
 		cache    = flag.Int("cache", 256, "cache size (words) for mlips/bus")
@@ -74,8 +109,11 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
 	flag.Parse()
+	validateExp(*exp)
 	validatePEs("pes", *pes)
 	validatePEs("maxpes", *maxPEs)
+	validateCache(*cache)
+	validateTarget(*target)
 	parN := resolveWorkers("par", *par)
 
 	// Ctrl-C / SIGTERM cancel the experiment context: in-flight grid

@@ -13,15 +13,15 @@ import (
 // paper's tables and figures. Each returns structured data with a
 // String() rendering.
 //
-// Every driver runs on a Runner, which owns what runs share: the
-// persistent trace store, the worker budget, the progress callback and
-// the trace memo. The drivers that sweep parameter grids (Figure 4,
-// Table 3, MLIPS, the bus study and the cache ablations) memoize engine
-// traces per (benchmark, PEs, sequential), simulate every cache
-// configuration consuming one trace concurrently in a single pass over
-// it, and execute independent grid cells on the Runner's bounded worker
-// pool. Results are identical at any pool width; only wall-clock time
-// changes.
+// Every driver runs on a Runner, which owns what runs share: the trace
+// store, the worker budget and the progress callback. Each
+// (benchmark, PEs, sequential) cell is emulated once into the store and
+// replayed from it; the drivers that sweep parameter grids (Figure 4,
+// Table 3, MLIPS, the bus study and the cache ablations) simulate every
+// cache configuration consuming one trace concurrently in a single pass
+// over it, and execute independent grid cells on the Runner's bounded
+// worker pool. Results are identical at any pool width and over any
+// store; only wall-clock time changes.
 //
 // The package-level functions of the same names run on one shared
 // default Runner, configured through SetParallelism, SetProgress and
@@ -30,20 +30,21 @@ import (
 // configurations side by side build their own Runners.
 
 // Runner owns the state experiment and benchmark runs share — trace
-// store, grid worker budget, progress callback, memoized traces and the
-// emulator-run counter. Two Runners never see each other's store, memo
-// or counts. Build one with NewRunner.
+// store, grid worker budget, progress callback and the emulator-run
+// counter. Two Runners never see each other's store or counts. Build
+// one with NewRunner.
 type Runner struct {
 	r bench.Runner
 }
 
-// NewRunner returns a Runner. store (nil: none) is the persistent
-// trace store consulted before any emulator run: with one, every
-// (benchmark, PEs, sequential) cell runs at most once per emulator
-// version — the trace streams into the store's compact codec, the
-// run's statistics go into a sidecar, and every later experiment, in
-// this process or the next, replays from disk chunk by chunk with
-// bit-identical results; without one, traces memoize in RAM. par
+// NewRunner returns a Runner. store is the trace store every grid cell
+// goes through: each (benchmark, PEs, sequential) cell runs at most
+// once per emulator version — the trace streams into the store's
+// compact codec, the run's statistics go into a sidecar, and every
+// later experiment, in this process or (over a persistent store) the
+// next, replays from it chunk by chunk with bit-identical results. nil
+// gives the Runner a private in-memory store with the same behaviour
+// for as long as it lives. par
 // bounds how many grid cells (engine runs and trace replays) execute
 // concurrently (<= 0: runtime.GOMAXPROCS(0)). progress (nil: silent)
 // receives one short line per completed cell, possibly from several
@@ -66,8 +67,9 @@ func Parallelism() int { return defaultRunner.r.Workers() }
 // disables reporting).
 func SetProgress(f func(msg string)) { defaultRunner.r.Progress = f }
 
-// ResetTraceCache drops the traces the default Runner memoized for its
-// drivers to share (a few MB per distinct benchmark × PE-count entry).
+// ResetTraceCache discards the default Runner's private in-memory
+// trace store, so its next run without a trace store re-emulates every
+// cell. An attached store is left alone.
 func ResetTraceCache() { defaultRunner.r.DropTraces() }
 
 // SetTraceStore attaches (nil: detaches) the default Runner's

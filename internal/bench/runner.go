@@ -11,24 +11,26 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
 // Runner owns everything benchmark runs and the experiments grid
-// share: the persistent trace store, the one worker budget, the
-// progress callback, and — unexported — the trace memo, the per-cell
-// generation flights and the engine-run counter. Nothing is ambient:
-// every run names its Runner, so two Runners in one process (two
-// servers, two test cases) never see each other's store, memo or
-// counts. The zero value is ready to use (no store, GOMAXPROCS workers,
-// no progress). Set the exported fields before the Runner's first use
+// share: the trace store, the one worker budget, the progress callback,
+// and — unexported — the per-cell generation flights and the
+// engine-run counter. Nothing is ambient: every run names its Runner,
+// so two Runners in one process (two servers, two test cases) never see
+// each other's store or counts. The zero value is ready to use (a
+// private in-memory store, GOMAXPROCS workers, no progress). Set the exported fields before the Runner's first use
 // and leave them alone while a run is in flight; a Runner must not be
 // copied after first use.
 type Runner struct {
-	// Store is the persistent trace store consulted before any
-	// emulator run: a cell streams into it on first need and replays
-	// from it afterwards. nil memoizes traces in RAM instead.
+	// Store is the trace store every grid cell goes through: a cell
+	// streams into it on first need and replays from it afterwards.
+	// nil keeps the cells in a private in-memory store (same codec,
+	// same sidecars) that lives as long as the Runner, or until
+	// DropTraces.
 	Store *tracestore.Store
 	// Par bounds the grid cells (engine runs and trace replays) in
 	// flight at once; <= 0 means runtime.GOMAXPROCS(0).
@@ -42,16 +44,15 @@ type Runner struct {
 	// observable that verifies a warm store eliminates regeneration.
 	engineRuns atomic.Int64
 	// flights single-flights concurrent generation of one store cell
-	// (tracestore.Key -> *cellFlight). Flights are removed on
-	// completion: success lives on in the store itself and failures are
-	// never memoized, so a quarantined or lost cell regenerates on the
-	// next call instead of replaying a stale error forever.
+	// (flightKey -> *cellFlight). Flights are removed on completion:
+	// success lives on in the store itself and failures are never
+	// memoized, so a quarantined or lost cell regenerates on the next
+	// call instead of replaying a stale error forever.
 	flights sync.Map
-	// traces memoizes reference traces across drivers (traceKey ->
-	// *traceEntry): `-exp all` shares e.g. the 8-PE paper-benchmark
-	// traces between Figure 4, MLIPS and the bus study. A few MB each;
-	// DropTraces frees them.
-	traces sync.Map
+	// mem is the private in-memory store (see memStore), guarded by
+	// memMu.
+	memMu sync.Mutex
+	mem   *tracestore.Store
 }
 
 // Workers returns the grid worker-pool width Par resolves to.
@@ -127,56 +128,23 @@ func (r *Runner) Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Res
 	return res, nil
 }
 
-// traceKey identifies one memoized engine run. direct marks buffers
-// generated bypassing the store (the degraded path) — kept distinct so
-// a recovered store never serves a slot filled during an outage and
-// vice versa.
-type traceKey struct {
-	bench      string
-	pes        int
-	sequential bool
-	direct     bool
-}
-
-// traceEntry is a once-filled memo slot.
-type traceEntry struct {
-	once sync.Once
-	buf  *trace.Buffer
-	err  error
-}
-
-// CachedTrace returns the memoized trace for (b, pes, sequential),
-// running the engine on first use. Concurrent callers for the same key
-// block until the single engine run completes (the generating caller's
-// ctx governs that run). A cancelled generation is evicted from the
-// memo rather than cached, so a later sweep with a live context
-// regenerates the cell instead of replaying the stale context error.
-// direct bypasses Store (TraceDirect) — the degraded path when storage
-// keeps failing.
-func (r *Runner) CachedTrace(ctx context.Context, b Benchmark, pes int, sequential, direct bool) (*trace.Buffer, error) {
-	key := traceKey{b.Name, pes, sequential, direct}
-	v, _ := r.traces.LoadOrStore(key, &traceEntry{})
-	e := v.(*traceEntry)
-	e.once.Do(func() {
-		if direct {
-			e.buf, _, e.err = r.TraceDirect(ctx, b, pes, sequential)
-		} else {
-			e.buf, _, e.err = r.Trace(ctx, b, pes, sequential)
-		}
-		if e.err == nil {
-			r.Progressf("traced %s @ %d PEs (%d refs)", b.Name, pes, e.buf.Len())
-		}
-	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		r.traces.CompareAndDelete(key, v)
+// memStore returns the Runner's private in-memory trace store,
+// creating it on first need: where cells live when Store is nil, and
+// where they go when Store keeps failing.
+func (r *Runner) memStore() *tracestore.Store {
+	r.memMu.Lock()
+	defer r.memMu.Unlock()
+	if r.mem == nil {
+		r.mem = tracestore.NewOn(storage.NewMem())
 	}
-	return e.buf, e.err
+	return r.mem
 }
 
-// DropTraces drops all memoized traces.
+// DropTraces discards the private in-memory store, so the next run on
+// a Runner without a Store re-emulates every cell. A configured Store
+// is left alone.
 func (r *Runner) DropTraces() {
-	r.traces.Range(func(k, _ any) bool {
-		r.traces.Delete(k)
-		return true
-	})
+	r.memMu.Lock()
+	r.mem = nil
+	r.memMu.Unlock()
 }

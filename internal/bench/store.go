@@ -1,16 +1,16 @@
 package bench
 
-// Persistent trace-store integration. When a Runner carries a Store,
-// every benchmark cell — one (benchmark, PEs, sequential) engine run —
-// is generated at most once per emulator version: the run streams its
-// reference trace straight into the store's compact encoder (never
-// buffering it) and records its engine statistics in a JSON sidecar,
-// and later callers replay from disk. Trace and the experiments grid
-// both consult the store before regenerating.
+// Trace-store integration: the one data path of a grid cell. Every
+// benchmark cell — one (benchmark, PEs, sequential) engine run — is
+// generated at most once per emulator version and store: the run
+// streams its reference trace straight into the store's compact
+// encoder (never buffering it) and records its engine statistics in a
+// JSON sidecar, and every consumer replays from the store. The store
+// is Runner.Store, or the Runner's private in-memory one when none is
+// configured; UseCell owns the heal/degrade rule for both.
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -23,6 +23,13 @@ import (
 type cellFlight struct {
 	done chan struct{}
 	err  error
+}
+
+// flightKey names one cell of one store: the configured store and the
+// private one generate the same cell independently.
+type flightKey struct {
+	s *tracestore.Store
+	k tracestore.Key
 }
 
 // StoreKey returns the trace-store key for a benchmark cell under the
@@ -50,27 +57,39 @@ type RunRecord struct {
 	Refs trace.Counter
 }
 
-// EnsureStored makes sure r.Store holds the trace and run sidecar for
-// (b, pes, sequential), generating them with one engine run if absent.
-// Generation is streaming (the trace never materializes in memory) and
-// single-flighted: concurrent callers for the same cell block until
-// the one generation completes — the generating caller's ctx governs
-// the engine run, so every waiter on a cancelled flight observes the
-// context error. It returns the cell's key. Calling EnsureStored on a
-// Runner without a Store is an error.
+// store returns the store this Runner's cells live in: Store, or the
+// private in-memory one.
+func (r *Runner) store() *tracestore.Store {
+	if r.Store != nil {
+		return r.Store
+	}
+	return r.memStore()
+}
+
+// EnsureStored makes sure the Runner's store (Store, or the private
+// in-memory one without it) holds the trace and run sidecar for
+// (b, pes, sequential), generating them with one engine run if absent,
+// and returns the cell's key. It does not heal a failing store; UseCell
+// does.
+func (r *Runner) EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
+	return r.ensure(ctx, r.store(), b, pes, sequential)
+}
+
+// ensure is EnsureStored on s. Generation is streaming (the trace
+// never materializes in memory) and single-flighted: concurrent
+// callers for the same cell block until the one generation completes —
+// the generating caller's ctx governs the engine run, so every waiter
+// on a cancelled flight observes the context error.
 //
 // Failures are not memoized: the next call re-checks the store and
 // regenerates, which is how a cell quarantined by a corrupt read comes
-// back. Callers that keep looping on a persistently failing cell are
-// expected to bound their own retries (the experiments grid does).
-func (r *Runner) EnsureStored(ctx context.Context, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
+// back.
+func (r *Runner) ensure(ctx context.Context, s *tracestore.Store, b Benchmark, pes int, sequential bool) (tracestore.Key, error) {
 	k := StoreKey(b.Name, pes, sequential)
-	if r.Store == nil {
-		return k, errNoStore
-	}
+	fk := flightKey{s, k}
 	for {
 		f := &cellFlight{done: make(chan struct{})}
-		if v, loaded := r.flights.LoadOrStore(k, f); loaded {
+		if v, loaded := r.flights.LoadOrStore(fk, f); loaded {
 			// Someone else is generating this cell; wait them out,
 			// then re-check the store (their failure is not ours to
 			// inherit — a cancelled or faulted generation must not
@@ -91,102 +110,99 @@ func (r *Runner) EnsureStored(ctx context.Context, b Benchmark, pes int, sequent
 				return k, ctx.Err()
 			}
 		}
-		f.err = r.generateCell(ctx, k, b, pes, sequential)
-		r.flights.Delete(k)
+		f.err = r.generateCell(ctx, s, k, b, pes, sequential)
+		r.flights.Delete(fk)
 		close(f.done)
 		return k, f.err
 	}
 }
 
 // generateCell performs one store-check + generation for a cell.
-func (r *Runner) generateCell(ctx context.Context, k tracestore.Key, b Benchmark, pes int, sequential bool) error {
-	if r.Store.Has(k) {
+func (r *Runner) generateCell(ctx context.Context, s *tracestore.Store, k tracestore.Key, b Benchmark, pes int, sequential bool) error {
+	if s.Has(k) {
 		return nil
 	}
 	var res *core.Result
-	err := r.Store.Put(k, func(sink trace.Sink) (err error) {
+	err := s.Put(k, func(sink trace.Sink) (err error) {
 		res, err = r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: sink})
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	return r.Store.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
+	return s.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
 }
 
-// errNoStore reports EnsureStored use on a Runner without a Store.
-//
-//rapwam:allow globalstate sentinel error value, never reassigned
-var errNoStore = errors.New("bench: Runner has no trace store")
+// storeHealAttempts bounds how many times UseCell retries a cell whose
+// store keeps failing before degrading to the in-memory store.
+const storeHealAttempts = 3
 
-// traceHealAttempts bounds how many times Trace retries a cell whose
-// stored copy keeps failing before degrading to a direct run.
-const traceHealAttempts = 3
-
-// TraceDirect generates the benchmark's full memory-reference trace
-// with one emulator run, bypassing r.Store — the degraded path when
-// storage is unavailable, and the only path without a store.
-func (r *Runner) TraceDirect(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
-	buf := trace.NewBuffer(1 << 20)
-	res, err := r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf})
-	if err != nil {
-		return nil, nil, err
-	}
-	return buf, res, nil
+// storeHealable reports whether a store-path failure is worth
+// retrying/degrading around: quarantined corruption (the retry
+// regenerates the cell) or a backend-side storage failure (the
+// in-memory store bypasses it). Everything else — a failing benchmark,
+// cancellation — propagates.
+func storeHealable(err error) bool {
+	return tracestore.IsCorrupt(err) || storage.AsBackendError(err)
 }
 
-// Trace returns the benchmark's full memory-reference trace, running
-// the emulator to generate it. When r carries a Store it is consulted
-// first: a hit decodes the stored trace instead of re-running the
-// emulator (and returns a nil run result, since no run happened), and a
-// miss generates through the store so the next caller hits.
+// UseCell is how a cell's stored trace and sidecar are consumed, and
+// the one place storage trouble is handled: it makes sure the cell is
+// stored, then calls use with the store that holds it and its key.
 //
-// Store failures self-heal: a corrupt stored trace is quarantined by
-// the read (tracestore.CorruptError reads as a miss), so the retry
-// regenerates it; transient backend errors retry too; and if the store
-// keeps failing, Trace degrades to a direct in-memory run (marking the
-// context's degraded flag) — storage trouble costs latency, never an
-// answer. Callers that want to stream references instead of buffering
-// them pass their own Sink via RunConfig; callers that should never
-// materialize the trace replay it from the store
-// (tracestore.Store.Replay) instead.
-func (r *Runner) Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, *core.Result, error) {
-	s := r.Store
-	if s == nil {
-		return r.TraceDirect(ctx, b, pes, sequential)
+// A corrupt stored object is quarantined by the failing read (it reads
+// as a miss), so the retry regenerates it; transient backend errors
+// retry too; and if Store still fails after storeHealAttempts, the
+// cell goes through the private in-memory store instead (marking the
+// context's degraded flag, X-Degraded at the serving layer) — storage
+// trouble costs latency, never an answer, and the result is identical
+// because a cell is a pure function of its key. Cells generated during
+// an outage stay in the in-memory store, apart from the recovered
+// Store's.
+//
+// A failed attempt may have fed use's consumers a partial stream:
+// use must build its consumer state afresh on every call.
+func (r *Runner) UseCell(ctx context.Context, b Benchmark, pes int, sequential bool, use func(s *tracestore.Store, k tracestore.Key) error) error {
+	try := func(s *tracestore.Store) error {
+		k, err := r.ensure(ctx, s, b, pes, sequential)
+		if err != nil {
+			return err
+		}
+		return use(s, k)
 	}
-	var lastErr error
-	for attempt := 0; attempt < traceHealAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if _, lastErr = r.EnsureStored(ctx, b, pes, sequential); lastErr != nil {
-			if storage.AsBackendError(lastErr) {
-				continue // transient or backend-side: retry, then degrade
-			}
-			return nil, nil, lastErr
-		}
-		buf, _, err := s.Load(StoreKey(b.Name, pes, sequential))
-		if err == nil {
-			return buf, nil, nil
-		}
-		lastErr = err
-		// Corrupt loads quarantined the object (a miss now) and
-		// transient errors deserve another try; anything else falls
-		// through to the degraded path below.
-		if !tracestore.IsCorrupt(err) && !storage.AsBackendError(err) && !errors.Is(err, context.Canceled) {
-			break
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, nil, err
+	s := r.store()
+	var err error
+	for attempt := 0; attempt < storeHealAttempts && ctx.Err() == nil; attempt++ {
+		if err = try(s); err == nil || !storeHealable(err) {
+			return err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	// The store would not yield this cell; compute without it rather
-	// than fail the caller. The flag makes the bypass visible
-	// (X-Degraded at the serving layer).
 	storage.MarkDegraded(ctx, "trace-store")
-	return r.TraceDirect(ctx, b, pes, sequential)
+	r.Progressf("%s @ %d PEs: trace store keeps failing, using the in-memory store: %v", b.Name, pes, err)
+	return try(r.memStore())
+}
+
+// Trace returns the benchmark's full memory-reference trace as a
+// Buffer. Without a Store that is one emulator run capturing into the
+// buffer; with one the cell goes through the store like every grid
+// cell (UseCell) and is decoded from it. Callers that want to stream
+// references instead of buffering them pass their own Sink via
+// RunConfig.
+func (r *Runner) Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, error) {
+	if r.Store == nil {
+		buf := trace.NewBuffer(1 << 20)
+		if _, err := r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf}); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var buf *trace.Buffer
+	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) (err error) {
+		buf, _, err = s.Load(k)
+		return err
+	})
+	return buf, err
 }

@@ -30,7 +30,7 @@ func parityTrace(t testing.TB, name string, pes int, sequential bool) *trace.Buf
 	if !ok {
 		t.Fatalf("unknown benchmark %q", name)
 	}
-	buf, _, err := new(bench.Runner).Trace(context.Background(), b, pes, sequential)
+	buf, err := new(bench.Runner).Trace(context.Background(), b, pes, sequential)
 	if err != nil {
 		t.Fatalf("tracing %s: %v", name, err)
 	}

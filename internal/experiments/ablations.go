@@ -8,8 +8,8 @@ import (
 	"repro/internal/busmodel"
 	"repro/internal/cache"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/tracestore"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: design
@@ -87,11 +87,8 @@ func RunLineSizeSweep(ctx context.Context, r *bench.Runner, benchName string, pe
 	}
 	cfgs := make([]cache.Config, len(lines))
 	for i, lw := range lines {
-		cfgs[i] = cache.Config{
-			PEs: pes, SizeWords: sizeWords, LineWords: lw,
-			Protocol:      cache.WriteInBroadcast,
-			WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, sizeWords),
-		}
+		cfgs[i] = paperConfig(pes, sizeWords, cache.WriteInBroadcast)
+		cfgs[i].LineWords = lw
 	}
 	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
 	if err != nil {
@@ -129,7 +126,7 @@ type LockShare struct {
 }
 
 // RunLockShare measures one benchmark; the Table 1 reference counter
-// comes from the grid's memo layer (the run sidecar, with a store).
+// comes from the cell's run sidecar.
 func RunLockShare(ctx context.Context, r *bench.Runner, benchName string, pes int) (*LockShare, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
@@ -184,23 +181,16 @@ func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cach
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
 	// The DES needs the bus-transaction event stream in global order, so
-	// this one replay stays sequential (a single OnBus observer); with a
-	// store attached it streams from the stored trace. A mid-replay
-	// failure leaves sim and events partially fed, so every heal attempt
-	// recreates both before replaying again; a store that keeps failing
-	// degrades to a direct in-memory trace (marking the context
-	// degraded) — bit-identical events either way.
+	// this one replay stays sequential (a single OnBus observer). A
+	// mid-replay store failure leaves sim and events partially fed, so
+	// every attempt starts both afresh.
 	var (
 		events []busmodel.Event
 		sim    *cache.Sim
 	)
-	fresh := func() {
+	err := r.UseCell(ctx, b, pes, pes == 1, func(s *tracestore.Store, k tracestore.Key) error {
 		events = nil
-		sim = cache.New(cache.Config{
-			PEs: pes, SizeWords: cacheWords, LineWords: 4,
-			Protocol:      cache.WriteInBroadcast,
-			WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, cacheWords),
-		})
+		sim = cache.New(paperConfig(pes, cacheWords, cache.WriteInBroadcast))
 		sim.OnBus = func(pe, words int, refIndex int64) {
 			// The reference index divided by the PE count approximates
 			// the per-PE clock of the interleaved machine.
@@ -208,32 +198,10 @@ func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cach
 				PE: pe, Time: float64(refIndex) / float64(pes), Words: words,
 			})
 		}
-	}
-	var replayErr error
-	for attempt := 0; attempt < storeHealAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fresh()
-		if replayErr = replayCell(ctx, r, b, pes, pes == 1, sim); replayErr == nil {
-			break
-		}
-		if !storeHealable(replayErr) {
-			return nil, replayErr
-		}
-	}
-	if replayErr != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		storage.MarkDegraded(ctx, "trace-store")
-		r.Progressf("bus DES for %s @ %d PEs degrading to direct run: %v", benchName, pes, replayErr)
-		buf, err := r.CachedTrace(ctx, b, pes, pes == 1, true)
-		if err != nil {
-			return nil, err
-		}
-		fresh()
-		buf.ReplayAll(sim)
+		return replayCell(s, k, sim)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	des, _, err := busmodel.Simulate(events, pes, busWordsPerCycle)
@@ -285,12 +253,8 @@ func RunAssocSweep(ctx context.Context, r *bench.Runner, benchName string, pes, 
 	}
 	cfgs := make([]cache.Config, len(ways))
 	for i, w := range ways {
-		cfgs[i] = cache.Config{
-			PEs: pes, SizeWords: sizeWords, LineWords: 4,
-			Protocol:      cache.WriteInBroadcast,
-			WriteAllocate: cache.PaperWriteAllocate(cache.WriteInBroadcast, sizeWords),
-			Assoc:         w,
-		}
+		cfgs[i] = paperConfig(pes, sizeWords, cache.WriteInBroadcast)
+		cfgs[i].Assoc = w
 	}
 	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
 	if err != nil {

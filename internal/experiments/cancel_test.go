@@ -63,19 +63,15 @@ func TestDriverCancellationDoesNotPoisonMemo(t *testing.T) {
 	}
 }
 
-func TestCachedTraceEvictsCancelledEntry(t *testing.T) {
+func TestStorelessCancelledGenerationNotRemembered(t *testing.T) {
 	b, _ := bench.ByName("deriv-12")
 	r := new(bench.Runner)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.CachedTrace(ctx, b, 2, false, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CachedTrace with cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := r.EnsureStored(ctx, b, 2, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EnsureStored with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	buf, err := r.CachedTrace(context.Background(), b, 2, false, false)
-	if err != nil {
-		t.Fatalf("CachedTrace after cancelled attempt: %v", err)
-	}
-	if buf.Len() == 0 {
+	if buf := cellBuffer(t, r, b, 2, false); buf.Len() == 0 {
 		t.Fatal("retried trace is empty")
 	}
 }

@@ -45,6 +45,25 @@ func Table1() string {
 	return t.String()
 }
 
+// paperConfig is the cache every driver simulates unless it sweeps
+// that dimension: the paper's four-word lines, fully associative, with
+// its write-allocate selection for the protocol and size.
+func paperConfig(pes, sizeWords int, proto cache.Protocol) cache.Config {
+	return cache.Config{
+		PEs: pes, SizeWords: sizeWords, LineWords: 4,
+		Protocol:      proto,
+		WriteAllocate: cache.PaperWriteAllocate(proto, sizeWords),
+	}
+}
+
+// CheckCacheWords reports whether the drivers' simulators accept a
+// cache of sizeWords, with the cache.Config.Validate they run — the
+// one bound the CLI and the service hold client-supplied sizes to
+// before any computation starts.
+func CheckCacheWords(sizeWords int) error {
+	return paperConfig(1, sizeWords, cache.WriteInBroadcast).Validate()
+}
+
 // Fig2Point is one processor count of the Figure 2 sweep.
 type Fig2Point struct {
 	PEs int
@@ -220,11 +239,7 @@ func RunTable3(ctx context.Context, r *bench.Runner) (*Table3, error) {
 	}
 	cfgs := make([]cache.Config, len(sizes))
 	for i, size := range sizes {
-		cfgs[i] = cache.Config{
-			PEs: 1, SizeWords: size, LineWords: 4,
-			Protocol:      cache.Copyback,
-			WriteAllocate: cache.PaperWriteAllocate(cache.Copyback, size),
-		}
+		cfgs[i] = paperConfig(1, size, cache.Copyback)
 	}
 	all := append(append([]bench.Benchmark(nil), larges...), smalls...)
 	ratios := make([][]float64, len(all)) // [benchIdx][sizeIdx]
@@ -335,11 +350,7 @@ func RunFigure4(ctx context.Context, r *bench.Runner, peCounts, sizes []int) (*F
 		cs := make([]cache.Config, 0, len(protocols)*len(sizes))
 		for _, proto := range protocols {
 			for _, size := range sizes {
-				cs = append(cs, cache.Config{
-					PEs: pes, SizeWords: size, LineWords: 4,
-					Protocol:      proto,
-					WriteAllocate: cache.PaperWriteAllocate(proto, size),
-				})
+				cs = append(cs, paperConfig(pes, size, proto))
 			}
 		}
 		return cs

@@ -197,10 +197,7 @@ func TestUpdateBroadcastCloseToWriteIn(t *testing.T) {
 	// almost identical to those of the write-in broadcast cache, an
 	// indication that communication traffic in RAP-WAM is low."
 	b, _ := benchByName(t, "qsort")
-	buf, err := shared.CachedTrace(context.Background(), b, 8, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := cellBuffer(t, shared, b, 8, false)
 	for _, size := range []int{256, 1024} {
 		wi := cacheRatio(buf, cache.Config{
 			PEs: 8, SizeWords: size, LineWords: 4,

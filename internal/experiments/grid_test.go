@@ -32,10 +32,7 @@ func TestFanOutReplayBitIdenticalToSequential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b, _ := benchByName(t, tc.bench)
-		buf, err := shared.CachedTrace(context.Background(), b, tc.pes, tc.pes == 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf := cellBuffer(t, shared, b, tc.pes, tc.pes == 1)
 		var cfgs []cache.Config
 		for _, proto := range tc.protocols {
 			for _, size := range []int{128, 1024} {
@@ -107,37 +104,77 @@ func TestRunGridPropagatesError(t *testing.T) {
 	}
 }
 
-func TestCachedTraceMemoizes(t *testing.T) {
+// TestStorelessCellMemoizes pins the memo behaviour of a
+// Runner without a Store: its private in-memory store holds each cell
+// after one engine run, distinct cells are distinct, and DropTraces
+// makes the next use re-emulate.
+func TestStorelessCellMemoizes(t *testing.T) {
 	b, _ := benchByName(t, "deriv")
 	r := new(bench.Runner)
-	first, err := r.CachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
+	ensure := func(pes int, sequential bool, wantRuns int64) {
+		t.Helper()
+		if _, err := r.EnsureStored(context.Background(), b, pes, sequential); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.EngineRuns(); n != wantRuns {
+			t.Fatalf("%d engine runs, want %d", n, wantRuns)
+		}
 	}
-	again, err := r.CachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Error("same (benchmark, PEs, sequential) key re-traced")
-	}
-	other, err := r.CachedTrace(context.Background(), b, 2, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == first {
-		t.Error("distinct keys shared a trace")
+	ensure(1, true, 1)
+	ensure(1, true, 1) // same (benchmark, PEs, sequential) key: served from the store
+	ensure(2, false, 2)
+	first := cellBuffer(t, r, b, 1, true)
+	if n := r.EngineRuns(); n != 2 {
+		t.Fatalf("replaying a stored cell ran the engine (%d runs)", n)
 	}
 	r.DropTraces()
-	fresh, err := r.CachedTrace(context.Background(), b, 1, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == first {
-		t.Error("DropTraces kept the old entry")
-	}
-	if fresh.Len() != first.Len() {
+	ensure(1, true, 3)
+	if fresh := cellBuffer(t, r, b, 1, true); fresh.Len() != first.Len() {
 		t.Errorf("re-traced length %d != original %d (engine not deterministic?)", fresh.Len(), first.Len())
+	}
+}
+
+// TestStorelessRunnerRunsEachCellOnce is the one-path acceptance
+// check: a zero-value Runner taken through the full `-exp all` driver
+// set emulates each of its 30 distinct cells exactly once (the
+// stats-only drivers are served from sidecars like the trace
+// consumers), and a second pass emulates nothing.
+func TestStorelessRunnerRunsEachCellOnce(t *testing.T) {
+	ctx := context.Background()
+	r := new(bench.Runner)
+	expAll := func() {
+		t.Helper()
+		steps := []func() error{
+			func() error { _, err := RunFigure2(ctx, r, []int{1, 2, 4, 8, 12, 16}); return err },
+			func() error { _, err := RunTable2(ctx, r, 8); return err },
+			func() error { _, err := RunTable3(ctx, r); return err },
+			func() error {
+				_, err := RunFigure4(ctx, r, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
+				return err
+			},
+			func() error { _, err := RunMLIPS(ctx, r, 256, 2); return err },
+			func() error { _, err := RunBusStudy(ctx, r, 8, 256); return err },
+			func() error { _, err := RunBusDES(ctx, r, "qsort", 8, 256, 4); return err },
+			func() error { _, err := RunGranularitySweep(ctx, r, []int{0, 1, 2, 3, 4, 6}); return err },
+			func() error { _, err := RunLineSizeSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}); return err },
+			func() error { _, err := RunLockShare(ctx, r, "deriv", 8); return err },
+			func() error { _, err := RunLockShare(ctx, r, "qsort", 8); return err },
+			func() error { _, err := RunLockShare(ctx, r, "matrix", 8); return err },
+			func() error { _, err := RunAssocSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}); return err },
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	expAll()
+	if n := r.EngineRuns(); n != 30 {
+		t.Fatalf("store-less -exp all performed %d emulator runs, want 30 (one per distinct cell)", n)
+	}
+	expAll()
+	if n := r.EngineRuns(); n != 30 {
+		t.Fatalf("second pass emulated %d more cells, want 0", n-30)
 	}
 }
 

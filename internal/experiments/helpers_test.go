@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,8 +11,8 @@ import (
 )
 
 // shared is the Runner of the tests that only read results: like
-// `experiments -exp all`, they share one trace memo, so each cell is
-// emulated once per test binary. Tests that attach a store, count
+// `experiments -exp all`, they share one in-memory trace store, so each
+// cell is emulated once per test binary. Tests that attach a store, count
 // engine runs or cancel mid-run build their own Runner.
 var shared = new(bench.Runner)
 
@@ -24,6 +25,21 @@ func storeRunner(t *testing.T) *bench.Runner {
 		t.Fatal(err)
 	}
 	return &bench.Runner{Store: s}
+}
+
+// cellBuffer decodes the cell's trace from r's store (generating the
+// cell on first need) for tests that compare against in-memory replay.
+func cellBuffer(t *testing.T, r *bench.Runner, b bench.Benchmark, pes int, sequential bool) *trace.Buffer {
+	t.Helper()
+	buf := new(trace.Buffer)
+	err := r.UseCell(context.Background(), b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
+		buf.Refs = buf.Refs[:0]
+		return replayCell(s, k, buf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 func benchByName(t *testing.T, name string) (bench.Benchmark, bool) {

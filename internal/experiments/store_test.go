@@ -49,7 +49,7 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 		cfgs := testConfigs(cell.pes)
 
 		// In-memory reference: buffer the trace, replay per config.
-		buf, _, err := new(bench.Runner).Trace(context.Background(), b, cell.pes, cell.seq)
+		buf, err := new(bench.Runner).Trace(context.Background(), b, cell.pes, cell.seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,10 @@ func TestStoreStreamedReplayParity(t *testing.T) {
 			gotSims[i] = cache.New(cfg)
 			sinks[i] = gotSims[i]
 		}
-		if err := replayCell(context.Background(), storeRunner(t), b, cell.pes, cell.seq, sinks...); err != nil {
+		err = storeRunner(t).UseCell(context.Background(), b, cell.pes, cell.seq, func(s *tracestore.Store, k tracestore.Key) error {
+			return replayCell(s, k, sinks...)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 

@@ -152,6 +152,18 @@ func intListParam(q url.Values, name string, def []int, lo, hi int) ([]int, erro
 	return out, nil
 }
 
+// checkCacheWords rejects client-supplied cache sizes the drivers'
+// simulators would refuse mid-computation, so a bad geometry is a 400
+// rather than a failed compute.
+func checkCacheWords(name string, sizes ...int) error {
+	for _, words := range sizes {
+		if err := experiments.CheckCacheWords(words); err != nil {
+			return fmt.Errorf("parameter %s=%d: %v", name, words, err)
+		}
+	}
+	return nil
+}
+
 // ints renders an int list canonically.
 func ints(xs []int) string {
 	parts := make([]string, len(xs))
@@ -351,6 +363,9 @@ var registry = []*Experiment{
 			if err != nil {
 				return nil, nil, err
 			}
+			if err := checkCacheWords("sizes", sizes...); err != nil {
+				return nil, nil, err
+			}
 			ps := []param{{"pes", ints(pes)}, {"sizes", ints(sizes)}}
 			return ps, func(ctx context.Context, r *bench.Runner) (any, error) {
 				return experiments.RunFigure4(ctx, r, pes, sizes)
@@ -379,6 +394,9 @@ var registry = []*Experiment{
 		prepare: func(q url.Values) ([]param, runFunc, error) {
 			cacheWords, err := intParam(q, "cache", 256, 1, 1<<22)
 			if err != nil {
+				return nil, nil, err
+			}
+			if err := checkCacheWords("cache", cacheWords); err != nil {
 				return nil, nil, err
 			}
 			target, err := floatParam(q, "target", 2)
@@ -427,6 +445,9 @@ var registry = []*Experiment{
 			}
 			cacheWords, err := intParam(q, "cache", 256, 1, 1<<22)
 			if err != nil {
+				return nil, nil, err
+			}
+			if err := checkCacheWords("cache", cacheWords); err != nil {
 				return nil, nil, err
 			}
 			bw, err := floatParam(q, "bw", 4)

@@ -571,8 +571,8 @@ func decodeResult(e *Experiment, body []byte) (any, error) {
 	return v, nil
 }
 
-// traceEntryBody is one /v1/traces list element.
-type traceEntryBody struct {
+// traceInfoBody is one /v1/traces list element.
+type traceInfoBody struct {
 	Key             string  `json:"key"`
 	Benchmark       string  `json:"benchmark"`
 	PEs             int     `json:"pes"`
@@ -583,7 +583,7 @@ type traceEntryBody struct {
 	BytesPerRef     float64 `json:"bytes_per_ref"`
 }
 
-func traceBody(meta trace.Meta, size int64) traceEntryBody {
+func traceBody(meta trace.Meta, size int64) traceInfoBody {
 	mode := "par"
 	if meta.Sequential {
 		mode = "seq"
@@ -594,7 +594,7 @@ func traceBody(meta trace.Meta, size int64) traceEntryBody {
 		Sequential:      meta.Sequential,
 		EmulatorVersion: meta.EmulatorVersion,
 	}
-	b := traceEntryBody{
+	b := traceInfoBody{
 		Key:             k.String(),
 		Benchmark:       meta.Benchmark,
 		PEs:             meta.PEs,
@@ -619,7 +619,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "listing trace store: %v", err)
 		return
 	}
-	out := make([]traceEntryBody, 0, len(entries))
+	out := make([]traceInfoBody, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, traceBody(e.Meta, e.Bytes))
 	}

@@ -240,6 +240,11 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiments/table1?format=xml", http.StatusBadRequest},
 		{"/v1/experiments/bus?desbench=nope", http.StatusBadRequest},
 		{"/v1/experiments/mlips?target=-1", http.StatusBadRequest},
+		// Cache geometry below one line: cache.Config.Validate's
+		// bound, enforced before any computation starts.
+		{"/v1/experiments/mlips?cache=1", http.StatusBadRequest},
+		{"/v1/experiments/fig4?sizes=2", http.StatusBadRequest},
+		{"/v1/experiments/bus?cache=3", http.StatusBadRequest},
 		{"/v1/traces/unknown-bench-name", http.StatusNotFound},
 		{"/v1/traces/qsort?pes=99", http.StatusBadRequest},
 		{"/v1/traces/qsort?mode=sideways", http.StatusBadRequest},
@@ -263,7 +268,7 @@ func TestTraceEndpoints(t *testing.T) {
 	getOK(t, h, "/v1/experiments/table2?pes=2")
 	w := getOK(t, h, "/v1/traces")
 	var list struct {
-		Traces []traceEntryBody `json:"traces"`
+		Traces []traceInfoBody `json:"traces"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
@@ -272,7 +277,7 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Fatal("trace store empty after an experiment computation")
 	}
 	w = getOK(t, h, "/v1/traces/qsort?pes=2&mode=par")
-	var tb traceEntryBody
+	var tb traceInfoBody
 	if err := json.Unmarshal(w.Body.Bytes(), &tb); err != nil {
 		t.Fatal(err)
 	}

@@ -118,62 +118,13 @@ func (b *Buffer) ReadFrom(r io.Reader) (int64, error) {
 	return read, nil
 }
 
-// StreamWriter writes references to an io.Writer incrementally, without
-// buffering the whole trace in memory — for very long runs whose traces
-// exceed RAM. The header's count field is written as zero; ReadFrom
-// cannot parse streamed files, use ReadStream instead.
-type StreamWriter struct {
-	w     *bufio.Writer
-	count int64
-	err   error
-}
-
-// NewStreamWriter writes the stream header and returns the sink.
-func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return nil, err
-	}
-	var hdr [8]byte // count unknown: zero marks a streamed trace
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return &StreamWriter{w: bw}, nil
-}
-
-// Add implements Sink.
-func (s *StreamWriter) Add(r Ref) {
-	if s.err != nil {
-		return
-	}
-	var rec [8]byte
-	binary.LittleEndian.PutUint32(rec[0:4], r.Addr)
-	rec[4] = r.PE
-	rec[5] = uint8(r.Op)
-	rec[6] = uint8(r.Obj)
-	if _, err := s.w.Write(rec[:]); err != nil {
-		s.err = err
-		return
-	}
-	s.count++
-}
-
-// Count returns the number of references written.
-func (s *StreamWriter) Count() int64 { return s.count }
-
-// Close flushes the stream and reports any deferred write error.
-func (s *StreamWriter) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.w.Flush()
-}
-
-// ReadStream parses a trace written by StreamWriter or WriteTo (or,
-// sniffed by magic, a compact chunked trace), calling sink.Add — or
-// AddBatch for a BatchSink reading a compact trace — for each reference
-// without materializing the trace. It returns the number of references
-// delivered.
+// ReadStream parses a legacy trace written by WriteTo (or, sniffed by
+// magic, a compact chunked trace), calling sink.Add — or AddBatch for a
+// BatchSink reading a compact trace — for each reference without
+// materializing the trace. It returns the number of references
+// delivered. A legacy header declaring zero references means the count
+// is unknown (incrementally written files) and is not checked against
+// the stream.
 func ReadStream(r io.Reader, sink Sink) (int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if magic, err := br.Peek(4); err == nil && [4]byte(magic) == compactMagic {

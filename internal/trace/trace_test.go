@@ -198,25 +198,15 @@ func TestAreaStrings(t *testing.T) {
 	}
 }
 
-func TestStreamWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Ref{
+func TestReadStreamAcceptsBufferFiles(t *testing.T) {
+	b := Buffer{Refs: []Ref{
 		{Addr: 1, PE: 0, Op: OpRead, Obj: ObjHeap},
 		{Addr: 2, PE: 3, Op: OpWrite, Obj: ObjTrail},
 		{Addr: 99, PE: 7, Op: OpRead, Obj: ObjGoalFrame},
-	}
-	for _, r := range want {
-		sw.Add(r)
-	}
-	if err := sw.Close(); err != nil {
+	}}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if sw.Count() != 3 {
-		t.Errorf("count = %d", sw.Count())
 	}
 	var got []Ref
 	n, err := ReadStream(&buf, sinkFunc(func(r Ref) { got = append(got, r) }))
@@ -226,25 +216,10 @@ func TestStreamWriterRoundTrip(t *testing.T) {
 	if n != 3 || len(got) != 3 {
 		t.Fatalf("read %d refs", n)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ref %d: %v != %v", i, got[i], want[i])
+	for i, want := range b.Refs {
+		if got[i] != want {
+			t.Errorf("ref %d: %v != %v", i, got[i], want)
 		}
-	}
-}
-
-func TestReadStreamAcceptsBufferFiles(t *testing.T) {
-	b := Buffer{Refs: []Ref{{Addr: 5, Obj: ObjHeap}, {Addr: 6, Obj: ObjPDL, Op: OpWrite}}}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var count int
-	if _, err := ReadStream(&buf, sinkFunc(func(Ref) { count++ })); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Errorf("count = %d", count)
 	}
 }
 

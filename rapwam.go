@@ -137,8 +137,8 @@ type RunConfig struct {
 	CaptureTrace bool
 	// Sink, when non-nil, receives every memory reference as it is
 	// generated — a streaming alternative to CaptureTrace that never
-	// buffers the trace (attach a cache simulator from NewCacheSim, a
-	// trace.StreamWriter, or any fan-out of sinks). Sink and
+	// buffers the trace (attach a cache simulator from NewCacheSim or
+	// any fan-out of sinks). Sink and
 	// CaptureTrace compose: with both set the trace is buffered and
 	// streamed.
 	Sink Sink
@@ -267,7 +267,7 @@ func RunBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*
 // Runner's trace store when it has one (generating and storing the cell
 // on first need), otherwise captured from one emulator run.
 func (r *Runner) TraceBenchmark(ctx context.Context, b Benchmark, pes int, sequential bool) (*Trace, error) {
-	buf, _, err := r.r.Trace(ctx, b, pes, sequential)
+	buf, err := r.r.Trace(ctx, b, pes, sequential)
 	if err != nil {
 		return nil, err
 	}
