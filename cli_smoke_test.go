@@ -2,6 +2,7 @@ package rapwam
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -160,9 +161,11 @@ func TestCLIShardFlagsAreUnknown(t *testing.T) {
 // TestCLIExperimentsSameOutputWithAndWithoutTraceDir pins the one cell
 // data path end to end: `experiments -exp all` prints the same bytes
 // whether its trace store is the private in-memory one or a directory,
-// cold or warm.
+// cold or warm — and the warm run's stderr summary shows why it is
+// cheap: no emulator run, and every configuration served from the
+// cells' stored results.
 func TestCLIExperimentsSameOutputWithAndWithoutTraceDir(t *testing.T) {
-	stdout := func(args ...string) string {
+	run := func(args ...string) (stdout, stderr string) {
 		t.Helper()
 		cmd := exec.Command(filepath.Join(buildCLIs(t), "experiments"), append([]string{"-exp", "all"}, args...)...)
 		var errOut strings.Builder
@@ -171,18 +174,102 @@ func TestCLIExperimentsSameOutputWithAndWithoutTraceDir(t *testing.T) {
 		if err != nil {
 			t.Fatalf("experiments -exp all %v: %v\n%s", args, err, errOut.String())
 		}
-		return string(out)
+		return string(out), errOut.String()
 	}
 	dir := t.TempDir()
-	mem := stdout()
+	mem, _ := run()
 	if len(mem) == 0 {
 		t.Fatal("experiments -exp all printed nothing")
 	}
-	if cold := stdout("-tracedir", dir); cold != mem {
+	cold, coldSummary := run("-tracedir", dir)
+	if cold != mem {
 		t.Errorf("stdout differs between no -tracedir and a cold -tracedir")
 	}
-	if warm := stdout("-tracedir", dir); warm != mem {
+	if want := "71 hits, 30 misses, 30 traces written, 30 emulator runs; 10 results reused, 406 simulated, 25 result objects written"; !strings.Contains(coldSummary, want) {
+		t.Errorf("cold summary %q does not contain %q", coldSummary, want)
+	}
+	warm, warmSummary := run("-tracedir", dir)
+	if warm != mem {
 		t.Errorf("stdout differs between no -tracedir and a warm -tracedir")
+	}
+	if want := "101 hits, 0 misses, 0 traces written, 0 emulator runs; 416 results reused, 0 simulated, 0 result objects written"; !strings.Contains(warmSummary, want) {
+		t.Errorf("warm summary %q does not contain %q", warmSummary, want)
+	}
+}
+
+// TestCLIExperimentsSummaryOnInterrupt is the regression test for the
+// exit paths that skipped main's deferred work: an interrupted (or
+// failing — the two share one return path) run with -tracedir must
+// still print the store summary before exiting 130.
+func TestCLIExperimentsSummaryOnInterrupt(t *testing.T) {
+	// The widest, single-worker run: seconds of work left when Table 1,
+	// which needs no cell, reaches stdout.
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "experiments"),
+		"-exp", "all", "-par", "1", "-maxpes", "64", "-tracedir", t.TempDir())
+	var errOut strings.Builder
+	cmd.Stderr = &errOut
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdout.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("waiting for the first table: %v", err)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, stdout)
+	err = cmd.Wait()
+	var ee *exec.ExitError
+	if !asExitError(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("interrupted run: %v, want exit 130\n%s", err, errOut.String())
+	}
+	for _, want := range []string{"interrupted during", "traces written", "emulator runs"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("interrupted run's stderr does not mention %q:\n%s", want, errOut.String())
+		}
+	}
+}
+
+// TestCLIVerifyReadsSidecarsAndResults: the read-only `tracegen verify`
+// counts and checks the JSON objects beside the traces, so a damaged
+// run sidecar is reported (exit 1) without -repair, and -repair heals
+// the store.
+func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
+	dir := t.TempDir()
+	if code, out := runCLI(t, "experiments", "-exp", "bus", "-pes", "2", "-tracedir", dir); code != 0 {
+		t.Fatalf("experiments -exp bus: exit %d\n%s", code, out)
+	}
+	code, out := runCLI(t, "tracegen", "verify", "-tracedir", dir)
+	if code != 0 || !strings.Contains(out, "4 traces, 8 sidecars/results checked, all clean") {
+		t.Fatalf("verify of a clean store: exit %d\n%s", code, out)
+	}
+	sidecars, err := filepath.Glob(filepath.Join(dir, "*[0-9a-f].json"))
+	if err != nil || len(sidecars) != 4 {
+		t.Fatalf("run sidecars in the store: %v (err %v), want 4", sidecars, err)
+	}
+	data, err := os.ReadFile(sidecars[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.LastIndexAny(string(data), "0123456789")
+	data[i] ^= 0x01 // one digit into another: still JSON, wrong statistics
+	if err := os.WriteFile(sidecars[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir)
+	if code != 1 || !strings.Contains(out, filepath.Base(sidecars[0])) || !strings.Contains(out, "1 corrupt") {
+		t.Fatalf("verify over a damaged sidecar: exit %d, want 1 naming it\n%s", code, out)
+	}
+	code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir, "-repair")
+	if code != 0 || !strings.Contains(out, "4 traces, 8 sidecars/results scrubbed, 1 quarantined") {
+		t.Fatalf("verify -repair: exit %d\n%s", code, out)
+	}
+	if code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir); code != 0 {
+		t.Fatalf("verify after repair: exit %d\n%s", code, out)
 	}
 }
 

@@ -15,14 +15,18 @@
 // into a trace store in the compact codec once and is replayed from it
 // chunk by chunk by every experiment that needs it; grid experiments
 // (table3, fig4, mlips, bus, ablations) run on a bounded worker pool,
-// simulating all cache configurations per trace concurrently in a
-// single pass. -par bounds the pool (results are identical at any
-// width) and -progress reports per-cell completion on stderr.
+// simulating the cache configurations wanted of a trace concurrently
+// in a single pass and storing each configuration's statistics beside
+// the trace, so a configuration is simulated once per cell. -par bounds
+// the pool (results are identical at any width) and -progress reports
+// per-cell completion, and how many configurations came from stored
+// results, on stderr.
 //
 // The store is in memory unless -tracedir DIR makes it persistent:
-// then every emulator run is performed at most once per emulator
-// version, and a second -exp all over the same directory performs zero
-// emulator runs (the run summary on stderr reports the count). Warm
+// then every emulator run and every simulation is performed at most
+// once per emulator and simulator version, and a second -exp all over
+// the same directory performs neither (the run summary on stderr
+// reports the counts, also when the run fails or is interrupted). Warm
 // the store ahead of time with cmd/tracegen.
 package main
 
@@ -95,7 +99,13 @@ func resolveWorkers(name string, n int) int {
 	return v
 }
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain is main returning its exit status, so that everything
+// deferred here — the store summary, the profile flush — also runs when
+// an experiment fails (1) or is interrupted (130). Flag validation
+// above exits directly: nothing is deferred yet.
+func realMain() int {
 	var (
 		exp      = flag.String("exp", "all", "experiment: "+strings.Join(expNames, "|")+"|all")
 		pes      = flag.Int("pes", 8, "PE count for table2/bus")
@@ -134,7 +144,7 @@ func main() {
 		s, err := rapwam.OpenTraceStore(*traceDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		store = s
 	}
@@ -147,23 +157,27 @@ func main() {
 	if store != nil {
 		defer func() {
 			st := store.Stats()
-			fmt.Fprintf(os.Stderr, "experiments: trace store %s: %d hits, %d misses, %d traces written, %d emulator runs\n",
-				*traceDir, st.Hits, st.Misses, st.Puts, r.EngineRuns())
+			fmt.Fprintf(os.Stderr, "experiments: trace store %s: %d hits, %d misses, %d traces written, %d emulator runs; %d results reused, %d simulated, %d result objects written\n",
+				*traceDir, st.Hits, st.Misses, st.Puts, r.EngineRuns(), st.ResultHits, st.ResultMisses, st.ResultPuts)
 		}()
 	}
 
+	// The first failing experiment sets the exit status and the rest
+	// are skipped.
+	status := 0
 	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+		if status != 0 || (*exp != "all" && *exp != name) {
 			return
 		}
 		if err := f(); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "experiments: interrupted during %s; completed experiments were printed, the trace store holds only complete cells\n", name)
-				stop()
-				os.Exit(130)
+				status = 130
+				return
 			}
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+			status = 1
+			return
 		}
 		fmt.Println()
 	}
@@ -265,4 +279,5 @@ func main() {
 		fmt.Print(a.String())
 		return nil
 	})
+	return status
 }

@@ -27,7 +27,10 @@
 // ls prints one line per stored trace. inspect decodes headers (and,
 // for a store, footers) and prints benchmark, PEs, mode, emulator
 // version, reference counts and bytes/ref. verify fully decodes every
-// trace, checking header, chunk CRCs and footer totals.
+// trace, checking header, chunk CRCs and footer totals, and over a
+// store also checks every run sidecar and result object against its
+// checksum — read-only; -repair quarantines what fails and regenerates
+// the recoverable cells.
 //
 // Example: warm the store for the full experiment sweep, then run it
 // without a single emulator execution:
@@ -360,38 +363,38 @@ func cmdVerify(args []string) {
 		cmdRepair(*dir)
 		return
 	}
-	var errs []error
-	var checked int
 	if *dir != "" {
 		s, err := rapwam.OpenTraceStore(*dir)
 		if err != nil {
 			fatal(err)
 		}
-		entries, err := s.List()
-		if err != nil {
-			fatal(err)
-		}
-		checked = len(entries)
-		errs = s.Verify()
-	} else {
-		if fs.NArg() == 0 {
-			usage()
-		}
-		for _, path := range fs.Args() {
-			checked++
-			if err := rapwam.VerifyTraceFile(path); err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", path, err))
-			}
+		rep := s.Verify()
+		reportVerify(rep.Errors, fmt.Sprintf("%d traces, %d sidecars/results checked", rep.Traces, rep.Checked-rep.Traces))
+		return
+	}
+	if fs.NArg() == 0 {
+		usage()
+	}
+	var errs []error
+	for _, path := range fs.Args() {
+		if err := rapwam.VerifyTraceFile(path); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", path, err))
 		}
 	}
+	reportVerify(errs, fmt.Sprintf("%d traces checked", fs.NArg()))
+}
+
+// reportVerify prints a read-only verification's findings and exits 1
+// if there were any.
+func reportVerify(errs []error, checked string) {
 	for _, err := range errs {
 		fmt.Fprintln(os.Stderr, "tracegen: corrupt:", err)
 	}
 	if len(errs) > 0 {
-		fmt.Printf("%d traces checked, %d corrupt\n", checked, len(errs))
+		fmt.Printf("%s, %d corrupt\n", checked, len(errs))
 		os.Exit(1)
 	}
-	fmt.Printf("%d traces checked, all clean\n", checked)
+	fmt.Printf("%s, all clean\n", checked)
 }
 
 // cmdRepair is verify -repair: a full scrub (every object decoded and
@@ -429,8 +432,8 @@ func cmdRepair(dir string) {
 			fatal(err)
 		}
 	}
-	fmt.Printf("%d traces scrubbed, %d quarantined, %d regenerated, %d unrecoverable\n",
-		rep.Checked, len(rep.Quarantined), len(targets), skipped)
+	fmt.Printf("%d traces, %d sidecars/results scrubbed, %d quarantined, %d regenerated, %d unrecoverable\n",
+		rep.Traces, rep.Checked-rep.Traces, len(rep.Quarantined), len(targets), skipped)
 	// Corruption that was quarantined AND regenerated is a successful
 	// repair, not a failure. Exit nonzero only for what repair could
 	// not fix: unrecoverable cells, or scrub errors beyond the

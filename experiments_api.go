@@ -68,7 +68,8 @@ func Parallelism() int { return defaultRunner.r.Workers() }
 func SetProgress(f func(msg string)) { defaultRunner.r.Progress = f }
 
 // ResetTraceCache discards the default Runner's private in-memory
-// trace store, so its next run without a trace store re-emulates every
+// trace store — traces, run statistics and simulation results — so its
+// next run without a trace store re-emulates and re-simulates every
 // cell. An attached store is left alone.
 func ResetTraceCache() { defaultRunner.r.DropTraces() }
 

@@ -18,8 +18,9 @@ import (
 
 // Runner owns everything benchmark runs and the experiments grid
 // share: the trace store, the one worker budget, the progress callback,
-// and — unexported — the per-cell generation flights and the
-// engine-run counter. Nothing is ambient: every run names its Runner,
+// and — unexported — the per-cell generation flights, the per-cell
+// locks and the engine-run counter. Nothing is ambient: every run names
+// its Runner,
 // so two Runners in one process (two servers, two test cases) never see
 // each other's store or counts. The zero value is ready to use (a
 // private in-memory store, GOMAXPROCS workers, no progress). Set the exported fields before the Runner's first use
@@ -49,6 +50,10 @@ type Runner struct {
 	// memoized, so a quarantined or lost cell regenerates on the next
 	// call instead of replaying a stale error forever.
 	flights sync.Map
+	// locks holds the per-cell locks handed out by LockCell, guarded by
+	// locksMu; an entry lives while someone holds or awaits it.
+	locksMu sync.Mutex
+	locks   map[flightKey]*cellLock
 	// mem is the private in-memory store (see memStore), guarded by
 	// memMu.
 	memMu sync.Mutex
@@ -140,9 +145,10 @@ func (r *Runner) memStore() *tracestore.Store {
 	return r.mem
 }
 
-// DropTraces discards the private in-memory store, so the next run on
-// a Runner without a Store re-emulates every cell. A configured Store
-// is left alone.
+// DropTraces discards the private in-memory store — traces, sidecars
+// and result objects — so the next run on a Runner without a Store
+// re-emulates and re-simulates every cell. A configured Store is left
+// alone.
 func (r *Runner) DropTraces() {
 	r.memMu.Lock()
 	r.mem = nil

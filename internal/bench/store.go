@@ -11,6 +11,7 @@ package bench
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -30,6 +31,46 @@ type cellFlight struct {
 type flightKey struct {
 	s *tracestore.Store
 	k tracestore.Key
+}
+
+// cellLock is one cell's lock (Runner.locks); refs counts its holder
+// and waiters so the entry can go when the last one leaves.
+type cellLock struct {
+	mu   sync.Mutex
+	refs int
+}
+
+// LockCell serializes work on one stored cell of s: it blocks until no
+// other caller of this Runner holds the same (s, k), and returns the
+// function that releases it. It exists for the cell's result object,
+// which is read, extended and written back as a whole — held across
+// lookup, replay and write-back it is also the single-flight of the
+// simulation: a second consumer of the same cell waits, then finds the
+// first one's results stored. Generation has its own flight (ensure);
+// plain readers of the trace or sidecar need no lock.
+func (r *Runner) LockCell(s *tracestore.Store, k tracestore.Key) (unlock func()) {
+	fk := flightKey{s, k}
+	r.locksMu.Lock()
+	l := r.locks[fk]
+	if l == nil {
+		if r.locks == nil {
+			r.locks = make(map[flightKey]*cellLock)
+		}
+		l = new(cellLock)
+		r.locks[fk] = l
+	}
+	l.refs++
+	r.locksMu.Unlock()
+
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		r.locksMu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(r.locks, fk)
+		}
+		r.locksMu.Unlock()
+	}
 }
 
 // StoreKey returns the trace-store key for a benchmark cell under the

@@ -28,8 +28,10 @@ import (
 //     chunk by chunk so the trace never materializes in memory.
 //     Runner.UseCell is the only way in, and owns the one rule for a
 //     failing store (retry, regenerate, then degrade to memory);
-//  2. simulateAll — all cache configurations that consume one trace are
-//     simulated concurrently in a single pass over it (trace.FanOut);
+//  2. simulateAll — the cache configurations a consumer wants of one
+//     cell are looked up in the cell's stored results first; the ones
+//     missing are simulated concurrently in a single pass over the
+//     trace (trace.FanOut) and stored for every later consumer;
 //  3. runGrid — independent grid cells (different traces) execute on a
 //     pool of Runner.Par workers.
 //
@@ -168,18 +170,65 @@ func GenerateTraces(ctx context.Context, r *bench.Runner, targets []TraceTarget)
 	})
 }
 
-// simulateAll replays one stored trace through all configurations in a
-// single fan-out pass and returns per-configuration statistics. A
-// mid-stream store failure leaves the simulators partially fed, so
-// SimulateAllStream runs inside UseCell: every heal attempt gets fresh
-// simulator state.
+// simulateAll returns per-configuration statistics for one cell. A
+// Stats is a pure function of the cell's key, the configuration and
+// cache.SimVersion, so the cell's result object in the store is asked
+// first, and only the configurations it lacks are simulated — together,
+// in a single fan-out pass over the stored trace — and then written
+// back with the rest. A cell whose every configuration is stored is
+// never decoded. The cell lock makes lookup → replay → write-back the
+// single-flight: a concurrent consumer of the same cell waits and then
+// finds these results stored.
+//
+// Results are written only after the replay verified the whole trace
+// (chunk CRCs and footer), and a failed write costs the next consumer
+// a recomputation, never this one its answer. A mid-stream store
+// failure leaves the simulators partially fed, so all of this runs
+// inside UseCell: every heal attempt starts from a fresh lookup and
+// fresh simulator state.
 func simulateAll(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, cfgs []cache.Config) ([]cache.Stats, error) {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
 	var st []cache.Stats
-	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) (err error) {
-		st, err = cache.SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
+	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
+		defer r.LockCell(s, k)()
+		stored, err := tracestore.LoadResults[cache.Stats](s, k, cache.SimVersion, keys)
+		if err != nil {
+			return err
+		}
+		st = make([]cache.Stats, len(cfgs))
+		var missing []int
+		for i, key := range keys {
+			if v, ok := stored[key]; ok {
+				st[i] = v
+			} else {
+				missing = append(missing, i)
+			}
+		}
+		r.Progressf("%v: %d of %d configs from stored results", k, len(cfgs)-len(missing), len(cfgs))
+		if len(missing) == 0 {
+			return nil
+		}
+		todo := make([]cache.Config, len(missing))
+		for j, i := range missing {
+			todo[j] = cfgs[i]
+		}
+		fresh, err := cache.SimulateAllStream(todo, func(sinks []trace.Sink) error {
 			return replayCell(s, k, sinks...)
 		})
-		return err
+		if err != nil {
+			return err
+		}
+		for j, i := range missing {
+			st[i] = fresh[j]
+			stored[keys[i]] = fresh[j]
+		}
+		if err := tracestore.PutResults(s, k, cache.SimVersion, stored); err != nil {
+			r.Progressf("storing results for %v failed: %v", k, err)
+		}
+		return nil
 	})
 	return st, err
 }

@@ -3,11 +3,14 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/tracestore"
 )
 
 // TestFanOutReplayBitIdenticalToSequential is the pipeline determinism
@@ -134,47 +137,116 @@ func TestStorelessCellMemoizes(t *testing.T) {
 	}
 }
 
+// expAll takes r through the full `-exp all` driver set with the CLI's
+// default parameters and returns everything it renders.
+func expAll(t *testing.T, r *bench.Runner) string {
+	t.Helper()
+	ctx := context.Background()
+	one := func(v fmt.Stringer, err error) (fmt.Stringer, error) { return v, err }
+	steps := []func() (fmt.Stringer, error){
+		func() (fmt.Stringer, error) { return one(RunFigure2(ctx, r, []int{1, 2, 4, 8, 12, 16})) },
+		func() (fmt.Stringer, error) { return one(RunTable2(ctx, r, 8)) },
+		func() (fmt.Stringer, error) { return one(RunTable3(ctx, r)) },
+		func() (fmt.Stringer, error) {
+			return one(RunFigure4(ctx, r, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}))
+		},
+		func() (fmt.Stringer, error) { return one(RunMLIPS(ctx, r, 256, 2)) },
+		func() (fmt.Stringer, error) { return one(RunBusStudy(ctx, r, 8, 256)) },
+		func() (fmt.Stringer, error) { return one(RunBusDES(ctx, r, "qsort", 8, 256, 4)) },
+		func() (fmt.Stringer, error) { return one(RunGranularitySweep(ctx, r, []int{0, 1, 2, 3, 4, 6})) },
+		func() (fmt.Stringer, error) {
+			return one(RunLineSizeSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}))
+		},
+		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "deriv", 8)) },
+		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "qsort", 8)) },
+		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "matrix", 8)) },
+		func() (fmt.Stringer, error) {
+			return one(RunAssocSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}))
+		},
+	}
+	var out strings.Builder
+	for _, step := range steps {
+		v, err := step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(v.String())
+	}
+	return out.String()
+}
+
+// The `-exp all` driver set calls simulateAll 33 times for 416
+// configurations in all, 10 of which an earlier driver already
+// computed: 8 whole calls (one configuration each: MLIPS and the bus
+// study, over the four paper benchmarks at 8 PEs, ask for Figure 4's
+// 256-word write-in broadcast point) and one configuration each of the
+// line-size and associativity sweeps (their 4-word-line and fully
+// associative points are Figure 4's qsort @ 4 PEs, 1024 words).
+const (
+	expAllConfigs       = 416
+	expAllRepeatConfigs = 10
+	expAllRepeatCalls   = 8
+)
+
+// storeStats returns the counters of the store r's cells live in — the
+// private in-memory one for a Runner without a Store — by way of a
+// cell that is already stored there.
+func storeStats(t *testing.T, r *bench.Runner) tracestore.Stats {
+	t.Helper()
+	b, _ := benchByName(t, "deriv")
+	var st tracestore.Stats
+	err := r.UseCell(context.Background(), b, 1, true, func(s *tracestore.Store, _ tracestore.Key) error {
+		st = s.Stats()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestStorelessRunnerRunsEachCellOnce is the one-path acceptance
 // check: a zero-value Runner taken through the full `-exp all` driver
 // set emulates each of its 30 distinct cells exactly once (the
 // stats-only drivers are served from sidecars like the trace
-// consumers), and a second pass emulates nothing.
+// consumers) and simulates each distinct configuration of a cell once
+// (the drivers that come back to a cell find its results stored); a
+// second pass emulates and simulates nothing, and prints the same;
+// after DropTraces everything is computed again.
 func TestStorelessRunnerRunsEachCellOnce(t *testing.T) {
-	ctx := context.Background()
 	r := new(bench.Runner)
-	expAll := func() {
-		t.Helper()
-		steps := []func() error{
-			func() error { _, err := RunFigure2(ctx, r, []int{1, 2, 4, 8, 12, 16}); return err },
-			func() error { _, err := RunTable2(ctx, r, 8); return err },
-			func() error { _, err := RunTable3(ctx, r); return err },
-			func() error {
-				_, err := RunFigure4(ctx, r, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192})
-				return err
-			},
-			func() error { _, err := RunMLIPS(ctx, r, 256, 2); return err },
-			func() error { _, err := RunBusStudy(ctx, r, 8, 256); return err },
-			func() error { _, err := RunBusDES(ctx, r, "qsort", 8, 256, 4); return err },
-			func() error { _, err := RunGranularitySweep(ctx, r, []int{0, 1, 2, 3, 4, 6}); return err },
-			func() error { _, err := RunLineSizeSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}); return err },
-			func() error { _, err := RunLockShare(ctx, r, "deriv", 8); return err },
-			func() error { _, err := RunLockShare(ctx, r, "qsort", 8); return err },
-			func() error { _, err := RunLockShare(ctx, r, "matrix", 8); return err },
-			func() error { _, err := RunAssocSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}); return err },
-		}
-		for _, step := range steps {
-			if err := step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	expAll()
+	first := expAll(t, r)
 	if n := r.EngineRuns(); n != 30 {
 		t.Fatalf("store-less -exp all performed %d emulator runs, want 30 (one per distinct cell)", n)
 	}
-	expAll()
+	st := storeStats(t, r)
+	if st.ResultHits != expAllRepeatConfigs || st.ResultMisses != expAllConfigs-expAllRepeatConfigs {
+		t.Fatalf("first pass: %d configs from stored results, %d simulated; want %d and %d",
+			st.ResultHits, st.ResultMisses, expAllRepeatConfigs, expAllConfigs-expAllRepeatConfigs)
+	}
+	second := expAll(t, r)
 	if n := r.EngineRuns(); n != 30 {
 		t.Fatalf("second pass emulated %d more cells, want 0", n-30)
+	}
+	if second != first {
+		t.Error("second pass rendered different output")
+	}
+	after := storeStats(t, r)
+	if hits, misses := after.ResultHits-st.ResultHits, after.ResultMisses-st.ResultMisses; hits != expAllConfigs || misses != 0 {
+		t.Fatalf("second pass: %d configs from stored results, %d simulated; want %d and 0", hits, misses, expAllConfigs)
+	}
+
+	r.DropTraces()
+	if _, err := RunLineSizeSweep(context.Background(), r, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.EngineRuns(); n != 31 {
+		t.Fatalf("%d emulator runs after DropTraces and one cell, want 31", n)
+	}
+	// The counters are those of the fresh private store: deriv@1 (the
+	// storeStats probe) is generated into it too, after the reading.
+	if st := storeStats(t, r); st.ResultHits != 0 || st.ResultMisses != 5 {
+		t.Fatalf("after DropTraces: %d configs from stored results, %d simulated; want 0 and 5", st.ResultHits, st.ResultMisses)
 	}
 }
 

@@ -1,0 +1,373 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cache"
+	"repro/internal/storage"
+	"repro/internal/tracestore"
+)
+
+// Tests of the stored simulation results: simulateAll asks the cell's
+// result object first and replays only for what it lacks, and nothing
+// a consumer can observe — rendered output, Stats — depends on where a
+// result came from.
+
+// replayCounter counts the trace objects opened through it: every
+// Replay of a stored trace is one Get of a .rwt2 object.
+type replayCounter struct {
+	storage.Backend
+	replays atomic.Int64
+}
+
+func (c *replayCounter) Get(name string) (io.ReadCloser, error) {
+	if strings.HasSuffix(name, tracestore.TraceExt) {
+		c.replays.Add(1)
+	}
+	return c.Backend.Get(name)
+}
+
+// TestExpAllColdWarmDifferential takes the full `-exp all` driver set
+// through a store cold and then warm and requires the store-less
+// rendering both times. It pins the warm run's economy — no emulator
+// run, no simulation, and a single Replay (RunBusDES needs the bus
+// event stream, not Stats) — and the hit accounting the benchmark
+// harness's oracle expects: a call served entirely from stored results
+// counts the one hit its Replay would have.
+func TestExpAllColdWarmDifferential(t *testing.T) {
+	want := expAll(t, new(bench.Runner))
+
+	backend := &replayCounter{Backend: storage.NewMem()}
+	store := tracestore.NewOn(backend)
+	coldRunner := &bench.Runner{Store: store}
+	if got := expAll(t, coldRunner); got != want {
+		t.Error("store-cold output differs from the store-less output")
+	}
+	cold := store.Stats()
+	if cold.Hits != 71 || cold.Misses != 30 || cold.Puts != 30 || coldRunner.EngineRuns() != 30 {
+		t.Errorf("store-cold: %d hits, %d misses, %d traces written, %d emulator runs; want 71, 30, 30, 30",
+			cold.Hits, cold.Misses, cold.Puts, coldRunner.EngineRuns())
+	}
+	if cold.ResultHits != expAllRepeatConfigs || cold.ResultMisses != expAllConfigs-expAllRepeatConfigs {
+		t.Errorf("store-cold: %d configs from stored results, %d simulated; want %d and %d",
+			cold.ResultHits, cold.ResultMisses, expAllRepeatConfigs, expAllConfigs-expAllRepeatConfigs)
+	}
+	// 33 simulateAll calls less the 8 served whole, plus RunBusDES.
+	if n, want := backend.replays.Load(), int64(33-expAllRepeatCalls+1); n != want {
+		t.Errorf("store-cold: %d replays, want %d", n, want)
+	}
+	if cold.ResultPuts != 33-expAllRepeatCalls {
+		t.Errorf("store-cold: %d result objects written, want one per replaying call (%d)", cold.ResultPuts, 33-expAllRepeatCalls)
+	}
+	cells, err := store.List()
+	if err != nil || len(cells) != 30 {
+		t.Errorf("List: %d cells (err %v), want the 30 traces and no result object", len(cells), err)
+	}
+
+	coldReplays := backend.replays.Load() // List read every trace header
+	warmRunner := &bench.Runner{Store: store}
+	if got := expAll(t, warmRunner); got != want {
+		t.Error("warm output differs from the store-less output")
+	}
+	warm := store.Stats()
+	if hits, misses, puts := warm.Hits-cold.Hits, warm.Misses-cold.Misses, warm.Puts-cold.Puts; hits != 101 || misses != 0 || puts != 0 || warmRunner.EngineRuns() != 0 {
+		t.Errorf("warm: %d hits, %d misses, %d traces written, %d emulator runs; want 101, 0, 0, 0",
+			hits, misses, puts, warmRunner.EngineRuns())
+	}
+	if hits, misses, puts := warm.ResultHits-cold.ResultHits, warm.ResultMisses-cold.ResultMisses, warm.ResultPuts-cold.ResultPuts; hits != expAllConfigs || misses != 0 || puts != 0 {
+		t.Errorf("warm: %d configs from stored results, %d simulated, %d result objects written; want %d, 0, 0",
+			hits, misses, puts, expAllConfigs)
+	}
+	if n := backend.replays.Load() - coldReplays; n != 1 {
+		t.Errorf("warm: %d replays, want 1 (RunBusDES)", n)
+	}
+}
+
+// TestPartialFillSimulatesOnlyTheDifference asks Figure 4 for a subset
+// of cache sizes and then for a superset: the second run simulates
+// exactly the configurations the first did not, and prints what a run
+// that never saw a store prints.
+func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
+	ctx := context.Background()
+	pes, subset, superset := []int{1, 2}, []int{128, 1024}, []int{64, 128, 256, 1024}
+	want, err := RunFigure4(ctx, new(bench.Runner), pes, superset)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := storeRunner(t)
+	if _, err := RunFigure4(ctx, r, pes, subset); err != nil {
+		t.Fatal(err)
+	}
+	const cells, protocols = 2 * 4, 3 // PE counts × paper benchmarks
+	st := r.Store.Stats()
+	if st.ResultHits != 0 || st.ResultMisses != cells*protocols*2 {
+		t.Fatalf("subset: %d configs from stored results, %d simulated; want 0 and %d", st.ResultHits, st.ResultMisses, cells*protocols*2)
+	}
+	got, err := RunFigure4(ctx, r, pes, superset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("partially filled store changed Figure 4:\n--- store-less:\n%s\n--- after partial fill:\n%s", want, got)
+	}
+	after := r.Store.Stats()
+	if hits, misses := after.ResultHits-st.ResultHits, after.ResultMisses-st.ResultMisses; hits != cells*protocols*2 || misses != cells*protocols*2 {
+		t.Fatalf("superset: %d configs from stored results, %d simulated; want %d and %d (the two new sizes)",
+			hits, misses, cells*protocols*2, cells*protocols*2)
+	}
+}
+
+// resultObject returns the path of the one result object in r's
+// directory store.
+func resultObject(t *testing.T, r *bench.Runner) string {
+	t.Helper()
+	entries, err := os.ReadDir(r.Store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".sim.json") {
+			found = append(found, e.Name())
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("result objects in the store: %v, want exactly one", found)
+	}
+	return filepath.Join(r.Store.Dir(), found[0])
+}
+
+// TestDamagedResultObjectIsRecomputed edits a cell's result object on
+// disk — a flipped bit, a truncation — or replaces it with one another
+// simulator version wrote, and requires the next consumer to recompute
+// identical Stats and leave a good object behind. Damage is
+// quarantined; a stale stamp is not corruption and is only replaced.
+func TestDamagedResultObjectIsRecomputed(t *testing.T) {
+	b, _ := benchByName(t, "qsort")
+	cfgs := testConfigs(2)
+	edit := func(f func(data []byte) []byte) func(*testing.T, *bench.Runner) {
+		return func(t *testing.T, r *bench.Runner) {
+			path := resultObject(t, r)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, f(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		damage      func(t *testing.T, r *bench.Runner)
+		quarantines int64
+	}{
+		{"bit flip", edit(func(d []byte) []byte { d[len(d)/2] ^= 0x04; return d }), 1},
+		{"truncated", edit(func(d []byte) []byte { return d[:len(d)/2] }), 1},
+		{"other SimVersion", func(t *testing.T, r *bench.Runner) {
+			k := bench.StoreKey(b.Name, 2, false)
+			results, err := tracestore.LoadResults[cache.Stats](r.Store, k, cache.SimVersion, nil)
+			if err != nil || len(results) != len(cfgs) {
+				t.Fatalf("reading the object back: %d results, err %v", len(results), err)
+			}
+			if err := tracestore.PutResults(r.Store, k, cache.SimVersion+"-other", results); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := storeRunner(t)
+			want, err := simulateAll(context.Background(), r, b, 2, false, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, r)
+
+			before := r.Store.Stats()
+			got, err := simulateAll(context.Background(), r, b, 2, false, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameStats(t, got, want)
+			after := r.Store.Stats()
+			if n := after.Quarantines - before.Quarantines; n != tc.quarantines {
+				t.Errorf("%d objects quarantined, want %d", n, tc.quarantines)
+			}
+			if hits, misses := after.ResultHits-before.ResultHits, after.ResultMisses-before.ResultMisses; hits != 0 || misses != int64(len(cfgs)) {
+				t.Errorf("%d configs from the unusable object, %d simulated; want 0 and %d", hits, misses, len(cfgs))
+			}
+			if r.EngineRuns() != 1 {
+				t.Errorf("%d emulator runs, want 1: the trace was never damaged", r.EngineRuns())
+			}
+			// The rewritten object serves the next consumer.
+			if _, err := simulateAll(context.Background(), r, b, 2, false, cfgs); err != nil {
+				t.Fatal(err)
+			}
+			if final := r.Store.Stats(); final.ResultHits-after.ResultHits != int64(len(cfgs)) {
+				t.Errorf("rewritten object served %d configs, want %d", final.ResultHits-after.ResultHits, len(cfgs))
+			}
+			if rep := r.Store.Verify(); len(rep.Errors) != 0 {
+				t.Errorf("store not clean afterwards: %v", rep.Errors)
+			}
+		})
+	}
+}
+
+func assertSameStats(t *testing.T, got, want []cache.Stats) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d Stats, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("config %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// failingResultReads fails every read of a result object with a
+// transient error, leaving traces and sidecars readable.
+type failingResultReads struct{ storage.Backend }
+
+func (b failingResultReads) Get(name string) (io.ReadCloser, error) {
+	if strings.HasSuffix(name, ".sim.json") {
+		return nil, storage.Transient(fmt.Errorf("get %q: %w", name, storage.ErrInjected))
+	}
+	return b.Backend.Get(name)
+}
+
+// TestResultObjectUnderBackendFaults drives the result object through
+// a misbehaving backend: a write that silently commits damage
+// (storage.Fault's bit flip) is caught by the next read, quarantined
+// and recomputed; a write that fails is reported and does not fail the
+// cell; reads that keep failing are not corruption — nothing is
+// quarantined, and the cell degrades to the in-memory store like a
+// trace read would. The Stats are the same every time.
+func TestResultObjectUnderBackendFaults(t *testing.T) {
+	ctx := context.Background()
+	b, _ := benchByName(t, "deriv")
+	cfgs := testConfigs(2)
+	// media holds the cell's trace; each subtest starts without results.
+	newMedia := func(t *testing.T) (*storage.Mem, []cache.Stats) {
+		t.Helper()
+		media := storage.NewMem()
+		r := &bench.Runner{Store: tracestore.NewOn(media)}
+		if _, err := r.EnsureStored(ctx, b, 2, false); err != nil {
+			t.Fatal(err)
+		}
+		want, err := simulateAll(ctx, new(bench.Runner), b, 2, false, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return media, want
+	}
+
+	t.Run("bit-flipped write", func(t *testing.T) {
+		media, want := newMedia(t)
+		flipping := tracestore.NewOn(storage.NewFault(media, storage.Faults{Seed: 2, BitFlip: 1}))
+		got, err := simulateAll(ctx, &bench.Runner{Store: flipping}, b, 2, false, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameStats(t, got, want)
+
+		clean := tracestore.NewOn(media)
+		got, err = simulateAll(ctx, &bench.Runner{Store: clean}, b, 2, false, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameStats(t, got, want)
+		if st := clean.Stats(); st.Quarantines != 1 || st.ResultHits != 0 || st.ResultMisses != int64(len(cfgs)) || st.ResultPuts != 1 {
+			t.Errorf("reading the damaged object: %+v; want 1 quarantine, 0 configs served, %d simulated, 1 object written", st, len(cfgs))
+		}
+	})
+
+	t.Run("failed write", func(t *testing.T) {
+		media, want := newMedia(t)
+		var progress []string // simulateAll reports from the calling goroutine
+		s := tracestore.NewOn(storage.NewFault(media, storage.Faults{Seed: 3, WriteErr: 1}))
+		r := &bench.Runner{Store: s, Progress: func(msg string) { progress = append(progress, msg) }}
+		got, err := simulateAll(ctx, r, b, 2, false, cfgs)
+		if err != nil {
+			t.Fatalf("a failed result write failed the cell: %v", err)
+		}
+		assertSameStats(t, got, want)
+		if st := s.Stats(); st.ResultPuts != 0 {
+			t.Errorf("%d result objects written through a backend that fails every write", st.ResultPuts)
+		}
+		if all := strings.Join(progress, "\n"); !strings.Contains(all, "storing results") {
+			t.Errorf("failed write not reported through Progress:\n%s", all)
+		}
+	})
+
+	t.Run("failing reads", func(t *testing.T) {
+		media, want := newMedia(t)
+		if _, err := simulateAll(ctx, &bench.Runner{Store: tracestore.NewOn(media)}, b, 2, false, cfgs); err != nil {
+			t.Fatal(err)
+		}
+		s := tracestore.NewOn(failingResultReads{media})
+		dctx, degraded := storage.WithDegraded(ctx)
+		r := &bench.Runner{Store: s}
+		got, err := simulateAll(dctx, r, b, 2, false, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameStats(t, got, want)
+		if len(degraded.Components()) == 0 {
+			t.Error("cell not marked degraded after its store kept failing")
+		}
+		if st := s.Stats(); st.Quarantines != 0 {
+			t.Errorf("transient read errors quarantined %d healthy objects", st.Quarantines)
+		}
+	})
+}
+
+// TestConcurrentConsumersOfOneCellReplayOnce has two goroutines ask for
+// the same configurations of the same cell at once: the cell lock makes
+// the second wait for the first and then find its results, so the trace
+// is replayed once.
+func TestConcurrentConsumersOfOneCellReplayOnce(t *testing.T) {
+	ctx := context.Background()
+	b, _ := benchByName(t, "deriv")
+	cfgs := testConfigs(2)
+	backend := &replayCounter{Backend: storage.NewMem()}
+	r := &bench.Runner{Store: tracestore.NewOn(backend)}
+
+	const consumers = 2
+	results := make([][]cache.Stats, consumers)
+	errs := make([]error, consumers)
+	var wg sync.WaitGroup
+	for i := 0; i < consumers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = simulateAll(ctx, r, b, 2, false, cfgs)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("consumer %d: %v", i, err)
+		}
+	}
+	assertSameStats(t, results[1], results[0])
+	if n := backend.replays.Load(); n != 1 {
+		t.Errorf("%d replays for %d concurrent consumers of one cell, want 1", n, consumers)
+	}
+	if st := r.Store.Stats(); st.ResultMisses != int64(len(cfgs)) || st.ResultHits != int64(len(cfgs)) {
+		t.Errorf("%d configs simulated, %d from stored results; want %d each", st.ResultMisses, st.ResultHits, len(cfgs))
+	}
+	if r.EngineRuns() != 1 {
+		t.Errorf("%d emulator runs, want 1", r.EngineRuns())
+	}
+}

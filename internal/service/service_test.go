@@ -146,6 +146,21 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Requests < 1 || st.EmulatorVersion == "" || st.TraceStore == nil {
 		t.Fatalf("stats = %+v", st)
 	}
+
+	// The grid's stored-results decisions surface in trace_store: a cold
+	// bus study simulates one configuration of each paper benchmark and
+	// writes one result object per cell.
+	getOK(t, h, "/v1/experiments/bus?pes=2")
+	w = getOK(t, h, "/v1/stats")
+	var raw struct {
+		TraceStore map[string]int64 `json:"trace_store"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
+		t.Fatalf("stats body: %v", err)
+	}
+	if ts := raw.TraceStore; ts["ResultHits"] != 0 || ts["ResultMisses"] != 4 || ts["ResultPuts"] != 4 {
+		t.Fatalf("trace_store after a cold bus study = %v, want 0 ResultHits, 4 ResultMisses, 4 ResultPuts", ts)
+	}
 }
 
 func TestExperimentListDocumentsEveryEndpoint(t *testing.T) {

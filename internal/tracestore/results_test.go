@@ -1,0 +1,175 @@
+package tracestore
+
+import (
+	"bytes"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
+)
+
+// result stands in for a consumer's per-configuration result.
+type result struct{ Refs, Misses int64 }
+
+// TestResultsRoundTripAndAccounting pins the result object's contract:
+// what was put is what loads, want is accounted key by key, a lookup
+// that found everything wanted counts the one Hit of the Replay it
+// saved while a partial or empty one counts none, result writes are not
+// trace Puts, and List does not see the object.
+func TestResultsRoundTripAndAccounting(t *testing.T) {
+	s := NewOn(storage.NewMem())
+	k := testKey()
+	fillCell(t, s, k)
+	s.ResetStats()
+
+	got, err := LoadResults[result](s, k, "v1", []string{"a", "b"})
+	if err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("empty store: %v, err %v; want an empty non-nil map", got, err)
+	}
+	if st := s.Stats(); st != (Stats{ResultMisses: 2}) {
+		t.Fatalf("empty lookup: %+v, want only 2 result misses", st)
+	}
+
+	want := map[string]result{"a": {10, 1}, "b": {20, 2}}
+	if err := PutResults(s, k, "v1", want); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Puts != 0 || st.ResultPuts != 1 {
+		t.Fatalf("after PutResults: %d trace puts, %d result puts; want 0 and 1", st.Puts, st.ResultPuts)
+	}
+	s.ResetStats()
+
+	got, err = LoadResults[result](s, k, "v1", []string{"a", "c"})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %v, err %v; want %v", got, err, want)
+	}
+	if st := s.Stats(); st != (Stats{ResultHits: 1, ResultMisses: 1}) {
+		t.Fatalf("partial lookup: %+v, want 1 result hit, 1 result miss and no Hit", st)
+	}
+	if _, err = LoadResults[result](s, k, "v1", []string{"b", "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st != (Stats{Hits: 1, ResultHits: 3, ResultMisses: 1}) {
+		t.Fatalf("full lookup: %+v, want one Hit and two more result hits", st)
+	}
+
+	entries, err := s.List()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("List: %d entries (err %v), want the one trace", len(entries), err)
+	}
+}
+
+// TestResultsBytesDeterministic: two stores given the same results in
+// different insertion orders hold byte-identical objects (peers serve
+// each other's result objects).
+func TestResultsBytesDeterministic(t *testing.T) {
+	k := testKey()
+	object := func(keys ...string) []byte {
+		t.Helper()
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]result{}
+		for _, key := range keys {
+			m[key] = result{Refs: int64(len(key))}
+		}
+		if err := PutResults(s, k, "v1", m); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(strings.TrimSuffix(s.Path(k), TraceExt) + ".sim.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if a, b := object("x", "yy", "zzz"), object("zzz", "x", "yy"); !bytes.Equal(a, b) {
+		t.Errorf("same results, different bytes:\n%s\n%s", a, b)
+	}
+}
+
+// TestStaleResultsIgnoredNotQuarantined: an object stamped by another
+// consumer version, or filed under another cell's name, is somebody
+// else's valid data — it reads as nothing stored and stays where it
+// is until a write replaces it.
+func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
+	mem := storage.NewMem()
+	s := NewOn(mem)
+	k := testKey()
+	if err := PutResults(s, k, "v1", map[string]result{"a": {1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadResults[result](s, k, "v2", []string{"a"})
+	if err != nil || len(got) != 0 {
+		t.Fatalf("another version's object served %v (err %v)", got, err)
+	}
+
+	// The same bytes under another cell's name.
+	other := Key{Benchmark: "synth2", PEs: 2, Sequential: true, EmulatorVersion: "emuT"}
+	storagetest.Put(t, mem, other.resultsName(), storagetest.Get(t, mem, k.resultsName()))
+	got, err = LoadResults[result](s, other, "v1", []string{"a"})
+	if err != nil || len(got) != 0 {
+		t.Fatalf("a mis-filed object served %v (err %v)", got, err)
+	}
+	if st := s.Stats(); st.Quarantines != 0 || st.ResultHits != 0 {
+		t.Fatalf("stale objects: %+v, want nothing quarantined and nothing served", st)
+	}
+	if _, err := mem.Stat(k.resultsName()); err != nil {
+		t.Fatalf("the stale object was removed: %v", err)
+	}
+}
+
+// TestVerifyChecksEnvelopesReadOnly is the regression test for the
+// read-only verify that never opened a .json object: a bit-flipped run
+// sidecar or result object used to report "all clean" until a -repair
+// run. Verify now reports both, counts what it checked, and still
+// moves nothing; Scrub quarantines exactly those objects.
+func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey()
+	fillCell(t, s, k)
+	if err := PutResults(s, k, "v1", map[string]result{"a": {1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Traces != 1 || rep.Checked != 3 {
+		t.Fatalf("clean store: %+v, want no errors over 1 trace + 2 envelopes", rep)
+	}
+
+	stem := strings.TrimSuffix(s.Path(k), TraceExt)
+	for _, path := range []string{stem + ".json", stem + ".sim.json"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A digit to another digit: still JSON, wrong numbers.
+		i := bytes.LastIndexAny(data, "0123456789")
+		data[i] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := s.Verify()
+	if len(rep.Errors) != 2 || len(rep.Quarantined) != 0 {
+		t.Fatalf("Verify over two damaged envelopes: errors %v, quarantined %v; want 2 and none", rep.Errors, rep.Quarantined)
+	}
+	if st := s.Stats(); st.Quarantines != 0 {
+		t.Fatalf("read-only Verify quarantined %d objects", st.Quarantines)
+	}
+	for _, path := range []string{stem + ".json", stem + ".sim.json"} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("Verify moved %s: %v", path, err)
+		}
+	}
+	if rep := s.Scrub(); len(rep.Quarantined) != 2 {
+		t.Fatalf("Scrub quarantined %v, want both envelopes", rep.Quarantined)
+	}
+	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Checked != 1 {
+		t.Fatalf("after Scrub: %+v, want a clean store of one trace", rep)
+	}
+}

@@ -12,16 +12,22 @@
 //
 // A store is one storage.Backend namespace (a local directory in
 // production — storage.Dir — or storage.Mem in tests). Each cell owns
-// two objects:
+// up to three objects:
 //
 //	<bench>-p<PEs>-<seq|par>-<emuver>-<key hash>.rwt2   compact trace
 //	<same stem>.json                                    run sidecar
+//	<same stem>.sim.json                                result object
 //
 // The name's human-readable prefix is advisory; the 12-hex-digit
 // SHA-256 prefix of the canonical key string is what addresses the
 // cell, and every read re-verifies the decoded header against the key.
 // The sidecar carries the run's engine statistics (JSON), so experiment
 // drivers that need only core.Stats never re-run the emulator either.
+// The result object carries what consumers computed from the trace —
+// one result per canonical configuration key, stamped with the version
+// of the code that computed them (LoadResults/PutResults) — so a
+// consumer that finds its configurations there never decodes the trace.
+// Both JSON objects sit in a checksummed envelope.
 //
 // # Self-healing
 //
@@ -131,11 +137,18 @@ const TraceExt = ".rwt2"
 
 // Stats are the store's counters since process start (or the last
 // ResetStats). Misses count Has/Replay/Load lookups that found no
-// object; Puts counts completed writes; Quarantines counts corrupt
+// object; Hits count the ones that did, plus one per LoadResults that
+// found every wanted result (it stands in for the Replay it saved);
+// Puts counts completed trace writes; Quarantines counts corrupt
 // objects moved aside by the self-healing read paths and Scrub.
+// ResultHits and ResultMisses count the configurations LoadResults was
+// asked for and did / did not find; ResultPuts counts result objects
+// written.
 type Stats struct {
 	Hits, Misses, Puts int64
 	Quarantines        int64
+
+	ResultHits, ResultMisses, ResultPuts int64
 }
 
 // Store is a trace store over one storage backend.
@@ -147,6 +160,10 @@ type Store struct {
 	misses      atomic.Int64
 	puts        atomic.Int64
 	quarantines atomic.Int64
+
+	resultHits   atomic.Int64
+	resultMisses atomic.Int64
+	resultPuts   atomic.Int64
 }
 
 // StaleTempAge is the default age past which Open sweeps temp-file
@@ -212,8 +229,16 @@ func (s *Store) Dir() string { return s.dir }
 // name returns the trace object name for a key.
 func (k Key) name() string { return k.stem() + TraceExt }
 
+// envelopeExt is the extension of every checksummed-JSON object (run
+// sidecars and result objects): what Verify and Scrub check beside the
+// traces.
+const envelopeExt = ".json"
+
 // sidecarName returns the run-sidecar object name for a key.
-func (k Key) sidecarName() string { return k.stem() + ".json" }
+func (k Key) sidecarName() string { return k.stem() + envelopeExt }
+
+// resultsName returns the result-object name for a key.
+func (k Key) resultsName() string { return k.stem() + ".sim" + envelopeExt }
 
 // Path returns the file a key's trace is (or would be) stored at for
 // directory-backed stores; for other backends it returns the object
@@ -245,6 +270,10 @@ func (s *Store) Stats() Stats {
 		Misses:      s.misses.Load(),
 		Puts:        s.puts.Load(),
 		Quarantines: s.quarantines.Load(),
+
+		ResultHits:   s.resultHits.Load(),
+		ResultMisses: s.resultMisses.Load(),
+		ResultPuts:   s.resultPuts.Load(),
 	}
 }
 
@@ -254,6 +283,9 @@ func (s *Store) ResetStats() {
 	s.misses.Store(0)
 	s.puts.Store(0)
 	s.quarantines.Store(0)
+	s.resultHits.Store(0)
+	s.resultMisses.Store(0)
+	s.resultPuts.Store(0)
 }
 
 // Sweep removes stale temp droppings and aged quarantined objects.
@@ -467,15 +499,22 @@ func sidecarSHA(raw []byte) string {
 // Put). The experiments grid stores the generating run's engine
 // statistics here so stats-only drivers skip the emulator too.
 func (s *Store) PutSidecar(k Key, v any) error {
+	return s.putEnvelope(k.sidecarName(), v)
+}
+
+// putEnvelope stores v as JSON under name, wrapped in the checksummed
+// envelope. The bytes are a function of v alone (encoding/json sorts
+// map keys), so two writers of the same value produce the same object.
+func (s *Store) putEnvelope(name string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("tracestore: sidecar: %w", err)
+		return fmt.Errorf("tracestore: %s: %w", name, err)
 	}
 	data, err := json.Marshal(sidecarEnvelope{SHA: sidecarSHA(raw), Data: raw})
 	if err != nil {
-		return fmt.Errorf("tracestore: sidecar: %w", err)
+		return fmt.Errorf("tracestore: %s: %w", name, err)
 	}
-	err = s.b.Put(k.sidecarName(), func(w io.Writer) error {
+	err = s.b.Put(name, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -491,7 +530,11 @@ func (s *Store) PutSidecar(k Key, v any) error {
 // regenerates, the same self-healing contract as trace reads. Only
 // transient backend failures surface as errors.
 func (s *Store) LoadSidecar(k Key, v any) (ok bool, err error) {
-	name := k.sidecarName()
+	return s.loadEnvelope(k.sidecarName(), v)
+}
+
+// loadEnvelope is LoadSidecar for any checksummed-JSON object.
+func (s *Store) loadEnvelope(name string, v any) (ok bool, err error) {
 	rc, err := s.b.Get(name)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -513,6 +556,69 @@ func (s *Store) LoadSidecar(k Key, v any) (ok bool, err error) {
 		return false, nil
 	}
 	return true, nil
+}
+
+// resultObject is the payload of a cell's result object: everything
+// consumers have computed from the cell's trace so far, one result per
+// canonical configuration key, stamped with what the results are a
+// function of — the cell, the codec its trace was decoded with, and
+// the version of the code that computed them.
+type resultObject[T any] struct {
+	Key          Key          `json:"key"`
+	CodecVersion int          `json:"codec_version"`
+	SimVersion   string       `json:"sim_version"`
+	Results      map[string]T `json:"results"`
+}
+
+// LoadResults returns every result stored for k that version
+// simVersion of the consumer computed, keyed by canonical configuration
+// key (never nil; empty when nothing usable is stored), and accounts
+// the lookup of want against it: ResultHits and ResultMisses count the
+// wanted keys found and not found, and a lookup that found all of them
+// counts one Hit, since the caller no longer needs the Replay that
+// would have counted it.
+//
+// An object stamped by another build (simulator, emulator or codec
+// version) is not corrupt, only stale: it is ignored, and the caller's
+// PutResults replaces it. A corrupt one is quarantined and reads as
+// nothing stored. Only backend failures surface as errors.
+func LoadResults[T any](s *Store, k Key, simVersion string, want []string) (map[string]T, error) {
+	var obj resultObject[T]
+	ok, err := s.loadEnvelope(k.resultsName(), &obj)
+	if err != nil {
+		return nil, err
+	}
+	if !ok || obj.Key != k || obj.CodecVersion != trace.CodecVersion || obj.SimVersion != simVersion || obj.Results == nil {
+		obj.Results = map[string]T{}
+	}
+	var found int64
+	for _, key := range want {
+		if _, ok := obj.Results[key]; ok {
+			found++
+		}
+	}
+	s.resultHits.Add(found)
+	s.resultMisses.Add(int64(len(want)) - found)
+	if found > 0 && found == int64(len(want)) {
+		s.hits.Add(1)
+	}
+	return obj.Results, nil
+}
+
+// PutResults stores results as the whole result object of k, computed
+// by version simVersion of the consumer. The object is one per cell, so
+// a caller adding results merges them into what LoadResults returned
+// and writes the union; the caller serializes that read-modify-write
+// per cell (bench.Runner.LockCell). A lost update between processes
+// costs a recomputation, never a wrong answer.
+func PutResults[T any](s *Store, k Key, simVersion string, results map[string]T) error {
+	err := s.putEnvelope(k.resultsName(), resultObject[T]{
+		Key: k, CodecVersion: trace.CodecVersion, SimVersion: simVersion, Results: results,
+	})
+	if err == nil {
+		s.resultPuts.Add(1)
+	}
+	return err
 }
 
 // verifySidecar checks a raw sidecar object's envelope and checksum,
@@ -566,48 +672,44 @@ func (s *Store) List() ([]Entry, error) {
 	return out, nil
 }
 
-// Verify fully decodes every trace in the store, checking header and
-// chunk CRCs and footer totals, and returns one error per corrupt
-// object (nil if the whole store is clean). Verify is strictly
-// read-only — it never quarantines; Scrub is the repairing variant.
-func (s *Store) Verify() []error {
-	names, err := s.traceNames()
-	if err != nil {
-		return []error{err}
-	}
-	var errs []error
-	for _, name := range names {
-		if err := s.verifyObject(name); err != nil {
-			path := name
-			if s.dir != "" {
-				path = filepath.Join(s.dir, name)
-			}
-			errs = append(errs, fmt.Errorf("%s: %w", path, err))
-		}
-	}
-	return errs
-}
+// Verify is the read-only scan behind `tracegen verify`: it checks
+// every object exactly as Scrub does — traces fully decoded (header,
+// chunk CRCs, footer totals, header-vs-name key check), run sidecars
+// and result objects against their envelope checksum — and reports one
+// error per bad object, but never quarantines. A clean store returns a
+// report with no Errors.
+func (s *Store) Verify() ScrubReport { return s.scan(false) }
 
-// ScrubReport summarizes one Scrub pass.
+// ScrubReport summarizes one Verify or Scrub pass.
 type ScrubReport struct {
-	// Checked counts objects examined (traces and sidecars).
-	Checked int
-	// Quarantined lists object names moved to quarantine/.
+	// Checked counts objects examined; Traces of them were traces, the
+	// rest run sidecars and result objects.
+	Checked, Traces int
+	// Quarantined lists object names moved to quarantine/ (always empty
+	// for Verify).
 	Quarantined []string
-	// Recoverable lists the keys of quarantined traces whose headers
-	// were still readable — the cells a repair pass can regenerate.
+	// Recoverable lists the keys of corrupt traces whose headers were
+	// still readable — the cells a repair pass can regenerate.
 	Recoverable []Key
-	// Errors holds one diagnostic per quarantined or unreadable object.
+	// Errors holds one diagnostic per corrupt or unreadable object.
 	Errors []error
 }
 
 // Scrub is the repairing scan behind `tracegen verify -repair` and the
-// daemon's background scrubber: it fully decodes every trace (header,
-// chunk CRCs, footer totals, header-vs-name key check) and validates
-// every sidecar's JSON, quarantining whatever fails and reporting
-// which cells are regenerable. A clean store returns an empty report.
-func (s *Store) Scrub() ScrubReport {
+// daemon's background scrubber: Verify, plus quarantining whatever
+// fails verification (a flaky read is reported, never quarantined).
+func (s *Store) Scrub() ScrubReport { return s.scan(true) }
+
+// scan is Verify (repair false) and Scrub (repair true).
+func (s *Store) scan(repair bool) ScrubReport {
 	var rep ScrubReport
+	bad := func(name string, err error) {
+		rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, err))
+		if repair {
+			s.quarantine(name)
+			rep.Quarantined = append(rep.Quarantined, name)
+		}
+	}
 	names, err := s.traceNames()
 	if err != nil {
 		rep.Errors = append(rep.Errors, err)
@@ -615,6 +717,7 @@ func (s *Store) Scrub() ScrubReport {
 	}
 	for _, name := range names {
 		rep.Checked++
+		rep.Traces++
 		verr := s.verifyObject(name)
 		var k Key
 		haveKey := false
@@ -634,20 +737,18 @@ func (s *Store) Scrub() ScrubReport {
 			rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, verr))
 			continue
 		}
-		s.quarantine(name)
-		rep.Quarantined = append(rep.Quarantined, name)
-		rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, verr))
+		bad(name, verr)
 		if haveKey && k.name() == name {
 			rep.Recoverable = append(rep.Recoverable, k)
 		}
 	}
-	sidecars, err := s.b.List("")
+	all, err := s.b.List("")
 	if err != nil {
 		rep.Errors = append(rep.Errors, fmt.Errorf("tracestore: %w", err))
 		return rep
 	}
-	for _, name := range sidecars {
-		if !strings.HasSuffix(name, ".json") {
+	for _, name := range all {
+		if !strings.HasSuffix(name, envelopeExt) {
 			continue
 		}
 		rep.Checked++
@@ -663,9 +764,7 @@ func (s *Store) Scrub() ScrubReport {
 			continue
 		}
 		if err := verifySidecar(data, nil); err != nil {
-			s.quarantine(name)
-			rep.Quarantined = append(rep.Quarantined, name)
-			rep.Errors = append(rep.Errors, fmt.Errorf("%s: invalid sidecar: %w", name, err))
+			bad(name, fmt.Errorf("invalid envelope: %w", err))
 		}
 	}
 	return rep

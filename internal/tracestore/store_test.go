@@ -188,7 +188,7 @@ func TestStoreListAndVerify(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("List found %d entries, want 2", len(entries))
 	}
-	if errs := s.Verify(); len(errs) != 0 {
+	if errs := s.Verify().Errors; len(errs) != 0 {
 		t.Fatalf("Verify on clean store: %v", errs)
 	}
 
@@ -203,7 +203,7 @@ func TestStoreListAndVerify(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	errs := s.Verify()
+	errs := s.Verify().Errors
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), filepath.Base(path)) {
 		t.Fatalf("Verify after corruption: %v", errs)
 	}

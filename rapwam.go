@@ -38,10 +38,13 @@
 // content-addressed store of compact binary traces
 // (docs/TRACE_FORMAT.md) before running the emulator, streaming
 // generation to disk and replay from disk so even larger-than-RAM
-// traces flow through the full simulator grid. With a warm store a
-// complete experiment sweep performs zero emulator runs (EngineRuns is
-// the observable). GenerateTraces warms cells in bulk, concurrently;
-// cmd/tracegen is its CLI.
+// traces flow through the full simulator grid. The store keeps each
+// cell's cache-simulation statistics beside its trace as well, one per
+// configuration, so with a warm store a complete experiment sweep
+// performs zero emulator runs (EngineRuns is the observable) and
+// replays a trace only for configurations not asked of it before (the
+// store's Stats count both). GenerateTraces warms cells in bulk,
+// concurrently; cmd/tracegen is its CLI.
 package rapwam
 
 import (
