@@ -24,9 +24,11 @@ func (t *Trace) Len() int { return t.buf.Len() }
 func (t *Trace) Replay(sink Sink) { t.buf.Replay(sink) }
 
 // ReplayAll replays the trace through every cache configuration in a
-// single concurrent pass: one simulator per configuration, each driven
-// on its own goroutine while the trace is walked once (the streaming
-// fan-out pipeline). Per-configuration statistics are bit-identical to
+// single concurrent pass: one simulator per residency class (a
+// write-through configuration shares its write-in broadcast twin's and
+// has its statistics derived), each driven on its own goroutine while
+// the trace is walked once (the streaming fan-out pipeline).
+// Per-configuration statistics are bit-identical to
 // calling SimulateCache once per configuration — only the wall-clock
 // cost changes.
 func (t *Trace) ReplayAll(cfgs []CacheConfig) ([]CacheStats, error) {

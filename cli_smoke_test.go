@@ -94,6 +94,8 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-exp", "fig5"}, 2, "valid names: table1, fig2"},
 		{"experiments-cache-below-a-line", "experiments",
 			[]string{"-exp", "table1", "-cache", "0"}, 2, "-cache"},
+		{"experiments-cache-not-whole-lines", "experiments",
+			[]string{"-exp", "mlips", "-cache", "130"}, 2, "not a multiple of line"},
 		{"experiments-negative-target", "experiments",
 			[]string{"-exp", "table1", "-target", "-1"}, 2, "-target"},
 		{"cachesim-pes-out-of-range", "cachesim",

@@ -16,7 +16,9 @@
 //
 // -sweep walks the trace once (not once per configuration), feeding
 // every protocol × size simulator concurrently through the streaming
-// fan-out pipeline; -par bounds the simulators per pass.
+// fan-out pipeline; -par bounds the configurations per pass. A pass
+// holding a size's write-through and write-in broadcast configurations
+// simulates them as one (same residency, derived statistics).
 //
 // -cpuprofile and -memprofile write pprof profiles of the replay, so a
 // hot-path regression in the simulator kernel can be diagnosed straight
@@ -57,7 +59,7 @@ func main() {
 		alloc    = flag.String("allocate", "paper", "write-allocate policy: paper | yes | no")
 		assoc    = flag.Int("assoc", 0, "set associativity (ways); 0 = fully associative (the paper's model)")
 		sweep    = flag.Bool("sweep", false, "sweep cache sizes 64..8192 over all protocols")
-		par      = flag.Int("par", 0, "max cache simulators per trace pass in -sweep (0 = all in one pass)")
+		par      = flag.Int("par", 0, "max cache configurations per trace pass in -sweep (0 = all in one pass)")
 		traceDir = flag.String("tracedir", "", "persistent trace store directory (use with -bench instead of a trace file)")
 		benchSrc = flag.String("bench", "", "benchmark whose trace to pull from -tracedir (generated and stored on first use)")
 		seqTrace = flag.Bool("seqtrace", false, "with -bench: use the sequential WAM baseline trace")
@@ -179,9 +181,9 @@ func startProfiles(cpuPath, memPath string) func() {
 }
 
 // runSweep simulates the whole protocol × size grid with the streaming
-// fan-out pipeline: the trace is walked once per pass, feeding up to
-// par concurrent cache simulators (all of them in a single pass by
-// default), instead of once per configuration.
+// fan-out pipeline: the trace is walked once per pass of up to par
+// configurations (all of them in a single pass by default), instead of
+// once per configuration.
 func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	order := []string{"broadcast", "hybrid", "write-through"}

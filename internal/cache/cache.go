@@ -34,6 +34,15 @@
 // (batch.go) runs protocol-specialized kernels with the coherency
 // dispatch hoisted out of the per-reference loop; statistics are
 // bit-identical to the one-reference-at-a-time Sink path.
+//
+// # Simulation planning
+//
+// SimulateAll and SimulateAllStream build one simulator per residency
+// class: a write-through-invalidate cache holds the same lines in the
+// same LRU order as the write-in broadcast cache of the same geometry
+// and allocation policy, so it shares that simulator and its Stats are
+// derived (replay.go). Hybrid and write-through broadcast are not
+// residency-equivalent; a Sim used as a trace.Sink simulates itself.
 package cache
 
 import (
@@ -139,6 +148,9 @@ func (c Config) Validate() error {
 	}
 	if c.SizeWords < c.LineWords {
 		return fmt.Errorf("cache: SizeWords = %d smaller than line %d", c.SizeWords, c.LineWords)
+	}
+	if c.SizeWords%c.LineWords != 0 {
+		return fmt.Errorf("cache: SizeWords = %d is not a multiple of line %d", c.SizeWords, c.LineWords)
 	}
 	if int(c.Protocol) >= numProtocols {
 		return fmt.Errorf("cache: unknown protocol %d", c.Protocol)

@@ -36,6 +36,8 @@ func TestConfigValidate(t *testing.T) {
 		{PEs: 0, SizeWords: 64, LineWords: 4},
 		{PEs: 1, SizeWords: 64, LineWords: 3},
 		{PEs: 1, SizeWords: 2, LineWords: 4},
+		{PEs: 1, SizeWords: 130, LineWords: 4}, // would simulate 128 words, labelled 130
+		{PEs: 1, SizeWords: 12, LineWords: 8, Assoc: 1},
 		{PEs: 2, SizeWords: 64, LineWords: 4, Protocol: Copyback},
 		{PEs: 1, SizeWords: 64, LineWords: 4, Protocol: Protocol(99)},
 	}

@@ -207,13 +207,17 @@ func simulateAll(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes in
 				missing = append(missing, i)
 			}
 		}
-		r.Progressf("%v: %d of %d configs from stored results", k, len(cfgs)-len(missing), len(cfgs))
-		if len(missing) == 0 {
-			return nil
-		}
 		todo := make([]cache.Config, len(missing))
 		for j, i := range missing {
 			todo[j] = cfgs[i]
+		}
+		cost := ""
+		if len(todo) > 0 {
+			cost = fmt.Sprintf("; simulating %d configs with %d simulators", len(todo), cache.Simulators(todo))
+		}
+		r.Progressf("%v: %d of %d configs from stored results%s", k, len(cfgs)-len(todo), len(cfgs), cost)
+		if len(todo) == 0 {
+			return nil
 		}
 		fresh, err := cache.SimulateAllStream(todo, func(sinks []trace.Sink) error {
 			return replayCell(s, k, sinks...)

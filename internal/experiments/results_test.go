@@ -95,7 +95,9 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 // TestPartialFillSimulatesOnlyTheDifference asks Figure 4 for a subset
 // of cache sizes and then for a superset: the second run simulates
 // exactly the configurations the first did not, and prints what a run
-// that never saw a store prints.
+// that never saw a store prints. Each cell's progress line says what the
+// difference cost: write-through shares write-in broadcast's simulator,
+// so two sizes × three protocols are four simulators.
 func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
 	ctx := context.Background()
 	pes, subset, superset := []int{1, 2}, []int{128, 1024}, []int{64, 128, 256, 1024}
@@ -105,10 +107,22 @@ func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
 	}
 
 	r := storeRunner(t)
+	var mu sync.Mutex
+	decisions := map[string]int{}
+	r.Progress = func(msg string) {
+		if _, decision, ok := strings.Cut(msg, ": "); ok && strings.Contains(decision, "configs from stored results") {
+			mu.Lock()
+			decisions[decision]++
+			mu.Unlock()
+		}
+	}
+	const cells, protocols = 2 * 4, 3 // PE counts × paper benchmarks
 	if _, err := RunFigure4(ctx, r, pes, subset); err != nil {
 		t.Fatal(err)
 	}
-	const cells, protocols = 2 * 4, 3 // PE counts × paper benchmarks
+	if want := "0 of 6 configs from stored results; simulating 6 configs with 4 simulators"; decisions[want] != cells {
+		t.Errorf("subset: progress decisions %v, want %d × %q", decisions, cells, want)
+	}
 	st := r.Store.Stats()
 	if st.ResultHits != 0 || st.ResultMisses != cells*protocols*2 {
 		t.Fatalf("subset: %d configs from stored results, %d simulated; want 0 and %d", st.ResultHits, st.ResultMisses, cells*protocols*2)
@@ -119,6 +133,9 @@ func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("partially filled store changed Figure 4:\n--- store-less:\n%s\n--- after partial fill:\n%s", want, got)
+	}
+	if want := "6 of 12 configs from stored results; simulating 6 configs with 4 simulators"; decisions[want] != cells {
+		t.Errorf("superset: progress decisions %v, want %d × %q", decisions, cells, want)
 	}
 	after := r.Store.Stats()
 	if hits, misses := after.ResultHits-st.ResultHits, after.ResultMisses-st.ResultMisses; hits != cells*protocols*2 || misses != cells*protocols*2 {

@@ -260,6 +260,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiments/mlips?cache=1", http.StatusBadRequest},
 		{"/v1/experiments/fig4?sizes=2", http.StatusBadRequest},
 		{"/v1/experiments/bus?cache=3", http.StatusBadRequest},
+		// ... or not a whole number of lines.
+		{"/v1/experiments/mlips?cache=130", http.StatusBadRequest},
 		{"/v1/traces/unknown-bench-name", http.StatusNotFound},
 		{"/v1/traces/qsort?pes=99", http.StatusBadRequest},
 		{"/v1/traces/qsort?mode=sideways", http.StatusBadRequest},
