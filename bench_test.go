@@ -206,6 +206,35 @@ func BenchmarkReplayFanOut(b *testing.B) {
 	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
 }
 
+// BenchmarkReplayFigure4Cell replays qsort at 8 PEs through what one
+// Figure 4 cell asks of the simulator: 3 protocols × 8 sizes under the
+// paper's allocation policy, 24 configurations that the planner serves
+// from 4 multi-size structures.
+func BenchmarkReplayFigure4Cell(b *testing.B) {
+	bm, _ := BenchmarkByName("qsort")
+	tr, err := TraceBenchmark(context.Background(), bm, 8, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []CacheConfig
+	for _, proto := range []Protocol{WriteInBroadcast, Hybrid, WriteThrough} {
+		for _, size := range []int{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
+			cfgs = append(cfgs, CacheConfig{
+				PEs: 8, SizeWords: size, LineWords: 4,
+				Protocol:      proto,
+				WriteAllocate: PaperWriteAllocate(proto, size),
+			})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.ReplayAll(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
+}
+
 // BenchmarkReplaySteadyState measures the pure kernel: one warm
 // simulator per configuration reused across iterations, so simulator
 // construction is excluded and the -benchmem columns show the

@@ -26,8 +26,10 @@ func (t *Trace) Replay(sink Sink) { t.buf.Replay(sink) }
 // ReplayAll replays the trace through every cache configuration in a
 // single concurrent pass: one simulator per residency class (a
 // write-through configuration shares its write-in broadcast twin's and
-// has its statistics derived), each driven on its own goroutine while
-// the trace is walked once (the streaming fan-out pipeline).
+// has its statistics derived; fully associative configurations that
+// differ only in size share one multi-size structure), each driven on
+// its own goroutine while the trace is walked once (the streaming
+// fan-out pipeline).
 // Per-configuration statistics are bit-identical to
 // calling SimulateCache once per configuration — only the wall-clock
 // cost changes.

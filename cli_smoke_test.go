@@ -275,6 +275,69 @@ func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
 	}
 }
 
+// TestCLICachesimRejectsTraceWiderThanMachine: the simulator skips
+// references from PEs the configured machine lacks, so `cachesim -pes 2`
+// over an 8-PE trace file used to print a table for a quarter of the
+// trace and exit 0. It must fail naming the cause, for a single
+// configuration and for -sweep; -allocate reaches the sweep, which
+// names a non-paper policy above the table.
+func TestCLICachesimRejectsTraceWiderThanMachine(t *testing.T) {
+	dir := t.TempDir()
+	if code, out := runCLI(t, "tracegen", "generate", "-tracedir", dir, "-bench", "qsort", "-pes", "8"); code != 0 {
+		t.Fatalf("tracegen generate: exit %d\n%s", code, out)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "qsort-p8-par-*.rwt2"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("8-PE trace in the store: %v (err %v), want 1", files, err)
+	}
+	for _, args := range [][]string{{"-pes", "2"}, {"-pes", "2", "-sweep"}} {
+		code, out := runCLI(t, "cachesim", append(args, files[0])...)
+		if code != 1 || !strings.Contains(out, "trace holds references from PEs ≥ -pes 2") || strings.Contains(out, "traffic ratio") || strings.Contains(out, "hybrid") {
+			t.Errorf("cachesim %v on an 8-PE trace: exit %d, want 1 naming the cause and no table\n%s", args, code, out)
+		}
+	}
+	if code, out := runCLI(t, "cachesim", "-pes", "8", files[0]); code != 0 || !strings.Contains(out, "traffic ratio") {
+		t.Errorf("cachesim -pes 8: exit %d\n%s", code, out)
+	}
+	// Where the paper does not write-allocate (below 512 words; hybrid
+	// at 512 too) -allocate paper and -allocate no agree; above, the
+	// policy moves the traffic.
+	rows := func(alloc string) [][]string {
+		code, out := runCLI(t, "cachesim", "-pes", "8", "-sweep", "-allocate", alloc, files[0])
+		if code != 0 {
+			t.Fatalf("cachesim -sweep -allocate %s: exit %d\n%s", alloc, code, out)
+		}
+		if named := strings.Contains(out, "write-allocate: "+alloc); named != (alloc != "paper") {
+			t.Errorf("-allocate %s: policy line present = %v\n%s", alloc, named, out)
+		}
+		var table [][]string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) == 9 && f[0] != "protocol" {
+				table = append(table, f)
+			}
+		}
+		if len(table) != 3 {
+			t.Fatalf("-allocate %s: %d protocol rows, want 3\n%s", alloc, len(table), out)
+		}
+		return table
+	}
+	paper, never := rows("paper"), rows("no")
+	differ := 0
+	for i, proto := range []Protocol{WriteInBroadcast, Hybrid, WriteThrough} {
+		for j, size := range []int{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
+			if paper[i][j+1] != never[i][j+1] {
+				differ++
+				if !PaperWriteAllocate(proto, size) {
+					t.Errorf("%v at %d words, no-write-allocate either way: paper %s, -allocate no %s", proto, size, paper[i][j+1], never[i][j+1])
+				}
+			}
+		}
+	}
+	if differ == 0 {
+		t.Errorf("-allocate no printed the paper-policy table: the sweep ignores the flag")
+	}
+}
+
 func TestCLIHelpDocumentsFlags(t *testing.T) {
 	for _, tc := range []struct {
 		bin      string

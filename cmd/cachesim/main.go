@@ -15,10 +15,15 @@
 // sequential WAM baseline cell).
 //
 // -sweep walks the trace once (not once per configuration), feeding
-// every protocol × size simulator concurrently through the streaming
-// fan-out pipeline; -par bounds the configurations per pass. A pass
-// holding a size's write-through and write-in broadcast configurations
-// simulates them as one (same residency, derived statistics).
+// the simulators concurrently through the streaming fan-out pipeline;
+// -par bounds the configurations per pass. Within a pass a size's
+// write-through and write-in broadcast configurations are simulated as
+// one (same residency, derived statistics), and a protocol's sizes
+// under one allocation policy share one multi-size structure: 4
+// structures for the paper's policy, 2 with -allocate yes or no.
+//
+// -pes must cover the trace: a trace holding references from PEs the
+// simulated machine lacks is rejected, not silently thinned.
 //
 // -cpuprofile and -memprofile write pprof profiles of the replay, so a
 // hot-path regression in the simulator kernel can be diagnosed straight
@@ -41,6 +46,14 @@ import (
 
 	"repro/internal/profflag"
 )
+
+// allocPolicies are the -allocate values: the paper's selection per
+// protocol and size, or one policy throughout.
+var allocPolicies = map[string]func(rapwam.Protocol, int) bool{
+	"paper": rapwam.PaperWriteAllocate,
+	"yes":   func(rapwam.Protocol, int) bool { return true },
+	"no":    func(rapwam.Protocol, int) bool { return false },
+}
 
 var protocols = map[string]rapwam.Protocol{
 	"write-through": rapwam.WriteThrough,
@@ -94,14 +107,8 @@ func main() {
 	if !ok && !*sweep {
 		fatal(fmt.Errorf("unknown protocol %q", *protoStr))
 	}
-	wa := rapwam.PaperWriteAllocate(proto, *size)
-	switch *alloc {
-	case "yes":
-		wa = true
-	case "no":
-		wa = false
-	case "paper":
-	default:
+	writeAllocate, ok := allocPolicies[*alloc]
+	if !ok {
 		fatal(fmt.Errorf("bad -allocate %q", *alloc))
 	}
 
@@ -111,11 +118,12 @@ func main() {
 	defer stopProfiles()
 
 	if *sweep {
-		runSweep(tr, *pes, *line, *assoc, *par)
+		runSweep(tr, *pes, *line, *assoc, *par, *alloc)
 		stopProfiles()
 		return
 	}
 
+	wa := writeAllocate(proto, *size)
 	cfg := rapwam.CacheConfig{
 		PEs: *pes, SizeWords: *size, LineWords: *line,
 		Protocol: proto, WriteAllocate: wa, Assoc: *assoc,
@@ -124,6 +132,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	checkCovered(tr, *pes, st)
 	fmt.Printf("protocol:       %v (write-allocate: %v)\n", proto, wa)
 	fmt.Printf("traffic ratio:  %.4f\n", st.TrafficRatio())
 	fmt.Printf("miss ratio:     %.4f\n", st.MissRatio())
@@ -184,9 +193,10 @@ func startProfiles(cpuPath, memPath string) func() {
 // fan-out pipeline: the trace is walked once per pass of up to par
 // configurations (all of them in a single pass by default), instead of
 // once per configuration.
-func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
+func runSweep(tr *rapwam.Trace, pes, line, assoc, par int, alloc string) {
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	order := []string{"broadcast", "hybrid", "write-through"}
+	writeAllocate := allocPolicies[alloc]
 	var cfgs []rapwam.CacheConfig
 	for _, name := range order {
 		proto := protocols[name]
@@ -194,7 +204,7 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
 			cfgs = append(cfgs, rapwam.CacheConfig{
 				PEs: pes, SizeWords: s, LineWords: line,
 				Protocol:      proto,
-				WriteAllocate: rapwam.PaperWriteAllocate(proto, s),
+				WriteAllocate: writeAllocate(proto, s),
 				Assoc:         assoc,
 			})
 		}
@@ -219,6 +229,10 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
 		}
 		stats = append(stats, st...)
 	}
+	checkCovered(tr, pes, stats...)
+	if alloc != "paper" {
+		fmt.Printf("write-allocate: %s (every protocol and size)\n", alloc)
+	}
 	fmt.Printf("%-14s", "protocol")
 	for _, s := range sizes {
 		fmt.Printf(" %7dw", s)
@@ -230,6 +244,17 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par int) {
 			fmt.Printf(" %8.4f", stats[i*len(sizes)+j].TrafficRatio())
 		}
 		fmt.Println()
+	}
+}
+
+// checkCovered fails the command when a simulation skipped references:
+// the simulator ignores PEs the configured machine lacks, and a table
+// over a thinned trace would be mislabelled.
+func checkCovered(tr *rapwam.Trace, pes int, stats ...rapwam.CacheStats) {
+	for _, st := range stats {
+		if st.Refs != int64(tr.Len()) {
+			fatal(fmt.Errorf("simulated %d of %d references: trace holds references from PEs ≥ -pes %d", st.Refs, tr.Len(), pes))
+		}
 	}
 }
 

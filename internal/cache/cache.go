@@ -37,12 +37,21 @@
 //
 // # Simulation planning
 //
-// SimulateAll and SimulateAllStream build one simulator per residency
-// class: a write-through-invalidate cache holds the same lines in the
-// same LRU order as the write-in broadcast cache of the same geometry
-// and allocation policy, so it shares that simulator and its Stats are
-// derived (replay.go). Hybrid and write-through broadcast are not
-// residency-equivalent; a Sim used as a trace.Sink simulates itself.
+// SimulateAll and SimulateAllStream do not build one simulator per
+// configuration (planSims, replay.go). A write-through-invalidate cache
+// holds the same lines in the same LRU order as the write-in broadcast
+// cache of the same geometry and allocation policy, so it shares that
+// simulator and its Stats are derived. And fully associative write-in
+// broadcast, hybrid or copyback configurations that differ only in
+// SizeWords share one multi-size structure (multisize.go): perfect-LRU
+// caches under one allocation policy obey inclusion, so one recency
+// list per PE, with each line tagged by the smallest size holding it
+// and coherence state kept per size, yields every size's Stats in one
+// pass at about one simulator's cost. Classes do not span allocation
+// policies (inclusion fails there), line sizes, PE counts or
+// associativities, and write-through broadcast is not
+// residency-equivalent to anything; a Sim used as a trace.Sink
+// simulates itself.
 package cache
 
 import (

@@ -11,41 +11,128 @@ import (
 
 // Simulation-planning tests: SimulateAll serves a WriteThrough
 // configuration from its WriteInBroadcast twin's simulator and derives
-// the Stats (replay.go). The retained reference simulator
-// (refsim_test.go) simulates write-through independently, so it is the
-// oracle for the derivation — on the paper's traces, and on synthetic
-// traces that invalidate about as often as they write (real RAP-WAM
-// traces invalidate a few hundred times in millions of references,
-// which alone would leave the coherence half of the argument untested).
+// the Stats, and serves fully associative configurations that differ
+// only in size from one multi-size structure (replay.go). The retained
+// reference simulator (refsim_test.go) simulates write-through
+// independently, so it is the oracle for the derivation — on the
+// paper's traces, and on synthetic traces that invalidate about as
+// often as they write (real RAP-WAM traces invalidate a few hundred
+// times in millions of references, which alone would leave the
+// coherence half of the argument untested). multisize_test.go does the
+// same for the size rule.
+
+// figure4Request is what one Figure 4 cell asks for: three protocols at
+// the paper's eight sizes under the paper's allocation policy.
+func figure4Request(pes int) []Config {
+	var cfgs []Config
+	for _, p := range []Protocol{WriteInBroadcast, Hybrid, WriteThrough} {
+		for _, size := range figure4Sizes {
+			cfgs = append(cfgs, Config{PEs: pes, SizeWords: size, LineWords: 4, Protocol: p, WriteAllocate: PaperWriteAllocate(p, size)})
+		}
+	}
+	return cfgs
+}
 
 func TestPlanSims(t *testing.T) {
-	at := func(p Protocol, wa bool) Config {
-		return Config{PEs: 8, SizeWords: 1024, LineWords: 4, Protocol: p, WriteAllocate: wa}
+	at := func(p Protocol, wa bool, size int) Config {
+		return Config{PEs: 8, SizeWords: size, LineWords: 4, Protocol: p, WriteAllocate: wa}
 	}
-	wib, hyb, wt := at(WriteInBroadcast, true), at(Hybrid, true), at(WriteThrough, true)
-	other := wib
-	other.SizeWords = 512
+	unit := func(cfg Config, sizes ...int) simUnit { return simUnit{cfg: cfg, sizes: sizes} }
+	wib, hyb, wt := at(WriteInBroadcast, true, 1024), at(Hybrid, true, 1024), at(WriteThrough, true, 1024)
+	sa := wib
+	sa.Assoc = 2
+	sa512 := sa
+	sa512.SizeWords = 512
+	var nine []Config
+	for i := 1; i <= maxSizes+1; i++ {
+		nine = append(nine, at(Hybrid, true, 64*i))
+	}
 	for _, tc := range []struct {
 		name  string
 		cfgs  []Config
-		build []Config
-		slot  []int
+		units []simUnit
+		slot  []simSlot
 	}{
-		{"figure-4 group", []Config{wib, hyb, wt}, []Config{wib, hyb}, []int{0, 1, 0}},
-		{"write-through first", []Config{wt, hyb, wib}, []Config{wib, hyb}, []int{0, 1, 0}},
-		{"write-through alone", []Config{wt}, []Config{wib}, []int{0}},
-		{"duplicate", []Config{hyb, hyb}, []Config{hyb}, []int{0, 0}},
-		{"allocation differs", []Config{wib, at(WriteThrough, false)}, []Config{wib, at(WriteInBroadcast, false)}, []int{0, 1}},
-		{"geometry differs", []Config{other, wt}, []Config{other, wib}, []int{0, 1}},
-		{"update protocol kept apart", []Config{wib, at(WriteThroughBroadcast, true)}, []Config{wib, at(WriteThroughBroadcast, true)}, []int{0, 1}},
-		{"empty", nil, nil, []int{}},
+		{"one size, three protocols", []Config{wib, hyb, wt}, []simUnit{unit(wib, 1024), unit(hyb, 1024)}, []simSlot{{0, 0}, {1, 0}, {0, 0}}},
+		{"write-through first", []Config{wt, hyb, wib}, []simUnit{unit(wib, 1024), unit(hyb, 1024)}, []simSlot{{0, 0}, {1, 0}, {0, 0}}},
+		{"write-through alone", []Config{wt}, []simUnit{unit(wib, 1024)}, []simSlot{{0, 0}}},
+		{"duplicate", []Config{hyb, hyb}, []simUnit{unit(hyb, 1024)}, []simSlot{{0, 0}, {0, 0}}},
+		{"allocation differs", []Config{wib, at(WriteThrough, false, 1024)},
+			[]simUnit{unit(wib, 1024), unit(at(WriteInBroadcast, false, 1024), 1024)}, []simSlot{{0, 0}, {1, 0}}},
+		{"sizes share a structure, in any order", []Config{wt, at(WriteInBroadcast, true, 512), at(WriteThrough, true, 4096), wib},
+			[]simUnit{unit(at(WriteInBroadcast, true, 512), 512, 1024, 4096)}, []simSlot{{0, 1}, {0, 0}, {0, 2}, {0, 1}}},
+		{"table 3 cell", []Config{{PEs: 1, SizeWords: 512, LineWords: 4, Protocol: Copyback, WriteAllocate: true}, {PEs: 1, SizeWords: 1024, LineWords: 4, Protocol: Copyback, WriteAllocate: true}},
+			[]simUnit{unit(Config{PEs: 1, SizeWords: 512, LineWords: 4, Protocol: Copyback, WriteAllocate: true}, 512, 1024)}, []simSlot{{0, 0}, {0, 1}}},
+		{"sizes of different policies stay apart", []Config{at(Hybrid, false, 512), hyb, at(Hybrid, false, 64)},
+			[]simUnit{unit(at(Hybrid, false, 64), 64, 512), unit(hyb, 1024)}, []simSlot{{0, 1}, {1, 0}, {0, 0}}},
+		{"line size and PE count are part of the class", []Config{wib, {PEs: 8, SizeWords: 512, LineWords: 8, Protocol: WriteInBroadcast, WriteAllocate: true}, {PEs: 4, SizeWords: 512, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}},
+			[]simUnit{unit(wib, 1024), unit(Config{PEs: 8, SizeWords: 512, LineWords: 8, Protocol: WriteInBroadcast, WriteAllocate: true}, 512), unit(Config{PEs: 4, SizeWords: 512, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}, 512)},
+			[]simSlot{{0, 0}, {1, 0}, {2, 0}}},
+		{"set-indexed sizes stay apart", []Config{sa, sa512}, []simUnit{unit(sa, 1024), unit(sa512, 512)}, []simSlot{{0, 0}, {1, 0}}},
+		{"update protocol sizes stay apart", []Config{at(WriteThroughBroadcast, true, 1024), at(WriteThroughBroadcast, true, 512), wib},
+			[]simUnit{unit(at(WriteThroughBroadcast, true, 1024), 1024), unit(at(WriteThroughBroadcast, true, 512), 512), unit(wib, 1024)}, []simSlot{{0, 0}, {1, 0}, {2, 0}}},
+		{"more sizes than one structure serves", nine,
+			[]simUnit{unit(nine[0], 64, 128, 192, 256, 320, 384, 448, 512), unit(nine[8], 576)},
+			[]simSlot{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {1, 0}}},
+		{"empty", nil, nil, []simSlot{}},
 	} {
-		build, slot := planSims(tc.cfgs)
-		if !reflect.DeepEqual(build, tc.build) || !reflect.DeepEqual(slot, tc.slot) {
-			t.Errorf("%s: planSims = %v %v, want %v %v", tc.name, build, slot, tc.build, tc.slot)
+		units, slot := planSims(tc.cfgs)
+		if !reflect.DeepEqual(units, tc.units) || !reflect.DeepEqual(slot, tc.slot) {
+			t.Errorf("%s: planSims = %v %v, want %v %v", tc.name, units, slot, tc.units, tc.slot)
 		}
-		if n := Simulators(tc.cfgs); n != len(tc.build) {
-			t.Errorf("%s: Simulators = %d, want %d", tc.name, n, len(tc.build))
+		if n := Simulators(tc.cfgs); n != len(tc.units) {
+			t.Errorf("%s: Simulators = %d, want %d", tc.name, n, len(tc.units))
+		}
+	}
+
+	// A Figure 4 cell: write-in broadcast (with write-through riding on
+	// it) allocates from 512 words, hybrid from 1024, so each protocol
+	// splits into two classes at its policy boundary.
+	units, _ := planSims(figure4Request(8))
+	want := []simUnit{
+		unit(at(WriteInBroadcast, false, 64), 64, 128, 256),
+		unit(at(WriteInBroadcast, true, 512), 512, 1024, 2048, 4096, 8192),
+		unit(at(Hybrid, false, 64), 64, 128, 256, 512),
+		unit(at(Hybrid, true, 1024), 1024, 2048, 4096, 8192),
+	}
+	if !reflect.DeepEqual(units, want) {
+		t.Errorf("Figure 4 cell: planSims = %v, want %v", units, want)
+	}
+}
+
+// TestMixedAllocationPoliciesDoNotShare is the reason WriteAllocate is
+// part of the class key: LRU inclusion fails between a small
+// no-write-allocate cache and a larger write-allocate one. After
+// R a, R b, W x, W y the 2-line cache still holds a (its writes
+// allocated nothing) and the 3-line cache has evicted it, so the final
+// R a hits the small cache and misses the large one.
+func TestMixedAllocationPoliciesDoNotShare(t *testing.T) {
+	small := Config{PEs: 1, SizeWords: 8, LineWords: 4, Protocol: WriteInBroadcast}
+	large := Config{PEs: 1, SizeWords: 12, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}
+	const a, b, x, y = 0, 4, 8, 12
+	buf := &trace.Buffer{Refs: []trace.Ref{
+		{Addr: a, Op: trace.OpRead}, {Addr: b, Op: trace.OpRead},
+		{Addr: x, Op: trace.OpWrite}, {Addr: y, Op: trace.OpWrite},
+		{Addr: a, Op: trace.OpRead},
+	}}
+	for _, p := range []Protocol{WriteInBroadcast, WriteThrough, Hybrid, Copyback} {
+		small.Protocol, large.Protocol = p, p
+		cfgs := []Config{small, large}
+		if n := Simulators(cfgs); n != 2 {
+			t.Errorf("%v: %d simulators for two allocation policies, want 2", p, n)
+		}
+		together, err := SimulateAll(buf, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			if alone, _, _, _ := runRef(buf, cfg, false); together[i] != alone {
+				t.Errorf("%s: together %+v, alone %+v", cfg.Key(), together[i], alone)
+			}
+		}
+		if together[0].ReadMisses != 2 || together[1].ReadMisses != 3 {
+			t.Errorf("%v: read misses %d (2 lines, no allocate) and %d (3 lines, allocate), want 2 and 3: the stream no longer breaks inclusion",
+				p, together[0].ReadMisses, together[1].ReadMisses)
 		}
 	}
 }
@@ -168,8 +255,9 @@ func TestDerivedWriteThroughMatchesReferenceUnderHeavySharing(t *testing.T) {
 }
 
 // TestSimulateAllTogetherEqualsAlone: a configuration's Stats do not
-// depend on what else was requested with it — in particular not on
-// whether write-through shared write-in broadcast's simulator.
+// depend on what else was requested with it — not on whether
+// write-through shared write-in broadcast's simulator, and not on which
+// other sizes shared its multi-size structure.
 func TestSimulateAllTogetherEqualsAlone(t *testing.T) {
 	for _, tr := range []struct {
 		name string
@@ -179,36 +267,57 @@ func TestSimulateAllTogetherEqualsAlone(t *testing.T) {
 		{"qsort@8", parityTrace(t, "qsort", 8, false), 8},
 		{"sharing@4", sharingTrace(99, 4, 64, 50, 100_000), 4},
 	} {
-		for _, size := range []int{64, 512, 1024} {
-			var cfgs []Config
-			for _, p := range []Protocol{WriteInBroadcast, Hybrid, WriteThrough} {
-				cfgs = append(cfgs, Config{PEs: tr.pes, SizeWords: size, LineWords: 4, Protocol: p, WriteAllocate: PaperWriteAllocate(p, size)})
-			}
-			cfgs = append(cfgs, cfgs[2]) // a duplicate shares the class too
-			together, err := SimulateAll(tr.buf, cfgs)
+		// The whole Figure 4 request, with a duplicate, on 4 structures.
+		cfgs := figure4Request(tr.pes)
+		cfgs = append(cfgs, cfgs[20])
+		if n := Simulators(cfgs); n != 4 {
+			t.Fatalf("%s: %d simulators for a Figure 4 cell, want 4", tr.name, n)
+		}
+		together, err := SimulateAll(tr.buf, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Alone: one Sim each (the single-sink replay path, no fan-out),
+		// equal to a simulator built and fed directly.
+		for i, cfg := range cfgs {
+			alone, err := SimulateAll(tr.buf, []Config{cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Write-in broadcast and write-through alone collapse to one
-			// simulator: the single-sink replay path, no fan-out.
-			pair, err := SimulateAll(tr.buf, []Config{cfgs[0], cfgs[2]})
-			if err != nil {
-				t.Fatal(err)
+			if together[i] != alone[0] {
+				t.Errorf("%s %s: together %+v, alone %+v", tr.name, cfg.Key(), together[i], alone[0])
 			}
-			if pair[0] != together[0] || pair[1] != together[2] {
-				t.Errorf("%s %dw: as a pair %+v, in the group %+v %+v", tr.name, size, pair, together[0], together[2])
+			if direct, _, _, _ := runNew(tr.buf, cfg, false); together[i] != direct {
+				t.Errorf("%s %s: SimulateAll %+v, its own simulator %+v", tr.name, cfg.Key(), together[i], direct)
 			}
-			for i, cfg := range cfgs {
-				alone, err := SimulateAll(tr.buf, []Config{cfg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if together[i] != alone[0] {
-					t.Errorf("%s %s: together %+v, alone %+v", tr.name, cfg.Key(), together[i], alone[0])
-				}
-				if direct, _, _, _ := runNew(tr.buf, cfg, false); together[i] != direct {
-					t.Errorf("%s %s: SimulateAll %+v, its own simulator %+v", tr.name, cfg.Key(), together[i], direct)
-				}
+		}
+		// One size per call, as a result object that already holds the
+		// other sizes leaves it: write-in broadcast and write-through
+		// collapse to one Sim.
+		pair, err := SimulateAll(tr.buf, []Config{cfgs[4], cfgs[20]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pair[0] != together[4] || pair[1] != together[20] {
+			t.Errorf("%s: as a pair %+v, in the group %+v %+v", tr.name, pair, together[4], together[20])
+		}
+		// Three of the eight sizes already stored: the other five run
+		// without them — write-in broadcast's 64 words on a lone Sim, the
+		// rest on smaller structures.
+		var rest []Config
+		var at []int
+		for i, cfg := range cfgs[:24] {
+			if cfg.SizeWords != 128 && cfg.SizeWords != 256 && cfg.SizeWords != 8192 {
+				rest, at = append(rest, cfg), append(at, i)
+			}
+		}
+		partial, err := SimulateAll(tr.buf, rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range at {
+			if partial[j] != together[i] {
+				t.Errorf("%s %s: with five sizes %+v, with eight %+v", tr.name, rest[j].Key(), partial[j], together[i])
 			}
 		}
 	}

@@ -1,16 +1,20 @@
 package cache
 
-import "repro/internal/trace"
+import (
+	"slices"
+
+	"repro/internal/trace"
+)
 
 // SimulateAll replays one buffered trace through every configuration in
 // a single concurrent pass: one simulator per residency class (see
 // SimulateAllStream), each fed the full trace in order on its own
 // goroutine by the fan-out dispatcher, through the batch kernels
-// (batch.go). Because each simulator still sees the references in
-// emission order, the returned statistics are identical to running the
-// configurations one by one with Buffer.Replay — SimulateAll only
-// changes the wall-clock cost, from one trace walk per configuration to
-// one walk total.
+// (batch.go, multisize.go). Because each simulator still sees the
+// references in emission order, the returned statistics are identical
+// to running the configurations one by one with Buffer.Replay —
+// SimulateAll only changes the wall-clock cost, from one trace walk per
+// configuration to one walk total.
 //
 // All configurations are validated up front; on error nothing is
 // simulated.
@@ -29,29 +33,41 @@ func SimulateAll(buf *trace.Buffer, cfgs []Config) ([]Stats, error) {
 // in the order of cfgs. The experiments grid uses it to stream traces
 // from disk without materializing them.
 //
-// A WriteThrough configuration is simulated as its WriteInBroadcast
-// twin (same residency; shared when both are requested) and its Stats
-// are derived afterwards; Hybrid and WriteThroughBroadcast are not
-// residency-equivalent and keep their own simulators (see planSims).
+// Two rules shrink the plan (planSims). A WriteThrough configuration is
+// simulated as its WriteInBroadcast twin (same residency; shared when
+// both are requested) and its Stats are derived afterwards. Fully
+// associative write-in broadcast, hybrid or copyback configurations
+// that differ only in SizeWords are simulated by one multi-size
+// structure (multisize.go): perfect-LRU caches under one allocation
+// policy obey inclusion, so one recency list per PE serves every size.
+// WriteThroughBroadcast, set-associative and lone configurations each
+// keep a Sim.
 func SimulateAllStream(cfgs []Config, replay func(sinks []trace.Sink) error) ([]Stats, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	build, slot := planSims(cfgs)
-	sims := make([]*Sim, len(build))
-	sinks := make([]trace.Sink, len(build))
-	for i, cfg := range build {
-		sims[i] = New(cfg)
-		sinks[i] = sims[i]
+	units, slot := planSims(cfgs)
+	sinks := make([]trace.Sink, len(units))
+	for i, u := range units {
+		if len(u.sizes) == 1 {
+			sinks[i] = New(u.cfg)
+		} else {
+			sinks[i] = newMultiSim(u.cfg, u.sizes)
+		}
 	}
 	if err := replay(sinks); err != nil {
 		return nil, err
 	}
 	out := make([]Stats, len(cfgs))
 	for i, cfg := range cfgs {
-		out[i] = sims[slot[i]].Stats()
+		switch s := sinks[slot[i].unit].(type) {
+		case *Sim:
+			out[i] = s.Stats()
+		case *multiSim:
+			out[i] = s.stats(slot[i].size)
+		}
 		if cfg.Protocol == WriteThrough {
 			out[i] = writeThroughStats(out[i], cfg.LineWords)
 		}
@@ -60,17 +76,32 @@ func SimulateAllStream(cfgs []Config, replay func(sinks []trace.Sink) error) ([]
 }
 
 // Simulators returns how many simulators SimulateAllStream builds for
-// cfgs: one per residency class, at most len(cfgs).
+// cfgs: one per structure of the plan, at most len(cfgs).
 func Simulators(cfgs []Config) int {
-	build, _ := planSims(cfgs)
-	return len(build)
+	units, _ := planSims(cfgs)
+	return len(units)
 }
 
-// planSims groups configurations into residency classes: build lists
-// the configuration to simulate for each class, in order of first
-// request, and slot[i] is the class serving cfgs[i]. Two configurations
-// share a class when they are equal once WriteThrough is replaced by
-// WriteInBroadcast.
+// simUnit is one structure of a simulation plan: cfg at each of sizes
+// (words, ascending, distinct; cfg.SizeWords is sizes[0]). One size is
+// served by a Sim, several by a multiSim.
+type simUnit struct {
+	cfg   Config
+	sizes []int
+}
+
+// simSlot locates a requested configuration's statistics in a plan.
+type simSlot struct {
+	unit int // index into the plan's units
+	size int // index into that unit's sizes
+}
+
+// planSims groups configurations into the structures that simulate
+// them, in order of first request (a class split for its size count
+// lists its chunks by ascending size); slot[i] serves cfgs[i].
+//
+// Rule 1: two configurations share a residency class when they are
+// equal once WriteThrough is replaced by WriteInBroadcast.
 //
 // Why the replacement is exact: under write-in broadcast a line in
 // state Exclusive or Modified has no remote holder — a remote read
@@ -90,22 +121,59 @@ func Simulators(cfgs []Config) int {
 // the line in place (environment control words and permanent variables
 // share lines), so its residency diverges. WriteThroughBroadcast
 // updates remote copies instead of invalidating them.
-func planSims(cfgs []Config) (build []Config, slot []int) {
-	class := make(map[Config]int, len(cfgs))
-	slot = make([]int, len(cfgs))
+//
+// Rule 2: fully associative residency classes under WriteInBroadcast,
+// Hybrid or Copyback that are equal but for SizeWords — same PEs,
+// LineWords and WriteAllocate — share one multi-size structure, up to
+// maxSizes sizes each. The argument is in multisize.go; it needs one
+// allocation policy (a no-write-allocate cache can keep a line its
+// larger write-allocate neighbour evicted), and nothing asks for
+// set-indexed or update-protocol size sweeps, so those stay apart.
+func planSims(cfgs []Config) (units []simUnit, slot []simSlot) {
+	type class struct {
+		cfg   Config // SizeWords zeroed when sizes may share a structure
+		sizes []int  // distinct, sorted before the split
+		first int    // the class's first unit
+	}
+	var classes []class
+	index := make(map[Config]int, len(cfgs))
+	of := make([]int, len(cfgs)) // class of cfgs[i]
 	for i, cfg := range cfgs {
 		if cfg.Protocol == WriteThrough {
 			cfg.Protocol = WriteInBroadcast
 		}
-		j, ok := class[cfg]
-		if !ok {
-			j = len(build)
-			class[cfg] = j
-			build = append(build, cfg)
+		size := cfg.SizeWords
+		if cfg.Assoc == 0 && cfg.Protocol != WriteThroughBroadcast {
+			cfg.SizeWords = 0
 		}
-		slot[i] = j
+		j, ok := index[cfg]
+		if !ok {
+			j = len(classes)
+			index[cfg] = j
+			classes = append(classes, class{cfg: cfg})
+		}
+		if !slices.Contains(classes[j].sizes, size) {
+			classes[j].sizes = append(classes[j].sizes, size)
+		}
+		of[i] = j
 	}
-	return build, slot
+	for j := range classes {
+		c := &classes[j]
+		slices.Sort(c.sizes)
+		c.first = len(units)
+		for lo := 0; lo < len(c.sizes); lo += maxSizes {
+			u := simUnit{cfg: c.cfg, sizes: c.sizes[lo:min(lo+maxSizes, len(c.sizes))]}
+			u.cfg.SizeWords = u.sizes[0]
+			units = append(units, u)
+		}
+	}
+	slot = make([]simSlot, len(cfgs))
+	for i, cfg := range cfgs {
+		c := &classes[of[i]]
+		k, _ := slices.BinarySearch(c.sizes, cfg.SizeWords)
+		slot[i] = simSlot{unit: c.first + k/maxSizes, size: k % maxSizes}
+	}
+	return units, slot
 }
 
 // writeThroughStats derives a write-through-invalidate cache's

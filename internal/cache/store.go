@@ -38,8 +38,15 @@ type store interface {
 }
 
 // hashLine is the multiplicative (Fibonacci) hash shared by the flat
-// stores and the snoop directory; the golden-ratio constant spreads the
-// low-entropy high bits of line numbers across the power-of-two tables.
+// stores and the snoop directory. The tables index with the product's
+// low bits, which depend only on the line number's low bits: the odd
+// multiplier permutes them, so any run of consecutive lines no longer
+// than the table lands in distinct slots. That is the point — the
+// traces are runs of adjacent lines (stack frames, heap cells), and
+// they probe without colliding; the line's high bits are deliberately
+// not mixed in. An avalanche finish (h ^ h>>15) measured 25 % slower
+// through the single-size kernels (BenchmarkReplaySteadyState) and 9 %
+// through the multi-size one (BenchmarkReplayFigure4Cell).
 func hashLine(line int32) uint32 {
 	return uint32(line) * 0x9E3779B1
 }

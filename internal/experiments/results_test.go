@@ -97,7 +97,9 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 // exactly the configurations the first did not, and prints what a run
 // that never saw a store prints. Each cell's progress line says what the
 // difference cost: write-through shares write-in broadcast's simulator,
-// so two sizes × three protocols are four simulators.
+// and a protocol's sizes share one when they allocate alike — the
+// subset's 128 and 1024 words do not (four simulators), the
+// difference's 64 and 256 words do (two).
 func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
 	ctx := context.Background()
 	pes, subset, superset := []int{1, 2}, []int{128, 1024}, []int{64, 128, 256, 1024}
@@ -134,7 +136,7 @@ func TestPartialFillSimulatesOnlyTheDifference(t *testing.T) {
 	if got.String() != want.String() {
 		t.Errorf("partially filled store changed Figure 4:\n--- store-less:\n%s\n--- after partial fill:\n%s", want, got)
 	}
-	if want := "6 of 12 configs from stored results; simulating 6 configs with 4 simulators"; decisions[want] != cells {
+	if want := "6 of 12 configs from stored results; simulating 6 configs with 2 simulators"; decisions[want] != cells {
 		t.Errorf("superset: progress decisions %v, want %d × %q", decisions, cells, want)
 	}
 	after := r.Store.Stats()
