@@ -19,8 +19,15 @@ all: build test
 # check is the full pre-push gate: everything CI's required jobs run.
 check: build test lint
 
+# build also cross-compiles the two platforms that select the other
+# side of internal/mem's slab build tags (slab_unix.go maps OS pages,
+# slab_heap.go is the portable slice): windows for everything but the
+# unix-only harness, darwin for all of it. The standard library
+# cross-compiles offline.
 build:
 	$(GO) build ./...
+	GOOS=windows $(GO) build . ./internal/...
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -56,8 +63,10 @@ fuzz:
 # race covers every concurrent subsystem; internal/core and
 # internal/mem run their sharded-execution suites (ExecShards > 1,
 # retained for the benchmark's per-layer probes) under the detector
-# here, which is what keeps the speculative dispatcher's
-# cross-goroutine memory accesses honest.
+# here. Under -race the engine's word slab is in the Go heap by build
+# tag (internal/mem/slab_heap.go) — the detector does not see accesses
+# to mapped pages — which is what keeps the speculative dispatcher's
+# cross-goroutine memory accesses visible to it.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/
 

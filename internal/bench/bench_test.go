@@ -73,14 +73,33 @@ func TestParallelResultsMatchSequentialResults(t *testing.T) {
 	}
 }
 
+// TestByName checks every fixed name resolves to the suite's own entry
+// (Check is a func and not comparable: nil-ness stands in for it), and
+// that resolving one builds that one only — it used to build all eight
+// on every call (3.9 k allocations to validate a request's name).
 func TestByName(t *testing.T) {
-	for _, name := range []string{"deriv", "tak", "qsort", "matrix", "nrev", "queens", "primes", "zebra"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) missing", name)
+	fixed := append(Paper(), Large()...)
+	if len(fixed) != 8 {
+		t.Fatalf("%d fixed benchmarks, want 8", len(fixed))
+	}
+	for _, want := range fixed {
+		got, ok := ByName(want.Name)
+		if !ok {
+			t.Errorf("ByName(%q) missing", want.Name)
+			continue
+		}
+		if got.Name != want.Name || got.Source != want.Source || got.Query != want.Query ||
+			got.Parallel != want.Parallel || (got.Check == nil) != (want.Check == nil) {
+			t.Errorf("ByName(%q) differs from the suite's entry", want.Name)
 		}
 	}
 	if _, ok := ByName("nonesuch"); ok {
 		t.Error("ByName accepted unknown name")
+	}
+	one := testing.AllocsPerRun(20, func() { ByName("deriv") })
+	all := testing.AllocsPerRun(20, func() { Paper(); Large() })
+	if one > all/4 {
+		t.Errorf("ByName(\"deriv\") allocates %.0f times, building every fixed benchmark %.0f: want at most a quarter", one, all)
 	}
 }
 

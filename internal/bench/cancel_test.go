@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -42,6 +43,7 @@ func TestRunHonorsPreCancelledContext(t *testing.T) {
 }
 
 func TestRunCancelsMidRun(t *testing.T) {
+	live := mem.LiveBytes()
 	for _, pes := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelAfter{n: 5000, cancel: cancel}
@@ -50,12 +52,38 @@ func TestRunCancelsMidRun(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("PEs=%d: err = %v, want context.Canceled", pes, err)
 		}
+		if got := mem.LiveBytes(); got != live {
+			t.Fatalf("PEs=%d: cancelled run left %d bytes of engine memory mapped", pes, got-live)
+		}
 		// The abort must be prompt: the engine polls every ~4096 cycles,
 		// so only a bounded sliver of the trace is emitted after the
 		// cancellation point.
 		if sink.seen > sink.n+64*4096 {
 			t.Fatalf("PEs=%d: %d refs emitted after cancellation at %d — abort not prompt", pes, sink.seen-sink.n, sink.n)
 		}
+	}
+}
+
+// TestRunGivesMemoryBackOnFault: a run that dies of a machine fault (a
+// layout too small for the program) unmaps its address space on the way
+// out, like a successful one — not at some later finalizer.
+func TestRunGivesMemoryBackOnFault(t *testing.T) {
+	live := mem.LiveBytes()
+	var r Runner
+	if _, err := r.Run(context.Background(), Qsort(), RunConfig{PEs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.LiveBytes(); got != live {
+		t.Fatalf("successful run left %d bytes of engine memory mapped", got-live)
+	}
+	small := mem.DefaultLayout(4)
+	small.Heap = 256
+	_, err := r.Run(context.Background(), Qsort(), RunConfig{PEs: 4, Layout: small})
+	if err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("err = %v, want a heap overflow", err)
+	}
+	if got := mem.LiveBytes(); got != live {
+		t.Fatalf("faulting run left %d bytes of engine memory mapped", got-live)
 	}
 }
 

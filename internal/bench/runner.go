@@ -114,6 +114,10 @@ func (r *Runner) Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Res
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
+	// The result is self-contained (bindings are rendered strings), so
+	// the address space goes back on every return: a cancelled or
+	// faulting run must not wait for a finalizer.
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
@@ -121,10 +125,6 @@ func (r *Runner) Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Res
 		}
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-	// The result is self-contained (bindings are rendered strings), so
-	// the engine's memory slab can go back to the pool: the next run of
-	// the same shape skips the O(address space) zeroing.
-	eng.Close()
 	if b.Check != nil {
 		if err := b.Check(res); err != nil {
 			return nil, fmt.Errorf("bench %s: wrong answer: %w", b.Name, err)

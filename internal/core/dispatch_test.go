@@ -91,11 +91,11 @@ func runDispatch(t *testing.T, program, query string, pes int, reference bool) (
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	eng.Close()
 	return buf, res
 }
 
@@ -146,9 +146,11 @@ func TestEngineRejectsTooManyPEs(t *testing.T) {
 	if _, err := New(code, Config{PEs: trace.MaxPEs + 1}); err == nil {
 		t.Fatalf("New with %d PEs succeeded, want error", trace.MaxPEs+1)
 	}
-	if _, err := New(code, Config{PEs: trace.MaxPEs,
+	eng, err := New(code, Config{PEs: trace.MaxPEs,
 		Layout: mem.Layout{Workers: trace.MaxPEs, Heap: 1 << 10, Local: 1 << 10,
-			Control: 1 << 10, Trail: 1 << 9, PDL: 1 << 8, Goal: 1 << 8, Msg: 1 << 6}}); err != nil {
+			Control: 1 << 10, Trail: 1 << 9, PDL: 1 << 8, Goal: 1 << 8, Msg: 1 << 6}})
+	if err != nil {
 		t.Fatalf("New at the %d-PE limit failed: %v", trace.MaxPEs, err)
 	}
+	eng.Close()
 }

@@ -249,7 +249,10 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 		layout = mem.DefaultLayout(cfg.PEs)
 	}
 	layout.Workers = cfg.PEs
-	m := mem.NewMemory(layout, cfg.Sink)
+	m, err := mem.NewMemory(layout, cfg.Sink)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	e := &Engine{cfg: cfg, code: code, mem: m, elide: !cfg.ReferenceDispatch}
 	for pe := 0; pe < cfg.PEs; pe++ {
 		e.workers = append(e.workers, newWorker(e, pe))
@@ -269,11 +272,11 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 // Memory exposes the engine's shared memory (tests, answer extraction).
 func (e *Engine) Memory() *mem.Memory { return e.mem }
 
-// Close releases the engine's memory slab to the shared pool (see
-// mem.Memory.Release). Callers that construct engines in bulk — trace
-// generation above all — avoid re-zeroing a whole address space per
-// run this way. The engine must not be used after Close; calling Close
-// more than once is harmless.
+// Close gives the engine's address space back to the operating system
+// at once (see mem.Memory.Release); without it the space stays mapped
+// until a finalizer reclaims it, some collector cycles after the engine
+// becomes unreachable. The engine must not be used after Close; calling
+// Close more than once is harmless.
 func (e *Engine) Close() { e.mem.Release() }
 
 // Run executes the query to the first solution (or failure).

@@ -25,6 +25,7 @@ func runQuery(t *testing.T, program, query string, pes int, sequential bool) *Re
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -698,6 +699,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	if _, err := eng.Run(); err == nil {
 		t.Error("infinite loop not aborted")
 	}
@@ -716,6 +718,7 @@ func TestHeapOverflowReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	res, err := eng.Run()
 	if err == nil || res != nil {
 		t.Fatalf("heap overflow not reported: res = %v, err = %v", res, err)

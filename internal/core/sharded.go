@@ -55,8 +55,7 @@ package core
 // Speculation can also abort mid-step (a dynamic guard panic, a machine
 // fault on a conflict-poisoned path): the context is marked needsReplay
 // — its completed cycles stay valid, the partial step's references are
-// discarded (dirty-marked so Release still re-zeroes the written
-// words), and the registers are rebuilt by undo-log rollback plus
+// discarded, and the registers are rebuilt by undo-log rollback plus
 // snapshot replay. The replay re-executes pure steps on restored base
 // memory, so it repeats the speculation's own committed cycles exactly.
 
@@ -404,7 +403,7 @@ func (e *Engine) epochConflicts(parts []*shardCtx) bool {
 // speculated write is restored to its pre-epoch word and every
 // register file to the epoch-base snapshot, so the serial loop resumes
 // at cycle base as if the epoch never ran (the discarded references
-// are dirty-marked for Release, which is the only trace they leave).
+// leave no trace).
 //
 // Restoring a word that several shards wrote takes care: the shards'
 // undo logs interleave in an unknown real-time order, so no per-shard
@@ -458,7 +457,6 @@ func (e *Engine) discardEpoch(parts []*shardCtx) {
 	}
 	for _, sc := range parts {
 		*sc.w = sc.snap
-		e.mem.MarkDirtyRefs(sc.stage.Refs)
 		sc.stage.Refs = sc.stage.Refs[:0]
 		sc.stage.Undo = sc.stage.Undo[:0]
 		sc.cycEnd = sc.cycEnd[:0]
@@ -517,15 +515,10 @@ func (e *Engine) specRun(sc *shardCtx, stop *atomic.Int64) {
 	}
 }
 
-// truncateShard discards speculated references beyond cycle k. They
-// never reach the trace or the counters, but their writes touched
-// memory, so the dirty bitmap must still cover them for Release.
+// truncateShard discards speculated references beyond cycle k: they
+// never reach the trace or the counters.
 func (e *Engine) truncateShard(sc *shardCtx, k int64) {
-	lo := sc.bound(k)
-	if lo < len(sc.stage.Refs) {
-		e.mem.MarkDirtyRefs(sc.stage.Refs[lo:])
-		sc.stage.Refs = sc.stage.Refs[:lo]
-	}
+	sc.stage.Refs = sc.stage.Refs[:sc.bound(k)]
 	sc.cycEnd = sc.cycEnd[:k-sc.base]
 }
 

@@ -42,11 +42,11 @@ func runDispatchShards(t *testing.T, program, query string, pes, shards int) (*t
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	eng.Close()
 	return buf, res
 }
 

@@ -1,15 +1,18 @@
 package mem
 
 // Tests for the staged reference path, the O(1) classification table
-// and the slab pool — the memory-side half of the emulator hot-path
-// rework. The invariants here are what the golden trace-parity suite
-// (internal/bench) relies on: staging preserves emission order
+// and the slab's lifetime — the memory-side half of the emulator
+// hot-path rework. The invariants here are what the golden trace-parity
+// suite (internal/bench) relies on: staging preserves emission order
 // exactly, classification is bit-equal to the arithmetic definition,
-// and a released slab really is all-zero before it is handed to the
-// next engine.
+// every new address space reads zero whatever the one before it held,
+// and every slab is given back exactly once.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -22,7 +25,7 @@ var refLayout = Layout{Workers: 3, Heap: 512, Local: 256, Control: 256, Trail: 1
 // order, including across flush boundaries.
 func TestStagingPreservesOrder(t *testing.T) {
 	buf := trace.NewBuffer(0)
-	m := NewMemory(refLayout, buf)
+	m := newTestMemory(t, refLayout, buf)
 	var want []trace.Ref
 	rng := uint64(12345)
 	n := stageRefs*2 + 1234 // cross several flush boundaries
@@ -57,7 +60,7 @@ func TestStagingPreservesOrder(t *testing.T) {
 // against a reference trace.Counter fed one reference at a time.
 func TestCounterMatchesPerRefTally(t *testing.T) {
 	buf := trace.NewBuffer(0)
-	m := NewMemory(refLayout, buf)
+	m := newTestMemory(t, refLayout, buf)
 	objs := []trace.ObjType{trace.ObjHeap, trace.ObjEnvPVar, trace.ObjTrail, trace.ObjGoalFrame, trace.ObjMessage}
 	rng := uint64(99)
 	for i := 0; i < 3*stageRefs/2; i++ {
@@ -87,7 +90,7 @@ func TestCounterMatchesPerRefTally(t *testing.T) {
 // compares the table-based Classify against the arithmetic definition
 // (div/mod over the span plus a linear area scan).
 func TestClassifyMatchesArithmetic(t *testing.T) {
-	m := NewMemory(refLayout, nil)
+	m := newTestMemory(t, refLayout, nil)
 	span := m.Layout().SpanWords()
 	sizes := []struct {
 		area trace.Area
@@ -125,12 +128,12 @@ func TestClassifyMatchesArithmetic(t *testing.T) {
 	}
 }
 
-// TestReleaseRestoresZeroSlab dirties memory through every write path
-// (traced writes, Pokes, cross-PE writes), releases, and verifies the
-// recycled slab is indistinguishable from a fresh allocation: the next
-// NewMemory of the same size must hand out all-zero words.
-func TestReleaseRestoresZeroSlab(t *testing.T) {
-	m := NewMemory(refLayout, nil)
+// TestNewMemoryIsZeroAfterRelease dirties memory through every write
+// path (traced writes, Pokes, cross-PE writes), releases, and verifies
+// that nothing of it survives into the next address space of the same
+// size: a NewMemory issued right after must read zero at every address.
+func TestNewMemoryIsZeroAfterRelease(t *testing.T) {
+	m := newTestMemory(t, refLayout, nil)
 	rng := uint64(7)
 	for i := 0; i < 4*stageRefs+99; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -140,30 +143,61 @@ func TestReleaseRestoresZeroSlab(t *testing.T) {
 		addr := reg.Base + int(rng>>45)%reg.Size()
 		m.Write((pe+1)%refLayout.Workers, addr, MakeInt(-1), trace.ObjHeap) // cross-PE attribution
 	}
-	m.Poke(m.Size()-1, MakeInt(42)) // untraced writes must be tracked too
+	m.Poke(m.Size()-1, MakeInt(42))
 	m.Release()
 
-	m2 := NewMemory(refLayout, nil)
+	m2 := newTestMemory(t, refLayout, nil)
 	for addr := 0; addr < m2.Size(); addr++ {
 		if w := m2.Peek(addr); w != 0 {
-			t.Fatalf("recycled slab not zero at %d: %v", addr, w)
+			t.Fatalf("new address space not zero at %d: %v", addr, w)
 		}
 	}
-	m2.Release()
 }
 
-// TestReleaseIsTerminal checks a released Memory cannot silently keep
-// operating on the recycled slab.
+// TestReleaseIsTerminal checks Release gives the slab back exactly once
+// and that a released Memory cannot silently keep operating: a late
+// access is a Go panic, never a fault on the unmapped pages.
 func TestReleaseIsTerminal(t *testing.T) {
-	m := NewMemory(refLayout, nil)
+	before := LiveBytes()
+	m, err := NewMemory(refLayout, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := LiveBytes()-before, int64(m.Size())*wordBytes; got != want {
+		t.Errorf("NewMemory added %d live bytes, want %d", got, want)
+	}
 	m.Release()
 	m.Release() // idempotent
+	if got := LiveBytes(); got != before {
+		t.Errorf("live bytes after Release = %d, want %d", got, before)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Write after Release did not panic")
 		}
 	}()
 	m.Write(0, 0, MakeInt(1), trace.ObjHeap)
+}
+
+// TestDroppedMemoryIsFinalized checks the backstop: a Memory nobody
+// Released gives its slab back once the collector finds it unreachable.
+func TestDroppedMemoryIsFinalized(t *testing.T) {
+	before := LiveBytes()
+	func() {
+		m, err := NewMemory(DefaultLayout(8), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Poke(m.Size()-1, MakeInt(1))
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for LiveBytes() != before {
+		if time.Now().After(deadline) {
+			t.Fatalf("live bytes = %d, want %d: finalizer did not run", LiveBytes(), before)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestNewMemoryRejectsTooManyWorkers pins the trace.MaxPEs bound.
@@ -180,7 +214,7 @@ func TestNewMemoryRejectsTooManyWorkers(t *testing.T) {
 // path — staging append, counter fold, batch hand-off to a BatchSink —
 // and pins it at zero allocations per operation.
 func BenchmarkMemoryRefPath(b *testing.B) {
-	m := NewMemory(refLayout, trace.Discard)
+	m := newTestMemory(b, refLayout, trace.Discard)
 	heap := m.Region(0, trace.AreaHeap)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -192,4 +226,23 @@ func BenchmarkMemoryRefPath(b *testing.B) {
 	b.StopTimer()
 	m.Flush()
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// BenchmarkNewMemoryRelease measures building and tearing down an
+// untouched address space of the default 8- and 16-PE layouts: two
+// system calls, where zeroing a fresh in-heap slab took 10–40 ms.
+func BenchmarkNewMemoryRelease(b *testing.B) {
+	for _, pes := range []int{8, 16} {
+		b.Run(fmt.Sprintf("pes=%d", pes), func(b *testing.B) {
+			l := DefaultLayout(pes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := NewMemory(l, trace.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+		})
+	}
 }

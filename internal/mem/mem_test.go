@@ -7,6 +7,17 @@ import (
 	"repro/internal/trace"
 )
 
+// newTestMemory builds a Memory that is released when the test ends.
+func newTestMemory(tb testing.TB, l Layout, sink trace.Sink) *Memory {
+	tb.Helper()
+	m, err := NewMemory(l, sink)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(m.Release)
+	return m
+}
+
 func TestWordTagsRoundTrip(t *testing.T) {
 	cases := []struct {
 		w    Word
@@ -59,7 +70,7 @@ func TestIntRoundTripProperty(t *testing.T) {
 
 func TestLayoutRegionsDisjointAndAligned(t *testing.T) {
 	l := Layout{Workers: 3, Heap: 1000, Local: 500, Control: 300, Trail: 100, PDL: 50, Goal: 60, Msg: 10}
-	m := NewMemory(l, nil)
+	m := newTestMemory(t, l, nil)
 	areas := []trace.Area{
 		trace.AreaHeap, trace.AreaLocal, trace.AreaControl,
 		trace.AreaTrail, trace.AreaPDL, trace.AreaGoal, trace.AreaMsg,
@@ -88,7 +99,7 @@ func TestLayoutRegionsDisjointAndAligned(t *testing.T) {
 }
 
 func TestClassifyInvertsRegion(t *testing.T) {
-	m := NewMemory(Layout{Workers: 4, Heap: 256, Local: 128, Control: 128, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
+	m := newTestMemory(t, Layout{Workers: 4, Heap: 256, Local: 128, Control: 128, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
 	areas := []trace.Area{
 		trace.AreaHeap, trace.AreaLocal, trace.AreaControl,
 		trace.AreaTrail, trace.AreaPDL, trace.AreaGoal, trace.AreaMsg,
@@ -114,7 +125,7 @@ func TestClassifyInvertsRegion(t *testing.T) {
 
 func TestReadWriteEmitRefs(t *testing.T) {
 	buf := trace.NewBuffer(16)
-	m := NewMemory(Layout{Workers: 2, Heap: 128, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, buf)
+	m := newTestMemory(t, Layout{Workers: 2, Heap: 128, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, buf)
 	heap := m.Region(1, trace.AreaHeap)
 	m.Write(1, heap.Base, MakeInt(5), trace.ObjHeap)
 	got := m.Read(0, heap.Base, trace.ObjHeap) // cross-PE read attributed to reader
@@ -138,7 +149,7 @@ func TestReadWriteEmitRefs(t *testing.T) {
 }
 
 func TestPeekPokeAreUntraced(t *testing.T) {
-	m := NewMemory(Layout{Workers: 1, Heap: 64, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
+	m := newTestMemory(t, Layout{Workers: 1, Heap: 64, Local: 64, Control: 64, Trail: 64, PDL: 64, Goal: 64, Msg: 64}, nil)
 	m.Poke(3, MakeInt(9))
 	if m.Peek(3).Int() != 9 {
 		t.Error("peek/poke failed")

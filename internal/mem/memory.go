@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -96,11 +96,6 @@ const stageRefs = 65536
 // block-granular classification table exact.
 const alignShift = 6
 
-// dirtyShift is log2 of the dirty-tracking block size in words (4096
-// words = one 32 KiB zeroing unit). Coarser than classification blocks
-// on purpose: the bitmap stays tiny and Release zeroes long runs.
-const dirtyShift = 12
-
 // Memory is the instrumented flat shared address space. All engine
 // accesses go through Read/Write (traced) or Peek/Poke (untraced
 // host-side inspection, used only for extracting final answers and
@@ -128,7 +123,11 @@ type Memory struct {
 	// struct because Read/Write touch it on every reference.
 	stage  *[stageRefs]Ref
 	nStage int
-	words  []Word
+	// words views the slab newSlab handed out: anonymous, lazily
+	// zero-filled OS pages on unix (a run pays only for the pages it
+	// touches), the Go heap under -race and elsewhere. nil after
+	// Release, so a late access is an index panic, never a fault.
+	words []Word
 	// tally folds the Flush loop's two counter updates into one:
 	// entry (obj<<1|op)<<6|pe counts references of that object type,
 	// operation and PE. Counter() unfolds it into the public
@@ -154,19 +153,11 @@ type Memory struct {
 	// constructed constantly during parallel trace generation).
 	classTab []uint16
 
-	// dirty marks dirtyShift-sized blocks that received at least one
-	// word since the slab was (re)zeroed; Release zeroes exactly these,
-	// making engine teardown O(touched memory) instead of O(address
-	// space). Write-marking is folded into Flush's batch loop; Poke
-	// marks directly.
-	dirty []uint64
-
 	layout Layout
 	// region offsets within a worker span, indexed by area
 	areaOff  [trace.NumAreas]int
 	areaSize [trace.NumAreas]int
 	span     int
-	released bool
 }
 
 // Ref is re-exported locally to keep the hot-path append monomorphic.
@@ -175,36 +166,23 @@ type Ref = trace.Ref
 // classTabs caches the classification table per (normalized) layout.
 var classTabs sync.Map // Layout -> []uint16
 
-// slabPools recycles zeroed word slabs by total size. Release returns a
-// slab fully re-zeroed, so NewMemory can hand it out again without the
-// O(address space) clear that otherwise dominates engine construction
-// for short benchmark runs.
-var slabPools sync.Map // int -> *sync.Pool
+// liveBytes is the total size of the slabs handed out by newSlab and
+// not yet given back.
+var liveBytes atomic.Int64
 
-func getSlab(n int) []Word {
-	if p, ok := slabPools.Load(n); ok {
-		if s := p.(*sync.Pool).Get(); s != nil {
-			return s.([]Word)
-		}
-	}
-	return make([]Word, n)
-}
+// LiveBytes reports the bytes of address space held by Memory values
+// that have been neither Released nor collected.
+func LiveBytes() int64 { return liveBytes.Load() }
 
-func putSlab(words []Word) {
-	p, ok := slabPools.Load(len(words))
-	if !ok {
-		p, _ = slabPools.LoadOrStore(len(words), &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(words)
-}
-
-// NewMemory allocates the address space for the given layout, reusing a
-// recycled slab from a previous Release when one is available. The
-// counter is always attached (cheap array increments); sink may be
-// trace.Discard. Layouts are limited to trace.MaxPEs workers — the
-// counter, the trace tooling and the cache simulators all size their
-// per-PE state to that bound.
-func NewMemory(l Layout, sink trace.Sink) *Memory {
+// NewMemory allocates the all-zero address space for the given layout;
+// the only error is the operating system refusing the mapping. Release
+// gives the space back at once; a Memory dropped without Release is
+// reclaimed by a finalizer some collector cycles later. The counter is
+// always attached (cheap array increments); sink may be trace.Discard.
+// Layouts are limited to trace.MaxPEs workers — the counter, the trace
+// tooling and the cache simulators all size their per-PE state to that
+// bound.
+func NewMemory(l Layout, sink trace.Sink) (*Memory, error) {
 	if l.Workers <= 0 {
 		panic("mem: layout needs at least one worker")
 	}
@@ -212,17 +190,21 @@ func NewMemory(l Layout, sink trace.Sink) *Memory {
 		panic(fmt.Sprintf("mem: layout has %d workers, limit %d", l.Workers, trace.MaxPEs))
 	}
 	n := l.normalized()
-	total := n.TotalWords()
+	words, err := newSlab(n.TotalWords())
+	if err != nil {
+		return nil, fmt.Errorf("mem: %d-word address space: %w", n.TotalWords(), err)
+	}
+	liveBytes.Add(int64(len(words)) * wordBytes)
 	m := &Memory{
 		stage:   new([stageRefs]Ref),
-		words:   getSlab(total),
+		words:   words,
 		tally:   make([]int64, trace.NumObjTypes*2*trace.MaxPEs),
 		layout:  n,
 		span:    n.SpanWords(),
 		sink:    sink,
 		counter: &trace.Counter{},
-		dirty:   make([]uint64, (total>>dirtyShift+63)/64+1),
 	}
+	runtime.SetFinalizer(m, (*Memory).free)
 	if m.sink == nil {
 		m.sink = trace.Discard
 	}
@@ -245,7 +227,7 @@ func NewMemory(l Layout, sink trace.Sink) *Memory {
 		off += ar.size
 	}
 	m.classTab = classTabFor(n, m.areaOff, m.areaSize)
-	return m
+	return m, nil
 }
 
 // classTabFor returns the layout's shared block-classification table,
@@ -385,27 +367,20 @@ func (m *Memory) Write(pe int, addr int, w Word, obj trace.ObjType) {
 	m.words[addr] = w
 }
 
-// Flush drains the staging buffer: counter tallies and dirty-block
-// marks are folded into one flat pass, then the batch is handed to the
-// sink (one AddBatch call when the sink supports batches) and the
-// buffer is reset for reuse. Flush is idempotent and cheap when the
-// buffer is empty.
+// Flush drains the staging buffer: counter tallies are folded in one
+// flat pass, then the batch is handed to the sink (one AddBatch call
+// when the sink supports batches) and the buffer is reset for reuse.
+// Flush is idempotent and cheap when the buffer is empty.
 func (m *Memory) Flush() {
 	refs := m.stage[:m.nStage]
 	if len(refs) == 0 {
 		return
 	}
 	tally := m.tally
-	dirty := m.dirty
 	for _, r := range refs {
 		// One read-modify-write tallies (obj, op, PE) at once; the
 		// public counter shape is unfolded lazily in Counter().
 		tally[(uint(r.Obj)<<1|uint(r.Op))<<6|uint(r.PE)&(trace.MaxPEs-1)]++
-		// Branchless dirty mark: reads OR in a zero bit (OpRead is 0),
-		// writes set their block's bit — no data-dependent branch on
-		// the op, which alternates too unpredictably to forecast.
-		block := uint(r.Addr) >> dirtyShift
-		dirty[block>>6] |= uint64(r.Op) << (block & 63)
 	}
 	if m.batch != nil {
 		m.batch.AddBatch(refs)
@@ -422,7 +397,7 @@ func (m *Memory) Flush() {
 // Read/Write references append here (a growable slice owned by one
 // speculating goroutine) instead of the shared staging buffer; the
 // engine merges completed cycles back into the canonical stream with
-// StageMerged and discards abandoned speculation with MarkDirtyRefs.
+// StageMerged and discards abandoned speculation by truncating Refs.
 //
 // Undo is the value log of every speculated Write (address, the word
 // it displaced and the word it stored, in write order). Speculation is
@@ -485,8 +460,7 @@ func (m *Memory) StageMerged(refs []Ref) {
 
 // UndoWrites rolls back every write the shard speculated, newest
 // first, restoring the exact pre-speculation words, and resets the
-// log. The touched blocks stay dirty-marked (via Poke) so Release
-// still re-zeroes them.
+// log.
 func (m *Memory) UndoWrites(s *ShardStage) {
 	for i := len(s.Undo) - 1; i >= 0; i-- {
 		u := s.Undo[i]
@@ -495,61 +469,34 @@ func (m *Memory) UndoWrites(s *ShardStage) {
 	s.Undo = s.Undo[:0]
 }
 
-// MarkDirtyRefs folds only the dirty-block marks of references that
-// will never reach the sink or the counter (discarded speculation):
-// the written words must still be re-zeroed by Release, but the tally
-// and the trace may not see the references.
-func (m *Memory) MarkDirtyRefs(refs []Ref) {
-	dirty := m.dirty
-	for _, r := range refs {
-		block := uint(r.Addr) >> dirtyShift
-		dirty[block>>6] |= uint64(r.Op) << (block & 63)
-	}
-}
-
 // Peek reads addr without instrumentation. Host-side use only (answer
 // extraction, tests, debuggers).
 func (m *Memory) Peek(addr int) Word { return m.words[addr] }
 
 // Poke writes addr without instrumentation. Host-side use only.
-func (m *Memory) Poke(addr int, w Word) {
-	block := uint(addr) >> dirtyShift
-	m.dirty[block>>6] |= 1 << (block & 63)
-	m.words[addr] = w
-}
+func (m *Memory) Poke(addr int, w Word) { m.words[addr] = w }
 
 // Size returns the total address-space size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// Release flushes the staging buffer, re-zeroes every dirty block and
-// returns the slab to the shared pool for the next NewMemory of the
-// same total size. Only touched blocks are cleared — O(touched words)
-// — restoring the all-zero invariant recycled slabs rely on
-// (TestReleaseRestoresZeroSlab scans for violations). The Memory must
-// not be used after Release.
+// Release flushes the staging buffer and gives the address space back
+// to the operating system. The Memory must not be used after Release
+// (any access panics); calling Release again is harmless.
 func (m *Memory) Release() {
-	if m.released {
+	if m.words == nil {
 		return
 	}
 	m.Flush()
-	m.released = true
+	runtime.SetFinalizer(m, nil)
+	m.free()
+}
+
+// free gives the slab back; it is also the finalizer of a Memory that
+// was dropped without Release. A finalizer runs on the runtime's own
+// goroutine, so it does not flush: the sink belongs to someone else.
+func (m *Memory) free() {
 	words := m.words
-	m.words = nil // poison: any later access panics rather than corrupting the pool
-	for wi, dbits := range m.dirty {
-		for dbits != 0 {
-			block := wi<<6 + bits.TrailingZeros64(dbits)
-			dbits &= dbits - 1
-			lo := block << dirtyShift
-			if lo >= len(words) {
-				continue
-			}
-			hi := lo + 1<<dirtyShift
-			if hi > len(words) {
-				hi = len(words)
-			}
-			clear(words[lo:hi])
-		}
-		m.dirty[wi] = 0
-	}
-	putSlab(words)
+	m.words = nil
+	liveBytes.Add(-int64(len(words)) * wordBytes)
+	freeSlab(words)
 }

@@ -16,6 +16,9 @@ import "fmt"
 // signed small integer).
 type Word uint64
 
+// wordBytes is the size of a Word in a slab.
+const wordBytes = 8
+
 // Tag identifies the kind of value a Word holds.
 type Tag uint8
 

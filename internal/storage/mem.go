@@ -43,8 +43,18 @@ type memWriter struct {
 
 func (w *memWriter) Write(p []byte) (int, error) {
 	end := w.off + int64(len(p))
-	if grow := end - int64(len(w.buf)); grow > 0 {
-		w.buf = append(w.buf, make([]byte, grow)...)
+	if end > int64(cap(w.buf)) {
+		// Double, and copy once: append's policy for large slices
+		// recopies a multi-megabyte trace several times over.
+		grown := make([]byte, len(w.buf), max(end, 2*int64(cap(w.buf))))
+		copy(grown, w.buf)
+		w.buf = grown
+	}
+	if end > int64(len(w.buf)) {
+		// Bytes between the old length and w.off (a write past the end
+		// after a seek) are zero: make zeroed them and nothing else
+		// writes beyond len.
+		w.buf = w.buf[:end]
 	}
 	copy(w.buf[w.off:end], p)
 	w.off = end

@@ -298,18 +298,38 @@ type Buffer struct {
 	Refs []Ref
 }
 
-// NewBuffer returns a Buffer with capacity for n references preallocated,
-// so that tracing does not trigger repeated reallocation (and, per the
-// reproduction notes, keeps Go GC activity away from the measured path).
+// NewBuffer returns a Buffer with capacity for n references
+// preallocated. Past n the buffer doubles: append's 1.25× policy for
+// large slices copies a multi-million-reference capture some seven
+// times over, with a collector cycle per regrow now that the heap holds
+// little else.
 func NewBuffer(n int) *Buffer {
 	return &Buffer{Refs: make([]Ref, 0, n)}
 }
 
 // Add appends r.
-func (b *Buffer) Add(r Ref) { b.Refs = append(b.Refs, r) }
+func (b *Buffer) Add(r Ref) {
+	b.reserve(1)
+	b.Refs = append(b.Refs, r)
+}
 
 // AddBatch appends a batch of references (BatchSink).
-func (b *Buffer) AddBatch(refs []Ref) { b.Refs = append(b.Refs, refs...) }
+func (b *Buffer) AddBatch(refs []Ref) {
+	b.reserve(len(refs))
+	b.Refs = append(b.Refs, refs...)
+}
+
+// reserve makes room for n more references, at least doubling the
+// capacity when it has to reallocate.
+func (b *Buffer) reserve(n int) {
+	need := len(b.Refs) + n
+	if need <= cap(b.Refs) {
+		return
+	}
+	grown := make([]Ref, len(b.Refs), max(need, 2*cap(b.Refs)))
+	copy(grown, b.Refs)
+	b.Refs = grown
+}
 
 // Len returns the number of buffered references.
 func (b *Buffer) Len() int { return len(b.Refs) }

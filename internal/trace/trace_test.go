@@ -93,6 +93,43 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestBufferGrowsByDoubling captures 4 M references the way the engine
+// delivers them (staging-buffer batches, plus single Adds) into the
+// capacity every caller preallocates and counts reallocations by
+// watching cap: doubling needs two, append's 1.25× policy seven.
+func TestBufferGrowsByDoubling(t *testing.T) {
+	b := NewBuffer(1 << 20)
+	batch := make([]Ref, 65536)
+	const total = 4_000_000
+	reallocs, last := 0, cap(b.Refs)
+	for n := 0; n < total; {
+		if total-n >= len(batch) {
+			for i := range batch {
+				batch[i].Addr = uint32(n + i)
+			}
+			b.AddBatch(batch)
+			n += len(batch)
+		} else {
+			b.Add(Ref{Addr: uint32(n)})
+			n++
+		}
+		if c := cap(b.Refs); c != last {
+			reallocs, last = reallocs+1, c
+		}
+	}
+	if reallocs > 2 {
+		t.Errorf("capturing %d refs reallocated %d times, want at most 2", total, reallocs)
+	}
+	if b.Len() != total {
+		t.Fatalf("buffer holds %d refs, want %d", b.Len(), total)
+	}
+	for i, r := range b.Refs {
+		if r.Addr != uint32(i) {
+			t.Fatalf("ref %d has address %d: growth lost data", i, r.Addr)
+		}
+	}
+}
+
 func TestBufferReplayPreservesOrder(t *testing.T) {
 	b := NewBuffer(4)
 	in := []Ref{

@@ -201,11 +201,11 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Close() // the result is self-contained; unmap on error returns too
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	eng.Close() // result is self-contained; recycle the memory slab
 	out := newResult(res)
 	if buf != nil {
 		out.Trace = &Trace{buf: buf}

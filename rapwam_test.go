@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 func TestQuickStart(t *testing.T) {
@@ -27,6 +29,36 @@ func TestQuickStart(t *testing.T) {
 	}
 	if res.Stats.GoalsParallel == 0 {
 		t.Error("no parallelism observed")
+	}
+}
+
+// TestRunGivesMemoryBackOnEveryReturn: Program.Run unmaps the engine's
+// address space whether the run succeeds, is cut short mid-flight (the
+// cycle budget — this API's only way to stop a run) or dies of a
+// machine fault (a heap too small for the program).
+func TestRunGivesMemoryBackOnEveryReturn(t *testing.T) {
+	qsort, _ := BenchmarkByName("qsort")
+	prog := MustCompile(qsort.Source, qsort.Query)
+	live := mem.LiveBytes()
+	for _, c := range []struct {
+		name    string
+		cfg     RunConfig
+		wantErr string
+	}{
+		{"success", RunConfig{PEs: 4}, ""},
+		{"cut short", RunConfig{PEs: 4, MaxCycles: 500}, "exceeded 500 cycles"},
+		{"machine fault", RunConfig{PEs: 4, HeapWords: 64}, "overflow"},
+	} {
+		_, err := prog.Run(c.cfg)
+		if c.wantErr == "" && err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Fatalf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+		if got := mem.LiveBytes(); got != live {
+			t.Fatalf("%s: run left %d bytes of engine memory mapped", c.name, got-live)
+		}
 	}
 }
 
