@@ -187,14 +187,14 @@ func TestCLIExperimentsSameOutputWithAndWithoutTraceDir(t *testing.T) {
 	if cold != mem {
 		t.Errorf("stdout differs between no -tracedir and a cold -tracedir")
 	}
-	if want := "71 hits, 30 misses, 30 traces written, 30 emulator runs; 10 results reused, 406 simulated, 25 result objects written"; !strings.Contains(coldSummary, want) {
+	if want := "71 hits, 30 misses, 30 traces written, 30 emulator runs; 10 results reused, 407 simulated, 26 result objects written"; !strings.Contains(coldSummary, want) {
 		t.Errorf("cold summary %q does not contain %q", coldSummary, want)
 	}
 	warm, warmSummary := run("-tracedir", dir)
 	if warm != mem {
 		t.Errorf("stdout differs between no -tracedir and a warm -tracedir")
 	}
-	if want := "101 hits, 0 misses, 0 traces written, 0 emulator runs; 416 results reused, 0 simulated, 0 result objects written"; !strings.Contains(warmSummary, want) {
+	if want := "101 hits, 0 misses, 0 traces written, 0 emulator runs; 417 results reused, 0 simulated, 0 result objects written"; !strings.Contains(warmSummary, want) {
 		t.Errorf("warm summary %q does not contain %q", warmSummary, want)
 	}
 }
@@ -246,7 +246,7 @@ func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
 		t.Fatalf("experiments -exp bus: exit %d\n%s", code, out)
 	}
 	code, out := runCLI(t, "tracegen", "verify", "-tracedir", dir)
-	if code != 0 || !strings.Contains(out, "4 traces, 8 sidecars/results checked, all clean") {
+	if code != 0 || !strings.Contains(out, "4 traces, 9 sidecars/results checked, all clean") {
 		t.Fatalf("verify of a clean store: exit %d\n%s", code, out)
 	}
 	sidecars, err := filepath.Glob(filepath.Join(dir, "*[0-9a-f].json"))
@@ -267,7 +267,7 @@ func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
 		t.Fatalf("verify over a damaged sidecar: exit %d, want 1 naming it\n%s", code, out)
 	}
 	code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir, "-repair")
-	if code != 0 || !strings.Contains(out, "4 traces, 8 sidecars/results scrubbed, 1 quarantined") {
+	if code != 0 || !strings.Contains(out, "4 traces, 9 sidecars/results scrubbed, 1 quarantined") {
 		t.Fatalf("verify -repair: exit %d\n%s", code, out)
 	}
 	if code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir); code != 0 {

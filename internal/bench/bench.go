@@ -181,12 +181,15 @@ func expectSuccess(res *core.Result) error {
 	return nil
 }
 
-func expectBinding(name, want string) func(*core.Result) error {
+// expectBinding checks one answer binding against want(), which runs
+// when a result is checked, not when the benchmark is constructed:
+// constructors run on every name lookup, checks once per engine run.
+func expectBinding(name string, want func() string) func(*core.Result) error {
 	return func(res *core.Result) error {
 		if !res.Success {
 			return fmt.Errorf("query failed")
 		}
-		if got := res.Bindings[name]; got != want {
+		if got, want := res.Bindings[name], want(); got != want {
 			return fmt.Errorf("%s = %.60s..., want %.60s...", name, got, want)
 		}
 		return nil
@@ -368,7 +371,7 @@ func Tak() Benchmark {
 		Name:     "tak",
 		Source:   takSource,
 		Query:    fmt.Sprintf("ptak(%d, %d, %d, A, 4)", x, y, z),
-		Check:    expectBinding("A", fmt.Sprintf("%d", takValue(x, y, z))),
+		Check:    expectBinding("A", func() string { return strconv.Itoa(takValue(x, y, z)) }),
 		Parallel: true,
 	}
 }
@@ -406,11 +409,19 @@ func qsortInput(n int) []int {
 }
 
 func intsToProlog(xs []int) string {
-	parts := make([]string, len(xs))
+	return string(appendInts(make([]byte, 0, 2+8*len(xs)), xs))
+}
+
+// appendInts appends xs as a Prolog list.
+func appendInts(buf []byte, xs []int) []byte {
+	buf = append(buf, '[')
 	for i, v := range xs {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, ",") + "]"
+	return append(buf, ']')
 }
 
 // Qsort returns the qsort benchmark.
@@ -424,13 +435,15 @@ func Qsort() Benchmark {
 // "qsort-<len>" variant.
 func QsortSized(n int) Benchmark {
 	in := qsortInput(n)
-	sorted := append([]int(nil), in...)
-	sort.Ints(sorted)
 	return Benchmark{
-		Name:     fmt.Sprintf("qsort-%d", n),
-		Source:   qsortSource,
-		Query:    fmt.Sprintf("qsort(%s, S)", intsToProlog(in)),
-		Check:    expectBinding("S", intsToProlog(sorted)),
+		Name:   "qsort-" + strconv.Itoa(n),
+		Source: qsortSource,
+		Query:  "qsort(" + intsToProlog(in) + ", S)",
+		Check: expectBinding("S", func() string {
+			sorted := append([]int(nil), in...)
+			sort.Ints(sorted)
+			return intsToProlog(sorted)
+		}),
 		Parallel: true,
 	}
 }
@@ -465,11 +478,14 @@ func matrixInput(n int) ([][]int, [][]int) {
 }
 
 func matToProlog(m [][]int) string {
-	rows := make([]string, len(m))
+	buf := []byte{'['}
 	for i, r := range m {
-		rows[i] = intsToProlog(r)
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendInts(buf, r)
 	}
-	return "[" + strings.Join(rows, ",") + "]"
+	return string(append(buf, ']'))
 }
 
 // Matrix returns the matrix multiplication benchmark (12x12 as in the
@@ -494,23 +510,24 @@ func MatrixSized(n int) Benchmark {
 			bt[i][j] = b[j][i]
 		}
 	}
-	// expected product
-	prod := make([][]int, n)
-	for i := range prod {
-		prod[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			s := 0
-			for k := 0; k < n; k++ {
-				s += a[i][k] * b[k][j]
-			}
-			prod[i][j] = s
-		}
-	}
 	return Benchmark{
-		Name:     fmt.Sprintf("matrix-%d", n),
-		Source:   matrixSource,
-		Query:    fmt.Sprintf("mmult(%s, %s, P)", matToProlog(a), matToProlog(bt)),
-		Check:    expectBinding("P", matToProlog(prod)),
+		Name:   "matrix-" + strconv.Itoa(n),
+		Source: matrixSource,
+		Query:  "mmult(" + matToProlog(a) + ", " + matToProlog(bt) + ", P)",
+		Check: expectBinding("P", func() string {
+			prod := make([][]int, n)
+			for i := range prod {
+				prod[i] = make([]int, n)
+				for j := 0; j < n; j++ {
+					s := 0
+					for k := 0; k < n; k++ {
+						s += a[i][k] * b[k][j]
+					}
+					prod[i][j] = s
+				}
+			}
+			return matToProlog(prod)
+		}),
 		Parallel: true,
 	}
 }
@@ -536,16 +553,20 @@ func NRev() Benchmark {
 // "nrev-<len>" variant.
 func NRevSized(n int) Benchmark {
 	in := make([]int, n)
-	rev := make([]int, n)
-	for i := 0; i < n; i++ {
+	for i := range in {
 		in[i] = i
-		rev[n-1-i] = i
 	}
 	return Benchmark{
-		Name:   fmt.Sprintf("nrev-%d", n),
+		Name:   "nrev-" + strconv.Itoa(n),
 		Source: nrevSource,
-		Query:  fmt.Sprintf("nrev(%s, R)", intsToProlog(in)),
-		Check:  expectBinding("R", intsToProlog(rev)),
+		Query:  "nrev(" + intsToProlog(in) + ", R)",
+		Check: expectBinding("R", func() string {
+			rev := make([]int, n)
+			for i := range rev {
+				rev[i] = n - 1 - i
+			}
+			return intsToProlog(rev)
+		}),
 	}
 }
 
@@ -611,22 +632,24 @@ func Primes() Benchmark {
 // expected prime list is recomputed in Go, so the check is exact at
 // any size.
 func PrimesSized(n int) Benchmark {
-	composite := make([]bool, n+1)
-	var primes []int
-	for p := 2; p <= n; p++ {
-		if composite[p] {
-			continue
-		}
-		primes = append(primes, p)
-		for q := p * p; q <= n; q += p {
-			composite[q] = true
-		}
-	}
 	return Benchmark{
 		Name:   fmt.Sprintf("primes-%d", n),
 		Source: primesSource,
 		Query:  fmt.Sprintf("primes(%d, Ps)", n),
-		Check:  expectBinding("Ps", intsToProlog(primes)),
+		Check: expectBinding("Ps", func() string {
+			composite := make([]bool, n+1)
+			var primes []int
+			for p := 2; p <= n; p++ {
+				if composite[p] {
+					continue
+				}
+				primes = append(primes, p)
+				for q := p * p; q <= n; q += p {
+					composite[q] = true
+				}
+			}
+			return intsToProlog(primes)
+		}),
 	}
 }
 
@@ -668,6 +691,6 @@ func Zebra() Benchmark {
 		Name:   "zebra",
 		Source: zebraSource,
 		Query:  "zebra(Owner)",
-		Check:  expectBinding("Owner", "japan"),
+		Check:  expectBinding("Owner", func() string { return "japan" }),
 	}
 }

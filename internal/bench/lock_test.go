@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -44,5 +45,44 @@ func TestLockCellSerializesOneCell(t *testing.T) {
 
 	if n := len(r.locks); n != 0 {
 		t.Fatalf("%d cell locks left on an idle Runner, want 0", n)
+	}
+}
+
+// TestConcurrentUseCellCountsEveryCaller is the regression test for the
+// flight waiter that returned without touching the store: the store's
+// hit count depended on how many callers happened to overlap the one
+// generating. Every caller of a cell now counts exactly one lookup —
+// the generator's miss, everyone else's hit — however they interleave.
+func TestConcurrentUseCellCountsEveryCaller(t *testing.T) {
+	const callers = 8
+	b := Tak()
+	s := tracestore.NewOn(storage.NewMem())
+	r := &Runner{Store: s}
+	useAll := func() {
+		t.Helper()
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = r.UseCell(context.Background(), b, 2, false, func(*tracestore.Store, tracestore.Key) error { return nil })
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	useAll()
+	if st := s.Stats(); r.EngineRuns() != 1 || st.Misses != 1 || st.Hits != callers-1 {
+		t.Fatalf("cold cell: %d emulator runs, %d misses, %d hits; want 1, 1, %d", r.EngineRuns(), st.Misses, st.Hits, callers-1)
+	}
+	s.ResetStats()
+	useAll()
+	if st := s.Stats(); r.EngineRuns() != 1 || st.Misses != 0 || st.Hits != callers {
+		t.Fatalf("stored cell: %d emulator runs, %d misses, %d hits; want 1, 0, %d", r.EngineRuns(), st.Misses, st.Hits, callers)
 	}
 }

@@ -134,18 +134,22 @@ func (r *Runner) ensure(ctx context.Context, s *tracestore.Store, b Benchmark, p
 			// Someone else is generating this cell; wait them out,
 			// then re-check the store (their failure is not ours to
 			// inherit — a cancelled or faulted generation must not
-			// poison callers with live contexts).
+			// poison callers with live contexts). The re-check is this
+			// caller's one counted lookup: with it every caller of a
+			// stored cell counts one Hit, whoever generated it, so the
+			// store's counters do not depend on who overlapped whom.
 			other := v.(*cellFlight)
 			//rapwam:allow determinism flight-wait select: both outcomes converge (re-check store / ctx.Err()), and nothing is emitted here
 			select {
 			case <-other.done:
-				if other.err == nil {
+				if other.err == nil && s.Has(k) {
 					return k, nil
 				}
 				if ctx.Err() != nil {
 					return k, ctx.Err()
 				}
-				// Their generation failed; loop and try ourselves.
+				// Their generation failed, or the cell is gone again;
+				// loop and try ourselves.
 				continue
 			case <-ctx.Done():
 				return k, ctx.Err()

@@ -95,6 +95,12 @@ func MaxPEs(p Params, target float64) (int, error) {
 	return best, nil
 }
 
+// Version identifies Simulate's observable behaviour, as cache.SimVersion
+// does the cache kernels': stored DES results are stamped with both, so
+// bump it whenever a change moves any Result Simulate returns
+// (experiments.TestBusDESGolden fails when one moves and this does not).
+const Version = "des1"
+
 // Event is one bus transaction for the discrete-event simulation.
 type Event struct {
 	// PE is the requesting processor.

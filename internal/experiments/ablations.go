@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/busmodel"
@@ -34,18 +35,19 @@ type GranularitySweep struct {
 // RunGranularitySweep measures deriv at the given depths, serving
 // per-cell statistics from the grid's memo layer.
 func RunGranularitySweep(ctx context.Context, r *bench.Runner, depths []int) (*GranularitySweep, error) {
-	base, _, err := runStats(ctx, r, bench.DerivDepth(0), 1, true)
+	cells := []TraceTarget{{bench.DerivDepth(0), 1, true}}
+	for _, d := range depths {
+		cells = append(cells, TraceTarget{bench.DerivDepth(d), 8, false})
+	}
+	sts, err := runStatsGrid(ctx, r, cells)
 	if err != nil {
 		return nil, err
 	}
-	baseRefs := float64(base.TotalWorkRefs())
-	baseCycles := float64(base.Cycles)
+	baseRefs := float64(sts[0].TotalWorkRefs())
+	baseCycles := float64(sts[0].Cycles)
 	out := &GranularitySweep{}
-	for _, d := range depths {
-		st, _, err := runStats(ctx, r, bench.DerivDepth(d), 8, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, d := range depths {
+		st := sts[i+1]
 		out.Points = append(out.Points, GranularityPoint{
 			Depth:         d,
 			GoalsParallel: st.GoalsParallel,
@@ -173,44 +175,55 @@ type BusDES struct {
 	Analytic         busmodel.Result
 }
 
-// RunBusDES replays one benchmark's bus transactions through the DES
-// bus and the analytic model.
+// busRecord is the stored result of one bus DES (result kind "des",
+// keyed by cache configuration and bus width, stamped with the versions
+// of both simulators). It embeds the replay's cache Stats because the
+// analytic half needs their traffic ratio, and asking simulateAll for
+// it would be a second UseCell and results lookup per call.
+type busRecord struct {
+	DES   busmodel.Result
+	Stats cache.Stats
+}
+
+// desVersion stamps des result objects: a record moves with either simulator.
+const desVersion = cache.SimVersion + "+" + busmodel.Version
+
+// RunBusDES runs one benchmark's bus transactions through the DES bus
+// and the analytic model: from the cell's stored results, or a replay.
 func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	// The DES needs the bus-transaction event stream in global order, so
-	// this one replay stays sequential (a single OnBus observer). A
-	// mid-replay store failure leaves sim and events partially fed, so
-	// every attempt starts both afresh.
-	var (
-		events []busmodel.Event
-		sim    *cache.Sim
-	)
-	err := r.UseCell(ctx, b, pes, pes == 1, func(s *tracestore.Store, k tracestore.Key) error {
-		events = nil
-		sim = cache.New(paperConfig(pes, cacheWords, cache.WriteInBroadcast))
-		sim.OnBus = func(pe, words int, refIndex int64) {
-			// The reference index divided by the PE count approximates
-			// the per-PE clock of the interleaved machine.
-			events = append(events, busmodel.Event{
-				PE: pe, Time: float64(refIndex) / float64(pes), Words: words,
-			})
-		}
-		return replayCell(s, k, sim)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	des, _, err := busmodel.Simulate(events, pes, busWordsPerCycle)
+	cfg := paperConfig(pes, cacheWords, cache.WriteInBroadcast)
+	key := cfg.Key() + "|bus=" + strconv.FormatFloat(busWordsPerCycle, 'g', -1, 64)
+	recs, err := cellResults(ctx, r, b, pes, pes == 1, "des", desVersion, []string{key},
+		func([]int) (string, func(*tracestore.Store, tracestore.Key) ([]busRecord, error)) {
+			return "replaying the bus transactions", func(s *tracestore.Store, k tracestore.Key) ([]busRecord, error) {
+				// The DES needs the bus-transaction event stream in global
+				// order, so this replay is sequential (a single OnBus observer).
+				var events []busmodel.Event
+				sim := cache.New(cfg)
+				sim.OnBus = func(pe, words int, refIndex int64) {
+					// The reference index divided by the PE count approximates
+					// the per-PE clock of the interleaved machine.
+					events = append(events, busmodel.Event{
+						PE: pe, Time: float64(refIndex) / float64(pes), Words: words,
+					})
+				}
+				if err := replayCell(s, k, sim); err != nil {
+					return nil, err
+				}
+				des, _, err := busmodel.Simulate(events, pes, busWordsPerCycle)
+				return []busRecord{{DES: des, Stats: sim.Stats()}}, err
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
 	ana, err := busmodel.Analytic(busmodel.Params{
 		PEs: pes, RefsPerCycle: 1,
-		TrafficRatio:     sim.Stats().TrafficRatio(),
+		TrafficRatio:     recs[0].Stats.TrafficRatio(),
 		BusWordsPerCycle: busWordsPerCycle,
 	})
 	if err != nil {
@@ -218,7 +231,7 @@ func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cach
 	}
 	return &BusDES{
 		Benchmark: benchName, PEs: pes, BusWordsPerCycle: busWordsPerCycle,
-		DES: des, Analytic: ana,
+		DES: recs[0].DES, Analytic: ana,
 	}, nil
 }
 

@@ -93,18 +93,19 @@ type Figure2 struct {
 // with a warm trace store the sweep runs no emulation at all.
 func RunFigure2(ctx context.Context, r *bench.Runner, peCounts []int) (*Figure2, error) {
 	b := bench.Deriv()
-	seq, _, err := runStats(ctx, r, b, 1, true)
+	cells := []TraceTarget{{b, 1, true}}
+	for _, pes := range peCounts {
+		cells = append(cells, TraceTarget{b, pes, false})
+	}
+	sts, err := runStatsGrid(ctx, r, cells)
 	if err != nil {
 		return nil, err
 	}
-	wamRefs := seq.TotalWorkRefs()
-	wamCycles := seq.Cycles
+	wamRefs := sts[0].TotalWorkRefs()
+	wamCycles := sts[0].Cycles
 	out := &Figure2{Benchmark: b.Name, WAMRefs: wamRefs}
-	for _, pes := range peCounts {
-		st, _, err := runStats(ctx, r, b, pes, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, pes := range peCounts {
+		st := sts[i+1]
 		var waits, idles int64
 		for i := range st.WaitCycles {
 			waits += st.WaitCycles[i]
@@ -154,15 +155,16 @@ type Table2 struct {
 // paper), serving per-cell statistics from the grid's memo layer.
 func RunTable2(ctx context.Context, r *bench.Runner, pes int) (*Table2, error) {
 	out := &Table2{PEs: pes}
+	var cells []TraceTarget
 	for _, b := range bench.Paper() {
-		seq, _, err := runStats(ctx, r, b, 1, true)
-		if err != nil {
-			return nil, err
-		}
-		par, _, err := runStats(ctx, r, b, pes, false)
-		if err != nil {
-			return nil, err
-		}
+		cells = append(cells, TraceTarget{b, 1, true}, TraceTarget{b, pes, false})
+	}
+	sts, err := runStatsGrid(ctx, r, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(cells); i += 2 {
+		b, seq, par := cells[i].Benchmark, sts[i], sts[i+1]
 		out.Rows = append(out.Rows, Table2Row{
 			Name:          b.Name,
 			Instructions:  par.TotalInstructions(),

@@ -28,10 +28,11 @@ import (
 //     chunk by chunk so the trace never materializes in memory.
 //     Runner.UseCell is the only way in, and owns the one rule for a
 //     failing store (retry, regenerate, then degrade to memory);
-//  2. simulateAll — the cache configurations a consumer wants of one
-//     cell are looked up in the cell's stored results first; the ones
-//     missing are simulated concurrently in a single pass over the
-//     trace (trace.FanOut) and stored for every later consumer;
+//  2. cellResults — what a consumer wants of one cell (simulateAll: the
+//     Stats of cache configurations; RunBusDES: the bus DES) is looked
+//     up in the cell's stored results first; what is missing is
+//     computed in a single pass over the trace (the configurations
+//     concurrently, trace.FanOut) and stored for every later consumer;
 //  3. runGrid — independent grid cells (different traces) execute on a
 //     pool of Runner.Par workers.
 //
@@ -137,7 +138,18 @@ func runStats(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, 
 	return rec.Stats, &rec.Refs, nil
 }
 
-// TraceTarget names one trace-generation cell for GenerateTraces.
+// runStatsGrid is runStats for a list of distinct cells, run as grid
+// cells and returned in the order given.
+func runStatsGrid(ctx context.Context, r *bench.Runner, cells []TraceTarget) ([]core.Stats, error) {
+	out := make([]core.Stats, len(cells))
+	err := runGrid(ctx, r, len(cells), func(i int) (err error) {
+		out[i], _, err = runStats(ctx, r, cells[i].Benchmark, cells[i].PEs, cells[i].Sequential)
+		return err
+	})
+	return out, err
+}
+
+// TraceTarget names one cell: for GenerateTraces, the trace to generate.
 type TraceTarget struct {
 	// Benchmark is the workload to trace.
 	Benchmark bench.Benchmark
@@ -170,71 +182,87 @@ func GenerateTraces(ctx context.Context, r *bench.Runner, targets []TraceTarget)
 	})
 }
 
-// simulateAll returns per-configuration statistics for one cell. A
-// Stats is a pure function of the cell's key, the configuration and
-// cache.SimVersion, so the cell's result object in the store is asked
-// first, and only the configurations it lacks are simulated — together,
-// in a single fan-out pass over the stored trace — and then written
-// back with the rest. A cell whose every configuration is stored is
-// never decoded. The cell lock makes lookup → replay → write-back the
-// single-flight: a concurrent consumer of the same cell waits and then
-// finds these results stored.
+// cellResults is the one memo path of every number derived from a
+// cell's trace. A result is a pure function of the cell's key, a
+// canonical configuration key and the version of the code that computes
+// its kind, so the cell's result object of that kind is asked first, and
+// only the keys it lacks are computed — plan, given their indexes, words
+// the cost for the progress line and returns the computation: all of
+// them from a single replay of the stored trace — and then written back
+// with the rest. A cell whose every key is stored is never decoded. The
+// cell lock makes lookup → replay → write-back the single-flight: a
+// concurrent consumer of the same cell waits and then finds these
+// results stored.
 //
 // Results are written only after the replay verified the whole trace
 // (chunk CRCs and footer), and a failed write costs the next consumer
 // a recomputation, never this one its answer. A mid-stream store
-// failure leaves the simulators partially fed, so all of this runs
-// inside UseCell: every heal attempt starts from a fresh lookup and
-// fresh simulator state.
+// failure leaves the consumers partially fed, so all of this runs
+// inside UseCell: every heal attempt starts from a fresh lookup and a
+// fresh plan, and compute must build its consumer state when called.
+func cellResults[T any](ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, kind, version string, keys []string,
+	plan func(missing []int) (cost string, compute func(*tracestore.Store, tracestore.Key) ([]T, error))) ([]T, error) {
+	var out []T
+	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
+		defer r.LockCell(s, k)()
+		stored, err := tracestore.LoadResults[T](s, k, kind, version, keys)
+		if err != nil {
+			return err
+		}
+		out = make([]T, len(keys))
+		var missing []int
+		for i, key := range keys {
+			if v, ok := stored[key]; ok {
+				out[i] = v
+			} else {
+				missing = append(missing, i)
+			}
+		}
+		served := fmt.Sprintf("%v: %d of %d configs from stored results", k, len(keys)-len(missing), len(keys))
+		if len(missing) == 0 {
+			r.Progressf("%s", served)
+			return nil
+		}
+		cost, compute := plan(missing)
+		r.Progressf("%s; %s", served, cost)
+		fresh, err := compute(s, k)
+		if err != nil {
+			return err
+		}
+		for j, i := range missing {
+			out[i] = fresh[j]
+			stored[keys[i]] = fresh[j]
+		}
+		if err := tracestore.PutResults(s, k, kind, version, stored); err != nil {
+			r.Progressf("storing results for %v failed: %v", k, err)
+		}
+		return nil
+	})
+	return out, err
+}
+
+// simulateAll returns per-configuration cache statistics for one cell:
+// result kind "sim", a Stats per cache.Config.Key() under
+// cache.SimVersion, the missing configurations simulated together in a
+// single fan-out pass.
 func simulateAll(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, cfgs []cache.Config) ([]cache.Stats, error) {
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = cfg.Key()
 	}
-	var st []cache.Stats
-	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
-		defer r.LockCell(s, k)()
-		stored, err := tracestore.LoadResults[cache.Stats](s, k, cache.SimVersion, keys)
-		if err != nil {
-			return err
-		}
-		st = make([]cache.Stats, len(cfgs))
-		var missing []int
-		for i, key := range keys {
-			if v, ok := stored[key]; ok {
-				st[i] = v
-			} else {
-				missing = append(missing, i)
+	return cellResults(ctx, r, b, pes, sequential, "sim", cache.SimVersion, keys,
+		func(missing []int) (string, func(*tracestore.Store, tracestore.Key) ([]cache.Stats, error)) {
+			todo := make([]cache.Config, len(missing))
+			for j, i := range missing {
+				todo[j] = cfgs[i]
 			}
-		}
-		todo := make([]cache.Config, len(missing))
-		for j, i := range missing {
-			todo[j] = cfgs[i]
-		}
-		cost := ""
-		if len(todo) > 0 {
-			cost = fmt.Sprintf("; simulating %d configs with %d simulators", len(todo), cache.Simulators(todo))
-		}
-		r.Progressf("%v: %d of %d configs from stored results%s", k, len(cfgs)-len(todo), len(cfgs), cost)
-		if len(todo) == 0 {
-			return nil
-		}
-		fresh, err := cache.SimulateAllStream(todo, func(sinks []trace.Sink) error {
-			return replayCell(s, k, sinks...)
+			return fmt.Sprintf("simulating %d configs with %d simulators", len(todo), cache.Simulators(todo)),
+				func(s *tracestore.Store, k tracestore.Key) ([]cache.Stats, error) {
+					return cache.SimulateAllStream(todo, func(sinks []trace.Sink) error {
+						return replayCell(s, k, sinks...)
+					})
+				}
 		})
-		if err != nil {
-			return err
-		}
-		for j, i := range missing {
-			st[i] = fresh[j]
-			stored[keys[i]] = fresh[j]
-		}
-		if err := tracestore.PutResults(s, k, cache.SimVersion, stored); err != nil {
-			r.Progressf("storing results for %v failed: %v", k, err)
-		}
-		return nil
-	})
-	return st, err
 }
 
 // protocolRatios computes each benchmark's write-in broadcast traffic

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,15 +13,17 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/busmodel"
 	"repro/internal/cache"
 	"repro/internal/storage"
 	"repro/internal/tracestore"
 )
 
-// Tests of the stored simulation results: simulateAll asks the cell's
-// result object first and replays only for what it lacks, and nothing
-// a consumer can observe — rendered output, Stats — depends on where a
-// result came from.
+// Tests of the stored results of a cell: cellResults (simulateAll for
+// cache Stats, RunBusDES for the bus DES) asks the cell's result object
+// first and replays only for what it lacks, and nothing a consumer can
+// observe — rendered output, Stats — depends on where a result came
+// from.
 
 // replayCounter counts the trace objects opened through it: every
 // Replay of a stored trace is one Get of a .rwt2 object.
@@ -39,10 +42,10 @@ func (c *replayCounter) Get(name string) (io.ReadCloser, error) {
 // TestExpAllColdWarmDifferential takes the full `-exp all` driver set
 // through a store cold and then warm and requires the store-less
 // rendering both times. It pins the warm run's economy — no emulator
-// run, no simulation, and a single Replay (RunBusDES needs the bus
-// event stream, not Stats) — and the hit accounting the benchmark
-// harness's oracle expects: a call served entirely from stored results
-// counts the one hit its Replay would have.
+// run, no simulation, no trace opened: the bus DES is a stored result
+// like every Stats — and the hit accounting the benchmark harness's
+// oracle expects: a call served entirely from stored results counts the
+// one hit its Replay would have.
 func TestExpAllColdWarmDifferential(t *testing.T) {
 	want := expAll(t, new(bench.Runner))
 
@@ -57,16 +60,18 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 		t.Errorf("store-cold: %d hits, %d misses, %d traces written, %d emulator runs; want 71, 30, 30, 30",
 			cold.Hits, cold.Misses, cold.Puts, coldRunner.EngineRuns())
 	}
-	if cold.ResultHits != expAllRepeatConfigs || cold.ResultMisses != expAllConfigs-expAllRepeatConfigs {
-		t.Errorf("store-cold: %d configs from stored results, %d simulated; want %d and %d",
-			cold.ResultHits, cold.ResultMisses, expAllRepeatConfigs, expAllConfigs-expAllRepeatConfigs)
+	if cold.ResultHits != expAllRepeatConfigs || cold.ResultMisses != expAllResults-expAllRepeatConfigs {
+		t.Errorf("store-cold: %d results from stored results, %d computed; want %d and %d",
+			cold.ResultHits, cold.ResultMisses, expAllRepeatConfigs, expAllResults-expAllRepeatConfigs)
 	}
-	// 33 simulateAll calls less the 8 served whole, plus RunBusDES.
-	if n, want := backend.replays.Load(), int64(33-expAllRepeatCalls+1); n != want {
-		t.Errorf("store-cold: %d replays, want %d", n, want)
+	// 33 simulateAll calls less the 8 served whole, plus RunBusDES: each
+	// replays once and writes its cell's result object back.
+	const replayingCalls = 33 - expAllRepeatCalls + 1
+	if n := backend.replays.Load(); n != replayingCalls {
+		t.Errorf("store-cold: %d replays, want %d", n, replayingCalls)
 	}
-	if cold.ResultPuts != 33-expAllRepeatCalls {
-		t.Errorf("store-cold: %d result objects written, want one per replaying call (%d)", cold.ResultPuts, 33-expAllRepeatCalls)
+	if cold.ResultPuts != replayingCalls {
+		t.Errorf("store-cold: %d result objects written, want one per replaying call (%d)", cold.ResultPuts, replayingCalls)
 	}
 	cells, err := store.List()
 	if err != nil || len(cells) != 30 {
@@ -83,12 +88,129 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 		t.Errorf("warm: %d hits, %d misses, %d traces written, %d emulator runs; want 101, 0, 0, 0",
 			hits, misses, puts, warmRunner.EngineRuns())
 	}
-	if hits, misses, puts := warm.ResultHits-cold.ResultHits, warm.ResultMisses-cold.ResultMisses, warm.ResultPuts-cold.ResultPuts; hits != expAllConfigs || misses != 0 || puts != 0 {
-		t.Errorf("warm: %d configs from stored results, %d simulated, %d result objects written; want %d, 0, 0",
-			hits, misses, puts, expAllConfigs)
+	if hits, misses, puts := warm.ResultHits-cold.ResultHits, warm.ResultMisses-cold.ResultMisses, warm.ResultPuts-cold.ResultPuts; hits != expAllResults || misses != 0 || puts != 0 {
+		t.Errorf("warm: %d results from stored results, %d computed, %d result objects written; want %d, 0, 0",
+			hits, misses, puts, expAllResults)
 	}
-	if n := backend.replays.Load() - coldReplays; n != 1 {
-		t.Errorf("warm: %d replays, want 1 (RunBusDES)", n)
+	if n := backend.replays.Load() - coldReplays; n != 0 {
+		t.Errorf("warm: %d stored traces opened, want 0", n)
+	}
+}
+
+// TestParentWrittenStoreGainsOnlyTheDESObject runs `-exp all` over a
+// store as the build before result kinds left it — traces, sidecars and
+// <stem>.sim.json objects, no des object: every cache result is reused,
+// qsort@8 is replayed once for the bus DES, one object is written, and
+// the run after that opens no trace.
+func TestParentWrittenStoreGainsOnlyTheDESObject(t *testing.T) {
+	mem := storage.NewMem()
+	backend := &replayCounter{Backend: mem}
+	store := tracestore.NewOn(backend)
+	want := expAll(t, &bench.Runner{Store: store})
+	names, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var des []string
+	for _, name := range names {
+		if strings.HasSuffix(name, ".des.json") {
+			des = append(des, name)
+		}
+	}
+	if len(des) != 1 || !strings.HasPrefix(des[0], "qsort-p8-par-") {
+		t.Fatalf("des objects after a cold run: %v, want qsort@8's alone", des)
+	}
+	if err := mem.Delete(des[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass, economy := range []struct{ hits, misses, puts, replays int64 }{
+		{expAllConfigs, 1, 1, 1},
+		{expAllResults, 0, 0, 0},
+	} {
+		before, replays := store.Stats(), backend.replays.Load()
+		r := &bench.Runner{Store: store}
+		if got := expAll(t, r); got != want {
+			t.Errorf("pass %d: output differs from the cold run's", pass)
+		}
+		st := store.Stats()
+		if hits, misses, puts, n := st.ResultHits-before.ResultHits, st.ResultMisses-before.ResultMisses, st.ResultPuts-before.ResultPuts, backend.replays.Load()-replays; hits != economy.hits || misses != economy.misses || puts != economy.puts || n != economy.replays || r.EngineRuns() != 0 {
+			t.Errorf("pass %d: %d results reused, %d computed, %d result objects written, %d replays, %d emulator runs; want %d, %d, %d, %d, 0",
+				pass, hits, misses, puts, n, r.EngineRuns(), economy.hits, economy.misses, economy.puts, economy.replays)
+		}
+	}
+	if _, err := mem.Stat(des[0]); err != nil {
+		t.Errorf("the des object did not come back: %v", err)
+	}
+}
+
+// TestBusDESPartialFill is TestPartialFillSimulatesOnlyTheDifference
+// for the des kind: one bus width, then that width and another — each
+// round replays once, the second computing only the new width and
+// writing both back — and afterwards both are served with no replay.
+// A stored record renders exactly what a computed one does.
+func TestBusDESPartialFill(t *testing.T) {
+	ctx := context.Background()
+	backend := &replayCounter{Backend: storage.NewMem()}
+	r := &bench.Runner{Store: tracestore.NewOn(backend)}
+	round := func(widths []float64, replays, hits, misses, puts int64) {
+		t.Helper()
+		before, n := r.Store.Stats(), backend.replays.Load()
+		for _, bw := range widths {
+			want, err := RunBusDES(ctx, shared, "qsort", 2, 256, bw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunBusDES(ctx, r, "qsort", 2, 256, bw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Errorf("bw=%v: %+v through the store, %+v without", bw, *got, *want)
+			}
+		}
+		st := r.Store.Stats()
+		if n, hits2, misses2, puts2 := backend.replays.Load()-n, st.ResultHits-before.ResultHits, st.ResultMisses-before.ResultMisses, st.ResultPuts-before.ResultPuts; n != replays || hits2 != hits || misses2 != misses || puts2 != puts {
+			t.Errorf("widths %v: %d replays, %d results reused, %d computed, %d objects written; want %d, %d, %d, %d",
+				widths, n, hits2, misses2, puts2, replays, hits, misses, puts)
+		}
+	}
+	round([]float64{4}, 1, 0, 1, 1)
+	round([]float64{4, 8}, 1, 1, 1, 1)
+	round([]float64{4, 8}, 0, 2, 0, 0)
+	if r.EngineRuns() != 1 {
+		t.Errorf("%d emulator runs, want 1", r.EngineRuns())
+	}
+	recs, err := tracestore.LoadResults[busRecord](r.Store, bench.StoreKey("qsort", 2, false), "des", desVersion, nil)
+	if err != nil || len(recs) != 2 {
+		t.Errorf("the des object holds %d records (err %v), want both widths", len(recs), err)
+	}
+}
+
+// The pinned pair of TestBusDESGolden: the bit patterns of the DES's
+// utilization, mean wait and efficiency for qsort at 8 PEs, 256-word
+// caches, 4 bus words per cycle.
+const goldenDESVersion = "des1"
+
+var goldenDES = [3]uint64{0x3fe1e74b82d97c7b, 0x40180aa9573f2d8d, 0x3fe5aedcfb9f76bf}
+
+// TestBusDESGolden pins the bus DES's output together with
+// busmodel.Version, as TestSimVersionGolden pins the cache kernels':
+// stored des records are trusted for as long as the stamp
+// cache.SimVersion+busmodel.Version stands, so output that moves under
+// an unchanged stamp would be served stale.
+func TestBusDESGolden(t *testing.T) {
+	b, err := RunBusDES(context.Background(), new(bench.Runner), "qsort", 8, 256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [3]uint64{math.Float64bits(b.DES.Utilization), math.Float64bits(b.DES.MeanWaitCycles), math.Float64bits(b.DES.Efficiency)}
+	switch {
+	case got == goldenDES && busmodel.Version == goldenDESVersion:
+	case busmodel.Version == goldenDESVersion:
+		t.Errorf("the bus DES's output moved (%#x, pinned %#x) under busmodel.Version %q: bump it (or cache.SimVersion, if the cache's bus transactions moved), then re-pin", got, goldenDES, busmodel.Version)
+	default:
+		t.Errorf("busmodel.Version is %q, the pinned pair is for %q: re-pin goldenDESVersion and goldenDES = %#x", busmodel.Version, goldenDESVersion, got)
 	}
 }
 
@@ -195,11 +317,11 @@ func TestDamagedResultObjectIsRecomputed(t *testing.T) {
 		{"truncated", edit(func(d []byte) []byte { return d[:len(d)/2] }), 1},
 		{"other SimVersion", func(t *testing.T, r *bench.Runner) {
 			k := bench.StoreKey(b.Name, 2, false)
-			results, err := tracestore.LoadResults[cache.Stats](r.Store, k, cache.SimVersion, nil)
+			results, err := tracestore.LoadResults[cache.Stats](r.Store, k, "sim", cache.SimVersion, nil)
 			if err != nil || len(results) != len(cfgs) {
 				t.Fatalf("reading the object back: %d results, err %v", len(results), err)
 			}
-			if err := tracestore.PutResults(r.Store, k, cache.SimVersion+"-other", results); err != nil {
+			if err := tracestore.PutResults(r.Store, k, "sim", cache.SimVersion+"-other", results); err != nil {
 				t.Fatal(err)
 			}
 		}, 0},

@@ -292,6 +292,103 @@ func TestClusterEngineRunsOncePerCell(t *testing.T) {
 	}
 }
 
+// peerGets records the names a node reads through its peer tiers.
+type peerGets struct {
+	storage.Backend
+	mu    *sync.Mutex
+	names *[]string
+}
+
+func (p peerGets) Get(name string) (io.ReadCloser, error) {
+	p.mu.Lock()
+	*p.names = append(*p.names, name)
+	p.mu.Unlock()
+	return p.Backend.Get(name)
+}
+
+// TestClusterCellResultsTravelByName: result objects of every kind
+// travel through the trace store's Peer tier by name, like traces and
+// sidecars do. Node 0 computes the bus study and then loses its
+// envelope store; node 1, handed the same request to serve locally,
+// finds no envelope anywhere and renders from the cells' <stem>.sim.json
+// and <stem>.des.json objects fetched from node 0 — it runs no emulator
+// and never opens a trace, its own or its peer's.
+func TestClusterCellResultsTravelByName(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		fetched []string
+	)
+	f := newTestFleet(t, 2, func(b storage.Backend) storage.Backend {
+		return peerGets{Backend: b, mu: &mu, names: &fetched}
+	})
+	// serveLocally is what a proxying peer sends: the receiving node
+	// fetches, computes or fails, and never proxies on.
+	serveLocally := func(i int) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, f.nodes[i].url+"/v1/experiments/bus?pes=2", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(proxyHeader, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d: status %d, err %v: %s", i, resp.StatusCode, err, body)
+		}
+		return resp, body
+	}
+	_, golden := serveLocally(0)
+	if n := f.nodes[0].srv.runner.EngineRuns(); n != 4 {
+		t.Fatalf("node 0 ran the emulator %d times for the cold bus study, want 4", n)
+	}
+	f.nodes[0].result = storage.NewMem()
+	f.boot(f.nodes[0])
+	mu.Lock()
+	fetched = nil
+	mu.Unlock()
+
+	resp, body := serveLocally(1)
+	if !bytes.Equal(body, golden) {
+		t.Fatalf("node 1 rendered a different body:\n%s\n%s", body, golden)
+	}
+	if src := resp.Header.Get("X-Result-Source"); src != "computed" {
+		t.Fatalf("node 1 served from %q, want computed (no envelope is left anywhere)", src)
+	}
+	nd := f.nodes[1]
+	if n := nd.srv.runner.EngineRuns(); n != 0 {
+		t.Errorf("node 1 ran the emulator %d times, want 0", n)
+	}
+	if st := nd.srv.runner.Store.Stats(); st.ResultHits != 5 || st.ResultMisses != 0 {
+		t.Errorf("node 1: %d results reused, %d computed; want 5 and 0", st.ResultHits, st.ResultMisses)
+	}
+	kinds := map[string]int{}
+	mu.Lock()
+	for _, name := range fetched {
+		for _, suffix := range []string{".rwt2", ".sim.json", ".des.json"} {
+			if strings.HasSuffix(name, suffix) {
+				kinds[suffix]++
+			}
+		}
+	}
+	mu.Unlock()
+	if kinds[".sim.json"] != 4 || kinds[".des.json"] != 1 || kinds[".rwt2"] != 0 {
+		t.Errorf("node 1 fetched from its peer %v; want 4 sim objects, 1 des object and no trace", kinds)
+	}
+	local, err := nd.trace.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range local {
+		if strings.HasSuffix(name, ".rwt2") {
+			t.Errorf("node 1 holds the trace %s it never needed", name)
+		}
+	}
+}
+
 // TestClusterByteIdentityAcrossNodesAndRestarts: a cell computed once
 // is served byte-identically by every member, by every member after a
 // fleet-wide restart, and — via peer fetch — by a member that rejoined

@@ -149,7 +149,7 @@ func TestHealthzAndStats(t *testing.T) {
 
 	// The grid's stored-results decisions surface in trace_store: a cold
 	// bus study simulates one configuration of each paper benchmark and
-	// writes one result object per cell.
+	// runs one bus DES, and writes one result object per cell and kind.
 	getOK(t, h, "/v1/experiments/bus?pes=2")
 	w = getOK(t, h, "/v1/stats")
 	var raw struct {
@@ -158,8 +158,8 @@ func TestHealthzAndStats(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
 		t.Fatalf("stats body: %v", err)
 	}
-	if ts := raw.TraceStore; ts["ResultHits"] != 0 || ts["ResultMisses"] != 4 || ts["ResultPuts"] != 4 {
-		t.Fatalf("trace_store after a cold bus study = %v, want 0 ResultHits, 4 ResultMisses, 4 ResultPuts", ts)
+	if ts := raw.TraceStore; ts["ResultHits"] != 0 || ts["ResultMisses"] != 5 || ts["ResultPuts"] != 5 {
+		t.Fatalf("trace_store after a cold bus study = %v, want 0 ResultHits, 5 ResultMisses, 5 ResultPuts", ts)
 	}
 }
 

@@ -14,52 +14,69 @@ import (
 // result stands in for a consumer's per-configuration result.
 type result struct{ Refs, Misses int64 }
 
+// eachKind runs f once per result kind the repo stores: the contract
+// below is one object's, and a kind is only part of its name.
+func eachKind(t *testing.T, f func(t *testing.T, kind string)) {
+	for _, kind := range []string{"sim", "des"} {
+		t.Run(kind, func(t *testing.T) { f(t, kind) })
+	}
+}
+
 // TestResultsRoundTripAndAccounting pins the result object's contract:
 // what was put is what loads, want is accounted key by key, a lookup
 // that found everything wanted counts the one Hit of the Replay it
 // saved while a partial or empty one counts none, result writes are not
-// trace Puts, and List does not see the object.
+// trace Puts, List does not see the object, and one kind's object is
+// invisible to a lookup of another kind.
 func TestResultsRoundTripAndAccounting(t *testing.T) {
-	s := NewOn(storage.NewMem())
-	k := testKey()
-	fillCell(t, s, k)
-	s.ResetStats()
+	eachKind(t, func(t *testing.T, kind string) {
+		s := NewOn(storage.NewMem())
+		k := testKey()
+		fillCell(t, s, k)
+		s.ResetStats()
 
-	got, err := LoadResults[result](s, k, "v1", []string{"a", "b"})
-	if err != nil || got == nil || len(got) != 0 {
-		t.Fatalf("empty store: %v, err %v; want an empty non-nil map", got, err)
-	}
-	if st := s.Stats(); st != (Stats{ResultMisses: 2}) {
-		t.Fatalf("empty lookup: %+v, want only 2 result misses", st)
-	}
+		got, err := LoadResults[result](s, k, kind, "v1", []string{"a", "b"})
+		if err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("empty store: %v, err %v; want an empty non-nil map", got, err)
+		}
+		if st := s.Stats(); st != (Stats{ResultMisses: 2}) {
+			t.Fatalf("empty lookup: %+v, want only 2 result misses", st)
+		}
 
-	want := map[string]result{"a": {10, 1}, "b": {20, 2}}
-	if err := PutResults(s, k, "v1", want); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Puts != 0 || st.ResultPuts != 1 {
-		t.Fatalf("after PutResults: %d trace puts, %d result puts; want 0 and 1", st.Puts, st.ResultPuts)
-	}
-	s.ResetStats()
+		want := map[string]result{"a": {10, 1}, "b": {20, 2}}
+		if err := PutResults(s, k, kind, "v1", want); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Puts != 0 || st.ResultPuts != 1 {
+			t.Fatalf("after PutResults: %d trace puts, %d result puts; want 0 and 1", st.Puts, st.ResultPuts)
+		}
+		if _, err := s.b.Stat(k.stem() + "." + kind + ".json"); err != nil {
+			t.Fatalf("the object is not named <stem>.%s.json: %v", kind, err)
+		}
+		s.ResetStats()
 
-	got, err = LoadResults[result](s, k, "v1", []string{"a", "c"})
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("loaded %v, err %v; want %v", got, err, want)
-	}
-	if st := s.Stats(); st != (Stats{ResultHits: 1, ResultMisses: 1}) {
-		t.Fatalf("partial lookup: %+v, want 1 result hit, 1 result miss and no Hit", st)
-	}
-	if _, err = LoadResults[result](s, k, "v1", []string{"b", "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st != (Stats{Hits: 1, ResultHits: 3, ResultMisses: 1}) {
-		t.Fatalf("full lookup: %+v, want one Hit and two more result hits", st)
-	}
+		got, err = LoadResults[result](s, k, kind, "v1", []string{"a", "c"})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded %v, err %v; want %v", got, err, want)
+		}
+		if st := s.Stats(); st != (Stats{ResultHits: 1, ResultMisses: 1}) {
+			t.Fatalf("partial lookup: %+v, want 1 result hit, 1 result miss and no Hit", st)
+		}
+		if _, err = LoadResults[result](s, k, kind, "v1", []string{"b", "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st != (Stats{Hits: 1, ResultHits: 3, ResultMisses: 1}) {
+			t.Fatalf("full lookup: %+v, want one Hit and two more result hits", st)
+		}
+		if got, err := LoadResults[result](s, k, kind+"x", "v1", nil); err != nil || len(got) != 0 {
+			t.Fatalf("a lookup of another kind was served %v (err %v)", got, err)
+		}
 
-	entries, err := s.List()
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("List: %d entries (err %v), want the one trace", len(entries), err)
-	}
+		entries, err := s.List()
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("List: %d entries (err %v), want the one trace", len(entries), err)
+		}
+	})
 }
 
 // TestResultsBytesDeterministic: two stores given the same results in
@@ -77,7 +94,7 @@ func TestResultsBytesDeterministic(t *testing.T) {
 		for _, key := range keys {
 			m[key] = result{Refs: int64(len(key))}
 		}
-		if err := PutResults(s, k, "v1", m); err != nil {
+		if err := PutResults(s, k, "sim", "v1", m); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(strings.TrimSuffix(s.Path(k), TraceExt) + ".sim.json")
@@ -96,37 +113,77 @@ func TestResultsBytesDeterministic(t *testing.T) {
 // else's valid data — it reads as nothing stored and stays where it
 // is until a write replaces it.
 func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
-	mem := storage.NewMem()
-	s := NewOn(mem)
-	k := testKey()
-	if err := PutResults(s, k, "v1", map[string]result{"a": {1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadResults[result](s, k, "v2", []string{"a"})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("another version's object served %v (err %v)", got, err)
-	}
+	eachKind(t, func(t *testing.T, kind string) {
+		mem := storage.NewMem()
+		s := NewOn(mem)
+		k := testKey()
+		if err := PutResults(s, k, kind, "v1", map[string]result{"a": {1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadResults[result](s, k, kind, "v2", []string{"a"})
+		if err != nil || len(got) != 0 {
+			t.Fatalf("another version's object served %v (err %v)", got, err)
+		}
 
-	// The same bytes under another cell's name.
-	other := Key{Benchmark: "synth2", PEs: 2, Sequential: true, EmulatorVersion: "emuT"}
-	storagetest.Put(t, mem, other.resultsName(), storagetest.Get(t, mem, k.resultsName()))
-	got, err = LoadResults[result](s, other, "v1", []string{"a"})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("a mis-filed object served %v (err %v)", got, err)
-	}
-	if st := s.Stats(); st.Quarantines != 0 || st.ResultHits != 0 {
-		t.Fatalf("stale objects: %+v, want nothing quarantined and nothing served", st)
-	}
-	if _, err := mem.Stat(k.resultsName()); err != nil {
-		t.Fatalf("the stale object was removed: %v", err)
-	}
+		// The same bytes under another cell's name.
+		other := Key{Benchmark: "synth2", PEs: 2, Sequential: true, EmulatorVersion: "emuT"}
+		storagetest.Put(t, mem, other.resultsName(kind), storagetest.Get(t, mem, k.resultsName(kind)))
+		got, err = LoadResults[result](s, other, kind, "v1", []string{"a"})
+		if err != nil || len(got) != 0 {
+			t.Fatalf("a mis-filed object served %v (err %v)", got, err)
+		}
+		if st := s.Stats(); st.Quarantines != 0 || st.ResultHits != 0 {
+			t.Fatalf("stale objects: %+v, want nothing quarantined and nothing served", st)
+		}
+		if _, err := mem.Stat(k.resultsName(kind)); err != nil {
+			t.Fatalf("the stale object was removed: %v", err)
+		}
+	})
+}
+
+// TestCorruptResultsQuarantinedThenHealed: a damaged result object of
+// either kind reads as nothing stored and is moved aside by that read;
+// the caller's write-back is then the only object, and serves.
+func TestCorruptResultsQuarantinedThenHealed(t *testing.T) {
+	eachKind(t, func(t *testing.T, kind string) {
+		mem := storage.NewMem()
+		s := NewOn(mem)
+		k := testKey()
+		want := map[string]result{"a": {1, 1}}
+		if err := PutResults(s, k, kind, "v1", want); err != nil {
+			t.Fatal(err)
+		}
+		data := []byte(storagetest.Get(t, mem, k.resultsName(kind)))
+		data[bytes.LastIndexAny(data, "0123456789")] ^= 0x01 // still JSON, wrong numbers
+		storagetest.Put(t, mem, k.resultsName(kind), string(data))
+
+		got, err := LoadResults[result](s, k, kind, "v1", []string{"a"})
+		if err != nil || len(got) != 0 {
+			t.Fatalf("a damaged object served %v (err %v)", got, err)
+		}
+		if st := s.Stats(); st.Quarantines != 1 || st.ResultMisses != 1 {
+			t.Fatalf("damaged lookup: %+v, want 1 quarantine and 1 result miss", st)
+		}
+		if _, err := mem.Stat(k.resultsName(kind)); err == nil {
+			t.Fatal("the damaged object is still in place")
+		}
+		if err := PutResults(s, k, kind, "v1", want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadResults[result](s, k, kind, "v1", []string{"a"}); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after the write-back: %v (err %v), want %v", got, err, want)
+		}
+		if rep := s.Verify(); len(rep.Errors) != 0 {
+			t.Fatalf("store not clean afterwards: %v", rep.Errors)
+		}
+	})
 }
 
 // TestVerifyChecksEnvelopesReadOnly is the regression test for the
 // read-only verify that never opened a .json object: a bit-flipped run
 // sidecar or result object used to report "all clean" until a -repair
-// run. Verify now reports both, counts what it checked, and still
-// moves nothing; Scrub quarantines exactly those objects.
+// run. Verify now reports all of them, counts what it checked, and
+// still moves nothing; Scrub quarantines exactly those objects.
 func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -134,15 +191,18 @@ func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 	}
 	k := testKey()
 	fillCell(t, s, k)
-	if err := PutResults(s, k, "v1", map[string]result{"a": {1, 1}}); err != nil {
-		t.Fatal(err)
+	for _, kind := range []string{"sim", "des"} {
+		if err := PutResults(s, k, kind, "v1", map[string]result{"a": {1, 1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Traces != 1 || rep.Checked != 3 {
-		t.Fatalf("clean store: %+v, want no errors over 1 trace + 2 envelopes", rep)
+	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Traces != 1 || rep.Checked != 4 {
+		t.Fatalf("clean store: %+v, want no errors over 1 trace + 3 envelopes", rep)
 	}
 
 	stem := strings.TrimSuffix(s.Path(k), TraceExt)
-	for _, path := range []string{stem + ".json", stem + ".sim.json"} {
+	envelopes := []string{stem + ".json", stem + ".sim.json", stem + ".des.json"}
+	for _, path := range envelopes {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -155,19 +215,19 @@ func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 		}
 	}
 	rep := s.Verify()
-	if len(rep.Errors) != 2 || len(rep.Quarantined) != 0 {
-		t.Fatalf("Verify over two damaged envelopes: errors %v, quarantined %v; want 2 and none", rep.Errors, rep.Quarantined)
+	if len(rep.Errors) != 3 || len(rep.Quarantined) != 0 {
+		t.Fatalf("Verify over three damaged envelopes: errors %v, quarantined %v; want 3 and none", rep.Errors, rep.Quarantined)
 	}
 	if st := s.Stats(); st.Quarantines != 0 {
 		t.Fatalf("read-only Verify quarantined %d objects", st.Quarantines)
 	}
-	for _, path := range []string{stem + ".json", stem + ".sim.json"} {
+	for _, path := range envelopes {
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("Verify moved %s: %v", path, err)
 		}
 	}
-	if rep := s.Scrub(); len(rep.Quarantined) != 2 {
-		t.Fatalf("Scrub quarantined %v, want both envelopes", rep.Quarantined)
+	if rep := s.Scrub(); len(rep.Quarantined) != 3 {
+		t.Fatalf("Scrub quarantined %v, want all three envelopes", rep.Quarantined)
 	}
 	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Checked != 1 {
 		t.Fatalf("after Scrub: %+v, want a clean store of one trace", rep)

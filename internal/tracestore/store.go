@@ -12,22 +12,22 @@
 //
 // A store is one storage.Backend namespace (a local directory in
 // production — storage.Dir — or storage.Mem in tests). Each cell owns
-// up to three objects:
+// a trace, a run sidecar and one result object per kind of result:
 //
 //	<bench>-p<PEs>-<seq|par>-<emuver>-<key hash>.rwt2   compact trace
 //	<same stem>.json                                    run sidecar
-//	<same stem>.sim.json                                result object
+//	<same stem>.<kind>.json                             result object (sim, des)
 //
 // The name's human-readable prefix is advisory; the 12-hex-digit
 // SHA-256 prefix of the canonical key string is what addresses the
 // cell, and every read re-verifies the decoded header against the key.
 // The sidecar carries the run's engine statistics (JSON), so experiment
 // drivers that need only core.Stats never re-run the emulator either.
-// The result object carries what consumers computed from the trace —
-// one result per canonical configuration key, stamped with the version
-// of the code that computed them (LoadResults/PutResults) — so a
-// consumer that finds its configurations there never decodes the trace.
-// Both JSON objects sit in a checksummed envelope.
+// A result object carries what one kind of consumer computed from the
+// trace — one result per canonical configuration key, stamped with the
+// version of the code that computed them (LoadResults/PutResults) — so
+// a consumer that finds its configurations there never decodes the
+// trace. Every JSON object sits in a checksummed envelope.
 //
 // # Self-healing
 //
@@ -237,8 +237,8 @@ const envelopeExt = ".json"
 // sidecarName returns the run-sidecar object name for a key.
 func (k Key) sidecarName() string { return k.stem() + envelopeExt }
 
-// resultsName returns the result-object name for a key.
-func (k Key) resultsName() string { return k.stem() + ".sim" + envelopeExt }
+// resultsName returns the name of the key's result object of a kind.
+func (k Key) resultsName(kind string) string { return k.stem() + "." + kind + envelopeExt }
 
 // Path returns the file a key's trace is (or would be) stored at for
 // directory-backed stores; for other backends it returns the object
@@ -558,11 +558,12 @@ func (s *Store) loadEnvelope(name string, v any) (ok bool, err error) {
 	return true, nil
 }
 
-// resultObject is the payload of a cell's result object: everything
-// consumers have computed from the cell's trace so far, one result per
-// canonical configuration key, stamped with what the results are a
-// function of — the cell, the codec its trace was decoded with, and
-// the version of the code that computed them.
+// resultObject is the payload of one of a cell's result objects:
+// everything consumers of its kind have computed from the cell's trace
+// so far, one result per canonical configuration key, stamped with what
+// the results are a function of — the cell, the codec its trace was
+// decoded with, and the version of the code that computed them (the
+// field is named for the first kind, sim).
 type resultObject[T any] struct {
 	Key          Key          `json:"key"`
 	CodecVersion int          `json:"codec_version"`
@@ -570,25 +571,26 @@ type resultObject[T any] struct {
 	Results      map[string]T `json:"results"`
 }
 
-// LoadResults returns every result stored for k that version
-// simVersion of the consumer computed, keyed by canonical configuration
-// key (never nil; empty when nothing usable is stored), and accounts
-// the lookup of want against it: ResultHits and ResultMisses count the
-// wanted keys found and not found, and a lookup that found all of them
-// counts one Hit, since the caller no longer needs the Replay that
-// would have counted it.
+// LoadResults returns every result stored in k's result object of the
+// given kind (part of the object's name) that version version of the
+// kind's consumer computed, keyed by canonical configuration key (never
+// nil; empty when nothing usable is stored), and accounts the lookup of
+// want against it: ResultHits and ResultMisses count the wanted keys
+// found and not found, and a lookup that found all of them counts one
+// Hit, since the caller no longer needs the Replay that would have
+// counted it.
 //
 // An object stamped by another build (simulator, emulator or codec
 // version) is not corrupt, only stale: it is ignored, and the caller's
 // PutResults replaces it. A corrupt one is quarantined and reads as
 // nothing stored. Only backend failures surface as errors.
-func LoadResults[T any](s *Store, k Key, simVersion string, want []string) (map[string]T, error) {
+func LoadResults[T any](s *Store, k Key, kind, version string, want []string) (map[string]T, error) {
 	var obj resultObject[T]
-	ok, err := s.loadEnvelope(k.resultsName(), &obj)
+	ok, err := s.loadEnvelope(k.resultsName(kind), &obj)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || obj.Key != k || obj.CodecVersion != trace.CodecVersion || obj.SimVersion != simVersion || obj.Results == nil {
+	if !ok || obj.Key != k || obj.CodecVersion != trace.CodecVersion || obj.SimVersion != version || obj.Results == nil {
 		obj.Results = map[string]T{}
 	}
 	var found int64
@@ -605,15 +607,15 @@ func LoadResults[T any](s *Store, k Key, simVersion string, want []string) (map[
 	return obj.Results, nil
 }
 
-// PutResults stores results as the whole result object of k, computed
-// by version simVersion of the consumer. The object is one per cell, so
-// a caller adding results merges them into what LoadResults returned
-// and writes the union; the caller serializes that read-modify-write
-// per cell (bench.Runner.LockCell). A lost update between processes
-// costs a recomputation, never a wrong answer.
-func PutResults[T any](s *Store, k Key, simVersion string, results map[string]T) error {
-	err := s.putEnvelope(k.resultsName(), resultObject[T]{
-		Key: k, CodecVersion: trace.CodecVersion, SimVersion: simVersion, Results: results,
+// PutResults stores results as k's whole result object of a kind,
+// computed by version version of its consumer. The object is one per
+// cell and kind, so a caller adding results merges them into what
+// LoadResults returned and writes the union; the caller serializes that
+// read-modify-write per cell (bench.Runner.LockCell). A lost update
+// between processes costs a recomputation, never a wrong answer.
+func PutResults[T any](s *Store, k Key, kind, version string, results map[string]T) error {
+	err := s.putEnvelope(k.resultsName(kind), resultObject[T]{
+		Key: k, CodecVersion: trace.CodecVersion, SimVersion: version, Results: results,
 	})
 	if err == nil {
 		s.resultPuts.Add(1)
