@@ -1,7 +1,9 @@
 package service
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -21,14 +23,8 @@ func benchServer(b *testing.B, warmPath string) *httptest.Server {
 	}
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + warmPath)
-	if err != nil {
+	if err := warmGet(ts.Client(), ts.URL+warmPath); err != nil {
 		b.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("warming %s: status %d", warmPath, resp.StatusCode)
 	}
 	return ts
 }
@@ -74,6 +70,75 @@ func BenchmarkServiceWarm(b *testing.B) {
 			b.ReportMetric(float64(pct(0.99).Nanoseconds()), "p99-ns")
 		})
 	}
+}
+
+// BenchmarkServiceWarmMix is the in-process twin of the harness's
+// service-mix warm phase: every registry experiment (default
+// parameters) in every format, requested in a seeded random order by 2
+// concurrent clients over real HTTP; reports aggregate requests/s.
+func BenchmarkServiceWarmMix(b *testing.B) {
+	s, err := New(Config{ResultDir: b.TempDir(), TraceDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	var urls []string
+	for _, e := range Registry() {
+		for _, format := range []string{"json", "csv", "text"} {
+			urls = append(urls, ts.URL+"/v1/experiments/"+e.Name+"?format="+format)
+		}
+	}
+	// Warm every URL: the json of each experiment computes, every
+	// request after it is a memory hit.
+	for _, u := range urls {
+		if err := warmGet(client, u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := make([]int, 4096)
+	for i := range order {
+		order[i] = rng.Intn(len(urls))
+	}
+	b.Run("2clients", func(b *testing.B) {
+		const clients = 2
+		errs := make(chan error, clients)
+		b.ResetTimer()
+		start := time.Now()
+		for c := 0; c < clients; c++ {
+			go func(c int) {
+				for i := c; i < b.N; i += clients {
+					if err := warmGet(client, urls[order[i%len(order)]]); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(c)
+		}
+		for c := 0; c < clients; c++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/s")
+	})
+}
+
+// warmGet performs one request and drains it, failing on a non-200.
+func warmGet(client *http.Client, url string) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return nil
 }
 
 // BenchmarkServiceWarmParallel drives the warm cache with concurrent

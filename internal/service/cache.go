@@ -29,6 +29,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -107,9 +108,53 @@ type CacheStats struct {
 // entry is evicted (the backend layer still holds it).
 const maxMemEntries = 128
 
+// memEntry is one key's slot in the memory layer: the verified envelope
+// (the json response) and its csv and text renderings, each rendered on
+// the key's first request in that format. The renderings live and die
+// with the envelope — eviction and quarantine drop the whole entry — so
+// a rendering can never outlive the bytes it was derived from.
+type memEntry struct {
+	body      []byte
+	csv, text atomic.Pointer[[]byte]
+}
+
+// render returns the entry's response bytes in format ("json", "csv" or
+// "text"). A csv/text rendering is made from the decoded envelope on
+// first use — the same bytes whichever layer supplied the envelope —
+// and stored; concurrent first renders race benignly (the bytes are
+// deterministic, the first stored wins). Errors are never stored.
+func (e *memEntry) render(exp *Experiment, format string) ([]byte, error) {
+	slot := &e.csv
+	switch format {
+	case "json":
+		return e.body, nil
+	case "text":
+		slot = &e.text
+	}
+	if p := slot.Load(); p != nil {
+		return *p, nil
+	}
+	v, err := decodeResult(exp, e.body)
+	if err != nil {
+		return nil, fmt.Errorf("decoding cached result: %w", err)
+	}
+	var buf bytes.Buffer
+	if format == "csv" {
+		if err := renderCSV(exp, v, &buf); err != nil {
+			return nil, fmt.Errorf("rendering csv: %w", err)
+		}
+	} else {
+		buf.WriteString(exp.text(v))
+	}
+	out := buf.Bytes()
+	slot.CompareAndSwap(nil, &out)
+	return out, nil
+}
+
 // ResultCache is a content-addressed store of rendered experiment
 // results over one storage backend (a local directory in production),
-// with a small in-memory layer in front. Writes are atomic through the
+// with a small in-memory layer in front that also holds each entry's
+// csv and text renderings (memEntry). Writes are atomic through the
 // backend, so concurrent writers — including separate daemons sharing
 // the directory — race benignly and readers only observe complete
 // entries.
@@ -132,7 +177,7 @@ type ResultCache struct {
 	quarantines atomic.Int64
 
 	mu  sync.RWMutex
-	mem map[string][]byte
+	mem map[string]*memEntry
 }
 
 // OpenResultCache creates (if needed) and opens a result cache
@@ -152,14 +197,14 @@ func OpenResultCacheDir(dir string, tempAge time.Duration) (*ResultCache, error)
 	if err != nil {
 		return nil, fmt.Errorf("service: result cache: %w", err)
 	}
-	return &ResultCache{b: d, dir: dir, mem: make(map[string][]byte)}, nil
+	return &ResultCache{b: d, dir: dir, mem: make(map[string]*memEntry)}, nil
 }
 
 // NewResultCacheOn opens a result cache over an arbitrary backend
 // (in-memory caches for tests, fault-injection wrappers for chaos
 // runs).
 func NewResultCacheOn(b storage.Backend) *ResultCache {
-	c := &ResultCache{b: b, mem: make(map[string][]byte)}
+	c := &ResultCache{b: b, mem: make(map[string]*memEntry)}
 	if d, ok := b.(*storage.Dir); ok {
 		c.dir = d.Root()
 	}
@@ -288,27 +333,36 @@ func verifyEnvelope(k CacheKey, body []byte) bool {
 // counters. Invalid entries are quarantined and count as misses — the
 // caller recomputes and overwrites.
 func (c *ResultCache) Get(k CacheKey) (body []byte, source string, ok bool) {
-	return c.lookup(k, true)
+	e, source, ok := c.lookup(k, k.hash(), true)
+	if !ok {
+		return nil, "", false
+	}
+	return e.body, source, true
 }
 
-// peek is Get without touching the counters — for double-checked
+// get is Get for a key whose content address h the caller already
+// holds, returning the memory-layer entry (every format's bytes).
+func (c *ResultCache) get(k CacheKey, h string) (e *memEntry, source string, ok bool) {
+	return c.lookup(k, h, true)
+}
+
+// peek is get without touching the counters — for double-checked
 // lookups whose request already recorded its miss.
-func (c *ResultCache) peek(k CacheKey) (body []byte, source string, ok bool) {
-	return c.lookup(k, false)
+func (c *ResultCache) peek(k CacheKey, h string) (e *memEntry, source string, ok bool) {
+	return c.lookup(k, h, false)
 }
 
-func (c *ResultCache) lookup(k CacheKey, record bool) (body []byte, source string, ok bool) {
-	h := k.hash()
+func (c *ResultCache) lookup(k CacheKey, h string, record bool) (e *memEntry, source string, ok bool) {
 	c.mu.RLock()
-	body, ok = c.mem[h]
+	e, ok = c.mem[h]
 	c.mu.RUnlock()
 	if ok {
 		if record {
 			c.memHits.Add(1)
 		}
-		return body, "memory", true
+		return e, "memory", true
 	}
-	miss := func() ([]byte, string, bool) {
+	miss := func() (*memEntry, string, bool) {
 		if record {
 			c.misses.Add(1)
 		}
@@ -329,7 +383,7 @@ func (c *ResultCache) lookup(k CacheKey, record bool) (body []byte, source strin
 	if bs, ok := rc.(interface{ BlobSource() string }); ok {
 		layer = bs.BlobSource()
 	}
-	body, err = io.ReadAll(rc)
+	body, err := io.ReadAll(rc)
 	rc.Close()
 	if err != nil {
 		if !storage.IsTransient(err) && !storage.AsBackendError(err) {
@@ -347,12 +401,12 @@ func (c *ResultCache) lookup(k CacheKey, record bool) (body []byte, source strin
 	if record {
 		c.diskHits.Add(1)
 	}
-	c.remember(h, body)
-	return body, layer, true
+	return c.remember(h, body), layer, true
 }
 
 // quarantine moves a bad entry aside (falling back to deletion like
-// the trace store) and drops it from the memory layer.
+// the trace store) and drops it — every rendering with it — from the
+// memory layer.
 func (c *ResultCache) quarantine(name, hash string) {
 	c.mu.Lock()
 	delete(c.mem, hash)
@@ -368,20 +422,28 @@ func (c *ResultCache) quarantine(name, hash string) {
 // Put stores body as the result for k: atomically through the backend,
 // then the in-memory layer. Any error leaves the cache unchanged.
 func (c *ResultCache) Put(k CacheKey, body []byte) error {
+	_, err := c.put(k, k.hash(), body)
+	return err
+}
+
+// put is Put for a key whose content address h the caller already
+// holds, returning the new memory-layer entry.
+func (c *ResultCache) put(k CacheKey, h string, body []byte) (*memEntry, error) {
 	err := c.b.Put(k.name(), func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("service: result cache: %w", err)
+		return nil, fmt.Errorf("service: result cache: %w", err)
 	}
 	c.puts.Add(1)
-	c.remember(k.hash(), body)
-	return nil
+	return c.remember(h, body), nil
 }
 
-// remember inserts into the bounded in-memory layer.
-func (c *ResultCache) remember(hash string, body []byte) {
+// remember inserts a fresh entry for a verified envelope into the
+// bounded in-memory layer.
+func (c *ResultCache) remember(hash string, body []byte) *memEntry {
+	e := &memEntry{body: body}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.mem) >= maxMemEntries {
@@ -390,7 +452,8 @@ func (c *ResultCache) remember(hash string, body []byte) {
 			break
 		}
 	}
-	c.mem[hash] = body
+	c.mem[hash] = e
+	return e
 }
 
 // Len returns the number of complete entries in the backend.

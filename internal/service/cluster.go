@@ -187,12 +187,8 @@ type clusterStatsBody struct {
 // on the request itself (shed, compute timeout, caller gone) and
 // propagate; final=false errors mean "the owner could not help" and
 // the caller falls back to computing locally.
-func (s *Server) proxyCompute(ctx context.Context, owner string, key CacheKey, ps []param) (flightResult, bool, error) {
-	q := make(url.Values, len(ps))
-	for _, p := range ps {
-		q.Set(p.name, p.value)
-	}
-	u := owner + "/v1/experiments/" + url.PathEscape(key.Experiment) + "?" + q.Encode()
+func (s *Server) proxyCompute(ctx context.Context, owner string, key CacheKey, h string, ps []param) (flightResult, bool, error) {
+	u := owner + "/v1/experiments/" + url.PathEscape(key.Experiment) + "?" + paramQuery(ps).Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return flightResult{}, false, err
@@ -219,13 +215,8 @@ func (s *Server) proxyCompute(ctx context.Context, owner string, key CacheKey, p
 			return flightResult{}, false, fmt.Errorf("owner %s served an invalid envelope for %s", owner, key.Experiment)
 		}
 		// Cache the verified result locally so the next request here is
-		// a local hit; a failed write degrades the cache, not the
-		// response.
-		if err := s.cache.Put(key, body); err != nil {
-			storage.MarkDegraded(ctx, "result-cache")
-			s.logf("result cache write for proxied %s failed: %v", key.Experiment, err)
-		}
-		res := flightResult{body: body, src: "proxied"}
+		// a local hit.
+		res := flightResult{ent: s.cacheResult(ctx, key, h, body), src: "proxied"}
 		if d := resp.Header.Get("X-Degraded"); d != "" {
 			res.degraded = strings.Split(d, ",")
 		}

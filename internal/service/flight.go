@@ -91,11 +91,11 @@ func (a *admission) release() {
 
 // flightResult is what a completed flight hands every waiter.
 type flightResult struct {
-	// body is the response body; src reports where it came from
-	// ("computed", or a cache layer when the in-flight double-check
-	// hit).
-	body []byte
-	src  string
+	// ent holds the envelope (and, once rendered, its csv and text
+	// forms); src reports where it came from ("computed", "proxied", or
+	// a cache layer when the in-flight double-check hit).
+	ent *memEntry
+	src string
 	// degraded lists storage components the computation had to bypass
 	// (compute-without-caching); the handler surfaces them in the
 	// X-Degraded header for every waiter.

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -33,6 +34,17 @@ func canonicalParams(ps []param) string {
 		parts[i] = p.name + "=" + p.value
 	}
 	return strings.Join(parts, "&")
+}
+
+// paramQuery renders canonical parameters as a request query — what a
+// proxied compute sends the owner, which must canonicalize it back to
+// the same key.
+func paramQuery(ps []param) url.Values {
+	q := make(url.Values, len(ps))
+	for _, p := range ps {
+		q.Set(p.name, p.value)
+	}
+	return q
 }
 
 // paramMap renders the envelope's parameter map.
@@ -108,16 +120,17 @@ func intParam(q url.Values, name string, def, lo, hi int) (int, error) {
 	return n, nil
 }
 
-// floatParam parses q[name] as a positive float, defaulting when
-// absent.
+// floatParam parses q[name] as a finite positive float, defaulting when
+// absent. NaN and ±Inf are refused here: they would pass a plain
+// f <= 0 test, run the whole computation, then fail to marshal.
 func floatParam(q url.Values, name string, def float64) (float64, error) {
 	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f <= 0 {
-		return 0, fmt.Errorf("parameter %s=%q: need a positive number", name, s)
+	if err != nil || !(f > 0) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("parameter %s=%q: need a finite positive number", name, s)
 	}
 	return f, nil
 }
@@ -389,7 +402,7 @@ var registry = []*Experiment{
 		Summary: "the 2 MLIPS feasibility calculation from measured statistics (paper section 3.3)",
 		Params: []ParamDoc{
 			{Name: "cache", Default: "256", Doc: "cache size in words for the capture ratio"},
-			{Name: "target", Default: "2", Doc: "MLIPS performance target"},
+			{Name: "target", Default: "2", Doc: "MLIPS performance target (finite positive)"},
 		},
 		prepare: func(q url.Values) ([]param, runFunc, error) {
 			cacheWords, err := intParam(q, "cache", 256, 1, 1<<22)
@@ -435,7 +448,7 @@ var registry = []*Experiment{
 		Params: []ParamDoc{
 			{Name: "pes", Default: "8", Doc: fmt.Sprintf("PE count in [1, %d]", trace.MaxPEs)},
 			{Name: "cache", Default: "256", Doc: "cache size in words"},
-			{Name: "bw", Default: "4", Doc: "bus words per cycle for the DES cross-check"},
+			{Name: "bw", Default: "4", Doc: "bus words per cycle for the DES cross-check (finite positive)"},
 			{Name: "desbench", Default: "qsort", Doc: "benchmark replayed through the DES bus"},
 		},
 		prepare: func(q url.Values) ([]param, runFunc, error) {

@@ -387,7 +387,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "json"
 	}
-	if format != "json" && format != "csv" && format != "text" {
+	if _, ok := contentTypes[format]; !ok {
 		s.fail(w, http.StatusBadRequest, "parameter format=%q: want json, csv or text", format)
 		return
 	}
@@ -397,6 +397,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := CacheKey{Experiment: name, Params: canonicalParams(ps)}
+	h := key.hash()
 	// A request another node already proxied once is served entirely
 	// locally — fetch, compute, or fail — never proxied again, so a
 	// stale peer list cannot bounce a request around the fleet.
@@ -405,10 +406,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.cluster.proxiedServes.Add(1)
 	}
 
-	body, source, ok := s.cache.Get(key)
+	ent, source, ok := s.cache.get(key, h)
 	var degraded []string
 	if !ok {
-		res, err := s.compute(r.Context(), key, ps, run, proxied)
+		res, err := s.compute(r.Context(), key, h, ps, run, proxied)
 		if err != nil {
 			switch {
 			case errors.Is(err, errShed):
@@ -426,7 +427,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		body, source, degraded = res.body, res.src, res.degraded
+		ent, source, degraded = res.ent, res.src, res.degraded
+	}
+	body, err := ent.render(exp, format)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "%s: %v", name, err)
+		return
 	}
 
 	if len(degraded) > 0 {
@@ -435,26 +441,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Result-Source", source)
 	w.Header().Set("X-Emulator-Version", core.EmulatorVersion)
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	case "csv", "text":
-		v, err := decodeResult(exp, body)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "%s: decoding cached result: %v", name, err)
-			return
-		}
-		if format == "csv" {
-			w.Header().Set("Content-Type", "text/csv")
-			if err := renderCSV(exp, v, w); err != nil {
-				s.fail(w, http.StatusInternalServerError, "%s: rendering csv: %v", name, err)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, exp.text(v))
-	}
+	w.Header().Set("Content-Type", contentTypes[format])
+	w.Write(body)
+}
+
+// contentTypes maps each response format to its Content-Type.
+var contentTypes = map[string]string{
+	"json": "application/json",
+	"csv":  "text/csv",
+	"text": "text/plain; charset=utf-8",
 }
 
 // compute fills the cache for key through the single-flight group:
@@ -469,9 +464,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // (cancelled cells are evicted from every memo layer), or in the worst
 // case joins another doomed flight and loops again. Shed and
 // compute-timeout errors are final — never retried here.
-func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
+func (s *Server) compute(ctx context.Context, key CacheKey, h string, ps []param, run runFunc, proxied bool) (flightResult, error) {
 	for {
-		res, err := s.computeOnce(ctx, key, ps, run, proxied)
+		res, err := s.computeOnce(ctx, key, h, ps, run, proxied)
 		if err != nil && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			continue
@@ -480,14 +475,14 @@ func (s *Server) compute(ctx context.Context, key CacheKey, ps []param, run runF
 	}
 }
 
-func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run runFunc, proxied bool) (flightResult, error) {
-	return s.flights.do(ctx, key.hash(), func(cctx context.Context) (flightResult, error) {
+func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps []param, run runFunc, proxied bool) (flightResult, error) {
+	return s.flights.do(ctx, h, func(cctx context.Context) (flightResult, error) {
 		// Double check under the flight: a racing request may have
 		// completed (and cached) this cell between our miss and this
 		// flight starting. peek keeps the hit/miss counters honest —
 		// the handler already recorded this request's miss.
-		if body, src, ok := s.cache.peek(key); ok {
-			return flightResult{body: body, src: src}, nil
+		if ent, src, ok := s.cache.peek(key, h); ok {
+			return flightResult{ent: ent, src: src}, nil
 		}
 		// The degraded flag rides the compute context: the grid marks
 		// it when a trace-store failure forces the storeless path, and
@@ -499,8 +494,8 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run 
 		// unreachable or unusable owner degrades to computing locally —
 		// a dead peer costs the fleet duplicate work, never an outage.
 		if s.cluster != nil && !proxied {
-			if owner := s.cluster.ownerOf(key.hash()); owner != s.cluster.self {
-				res, final, err := s.proxyCompute(cctx, owner, key, ps)
+			if owner := s.cluster.ownerOf(h); owner != s.cluster.self {
+				res, final, err := s.proxyCompute(cctx, owner, key, h, ps)
 				if err == nil {
 					res.degraded = mergeDegraded(res.degraded, flag.Components())
 					return res, nil
@@ -525,15 +520,23 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, ps []param, run 
 		if err != nil {
 			return flightResult{}, err
 		}
-		if err := s.cache.Put(key, body); err != nil {
-			// Serve the result anyway: a full disk degrades the cache,
-			// not the response.
-			storage.MarkDegraded(cctx, "result-cache")
-			s.logf("result cache write for %s failed: %v", key.Experiment, err)
-		}
+		ent := s.cacheResult(cctx, key, h, body)
 		s.logf("computed %s?%s in %v (%d bytes)", key.Experiment, key.Params, time.Since(t0), len(body))
-		return flightResult{body: body, src: "computed", degraded: flag.Components()}, nil
+		return flightResult{ent: ent, src: "computed", degraded: flag.Components()}, nil
 	})
+}
+
+// cacheResult stores a verified envelope and returns its memory-layer
+// entry. A failed write still serves the result — a full disk degrades
+// the cache, not the response — from an entry outside the memory layer.
+func (s *Server) cacheResult(ctx context.Context, key CacheKey, h string, body []byte) *memEntry {
+	ent, err := s.cache.put(key, h, body)
+	if err != nil {
+		storage.MarkDegraded(ctx, "result-cache")
+		s.logf("result cache write for %s failed: %v", key.Experiment, err)
+		return &memEntry{body: body}
+	}
+	return ent
 }
 
 // marshalEnvelope renders the canonical stored/served JSON body.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,26 +185,37 @@ func TestExperimentListDocumentsEveryEndpoint(t *testing.T) {
 	}
 }
 
+// cheapCases is every registry experiment at cheap parameters (where it
+// accepts any).
+var cheapCases = []struct {
+	name string
+	path string
+}{
+	{"table1", "/v1/experiments/table1"},
+	{"fig2", "/v1/experiments/fig2?pes=1,2"},
+	{"table2", "/v1/experiments/table2?pes=2"},
+	{"table3", "/v1/experiments/table3"},
+	{"fig4", "/v1/experiments/fig4?pes=1,2&sizes=64,256"},
+	{"mlips", "/v1/experiments/mlips?cache=64"},
+	{"bus", "/v1/experiments/bus?pes=2&cache=64&desbench=qsort-150"},
+	{"ablations", "/v1/experiments/ablations?pes=2"},
+}
+
+// withFormat appends a format parameter to an experiment path.
+func withFormat(path, format string) string {
+	if strings.Contains(path, "?") {
+		return path + "&format=" + format
+	}
+	return path + "?format=" + format
+}
+
 // TestEndpointRoundTrips exercises every experiment endpoint in every
 // format over one shared server (cheap parameters where the experiment
 // accepts them), checking envelope shape and cache-layer progression.
 func TestEndpointRoundTrips(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	cases := []struct {
-		name string
-		path string
-	}{
-		{"table1", "/v1/experiments/table1"},
-		{"fig2", "/v1/experiments/fig2?pes=1,2"},
-		{"table2", "/v1/experiments/table2?pes=2"},
-		{"table3", "/v1/experiments/table3"},
-		{"fig4", "/v1/experiments/fig4?pes=1,2&sizes=64,256"},
-		{"mlips", "/v1/experiments/mlips?cache=64"},
-		{"bus", "/v1/experiments/bus?pes=2&cache=64&desbench=qsort-150"},
-		{"ablations", "/v1/experiments/ablations?pes=2"},
-	}
-	for _, tc := range cases {
+	for _, tc := range cheapCases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := getOK(t, h, tc.path)
 			if got := w.Header().Get("X-Result-Source"); got != "computed" {
@@ -225,12 +237,8 @@ func TestEndpointRoundTrips(t *testing.T) {
 				t.Error("warm body differs from cold body")
 			}
 			// CSV and text renderings succeed and are non-empty.
-			sep := "?"
-			if bytes.ContainsRune([]byte(tc.path), '?') {
-				sep = "&"
-			}
 			for _, format := range []string{"csv", "text"} {
-				wf := getOK(t, h, tc.path+sep+"format="+format)
+				wf := getOK(t, h, withFormat(tc.path, format))
 				if wf.Body.Len() == 0 {
 					t.Errorf("%s rendering empty", format)
 				}
@@ -255,6 +263,12 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiments/table1?format=xml", http.StatusBadRequest},
 		{"/v1/experiments/bus?desbench=nope", http.StatusBadRequest},
 		{"/v1/experiments/mlips?target=-1", http.StatusBadRequest},
+		// Non-finite floats: NaN fails a plain f <= 0 test and +Inf is
+		// positive, so both used to run the grid, then fail to marshal.
+		{"/v1/experiments/mlips?target=NaN", http.StatusBadRequest},
+		{"/v1/experiments/mlips?target=Inf", http.StatusBadRequest},
+		{"/v1/experiments/bus?bw=Inf&pes=2&cache=64", http.StatusBadRequest},
+		{"/v1/experiments/bus?bw=NaN&pes=2&cache=64", http.StatusBadRequest},
 		// Cache geometry below one line: cache.Config.Validate's
 		// bound, enforced before any computation starts.
 		{"/v1/experiments/mlips?cache=1", http.StatusBadRequest},
