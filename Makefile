@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (four targets run back to back).
+# Per-target budget for `make fuzz` (five targets run back to back).
 FUZZTIME ?= 30s
 
 .PHONY: all check build test race lint audit fuzz bench cover fmt vet docs
@@ -50,13 +50,15 @@ audit:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# fuzz exercises the three hostile-input surfaces — the compact trace
-# decoder, the fault-spec parser and the /v1 experiment parameters —
-# and the multi-size cache simulator against single-size ones on
-# generated classes and streams. Seeds live in each package's f.Add
-# calls or testdata/fuzz corpus; new findings land in testdata/fuzz.
+# fuzz exercises the four hostile-input surfaces — the compact trace
+# decoder, the stored-object decoder, the fault-spec parser and the /v1
+# experiment parameters — and the multi-size cache simulator against
+# single-size ones on generated classes and streams. Seeds live in each
+# package's f.Add calls or testdata/fuzz corpus; new findings land in
+# testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkReader -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzMultiSizeMatchesSim -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzPrepareParams -fuzztime $(FUZZTIME) ./internal/service/

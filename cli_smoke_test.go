@@ -237,41 +237,48 @@ func TestCLIExperimentsSummaryOnInterrupt(t *testing.T) {
 }
 
 // TestCLIVerifyReadsSidecarsAndResults: the read-only `tracegen verify`
-// counts and checks the JSON objects beside the traces, so a damaged
-// run sidecar is reported (exit 1) without -repair, and -repair heals
-// the store.
+// counts and checks the objects beside the traces kind by kind, so a
+// damaged run sidecar is reported (exit 1) without -repair, and -repair
+// heals the store. A JSON object a build before the binary object
+// format left behind is counted as legacy and never touched.
 func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
 	dir := t.TempDir()
 	if code, out := runCLI(t, "experiments", "-exp", "bus", "-pes", "2", "-tracedir", dir); code != 0 {
 		t.Fatalf("experiments -exp bus: exit %d\n%s", code, out)
 	}
 	code, out := runCLI(t, "tracegen", "verify", "-tracedir", dir)
-	if code != 0 || !strings.Contains(out, "4 traces, 9 sidecars/results checked, all clean") {
+	if code != 0 || !strings.Contains(out, "4 traces, 4 run records, 4 sim, 1 des checked, 0 legacy objects ignored, all clean") {
 		t.Fatalf("verify of a clean store: exit %d\n%s", code, out)
 	}
-	sidecars, err := filepath.Glob(filepath.Join(dir, "*[0-9a-f].json"))
+	sidecars, err := filepath.Glob(filepath.Join(dir, "*.run.rwo1"))
 	if err != nil || len(sidecars) != 4 {
 		t.Fatalf("run sidecars in the store: %v (err %v), want 4", sidecars, err)
+	}
+	legacy := strings.TrimSuffix(sidecars[1], ".run.rwo1") + ".json"
+	if err := os.WriteFile(legacy, []byte(`{"sha256":"","data":{}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(sidecars[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := strings.LastIndexAny(string(data), "0123456789")
-	data[i] ^= 0x01 // one digit into another: still JSON, wrong statistics
+	data[len(data)-1] ^= 0x02 // one count into another: still decodes, wrong statistics
 	if err := os.WriteFile(sidecars[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir)
-	if code != 1 || !strings.Contains(out, filepath.Base(sidecars[0])) || !strings.Contains(out, "1 corrupt") {
+	if code != 1 || !strings.Contains(out, filepath.Base(sidecars[0])) || !strings.Contains(out, "1 legacy objects ignored, 1 corrupt") {
 		t.Fatalf("verify over a damaged sidecar: exit %d, want 1 naming it\n%s", code, out)
 	}
 	code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir, "-repair")
-	if code != 0 || !strings.Contains(out, "4 traces, 9 sidecars/results scrubbed, 1 quarantined") {
+	if code != 0 || !strings.Contains(out, "4 traces, 4 run records, 4 sim, 1 des scrubbed, 1 quarantined") {
 		t.Fatalf("verify -repair: exit %d\n%s", code, out)
 	}
 	if code, out = runCLI(t, "tracegen", "verify", "-tracedir", dir); code != 0 {
 		t.Fatalf("verify after repair: exit %d\n%s", code, out)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("the legacy object was moved: %v", err)
 	}
 }
 

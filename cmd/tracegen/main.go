@@ -29,8 +29,10 @@
 // version, reference counts and bytes/ref. verify fully decodes every
 // trace, checking header, chunk CRCs and footer totals, and over a
 // store also checks every run sidecar and result object against its
-// checksum — read-only; -repair quarantines what fails and regenerates
-// the recoverable cells.
+// checksum, counting them by kind (objects of an earlier format, such as
+// the .json objects of stores written before the binary object format,
+// are counted as legacy and left alone) — read-only; -repair
+// quarantines what fails and regenerates the recoverable cells.
 //
 // Example: warm the store for the full experiment sweep, then run it
 // without a single emulator execution:
@@ -369,7 +371,7 @@ func cmdVerify(args []string) {
 			fatal(err)
 		}
 		rep := s.Verify()
-		reportVerify(rep.Errors, fmt.Sprintf("%d traces, %d sidecars/results checked", rep.Traces, rep.Checked-rep.Traces))
+		reportVerify(rep.Errors, fmt.Sprintf("%s checked, %d legacy objects ignored", storeCounts(rep.Traces, rep.Objects), rep.Legacy))
 		return
 	}
 	if fs.NArg() == 0 {
@@ -382,6 +384,12 @@ func cmdVerify(args []string) {
 		}
 	}
 	reportVerify(errs, fmt.Sprintf("%d traces checked", fs.NArg()))
+}
+
+// storeCounts renders what a store scan examined: traces, then run
+// sidecars and result objects kind by kind.
+func storeCounts(traces int, objects map[string]int) string {
+	return fmt.Sprintf("%d traces, %d run records, %d sim, %d des", traces, objects["run"], objects["sim"], objects["des"])
 }
 
 // reportVerify prints a read-only verification's findings and exits 1
@@ -432,8 +440,8 @@ func cmdRepair(dir string) {
 			fatal(err)
 		}
 	}
-	fmt.Printf("%d traces, %d sidecars/results scrubbed, %d quarantined, %d regenerated, %d unrecoverable\n",
-		rep.Traces, rep.Checked-rep.Traces, len(rep.Quarantined), len(targets), skipped)
+	fmt.Printf("%s scrubbed, %d quarantined, %d regenerated, %d unrecoverable\n",
+		storeCounts(rep.Traces, rep.Objects), len(rep.Quarantined), len(targets), skipped)
 	// Corruption that was quarantined AND regenerated is a successful
 	// repair, not a failure. Exit nonzero only for what repair could
 	// not fix: unrecoverable cells, or scrub errors beyond the

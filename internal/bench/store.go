@@ -5,7 +5,7 @@ package bench
 // generated at most once per emulator version and store: the run
 // streams its reference trace straight into the store's compact
 // encoder (never buffering it) and records its engine statistics in a
-// JSON sidecar, and every consumer replays from the store. The store
+// run sidecar, and every consumer replays from the store. The store
 // is Runner.Store, or the Runner's private in-memory one when none is
 // configured; UseCell owns the heal/degrade rule for both.
 
@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/objcodec"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -98,6 +99,64 @@ type RunRecord struct {
 	Refs trace.Counter
 }
 
+// Encode writes the record in the trace store's object format: every
+// field of RunRecord, core.Stats and trace.Counter in declaration order.
+// A field added to any of the three goes here and into Decode, and moves
+// the pinned bytes of tracestore's TestObjectGoldenBytes (bump
+// tracestore.ObjectVersion); TestObjectFieldCoverage fails until then.
+func (r RunRecord) Encode(e *objcodec.Encoder) {
+	e.Bool(r.Success)
+	s := &r.Stats
+	e.Int(s.Cycles)
+	e.Ints(s.Instructions)
+	e.Ints(s.WorkRefs)
+	e.Ints(s.RunCycles)
+	e.Ints(s.WaitCycles)
+	e.Ints(s.IdleCycles)
+	e.Int(s.Inferences)
+	e.Int(s.Parcalls)
+	e.Int(s.GoalsParallel)
+	e.Int(s.GoalsStolen)
+	e.Int(s.StealProbes)
+	e.Int(s.Kills)
+	e.Int(s.CheckFails)
+	e.Int(int64(s.MaxHeap))
+	e.Int(int64(s.MaxLocal))
+	e.Int(int64(s.MaxControl))
+	e.Int(int64(s.MaxTrail))
+	for i := range r.Refs.ByObj {
+		e.Ints(r.Refs.ByObj[i][:])
+	}
+	e.Ints(r.Refs.ByPE[:])
+}
+
+// Decode reads what Encode wrote.
+func (r *RunRecord) Decode(d *objcodec.Decoder) {
+	r.Success = d.Bool()
+	s := &r.Stats
+	s.Cycles = d.Int()
+	s.Instructions = d.Ints()
+	s.WorkRefs = d.Ints()
+	s.RunCycles = d.Ints()
+	s.WaitCycles = d.Ints()
+	s.IdleCycles = d.Ints()
+	s.Inferences = d.Int()
+	s.Parcalls = d.Int()
+	s.GoalsParallel = d.Int()
+	s.GoalsStolen = d.Int()
+	s.StealProbes = d.Int()
+	s.Kills = d.Int()
+	s.CheckFails = d.Int()
+	s.MaxHeap = int(d.Int())
+	s.MaxLocal = int(d.Int())
+	s.MaxControl = int(d.Int())
+	s.MaxTrail = int(d.Int())
+	for i := range r.Refs.ByObj {
+		d.IntsInto(r.Refs.ByObj[i][:])
+	}
+	d.IntsInto(r.Refs.ByPE[:])
+}
+
 // store returns the store this Runner's cells live in: Store, or the
 // private in-memory one.
 func (r *Runner) store() *tracestore.Store {
@@ -175,7 +234,7 @@ func (r *Runner) generateCell(ctx context.Context, s *tracestore.Store, k traces
 	if err != nil {
 		return err
 	}
-	return s.PutSidecar(k, RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
+	return s.PutSidecar(k, &RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs})
 }
 
 // storeHealAttempts bounds how many times UseCell retries a cell whose

@@ -113,43 +113,95 @@ type Event struct {
 
 // Simulate runs a FIFO single-server bus over the given transactions
 // and returns per-PE stall totals plus the aggregate result. Events
-// need not be globally sorted; they are ordered by issue time.
+// need not be globally sorted; they are ordered by issue time (ties in
+// the order given) and fed to a Bus.
 func Simulate(events []Event, pes int, busWordsPerCycle float64) (Result, []float64, error) {
-	if pes <= 0 || busWordsPerCycle <= 0 {
-		return Result{}, nil, fmt.Errorf("busmodel: bad simulate params")
+	b, err := NewBus(pes, busWordsPerCycle)
+	if err != nil {
+		return Result{}, nil, err
 	}
 	evs := make([]Event, len(events))
 	copy(evs, events)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
-
-	stall := make([]float64, pes)
-	var busFree float64 // time the bus becomes free
-	var busBusy float64 // accumulated service time
-	var lastEnd float64
-	var totalWait float64
 	for _, ev := range evs {
-		if ev.PE < 0 || ev.PE >= pes {
-			return Result{}, nil, fmt.Errorf("busmodel: event PE %d out of range", ev.PE)
+		if err := b.Add(ev); err != nil {
+			return Result{}, nil, err
 		}
-		start := math.Max(ev.Time, busFree)
-		service := float64(ev.Words) / busWordsPerCycle
-		wait := start - ev.Time
-		stall[ev.PE] += wait
-		totalWait += wait
-		busFree = start + service
-		busBusy += service
-		lastEnd = busFree
 	}
-	if len(evs) == 0 {
+	return b.Result()
+}
+
+// Bus is the streaming form of Simulate: a FIFO single-server bus fed
+// one transaction at a time, in issue-time order, as a replay produces
+// them — no event is stored. An event issued before its predecessor is
+// an error; so is one from a PE out of range. The first failed Add is
+// also what Result reports.
+type Bus struct {
+	pes              int
+	busWordsPerCycle float64
+	stall            []float64
+	busFree          float64 // time the bus becomes free
+	busBusy          float64 // accumulated service time
+	lastEnd          float64
+	totalWait        float64
+	lastTime         float64 // issue time of the previous event
+	events           int64
+	err              error
+}
+
+// NewBus returns an idle bus for pes processors with the given
+// bandwidth in words per cycle.
+func NewBus(pes int, busWordsPerCycle float64) (*Bus, error) {
+	if pes <= 0 || busWordsPerCycle <= 0 {
+		return nil, fmt.Errorf("busmodel: bad simulate params")
+	}
+	return &Bus{pes: pes, busWordsPerCycle: busWordsPerCycle, stall: make([]float64, pes)}, nil
+}
+
+// Add serves one transaction.
+func (b *Bus) Add(ev Event) error {
+	if b.err != nil {
+		return b.err
+	}
+	switch {
+	case ev.PE < 0 || ev.PE >= b.pes:
+		b.err = fmt.Errorf("busmodel: event PE %d out of range", ev.PE)
+	case b.events > 0 && ev.Time < b.lastTime:
+		b.err = fmt.Errorf("busmodel: event issued at %v after one issued at %v", ev.Time, b.lastTime)
+	}
+	if b.err != nil {
+		return b.err
+	}
+	start := math.Max(ev.Time, b.busFree)
+	service := float64(ev.Words) / b.busWordsPerCycle
+	wait := start - ev.Time
+	b.stall[ev.PE] += wait
+	b.totalWait += wait
+	b.busFree = start + service
+	b.busBusy += service
+	b.lastEnd = b.busFree
+	b.lastTime = ev.Time
+	b.events++
+	return nil
+}
+
+// Result returns the aggregate result and per-PE stall totals of the
+// transactions added so far.
+func (b *Bus) Result() (Result, []float64, error) {
+	if b.err != nil {
+		return Result{}, nil, b.err
+	}
+	stall := append([]float64(nil), b.stall...)
+	if b.events == 0 {
 		return Result{Efficiency: 1}, stall, nil
 	}
-	util := busBusy / lastEnd
-	mean := totalWait / float64(len(evs))
+	util := b.busBusy / b.lastEnd
+	mean := b.totalWait / float64(b.events)
 	// Efficiency: useful time over useful+stall, averaged over PEs.
 	var eff float64
-	for pe := 0; pe < pes; pe++ {
-		eff += lastEnd / (lastEnd + stall[pe])
+	for pe := 0; pe < b.pes; pe++ {
+		eff += b.lastEnd / (b.lastEnd + stall[pe])
 	}
-	eff /= float64(pes)
+	eff /= float64(b.pes)
 	return Result{Utilization: util, MeanWaitCycles: mean, Efficiency: eff}, stall, nil
 }

@@ -198,3 +198,64 @@ func TestSimulateAgreesWithAnalyticTrend(t *testing.T) {
 		t.Errorf("faster bus less efficient: %v vs %v", fast.Efficiency, slow.Efficiency)
 	}
 }
+
+// TestBusMatchesSimulate: events fed in issue-time order through a Bus
+// give Simulate's result bit for bit.
+func TestBusMatchesSimulate(t *testing.T) {
+	var evs []Event
+	for i := 0; i < 500; i++ {
+		evs = append(evs, Event{PE: i * 7 % 4, Time: float64(i/3) * 0.75, Words: 1 + i%4})
+	}
+	want, wantStall, err := Simulate(evs, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := b.Add(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, gotStall, err := b.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Bus %+v, Simulate %+v", got, want)
+	}
+	for pe := range wantStall {
+		if gotStall[pe] != wantStall[pe] {
+			t.Errorf("PE %d stall: Bus %v, Simulate %v", pe, gotStall[pe], wantStall[pe])
+		}
+	}
+}
+
+// TestBusRejectsOutOfOrderEvent: a Bus serves transactions as they are
+// issued, so one issued before its predecessor is an error — from Add
+// and, sticky, from every later Add and from Result.
+func TestBusRejectsOutOfOrderEvent(t *testing.T) {
+	b, err := NewBus(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []Event{{PE: 0, Time: 5, Words: 1}, {PE: 1, Time: 5, Words: 1}} {
+		if err := b.Add(ev); err != nil {
+			t.Fatalf("equal issue times rejected: %v", err)
+		}
+	}
+	if err := b.Add(Event{PE: 0, Time: 4, Words: 1}); err == nil {
+		t.Fatal("an event issued before its predecessor was accepted")
+	}
+	if err := b.Add(Event{PE: 0, Time: 6, Words: 1}); err == nil {
+		t.Error("Add after a rejected event succeeded")
+	}
+	if _, _, err := b.Result(); err == nil {
+		t.Error("Result after a rejected event succeeded")
+	}
+	if _, err := NewBus(0, 1); err == nil {
+		t.Error("zero PEs accepted")
+	}
+}

@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/objcodec"
 	"repro/internal/trace"
 )
 
@@ -196,6 +197,40 @@ type Stats struct {
 	Invalidations int64 // remote copies invalidated (bookkeeping; the
 	// invalidating bus word is already counted in
 	// WriteThroughs or as one bus word)
+}
+
+// Encode writes the statistics in the trace store's object format (a
+// result of kind "sim"): every field in declaration order. A field added
+// to Stats goes here and into Decode, and moves the pinned bytes of
+// tracestore's TestObjectGoldenBytes (bump tracestore.ObjectVersion);
+// TestObjectFieldCoverage fails until then.
+func (s Stats) Encode(e *objcodec.Encoder) {
+	e.Int(s.Refs)
+	e.Int(s.Reads)
+	e.Int(s.Writes)
+	e.Int(s.ReadMisses)
+	e.Int(s.WriteMisses)
+	e.Int(s.BusWords)
+	e.Int(s.LineFills)
+	e.Int(s.WriteBacks)
+	e.Int(s.WriteThroughs)
+	e.Int(s.Updates)
+	e.Int(s.Invalidations)
+}
+
+// Decode reads what Encode wrote.
+func (s *Stats) Decode(d *objcodec.Decoder) {
+	s.Refs = d.Int()
+	s.Reads = d.Int()
+	s.Writes = d.Int()
+	s.ReadMisses = d.Int()
+	s.WriteMisses = d.Int()
+	s.BusWords = d.Int()
+	s.LineFills = d.Int()
+	s.WriteBacks = d.Int()
+	s.WriteThroughs = d.Int()
+	s.Updates = d.Int()
+	s.Invalidations = d.Int()
 }
 
 // Misses returns total misses (read + write).

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/busmodel"
 	"repro/internal/cache"
+	"repro/internal/objcodec"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -175,14 +176,37 @@ type BusDES struct {
 	Analytic         busmodel.Result
 }
 
-// busRecord is the stored result of one bus DES (result kind "des",
+// BusRecord is the stored result of one bus DES (result kind "des",
 // keyed by cache configuration and bus width, stamped with the versions
 // of both simulators). It embeds the replay's cache Stats because the
 // analytic half needs their traffic ratio, and asking simulateAll for
-// it would be a second UseCell and results lookup per call.
-type busRecord struct {
+// it would be a second UseCell and results lookup per call. It is
+// exported for the trace store's object-format tests.
+type BusRecord struct {
 	DES   busmodel.Result
 	Stats cache.Stats
+}
+
+// Encode writes the record in the trace store's object format: the DES
+// result's floats as their IEEE-754 bits, then the cache Stats. A field
+// added to BusRecord or busmodel.Result goes here and into Decode, and
+// moves the pinned bytes of tracestore's TestObjectGoldenBytes (bump
+// tracestore.ObjectVersion); TestObjectFieldCoverage fails until then.
+func (b BusRecord) Encode(e *objcodec.Encoder) {
+	e.Float(b.DES.Utilization)
+	e.Float(b.DES.MeanWaitCycles)
+	e.Float(b.DES.Efficiency)
+	e.Bool(b.DES.Saturated)
+	b.Stats.Encode(e)
+}
+
+// Decode reads what Encode wrote.
+func (b *BusRecord) Decode(d *objcodec.Decoder) {
+	b.DES.Utilization = d.Float()
+	b.DES.MeanWaitCycles = d.Float()
+	b.DES.Efficiency = d.Float()
+	b.DES.Saturated = d.Bool()
+	b.Stats.Decode(d)
 }
 
 // desVersion stamps des result objects: a record moves with either simulator.
@@ -198,24 +222,27 @@ func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cach
 	cfg := paperConfig(pes, cacheWords, cache.WriteInBroadcast)
 	key := cfg.Key() + "|bus=" + strconv.FormatFloat(busWordsPerCycle, 'g', -1, 64)
 	recs, err := cellResults(ctx, r, b, pes, pes == 1, "des", desVersion, []string{key},
-		func([]int) (string, func(*tracestore.Store, tracestore.Key) ([]busRecord, error)) {
-			return "replaying the bus transactions", func(s *tracestore.Store, k tracestore.Key) ([]busRecord, error) {
+		func([]int) (string, func(*tracestore.Store, tracestore.Key) ([]BusRecord, error)) {
+			return "replaying the bus transactions", func(s *tracestore.Store, k tracestore.Key) ([]BusRecord, error) {
 				// The DES needs the bus-transaction event stream in global
-				// order, so this replay is sequential (a single OnBus observer).
-				var events []busmodel.Event
+				// order, so this replay is sequential (a single OnBus
+				// observer) and feeds the bus as the transactions happen.
+				bus, err := busmodel.NewBus(pes, busWordsPerCycle)
+				if err != nil {
+					return nil, err
+				}
 				sim := cache.New(cfg)
 				sim.OnBus = func(pe, words int, refIndex int64) {
 					// The reference index divided by the PE count approximates
-					// the per-PE clock of the interleaved machine.
-					events = append(events, busmodel.Event{
-						PE: pe, Time: float64(refIndex) / float64(pes), Words: words,
-					})
+					// the per-PE clock of the interleaved machine. A failed
+					// Add is what Result reports.
+					_ = bus.Add(busmodel.Event{PE: pe, Time: float64(refIndex) / float64(pes), Words: words})
 				}
 				if err := replayCell(s, k, sim); err != nil {
 					return nil, err
 				}
-				des, _, err := busmodel.Simulate(events, pes, busWordsPerCycle)
-				return []busRecord{{DES: des, Stats: sim.Stats()}}, err
+				des, _, err := bus.Result()
+				return []BusRecord{{DES: des, Stats: sim.Stats()}}, err
 			}
 		})
 	if err != nil {

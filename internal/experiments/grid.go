@@ -127,7 +127,7 @@ func runStats(ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, 
 			return err
 		}
 		rec = bench.RunRecord{Success: res.Success, Stats: res.Stats, Refs: *res.Refs}
-		if err := s.PutSidecar(k, rec); err != nil {
+		if err := s.PutSidecar(k, &rec); err != nil {
 			r.Progressf("sidecar repair for %v failed: %v", k, err)
 		}
 		return nil
@@ -200,12 +200,12 @@ func GenerateTraces(ctx context.Context, r *bench.Runner, targets []TraceTarget)
 // failure leaves the consumers partially fed, so all of this runs
 // inside UseCell: every heal attempt starts from a fresh lookup and a
 // fresh plan, and compute must build its consumer state when called.
-func cellResults[T any](ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, kind, version string, keys []string,
+func cellResults[T any, P tracestore.ResultCodec[T]](ctx context.Context, r *bench.Runner, b bench.Benchmark, pes int, sequential bool, kind, version string, keys []string,
 	plan func(missing []int) (cost string, compute func(*tracestore.Store, tracestore.Key) ([]T, error))) ([]T, error) {
 	var out []T
 	err := r.UseCell(ctx, b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
 		defer r.LockCell(s, k)()
-		stored, err := tracestore.LoadResults[T](s, k, kind, version, keys)
+		stored, err := tracestore.LoadResults[T, P](s, k, kind, version, keys)
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func cellResults[T any](ctx context.Context, r *bench.Runner, b bench.Benchmark,
 			out[i] = fresh[j]
 			stored[keys[i]] = fresh[j]
 		}
-		if err := tracestore.PutResults(s, k, kind, version, stored); err != nil {
+		if err := tracestore.PutResults[T, P](s, k, kind, version, stored); err != nil {
 			r.Progressf("storing results for %v failed: %v", k, err)
 		}
 		return nil

@@ -16,6 +16,7 @@ import (
 	"repro/internal/busmodel"
 	"repro/internal/cache"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 	"repro/internal/tracestore"
 )
 
@@ -98,8 +99,8 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 }
 
 // TestParentWrittenStoreGainsOnlyTheDESObject runs `-exp all` over a
-// store as the build before result kinds left it — traces, sidecars and
-// <stem>.sim.json objects, no des object: every cache result is reused,
+// store as a build before the des kind left it — traces, sidecars and
+// <stem>.sim.rwo1 objects, no des object: every cache result is reused,
 // qsort@8 is replayed once for the bus DES, one object is written, and
 // the run after that opens no trace.
 func TestParentWrittenStoreGainsOnlyTheDESObject(t *testing.T) {
@@ -113,7 +114,7 @@ func TestParentWrittenStoreGainsOnlyTheDESObject(t *testing.T) {
 	}
 	var des []string
 	for _, name := range names {
-		if strings.HasSuffix(name, ".des.json") {
+		if strings.HasSuffix(name, ".des"+tracestore.ObjectExt) {
 			des = append(des, name)
 		}
 	}
@@ -141,6 +142,77 @@ func TestParentWrittenStoreGainsOnlyTheDESObject(t *testing.T) {
 	}
 	if _, err := mem.Stat(des[0]); err != nil {
 		t.Errorf("the des object did not come back: %v", err)
+	}
+}
+
+// Objects a build before the binary object format wrote, byte for byte:
+// the run sidecar of nrev@1 (sequential), the sim object of queens@1 and
+// the des object of qsort@8.
+const (
+	parentSidecar = `{"sha256":"ca76d2b3ffa4fb5b94e61fa6f7dbfa901aa0dae756fe5502a471e88ce65b3f56","data":{"Success":true,"Stats":{"Cycles":319120,"Instructions":[319120],"WorkRefs":[150705],"RunCycles":[319120],"WaitCycles":[0],"IdleCycles":[0],"Inferences":24531,"Parcalls":0,"GoalsParallel":0,"GoalsStolen":0,"StealProbes":0,"Kills":0,"CheckFails":0,"MaxHeap":49280,"MaxLocal":1324,"MaxControl":0,"MaxTrail":0},"Refs":{"ByObj":[[0,0],[660,663],[881,882],[0,0],[73149,73590],[0,0],[440,440],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]],"ByPE":[150705,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}`
+	parentSim     = `{"sha256":"a328134ef320c6c70309832d2e4b11a16bebda765eb68fece11a681685be4738","data":{"key":{"Benchmark":"queens","PEs":1,"Sequential":true,"EmulatorVersion":"emu1"},"codec_version":1,"sim_version":"sim1","results":{"pes=1 size=1024 line=4 proto=copyback walloc=true assoc=0":{"Refs":22832,"Reads":12731,"Writes":10101,"ReadMisses":0,"WriteMisses":68,"BusWords":272,"LineFills":68,"WriteBacks":0,"WriteThroughs":0,"Updates":0,"Invalidations":0},"pes=1 size=512 line=4 proto=copyback walloc=true assoc=0":{"Refs":22832,"Reads":12731,"Writes":10101,"ReadMisses":0,"WriteMisses":68,"BusWords":272,"LineFills":68,"WriteBacks":0,"WriteThroughs":0,"Updates":0,"Invalidations":0}}}}`
+	parentDES     = `{"sha256":"ea37d2b439caead8df473fdd24d838aca052ea0efdf309a888025ffda34fe294","data":{"key":{"Benchmark":"qsort","PEs":8,"Sequential":false,"EmulatorVersion":"emu1"},"codec_version":1,"sim_version":"sim1+des1","results":{"pes=8 size=256 line=4 proto=write-in-broadcast walloc=false assoc=0|bus=4":{"DES":{"Utilization":0.5594842487006554,"MeanWaitCycles":6.010411608916354,"Efficiency":0.6775956072339894,"Saturated":false},"Stats":{"Refs":335637,"Reads":127761,"Writes":207876,"ReadMisses":10359,"WriteMisses":28797,"BusWords":94030,"LineFills":10359,"WriteBacks":5881,"WriteThroughs":28797,"Updates":0,"Invalidations":371}}}}}`
+)
+
+// TestParentFormatStoreUpgrades runs `-exp all` twice over a store as a
+// build before the binary object format leaves it: the 30 traces, and
+// checksummed-JSON objects beside them (three of them here, standing for
+// the 51 such a run writes). The JSON objects are foreign files: never
+// read, never quarantined, never moved. The first run prints what a
+// store-less run prints, generates no trace, repairs each sidecar it
+// reads with one emulator run and recomputes every result; the second
+// is fully warm.
+func TestParentFormatStoreUpgrades(t *testing.T) {
+	want := expAll(t, new(bench.Runner))
+	mem := storage.NewMem()
+	store := tracestore.NewOn(mem)
+	expAll(t, &bench.Runner{Store: store})
+	names, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, tracestore.ObjectExt) {
+			if err := mem.Delete(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stem := func(name string, pes int) string {
+		return strings.TrimSuffix(store.Path(bench.StoreKey(name, pes, pes == 1)), tracestore.TraceExt)
+	}
+	legacy := map[string]string{
+		stem("nrev", 1) + ".json":       parentSidecar,
+		stem("queens", 1) + ".sim.json": parentSim,
+		stem("qsort", 8) + ".des.json":  parentDES,
+	}
+	for name, data := range legacy {
+		storagetest.Put(t, mem, name, data)
+	}
+	store.ResetStats()
+
+	for pass, economy := range []struct{ engineRuns, reused, simulated, written int64 }{
+		{24, expAllRepeatConfigs, expAllResults - expAllRepeatConfigs, 26},
+		{0, expAllResults, 0, 0},
+	} {
+		before := store.Stats()
+		r := &bench.Runner{Store: store}
+		if got := expAll(t, r); got != want {
+			t.Errorf("pass %d: output differs from the store-less run's", pass)
+		}
+		st := store.Stats()
+		if puts, q := st.Puts-before.Puts, st.Quarantines-before.Quarantines; puts != 0 || q != 0 {
+			t.Errorf("pass %d: %d traces written, %d objects quarantined; want 0 and 0", pass, puts, q)
+		}
+		if reused, simulated, written := st.ResultHits-before.ResultHits, st.ResultMisses-before.ResultMisses, st.ResultPuts-before.ResultPuts; r.EngineRuns() != economy.engineRuns || reused != economy.reused || simulated != economy.simulated || written != economy.written {
+			t.Errorf("pass %d: %d emulator runs; %d results reused, %d simulated, %d result objects written; want %d; %d, %d, %d",
+				pass, r.EngineRuns(), reused, simulated, written, economy.engineRuns, economy.reused, economy.simulated, economy.written)
+		}
+	}
+	for name, data := range legacy {
+		if got := storagetest.Get(t, mem, name); got != data {
+			t.Errorf("the legacy object %s changed", name)
+		}
 	}
 }
 
@@ -181,7 +253,7 @@ func TestBusDESPartialFill(t *testing.T) {
 	if r.EngineRuns() != 1 {
 		t.Errorf("%d emulator runs, want 1", r.EngineRuns())
 	}
-	recs, err := tracestore.LoadResults[busRecord](r.Store, bench.StoreKey("qsort", 2, false), "des", desVersion, nil)
+	recs, err := tracestore.LoadResults[BusRecord](r.Store, bench.StoreKey("qsort", 2, false), "des", desVersion, nil)
 	if err != nil || len(recs) != 2 {
 		t.Errorf("the des object holds %d records (err %v), want both widths", len(recs), err)
 	}
@@ -278,7 +350,7 @@ func resultObject(t *testing.T, r *bench.Runner) string {
 	}
 	var found []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".sim.json") {
+		if strings.HasSuffix(e.Name(), ".sim"+tracestore.ObjectExt) {
 			found = append(found, e.Name())
 		}
 	}
@@ -381,7 +453,7 @@ func assertSameStats(t *testing.T, got, want []cache.Stats) {
 type failingResultReads struct{ storage.Backend }
 
 func (b failingResultReads) Get(name string) (io.ReadCloser, error) {
-	if strings.HasSuffix(name, ".sim.json") {
+	if strings.HasSuffix(name, ".sim"+tracestore.ObjectExt) {
 		return nil, storage.Transient(fmt.Errorf("get %q: %w", name, storage.ErrInjected))
 	}
 	return b.Backend.Get(name)

@@ -193,7 +193,7 @@ func TestRunStatsRepairsMissingSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sidecar := strings.TrimSuffix(r.Store.Path(k), tracestore.TraceExt) + ".json"
+	sidecar := strings.TrimSuffix(r.Store.Path(k), tracestore.TraceExt) + ".run" + tracestore.ObjectExt
 	if err := os.Remove(sidecar); err != nil {
 		t.Fatalf("removing sidecar: %v", err)
 	}

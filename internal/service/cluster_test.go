@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/tracestore"
 )
 
 // This file is the in-process multi-daemon cluster harness: N complete
@@ -310,8 +311,8 @@ func (p peerGets) Get(name string) (io.ReadCloser, error) {
 // travel through the trace store's Peer tier by name, like traces and
 // sidecars do. Node 0 computes the bus study and then loses its
 // envelope store; node 1, handed the same request to serve locally,
-// finds no envelope anywhere and renders from the cells' <stem>.sim.json
-// and <stem>.des.json objects fetched from node 0 — it runs no emulator
+// finds no envelope anywhere and renders from the cells' <stem>.sim.rwo1
+// and <stem>.des.rwo1 objects fetched from node 0 — it runs no emulator
 // and never opens a trace, its own or its peer's.
 func TestClusterCellResultsTravelByName(t *testing.T) {
 	var (
@@ -368,14 +369,14 @@ func TestClusterCellResultsTravelByName(t *testing.T) {
 	kinds := map[string]int{}
 	mu.Lock()
 	for _, name := range fetched {
-		for _, suffix := range []string{".rwt2", ".sim.json", ".des.json"} {
+		for _, suffix := range []string{".rwt2", ".sim" + tracestore.ObjectExt, ".des" + tracestore.ObjectExt} {
 			if strings.HasSuffix(name, suffix) {
 				kinds[suffix]++
 			}
 		}
 	}
 	mu.Unlock()
-	if kinds[".sim.json"] != 4 || kinds[".des.json"] != 1 || kinds[".rwt2"] != 0 {
+	if kinds[".sim"+tracestore.ObjectExt] != 4 || kinds[".des"+tracestore.ObjectExt] != 1 || kinds[".rwt2"] != 0 {
 		t.Errorf("node 1 fetched from its peer %v; want 4 sim objects, 1 des object and no trace", kinds)
 	}
 	local, err := nd.trace.List("")

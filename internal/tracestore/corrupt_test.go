@@ -2,7 +2,6 @@ package tracestore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"io/fs"
@@ -10,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/objcodec"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -31,7 +31,7 @@ func fillCell(t *testing.T, s *Store, k Key) []trace.Ref {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSidecar(k, map[string]int{"refs": len(refs)}); err != nil {
+	if err := s.PutSidecar(k, &result{Refs: int64(len(refs))}); err != nil {
 		t.Fatal(err)
 	}
 	return refs
@@ -156,12 +156,11 @@ func TestCorruptSidecarQuarantines(t *testing.T) {
 	}
 	k := testKey()
 	fillCell(t, s, k)
-	side := filepath.Join(s.Dir(), k.stem()+".json")
-	if err := os.WriteFile(side, []byte("{not json"), 0o644); err != nil {
+	side := filepath.Join(s.Dir(), k.stem()+".run.rwo1")
+	if err := os.WriteFile(side, []byte("not an object"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var v map[string]int
-	ok, err := s.LoadSidecar(k, &v)
+	ok, err := s.LoadSidecar(k, new(result))
 	if ok || err != nil {
 		t.Fatalf("corrupt sidecar must read as an absent sidecar: ok=%v err=%v", ok, err)
 	}
@@ -175,9 +174,9 @@ func TestCorruptSidecarQuarantines(t *testing.T) {
 }
 
 // TestSidecarSilentFlipQuarantines pins the sidecar checksum: a bit
-// flip that turns one digit into another still parses as JSON, so
-// without the envelope checksum it would read back as wrong-but-
-// plausible statistics.
+// flip in a payload varint turns one number into another and still
+// decodes, so without the envelope checksum it would read back as
+// wrong-but-plausible statistics.
 func TestSidecarSilentFlipQuarantines(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -185,26 +184,26 @@ func TestSidecarSilentFlipQuarantines(t *testing.T) {
 	}
 	k := testKey()
 	fillCell(t, s, k)
-	side := filepath.Join(s.Dir(), k.stem()+".json")
+	side := filepath.Join(s.Dir(), k.stem()+".run.rwo1")
 	data, err := os.ReadFile(side)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the low bit of the last payload digit: "...8}}" → "...9}}",
-	// still perfectly valid JSON.
-	i := bytes.LastIndexFunc(data, func(r rune) bool { return r >= '0' && r <= '9' })
-	if i < 0 {
-		t.Fatalf("no digit in sidecar %q", data)
+	// The last payload byte is the sidecar's Misses, a one-byte varint:
+	// 0 → 1.
+	data[len(data)-1] ^= 0x02
+	d := objcodec.NewDecoder(data[objectHeaderLen:])
+	var v result
+	if kind := d.String(); kind != SidecarKind {
+		t.Fatalf("payload kind %q", kind)
 	}
-	data[i] ^= 0x01
-	if !json.Valid(data) {
-		t.Fatalf("flipped sidecar no longer parses, test needs a better offset: %q", data)
+	if v.Decode(d); d.Finish() != nil || v.Misses != 1 {
+		t.Fatalf("flipped payload no longer decodes to plausible numbers (%+v, %v), test needs a better offset", v, d.Err())
 	}
 	if err := os.WriteFile(side, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var v map[string]int
-	ok, err := s.LoadSidecar(k, &v)
+	ok, err := s.LoadSidecar(k, new(result))
 	if ok || err != nil {
 		t.Fatalf("silently flipped sidecar must read as absent: ok=%v err=%v", ok, err)
 	}

@@ -7,12 +7,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/objcodec"
 	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 )
 
-// result stands in for a consumer's per-configuration result.
+// result stands in for a consumer's per-configuration result (and, in
+// these tests, for a run sidecar).
 type result struct{ Refs, Misses int64 }
+
+func (r result) Encode(e *objcodec.Encoder) { e.Int(r.Refs); e.Int(r.Misses) }
+
+func (r *result) Decode(d *objcodec.Decoder) { r.Refs, r.Misses = d.Int(), d.Int() }
 
 // eachKind runs f once per result kind the repo stores: the contract
 // below is one object's, and a kind is only part of its name.
@@ -50,8 +56,8 @@ func TestResultsRoundTripAndAccounting(t *testing.T) {
 		if st := s.Stats(); st.Puts != 0 || st.ResultPuts != 1 {
 			t.Fatalf("after PutResults: %d trace puts, %d result puts; want 0 and 1", st.Puts, st.ResultPuts)
 		}
-		if _, err := s.b.Stat(k.stem() + "." + kind + ".json"); err != nil {
-			t.Fatalf("the object is not named <stem>.%s.json: %v", kind, err)
+		if _, err := s.b.Stat(k.stem() + "." + kind + ".rwo1"); err != nil {
+			t.Fatalf("the object is not named <stem>.%s.rwo1: %v", kind, err)
 		}
 		s.ResetStats()
 
@@ -97,7 +103,7 @@ func TestResultsBytesDeterministic(t *testing.T) {
 		if err := PutResults(s, k, "sim", "v1", m); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(strings.TrimSuffix(s.Path(k), TraceExt) + ".sim.json")
+		data, err := os.ReadFile(strings.TrimSuffix(s.Path(k), TraceExt) + ".sim.rwo1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +133,7 @@ func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
 
 		// The same bytes under another cell's name.
 		other := Key{Benchmark: "synth2", PEs: 2, Sequential: true, EmulatorVersion: "emuT"}
-		storagetest.Put(t, mem, other.resultsName(kind), storagetest.Get(t, mem, k.resultsName(kind)))
+		storagetest.Put(t, mem, other.objectName(kind), storagetest.Get(t, mem, k.objectName(kind)))
 		got, err = LoadResults[result](s, other, kind, "v1", []string{"a"})
 		if err != nil || len(got) != 0 {
 			t.Fatalf("a mis-filed object served %v (err %v)", got, err)
@@ -135,7 +141,7 @@ func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
 		if st := s.Stats(); st.Quarantines != 0 || st.ResultHits != 0 {
 			t.Fatalf("stale objects: %+v, want nothing quarantined and nothing served", st)
 		}
-		if _, err := mem.Stat(k.resultsName(kind)); err != nil {
+		if _, err := mem.Stat(k.objectName(kind)); err != nil {
 			t.Fatalf("the stale object was removed: %v", err)
 		}
 	})
@@ -153,9 +159,9 @@ func TestCorruptResultsQuarantinedThenHealed(t *testing.T) {
 		if err := PutResults(s, k, kind, "v1", want); err != nil {
 			t.Fatal(err)
 		}
-		data := []byte(storagetest.Get(t, mem, k.resultsName(kind)))
-		data[bytes.LastIndexAny(data, "0123456789")] ^= 0x01 // still JSON, wrong numbers
-		storagetest.Put(t, mem, k.resultsName(kind), string(data))
+		data := []byte(storagetest.Get(t, mem, k.objectName(kind)))
+		data[len(data)-1] ^= 0x02 // Misses 1 → 0: still decodes, wrong numbers
+		storagetest.Put(t, mem, k.objectName(kind), string(data))
 
 		got, err := LoadResults[result](s, k, kind, "v1", []string{"a"})
 		if err != nil || len(got) != 0 {
@@ -164,7 +170,7 @@ func TestCorruptResultsQuarantinedThenHealed(t *testing.T) {
 		if st := s.Stats(); st.Quarantines != 1 || st.ResultMisses != 1 {
 			t.Fatalf("damaged lookup: %+v, want 1 quarantine and 1 result miss", st)
 		}
-		if _, err := mem.Stat(k.resultsName(kind)); err == nil {
+		if _, err := mem.Stat(k.objectName(kind)); err == nil {
 			t.Fatal("the damaged object is still in place")
 		}
 		if err := PutResults(s, k, kind, "v1", want); err != nil {
@@ -180,9 +186,9 @@ func TestCorruptResultsQuarantinedThenHealed(t *testing.T) {
 }
 
 // TestVerifyChecksEnvelopesReadOnly is the regression test for the
-// read-only verify that never opened a .json object: a bit-flipped run
-// sidecar or result object used to report "all clean" until a -repair
-// run. Verify now reports all of them, counts what it checked, and
+// read-only verify that never opened a sidecar or result object: a
+// bit-flipped one used to report "all clean" until a -repair run.
+// Verify now reports all of them, counts what it checked per kind, and
 // still moves nothing; Scrub quarantines exactly those objects.
 func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -196,40 +202,83 @@ func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Traces != 1 || rep.Checked != 4 {
-		t.Fatalf("clean store: %+v, want no errors over 1 trace + 3 envelopes", rep)
+	wantKinds := map[string]int{SidecarKind: 1, "sim": 1, "des": 1}
+	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Traces != 1 || rep.Checked != 4 || !reflect.DeepEqual(rep.Objects, wantKinds) {
+		t.Fatalf("clean store: %+v, want no errors over 1 trace + %v", rep, wantKinds)
 	}
 
 	stem := strings.TrimSuffix(s.Path(k), TraceExt)
-	envelopes := []string{stem + ".json", stem + ".sim.json", stem + ".des.json"}
-	for _, path := range envelopes {
+	objects := []string{stem + ".run.rwo1", stem + ".sim.rwo1", stem + ".des.rwo1"}
+	for _, path := range objects {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A digit to another digit: still JSON, wrong numbers.
-		i := bytes.LastIndexAny(data, "0123456789")
-		data[i] ^= 0x01
+		// The last payload byte, a one-byte varint, to another value:
+		// still decodes, wrong numbers.
+		data[len(data)-1] ^= 0x04
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rep := s.Verify()
 	if len(rep.Errors) != 3 || len(rep.Quarantined) != 0 {
-		t.Fatalf("Verify over three damaged envelopes: errors %v, quarantined %v; want 3 and none", rep.Errors, rep.Quarantined)
+		t.Fatalf("Verify over three damaged objects: errors %v, quarantined %v; want 3 and none", rep.Errors, rep.Quarantined)
 	}
 	if st := s.Stats(); st.Quarantines != 0 {
 		t.Fatalf("read-only Verify quarantined %d objects", st.Quarantines)
 	}
-	for _, path := range envelopes {
+	for _, path := range objects {
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("Verify moved %s: %v", path, err)
 		}
 	}
 	if rep := s.Scrub(); len(rep.Quarantined) != 3 {
-		t.Fatalf("Scrub quarantined %v, want all three envelopes", rep.Quarantined)
+		t.Fatalf("Scrub quarantined %v, want all three objects", rep.Quarantined)
 	}
 	if rep := s.Verify(); len(rep.Errors) != 0 || rep.Checked != 1 {
 		t.Fatalf("after Scrub: %+v, want a clean store of one trace", rep)
+	}
+}
+
+// TestLegacyJSONObjectsAreForeign: the checksummed-JSON objects of the
+// format before ObjectVersion 1 keep their names (<stem>.json,
+// <stem>.<kind>.json), which this build never reads: a store holding
+// them reads as having no sidecar and no results, quarantines nothing,
+// and Verify counts them as legacy without checking them. So does an
+// object of another format version.
+func TestLegacyJSONObjectsAreForeign(t *testing.T) {
+	mem := storage.NewMem()
+	s := NewOn(mem)
+	k := testKey()
+	fillCell(t, s, k)
+	if err := mem.Delete(k.objectName(SidecarKind)); err != nil {
+		t.Fatal(err)
+	}
+	legacy := map[string]string{
+		k.stem() + ".json":     `{"sha256":"0","data":{"Success":true}}`,
+		k.stem() + ".sim.json": `{"sha256":"0","data":{}}`,
+		k.stem() + ".sim.rwo0": "RWOB\x00",
+	}
+	for name, data := range legacy {
+		storagetest.Put(t, mem, name, data)
+	}
+	if ok, err := s.LoadSidecar(k, new(result)); ok || err != nil {
+		t.Fatalf("LoadSidecar over a legacy sidecar: ok=%v err=%v, want an absent sidecar", ok, err)
+	}
+	if got, err := LoadResults[result](s, k, "sim", "v1", []string{"a"}); err != nil || len(got) != 0 {
+		t.Fatalf("LoadResults over a legacy object: %v (err %v), want nothing stored", got, err)
+	}
+	rep := s.Scrub()
+	if len(rep.Errors) != 0 || rep.Checked != 1 || rep.Legacy != len(legacy) {
+		t.Fatalf("Scrub: %+v, want one trace checked and %d legacy objects ignored", rep, len(legacy))
+	}
+	if st := s.Stats(); st.Quarantines != 0 {
+		t.Fatalf("%d objects quarantined, want 0", st.Quarantines)
+	}
+	for name := range legacy {
+		if _, err := mem.Stat(name); err != nil {
+			t.Errorf("legacy object %s was moved: %v", name, err)
+		}
 	}
 }

@@ -15,27 +15,28 @@
 // a trace, a run sidecar and one result object per kind of result:
 //
 //	<bench>-p<PEs>-<seq|par>-<emuver>-<key hash>.rwt2   compact trace
-//	<same stem>.json                                    run sidecar
-//	<same stem>.<kind>.json                             result object (sim, des)
+//	<same stem>.run.rwo1                                run sidecar
+//	<same stem>.<kind>.rwo1                             result object (sim, des)
 //
 // The name's human-readable prefix is advisory; the 12-hex-digit
 // SHA-256 prefix of the canonical key string is what addresses the
 // cell, and every read re-verifies the decoded header against the key.
-// The sidecar carries the run's engine statistics (JSON), so experiment
+// The sidecar carries the run's engine statistics, so experiment
 // drivers that need only core.Stats never re-run the emulator either.
 // A result object carries what one kind of consumer computed from the
 // trace — one result per canonical configuration key, stamped with the
 // version of the code that computed them (LoadResults/PutResults) — so
 // a consumer that finds its configurations there never decodes the
-// trace. Every JSON object sits in a checksummed envelope.
+// trace. Sidecars and result objects share one checksummed binary
+// format (object.go), each stored type bringing its own codec.
 //
 // # Self-healing
 //
 // Because a trace is a pure function of its key, a corrupt object is
-// never fatal: any read-path verification failure — bad magic, CRC
-// mismatch, truncation, header/key mismatch, unparseable sidecar —
-// moves the object to the backend's quarantine/ namespace, bumps the
-// Quarantines counter, and surfaces a *CorruptError that also matches
+// never fatal: any read-path verification failure — bad magic, CRC or
+// checksum mismatch, truncation, header/key mismatch, undecodable
+// object — moves the object to the backend's quarantine/ namespace,
+// bumps the Quarantines counter, and surfaces a *CorruptError that also matches
 // errors.Is(err, fs.ErrNotExist), so every caller already handling
 // misses regenerates transparently. Corruption costs one regeneration,
 // never correctness. Transient backend errors (storage.IsTransient)
@@ -55,7 +56,6 @@ package tracestore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -228,17 +228,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // name returns the trace object name for a key.
 func (k Key) name() string { return k.stem() + TraceExt }
-
-// envelopeExt is the extension of every checksummed-JSON object (run
-// sidecars and result objects): what Verify and Scrub check beside the
-// traces.
-const envelopeExt = ".json"
-
-// sidecarName returns the run-sidecar object name for a key.
-func (k Key) sidecarName() string { return k.stem() + envelopeExt }
-
-// resultsName returns the name of the key's result object of a kind.
-func (k Key) resultsName(kind string) string { return k.stem() + "." + kind + envelopeExt }
 
 // Path returns the file a key's trace is (or would be) stored at for
 // directory-backed stores; for other backends it returns the object
@@ -479,166 +468,6 @@ func (s *Store) Put(k Key, gen func(trace.Sink) error) error {
 	return nil
 }
 
-// sidecarEnvelope wraps the sidecar payload with a checksum. Unlike the
-// CRC-chunked trace codec, bare JSON has no integrity whatsoever: a
-// single flipped bit can turn one digit into another and still parse,
-// reading back as wrong-but-plausible statistics. The checksum turns
-// that silent corruption into a quarantine-and-regenerate.
-type sidecarEnvelope struct {
-	SHA  string          `json:"sha256"`
-	Data json.RawMessage `json:"data"`
-}
-
-// sidecarSHA is the sidecarEnvelope checksum of a raw payload.
-func sidecarSHA(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
-// PutSidecar stores v as the key's JSON run sidecar (atomically, like
-// Put). The experiments grid stores the generating run's engine
-// statistics here so stats-only drivers skip the emulator too.
-func (s *Store) PutSidecar(k Key, v any) error {
-	return s.putEnvelope(k.sidecarName(), v)
-}
-
-// putEnvelope stores v as JSON under name, wrapped in the checksummed
-// envelope. The bytes are a function of v alone (encoding/json sorts
-// map keys), so two writers of the same value produce the same object.
-func (s *Store) putEnvelope(name string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("tracestore: %s: %w", name, err)
-	}
-	data, err := json.Marshal(sidecarEnvelope{SHA: sidecarSHA(raw), Data: raw})
-	if err != nil {
-		return fmt.Errorf("tracestore: %s: %w", name, err)
-	}
-	err = s.b.Put(name, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	return nil
-}
-
-// LoadSidecar unmarshals the key's JSON run sidecar into v, reporting
-// ok=false (without error) when no sidecar exists — and likewise when
-// the sidecar is corrupt: the bad object is quarantined and the caller
-// regenerates, the same self-healing contract as trace reads. Only
-// transient backend failures surface as errors.
-func (s *Store) LoadSidecar(k Key, v any) (ok bool, err error) {
-	return s.loadEnvelope(k.sidecarName(), v)
-}
-
-// loadEnvelope is LoadSidecar for any checksummed-JSON object.
-func (s *Store) loadEnvelope(name string, v any) (ok bool, err error) {
-	rc, err := s.b.Get(name)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, fmt.Errorf("tracestore: %s: %w", name, err)
-	}
-	data, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		if storage.IsTransient(err) || storage.AsBackendError(err) {
-			return false, fmt.Errorf("tracestore: %s: %w", name, err)
-		}
-		s.quarantine(name)
-		return false, nil
-	}
-	if err := verifySidecar(data, v); err != nil {
-		s.quarantine(name)
-		return false, nil
-	}
-	return true, nil
-}
-
-// resultObject is the payload of one of a cell's result objects:
-// everything consumers of its kind have computed from the cell's trace
-// so far, one result per canonical configuration key, stamped with what
-// the results are a function of — the cell, the codec its trace was
-// decoded with, and the version of the code that computed them (the
-// field is named for the first kind, sim).
-type resultObject[T any] struct {
-	Key          Key          `json:"key"`
-	CodecVersion int          `json:"codec_version"`
-	SimVersion   string       `json:"sim_version"`
-	Results      map[string]T `json:"results"`
-}
-
-// LoadResults returns every result stored in k's result object of the
-// given kind (part of the object's name) that version version of the
-// kind's consumer computed, keyed by canonical configuration key (never
-// nil; empty when nothing usable is stored), and accounts the lookup of
-// want against it: ResultHits and ResultMisses count the wanted keys
-// found and not found, and a lookup that found all of them counts one
-// Hit, since the caller no longer needs the Replay that would have
-// counted it.
-//
-// An object stamped by another build (simulator, emulator or codec
-// version) is not corrupt, only stale: it is ignored, and the caller's
-// PutResults replaces it. A corrupt one is quarantined and reads as
-// nothing stored. Only backend failures surface as errors.
-func LoadResults[T any](s *Store, k Key, kind, version string, want []string) (map[string]T, error) {
-	var obj resultObject[T]
-	ok, err := s.loadEnvelope(k.resultsName(kind), &obj)
-	if err != nil {
-		return nil, err
-	}
-	if !ok || obj.Key != k || obj.CodecVersion != trace.CodecVersion || obj.SimVersion != version || obj.Results == nil {
-		obj.Results = map[string]T{}
-	}
-	var found int64
-	for _, key := range want {
-		if _, ok := obj.Results[key]; ok {
-			found++
-		}
-	}
-	s.resultHits.Add(found)
-	s.resultMisses.Add(int64(len(want)) - found)
-	if found > 0 && found == int64(len(want)) {
-		s.hits.Add(1)
-	}
-	return obj.Results, nil
-}
-
-// PutResults stores results as k's whole result object of a kind,
-// computed by version version of its consumer. The object is one per
-// cell and kind, so a caller adding results merges them into what
-// LoadResults returned and writes the union; the caller serializes that
-// read-modify-write per cell (bench.Runner.LockCell). A lost update
-// between processes costs a recomputation, never a wrong answer.
-func PutResults[T any](s *Store, k Key, kind, version string, results map[string]T) error {
-	err := s.putEnvelope(k.resultsName(kind), resultObject[T]{
-		Key: k, CodecVersion: trace.CodecVersion, SimVersion: version, Results: results,
-	})
-	if err == nil {
-		s.resultPuts.Add(1)
-	}
-	return err
-}
-
-// verifySidecar checks a raw sidecar object's envelope and checksum,
-// unmarshalling the payload into v (which may be nil to verify only).
-func verifySidecar(data []byte, v any) error {
-	var env sidecarEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return err
-	}
-	if env.SHA != sidecarSHA(env.Data) {
-		return errors.New("sidecar payload checksum mismatch")
-	}
-	if v == nil {
-		return nil
-	}
-	return json.Unmarshal(env.Data, v)
-}
-
 // Entry describes one stored trace found by List.
 type Entry struct {
 	// Path is the trace file path (object name on non-directory
@@ -677,16 +506,21 @@ func (s *Store) List() ([]Entry, error) {
 // Verify is the read-only scan behind `tracegen verify`: it checks
 // every object exactly as Scrub does — traces fully decoded (header,
 // chunk CRCs, footer totals, header-vs-name key check), run sidecars
-// and result objects against their envelope checksum — and reports one
-// error per bad object, but never quarantines. A clean store returns a
-// report with no Errors.
+// and result objects against their envelope (magic, format version,
+// payload checksum, kind) — and reports one error per bad object, but
+// never quarantines. A clean store returns a report with no Errors.
 func (s *Store) Verify() ScrubReport { return s.scan(false) }
 
 // ScrubReport summarizes one Verify or Scrub pass.
 type ScrubReport struct {
 	// Checked counts objects examined; Traces of them were traces, the
-	// rest run sidecars and result objects.
+	// rest run sidecars and result objects, counted per kind in Objects
+	// (SidecarKind for the sidecars).
 	Checked, Traces int
+	Objects         map[string]int
+	// Legacy counts the objects of an earlier object format the scan
+	// ignored (ObjectExt): never read, never quarantined.
+	Legacy int
 	// Quarantined lists object names moved to quarantine/ (always empty
 	// for Verify).
 	Quarantined []string
@@ -704,7 +538,7 @@ func (s *Store) Scrub() ScrubReport { return s.scan(true) }
 
 // scan is Verify (repair false) and Scrub (repair true).
 func (s *Store) scan(repair bool) ScrubReport {
-	var rep ScrubReport
+	rep := ScrubReport{Objects: map[string]int{}}
 	bad := func(name string, err error) {
 		rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, err))
 		if repair {
@@ -750,10 +584,15 @@ func (s *Store) scan(repair bool) ScrubReport {
 		return rep
 	}
 	for _, name := range all {
-		if !strings.HasSuffix(name, envelopeExt) {
+		kind, ok := objectKind(name)
+		if !ok {
+			if legacyObject(name) {
+				rep.Legacy++
+			}
 			continue
 		}
 		rep.Checked++
+		rep.Objects[kind]++
 		rc, err := s.b.Get(name)
 		if err != nil {
 			rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, err))
@@ -765,8 +604,8 @@ func (s *Store) scan(repair bool) ScrubReport {
 			rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, err))
 			continue
 		}
-		if err := verifySidecar(data, nil); err != nil {
-			bad(name, fmt.Errorf("invalid envelope: %w", err))
+		if _, err := openObject(data, kind); err != nil {
+			bad(name, fmt.Errorf("invalid object: %w", err))
 		}
 	}
 	return rep

@@ -143,18 +143,14 @@ func TestStoreRejectsKeyMismatch(t *testing.T) {
 func TestStoreSidecar(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	k := testKey()
-	type payload struct {
-		Cycles int64
-		Name   string
-	}
-	if ok, err := s.LoadSidecar(k, &payload{}); err != nil || ok {
+	if ok, err := s.LoadSidecar(k, new(result)); err != nil || ok {
 		t.Fatalf("empty sidecar: ok=%v err=%v", ok, err)
 	}
-	want := payload{Cycles: 12345, Name: "x"}
-	if err := s.PutSidecar(k, want); err != nil {
+	want := result{Refs: 12345, Misses: -7}
+	if err := s.PutSidecar(k, &want); err != nil {
 		t.Fatal(err)
 	}
-	var got payload
+	var got result
 	ok, err := s.LoadSidecar(k, &got)
 	if err != nil || !ok {
 		t.Fatalf("LoadSidecar: ok=%v err=%v", ok, err)
