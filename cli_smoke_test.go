@@ -79,6 +79,9 @@ func asExitError(err error, ee **exec.ExitError) bool {
 
 func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 	tmp := t.TempDir()
+	// cachesim's flags are checked before the emulator runs: a bad
+	// configuration leaves this store empty.
+	empty := t.TempDir()
 	for _, tc := range []struct {
 		name     string
 		bin      string
@@ -98,10 +101,21 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-exp", "mlips", "-cache", "130"}, 2, "not a multiple of line"},
 		{"experiments-negative-target", "experiments",
 			[]string{"-exp", "table1", "-target", "-1"}, 2, "-target"},
+		// The CLI holds its flags to the /v1 parameters' bounds.
+		{"experiments-infinite-target", "experiments",
+			[]string{"-exp", "mlips", "-target", "Inf"}, 2, "-target"},
+		{"experiments-cache-above-bound", "experiments",
+			[]string{"-exp", "bus", "-cache", "8388608"}, 2, "-cache"},
 		{"cachesim-pes-out-of-range", "cachesim",
 			[]string{"-pes", "0"}, 2, "-pes"},
 		{"cachesim-pes-not-a-number", "cachesim",
 			[]string{"-pes", "abc"}, 2, "-pes"},
+		{"cachesim-unknown-protocol", "cachesim",
+			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-protocol", "bogus"}, 2, "-protocol"},
+		{"cachesim-size-not-whole-lines", "cachesim",
+			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-size", "6"}, 2, "-size"},
+		{"cachesim-unknown-allocate", "cachesim",
+			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-allocate", "maybe"}, 2, "-allocate"},
 		{"tracegen-negative-par", "tracegen",
 			[]string{"generate", "-tracedir", tmp, "-par", "-2"}, 1, "-par"},
 		// The intra-cell width flags are gone: any value, negative
@@ -138,6 +152,9 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 				t.Fatalf("%s %v: output does not mention %q:\n%s", tc.bin, tc.args, tc.mention, out)
 			}
 		})
+	}
+	if traces, _ := filepath.Glob(filepath.Join(empty, "*.rwt2")); len(traces) != 0 {
+		t.Errorf("cachesim with a bad flag wrote %v", traces)
 	}
 }
 

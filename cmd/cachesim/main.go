@@ -88,6 +88,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cachesim: -par %d: pass width cannot be negative (0 = all configs in one pass)\n", *par)
 		os.Exit(2)
 	}
+	// The configurations are resolved and validated before the trace is
+	// loaded: a bad flag must not first run the emulator and write its
+	// trace into the store.
+	writeAllocate, ok := allocPolicies[*alloc]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "cachesim: -allocate %q: want paper, yes or no\n", *alloc)
+		os.Exit(2)
+	}
+	var cfgs []rapwam.CacheConfig
+	if *sweep {
+		cfgs = sweepConfigs(*pes, *line, *assoc, writeAllocate)
+	} else {
+		proto, ok := protocols[*protoStr]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "cachesim: -protocol %q: unknown protocol\n", *protoStr)
+			os.Exit(2)
+		}
+		cfgs = []rapwam.CacheConfig{{
+			PEs: *pes, SizeWords: *size, LineWords: *line,
+			Protocol: proto, WriteAllocate: writeAllocate(proto, *size), Assoc: *assoc,
+		}}
+	}
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "cachesim: -size %d -line %d -assoc %d: %v\n", cfg.SizeWords, *line, *assoc, err)
+			os.Exit(2)
+		}
+	}
+
 	// SIGINT/SIGTERM cancel the command context, aborting an in-flight
 	// store-backed trace generation cleanly (the partial temp file is
 	// removed).
@@ -103,37 +132,24 @@ func main() {
 	}
 	fmt.Printf("trace: %d references\n", tr.Len())
 
-	proto, ok := protocols[*protoStr]
-	if !ok && !*sweep {
-		fatal(fmt.Errorf("unknown protocol %q", *protoStr))
-	}
-	writeAllocate, ok := allocPolicies[*alloc]
-	if !ok {
-		fatal(fmt.Errorf("bad -allocate %q", *alloc))
-	}
-
 	// Profiling starts only after all flag validation, and fatal()
 	// invokes the stop hook, so cpu.out is never left truncated.
 	stopProfiles = startProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
 
 	if *sweep {
-		runSweep(tr, *pes, *line, *assoc, *par, *alloc)
+		runSweep(tr, cfgs, *pes, *par, *alloc)
 		stopProfiles()
 		return
 	}
 
-	wa := writeAllocate(proto, *size)
-	cfg := rapwam.CacheConfig{
-		PEs: *pes, SizeWords: *size, LineWords: *line,
-		Protocol: proto, WriteAllocate: wa, Assoc: *assoc,
-	}
+	cfg := cfgs[0]
 	st, err := rapwam.SimulateCache(tr, cfg)
 	if err != nil {
 		fatal(err)
 	}
 	checkCovered(tr, *pes, st)
-	fmt.Printf("protocol:       %v (write-allocate: %v)\n", proto, wa)
+	fmt.Printf("protocol:       %v (write-allocate: %v)\n", cfg.Protocol, cfg.WriteAllocate)
 	fmt.Printf("traffic ratio:  %.4f\n", st.TrafficRatio())
 	fmt.Printf("miss ratio:     %.4f\n", st.MissRatio())
 	fmt.Printf("bus words:      %d (fills %d, write-backs %d, write-throughs %d, updates %d)\n",
@@ -189,18 +205,18 @@ func startProfiles(cpuPath, memPath string) func() {
 	return profflag.Start(cpuPath, memPath, fatal)
 }
 
-// runSweep simulates the whole protocol × size grid with the streaming
-// fan-out pipeline: the trace is walked once per pass of up to par
-// configurations (all of them in a single pass by default), instead of
-// once per configuration.
-func runSweep(tr *rapwam.Trace, pes, line, assoc, par int, alloc string) {
-	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
-	order := []string{"broadcast", "hybrid", "write-through"}
-	writeAllocate := allocPolicies[alloc]
+// The -sweep grid: every size under each protocol, in table order.
+var (
+	sweepSizes = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
+	sweepOrder = []string{"broadcast", "hybrid", "write-through"}
+)
+
+// sweepConfigs lists the -sweep grid's configurations, protocol-major.
+func sweepConfigs(pes, line, assoc int, writeAllocate func(rapwam.Protocol, int) bool) []rapwam.CacheConfig {
 	var cfgs []rapwam.CacheConfig
-	for _, name := range order {
+	for _, name := range sweepOrder {
 		proto := protocols[name]
-		for _, s := range sizes {
+		for _, s := range sweepSizes {
 			cfgs = append(cfgs, rapwam.CacheConfig{
 				PEs: pes, SizeWords: s, LineWords: line,
 				Protocol:      proto,
@@ -209,6 +225,14 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par int, alloc string) {
 			})
 		}
 	}
+	return cfgs
+}
+
+// runSweep simulates the sweep grid cfgs with the streaming fan-out
+// pipeline: the trace is walked once per pass of up to par
+// configurations (all of them in a single pass by default), instead of
+// once per configuration.
+func runSweep(tr *rapwam.Trace, cfgs []rapwam.CacheConfig, pes, par int, alloc string) {
 	if par <= 0 || par > len(cfgs) {
 		par = len(cfgs)
 	}
@@ -234,14 +258,14 @@ func runSweep(tr *rapwam.Trace, pes, line, assoc, par int, alloc string) {
 		fmt.Printf("write-allocate: %s (every protocol and size)\n", alloc)
 	}
 	fmt.Printf("%-14s", "protocol")
-	for _, s := range sizes {
+	for _, s := range sweepSizes {
 		fmt.Printf(" %7dw", s)
 	}
 	fmt.Println()
-	for i, name := range order {
+	for i, name := range sweepOrder {
 		fmt.Printf("%-14s", name)
-		for j := range sizes {
-			fmt.Printf(" %8.4f", stats[i*len(sizes)+j].TrafficRatio())
+		for j := range sweepSizes {
+			fmt.Printf(" %8.4f", stats[i*len(sweepSizes)+j].TrafficRatio())
 		}
 		fmt.Println()
 	}

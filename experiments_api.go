@@ -118,7 +118,7 @@ func (r *Runner) GenerateTraces(ctx context.Context, targets []TraceTarget) erro
 }
 
 // Table1 renders the storage-object classification (paper Table 1).
-func Table1() string { return experiments.Table1() }
+func Table1() string { return experiments.Table1().String() }
 
 // Figure2 re-exports the deriv overhead sweep result type.
 type Figure2 = experiments.Figure2

@@ -9,12 +9,14 @@
 //	§3.3     — traffic capture, the 2 MLIPS feasibility calculation and
 //	           the bus-contention estimate
 //
-// Each driver returns structured data plus a String rendering, so both
-// the CLI and the test/bench suites can consume them.
+// Each driver returns structured data plus a String rendering (and the
+// registry's results a CSV one), so the CLI, the results service and
+// the test/bench suites all consume them; registry.go lists the suite.
 package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"strings"
 
@@ -25,24 +27,54 @@ import (
 	"repro/internal/trace"
 )
 
-// Table1 renders the storage-object classification (paper Table 1).
-func Table1() string {
-	t := stats.NewTable("Table 1: Characteristics of RAP-WAM Storage Objects",
-		"frame type", "area", "WAM?", "lock", "locality")
+// Table1Result is the storage-object classification (paper Table 1).
+type Table1Result struct {
+	Rows []Table1Row `json:"rows"`
+}
+
+// Table1Row is one storage-object class.
+type Table1Row struct {
+	Frame    string `json:"frame"`
+	Area     string `json:"area"`
+	WAM      bool   `json:"wam"`
+	Locked   bool   `json:"locked"`
+	Locality string `json:"locality"`
+}
+
+// Table1 classifies the storage objects: architecture constants, no
+// emulation.
+func Table1() *Table1Result {
+	out := &Table1Result{}
 	for _, o := range trace.ObjTypes() {
-		wam, lock, loc := "no", "no", "Local"
-		if o.WAM() {
-			wam = "yes"
-		}
-		if o.Locked() {
-			lock = "yes"
-		}
+		loc := "Local"
 		if o.Global() {
 			loc = "Global"
 		}
-		t.AddRow(o.String(), o.Area().String(), wam, lock, loc)
+		out.Rows = append(out.Rows, Table1Row{
+			Frame: o.String(), Area: o.Area().String(),
+			WAM: o.WAM(), Locked: o.Locked(), Locality: loc,
+		})
+	}
+	return out
+}
+
+// String renders the table.
+func (t1 *Table1Result) String() string {
+	yesNo := map[bool]string{true: "yes", false: "no"}
+	t := stats.NewTable("Table 1: Characteristics of RAP-WAM Storage Objects",
+		"frame type", "area", "WAM?", "lock", "locality")
+	for _, r := range t1.Rows {
+		t.AddRow(r.Frame, r.Area, yesNo[r.WAM], yesNo[r.Locked], r.Locality)
 	}
 	return t.String()
+}
+
+// WriteCSV writes one row per storage-object class.
+func (t1 *Table1Result) WriteCSV(w *csv.Writer) {
+	w.Write([]string{"frame", "area", "wam", "lock", "locality"})
+	for _, r := range t1.Rows {
+		w.Write([]string{r.Frame, r.Area, fmt.Sprint(r.WAM), fmt.Sprint(r.Locked), r.Locality})
+	}
 }
 
 // paperConfig is the cache every driver simulates unless it sweeps
@@ -135,6 +167,14 @@ func (f *Figure2) String() string {
 	return t.String()
 }
 
+// WriteCSV writes one row per PE count.
+func (f *Figure2) WriteCSV(w *csv.Writer) {
+	w.Write([]string{"pes", "work_pct_wam", "speedup", "wait_pct", "idle_pct", "goals_parallel"})
+	for _, p := range f.Points {
+		w.Write([]string{is(int64(p.PEs)), fs(p.WorkPct), fs(p.Speedup), fs(p.WaitPct), fs(p.IdlePct), is(p.GoalsParallel)})
+	}
+}
+
 // Table2Row is one benchmark's statistics (paper Table 2).
 type Table2Row struct {
 	Name          string
@@ -205,6 +245,14 @@ func (t2 *Table2) String() string {
 		t.AddRow(cells...)
 	}
 	return t.String()
+}
+
+// WriteCSV writes one row per benchmark.
+func (t2 *Table2) WriteCSV(w *csv.Writer) {
+	w.Write([]string{"benchmark", "instructions", "refs_rapwam", "refs_wam", "goals_parallel", "goals_stolen"})
+	for _, r := range t2.Rows {
+		w.Write([]string{r.Name, is(r.Instructions), is(r.RefsRAPWAM), is(r.RefsWAM), is(r.GoalsParallel), is(r.GoalsStolen)})
+	}
 }
 
 // Table3 reproduces the locality-fit study: traffic ratios of the
@@ -306,6 +354,22 @@ func (t3 *Table3) String() string {
 		t.AddRow(cells...)
 	}
 	return t.String()
+}
+
+// WriteCSV writes one row per cache size.
+func (t3 *Table3) WriteCSV(w *csv.Writer) {
+	header := []string{"cache_words", "etr", "sigma"}
+	for _, s := range t3.Small {
+		header = append(header, "z_"+s)
+	}
+	w.Write(append(header, "mean_abs_z"))
+	for i, size := range t3.CacheSizes {
+		row := []string{is(int64(size)), fs(t3.Etr[i]), fs(t3.Sigma[i])}
+		for _, z := range t3.Z[i] {
+			row = append(row, fs(z))
+		}
+		w.Write(append(row, fs(t3.MeanAbsZ[i])))
+	}
 }
 
 // Fig4Series is one protocol's traffic-ratio curve for one PE count.
@@ -428,6 +492,16 @@ func (f *Figure4) String() string {
 	return b.String()
 }
 
+// WriteCSV writes one row per (protocol, PE count, cache size).
+func (f *Figure4) WriteCSV(w *csv.Writer) {
+	w.Write([]string{"protocol", "pes", "cache_words", "traffic_ratio"})
+	for _, s := range f.Series {
+		for i, size := range f.CacheSizes {
+			w.Write([]string{s.Protocol.String(), is(int64(s.PEs)), is(int64(size)), fs(s.Ratio[i])})
+		}
+	}
+}
+
 // MLIPS is the back-of-the-envelope feasibility calculation of §3.3,
 // re-derived from measured statistics rather than the paper's round
 // numbers.
@@ -518,6 +592,23 @@ func (m *MLIPS) String() string {
 	fmt.Fprintf(&b, "  cache capture ratio      : %6.2f   (paper: 0.70)\n", m.CaptureRatio)
 	fmt.Fprintf(&b, "  bus bandwidth needed     : %6.1f MB/s (paper: 108)\n", m.BusBandwidthMBs)
 	return b.String()
+}
+
+// WriteCSV writes one (metric, value) row per quantity.
+func (m *MLIPS) WriteCSV(w *csv.Writer) {
+	w.Write([]string{"metric", "value"})
+	for _, r := range [][2]string{
+		{"instr_per_li", fs(m.InstrPerLI)},
+		{"refs_per_instr", fs(m.RefsPerInstr)},
+		{"words_per_li", fs(m.WordsPerLI)},
+		{"bytes_per_li", fs(m.BytesPerLI)},
+		{"target_mlips", fs(m.TargetMLIPS)},
+		{"raw_bandwidth_mbs", fs(m.RawBandwidthMBs)},
+		{"capture_ratio", fs(m.CaptureRatio)},
+		{"bus_bandwidth_mbs", fs(m.BusBandwidthMBs)},
+	} {
+		w.Write(r[:])
+	}
 }
 
 // BusStudy tabulates shared-memory efficiency against bus bandwidth

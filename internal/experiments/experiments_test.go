@@ -9,7 +9,7 @@ import (
 )
 
 func TestTable1RendersAllRows(t *testing.T) {
-	out := Table1()
+	out := Table1().String()
 	for _, want := range []string{"envt/control", "heap", "parcall/counts", "goalframe", "message", "Global", "Local"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 missing %q:\n%s", want, out)

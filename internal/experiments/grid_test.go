@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -137,40 +137,21 @@ func TestStorelessCellMemoizes(t *testing.T) {
 	}
 }
 
-// expAll takes r through the full `-exp all` driver set with the CLI's
-// default parameters and returns everything it renders.
+// expAll takes r through the registry at default parameters — what
+// `experiments -exp all` runs — and returns what the CLI prints.
 func expAll(t *testing.T, r *bench.Runner) string {
 	t.Helper()
-	ctx := context.Background()
-	one := func(v fmt.Stringer, err error) (fmt.Stringer, error) { return v, err }
-	steps := []func() (fmt.Stringer, error){
-		func() (fmt.Stringer, error) { return one(RunFigure2(ctx, r, []int{1, 2, 4, 8, 12, 16})) },
-		func() (fmt.Stringer, error) { return one(RunTable2(ctx, r, 8)) },
-		func() (fmt.Stringer, error) { return one(RunTable3(ctx, r)) },
-		func() (fmt.Stringer, error) {
-			return one(RunFigure4(ctx, r, []int{1, 2, 4, 8}, []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}))
-		},
-		func() (fmt.Stringer, error) { return one(RunMLIPS(ctx, r, 256, 2)) },
-		func() (fmt.Stringer, error) { return one(RunBusStudy(ctx, r, 8, 256)) },
-		func() (fmt.Stringer, error) { return one(RunBusDES(ctx, r, "qsort", 8, 256, 4)) },
-		func() (fmt.Stringer, error) { return one(RunGranularitySweep(ctx, r, []int{0, 1, 2, 3, 4, 6})) },
-		func() (fmt.Stringer, error) {
-			return one(RunLineSizeSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 16}))
-		},
-		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "deriv", 8)) },
-		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "qsort", 8)) },
-		func() (fmt.Stringer, error) { return one(RunLockShare(ctx, r, "matrix", 8)) },
-		func() (fmt.Stringer, error) {
-			return one(RunAssocSweep(ctx, r, "qsort", 4, 1024, []int{1, 2, 4, 8, 0}))
-		},
-	}
 	var out strings.Builder
-	for _, step := range steps {
-		v, err := step()
+	for _, e := range Registry() {
+		_, run, err := e.Prepare(url.Values{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.WriteString(v.String())
+		v, err := run(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(v.String() + "\n")
 	}
 	return out.String()
 }

@@ -114,7 +114,7 @@ func runErrorTaxonomy(pass *Pass) {
 			return
 		}
 		if isBackendImplMethod(pass, fd) {
-			// A Backend wrapping other Backends (Tiered, Retry, Fault)
+			// A Backend wrapping other Backends (Tiered, Fault)
 			// is the storage layer itself: its contract is to surface
 			// errors for consumers above the interface to classify.
 			return

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // benchServer builds a server with a warmed result cache for the given
@@ -85,7 +87,7 @@ func BenchmarkServiceWarmMix(b *testing.B) {
 	defer ts.Close()
 	client := ts.Client()
 	var urls []string
-	for _, e := range Registry() {
+	for _, e := range experiments.Registry() {
 		for _, format := range []string{"json", "csv", "text"} {
 			urls = append(urls, ts.URL+"/v1/experiments/"+e.Name+"?format="+format)
 		}

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -123,7 +124,7 @@ type memEntry struct {
 // first use — the same bytes whichever layer supplied the envelope —
 // and stored; concurrent first renders race benignly (the bytes are
 // deterministic, the first stored wins). Errors are never stored.
-func (e *memEntry) render(exp *Experiment, format string) ([]byte, error) {
+func (e *memEntry) render(exp *experiments.Experiment, format string) ([]byte, error) {
 	slot := &e.csv
 	switch format {
 	case "json":
@@ -140,11 +141,11 @@ func (e *memEntry) render(exp *Experiment, format string) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	if format == "csv" {
-		if err := renderCSV(exp, v, &buf); err != nil {
+		if err := experiments.WriteCSV(&buf, v); err != nil {
 			return nil, fmt.Errorf("rendering csv: %w", err)
 		}
 	} else {
-		buf.WriteString(exp.text(v))
+		buf.WriteString(v.String())
 	}
 	out := buf.Bytes()
 	slot.CompareAndSwap(nil, &out)

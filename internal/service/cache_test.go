@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
 func testEnvelope(t *testing.T, key CacheKey) []byte {
 	t.Helper()
-	body, err := marshalEnvelope(key.Experiment, []param{{"pes", "2"}}, map[string]int{"x": 1})
+	body, err := marshalEnvelope(key.Experiment, experiments.Canonical{{Name: "pes", Value: "2"}}, map[string]int{"x": 1})
 	if err != nil {
 		t.Fatal(err)
 	}

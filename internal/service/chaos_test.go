@@ -155,10 +155,6 @@ func TestResultCorruptionHealsTransparently(t *testing.T) {
 // a queue of 1, four concurrent cold requests for DISTINCT experiments
 // admit one, queue one, and shed the rest with 429 + Retry-After.
 func TestLoadShedding(t *testing.T) {
-	var blockers []*blockingExperiment
-	for i := 0; i < 4; i++ {
-		blockers = append(blockers, newBlockingExperiment(t, fmt.Sprintf("shedtest%d", i)))
-	}
 	s, err := New(Config{
 		ResultBackend: storage.NewMem(),
 		MaxComputes:   1,
@@ -167,6 +163,10 @@ func TestLoadShedding(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var blockers []*blockingExperiment
+	for i := 0; i < 4; i++ {
+		blockers = append(blockers, newBlockingExperiment(s, fmt.Sprintf("shedtest%d", i)))
 	}
 	h := s.Handler()
 
@@ -227,7 +227,6 @@ func TestLoadShedding(t *testing.T) {
 // TestSingleFlightRidesFreeThroughAdmission: N identical requests need
 // only ONE compute slot — joiners must not consume admission capacity.
 func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
-	b := newBlockingExperiment(t, "joinfree")
 	s, err := New(Config{
 		ResultBackend: storage.NewMem(),
 		MaxComputes:   1,
@@ -237,6 +236,7 @@ func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := newBlockingExperiment(s, "joinfree")
 	h := s.Handler()
 
 	const n = 8
@@ -276,7 +276,6 @@ func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
 // exceeds ComputeTimeout maps to 504 (not the 503 of a client
 // disconnect) and counts in /v1/stats.
 func TestComputeTimeout504(t *testing.T) {
-	newBlockingExperiment(t, "stuck") // parks until its ctx dies
 	s, err := New(Config{
 		ResultBackend:  storage.NewMem(),
 		ComputeTimeout: 50 * time.Millisecond,
@@ -285,6 +284,7 @@ func TestComputeTimeout504(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	newBlockingExperiment(s, "stuck") // parks until its ctx dies
 	w := get(t, s.Handler(), "/v1/experiments/stuck")
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stuck computation: status %d, want 504 (%s)", w.Code, w.Body.String())

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/storage"
 )
 
@@ -187,8 +188,8 @@ type clusterStatsBody struct {
 // on the request itself (shed, compute timeout, caller gone) and
 // propagate; final=false errors mean "the owner could not help" and
 // the caller falls back to computing locally.
-func (s *Server) proxyCompute(ctx context.Context, owner string, key CacheKey, h string, ps []param) (flightResult, bool, error) {
-	u := owner + "/v1/experiments/" + url.PathEscape(key.Experiment) + "?" + paramQuery(ps).Encode()
+func (s *Server) proxyCompute(ctx context.Context, owner string, key CacheKey, h string, ps experiments.Canonical) (flightResult, bool, error) {
+	u := owner + "/v1/experiments/" + url.PathEscape(key.Experiment) + "?" + ps.Query().Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return flightResult{}, false, err

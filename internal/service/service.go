@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -91,6 +92,8 @@ type Server struct {
 	mux     *http.ServeMux
 	flights flightGroup
 	start   time.Time
+	// suite is the experiment registry this server serves.
+	suite experiments.Suite
 
 	// cluster is nil on a solo node. resultTier/traceTier are the
 	// Tiered compositions when clustered (their Local() is what the
@@ -146,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 		localTrace = d
 	}
 
-	s := &Server{cfg: cfg, start: time.Now()}
+	s := &Server{cfg: cfg, start: time.Now(), suite: experiments.Registry()}
 	clu, err := newCluster(cfg)
 	if err != nil {
 		return nil, err
@@ -362,7 +365,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": Registry()})
+	writeJSON(w, http.StatusOK, map[string]any{"experiments": s.suite})
 }
 
 // handleExperiment serves one experiment: parse and canonicalize the
@@ -377,7 +380,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 // carries X-Degraded naming the components.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	exp, ok := Lookup(name)
+	exp, ok := s.suite.Lookup(name)
 	if !ok {
 		s.fail(w, http.StatusNotFound, "unknown experiment %q (see /v1/experiments)", name)
 		return
@@ -391,12 +394,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "parameter format=%q: want json, csv or text", format)
 		return
 	}
-	ps, run, err := exp.prepare(q)
+	ps, run, err := exp.Prepare(q)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%s: %v", name, err)
 		return
 	}
-	key := CacheKey{Experiment: name, Params: canonicalParams(ps)}
+	key := CacheKey{Experiment: name, Params: ps.String()}
 	h := key.hash()
 	// A request another node already proxied once is served entirely
 	// locally — fetch, compute, or fail — never proxied again, so a
@@ -464,7 +467,7 @@ var contentTypes = map[string]string{
 // (cancelled cells are evicted from every memo layer), or in the worst
 // case joins another doomed flight and loops again. Shed and
 // compute-timeout errors are final — never retried here.
-func (s *Server) compute(ctx context.Context, key CacheKey, h string, ps []param, run runFunc, proxied bool) (flightResult, error) {
+func (s *Server) compute(ctx context.Context, key CacheKey, h string, ps experiments.Canonical, run experiments.Run, proxied bool) (flightResult, error) {
 	for {
 		res, err := s.computeOnce(ctx, key, h, ps, run, proxied)
 		if err != nil && ctx.Err() == nil &&
@@ -475,7 +478,7 @@ func (s *Server) compute(ctx context.Context, key CacheKey, h string, ps []param
 	}
 }
 
-func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps []param, run runFunc, proxied bool) (flightResult, error) {
+func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps experiments.Canonical, run experiments.Run, proxied bool) (flightResult, error) {
 	return s.flights.do(ctx, h, func(cctx context.Context) (flightResult, error) {
 		// Double check under the flight: a racing request may have
 		// completed (and cached) this cell between our miss and this
@@ -540,14 +543,14 @@ func (s *Server) cacheResult(ctx context.Context, key CacheKey, h string, body [
 }
 
 // marshalEnvelope renders the canonical stored/served JSON body.
-func marshalEnvelope(experiment string, ps []param, result any) ([]byte, error) {
+func marshalEnvelope(experiment string, ps experiments.Canonical, result any) ([]byte, error) {
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return nil, fmt.Errorf("service: marshaling %s result: %w", experiment, err)
 	}
 	body, err := json.Marshal(Envelope{
 		Experiment:      experiment,
-		Params:          paramMap(ps),
+		Params:          ps.Map(),
 		EmulatorVersion: core.EmulatorVersion,
 		CodecVersion:    trace.CodecVersion,
 		CacheVersion:    CacheVersion,
@@ -562,12 +565,12 @@ func marshalEnvelope(experiment string, ps []param, result any) ([]byte, error) 
 
 // decodeResult unmarshals a cached envelope back into the entry's
 // typed result.
-func decodeResult(e *Experiment, body []byte) (any, error) {
+func decodeResult(e *experiments.Experiment, body []byte) (experiments.Result, error) {
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		return nil, err
 	}
-	v := e.fresh()
+	v := e.Fresh()
 	if err := json.Unmarshal(env.Result, v); err != nil {
 		return nil, err
 	}
@@ -644,7 +647,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	pes, err := intParam(q, "pes", 1, 1, trace.MaxPEs)
+	pes, err := experiments.IntParam(q, "pes", 1, 1, trace.MaxPEs)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return

@@ -57,69 +57,45 @@ func getOK(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder
 	return w
 }
 
-// injectExperiment registers a test-only experiment for the duration
-// of the test.
-func injectExperiment(t *testing.T, e *Experiment) {
-	t.Helper()
-	registry = append(registry, e)
-	t.Cleanup(func() {
-		for i, x := range registry {
-			if x == e {
-				registry = append(registry[:i], registry[i+1:]...)
-				return
-			}
-		}
-	})
-}
-
-// blockingExperiment is an injectable experiment whose computation
-// parks until its context is cancelled (or unblock is closed),
-// reporting lifecycle events on channels — the deterministic probe for
-// the disconnect/shutdown cancellation paths.
+// blockingExperiment is an experiment, served by one test server only,
+// whose computation parks until its context is cancelled (or unblock is
+// closed), reporting lifecycle events on channels — the deterministic
+// probe for the disconnect/shutdown cancellation paths.
 type blockingExperiment struct {
-	exp       *Experiment
+	exp       *experiments.Experiment
 	started   chan struct{}
 	cancelled chan struct{}
 	unblock   chan struct{}
 }
 
-func newBlockingExperiment(t *testing.T, name string) *blockingExperiment {
+// newBlockingExperiment adds a blocking experiment to the suite s
+// serves.
+func newBlockingExperiment(s *Server, name string) *blockingExperiment {
 	b := &blockingExperiment{
 		started:   make(chan struct{}, 64),
 		cancelled: make(chan struct{}),
 		unblock:   make(chan struct{}),
 	}
 	var once sync.Once
-	b.exp = &Experiment{
+	b.exp = &experiments.Experiment{
 		Name:    name,
 		Summary: "test-only blocking experiment",
-		prepare: func(q url.Values) ([]param, runFunc, error) {
-			return nil, func(ctx context.Context, _ *bench.Runner) (any, error) {
+		Prepare: func(q url.Values) (experiments.Canonical, experiments.Run, error) {
+			return nil, func(ctx context.Context, _ *bench.Runner) (experiments.Result, error) {
 				b.started <- struct{}{}
 				select {
 				case <-ctx.Done():
 					once.Do(func() { close(b.cancelled) })
 					return nil, ctx.Err()
 				case <-b.unblock:
-					return &Table1Result{Rows: []Table1Row{{Frame: "ok"}}}, nil
+					return &experiments.Table1Result{Rows: []experiments.Table1Row{{Frame: "ok"}}}, nil
 				}
 			}, nil
 		},
-		fresh: func() any { return new(Table1Result) },
-		csv:   registryMust(t, "table1").csv,
-		text:  func(any) string { return "blocking\n" },
+		Fresh: func() experiments.Result { return new(experiments.Table1Result) },
 	}
-	injectExperiment(t, b.exp)
+	s.suite = append(s.suite, b.exp)
 	return b
-}
-
-func registryMust(t *testing.T, name string) *Experiment {
-	t.Helper()
-	e, ok := Lookup(name)
-	if !ok {
-		t.Fatalf("experiment %q missing from registry", name)
-	}
-	return e
 }
 
 func decodeEnvelope(t *testing.T, body []byte) Envelope {
@@ -168,7 +144,7 @@ func TestExperimentListDocumentsEveryEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	w := getOK(t, s.Handler(), "/v1/experiments")
 	var body struct {
-		Experiments []Experiment `json:"experiments"`
+		Experiments []experiments.Experiment `json:"experiments"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
@@ -458,7 +434,7 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 // context is cancelled, and the failed flight is not memoized.
 func TestClientDisconnectCancelsCompute(t *testing.T) {
 	s := newTestServer(t)
-	b := newBlockingExperiment(t, "test-block")
+	b := newBlockingExperiment(s, "test-block")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -505,7 +481,7 @@ func TestClientDisconnectCancelsCompute(t *testing.T) {
 // other still wants.
 func TestOneDisconnectDoesNotAbortOtherWaiters(t *testing.T) {
 	s := newTestServer(t)
-	b := newBlockingExperiment(t, "test-block2")
+	b := newBlockingExperiment(s, "test-block2")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -555,7 +531,7 @@ func TestOneDisconnectDoesNotAbortOtherWaiters(t *testing.T) {
 // end and Serve returns promptly and cleanly.
 func TestServeGracefulShutdown(t *testing.T) {
 	s := newTestServer(t)
-	b := newBlockingExperiment(t, "test-block3")
+	b := newBlockingExperiment(s, "test-block3")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -203,55 +203,3 @@ func TestParseFaults(t *testing.T) {
 		}
 	}
 }
-
-func TestRetryHealsTransientFaults(t *testing.T) {
-	// OpErr at 30% with 10 attempts: a bare operation flakes every few
-	// calls, a retried one fails with probability 0.3^10 ≈ 6e-6 — and
-	// the seeded PRNG plus the fixed operation order below make the
-	// outcome deterministic, not merely likely.
-	b := NewRetry(NewFault(NewMem(), Faults{Seed: 5, OpErr: 0.3}), RetryOptions{Attempts: 10, Backoff: time.Microsecond})
-	if err := b.Put("x.bin", func(w io.Writer) error {
-		_, err := io.WriteString(w, "v")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := b.Stat("x.bin"); err != nil {
-			t.Fatalf("stat %d flaked through retry: %v", i, err)
-		}
-		if _, err := b.List(""); err != nil {
-			t.Fatalf("list %d flaked through retry: %v", i, err)
-		}
-	}
-}
-
-func TestRetryDoesNotRetryPutByDefault(t *testing.T) {
-	calls := 0
-	b := NewRetry(NewFault(NewMem(), Faults{WriteErr: 1}), RetryOptions{Attempts: 5, Backoff: time.Microsecond})
-	err := b.Put("x.bin", func(w io.Writer) error {
-		calls++
-		return nil
-	})
-	if err == nil {
-		t.Fatal("WriteErr=1 put succeeded")
-	}
-	if calls != 0 {
-		t.Fatalf("put callback ran %d times; default must not re-run expensive generators", calls)
-	}
-}
-
-func TestRetryGivesUpOnPersistentFault(t *testing.T) {
-	b := NewRetry(NewFault(NewMem(), Faults{OpErr: 1}), RetryOptions{Attempts: 3, Backoff: time.Microsecond})
-	_, err := b.Stat("x.bin")
-	if !IsTransient(err) {
-		t.Fatalf("exhausted retry must surface the transient error: %v", err)
-	}
-}
-
-func TestRetryDoesNotRetryRealErrors(t *testing.T) {
-	b := NewRetry(NewMem(), RetryOptions{Attempts: 5, Backoff: time.Microsecond})
-	if _, err := b.Get("missing.bin"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("miss through retry: %v", err)
-	}
-}

@@ -28,11 +28,10 @@
 //     store and serving path can be tested against a hostile disk or
 //     wire.
 //
-// NewRetry adds bounded retry-with-backoff for transient errors around
-// any backend. Higher layers classify errors with IsTransient (worth
-// retrying, not evidence of corruption) and AsBackendError (the
-// storage layer itself failed — degrade to compute-without-caching
-// rather than failing the request).
+// Higher layers classify errors with IsTransient (worth retrying, not
+// evidence of corruption) and AsBackendError (the storage layer itself
+// failed — degrade to compute-without-caching rather than failing the
+// request).
 package storage
 
 import (

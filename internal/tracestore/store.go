@@ -205,20 +205,6 @@ func NewOn(b storage.Backend) *Store {
 	return s
 }
 
-// SweepStaleTemps removes *.tmp files in dir whose modification time
-// is more than olderThan ago, returning how many were removed. It is
-// shared by every store using the temp+rename write scheme; sweep
-// failures are deliberately non-fatal — a stranded temp wastes disk
-// but corrupts nothing. (Backend-hosted stores sweep through
-// Store.Sweep; this remains for bare directories.)
-func SweepStaleTemps(dir string, olderThan time.Duration) int {
-	d, err := storage.NewDir(dir, 0)
-	if err != nil {
-		return 0
-	}
-	return d.Sweep(olderThan)
-}
-
 // Backend returns the store's storage backend.
 func (s *Store) Backend() storage.Backend { return s.b }
 
