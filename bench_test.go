@@ -285,7 +285,7 @@ func BenchmarkPerBenchmarkParallel(b *testing.B) {
 
 // BenchmarkAblationRuntimeChecks compares deriv with and without
 // run-time CGE groundness checks (the cost compile-time analysis
-// removes; DESIGN.md ablation).
+// removes; docs/ARCHITECTURE.md, "Ablations").
 func BenchmarkAblationRuntimeChecks(b *testing.B) {
 	unchecked, _ := BenchmarkByName("deriv")
 	checked, _ := BenchmarkByName("deriv-checked")

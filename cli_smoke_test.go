@@ -79,9 +79,13 @@ func asExitError(err error, ee **exec.ExitError) bool {
 
 func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 	tmp := t.TempDir()
-	// cachesim's flags are checked before the emulator runs: a bad
-	// configuration leaves this store empty.
+	// cachesim's and tracegen's flags are checked before the emulator
+	// runs: a bad value leaves this store empty.
 	empty := t.TempDir()
+	prog := filepath.Join(tmp, "a.pl")
+	if err := os.WriteFile(prog, []byte("a(1).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name     string
 		bin      string
@@ -117,7 +121,24 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 		{"cachesim-unknown-allocate", "cachesim",
 			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-allocate", "maybe"}, 2, "-allocate"},
 		{"tracegen-negative-par", "tracegen",
-			[]string{"generate", "-tracedir", tmp, "-par", "-2"}, 1, "-par"},
+			[]string{"generate", "-tracedir", empty, "-par", "-2"}, 2, "-par"},
+		{"tracegen-pes-out-of-range", "tracegen",
+			[]string{"generate", "-tracedir", empty, "-bench", "qsort", "-pes", "4,0"}, 2, "-pes 0: need an integer in [1, 64]"},
+		{"tracegen-unknown-bench", "tracegen",
+			[]string{"generate", "-tracedir", empty, "-bench", "qsort,nosuch"}, 2, "-bench nosuch"},
+		{"tracegen-unknown-mode", "tracegen",
+			[]string{"generate", "-tracedir", empty, "-bench", "qsort", "-mode", "both"}, 2, "-mode both"},
+		// A PE count the machine cannot have is refused before anything
+		// compiles, for a query and a benchmark alike (0 and negative
+		// counts used to run on one PE).
+		{"rapwam-query-zero-pes", "rapwam",
+			[]string{"-q", "a(X)", "-p", "0", prog}, 2, "-p 0: need an integer in [1, 64]"},
+		{"rapwam-query-negative-pes", "rapwam",
+			[]string{"-q", "a(X)", "-p", "-3", prog}, 2, "-p -3"},
+		{"rapwam-bench-zero-pes", "rapwam",
+			[]string{"-bench", "qsort", "-p", "0"}, 2, "-p 0"},
+		{"rapwam-bench-pes-above-max", "rapwam",
+			[]string{"-bench", "qsort", "-p", "65"}, 2, "-p 65"},
 		// The intra-cell width flags are gone: any value, negative
 		// included, is rejected with the flag package's one line.
 		{"tracegen-negative-shards", "tracegen",
@@ -154,7 +175,7 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 		})
 	}
 	if traces, _ := filepath.Glob(filepath.Join(empty, "*.rwt2")); len(traces) != 0 {
-		t.Errorf("cachesim with a bad flag wrote %v", traces)
+		t.Errorf("a command with a bad flag wrote %v", traces)
 	}
 }
 

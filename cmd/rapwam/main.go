@@ -48,6 +48,12 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
 	flag.Parse()
+	// A PE count outside the machine's range is a usage error, caught
+	// before anything compiles or runs.
+	if *pes < 1 || *pes > rapwam.MaxPEs {
+		fmt.Fprintf(os.Stderr, "rapwam: -p %d: need an integer in [1, %d]\n", *pes, rapwam.MaxPEs)
+		os.Exit(2)
+	}
 	stopProfiles = startProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
 

@@ -94,6 +94,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// usageExit reports a bad flag value and exits 2, before any work.
+func usageExit(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 // stopProfiles is installed before any work, so an error exit still
 // flushes a valid CPU profile (see internal/profflag).
 var stopProfiles = func() {}
@@ -103,7 +109,7 @@ func startProfiles(cpuPath, memPath string) func() {
 }
 
 // parseBenches expands a -bench list (names or presets) into
-// benchmarks.
+// benchmarks; the error names the first unknown one.
 func parseBenches(list string) ([]rapwam.Benchmark, error) {
 	var names []string
 	for _, tok := range strings.Split(list, ",") {
@@ -132,14 +138,15 @@ func parseBenches(list string) ([]rapwam.Benchmark, error) {
 		seen[name] = true
 		b, ok := rapwam.BenchmarkByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", name)
+			return nil, fmt.Errorf("-bench %s: unknown benchmark", name)
 		}
 		out = append(out, b)
 	}
 	return out, nil
 }
 
-// parsePEs parses a comma-separated PE-count list.
+// parsePEs parses a comma-separated PE-count list; the error names the
+// first bad count.
 func parsePEs(list string) ([]int, error) {
 	var out []int
 	for _, tok := range strings.Split(list, ",") {
@@ -149,7 +156,7 @@ func parsePEs(list string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(tok)
 		if err != nil || n < 1 || n > rapwam.MaxPEs {
-			return nil, fmt.Errorf("bad PE count %q (need 1..%d)", tok, rapwam.MaxPEs)
+			return nil, fmt.Errorf("-pes %s: need an integer in [1, %d]", tok, rapwam.MaxPEs)
 		}
 		out = append(out, n)
 	}
@@ -180,20 +187,27 @@ func cmdGenerate(args []string) {
 	if *dir == "" || fs.NArg() != 0 {
 		usage()
 	}
+	// Every flag is checked before any work: a bad value is a usage
+	// error (exit 2) naming the flag.
 	parN, err := cliflag.Resolve("par", *par)
 	if err != nil {
-		fatal(err)
+		usageExit("%v", err)
 	}
-	stopProfiles = startProfiles(*cpuProf, *memProf)
-	defer stopProfiles()
 	bs, err := parseBenches(*benches)
 	if err != nil {
-		fatal(err)
+		usageExit("%v", err)
 	}
 	pes, err := parsePEs(*pesList)
 	if err != nil {
-		fatal(err)
+		usageExit("%v", err)
 	}
+	switch *mode {
+	case "auto", "par", "seq":
+	default:
+		usageExit("-mode %s: want auto, par or seq", *mode)
+	}
+	stopProfiles = startProfiles(*cpuProf, *memProf)
+	defer stopProfiles()
 
 	var cells []cell
 	type cellID struct {
@@ -223,8 +237,6 @@ func cmdGenerate(args []string) {
 				add(cell{b, p, false})
 			case "seq":
 				add(cell{b, p, true})
-			default:
-				fatal(fmt.Errorf("bad -mode %q", *mode))
 			}
 		}
 	}

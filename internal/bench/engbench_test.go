@@ -20,7 +20,9 @@ import (
 )
 
 // engineBenchCells is the benchmarked grid: the paper's two most
-// reference-dense workloads across the PE counts the store generates.
+// reference-dense workloads across the PE counts the store generates,
+// and matrix at 8 PEs, where most PEs wait while one runs with goals
+// on its own stack (the shape runner quanta elide).
 var engineBenchCells = []struct {
 	bench string
 	pes   int
@@ -31,6 +33,7 @@ var engineBenchCells = []struct {
 	{"qsort", 1},
 	{"qsort", 4},
 	{"qsort", 8},
+	{"matrix", 8},
 }
 
 // compileCell compiles one benchmark outside the timed loop.

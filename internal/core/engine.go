@@ -9,9 +9,10 @@
 // action) in PE order. This reproduces the paper's software-emulation
 // methodology (its measurements also came from an instrumented emulator,
 // not hardware) while making every run bit-reproducible. The default
-// dispatcher elides provably inert steps of that schedule — sole-runner
-// quanta, skipped no-op polls — and is observationally identical to the
-// reference round-robin (Config.ReferenceDispatch, TestDispatcherParity,
+// dispatcher elides provably inert steps of that schedule — quanta that
+// step only the running workers, skipped no-op polls — and is
+// observationally identical to the reference round-robin
+// (Config.ReferenceDispatch, TestDispatcherParity, FuzzDispatcherParity
 // and the golden trace digests in internal/bench all pin this).
 //
 // Instrumentation notes:
@@ -187,15 +188,27 @@ type Engine struct {
 	// nRun counts workers in StateRun, maintained by worker.setState;
 	// the quantum dispatcher's eligibility check starts with it.
 	nRun int
+	// runners holds the running workers in PE order while a quantum or
+	// an epoch runs, filled by quantumEligible (capacity PEs: collecting
+	// them never allocates).
+	runners []*worker
+	// quantumCycles counts the cycles dispatched inside quanta; the rest
+	// went through the round-robin (tests read the split).
+	quantumCycles int64
+	// ineligibleSeq is the schedSeq at which quantumEligible last
+	// answered false (see there).
+	ineligibleSeq uint64
 	// schedSeq increments on every action another worker could observe
 	// at its next scheduler step: a goal pushed to or popped from a
 	// goal stack, a parcall frame's pending/status words written, a
-	// message (kill flag) sent. Two uses, both exactness-preserving:
-	// the quantum dispatcher breaks its straight-line loop when the
-	// sequence moves (so every worker observes the event on the cycle
-	// the reference scheduler would deliver it), and inert waiters and
-	// idle workers skip their no-op polls/steal probes while the
-	// sequence is unchanged since the poll that proved them inert.
+	// message (kill flag) sent, a worker changing state, the halt.
+	// Three uses, all exactness-preserving: the quantum dispatcher
+	// breaks its straight-line loop when the sequence moves (so every
+	// worker observes the event on the cycle the reference scheduler
+	// would deliver it); a failed eligibility check holds while it
+	// stands still; and inert waiters and idle workers skip their no-op
+	// polls/steal probes while it is unchanged since the poll that
+	// proved them inert.
 	schedSeq uint64
 	// elide enables the inert-poll/idle-sweep elision in tick; it is
 	// off under ReferenceDispatch so the reference scheduler stays the
@@ -253,7 +266,8 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	e := &Engine{cfg: cfg, code: code, mem: m, elide: !cfg.ReferenceDispatch}
+	e := &Engine{cfg: cfg, code: code, mem: m, elide: !cfg.ReferenceDispatch,
+		runners: make([]*worker, 0, cfg.PEs), ineligibleSeq: ^uint64(0)}
 	for pe := 0; pe < cfg.PEs; pe++ {
 		e.workers = append(e.workers, newWorker(e, pe))
 	}
@@ -304,8 +318,6 @@ func (e *Engine) Run() (res *Result, err error) {
 	switch {
 	case e.cfg.ReferenceDispatch:
 		err = e.runReference()
-	case e.cfg.PEs == 1:
-		err = e.runSingle()
 	case e.execShards > 1:
 		err = e.runSharded()
 	default:
@@ -350,9 +362,9 @@ func canceled(stop <-chan struct{}) bool {
 
 // runReference is the one-instruction-per-tick round-robin scheduler:
 // on every cycle each worker advances one step in PE order. It is the
-// semantic definition of the machine's interleaving; the quantum
-// dispatchers below are optimizations proven trace- and
-// stats-identical to it (TestDispatcherParity, TestGoldenTraceParity).
+// semantic definition of the machine's interleaving; runMulti is an
+// optimization proven trace- and stats-identical to it
+// (TestDispatcherParity, FuzzDispatcherParity, TestGoldenTraceParity).
 func (e *Engine) runReference() error {
 	stop := e.cfg.Cancel
 	for !e.halted {
@@ -373,55 +385,11 @@ func (e *Engine) runReference() error {
 	return nil
 }
 
-// runSingle drives a 1-PE machine. With no other workers there is
-// nothing to interleave with: while the worker keeps running,
-// instructions execute in a straight-line loop with no per-tick
-// scheduler dispatch (the quantum is unbounded — it ends only when the
-// worker changes state or the engine halts). Kill flags cannot be set
-// at 1 PE (messages only ever target other workers), so the tick-level
-// kill check is dead and skipped.
-func (e *Engine) runSingle() (err error) {
-	w := e.workers[0]
-	maxC := e.cfg.MaxCycles
-	stop := e.cfg.Cancel
-	cyc, runCyc := e.cycle, w.runCycles
-	defer func() {
-		e.cycle = cyc
-		w.runCycles = runCyc
-	}()
-	for !e.halted {
-		if cyc >= maxC {
-			return e.errRunaway()
-		}
-		if stop != nil && cyc&cancelMask == 0 && canceled(stop) {
-			return context.Canceled
-		}
-		if w.state == StateRun {
-			cyc++
-			runCyc++
-			w.step()
-		} else {
-			cyc++
-			e.cycle = cyc // scheduler actions see the true cycle
-			w.tick()      // never touches runCycles from a non-run state
-		}
-	}
-	return nil
-}
-
-// runMulti drives a multi-PE machine. Cycles where more than one
-// worker can act run through the reference round-robin (their
-// reference interleaving is the trace, so there is nothing to elide);
-// but whenever exactly one worker is runnable and every other worker
-// is provably inert — waiting or idle, no kill flags, every goal stack
-// empty — the dispatcher enters a quantum: a straight-line inner loop
-// over the runner's instruction stream, with the inert workers'
-// per-cycle bookkeeping (wait/idle cycle counts, steal-probe counts
-// and timers) reconstructed in closed form afterwards. The quantum
-// breaks the moment the runner does anything another worker could
-// observe — pushes a goal, sends a message, changes state, halts — and
-// the cycle in progress is completed exactly as the reference
-// scheduler would have.
+// runMulti is the default dispatcher, at every PE count. It runs the
+// reference round-robin, except that whenever every worker that is not
+// running is provably inert (quantumEligible), the runners execute a
+// quantum: they alone step, in PE order, and the inert workers' books
+// are settled in closed form when it ends.
 func (e *Engine) runMulti() error {
 	maxC := e.cfg.MaxCycles
 	stop := e.cfg.Cancel
@@ -432,152 +400,188 @@ func (e *Engine) runMulti() error {
 		if stop != nil && e.cycle&cancelMask == 0 && canceled(stop) {
 			return context.Canceled
 		}
-		e.cycle++
-		for _, w := range e.workers {
-			if e.halted {
-				break
+		if e.quantumElides() && e.quantumEligible() {
+			if err := e.quantum(); err != nil {
+				return err
 			}
-			// The common ticks are dispatched inline — a running worker
-			// with no kill pending goes straight to step, and inert
-			// waiters/idlers advance only their counters; everything
-			// else takes the full tick switch.
-			switch {
-			case w.state == StateRun && !w.killFlag:
-				w.runCycles++
-				w.step()
-			case w.state == StateWait && !w.killFlag && w.inertWait && w.waitSeq == e.schedSeq:
-				w.waitCycles++
-			default:
-				w.tick()
-			}
+			continue
 		}
-		if e.halted {
-			break
-		}
-		if e.nRun == 1 {
-			if r := e.soleRunner(); r != nil {
-				if err := e.runQuantum(r); err != nil {
-					return err
-				}
-			}
-		}
+		e.roundRobin()
 	}
 	return nil
 }
 
-// soleRunner reports whether the machine is in a single-runner inert
-// state: exactly one worker in StateRun, everyone else StateWait or
-// StateIdle with no kill flag pending, and every goal stack empty (so
-// idle steal probes and wait-state goal checks are no-ops). Only then
-// can the runner execute a quantum without another worker's tick
-// observing anything.
-func (e *Engine) soleRunner() *worker {
-	var runner *worker
+// quantumElides reports whether a quantum would skip anything: a worker
+// that is not running or, with a sole runner, the round-robin's
+// per-cycle dispatch (at one PE that is all there is to skip). When
+// several workers run and none waits or idles, the round-robin is the
+// quantum, so none is entered.
+func (e *Engine) quantumElides() bool {
+	return e.nRun == 1 || e.nRun > 0 && e.nRun < len(e.workers)
+}
+
+// roundRobin runs one cycle of the reference interleaving. The common
+// ticks are dispatched inline — a running worker with no kill pending
+// goes straight to step, and an inert waiter advances only its counter;
+// everything else takes the full tick switch.
+func (e *Engine) roundRobin() {
+	e.cycle++
 	for _, w := range e.workers {
+		if e.halted {
+			return
+		}
+		switch {
+		case w.state == StateRun && !w.killFlag:
+			w.runCycles++
+			w.step()
+		case w.state == StateWait && !w.killFlag && w.inertWait && w.waitSeq == e.schedSeq:
+			w.waitCycles++
+		default:
+			w.tick()
+		}
+	}
+}
+
+// quantumEligible reports whether every worker that is not running
+// would spend its next ticks on no-ops, and so may be elided until a
+// runner does something another worker could observe; if so it collects
+// the runners, in PE order, into e.runners. A worker is inert when no
+// kill flag is pending and
+//   - it waits on a frame that is still running with goals pending and
+//     its own goal stack is empty: a waiter polls nothing but its frame
+//     and its own stack;
+//   - it is idle and every goal stack is empty: only idle workers
+//     steal, so a non-empty stack matters only while one is idle.
+//
+// Runners need no kill flag either, so that a quantum may step them
+// without the tick's kill check. The quantum and the sharded mode's
+// epochs (runSharded) both start from this predicate.
+//
+// Everything the predicate reads changes only with a schedSeq bump,
+// except an idle worker's tick clearing a stray kill flag, which can
+// only make it true; so a false answer holds until the sequence moves
+// and is not recomputed before then.
+func (e *Engine) quantumEligible() bool {
+	if e.schedSeq == e.ineligibleSeq {
+		return false
+	}
+	if e.collectRunners() {
+		return true
+	}
+	e.ineligibleSeq = e.schedSeq
+	return false
+}
+
+// collectRunners evaluates quantumEligible's rule.
+func (e *Engine) collectRunners() bool {
+	rs := e.runners[:0]
+	anyIdle := false
+	for _, w := range e.workers {
+		if w.killFlag {
+			return false
+		}
 		switch w.state {
 		case StateRun:
-			if runner != nil {
-				return nil
-			}
-			runner = w
+			rs = append(rs, w)
 		case StateWait:
-			// Inert only while the awaited frame is still running with
-			// goals outstanding; otherwise the next poll acts (wakes or
-			// fails the parcall).
 			if int(e.mem.Peek(w.pf+pfStatus).Int()) != pfRunning ||
-				e.mem.Peek(w.pf+pfPending).Int() <= 0 {
-				return nil
+				e.mem.Peek(w.pf+pfPending).Int() <= 0 ||
+				int(e.mem.Peek(w.goalR.Base+gsTop).Int()) > gsBase {
+				return false
 			}
 		case StateIdle:
-			// inert while every goal stack is empty (checked below)
+			anyIdle = true
 		default: // StateHalt only co-occurs with e.halted
-			return nil
-		}
-		if w.killFlag {
-			return nil
+			return false
 		}
 	}
-	if runner == nil {
-		return nil
-	}
-	for _, w := range e.workers {
-		if int(e.mem.Peek(w.goalR.Base+gsTop).Int()) > gsBase {
-			return nil
+	if anyIdle {
+		for _, w := range e.workers {
+			if int(e.mem.Peek(w.goalR.Base+gsTop).Int()) > gsBase {
+				return false
+			}
 		}
 	}
-	return runner
+	e.runners = rs
+	return true
 }
 
-// runQuantum executes the straight-line inner loop for a sole runner r
-// and then settles the books so the run is indistinguishable from the
-// reference scheduler's. On entry cycle N has fully completed; the
-// loop executes r's slice of cycles N+1..M, where cycle M is the first
-// with an observable event (or never, if the engine halts first).
-// Within cycle M the reference order is: workers before r tick (still
-// no-ops — the event hasn't happened yet), r ticks (the event), workers
-// after r tick and may observe it — so those workers get a real tick
-// here, while every elided no-op tick is accounted in closed form.
-func (e *Engine) runQuantum(r *worker) (err error) {
-	seq0 := e.schedSeq
-	start := e.cycle // cycle N: already completed by the caller
+// quantum steps the runners quantumEligible collected, one step each
+// per cycle in PE order, until one of them does something another
+// worker could observe. Every such action bumps the scheduler sequence
+// (a goal pushed or popped, a frame's counters written, a message sent,
+// a state change, the halt), so one compare after each step is the
+// whole test. Until then every other worker's tick is a no-op and none
+// is taken; settle accounts for them afterwards and completes the cycle
+// in progress exactly as the reference scheduler would. On entry cycle
+// e.cycle has fully completed.
+//
+//rapwam:hotpath
+func (e *Engine) quantum() error {
+	rs := e.runners
+	seq := e.schedSeq
+	start := e.cycle
 	maxC := e.cfg.MaxCycles
-	// The loop counters live in locals (registers) and are written back
-	// on every exit — including a machine-error panic, so the error
-	// context and the stats stay exact.
-	cyc, runCyc := e.cycle, r.runCycles
-	defer func() {
-		e.cycle = cyc
-		r.runCycles = runCyc
-	}()
 	stop := e.cfg.Cancel
 	for {
-		if cyc >= maxC {
-			// Settle the cycles run so far before aborting, so stats
-			// are exact even on the error path.
-			e.settleQuantum(r, start, cyc, false)
+		if e.cycle >= maxC {
+			e.settle(start, nil)
 			return e.errRunaway()
 		}
-		if stop != nil && cyc&cancelMask == 0 && canceled(stop) {
-			e.settleQuantum(r, start, cyc, false)
+		if stop != nil && e.cycle&cancelMask == 0 && canceled(stop) {
+			e.settle(start, nil)
 			return context.Canceled
 		}
-		cyc++
-		runCyc++
-		r.step()
-		if e.halted {
-			// halt() stops every worker mid-cycle; the reference
-			// scheduler skips the remaining ticks of the cycle too.
-			e.settleQuantum(r, start, cyc, false)
-			return nil
+		// Step straight to the next point where the checks above could
+		// fire: the cycle limit or the next cancellation poll. A sole
+		// runner — every instruction at one PE — skips the inner loop.
+		lim := min(maxC, (e.cycle|cancelMask)+1)
+		if len(rs) == 1 {
+			r := rs[0]
+			for e.cycle < lim {
+				e.cycle++
+				r.step()
+				if e.schedSeq != seq {
+					e.settle(start, r)
+					return nil
+				}
+			}
+			continue
 		}
-		if e.schedSeq != seq0 || r.state != StateRun {
-			e.cycle = cyc // settle's tail ticks run at the true cycle
-			e.settleQuantum(r, start, cyc, true)
-			return nil
+		for e.cycle < lim {
+			e.cycle++
+			for _, r := range rs {
+				r.step()
+				if e.schedSeq != seq {
+					e.settle(start, r)
+					return nil
+				}
+			}
 		}
 	}
 }
 
-// settleQuantum reconstructs the elided no-op ticks of the inert
-// workers for a quantum that ran cycles start+1..end. Workers before
-// the runner are accounted through cycle end; workers after it are
-// accounted through cycle end-1 and, when tickTail is set (an
-// observable event ended the quantum), ticked for real for cycle end
-// so they observe the event exactly as the reference scheduler
-// interleaves it.
-func (e *Engine) settleQuantum(r *worker, start, end int64, tickTail bool) {
-	if end == start {
-		return
-	}
+// settle closes a quantum that began after cycle start and stopped in
+// cycle e.cycle = M, in the step of runner r (nil: at the end of cycle
+// M, on a runaway or cancel). Runners before r have stepped in M
+// already. The elided workers before r are accounted through M, since
+// their ticks in M came before r's event; those after r through M-1.
+// Then every worker after r, runner or not, ticks for real in M, in PE
+// order, so it observes r's event — a kill just sent to a later runner
+// included — on the cycle the reference scheduler delivers it. After a
+// halt nothing ticks.
+func (e *Engine) settle(start int64, r *worker) {
+	n := e.cycle - start
+	e.quantumCycles += n
 	for _, w := range e.workers {
-		if w == r {
-			continue
-		}
-		if w.pe < r.pe {
-			w.accountInert(end - start)
-		} else {
-			w.accountInert(end - start - 1)
-			if tickTail && !e.halted {
+		switch {
+		case w == r:
+			w.runCycles += n
+		case r == nil || w.pe < r.pe:
+			w.accountInert(n)
+		default:
+			w.accountInert(n - 1)
+			if !e.halted {
 				w.tick()
 			}
 		}
@@ -626,6 +630,7 @@ func (e *Engine) stats() Stats {
 // would erase what they were doing when the machine stopped.
 func (e *Engine) halt(success bool, answerE int) {
 	e.halted = true
+	e.schedSeq++ // ends a quantum in progress
 	e.success = success
 	e.answerE = answerE
 }

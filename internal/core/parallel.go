@@ -9,7 +9,8 @@ import (
 // markers (stack sections), the on-demand scheduler with goal stealing,
 // and backward execution across parallel goals (inside failure kills
 // siblings and fails outside, per the paper's semantics; completed
-// parallel goals are treated as determinate — see DESIGN.md).
+// parallel goals are treated as determinate — see docs/ARCHITECTURE.md,
+// "Execution model").
 
 // allocPFrame implements OpPFrame.
 func (w *worker) allocPFrame(ngoals int, cont int32) {
@@ -157,9 +158,9 @@ func (w *worker) completeGoal(success bool) {
 	// preserved (it holds the goal's results); the local and control
 	// sections are recovered: this model treats completed parallel
 	// goals as determinate (their alternatives are discarded — see
-	// DESIGN.md), so their environments, choice points and the marker
-	// itself are dead on completion. This is the storage recovery the
-	// markers exist to provide.
+	// docs/ARCHITECTURE.md, "Execution model"), so their environments,
+	// choice points and the marker itself are dead on completion. This
+	// is the storage recovery the markers exist to provide.
 	w.b = decAddr(w.read(m+mkSavedB, trace.ObjMarker))
 	w.b0 = decAddr(w.read(m+mkSavedB0, trace.ObjMarker))
 	w.e = decAddr(w.read(m+mkSavedE, trace.ObjMarker))
@@ -272,7 +273,8 @@ func (w *worker) pollFrame() {
 	// Reclaim the frame when it is on top of the local stack and no
 	// choice point protects it (the determinate-parcall storage
 	// recovery of the model; alternatives inside completed parallel
-	// goals are discarded — see DESIGN.md).
+	// goals are discarded — see docs/ARCHITECTURE.md, "Execution
+	// model").
 	if pfAddr+pfSize(ngoals) == w.localTop && (w.b == none || w.cpSavedLocal(w.b) <= pfAddr) {
 		w.localTop = pfAddr
 	}
@@ -329,8 +331,9 @@ func (w *worker) parcallFail(pfAddr int) {
 	// because a cell can only be rebound after being unbound, and
 	// younger trail entries always unwind first. (Bindings made under
 	// nested parcalls of a completed goal on third workers are beyond
-	// the slot bookkeeping and may persist — see DESIGN.md; all
-	// measured benchmarks are determinate.)
+	// the slot bookkeeping and may persist — see docs/ARCHITECTURE.md,
+	// "Failure inside a parcall"; all measured benchmarks are
+	// determinate.)
 	for g := 1; g <= ngoals; g++ {
 		s := pfAddr + pfHdr + (g-1)*pfSlotLen
 		st := int(w.mem.Peek(s + slotOffState).Int())

@@ -7,18 +7,18 @@ package core
 // streams are mostly independent — in RWT2 the per-PE reference streams
 // are already encoded independently, and only the events that bump
 // Engine.schedSeq (goal pushes/pops, parcall pending/status writes,
-// messages, halts) need a canonical total order.
+// messages, state changes, halts) need a canonical total order.
 //
 // The mode exploits that in epochs. When every worker is provably
-// quiescent-or-running (the same inertness conditions the quantum
-// dispatcher uses, generalized past one runner), each running PE
-// speculates ahead on a host goroutine: pure straight-line steps only,
-// stopping before anything observable — a statically risky opcode
-// (OpStop, OpPFrame, OpPushGoal, write/1, nl/0), a control sentinel
-// (goal completion), or a dynamic guard (failing out of a goal). The
-// per-PE references land in private mem.ShardStage buffers with
-// per-cycle boundaries, and every speculated memory write is value-
-// logged (mem.UndoEntry) so the epoch is exactly reversible.
+// quiescent-or-running (quantumEligible, the quantum dispatcher's own
+// inertness predicate), each running PE speculates ahead on a host
+// goroutine: pure straight-line steps only, stopping before anything
+// observable — a statically risky opcode (OpStop, OpPFrame,
+// OpPushGoal, write/1, nl/0), a control sentinel (goal completion), or
+// a dynamic guard (failing out of a goal). The per-PE references land
+// in private mem.ShardStage buffers with per-cycle boundaries, and
+// every speculated memory write is value-logged (mem.UndoEntry) so the
+// epoch is exactly reversible.
 //
 // After the join the epoch is validated before anything commits. The
 // AND-parallel independence conditions (CGE ground/indep checks) make
@@ -42,7 +42,7 @@ package core
 // base+1..M, M the minimum stop cycle — merging the per-PE buffers into
 // the shared staging buffer in the reference round-robin's canonical
 // (cycle, PE) order, and settles inert workers' elided bookkeeping in
-// closed form, exactly as runQuantum settles a sole-runner quantum.
+// closed form (worker.accountInert), exactly as a quantum settles.
 // Speculation beyond M is rolled back (undo log + snapshot replay up to
 // M), not kept: a runner left "ahead" of the serial loop could race
 // with the serial steps other workers take while its pre-executed
@@ -139,9 +139,10 @@ func (sc *shardCtx) bound(c int64) int {
 }
 
 // runSharded drives a multi-PE machine with speculative parallel
-// epochs. Outside epochs it is cycle-for-cycle the runMulti dispatcher
-// (including sole-runner quanta); epochs replace spans of it wholesale
-// and leave the machine exactly where the serial dispatcher would.
+// epochs. Outside epochs it is the runMulti dispatcher — round-robin
+// cycles and runner quanta; epochs replace spans of it wholesale and
+// leave the machine exactly where the serial dispatcher would. Both
+// start from one predicate, quantumEligible.
 func (e *Engine) runSharded() error {
 	maxC := e.cfg.MaxCycles
 	stop := e.cfg.Cancel
@@ -159,84 +160,29 @@ func (e *Engine) runSharded() error {
 				return context.Canceled
 			}
 		}
-		if e.nRun >= 2 && e.epochHold == 0 && e.epochEligible() {
+		if e.epochHold == 0 && e.nRun >= 2 && e.quantumEligible() {
 			e.runEpoch()
 			continue
 		}
 		if e.epochHold > 0 {
 			e.epochHold--
 		}
-		e.cycle++
-		for _, w := range e.workers {
-			if e.halted {
-				break
-			}
-			switch {
-			case w.state == StateRun && !w.killFlag:
-				w.runCycles++
-				w.step()
-			case w.state == StateWait && !w.killFlag && w.inertWait && w.waitSeq == e.schedSeq:
-				w.waitCycles++
-			default:
-				w.tick()
-			}
-		}
-		if e.halted {
-			break
-		}
-		if e.nRun == 1 {
-			if r := e.soleRunner(); r != nil {
-				if err := e.runQuantum(r); err != nil {
-					return err
-				}
+		e.roundRobin()
+		if !e.halted && e.quantumElides() && e.quantumEligible() {
+			if err := e.quantum(); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// epochEligible reports whether every worker is in a state the epoch
-// can account for without per-cycle ticks: runners just run (they are
-// the epoch), waiters must be provably inert (frame running, goals
-// outstanding, own goal stack empty — the sole-runner conditions per
-// waiter), and idle workers need every goal stack empty (their steal
-// sweeps stay no-ops). Pending kill flags are delivered serially
-// first.
-func (e *Engine) epochEligible() bool {
-	anyIdle := false
-	for _, w := range e.workers {
-		if w.killFlag {
-			return false
-		}
-		switch w.state {
-		case StateRun:
-		case StateWait:
-			if int(e.mem.Peek(w.pf+pfStatus).Int()) != pfRunning ||
-				e.mem.Peek(w.pf+pfPending).Int() <= 0 ||
-				int(e.mem.Peek(w.goalR.Base+gsTop).Int()) > gsBase {
-				return false
-			}
-		case StateIdle:
-			anyIdle = true
-		default: // StateHalt only co-occurs with e.halted
-			return false
-		}
-	}
-	if anyIdle {
-		for _, w := range e.workers {
-			if int(e.mem.Peek(w.goalR.Base+gsTop).Int()) > gsBase {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// runEpoch speculates every runnable PE forward in parallel, validates
-// the epoch's footprints, and commits the canonical prefix (or rolls
-// the whole epoch back on a cross-shard conflict). On entry cycle
-// e.cycle has fully completed; on return every shard is quiescent and
-// the machine state is exactly the serial dispatcher's at e.cycle.
+// runEpoch speculates every runner quantumEligible collected forward in
+// parallel, validates the epoch's footprints, and commits the canonical
+// prefix (or rolls the whole epoch back on a cross-shard conflict). On
+// entry cycle e.cycle has fully completed; on return every shard is
+// quiescent and the machine state is exactly the serial dispatcher's
+// at e.cycle.
 func (e *Engine) runEpoch() {
 	base := e.cycle
 	limit := base + epochCycles
@@ -244,10 +190,7 @@ func (e *Engine) runEpoch() {
 		limit = e.cfg.MaxCycles
 	}
 	parts := e.parts[:0]
-	for _, w := range e.workers {
-		if w.state != StateRun {
-			continue
-		}
+	for _, w := range e.runners {
 		sc := &e.shards[w.pe]
 		sc.w = w
 		sc.snap = *w

@@ -278,7 +278,8 @@ func (w *worker) noteSchedEvent() {
 
 // setState transitions the worker's scheduler state, maintaining the
 // engine's count of running workers (the quantum dispatcher's cheap
-// eligibility pre-check). Every state change goes through here.
+// eligibility pre-check) and moving the scheduler sequence, since a
+// state change ends a quantum. Every state change goes through here.
 func (w *worker) setState(s WorkerState) {
 	if w.spec {
 		panic(errSpecUnsafe)
@@ -290,20 +291,25 @@ func (w *worker) setState(s WorkerState) {
 		w.eng.nRun++
 	}
 	w.state = s
+	w.eng.schedSeq++
 }
 
-// accountInert credits this worker with k elided no-op cycles of a
-// sole-runner quantum (see Engine.runQuantum). The closed forms
-// reproduce exactly what k consecutive ticks would have recorded given
-// that nothing observable happened: a waiter accrues wait cycles; an
-// idle worker accrues idle cycles plus the steal probes its clock
-// would have fired — each empty probe round visits all PEs-1 victims
-// and leaves stealNext where it started, so only the counters move.
+// accountInert credits this worker with k cycles of a quantum or an
+// epoch that no tick of its own recorded (see Engine.settle). The
+// closed forms reproduce exactly what k consecutive ticks would have
+// recorded given that nothing observable happened: a runner accrues
+// run cycles (a quantum steps runners without counting); a waiter
+// accrues wait cycles; an idle worker accrues idle cycles plus the
+// steal probes its clock would have fired — each empty probe round
+// visits all PEs-1 victims and leaves stealNext where it started, so
+// only the counters move.
 func (w *worker) accountInert(k int64) {
 	if k <= 0 {
 		return
 	}
 	switch w.state {
+	case StateRun:
+		w.runCycles += k
 	case StateWait:
 		w.waitCycles += k
 	case StateIdle:

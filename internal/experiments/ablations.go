@@ -14,8 +14,9 @@ import (
 	"repro/internal/tracestore"
 )
 
-// This file holds the ablation studies DESIGN.md calls out: design
-// choices of the RAP-WAM/simulation stack varied one at a time.
+// This file holds the ablation studies (docs/ARCHITECTURE.md,
+// "Ablations"): design choices of the RAP-WAM/simulation stack varied
+// one at a time.
 
 // GranularityPoint is one depth setting of the granularity sweep.
 type GranularityPoint struct {
