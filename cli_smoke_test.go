@@ -120,6 +120,12 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-size", "6"}, 2, "-size"},
 		{"cachesim-unknown-allocate", "cachesim",
 			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-allocate", "maybe"}, 2, "-allocate"},
+		// An unknown benchmark reads as tracegen's does; neither it nor a
+		// store without a cell to pull opens the store (see below).
+		{"cachesim-unknown-bench", "cachesim",
+			[]string{"-bench", "nosuch", "-tracedir", filepath.Join(tmp, "never")}, 2, "-bench nosuch: unknown benchmark"},
+		{"cachesim-tracedir-without-bench", "cachesim",
+			[]string{"-tracedir", filepath.Join(tmp, "never")}, 2, "-tracedir needs -bench"},
 		{"tracegen-negative-par", "tracegen",
 			[]string{"generate", "-tracedir", empty, "-par", "-2"}, 2, "-par"},
 		{"tracegen-pes-out-of-range", "tracegen",
@@ -139,6 +145,14 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-bench", "qsort", "-p", "0"}, 2, "-p 0"},
 		{"rapwam-bench-pes-above-max", "rapwam",
 			[]string{"-bench", "qsort", "-p", "65"}, 2, "-p 65"},
+		{"rapwam-unknown-bench", "rapwam",
+			[]string{"-bench", "nosuch"}, 2, "-bench nosuch: unknown benchmark"},
+		// -bench supplies the program and the query: a file or a -q
+		// beside it used to be ignored without a word.
+		{"rapwam-bench-with-file", "rapwam",
+			[]string{"-bench", "deriv", prog}, 2, "-bench deriv: takes no -q and no program file"},
+		{"rapwam-bench-with-query", "rapwam",
+			[]string{"-bench", "deriv", "-q", "a(X)"}, 2, "-bench deriv: takes no -q and no program file"},
 		// The intra-cell width flags are gone: any value, negative
 		// included, is rejected with the flag package's one line.
 		{"tracegen-negative-shards", "tracegen",
@@ -176,6 +190,23 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 	}
 	if traces, _ := filepath.Glob(filepath.Join(empty, "*.rwt2")); len(traces) != 0 {
 		t.Errorf("a command with a bad flag wrote %v", traces)
+	}
+	if _, err := os.Stat(filepath.Join(tmp, "never")); !os.IsNotExist(err) {
+		t.Errorf("a rejected cachesim call created its -tracedir (stat: %v)", err)
+	}
+}
+
+// TestCLIListingHonoursBench: -listing prints the compiled code of the
+// -bench program instead of running it, and with -seq the sequential
+// WAM baseline's, which has no parallel-call instructions.
+func TestCLIListingHonoursBench(t *testing.T) {
+	code, par := runCLI(t, "rapwam", "-bench", "deriv", "-listing")
+	if code != 0 || !strings.Contains(par, "pcall") || strings.Contains(par, "D = ") {
+		t.Fatalf("rapwam -bench deriv -listing: exit %d, want the parallel code and no answer\n%s", code, par)
+	}
+	code, seq := runCLI(t, "rapwam", "-bench", "deriv", "-seq", "-listing")
+	if code != 0 || strings.Contains(seq, "pcall") || !strings.Contains(seq, "proceed") {
+		t.Fatalf("rapwam -bench deriv -seq -listing: exit %d, want the sequential code\n%s", code, seq)
 	}
 }
 

@@ -116,13 +116,31 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// So is the trace source: the store is opened only for a -tracedir
+	// with a known -bench, and a file argument stands alone.
+	var b rapwam.Benchmark
+	switch {
+	case *traceDir != "" && *benchSrc == "":
+		fmt.Fprintln(os.Stderr, "cachesim: -tracedir needs -bench to name the trace cell (a file argument bypasses the store)")
+		os.Exit(2)
+	case *benchSrc != "":
+		if *traceDir == "" || flag.NArg() != 0 {
+			usageExit()
+		}
+		if b, ok = rapwam.BenchmarkByName(*benchSrc); !ok {
+			fmt.Fprintf(os.Stderr, "cachesim: -bench %s: unknown benchmark\n", *benchSrc)
+			os.Exit(2)
+		}
+	case flag.NArg() != 1:
+		usageExit()
+	}
 
 	// SIGINT/SIGTERM cancel the command context, aborting an in-flight
 	// store-backed trace generation cleanly (the partial temp file is
 	// removed).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	tr, err := loadTrace(ctx, *traceDir, *benchSrc, *pes, *seqTrace)
+	tr, err := loadTrace(ctx, *traceDir, b, *pes, *seqTrace)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "cachesim: interrupted while generating the trace; the store holds only complete cells")
@@ -158,37 +176,23 @@ func main() {
 	stopProfiles()
 }
 
-// loadTrace resolves the trace source: a file argument (either binary
-// format, sniffed), or a (store, benchmark) cell generated on first
-// use.
-func loadTrace(ctx context.Context, traceDir, benchName string, pes int, sequential bool) (*rapwam.Trace, error) {
-	switch {
-	case traceDir != "" && benchName == "":
-		return nil, fmt.Errorf("-tracedir needs -bench to name the trace cell (a file argument bypasses the store)")
-	case benchName != "":
-		if traceDir == "" || flag.NArg() != 0 {
-			usageExit()
-		}
+// loadTrace loads the trace main resolved: the (store, benchmark) cell,
+// generated on first use, or the file argument (either binary format,
+// sniffed).
+func loadTrace(ctx context.Context, traceDir string, b rapwam.Benchmark, pes int, sequential bool) (*rapwam.Trace, error) {
+	if traceDir != "" {
 		store, err := rapwam.OpenTraceStore(traceDir)
 		if err != nil {
 			return nil, err
 		}
-		b, ok := rapwam.BenchmarkByName(benchName)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", benchName)
-		}
 		return rapwam.NewRunner(store, 0, nil).TraceBenchmark(ctx, b, pes, sequential)
-	case flag.NArg() == 1:
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return rapwam.ReadTrace(f)
-	default:
-		usageExit()
-		return nil, nil
 	}
+	f, err := os.Open(flag.Arg(0))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return rapwam.ReadTrace(f)
 }
 
 func usageExit() {

@@ -6,6 +6,10 @@
 //	rapwam -q "goal(X)" [-p PEs] [-seq] [-trace out.rwt] [-stats] file.pl
 //	rapwam -bench deriv [-p PEs] [-seq]
 //
+// -bench supplies both program and query, so it takes no -q and no
+// file; -listing prints the compiled code of either source (with -seq,
+// the sequential WAM baseline's) instead of running it.
+//
 // The program file contains Prolog clauses with optional CGE
 // annotations: (conds | g1 & g2) or plain g1 & g2.
 //
@@ -48,30 +52,42 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
 	flag.Parse()
-	// A PE count outside the machine's range is a usage error, caught
-	// before anything compiles or runs.
+	// Usage errors — a PE count outside the machine's range, an unknown
+	// benchmark, a program or query beside -bench — are caught before
+	// anything compiles, runs or starts profiling.
 	if *pes < 1 || *pes > rapwam.MaxPEs {
-		fmt.Fprintf(os.Stderr, "rapwam: -p %d: need an integer in [1, %d]\n", *pes, rapwam.MaxPEs)
+		usageError("-p %d: need an integer in [1, %d]", *pes, rapwam.MaxPEs)
+	}
+	var b rapwam.Benchmark
+	if *benchName != "" {
+		var ok bool
+		if b, ok = rapwam.BenchmarkByName(*benchName); !ok {
+			usageError("-bench %s: unknown benchmark", *benchName)
+		}
+		if *query != "" || flag.NArg() != 0 {
+			usageError("-bench %s: takes no -q and no program file (the benchmark supplies both)", *benchName)
+		}
+	} else if flag.NArg() != 1 || *query == "" {
+		fmt.Fprintln(os.Stderr, "usage: rapwam -q GOAL [flags] file.pl  |  rapwam -bench NAME [flags]")
+		flag.PrintDefaults()
 		os.Exit(2)
 	}
 	stopProfiles = startProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
 
-	if *benchName != "" {
-		runBench(*benchName, *pes, *seq, *stats, *traceOut)
+	if *benchName != "" && !*listing {
+		runBench(b, *pes, *seq, *stats, *traceOut)
 		return
 	}
-
-	if flag.NArg() != 1 || *query == "" {
-		fmt.Fprintln(os.Stderr, "usage: rapwam -q GOAL [flags] file.pl  |  rapwam -bench NAME [flags]")
-		flag.PrintDefaults()
-		os.Exit(2)
+	src, goal := b.Source, b.Query
+	if *benchName == "" {
+		text, err := os.ReadFile(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		src, goal = string(text), *query
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := rapwam.CompileWithOptions(string(src), *query, rapwam.CompileOptions{Sequential: *seq})
+	prog, err := rapwam.CompileWithOptions(src, goal, rapwam.CompileOptions{Sequential: *seq})
 	if err != nil {
 		fatal(err)
 	}
@@ -96,12 +112,8 @@ func main() {
 	}
 }
 
-func runBench(name string, pes int, seq, stats bool, traceOut string) {
+func runBench(b rapwam.Benchmark, pes int, seq, stats bool, traceOut string) {
 	ctx := context.Background()
-	b, ok := rapwam.BenchmarkByName(name)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q", name))
-	}
 	if traceOut != "" {
 		tr, err := rapwam.TraceBenchmark(ctx, b, pes, seq)
 		if err != nil {
@@ -111,7 +123,7 @@ func runBench(name string, pes int, seq, stats bool, traceOut string) {
 			Benchmark: b.Name, PEs: pes, Sequential: seq,
 			EmulatorVersion: rapwam.EmulatorVersion(),
 		})
-		fmt.Printf("%s: %d references traced\n", name, tr.Len())
+		fmt.Printf("%s: %d references traced\n", b.Name, tr.Len())
 		return
 	}
 	res, err := rapwam.RunBenchmark(ctx, b, pes, seq)
@@ -187,6 +199,12 @@ func fatal(err error) {
 	stopProfiles()
 	fmt.Fprintln(os.Stderr, "rapwam:", err)
 	os.Exit(1)
+}
+
+// usageError reports a bad flag combination in one line and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rapwam: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // stopProfiles is installed before any work, so an error exit still

@@ -21,29 +21,35 @@ import (
 
 // engineBenchCells is the benchmarked grid: the paper's two most
 // reference-dense workloads across the PE counts the store generates,
-// and matrix at 8 PEs, where most PEs wait while one runs with goals
-// on its own stack (the shape runner quanta elide).
+// matrix at 8 PEs, where most PEs wait while one runs with goals on its
+// own stack (the shape runner quanta elide), and two sequential WAM
+// baselines (seq: CGEs compiled as plain conjunctions), the runs every
+// traffic ratio and speedup is measured against.
 var engineBenchCells = []struct {
 	bench string
 	pes   int
+	seq   bool
 }{
-	{"deriv", 1},
-	{"deriv", 4},
-	{"deriv", 8},
-	{"qsort", 1},
-	{"qsort", 4},
-	{"qsort", 8},
-	{"matrix", 8},
+	{"deriv", 1, false},
+	{"deriv", 4, false},
+	{"deriv", 8, false},
+	{"qsort", 1, false},
+	{"qsort", 4, false},
+	{"qsort", 8, false},
+	{"matrix", 8, false},
+	{"qsort", 1, true},
+	{"primes", 1, true},
 }
 
-// compileCell compiles one benchmark outside the timed loop.
-func compileCell(b *testing.B, name string) *isa.Code {
+// compileCell compiles one benchmark outside the timed loop, for the
+// parallel machine or (seq) as the sequential WAM baseline.
+func compileCell(b *testing.B, name string, seq bool) *isa.Code {
 	b.Helper()
 	bm, ok := ByName(name)
 	if !ok {
 		b.Fatalf("unknown benchmark %q", name)
 	}
-	code, err := compile.Compile(bm.Source, bm.Query, compile.Options{})
+	code, err := compile.Compile(bm.Source, bm.Query, compile.Options{Sequential: seq})
 	if err != nil {
 		b.Fatalf("compile %s: %v", name, err)
 	}
@@ -92,8 +98,8 @@ func reportEngineMetrics(b *testing.B, refs, inferences int64) {
 func BenchmarkEngineRun(b *testing.B) {
 	for _, cell := range engineBenchCells {
 		cell := cell
-		b.Run(nameCell(cell.bench, cell.pes), func(b *testing.B) {
-			code := compileCell(b, cell.bench)
+		b.Run(cellName(cell.bench, cell.pes, cell.seq), func(b *testing.B) {
+			code := compileCell(b, cell.bench, cell.seq)
 			var refs, inf int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -117,7 +123,7 @@ func BenchmarkEngineRunShards(b *testing.B) {
 		for _, shards := range []int{1, 2, 4} {
 			bench, shards := bench, shards
 			b.Run(nameCell(bench, 8)+"-s"+strconv.Itoa(shards), func(b *testing.B) {
-				code := compileCell(b, bench)
+				code := compileCell(b, bench, false)
 				var refs, inf int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -135,8 +141,8 @@ func BenchmarkEngineRunShards(b *testing.B) {
 func BenchmarkTraceGeneration(b *testing.B) {
 	for _, cell := range engineBenchCells {
 		cell := cell
-		b.Run(nameCell(cell.bench, cell.pes), func(b *testing.B) {
-			code := compileCell(b, cell.bench)
+		b.Run(cellName(cell.bench, cell.pes, cell.seq), func(b *testing.B) {
+			code := compileCell(b, cell.bench, cell.seq)
 			var refs, inf int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -176,7 +182,7 @@ func BenchmarkTraceGenerationWorkers(b *testing.B) {
 		for _, workers := range []int{1, 2, 4} {
 			cell, workers := cell, workers
 			b.Run(nameCell(cell.bench, cell.pes)+"-w"+strconv.Itoa(workers), func(b *testing.B) {
-				code := compileCell(b, cell.bench)
+				code := compileCell(b, cell.bench, false)
 				var refs, inf int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -202,4 +208,12 @@ func BenchmarkTraceGenerationWorkers(b *testing.B) {
 // nameCell formats a sub-benchmark name ("qsort-4pe").
 func nameCell(bench string, pes int) string {
 	return bench + "-" + strconv.Itoa(pes) + "pe"
+}
+
+// cellName is nameCell with a "-seq" suffix on sequential cells.
+func cellName(bench string, pes int, seq bool) string {
+	if seq {
+		return nameCell(bench, pes) + "-seq"
+	}
+	return nameCell(bench, pes)
 }

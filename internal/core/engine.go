@@ -235,9 +235,6 @@ type Engine struct {
 	conflictStreak int
 	specMark       []uint8
 	scratch        mem.ShardStage
-
-	// debug enables a per-cycle execution trace on stdout (tests only).
-	debug bool
 }
 
 // New builds an engine for the given code. PEs beyond trace.MaxPEs are
@@ -422,8 +419,8 @@ func (e *Engine) quantumElides() bool {
 
 // roundRobin runs one cycle of the reference interleaving. The common
 // ticks are dispatched inline — a running worker with no kill pending
-// goes straight to step, and an inert waiter advances only its counter;
-// everything else takes the full tick switch.
+// executes one instruction, and an inert waiter advances only its
+// counter; everything else takes the full tick switch.
 func (e *Engine) roundRobin() {
 	e.cycle++
 	for _, w := range e.workers {
@@ -433,7 +430,7 @@ func (e *Engine) roundRobin() {
 		switch {
 		case w.state == StateRun && !w.killFlag:
 			w.runCycles++
-			w.step()
+			w.run(1)
 		case w.state == StateWait && !w.killFlag && w.inertWait && w.waitSeq == e.schedSeq:
 			w.waitCycles++
 		default:
@@ -511,15 +508,15 @@ func (e *Engine) collectRunners() bool {
 // worker could observe. Every such action bumps the scheduler sequence
 // (a goal pushed or popped, a frame's counters written, a message sent,
 // a state change, the halt), so one compare after each step is the
-// whole test. Until then every other worker's tick is a no-op and none
-// is taken; settle accounts for them afterwards and completes the cycle
-// in progress exactly as the reference scheduler would. On entry cycle
-// e.cycle has fully completed.
+// whole test, and worker.run makes it and reports the outcome. Until
+// then every other worker's tick is a no-op and none is taken; settle
+// accounts for them afterwards and completes the cycle in progress
+// exactly as the reference scheduler would. On entry cycle e.cycle has
+// fully completed.
 //
 //rapwam:hotpath
 func (e *Engine) quantum() error {
 	rs := e.runners
-	seq := e.schedSeq
 	start := e.cycle
 	maxC := e.cfg.MaxCycles
 	stop := e.cfg.Cancel
@@ -534,25 +531,23 @@ func (e *Engine) quantum() error {
 		}
 		// Step straight to the next point where the checks above could
 		// fire: the cycle limit or the next cancellation poll. A sole
-		// runner — every instruction at one PE — skips the inner loop.
+		// runner — every instruction at one PE — runs the whole stretch
+		// in its own instruction loop, which advances the cycle.
 		lim := min(maxC, (e.cycle|cancelMask)+1)
 		if len(rs) == 1 {
 			r := rs[0]
-			for e.cycle < lim {
-				e.cycle++
-				r.step()
-				if e.schedSeq != seq {
-					e.settle(start, r)
-					return nil
-				}
+			n := lim - e.cycle
+			e.cycle++
+			if r.run(n) {
+				e.settle(start, r)
+				return nil
 			}
 			continue
 		}
 		for e.cycle < lim {
 			e.cycle++
 			for _, r := range rs {
-				r.step()
-				if e.schedSeq != seq {
+				if r.run(1) {
 					e.settle(start, r)
 					return nil
 				}

@@ -452,7 +452,7 @@ func (e *Engine) specRun(sc *shardCtx, stop *atomic.Int64) {
 				break
 			}
 		}
-		w.step()
+		w.run(1)
 		sc.pos++
 		sc.cycEnd = append(sc.cycEnd, int32(len(sc.stage.Refs)))
 	}
@@ -489,7 +489,7 @@ func (e *Engine) replayShard(sc *shardCtx, k int64) {
 	if k > sc.base {
 		e.mem.SetShard(w.pe, &e.scratch)
 		for c := sc.base; c < k; c++ {
-			w.step()
+			w.run(1)
 		}
 		e.mem.ClearShards()
 		e.scratch.Refs = e.scratch.Refs[:0]

@@ -234,7 +234,7 @@ func (w *worker) tick() {
 			return
 		}
 		w.runCycles++
-		w.step()
+		w.run(1)
 	case StateWait:
 		if w.killFlag && w.gm != none {
 			w.handleKill()

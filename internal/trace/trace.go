@@ -372,14 +372,44 @@ func (c *Counter) Add(r Ref) {
 	}
 }
 
-// AddBatch tallies a batch (BatchSink): the flat loop the engine's
-// staging buffer folds its counter update into at flush time.
+// counterBankMin is the batch length from which AddBatch splits the
+// tally across two banks: below it, zeroing and folding the second bank
+// costs more than the overlap saves.
+const counterBankMin = 256
+
+// AddBatch tallies a batch (BatchSink). Consecutive references mostly
+// hit the same ByObj and ByPE slots, so with one table every increment
+// waits on the store before it; a long batch alternates between two
+// banks — c itself and a local Counter folded in at the end — so two
+// such chains overlap. The result equals Add over each reference.
 func (c *Counter) AddBatch(refs []Ref) {
-	for _, r := range refs {
+	if len(refs) < counterBankMin {
+		for _, r := range refs {
+			c.Add(r)
+		}
+		return
+	}
+	var b Counter
+	for i := 1; i < len(refs); i += 2 {
+		r, s := refs[i-1], refs[i]
 		c.ByObj[r.Obj][r.Op]++
+		b.ByObj[s.Obj][s.Op]++
 		if int(r.PE) < len(c.ByPE) {
 			c.ByPE[r.PE]++
 		}
+		if int(s.PE) < len(b.ByPE) {
+			b.ByPE[s.PE]++
+		}
+	}
+	if len(refs)%2 == 1 {
+		c.Add(refs[len(refs)-1])
+	}
+	for obj := range b.ByObj {
+		c.ByObj[obj][0] += b.ByObj[obj][0]
+		c.ByObj[obj][1] += b.ByObj[obj][1]
+	}
+	for pe, n := range b.ByPE {
+		c.ByPE[pe] += n
 	}
 }
 

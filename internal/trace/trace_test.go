@@ -93,6 +93,60 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// randomRefs draws n references over every object type, both ops and
+// PEs up to 255, so some fall outside ByPE (PE >= MaxPEs).
+func randomRefs(rng *rand.Rand, n int) []Ref {
+	refs := make([]Ref, n)
+	for i := range refs {
+		refs[i] = Ref{
+			Addr: rng.Uint32(),
+			PE:   uint8(rng.Intn(256)),
+			Op:   Op(rng.Intn(2)),
+			Obj:  ObjType(rng.Intn(NumObjTypes)),
+		}
+	}
+	return refs
+}
+
+// TestCounterAddBatchMatchesAdd holds the two-bank AddBatch to
+// per-reference Add on batches of odd and even length on both sides of
+// counterBankMin, into a counter that already holds counts.
+func TestCounterAddBatchMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 7, counterBankMin - 1, counterBankMin, counterBankMin + 1, 1000, 4097} {
+		prior := randomRefs(rng, 50)
+		refs := randomRefs(rng, n)
+		var batched, single Counter
+		for _, r := range prior {
+			batched.Add(r)
+			single.Add(r)
+		}
+		batched.AddBatch(refs)
+		for _, r := range refs {
+			single.Add(r)
+		}
+		if batched != single {
+			t.Errorf("%d refs: AddBatch tallied %+v, Add %+v", n, batched, single)
+		}
+	}
+}
+
+// BenchmarkCounterAddBatch tallies a 64K-reference batch shaped like the
+// engine's stream: runs of one PE and one object type.
+func BenchmarkCounterAddBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	refs := make([]Ref, 1<<16)
+	for i := range refs {
+		refs[i] = Ref{Addr: uint32(i), PE: uint8(i >> 10 & 7), Op: Op(rng.Intn(2)), Obj: ObjType(1 + i>>3%4)}
+	}
+	var c Counter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AddBatch(refs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/ref")
+}
+
 // TestBufferGrowsByDoubling captures 4 M references the way the engine
 // delivers them (staging-buffer batches, plus single Adds) into the
 // capacity every caller preallocates and counts reallocations by
