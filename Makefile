@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (six targets run back to back).
+# Per-target budget for `make fuzz` (seven targets run back to back).
 FUZZTIME ?= 30s
 
 .PHONY: all check build test race lint audit fuzz bench cover fmt vet docs
@@ -53,15 +53,18 @@ audit:
 # fuzz exercises the four hostile-input surfaces — the compact trace
 # decoder, the stored-object decoder, the fault-spec parser and the /v1
 # experiment parameters — the multi-size cache simulator against
-# single-size ones on generated classes and streams, and the default
-# engine dispatcher against the reference round-robin on generated
-# programs. Seeds live in each package's f.Add calls or testdata/fuzz
-# corpus; new findings land in testdata/fuzz.
+# single-size ones on generated classes and streams, the single-size
+# simulator against the reference simulator on generated configurations
+# of every associativity, and the default engine dispatcher against the
+# reference round-robin on generated programs. Seeds live in each
+# package's f.Add calls or testdata/fuzz corpus; new findings land in
+# testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkReader -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzMultiSizeMatchesSim -fuzztime $(FUZZTIME) ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzSimMatchesReference -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzPrepareParams -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDispatcherParity -fuzztime $(FUZZTIME) ./internal/core/
 

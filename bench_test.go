@@ -238,16 +238,28 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 // BenchmarkReplaySteadyState measures the pure kernel: one warm
 // simulator per configuration reused across iterations, so simulator
 // construction is excluded and the -benchmem columns show the
-// steady-state replay cost (0 allocs/op with the flat kernel).
+// steady-state replay cost (0 allocs/op). fa runs the fully associative
+// configurations; saN is replay-large's set-associative shape, write-in
+// broadcast at 1024 words with N ways.
 func BenchmarkReplaySteadyState(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 4, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfgs := replayBenchConfigs(4)
+	b.Run("fa", func(b *testing.B) { replaySteadyState(b, tr, replayBenchConfigs(4)) })
+	for _, ways := range []int{1, 2, 4, 8} {
+		cfg := CacheConfig{PEs: 4, SizeWords: 1024, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true, Assoc: ways}
+		b.Run(fmt.Sprintf("sa%d", ways), func(b *testing.B) { replaySteadyState(b, tr, []CacheConfig{cfg}) })
+	}
+}
+
+// replaySteadyState warms one simulator per configuration, then times
+// replaying tr through each of them.
+func replaySteadyState(b *testing.B, tr *Trace, cfgs []CacheConfig) {
 	sims := make([]*CacheSim, len(cfgs))
 	for i, cfg := range cfgs {
+		var err error
 		if sims[i], err = NewCacheSim(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -120,6 +120,10 @@ func TestCLIBadFlagsExitNonZeroNamingTheFlag(t *testing.T) {
 			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-size", "6"}, 2, "-size"},
 		{"cachesim-unknown-allocate", "cachesim",
 			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-allocate", "maybe"}, 2, "-allocate"},
+		// A sweep names the sweep size that cannot take -assoc, not the
+		// -size it never reads.
+		{"cachesim-sweep-assoc-wider-than-a-size", "cachesim",
+			[]string{"-tracedir", empty, "-bench", "qsort", "-pes", "4", "-sweep", "-assoc", "32"}, 2, "-sweep size 64w -line 4 -assoc 32: cache: associativity 32 does not divide 16 lines"},
 		// An unknown benchmark reads as tracegen's does; neither it nor a
 		// store without a cell to pull opens the store (see below).
 		{"cachesim-unknown-bench", "cachesim",
@@ -356,7 +360,8 @@ func TestCLIVerifyReadsSidecarsAndResults(t *testing.T) {
 // over an 8-PE trace file used to print a table for a quarter of the
 // trace and exit 0. It must fail naming the cause, for a single
 // configuration and for -sweep; -allocate reaches the sweep, which
-// names a non-paper policy above the table.
+// names a non-paper policy above the table, and both outputs name a
+// non-zero -assoc.
 func TestCLICachesimRejectsTraceWiderThanMachine(t *testing.T) {
 	dir := t.TempDir()
 	if code, out := runCLI(t, "tracegen", "generate", "-tracedir", dir, "-bench", "qsort", "-pes", "8"); code != 0 {
@@ -411,6 +416,25 @@ func TestCLICachesimRejectsTraceWiderThanMachine(t *testing.T) {
 	}
 	if differ == 0 {
 		t.Errorf("-allocate no printed the paper-policy table: the sweep ignores the flag")
+	}
+	// A set-associative run says so; the paper's fully associative one
+	// prints no associativity line.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sweep", "-assoc", "4"}, "associativity: 4-way (every size)\n"},
+		{[]string{"-assoc", "4"}, "associativity:  4-way\n"},
+		{[]string{"-sweep"}, ""},
+		{nil, ""},
+	} {
+		code, out := runCLI(t, "cachesim", append(append([]string{"-pes", "8"}, tc.args...), files[0])...)
+		if code != 0 {
+			t.Fatalf("cachesim %v: exit %d\n%s", tc.args, code, out)
+		}
+		if tc.want == "" && strings.Contains(out, "associativity") || !strings.Contains(out, tc.want) {
+			t.Errorf("cachesim %v: want associativity line %q\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 

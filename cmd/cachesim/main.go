@@ -112,7 +112,12 @@ func main() {
 	}
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "cachesim: -size %d -line %d -assoc %d: %v\n", cfg.SizeWords, *line, *assoc, err)
+			// A sweep never reads -size: name the sweep size that failed.
+			size := fmt.Sprintf("-size %d", cfg.SizeWords)
+			if *sweep {
+				size = fmt.Sprintf("-sweep size %dw", cfg.SizeWords)
+			}
+			fmt.Fprintf(os.Stderr, "cachesim: %s -line %d -assoc %d: %v\n", size, *line, *assoc, err)
 			os.Exit(2)
 		}
 	}
@@ -156,7 +161,7 @@ func main() {
 	defer stopProfiles()
 
 	if *sweep {
-		runSweep(tr, cfgs, *pes, *par, *alloc)
+		runSweep(tr, cfgs, *pes, *par, *alloc, *assoc)
 		stopProfiles()
 		return
 	}
@@ -168,6 +173,9 @@ func main() {
 	}
 	checkCovered(tr, *pes, st)
 	fmt.Printf("protocol:       %v (write-allocate: %v)\n", cfg.Protocol, cfg.WriteAllocate)
+	if cfg.Assoc != 0 {
+		fmt.Printf("associativity:  %d-way\n", cfg.Assoc)
+	}
 	fmt.Printf("traffic ratio:  %.4f\n", st.TrafficRatio())
 	fmt.Printf("miss ratio:     %.4f\n", st.MissRatio())
 	fmt.Printf("bus words:      %d (fills %d, write-backs %d, write-throughs %d, updates %d)\n",
@@ -235,8 +243,10 @@ func sweepConfigs(pes, line, assoc int, writeAllocate func(rapwam.Protocol, int)
 // runSweep simulates the sweep grid cfgs with the streaming fan-out
 // pipeline: the trace is walked once per pass of up to par
 // configurations (all of them in a single pass by default), instead of
-// once per configuration.
-func runSweep(tr *rapwam.Trace, cfgs []rapwam.CacheConfig, pes, par int, alloc string) {
+// once per configuration. A non-paper allocation policy and a
+// set-associative geometry are named above the table, which otherwise
+// reads as the paper's fully associative sweep.
+func runSweep(tr *rapwam.Trace, cfgs []rapwam.CacheConfig, pes, par int, alloc string, assoc int) {
 	if par <= 0 || par > len(cfgs) {
 		par = len(cfgs)
 	}
@@ -260,6 +270,9 @@ func runSweep(tr *rapwam.Trace, cfgs []rapwam.CacheConfig, pes, par int, alloc s
 	checkCovered(tr, pes, stats...)
 	if alloc != "paper" {
 		fmt.Printf("write-allocate: %s (every protocol and size)\n", alloc)
+	}
+	if assoc != 0 {
+		fmt.Printf("associativity: %d-way (every size)\n", assoc)
 	}
 	fmt.Printf("%-14s", "protocol")
 	for _, s := range sweepSizes {

@@ -1,34 +1,37 @@
 package cache
 
-// assocCache is a fully associative cache with perfect LRU replacement,
-// matching the paper's cache model ("Caches are modeled as fully
-// associative memories with perfect LRU replacement").
+// assocCache is one PE's cache: S = lines / ways sets, each with perfect
+// LRU replacement among its ways. The fully associative cache is the
+// one-set case, which is the paper's cache model ("Caches are modeled
+// as fully associative memories with perfect LRU replacement"); the
+// N-way caches of the associativity ablation are the same store with
+// more sets.
 //
 // The layout is a flat preallocated slab of entries addressed by int32
-// index; slab slot 0 is the LRU list sentinel, so index 0 doubles as
-// the "empty" marker in the hash table. Residency is tracked by an
-// open-addressing hash table (power of two, linear probing, load
-// factor <= 0.5) whose slots carry the line key alongside the slab
-// index — a probe is a single 8-byte load with no dependent slab
-// access — and deletion backshifts the probe chain, so there are no
-// tombstones and chains never degrade over a run. LRU order is an
-// intrusive doubly-linked list threaded through the slab by index;
-// promoting an entry that is already most-recently-used is a no-op
-// (the common case on traces, where consecutive words of a line are
-// referenced back to back). No operation allocates: the slab, table
-// and free list are sized once at construction.
+// index. Slab slots 0…S−1 are the per-set LRU list sentinels and the
+// entries start at S, so no entry has index 0 and 0 doubles as the
+// "not resident" handle. Residency is one lineTable (store.go) for
+// every set. LRU order is an intrusive doubly-linked list per set,
+// threaded through the slab by index; a per-set count bounds each set
+// at ways, and one free list serves them all. Promoting an entry that
+// is already most-recently-used is a no-op (the common case on traces,
+// where consecutive words of a line are referenced back to back). No
+// operation allocates: the slab, table, counts and free list are sized
+// once at construction.
 type assocCache struct {
-	// slab[1:] are the entries; slab[0] is the LRU sentinel
-	// (slab[0].next = MRU, slab[0].prev = LRU).
+	// slab[s] for s < S is set s's sentinel (slab[s].next = its MRU,
+	// slab[s].prev = its LRU); slab[S:] are the entries.
 	slab  []slabEntry
-	table []tableSlot
-	mask  uint32 // len(table) - 1
-	// mru mirrors slab[0].next so the replay kernels' already-MRU check
-	// is one header-field load instead of a slab access; unlink and
-	// pushFront keep it in sync.
-	mru  int32
-	free []int32 // slab indices not currently resident
-	n    int
+	table lineTable
+	// mru is the entry most recently pushed to the front of any set.
+	// An entry equal to it is at the front of its own set, so the
+	// replay kernels' already-MRU check is one header-field load
+	// instead of a slab access.
+	mru     int32
+	setMask int32   // S - 1
+	ways    int32   // lines per set
+	cnt     []int32 // resident lines per set
+	free    []int32 // slab indices not currently resident
 }
 
 type slabEntry struct {
@@ -37,176 +40,123 @@ type slabEntry struct {
 	st         state
 }
 
-// tableSlot is one open-addressing slot: the line key and the slab
-// index it maps to (0 = empty slot).
-type tableSlot struct {
-	line int32
-	idx  int32
-}
-
-func newAssocCache(lines int) *assocCache {
-	size := tableSizeFor(lines)
-	c := &assocCache{
-		slab:  make([]slabEntry, lines+1),
-		table: make([]tableSlot, size),
-		mask:  size - 1,
-		free:  make([]int32, 0, lines),
+// newAssocCache builds a cache of lines lines in sets of ways; ways 0
+// means one set (fully associative). ways must divide lines into a
+// power-of-two number of sets (Config.Validate checks it).
+func newAssocCache(lines, ways int) *assocCache {
+	if ways == 0 {
+		ways = lines
 	}
-	c.slab[0].prev = 0
-	c.slab[0].next = 0
-	for i := lines; i >= 1; i-- {
-		c.free = append(c.free, int32(i))
+	sets := lines / ways
+	c := &assocCache{
+		slab:    make([]slabEntry, sets+lines),
+		table:   newLineTable(lines),
+		setMask: int32(sets - 1),
+		ways:    int32(ways),
+		cnt:     make([]int32, sets),
+		free:    make([]int32, 0, lines),
+	}
+	for s := range sets {
+		c.slab[s].prev, c.slab[s].next = int32(s), int32(s)
+	}
+	for e := sets + lines - 1; e >= sets; e-- {
+		c.free = append(c.free, int32(e))
 	}
 	return c
 }
 
-// slot returns the table slot holding line; the line must be resident.
-func (c *assocCache) slot(line int32) uint32 {
-	i := hashLine(line) & c.mask
-	for c.table[i].line != line || c.table[i].idx == 0 {
-		i = (i + 1) & c.mask
-	}
-	return i
-}
+// lookup returns line's handle, or 0 if it is not resident, without
+// disturbing LRU order (a remote snoop).
+func (c *assocCache) lookup(line int32) int32 { return c.table.lookup(line) }
 
-func (c *assocCache) lookupIdx(line int32) int32 {
-	// The mask is rederived from the local slice length so the compiler
-	// can prove i < len(table) and drop the bounds check in the probe
-	// loop.
-	table := c.table
-	if len(table) == 0 {
-		return -1
-	}
-	mask := uint32(len(table) - 1)
-	i := hashLine(line) & mask
-	for {
-		s := table[i]
-		if s.line == line && s.idx != 0 {
-			return s.idx
-		}
-		if s.idx == 0 {
-			return -1
-		}
-		i = (i + 1) & mask
-	}
-}
-
+// access looks the line up and, on a hit, promotes it to the front of
+// its set, returning its handle; it returns 0 on a miss.
 func (c *assocCache) access(line int32) int32 {
-	e := c.lookupIdx(line)
-	if e >= 0 && c.mru != e {
-		c.relink(e)
+	e := c.table.lookup(line)
+	if e != 0 && c.mru != e {
+		c.relink(e, line&c.setMask)
 	}
 	return e
 }
 
-// relink moves a resident entry to the MRU position (the slow half of
-// access; the replay kernels inline it behind their own MRU check).
-func (c *assocCache) relink(e int32) {
+// relink moves resident entry e to the front of its set s (the slow
+// half of access; the replay kernels inline it behind their own MRU
+// check). The caller passes s: deriving it here from the entry's line
+// would push relink over the inlining budget.
+func (c *assocCache) relink(e, s int32) {
 	c.unlink(e)
-	c.pushFront(e)
+	c.pushFront(e, s)
 }
 
-func (c *assocCache) peek(line int32) int32 { return c.lookupIdx(line) }
-
-func (c *assocCache) state(h int32) state        { return c.slab[h].st }
-func (c *assocCache) setState(h int32, st state) { c.slab[h].st = st }
-
-// unlink does not refresh c.mru: every caller either pushes another
-// entry to the front right after (which sets it) or fixes it up itself
-// (invalidate).
+// unlink does not refresh c.mru: every caller either pushes an entry to
+// the front right after (which sets it) or frees e (invalidate), and a
+// freed entry is not looked up again until insert reuses it.
 func (c *assocCache) unlink(e int32) {
 	p, n := c.slab[e].prev, c.slab[e].next
 	c.slab[p].next = n
 	c.slab[n].prev = p
 }
 
-func (c *assocCache) pushFront(e int32) {
-	first := c.slab[0].next
-	c.slab[e].next = first
-	c.slab[e].prev = 0
-	c.slab[first].prev = e
-	c.slab[0].next = e
+func (c *assocCache) pushFront(e, s int32) {
+	slab := c.slab // one load of the slice header, not one per store
+	first := slab[s].next
+	slab[e].next = first
+	slab[e].prev = s
+	slab[first].prev = e
+	slab[s].next = e
 	c.mru = e
 }
 
-// tableInsert maps line to slab index e in the first empty probe slot.
-func (c *assocCache) tableInsert(line, e int32) {
-	i := hashLine(line) & c.mask
-	for c.table[i].idx != 0 {
-		i = (i + 1) & c.mask
-	}
-	c.table[i] = tableSlot{line: line, idx: e}
-}
-
-// tableDelete removes the slot holding line using backshift deletion:
-// subsequent probe-chain entries whose home slot lies outside the gap
-// are moved back, so the table never accumulates tombstones.
-func (c *assocCache) tableDelete(line int32) {
-	i := c.slot(line)
-	for {
-		c.table[i] = tableSlot{}
-		j := i
-		for {
-			j = (j + 1) & c.mask
-			s := c.table[j]
-			if s.idx == 0 {
-				return
-			}
-			k := hashLine(s.line) & c.mask
-			// Move s back to i if its home slot k is cyclically
-			// outside (i, j].
-			if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-				c.table[i] = s
-				i = j
-				break
-			}
-		}
-	}
-}
-
-// insert adds line (which must not be resident) with the given state,
-// evicting the LRU entry if the cache is full. The victim (line,
-// pre-eviction state) is returned by value.
+// insert adds line, which must not be resident (the simulator inserts
+// only after a confirmed miss), in the given state, evicting its set's
+// LRU entry if the set is full. The victim's identity and pre-eviction
+// state are returned by value, so no pointer into the store escapes.
 func (c *assocCache) insert(line int32, st state) (h, victimLine int32, victimSt state, evicted bool) {
+	s := line & c.setMask
 	var e int32
-	if len(c.free) > 0 {
+	// A full cache has an empty free list, so once it is warm a fully
+	// associative miss never reads the count.
+	if len(c.free) > 0 && c.cnt[s] < c.ways {
 		e = c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
-		c.n++
+		c.cnt[s]++
 	} else {
-		// Evict least recently used.
-		e = c.slab[0].prev
+		// Evict the set's least recently used entry.
+		e = c.slab[s].prev
 		c.unlink(e)
-		c.tableDelete(c.slab[e].line)
+		c.table.delete(c.slab[e].line)
 		victimLine, victimSt, evicted = c.slab[e].line, c.slab[e].st, true
 	}
 	c.slab[e].line = line
 	c.slab[e].st = st
-	c.tableInsert(line, e)
-	c.pushFront(e)
+	c.table.insert(line, e)
+	c.pushFront(e, s)
 	return e, victimLine, victimSt, evicted
 }
 
 // invalidate removes line if present, reporting whether it was held.
 func (c *assocCache) invalidate(line int32) bool {
-	e := c.lookupIdx(line)
-	if e < 0 {
+	e := c.table.lookup(line)
+	if e == 0 {
 		return false
 	}
 	c.unlink(e)
-	c.mru = c.slab[0].next
-	c.tableDelete(line)
+	c.table.delete(line)
+	c.cnt[line&c.setMask]--
 	c.free = append(c.free, e)
-	c.n--
 	return true
 }
 
 // len returns the number of resident lines.
-func (c *assocCache) len() int { return c.n }
+func (c *assocCache) len() int { return cap(c.free) - len(c.free) }
 
-// forEach visits every resident entry in LRU order (most recent first).
+// forEach visits every resident entry, set by set, most recent first.
+// The callback may change entry states but must not insert or
+// invalidate.
 func (c *assocCache) forEach(f func(h int32)) {
-	for e := c.slab[0].next; e != 0; e = c.slab[e].next {
-		f(e)
+	for s := range c.cnt {
+		for e := c.slab[s].next; e != int32(s); e = c.slab[e].next {
+			f(e)
+		}
 	}
 }

@@ -5,13 +5,12 @@ import "repro/internal/trace"
 // This file is the batch replay fast path. Sim implements
 // trace.BatchSink; AddBatch dispatches once per batch to a
 // protocol-specialized kernel, hoisting the coherency-scheme switch and
-// the Sink interface hop out of the per-reference loop. For the fully
-// associative model (the paper's, and the common case) the kernels are
-// additionally specialized to the concrete flat store: the hash probe
-// (lookupIdx) inlines straight into the loop and the LRU relink is a
-// single predictable call taken only when the line is not already MRU.
-// The set-associative variant runs the same kernels through the store
-// interface. Reference/read/write totals are accumulated in locals and
+// the Sink interface hop out of the per-reference loop. Every
+// associativity runs the same kernels over the one store type
+// (assoc.go): the hash probe inlines straight into the loop, a hit on
+// the line the PE promoted last is one compare against the store's
+// mru, and the set index is computed only to relink, insert or
+// invalidate. Reference/read/write totals are accumulated in locals and
 // committed once per batch; everything else updates exactly as in
 // single-reference delivery, so the statistics are bit-identical to
 // feeding the same references through Add one at a time.
@@ -21,9 +20,9 @@ import "repro/internal/trace"
 // bookkeeping must advance per reference exactly as in single-reference
 // delivery.
 //
-// The kernels are deliberately repetitive: one loop per protocol (times
-// two store layouts) keeps every per-reference branch monomorphic and
-// lets the compiler specialize each loop body. Resist the urge to
+// The kernels are deliberately repetitive: one loop per protocol keeps
+// every per-reference branch monomorphic and lets the compiler
+// specialize each loop body. Resist the urge to
 // deduplicate them through function values — an indirect call per
 // reference is exactly what this file exists to remove.
 
@@ -33,21 +32,6 @@ func (s *Sim) AddBatch(refs []trace.Ref) {
 	if s.OnBus != nil {
 		for i := range refs {
 			s.Add(refs[i])
-		}
-		return
-	}
-	if s.flat != nil {
-		switch s.cfg.Protocol {
-		case WriteThrough:
-			s.replayWriteThroughFlat(refs)
-		case WriteInBroadcast:
-			s.replayWriteInBroadcastFlat(refs)
-		case WriteThroughBroadcast:
-			s.replayWriteUpdateFlat(refs)
-		case Hybrid:
-			s.replayHybridFlat(refs)
-		case Copyback:
-			s.replayCopybackFlat(refs)
 		}
 		return
 	}
@@ -85,11 +69,9 @@ func (s *Sim) commitTotals(npes int, refs, writes int64, peRefs *[maxDirPEs]int6
 	}
 }
 
-// --- fully associative (flat store) kernels ---
-
 //rapwam:hotpath
-func (s *Sim) replayWriteThroughFlat(refs []trace.Ref) {
-	npes, shift, flat, dir := s.cfg.PEs, s.lineShift, s.flat, s.dir
+func (s *Sim) replayWriteThrough(refs []trace.Ref) {
+	npes, shift, caches, dir := s.cfg.PEs, s.lineShift, s.caches, s.dir
 	var peBus [maxDirPEs]int64
 	wa := s.cfg.WriteAllocate
 	var nRefs, nWrites int64
@@ -104,13 +86,13 @@ func (s *Sim) replayWriteThroughFlat(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		peRefs[pe]++
-		c := flat[pe]
-		h := c.lookupIdx(line)
-		if h >= 0 && c.mru != h {
-			c.relink(h)
+		c := caches[pe]
+		h := c.lookup(line)
+		if h != 0 && c.mru != h {
+			c.relink(h, line&c.setMask)
 		}
 		if r.Op == trace.OpRead {
-			if h < 0 {
+			if h == 0 {
 				s.readMiss(pe, line)
 			}
 		} else {
@@ -118,7 +100,7 @@ func (s *Sim) replayWriteThroughFlat(refs []trace.Ref) {
 			// invalidation signal), optional allocate on a miss. OnBus
 			// is nil on this path, so bus() is just the two counters.
 			nWrites++
-			if h < 0 {
+			if h == 0 {
 				s.stats.WriteMisses++
 			}
 			s.stats.WriteThroughs++
@@ -129,7 +111,7 @@ func (s *Sim) replayWriteThroughFlat(refs []trace.Ref) {
 					s.invalidateOthersAt(slot, pe, line)
 				}
 			}
-			if h < 0 && wa {
+			if h == 0 && wa {
 				s.fill(pe, line, stateShared)
 			}
 		}
@@ -138,8 +120,8 @@ func (s *Sim) replayWriteThroughFlat(refs []trace.Ref) {
 	s.commitTotals(npes, nRefs, nWrites, &peRefs)
 }
 
-func (s *Sim) replayWriteInBroadcastFlat(refs []trace.Ref) {
-	npes, shift, flat, dir := s.cfg.PEs, s.lineShift, s.flat, s.dir
+func (s *Sim) replayWriteInBroadcast(refs []trace.Ref) {
+	npes, shift, caches, dir := s.cfg.PEs, s.lineShift, s.caches, s.dir
 	wa := s.cfg.WriteAllocate
 	var peBus [maxDirPEs]int64
 	var nRefs, nWrites int64
@@ -154,18 +136,18 @@ func (s *Sim) replayWriteInBroadcastFlat(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		peRefs[pe]++
-		c := flat[pe]
-		h := c.lookupIdx(line)
-		if h >= 0 && c.mru != h {
-			c.relink(h)
+		c := caches[pe]
+		h := c.lookup(line)
+		if h != 0 && c.mru != h {
+			c.relink(h, line&c.setMask)
 		}
 		if r.Op == trace.OpRead {
-			if h < 0 {
+			if h == 0 {
 				s.readMiss(pe, line)
 			}
 		} else {
 			nWrites++
-			if h >= 0 {
+			if h != 0 {
 				// Private lines write silently (Modified) or promote in
 				// place (Exclusive); a Shared hit spends one bus cycle
 				// invalidating all remote copies (OnBus is nil here, so
@@ -209,8 +191,8 @@ func (s *Sim) replayWriteInBroadcastFlat(refs []trace.Ref) {
 	s.commitTotals(npes, nRefs, nWrites, &peRefs)
 }
 
-func (s *Sim) replayWriteUpdateFlat(refs []trace.Ref) {
-	npes, shift, flat := s.cfg.PEs, s.lineShift, s.flat
+func (s *Sim) replayWriteUpdate(refs []trace.Ref) {
+	npes, shift, caches := s.cfg.PEs, s.lineShift, s.caches
 	var peBus [maxDirPEs]int64
 	var nRefs, nWrites int64
 	var peRefs [maxDirPEs]int64
@@ -224,18 +206,18 @@ func (s *Sim) replayWriteUpdateFlat(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		peRefs[pe]++
-		c := flat[pe]
-		h := c.lookupIdx(line)
-		if h >= 0 && c.mru != h {
-			c.relink(h)
+		c := caches[pe]
+		h := c.lookup(line)
+		if h != 0 && c.mru != h {
+			c.relink(h, line&c.setMask)
 		}
 		if r.Op == trace.OpRead {
-			if h < 0 {
+			if h == 0 {
 				s.readMiss(pe, line)
 			}
 		} else {
 			nWrites++
-			if h >= 0 {
+			if h != 0 {
 				// Same private-line fast path as write-in broadcast; a
 				// Shared hit broadcasts the word (one bus cycle) to the
 				// remaining holders, or promotes to private if none are
@@ -264,8 +246,8 @@ func (s *Sim) replayWriteUpdateFlat(refs []trace.Ref) {
 	s.commitTotals(npes, nRefs, nWrites, &peRefs)
 }
 
-func (s *Sim) replayHybridFlat(refs []trace.Ref) {
-	npes, shift, flat, dir := s.cfg.PEs, s.lineShift, s.flat, s.dir
+func (s *Sim) replayHybrid(refs []trace.Ref) {
+	npes, shift, caches, dir := s.cfg.PEs, s.lineShift, s.caches, s.dir
 	var peBus [maxDirPEs]int64
 	wa := s.cfg.WriteAllocate
 	var nRefs, nWrites int64
@@ -280,13 +262,13 @@ func (s *Sim) replayHybridFlat(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		peRefs[pe]++
-		c := flat[pe]
-		h := c.lookupIdx(line)
-		if h >= 0 && c.mru != h {
-			c.relink(h)
+		c := caches[pe]
+		h := c.lookup(line)
+		if h != 0 && c.mru != h {
+			c.relink(h, line&c.setMask)
 		}
 		if r.Op == trace.OpRead {
-			if h < 0 {
+			if h == 0 {
 				s.readMiss(pe, line)
 			}
 		} else {
@@ -296,7 +278,7 @@ func (s *Sim) replayHybridFlat(refs []trace.Ref) {
 				// the invalidation signal; a present line is never
 				// dirtied by a global write. OnBus is nil on this path,
 				// so bus() is just the two counters.
-				if h < 0 {
+				if h == 0 {
 					s.stats.WriteMisses++
 				}
 				s.stats.WriteThroughs++
@@ -307,12 +289,12 @@ func (s *Sim) replayHybridFlat(refs []trace.Ref) {
 						s.invalidateOthersAt(slot, pe, line)
 					}
 				}
-				if h < 0 && wa {
+				if h == 0 && wa {
 					s.fill(pe, line, stateShared)
 				}
 				continue
 			}
-			if h >= 0 {
+			if h != 0 {
 				// Local-data write hit: plain copyback, no coherency
 				// actions and no bus traffic.
 				c.slab[h].st = stateModified
@@ -335,8 +317,8 @@ func (s *Sim) replayHybridFlat(refs []trace.Ref) {
 }
 
 //rapwam:hotpath
-func (s *Sim) replayCopybackFlat(refs []trace.Ref) {
-	npes, shift, flat := s.cfg.PEs, s.lineShift, s.flat
+func (s *Sim) replayCopyback(refs []trace.Ref) {
+	npes, shift, caches := s.cfg.PEs, s.lineShift, s.caches
 	var nRefs, nWrites int64
 	var peRefs [maxDirPEs]int64
 	for i := range refs {
@@ -349,185 +331,23 @@ func (s *Sim) replayCopybackFlat(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		peRefs[pe]++
-		c := flat[pe]
-		h := c.lookupIdx(line)
-		if h >= 0 && c.mru != h {
-			c.relink(h)
+		c := caches[pe]
+		h := c.lookup(line)
+		if h != 0 && c.mru != h {
+			c.relink(h, line&c.setMask)
 		}
 		if r.Op == trace.OpRead {
-			if h < 0 {
+			if h == 0 {
 				s.readMiss(pe, line)
 			}
 		} else {
 			nWrites++
-			if h >= 0 {
+			if h != 0 {
 				// Write hit: dirty the line silently.
 				c.slab[h].st = stateModified
 				continue
 			}
 			s.stats.WriteMisses++
-			s.writeCopyback(pe, line, h)
-		}
-	}
-	s.commitTotals(npes, nRefs, nWrites, &peRefs)
-}
-
-// --- set-associative (store interface) kernels ---
-
-func (s *Sim) replayWriteThrough(refs []trace.Ref) {
-	npes, shift, dir := s.cfg.PEs, s.lineShift, s.dir
-	wa := s.cfg.WriteAllocate
-	var nRefs, nWrites int64
-	var peRefs, peBus [maxDirPEs]int64
-	for i := range refs {
-		r := refs[i]
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs++
-		peRefs[pe]++
-		h := s.caches[pe].access(line)
-		if r.Op == trace.OpRead {
-			if h < 0 {
-				s.readMiss(pe, line)
-			}
-		} else {
-			// Inlined writeThrough: one word on the bus per write (the
-			// invalidation signal), optional allocate on a miss. OnBus
-			// is nil on this path, so bus() is just the two counters.
-			nWrites++
-			if h < 0 {
-				s.stats.WriteMisses++
-			}
-			s.stats.WriteThroughs++
-			s.stats.BusWords++
-			peBus[pe]++
-			if dir != nil {
-				if slot := dir.find(line); slot >= 0 {
-					s.invalidateOthersAt(slot, pe, line)
-				}
-			}
-			if h < 0 && wa {
-				s.fill(pe, line, stateShared)
-			}
-		}
-	}
-	s.commitBus(npes, &peBus)
-	s.commitTotals(npes, nRefs, nWrites, &peRefs)
-}
-
-func (s *Sim) replayWriteInBroadcast(refs []trace.Ref) {
-	npes, shift := s.cfg.PEs, s.lineShift
-	var nRefs, nWrites int64
-	var peRefs [maxDirPEs]int64
-	for i := range refs {
-		r := refs[i]
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs++
-		peRefs[pe]++
-		h := s.caches[pe].access(line)
-		if r.Op == trace.OpRead {
-			if h < 0 {
-				s.readMiss(pe, line)
-			}
-		} else {
-			nWrites++
-			if h < 0 {
-				s.stats.WriteMisses++
-			}
-			s.writeInBroadcast(pe, line, h)
-		}
-	}
-	s.commitTotals(npes, nRefs, nWrites, &peRefs)
-}
-
-func (s *Sim) replayWriteUpdate(refs []trace.Ref) {
-	npes, shift := s.cfg.PEs, s.lineShift
-	var nRefs, nWrites int64
-	var peRefs [maxDirPEs]int64
-	for i := range refs {
-		r := refs[i]
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs++
-		peRefs[pe]++
-		h := s.caches[pe].access(line)
-		if r.Op == trace.OpRead {
-			if h < 0 {
-				s.readMiss(pe, line)
-			}
-		} else {
-			nWrites++
-			if h < 0 {
-				s.stats.WriteMisses++
-			}
-			s.writeUpdate(pe, line, h)
-		}
-	}
-	s.commitTotals(npes, nRefs, nWrites, &peRefs)
-}
-
-func (s *Sim) replayHybrid(refs []trace.Ref) {
-	npes, shift := s.cfg.PEs, s.lineShift
-	var nRefs, nWrites int64
-	var peRefs [maxDirPEs]int64
-	for i := range refs {
-		r := refs[i]
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs++
-		peRefs[pe]++
-		h := s.caches[pe].access(line)
-		if r.Op == trace.OpRead {
-			if h < 0 {
-				s.readMiss(pe, line)
-			}
-		} else {
-			nWrites++
-			if h < 0 {
-				s.stats.WriteMisses++
-			}
-			s.writeHybrid(pe, line, h, r.Obj)
-		}
-	}
-	s.commitTotals(npes, nRefs, nWrites, &peRefs)
-}
-
-func (s *Sim) replayCopyback(refs []trace.Ref) {
-	npes, shift := s.cfg.PEs, s.lineShift
-	var nRefs, nWrites int64
-	var peRefs [maxDirPEs]int64
-	for i := range refs {
-		r := refs[i]
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs++
-		peRefs[pe]++
-		h := s.caches[pe].access(line)
-		if r.Op == trace.OpRead {
-			if h < 0 {
-				s.readMiss(pe, line)
-			}
-		} else {
-			nWrites++
-			if h < 0 {
-				s.stats.WriteMisses++
-			}
 			s.writeCopyback(pe, line, h)
 		}
 	}

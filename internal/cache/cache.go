@@ -23,17 +23,17 @@
 // # Kernel layout
 //
 // The per-reference kernel is allocation-free and pointer-free in
-// steady state. Each PE's resident lines live in flat preallocated
-// storage addressed by int32 handles — a slab plus open-addressing
-// hash table with index-based intrusive LRU links for the fully
-// associative model (assoc.go), or per-set MRU-ordered arrays rotated
-// in place for the set-associative variant (setassoc.go). A shared
-// snoop directory (directory.go) keeps a presence bitmask of holders
-// per cached line, so coherency actions visit only the PEs that
-// actually hold the line instead of scanning every cache. Batch replay
-// (batch.go) runs protocol-specialized kernels with the coherency
-// dispatch hoisted out of the per-reference loop; statistics are
-// bit-identical to the one-reference-at-a-time Sink path.
+// steady state. Each PE's resident lines live in one store type
+// (assoc.go) for every associativity: a preallocated slab addressed by
+// int32 handles, an open-addressing line table, and one intrusive LRU
+// list per set threaded through the slab by index. The fully
+// associative model is the one-set case. A shared snoop directory
+// (directory.go) keeps a presence bitmask of holders per cached line,
+// so coherency actions visit only the PEs that actually hold the line
+// instead of scanning every cache. Batch replay (batch.go) runs one
+// kernel per protocol with the coherency dispatch hoisted out of the
+// per-reference loop; statistics are bit-identical to the
+// one-reference-at-a-time Sink path.
 //
 // # Simulation planning
 //
@@ -267,12 +267,8 @@ const (
 // fed from a trace.Buffer; batch delivery takes the protocol-specialized
 // fast path (batch.go).
 type Sim struct {
-	cfg    Config
-	caches []store
-	// flat mirrors caches with their concrete type when the simulation
-	// is fully associative (the paper's model); the replay kernels use
-	// it to devirtualize the per-reference store calls.
-	flat       []*assocCache
+	cfg        Config
+	caches     []*assocCache
 	dir        *snoopDir // presence directory; nil for single-PE machines
 	stats      Stats
 	lineShift  uint
@@ -297,23 +293,14 @@ func New(cfg Config) *Sim {
 	}
 	s := &Sim{
 		cfg:       cfg,
-		caches:    make([]store, cfg.PEs),
+		caches:    make([]*assocCache, cfg.PEs),
 		lineShift: shift,
 		perPEBus:  make([]int64, cfg.PEs),
 		perPERefs: make([]int64, cfg.PEs),
 	}
 	lines := cfg.SizeWords / cfg.LineWords
-	if cfg.Assoc == 0 {
-		s.flat = make([]*assocCache, cfg.PEs)
-	}
 	for i := range s.caches {
-		if cfg.Assoc > 0 {
-			s.caches[i] = newSetAssocCache(lines, cfg.Assoc)
-		} else {
-			c := newAssocCache(lines)
-			s.flat[i] = c
-			s.caches[i] = c
-		}
+		s.caches[i] = newAssocCache(lines, cfg.Assoc)
 	}
 	if cfg.PEs > 1 {
 		s.dir = newSnoopDir(cfg.PEs, lines)
@@ -355,26 +342,6 @@ func (s *Sim) bus(pe int, words int64) {
 	if s.OnBus != nil {
 		s.OnBus(pe, int(words), s.stats.Refs)
 	}
-}
-
-// accessPE and setStatePE route a store operation to the concrete
-// fully associative cache when one exists, avoiding the interface
-// dispatch on the per-reference hot path; the set-associative variant
-// falls back to the store interface.
-
-func (s *Sim) accessPE(pe int, line int32) int32 {
-	if s.flat != nil {
-		return s.flat[pe].access(line)
-	}
-	return s.caches[pe].access(line)
-}
-
-func (s *Sim) setStatePE(pe int, h int32, st state) {
-	if s.flat != nil {
-		s.flat[pe].setState(h, st)
-		return
-	}
-	s.caches[pe].setState(h, st)
 }
 
 // remoteHolders returns the presence mask of caches other than pe
@@ -423,10 +390,10 @@ func (s *Sim) updateOthers(pe int, line int32) bool {
 	}
 	for ; m != 0; m &= m - 1 {
 		c := s.caches[bits.TrailingZeros64(m)]
-		if h := c.peek(line); h >= 0 {
+		if h := c.lookup(line); h != 0 {
 			// Remote copy receives the word; its state stays Shared
 			// (an updated copy can never be Modified).
-			c.setState(h, stateShared)
+			c.slab[h].st = stateShared
 		}
 	}
 	return true
@@ -479,11 +446,11 @@ func (s *Sim) fetchCoherent(pe int, line int32) state {
 	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		c := s.caches[i]
-		if h := c.peek(line); h >= 0 {
-			if c.state(h) == stateModified {
+		if h := c.lookup(line); h != 0 {
+			if c.slab[h].st == stateModified {
 				dirtyPE = i
 			}
-			c.setState(h, stateShared)
+			c.slab[h].st = stateShared
 		}
 	}
 	if dirtyPE >= 0 {
@@ -508,7 +475,7 @@ func (s *Sim) Add(r trace.Ref) {
 	s.perPERefs[pe]++
 	if r.Op == trace.OpRead {
 		s.stats.Reads++
-		if s.accessPE(pe, line) < 0 {
+		if s.caches[pe].access(line) == 0 {
 			s.readMiss(pe, line)
 		}
 	} else {
@@ -559,8 +526,8 @@ func (s *Sim) readMissHybrid(pe int, line int32) {
 // write services a write reference (hit or miss) by dispatching to the
 // protocol's write handler.
 func (s *Sim) write(pe int, line int32, obj trace.ObjType) {
-	h := s.accessPE(pe, line)
-	if h < 0 {
+	h := s.caches[pe].access(line)
+	if h == 0 {
 		s.stats.WriteMisses++
 	}
 	switch s.cfg.Protocol {
@@ -580,20 +547,20 @@ func (s *Sim) write(pe int, line int32, obj trace.ObjType) {
 // writeThrough handles a write under the conventional write-through
 // protocol: every write appears on the bus as one word; the bus write
 // also serves as the invalidation signal. h is the handle of the local
-// copy (already promoted to MRU), or -1 on a write miss.
+// copy (already promoted to MRU), or 0 on a write miss.
 func (s *Sim) writeThrough(pe int, line int32, h int32) {
 	s.stats.WriteThroughs++
 	s.busWord(pe)
 	s.invalidateOthers(pe, line)
-	if h < 0 && s.cfg.WriteAllocate {
+	if h == 0 && s.cfg.WriteAllocate {
 		s.fill(pe, line, stateShared)
 	}
 }
 
 // writeCopyback handles a write under the plain copyback protocol.
 func (s *Sim) writeCopyback(pe int, line int32, h int32) {
-	if h >= 0 {
-		s.setStatePE(pe, h, stateModified)
+	if h != 0 {
+		s.caches[pe].slab[h].st = stateModified
 		return
 	}
 	if s.cfg.WriteAllocate {
@@ -607,18 +574,18 @@ func (s *Sim) writeCopyback(pe int, line int32, h int32) {
 // writeInBroadcast handles a write under the invalidation-based
 // broadcast protocol.
 func (s *Sim) writeInBroadcast(pe int, line int32, h int32) {
-	if h >= 0 {
-		c := s.caches[pe]
-		switch c.state(h) {
+	if h != 0 {
+		e := &s.caches[pe].slab[h]
+		switch e.st {
 		case stateModified:
 			// silent
 		case stateExclusive:
-			c.setState(h, stateModified)
+			e.st = stateModified
 		case stateShared:
 			// One bus cycle invalidates all remote copies.
 			s.busWord(pe)
 			s.invalidateOthers(pe, line)
-			c.setState(h, stateModified)
+			e.st = stateModified
 		}
 		return
 	}
@@ -638,20 +605,20 @@ func (s *Sim) writeInBroadcast(pe int, line int32, h int32) {
 // writeUpdate handles a write under the update-based write-through
 // broadcast protocol.
 func (s *Sim) writeUpdate(pe int, line int32, h int32) {
-	if h >= 0 {
-		c := s.caches[pe]
-		switch c.state(h) {
+	if h != 0 {
+		e := &s.caches[pe].slab[h]
+		switch e.st {
 		case stateModified:
 			// private dirty: silent
 		case stateExclusive:
-			c.setState(h, stateModified)
+			e.st = stateModified
 		case stateShared:
 			// Broadcast the word to remote copies and memory.
 			s.stats.Updates++
 			s.busWord(pe)
 			if !s.updateOthers(pe, line) {
 				// No remote copy after all: promote to private.
-				c.setState(h, stateExclusive)
+				e.st = stateExclusive
 			}
 		}
 		return
@@ -664,7 +631,7 @@ func (s *Sim) writeUpdate(pe int, line int32, h int32) {
 			s.busWord(pe)
 			s.updateOthers(pe, line)
 		} else {
-			s.setStatePE(pe, nh, stateModified)
+			s.caches[pe].slab[nh].st = stateModified
 		}
 	} else {
 		s.stats.WriteThroughs++
@@ -683,15 +650,15 @@ func (s *Sim) writeHybrid(pe int, line int32, h int32, obj trace.ObjType) {
 		s.stats.WriteThroughs++
 		s.busWord(pe)
 		s.invalidateOthers(pe, line)
-		if h < 0 && s.cfg.WriteAllocate {
+		if h == 0 && s.cfg.WriteAllocate {
 			s.fill(pe, line, stateShared)
 		}
 		return
 	}
 	// Local data: copyback. Only the owner ever touches it, so no
 	// coherency actions are needed.
-	if h >= 0 {
-		s.setStatePE(pe, h, stateModified)
+	if h != 0 {
+		s.caches[pe].slab[h].st = stateModified
 		return
 	}
 	if s.cfg.WriteAllocate {
@@ -707,17 +674,13 @@ func (s *Sim) writeHybrid(pe int, line int32, h int32, obj trace.ObjType) {
 // drivers do not call it — it exists for completeness and tests).
 func (s *Sim) Flush() {
 	for pe, c := range s.caches {
-		s.flushPE(pe, c)
+		c.forEach(func(h int32) {
+			if c.slab[h].st == stateModified {
+				s.stats.WriteBacks++
+				s.bus(pe, int64(s.cfg.LineWords))
+				c.slab[h].st = stateShared
+			}
+		})
 	}
 	s.flushCount++
-}
-
-func (s *Sim) flushPE(pe int, c store) {
-	c.forEach(func(h int32) {
-		if c.state(h) == stateModified {
-			s.stats.WriteBacks++
-			s.bus(pe, int64(s.cfg.LineWords))
-			c.setState(h, stateShared)
-		}
-	})
 }

@@ -299,89 +299,137 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestSingleCacheNeverExceedsCapacity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := newAssocCache(16)
-		for i := 0; i < 1000; i++ {
-			line := int32(rng.Intn(64))
-			switch rng.Intn(3) {
-			case 0:
-				if c.peek(line) < 0 {
-					c.insert(line, stateShared)
-				}
-			case 1:
-				c.access(line)
-			case 2:
-				c.invalidate(line)
+// storeWays are the geometries the store property tests cover: fully
+// associative (0), direct-mapped and two small set sizes.
+var storeWays = []int{0, 1, 2, 4}
+
+// setCounts walks c's lists and returns the resident lines per set,
+// failing when an entry sits in a set its line does not map to.
+func setCounts(t *testing.T, c *assocCache) []int {
+	t.Helper()
+	counts := make([]int, len(c.cnt))
+	for s := range c.cnt {
+		for e := c.slab[s].next; e != int32(s); e = c.slab[e].next {
+			if got := c.slab[e].line & c.setMask; got != int32(s) {
+				t.Fatalf("line %d of set %d is on set %d's list", c.slab[e].line, got, s)
 			}
-			if c.len() > 16 {
-				return false
-			}
+			counts[s]++
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	return counts
+}
+
+func TestSingleCacheNeverExceedsCapacity(t *testing.T) {
+	for _, ways := range storeWays {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := newAssocCache(16, ways)
+			for i := 0; i < 1000; i++ {
+				line := int32(rng.Intn(64))
+				switch rng.Intn(3) {
+				case 0:
+					if c.lookup(line) == 0 {
+						c.insert(line, stateShared)
+					}
+				case 1:
+					c.access(line)
+				case 2:
+					c.invalidate(line)
+				}
+				if c.len() > 16 {
+					return false
+				}
+				for s, n := range setCounts(t, c) {
+					if n > int(c.ways) || int32(n) != c.cnt[s] {
+						t.Logf("ways %d: set %d holds %d lines, counted %d", ways, s, n, c.cnt[s])
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("ways %d: %v", ways, err)
+		}
 	}
 }
 
 func TestLRUMatchesReferenceModel(t *testing.T) {
 	// Property: the intrusive-list cache behaves exactly like a naive
-	// slice-based LRU model.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := newAssocCache(8)
-		var model []int32 // most recent first
-		modelHas := func(line int32) int {
-			for i, l := range model {
-				if l == line {
-					return i
-				}
-			}
-			return -1
+	// slice-based LRU model of each set, and a miss into a full set
+	// evicts that set's own LRU line.
+	const lines = 8
+	for _, ways := range storeWays {
+		sets := 1
+		if ways > 0 {
+			sets = lines / ways
 		}
-		for i := 0; i < 500; i++ {
-			line := int32(rng.Intn(24))
-			if rng.Intn(4) == 0 { // invalidate
-				got := c.invalidate(line)
-				idx := modelHas(line)
-				if got != (idx >= 0) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := newAssocCache(lines, ways)
+			model := make([][]int32, sets) // per set, most recent first
+			modelHas := func(line int32) (int, int) {
+				s := int(line) & (sets - 1)
+				for i, l := range model[s] {
+					if l == line {
+						return s, i
+					}
+				}
+				return s, -1
+			}
+			for i := 0; i < 500; i++ {
+				line := int32(rng.Intn(24))
+				s, idx := modelHas(line)
+				if rng.Intn(4) == 0 { // invalidate
+					if c.invalidate(line) != (idx >= 0) {
+						return false
+					}
+					if idx >= 0 {
+						model[s] = append(model[s][:idx], model[s][idx+1:]...)
+					}
+					continue
+				}
+				// access (insert or touch)
+				hit := c.access(line) != 0
+				if hit != (idx >= 0) {
 					return false
 				}
-				if idx >= 0 {
-					model = append(model[:idx], model[idx+1:]...)
+				if hit {
+					model[s] = append(model[s][:idx], model[s][idx+1:]...)
+				} else {
+					_, victim, _, evicted := c.insert(line, stateShared)
+					if full := len(model[s]) == lines/sets; evicted != full {
+						return false
+					}
+					if evicted {
+						if lru := model[s][len(model[s])-1]; victim != lru || c.lookup(lru) != 0 {
+							t.Logf("ways %d: evicted line %d, want set %d's LRU line %d", ways, victim, s, lru)
+							return false
+						}
+						model[s] = model[s][:len(model[s])-1]
+					}
 				}
-				continue
-			}
-			// access (insert or touch)
-			if c.access(line) < 0 {
-				c.insert(line, stateShared)
-			}
-			if idx := modelHas(line); idx >= 0 {
-				model = append(model[:idx], model[idx+1:]...)
-			} else if len(model) == 8 {
-				evicted := model[len(model)-1]
-				model = model[:len(model)-1]
-				if c.peek(evicted) >= 0 {
+				model[s] = append([]int32{line}, model[s]...)
+				// Every set's list must be its model, in recency order.
+				var want, got []int32
+				for _, m := range model {
+					want = append(want, m...)
+				}
+				c.forEach(func(h int32) { got = append(got, c.slab[h].line) })
+				if len(got) != len(want) || c.len() != len(want) {
 					return false
 				}
-			}
-			model = append([]int32{line}, model...)
-			// every model line must be present
-			for _, l := range model {
-				if c.peek(l) < 0 {
-					return false
+				for j := range got {
+					if got[j] != want[j] {
+						return false
+					}
 				}
 			}
-			if c.len() != len(model) {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("ways %d: %v", ways, err)
+		}
 	}
 }
 

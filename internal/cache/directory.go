@@ -11,7 +11,7 @@ package cache
 // per-PE stores still hold the resident lines and their states, and the
 // Sim keeps the directory exactly in sync on every insert, eviction and
 // invalidation. It is keyed by line through the same open-addressing
-// scheme as the flat stores (power of two, linear probing, backshift
+// scheme as the line tables (power of two, linear probing, backshift
 // deletion) and sized once at construction for the worst case of every
 // cache full, so it never allocates during simulation. Each slot
 // interleaves the line key with its presence mask — one probe touches

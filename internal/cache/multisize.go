@@ -18,7 +18,7 @@ import (
 //
 // Per PE, one recency list over a slab sized for the largest size plus
 // one (a filled line is linked before the line it displaces leaves),
-// found through the same open-addressing table as assocCache. Each
+// found through the lineTable assocCache uses too (store.go). Each
 // entry carries m, the index of the smallest size holding the line —
 // the line is resident at exactly the sizes k >= m — and two per-size
 // bitmasks, mod (dirty) and shr (Shared; Exclusive is neither), of
@@ -88,10 +88,10 @@ import (
 // with a in the small cache and not in the large one, so (ii) fails
 // across policies and WriteAllocate is part of the class key.
 //
-// The table and list code repeats assocCache's (assoc.go) rather than
-// sharing it: the single-size kernels are tuned around that type's
-// layout and must not move. Like them this kernel allocates nothing
-// after construction.
+// The recency-list code repeats assocCache's (assoc.go): the list
+// operations are a few lines each, and the finger repair around them is
+// this structure's own. The line table is shared. Like the single-size
+// kernels this one allocates nothing after construction.
 
 // maxSizes is the most sizes one multiSim serves: per-size state is a
 // uint8 bitmask. planSims splits larger classes.
@@ -111,10 +111,9 @@ type msCache struct {
 	// (slab[0].next = MRU) with m = 0, so a finger walk toward the head
 	// stops there and yields 0, "no such line".
 	slab  []msEntry
-	table []tableSlot
-	mask  uint32 // len(table) - 1
-	mru   int32  // mirrors slab[0].next
-	free  int32  // head of the free list threaded through next; 0 = none
+	table lineTable
+	mru   int32 // mirrors slab[0].next
+	free  int32 // head of the free list threaded through next; 0 = none
 	cnt   [maxSizes]int32
 	lru   [maxSizes]int32
 }
@@ -159,12 +158,10 @@ func newMultiSim(cfg Config, sizes []int) *multiSim {
 		s.caps[k] = int32(words / cfg.LineWords)
 	}
 	lines := int(s.caps[len(sizes)-1])
-	size := tableSizeFor(lines)
 	for i := range s.pes {
 		c := &s.pes[i]
 		c.slab = make([]msEntry, lines+2)
-		c.table = make([]tableSlot, size)
-		c.mask = size - 1
+		c.table = newLineTable(lines)
 		for e := 1; e <= lines; e++ {
 			c.slab[e].next = int32(e + 1)
 		}
@@ -228,7 +225,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		c := &s.pes[pe]
-		e := c.lookup(line)
+		e := c.table.lookup(line)
 		m := absent
 		if e != 0 {
 			m = int(c.slab[e].m)
@@ -308,7 +305,7 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		c := &s.pes[pe]
-		e := c.lookup(line)
+		e := c.table.lookup(line)
 		m := absent
 		if e != 0 {
 			m = int(c.slab[e].m)
@@ -375,7 +372,7 @@ func (s *multiSim) snoop(pe int, line int32, fetch uint8, invalidate bool) (supp
 	}
 	for hs := s.dir.holdersAt(slot) &^ (1 << uint(pe)); hs != 0; hs &= hs - 1 {
 		c := &s.pes[bits.TrailingZeros64(hs)]
-		e := c.lookup(line)
+		e := c.table.lookup(line)
 		ent := &c.slab[e]
 		if x := fetch &^ (1<<ent.m - 1); x != 0 {
 			for b := x & ent.mod; b != 0; b &= b - 1 {
@@ -430,7 +427,7 @@ func (s *multiSim) fill(c *msCache, pe int, e int32, line int32, m int) int32 {
 		ve.m = uint8(k + 1)
 		if k == last {
 			c.unlink(v)
-			c.tableDelete(ve.line)
+			c.table.delete(ve.line)
 			if s.dir != nil {
 				s.dir.remove(pe, ve.line)
 			}
@@ -439,7 +436,7 @@ func (s *multiSim) fill(c *msCache, pe int, e int32, line int32, m int) int32 {
 		}
 	}
 	if fresh {
-		c.tableInsert(line, e)
+		c.table.insert(line, e)
 		if s.dir != nil {
 			s.dir.add(pe, line)
 		}
@@ -483,7 +480,7 @@ func (c *msCache) remove(e int32, sizes int) {
 	}
 	c.unlink(e)
 	c.mru = c.slab[0].next
-	c.tableDelete(ent.line)
+	c.table.delete(ent.line)
 	ent.next = c.free
 	c.free = e
 }
@@ -501,57 +498,4 @@ func (c *msCache) pushFront(e int32) {
 	c.slab[first].prev = e
 	c.slab[0].next = e
 	c.mru = e
-}
-
-// lookup returns the slab index of line, or 0 if the PE does not hold
-// it (assocCache.lookupIdx with the sentinel as the miss value).
-func (c *msCache) lookup(line int32) int32 {
-	table := c.table
-	if len(table) == 0 {
-		return 0
-	}
-	mask := uint32(len(table) - 1)
-	i := hashLine(line) & mask
-	for {
-		s := table[i]
-		if s.line == line || s.idx == 0 {
-			return s.idx
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// tableInsert maps line to slab index e in the first empty probe slot.
-func (c *msCache) tableInsert(line, e int32) {
-	i := hashLine(line) & c.mask
-	for c.table[i].idx != 0 {
-		i = (i + 1) & c.mask
-	}
-	c.table[i] = tableSlot{line: line, idx: e}
-}
-
-// tableDelete removes the slot holding line (which must be present)
-// with backshift deletion, as assocCache.tableDelete does.
-func (c *msCache) tableDelete(line int32) {
-	i := hashLine(line) & c.mask
-	for c.table[i].line != line || c.table[i].idx == 0 {
-		i = (i + 1) & c.mask
-	}
-	for {
-		c.table[i] = tableSlot{}
-		j := i
-		for {
-			j = (j + 1) & c.mask
-			s := c.table[j]
-			if s.idx == 0 {
-				return
-			}
-			k := hashLine(s.line) & c.mask
-			if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-				c.table[i] = s
-				i = j
-				break
-			}
-		}
-	}
 }

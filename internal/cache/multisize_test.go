@@ -132,7 +132,7 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 				for e := c.slab[0].next; e != 0; e = c.slab[e].next {
 					ent := c.slab[e]
 					held++
-					if c.lookup(ent.line) != e {
+					if c.table.lookup(ent.line) != e {
 						t.Fatalf("%v wa=%v pe %d: line %d is listed but the table does not find it", p, wa, pe, ent.line)
 					}
 					if s.dir.holders(ent.line)&(1<<uint(pe)) == 0 {

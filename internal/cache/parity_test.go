@@ -91,7 +91,7 @@ func eqVec(a, b []int64) bool {
 func parityConfigs(p Protocol, pes int) []Config {
 	var cfgs []Config
 	for _, wa := range []bool{false, true} {
-		for _, assoc := range []int{0, 2, 4} {
+		for _, assoc := range []int{0, 1, 2, 4} {
 			cfgs = append(cfgs, Config{
 				PEs: pes, SizeWords: 256, LineWords: 4,
 				Protocol: p, WriteAllocate: wa, Assoc: assoc,
@@ -172,33 +172,35 @@ func TestParityAfterFlush(t *testing.T) {
 
 // TestDirectoryStaysInSync cross-checks the snoop directory against the
 // per-PE stores after a full replay: every directory entry must match
-// residency exactly.
+// residency exactly, at every associativity.
 func TestDirectoryStaysInSync(t *testing.T) {
 	buf := parityTrace(t, "qsort", 4, false)
 	for _, p := range []Protocol{WriteThrough, WriteInBroadcast, WriteThroughBroadcast, Hybrid} {
-		cfg := Config{PEs: 4, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true}
-		sim := New(cfg)
-		sim.AddBatch(buf.Refs)
-		resident := 0
-		for pe, c := range sim.caches {
-			c.forEach(func(h int32) {
-				resident++
-				line := sim.flat[pe].slab[h].line
-				if sim.dir.holders(line)&(1<<uint(pe)) == 0 {
-					t.Fatalf("%v: pe %d holds line %d but directory does not know", p, pe, line)
-				}
-			})
-		}
-		// Every directory bit must be backed by a resident line: the
-		// total popcount equals the resident-line count.
-		bits := 0
-		for _, s := range sim.dir.table {
-			for m := s.mask; m != 0; m &= m - 1 {
-				bits++
+		for _, assoc := range []int{0, 2, 4} {
+			cfg := Config{PEs: 4, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true, Assoc: assoc}
+			sim := New(cfg)
+			sim.AddBatch(buf.Refs)
+			resident := 0
+			for pe, c := range sim.caches {
+				c.forEach(func(h int32) {
+					resident++
+					line := c.slab[h].line
+					if sim.dir.holders(line)&(1<<uint(pe)) == 0 {
+						t.Fatalf("%v assoc=%d: pe %d holds line %d but directory does not know", p, assoc, pe, line)
+					}
+				})
 			}
-		}
-		if bits != resident {
-			t.Errorf("%v: directory tracks %d holder bits, caches hold %d lines", p, bits, resident)
+			// Every directory bit must be backed by a resident line: the
+			// total popcount equals the resident-line count.
+			bits := 0
+			for _, s := range sim.dir.table {
+				for m := s.mask; m != 0; m &= m - 1 {
+					bits++
+				}
+			}
+			if bits != resident {
+				t.Errorf("%v assoc=%d: directory tracks %d holder bits, caches hold %d lines", p, assoc, bits, resident)
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Set-sharded parallel replay.
 //
 // A set-associative simulation decomposes exactly by cache set: the
-// state a reference touches — the per-PE set arrays, the snoop
+// state a reference touches — the per-PE set lists, the snoop
 // directory entries for lines mapping to that set, the victim it may
 // evict — is a function of set(addr) alone, and every statistic the
 // simulator accumulates is attributable to exactly one processed
