@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (seven targets run back to back).
+# Per-target budget for `make fuzz` (eight targets run back to back).
 FUZZTIME ?= 30s
 
 .PHONY: all check build test race lint audit fuzz bench cover fmt vet docs
@@ -55,8 +55,9 @@ audit:
 # experiment parameters — the multi-size cache simulator against
 # single-size ones on generated classes and streams, the single-size
 # simulator against the reference simulator on generated configurations
-# of every associativity, and the default engine dispatcher against the
-# reference round-robin on generated programs. Seeds live in each
+# of every associativity, the default engine dispatcher against the
+# reference round-robin on generated programs, and the parser and
+# compiler on arbitrary program and query text. Seeds live in each
 # package's f.Add calls or testdata/fuzz corpus; new findings land in
 # testdata/fuzz.
 fuzz:
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSimMatchesReference -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzPrepareParams -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDispatcherParity -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/compile/
 
 # race covers every concurrent subsystem; internal/core and
 # internal/mem run their sharded-execution suites (ExecShards > 1,

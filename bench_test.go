@@ -240,7 +240,10 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 // construction is excluded and the -benchmem columns show the
 // steady-state replay cost (0 allocs/op). fa runs the fully associative
 // configurations; saN is replay-large's set-associative shape, write-in
-// broadcast at 1024 words with N ways.
+// broadcast at 1024 words with N ways; wt, update and hyb run the
+// write-through, write-through broadcast and hybrid write paths alone
+// at 1024 words, and cb1 runs copyback on a one-PE sequential trace, so
+// every protocol's write path has its own reading.
 func BenchmarkReplaySteadyState(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 4, false)
@@ -252,6 +255,19 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 		cfg := CacheConfig{PEs: 4, SizeWords: 1024, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true, Assoc: ways}
 		b.Run(fmt.Sprintf("sa%d", ways), func(b *testing.B) { replaySteadyState(b, tr, []CacheConfig{cfg}) })
 	}
+	for _, sub := range []struct {
+		name  string
+		proto Protocol
+	}{{"wt", WriteThrough}, {"update", WriteThroughBroadcast}, {"hyb", Hybrid}} {
+		cfg := CacheConfig{PEs: 4, SizeWords: 1024, LineWords: 4, Protocol: sub.proto, WriteAllocate: PaperWriteAllocate(sub.proto, 1024)}
+		b.Run(sub.name, func(b *testing.B) { replaySteadyState(b, tr, []CacheConfig{cfg}) })
+	}
+	seq, err := TraceBenchmark(context.Background(), bm, 1, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := CacheConfig{PEs: 1, SizeWords: 1024, LineWords: 4, Protocol: Copyback, WriteAllocate: true}
+	b.Run("cb1", func(b *testing.B) { replaySteadyState(b, seq, []CacheConfig{cfg}) })
 }
 
 // replaySteadyState warms one simulator per configuration, then times

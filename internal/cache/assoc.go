@@ -25,7 +25,7 @@ type assocCache struct {
 	table lineTable
 	// mru is the entry most recently pushed to the front of any set.
 	// An entry equal to it is at the front of its own set, so the
-	// replay kernels' already-MRU check is one header-field load
+	// replay loop's already-MRU check is one header-field load
 	// instead of a slab access.
 	mru     int32
 	setMask int32   // S - 1
@@ -69,20 +69,10 @@ func newAssocCache(lines, ways int) *assocCache {
 // disturbing LRU order (a remote snoop).
 func (c *assocCache) lookup(line int32) int32 { return c.table.lookup(line) }
 
-// access looks the line up and, on a hit, promotes it to the front of
-// its set, returning its handle; it returns 0 on a miss.
-func (c *assocCache) access(line int32) int32 {
-	e := c.table.lookup(line)
-	if e != 0 && c.mru != e {
-		c.relink(e, line&c.setMask)
-	}
-	return e
-}
-
-// relink moves resident entry e to the front of its set s (the slow
-// half of access; the replay kernels inline it behind their own MRU
-// check). The caller passes s: deriving it here from the entry's line
-// would push relink over the inlining budget.
+// relink moves resident entry e to the front of its set s; the replay
+// loop inlines it behind its own MRU check. The caller passes s:
+// deriving it here from the entry's line would push relink over the
+// inlining budget.
 func (c *assocCache) relink(e, s int32) {
 	c.unlink(e)
 	c.pushFront(e, s)

@@ -30,10 +30,12 @@
 // associative model is the one-set case. A shared snoop directory
 // (directory.go) keeps a presence bitmask of holders per cached line,
 // so coherency actions visit only the PEs that actually hold the line
-// instead of scanning every cache. Batch replay (batch.go) runs one
-// kernel per protocol with the coherency dispatch hoisted out of the
-// per-reference loop; statistics are bit-identical to the
-// one-reference-at-a-time Sink path.
+// instead of scanning every cache. Every delivery, a batch or one
+// reference through Add, runs one replay loop (batch.go): the shared
+// per-reference prologue, the write hits that need no bus and the
+// written-through writes inline, read misses and the remaining writes
+// through one handler per protocol, so each protocol's rules are
+// written down once.
 //
 // # Simulation planning
 //
@@ -59,7 +61,6 @@ import (
 	"math/bits"
 
 	"repro/internal/objcodec"
-	"repro/internal/trace"
 )
 
 // Protocol selects a coherency scheme.
@@ -264,17 +265,16 @@ const (
 
 // Sim is a multiprocessor cache simulation. It implements trace.Sink
 // and trace.BatchSink, so it can be attached directly to the engine or
-// fed from a trace.Buffer; batch delivery takes the protocol-specialized
-// fast path (batch.go).
+// fed from a trace.Buffer; both deliveries run the one replay loop
+// (batch.go).
 type Sim struct {
-	cfg        Config
-	caches     []*assocCache
-	dir        *snoopDir // presence directory; nil for single-PE machines
-	stats      Stats
-	lineShift  uint
-	perPEBus   []int64 // bus words attributed to each PE (for bus model)
-	perPERefs  []int64
-	flushCount int64
+	cfg       Config
+	caches    []*assocCache
+	dir       *snoopDir // presence directory; nil for single-PE machines
+	stats     Stats
+	lineShift uint
+	perPEBus  []int64 // bus words attributed to each PE (for bus model)
+	perPERefs []int64
 	// OnBus, when set, observes every bus transaction: the issuing PE,
 	// the transaction length in words, and the reference index at issue
 	// time (a proxy clock for the discrete-event bus model).
@@ -320,8 +320,8 @@ func (s *Sim) PerPEBusWords() []int64 { return s.perPEBus }
 // PerPERefs returns processor references per PE.
 func (s *Sim) PerPERefs() []int64 { return s.perPERefs }
 
-// busWord charges one word of bus traffic to pe (the write handlers'
-// write-through, invalidation and update cycles).
+// busWord charges one word of bus traffic to pe (the write-through,
+// invalidation and update cycles).
 func (s *Sim) busWord(pe int) {
 	s.stats.BusWords++
 	s.perPEBus[pe]++
@@ -330,7 +330,11 @@ func (s *Sim) busWord(pe int) {
 	}
 }
 
-// busEvent notifies the observer of a one-word transaction.
+// busEvent notifies the observer of a one-word transaction. It stays
+// out of line so that busWord inlines into the replay loop and the
+// write handlers.
+//
+//go:noinline
 func (s *Sim) busEvent(pe int) {
 	s.OnBus(pe, 1, s.stats.Refs)
 }
@@ -362,19 +366,12 @@ func (s *Sim) invalidateOthers(pe int, line int32) {
 	if slot < 0 {
 		return
 	}
-	s.invalidateOthersAt(slot, pe, line)
-}
-
-// invalidateOthersAt removes the line from all caches except pe, given
-// its directory slot (the replay kernels inline the probe and call this
-// only when some cache holds the line).
-func (s *Sim) invalidateOthersAt(slot int32, pe int, line int32) {
 	m := s.dir.holdersAt(slot) &^ (1 << uint(pe))
 	if m == 0 {
 		return
 	}
-	for mm := m; mm != 0; mm &= mm - 1 {
-		if s.caches[bits.TrailingZeros64(mm)].invalidate(line) {
+	for ; m != 0; m &= m - 1 {
+		if s.caches[bits.TrailingZeros64(m)].invalidate(line) {
 			s.stats.Invalidations++
 		}
 	}
@@ -462,139 +459,59 @@ func (s *Sim) fetchCoherent(pe int, line int32) state {
 	return stateShared
 }
 
-// Add processes one reference. It implements trace.Sink.
-func (s *Sim) Add(r trace.Ref) {
-	pe := int(r.PE)
-	if pe >= s.cfg.PEs {
-		// References from PEs outside the simulated machine are
-		// ignored; experiment drivers always size PEs to the trace.
-		return
-	}
-	line := int32(r.Addr >> s.lineShift)
-	s.stats.Refs++
-	s.perPERefs[pe]++
-	if r.Op == trace.OpRead {
-		s.stats.Reads++
-		if s.caches[pe].access(line) == 0 {
-			s.readMiss(pe, line)
-		}
-	} else {
-		s.stats.Writes++
-		s.write(pe, line, r.Obj)
-	}
-}
-
 // readMiss services a read miss under the configured protocol.
 func (s *Sim) readMiss(pe int, line int32) {
+	s.stats.ReadMisses++
+	st := stateExclusive
 	switch s.cfg.Protocol {
 	case WriteThrough:
 		// Memory is always current; plain fill.
-		s.stats.ReadMisses++
-		s.fill(pe, line, stateShared)
-	case Copyback:
-		s.stats.ReadMisses++
-		s.fill(pe, line, stateExclusive)
-	case WriteInBroadcast, WriteThroughBroadcast:
-		s.readMissBroadcast(pe, line)
-	case Hybrid:
-		s.readMissHybrid(pe, line)
-	}
-}
-
-// readMissBroadcast services a read miss under either broadcast
-// protocol (the replay kernels call it directly, skipping the protocol
-// switch).
-func (s *Sim) readMissBroadcast(pe int, line int32) {
-	s.stats.ReadMisses++
-	st := s.fetchCoherent(pe, line)
-	s.fill(pe, line, st)
-}
-
-// readMissHybrid services a read miss under the hybrid protocol:
-// memory is consistent for global data (written through) and local
-// data is never remotely cached, so a plain fill suffices; remote
-// state is unaffected.
-func (s *Sim) readMissHybrid(pe int, line int32) {
-	s.stats.ReadMisses++
-	st := stateExclusive
-	if s.remoteHolders(pe, line) != 0 {
 		st = stateShared
+	case WriteInBroadcast, WriteThroughBroadcast:
+		st = s.fetchCoherent(pe, line)
+	case Hybrid:
+		// Memory is consistent for global data (written through) and
+		// local data is never remotely cached, so a plain fill
+		// suffices; remote state is unaffected.
+		if s.remoteHolders(pe, line) != 0 {
+			st = stateShared
+		}
 	}
 	s.fill(pe, line, st)
 }
 
-// write services a write reference (hit or miss) by dispatching to the
-// protocol's write handler.
-func (s *Sim) write(pe int, line int32, obj trace.ObjType) {
-	h := s.caches[pe].access(line)
-	if h == 0 {
-		s.stats.WriteMisses++
-	}
-	switch s.cfg.Protocol {
-	case WriteThrough:
-		s.writeThrough(pe, line, h)
-	case Copyback:
-		s.writeCopyback(pe, line, h)
-	case WriteInBroadcast:
-		s.writeInBroadcast(pe, line, h)
-	case WriteThroughBroadcast:
-		s.writeUpdate(pe, line, h)
-	case Hybrid:
-		s.writeHybrid(pe, line, h, obj)
-	}
-}
+// The write handlers below see the writes the replay loop (batch.go)
+// does not finish inline, under the protocols that keep dirty lines:
+// misses (h == 0), and a broadcast protocol's hit on a Shared line (h
+// is the local copy's handle, already promoted to MRU).
 
-// writeThrough handles a write under the conventional write-through
-// protocol: every write appears on the bus as one word; the bus write
-// also serves as the invalidation signal. h is the handle of the local
-// copy (already promoted to MRU), or 0 on a write miss.
-func (s *Sim) writeThrough(pe int, line int32, h int32) {
-	s.stats.WriteThroughs++
-	s.busWord(pe)
-	s.invalidateOthers(pe, line)
-	if h == 0 && s.cfg.WriteAllocate {
-		s.fill(pe, line, stateShared)
-	}
-}
-
-// writeCopyback handles a write under the plain copyback protocol.
-func (s *Sim) writeCopyback(pe int, line int32, h int32) {
-	if h != 0 {
-		s.caches[pe].slab[h].st = stateModified
-		return
-	}
+// writeCopyback handles a write miss under the plain copyback
+// protocol, and a hybrid Local write miss: only the owner ever touches
+// local data, so no coherency actions are needed.
+func (s *Sim) writeCopyback(pe int, line int32) {
 	if s.cfg.WriteAllocate {
 		s.fill(pe, line, stateModified)
-	} else {
-		s.stats.WriteThroughs++
-		s.busWord(pe)
+		return
 	}
+	s.stats.WriteThroughs++
+	s.busWord(pe)
 }
 
 // writeInBroadcast handles a write under the invalidation-based
 // broadcast protocol.
 func (s *Sim) writeInBroadcast(pe int, line int32, h int32) {
-	if h != 0 {
-		e := &s.caches[pe].slab[h]
-		switch e.st {
-		case stateModified:
-			// silent
-		case stateExclusive:
-			e.st = stateModified
-		case stateShared:
-			// One bus cycle invalidates all remote copies.
-			s.busWord(pe)
-			s.invalidateOthers(pe, line)
-			e.st = stateModified
-		}
-		return
-	}
-	if s.cfg.WriteAllocate {
+	switch {
+	case h != 0:
+		// A Shared hit: one bus cycle invalidates all remote copies.
+		s.busWord(pe)
+		s.invalidateOthers(pe, line)
+		s.caches[pe].slab[h].st = stateModified
+	case s.cfg.WriteAllocate:
 		// Read-for-ownership: fetch then invalidate remote copies.
 		s.fetchCoherent(pe, line)
 		s.invalidateOthers(pe, line)
 		s.fill(pe, line, stateModified)
-	} else {
+	default:
 		// Word goes to memory; the bus write invalidates copies.
 		s.stats.WriteThroughs++
 		s.busWord(pe)
@@ -605,25 +522,17 @@ func (s *Sim) writeInBroadcast(pe int, line int32, h int32) {
 // writeUpdate handles a write under the update-based write-through
 // broadcast protocol.
 func (s *Sim) writeUpdate(pe int, line int32, h int32) {
-	if h != 0 {
-		e := &s.caches[pe].slab[h]
-		switch e.st {
-		case stateModified:
-			// private dirty: silent
-		case stateExclusive:
-			e.st = stateModified
-		case stateShared:
-			// Broadcast the word to remote copies and memory.
-			s.stats.Updates++
-			s.busWord(pe)
-			if !s.updateOthers(pe, line) {
-				// No remote copy after all: promote to private.
-				e.st = stateExclusive
-			}
+	switch {
+	case h != 0:
+		// A Shared hit broadcasts the word to remote copies and
+		// memory.
+		s.stats.Updates++
+		s.busWord(pe)
+		if !s.updateOthers(pe, line) {
+			// No remote copy after all: promote to private.
+			s.caches[pe].slab[h].st = stateExclusive
 		}
-		return
-	}
-	if s.cfg.WriteAllocate {
+	case s.cfg.WriteAllocate:
 		st := s.fetchCoherent(pe, line)
 		nh := s.fill(pe, line, st)
 		if st == stateShared {
@@ -633,39 +542,10 @@ func (s *Sim) writeUpdate(pe int, line int32, h int32) {
 		} else {
 			s.caches[pe].slab[nh].st = stateModified
 		}
-	} else {
+	default:
 		s.stats.WriteThroughs++
 		s.busWord(pe)
 		s.updateOthers(pe, line)
-	}
-}
-
-// writeHybrid handles a write under the paper's hybrid protocol.
-func (s *Sim) writeHybrid(pe int, line int32, h int32, obj trace.ObjType) {
-	if obj.Global() {
-		// Global data is written through so that shared memory
-		// stays consistent; the bus write invalidates remote
-		// copies. A present line is updated but never dirtied by
-		// a global write.
-		s.stats.WriteThroughs++
-		s.busWord(pe)
-		s.invalidateOthers(pe, line)
-		if h == 0 && s.cfg.WriteAllocate {
-			s.fill(pe, line, stateShared)
-		}
-		return
-	}
-	// Local data: copyback. Only the owner ever touches it, so no
-	// coherency actions are needed.
-	if h != 0 {
-		s.caches[pe].slab[h].st = stateModified
-		return
-	}
-	if s.cfg.WriteAllocate {
-		s.fill(pe, line, stateModified)
-	} else {
-		s.stats.WriteThroughs++
-		s.busWord(pe)
 	}
 }
 
@@ -682,5 +562,4 @@ func (s *Sim) Flush() {
 			}
 		})
 	}
-	s.flushCount++
 }

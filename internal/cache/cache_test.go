@@ -319,6 +319,17 @@ func setCounts(t *testing.T, c *assocCache) []int {
 	return counts
 }
 
+// access is the replay loop's hit path on one store: look the line up
+// and, on a hit, promote it to the front of its set, returning its
+// handle; it returns 0 on a miss.
+func (c *assocCache) access(line int32) int32 {
+	e := c.table.lookup(line)
+	if e != 0 && c.mru != e {
+		c.relink(e, line&c.setMask)
+	}
+	return e
+}
+
 func TestSingleCacheNeverExceedsCapacity(t *testing.T) {
 	for _, ways := range storeWays {
 		f := func(seed int64) bool {

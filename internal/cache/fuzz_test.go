@@ -83,11 +83,25 @@ func fuzzSimCase(data []byte) (cfg Config, refs []trace.Ref, ok bool) {
 	return cfg, refs, true
 }
 
+// fuzzBatches cuts refs into consecutive batches of 1–32 references
+// whose lengths the input chooses: the j-th is 1 + data[j mod
+// len(data)] mod 32 long.
+func fuzzBatches(data []byte, refs []trace.Ref) [][]trace.Ref {
+	var out [][]trace.Ref
+	for j := 0; len(refs) > 0; j++ {
+		n := min(1+int(data[j%len(data)]%32), len(refs))
+		out = append(out, refs[:n])
+		refs = refs[n:]
+	}
+	return out
+}
+
 // FuzzSimMatchesReference: whatever the configuration and the stream,
 // Sim equals the reference simulator (refsim_test.go) on Stats, on the
-// per-PE bus and reference vectors, and on Stats after Flush — through
-// the batch kernels, and through per-reference delivery with an OnBus
-// observer, whose event sequence must match the reference's too.
+// per-PE bus and reference vectors, and on Stats after Flush — fed as
+// one batch, one reference at a time through Add, and in batches cut
+// where the input says — and the two OnBus-observed deliveries see the
+// reference's event sequence one for one.
 func FuzzSimMatchesReference(f *testing.F) {
 	// Direct-mapped conflicts: 2 PEs, write-in broadcast, write-allocate,
 	// 4 sets of one line, five lines all mapping to set 0.
@@ -136,23 +150,34 @@ func FuzzSimMatchesReference(f *testing.F) {
 		for _, r := range refs {
 			observed.Add(r)
 		}
+		split := New(cfg)
+		var gotSplit []busEvent
+		split.OnBus = record(&gotSplit)
+		for _, b := range fuzzBatches(data, refs) {
+			split.AddBatch(b)
+		}
 		check := func(when string) {
 			for _, run := range []struct {
 				path string
 				sim  *Sim
-			}{{"batch", batch}, {"per-reference", observed}} {
+			}{{"batch", batch}, {"per-reference", observed}, {"split batches", split}} {
 				if run.sim.Stats() != ref.stats || !eqVec(run.sim.PerPEBusWords(), ref.perPEBus) || !eqVec(run.sim.PerPERefs(), ref.perPERefs) {
 					t.Errorf("%s %s, %s over %d references:\n got %+v bus %v refs %v\nwant %+v bus %v refs %v",
 						run.path, when, cfg.Key(), len(refs), run.sim.Stats(), run.sim.PerPEBusWords(), run.sim.PerPERefs(),
 						ref.stats, ref.perPEBus, ref.perPERefs)
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s, %s: %d OnBus events, want %d", when, cfg.Key(), len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s, %s: OnBus event %d is %+v, want %+v", when, cfg.Key(), i, got[i], want[i])
+			for _, run := range []struct {
+				path   string
+				events []busEvent
+			}{{"per-reference", got}, {"split batches", gotSplit}} {
+				if len(run.events) != len(want) {
+					t.Fatalf("%s %s, %s: %d OnBus events, want %d", run.path, when, cfg.Key(), len(run.events), len(want))
+				}
+				for i := range run.events {
+					if run.events[i] != want[i] {
+						t.Fatalf("%s %s, %s: OnBus event %d is %+v, want %+v", run.path, when, cfg.Key(), i, run.events[i], want[i])
+					}
 				}
 			}
 		}
@@ -160,6 +185,7 @@ func FuzzSimMatchesReference(f *testing.F) {
 		ref.Flush()
 		batch.Flush()
 		observed.Flush()
+		split.Flush()
 		check("after Flush")
 	})
 }

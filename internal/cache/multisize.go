@@ -90,8 +90,8 @@ import (
 //
 // The recency-list code repeats assocCache's (assoc.go): the list
 // operations are a few lines each, and the finger repair around them is
-// this structure's own. The line table is shared. Like the single-size
-// kernels this one allocates nothing after construction.
+// this structure's own. The line table is shared. Like Sim's replay
+// loop this one allocates nothing after construction.
 
 // maxSizes is the most sizes one multiSim serves: per-size state is a
 // uint8 bitmask. planSims splits larger classes.

@@ -10,7 +10,7 @@ import (
 )
 
 // Golden-parity tests: the flat kernel (slab/open-addressing stores,
-// snoop directory, protocol-specialized batch replay) must produce
+// snoop directory, one replay loop) must produce
 // statistics bit-identical to the retained naive reference simulator
 // (refsim_test.go) for every protocol × allocation policy ×
 // associativity on real engine traces — including the per-PE bus and
@@ -60,9 +60,8 @@ func runRef(buf *trace.Buffer, cfg Config, record bool) (Stats, []int64, []int64
 	return s.stats, s.perPEBus, s.perPERefs, events
 }
 
-// runNew replays buf through the production simulator. With record set
-// it attaches an OnBus observer (exercising the per-reference path);
-// without, it uses batch delivery (the protocol-specialized kernels).
+// runNew replays buf through the production simulator in one batch,
+// with an OnBus observer attached when record is set.
 func runNew(buf *trace.Buffer, cfg Config, record bool) (Stats, []int64, []int64, []busEvent) {
 	s := New(cfg)
 	var events []busEvent
@@ -115,7 +114,7 @@ func TestGoldenParityAgainstReferenceSim(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					wantStats, wantBus, wantRefs, wantEvents := runRef(buf, cfg, true)
 
-					// Batch path (protocol-specialized kernels).
+					// Unobserved batch.
 					gotStats, gotBus, gotRefs, _ := runNew(buf, cfg, false)
 					if gotStats != wantStats {
 						t.Errorf("batch stats differ:\n got %+v\nwant %+v", gotStats, wantStats)
@@ -127,8 +126,8 @@ func TestGoldenParityAgainstReferenceSim(t *testing.T) {
 						t.Errorf("batch per-PE refs differ:\n got %v\nwant %v", gotRefs, wantRefs)
 					}
 
-					// Observed path (per-reference delivery, OnBus set):
-					// the full bus-event sequence must match.
+					// Observed batch (OnBus set): the full bus-event
+					// sequence must match.
 					gotStats2, _, _, gotEvents := runNew(buf, cfg, true)
 					if gotStats2 != wantStats {
 						t.Errorf("observed-path stats differ:\n got %+v\nwant %+v", gotStats2, wantStats)

@@ -9,7 +9,7 @@ import (
 // SimulateAll replays one buffered trace through every configuration in
 // a single concurrent pass: one simulator per residency class (see
 // SimulateAllStream), each fed the full trace in order on its own
-// goroutine by the fan-out dispatcher, through the batch kernels
+// goroutine by the fan-out dispatcher, through the replay loops
 // (batch.go, multisize.go). Because each simulator still sees the
 // references in emission order, the returned statistics are identical
 // to running the configurations one by one with Buffer.Replay —

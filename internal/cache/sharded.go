@@ -13,15 +13,15 @@ import (
 // directory entries for lines mapping to that set, the victim it may
 // evict — is a function of set(addr) alone, and every statistic the
 // simulator accumulates is attributable to exactly one processed
-// reference. So K workers, each running the unmodified batch kernels
+// reference. So K workers, each running the unmodified replay loop
 // (batch.go) over only the references whose set falls in its range,
 // together perform precisely the state transitions and stat increments
 // of a single sequential simulator, just partitioned. The deterministic
 // reduction is then trivial: field-wise int64 sums (commutative and
 // exact — no floats), merged in shard-index order, bit-identical to
 // K=1 for every protocol. The golden-parity suite (parity_test.go)
-// pins the sequential kernels to the seed refsim; sharded_test.go pins
-// the sharded path to the sequential kernels across the full protocol
+// pins the sequential loop to the seed refsim; sharded_test.go pins
+// the sharded path to the sequential loop across the full protocol
 // matrix, closing the loop.
 //
 // The fully associative model (Assoc = 0, the paper's default) is one
@@ -37,7 +37,7 @@ import (
 // This keeps the producer single-goroutine and allocation-free, moves
 // the filtering cost itself onto the parallel workers, and reuses the
 // fan-out's ordering guarantee: each worker sees its subsequence in
-// exact emission order, which the kernels require.
+// exact emission order, which the replay loop requires.
 
 // EffectiveShards returns the shard count actually usable for cfg when
 // k workers are requested: k clamped to the number of cache sets
@@ -83,9 +83,9 @@ func (w *shardWorker) Add(r trace.Ref) {
 }
 
 // AddBatch implements trace.BatchSink: filter into the scratch buffer,
-// then run the batch kernels over the survivors. The kernels treat the
-// slice as read-only and do not retain it, so scratch is safely reused
-// across batches (steady state allocates nothing).
+// then replay the survivors. Sim.AddBatch treats the slice as
+// read-only and does not retain it, so scratch is safely reused across
+// batches (steady state allocates nothing).
 func (w *shardWorker) AddBatch(refs []trace.Ref) {
 	scratch := w.scratch[:0]
 	for _, r := range refs {

@@ -96,7 +96,7 @@ func (t *lineTable) delete(line int32) {
 // traces are runs of adjacent lines (stack frames, heap cells), and
 // they probe without colliding; the line's high bits are deliberately
 // not mixed in. An avalanche finish (h ^ h>>15) measured 25 % slower
-// through the single-size kernels (BenchmarkReplaySteadyState) and 9 %
+// through the single-size simulator (BenchmarkReplaySteadyState) and 9 %
 // through the multi-size one (BenchmarkReplayFigure4Cell).
 func hashLine(line int32) uint32 {
 	return uint32(line) * 0x9E3779B1

@@ -8,10 +8,10 @@ import "fmt"
 // the experiments grid) is valid exactly as long as replaying the same
 // trace through the same Config would reproduce it, so this string is
 // stamped into every result object: bump it whenever a change to a
-// protocol kernel, the replacement policy, the traffic accounting or
+// protocol's rules, the replacement policy, the traffic accounting or
 // the meaning of a Config or Stats field moves any Stats value, and
 // every stale result is ignored and recomputed. TestSimVersionGolden
-// fails when the kernels' output moves while this string does not.
+// fails when the simulators' output moves while this string does not.
 const SimVersion = "sim1"
 
 // Key renders the configuration in the canonical form stored

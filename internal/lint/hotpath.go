@@ -7,7 +7,7 @@ import (
 )
 
 // HotPathMarker tags a function as an allocation-free kernel: the mem
-// reference path, the cache batch kernels, the RWT2 encode/decode
+// reference path, the cache replay loops, the RWT2 encode/decode
 // loops and the sharded commit/undo paths. The marker is a contract —
 // the analyzer enforces what the benchmarks' AllocsPerRun==0
 // regressions only measure.
