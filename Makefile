@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Per-target budget for `make fuzz` (eight targets run back to back).
+# Per-target budget for `make fuzz` (nine targets run back to back).
 FUZZTIME ?= 30s
 
 .PHONY: all check build test race lint audit fuzz bench cover fmt vet docs
@@ -51,7 +51,8 @@ audit:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # fuzz exercises the four hostile-input surfaces — the compact trace
-# decoder, the stored-object decoder, the fault-spec parser and the /v1
+# decoder (and its chunk fast path against the general loop), the
+# stored-object decoder, the fault-spec parser and the /v1
 # experiment parameters — the multi-size cache simulator against
 # single-size ones on generated classes and streams, the single-size
 # simulator against the reference simulator on generated configurations
@@ -62,6 +63,7 @@ audit:
 # testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunkReader -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeChunkMatchesReference -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzMultiSizeMatchesSim -fuzztime $(FUZZTIME) ./internal/cache/

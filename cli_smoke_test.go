@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // CLI smoke tests: build every command once and drive the binaries the
@@ -269,6 +271,19 @@ func TestCLIExperimentsSameOutputWithAndWithoutTraceDir(t *testing.T) {
 	}
 	if want := "101 hits, 0 misses, 0 traces written, 0 emulator runs; 417 results reused, 0 simulated, 0 result objects written"; !strings.Contains(warmSummary, want) {
 		t.Errorf("warm summary %q does not contain %q", warmSummary, want)
+	}
+	// -progress times every entry of the schedule on stderr and leaves
+	// stdout alone.
+	timed, progress := run("-progress")
+	if timed != mem {
+		t.Errorf("stdout differs with -progress")
+	}
+	for _, name := range experiments.Registry().Names() {
+		for _, want := range []string{"experiments: " + name + ": started\n", "experiments: " + name + ": finished in "} {
+			if !strings.Contains(progress, want) {
+				t.Errorf("-progress stderr does not contain %q", want)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments -exp all          # everything (≈0.3 s cold on a 2-vCPU Xeon guest)
+//	experiments -exp all          # everything (≈0.15 s cold, store-less, on a 2-vCPU Xeon guest)
 //	experiments -exp table1
 //	experiments -exp fig2 [-maxpes 40]
 //	experiments -exp table2 [-pes 8]
@@ -17,15 +17,14 @@
 // each flag's default and bounds are those of the parameters it sets.
 //
 // Every cell — one (benchmark, PEs, sequential) emulator run — streams
-// into a trace store in the compact codec once and is replayed from it
-// chunk by chunk by every experiment that needs it; grid experiments
-// (table3, fig4, mlips, bus, ablations) run on a bounded worker pool,
-// simulating the cache configurations wanted of a trace concurrently
-// in a single pass and storing each configuration's statistics beside
-// the trace, so a configuration is simulated once per cell. -par bounds
-// the pool (results are identical at any width) and -progress reports
-// per-cell completion, and how many configurations came from stored
-// results, on stderr.
+// into a trace store once and is replayed from it by every experiment
+// that needs it, each cache configuration simulated once per cell. The
+// experiments run as one schedule: each starts once those whose stored
+// results it reuses have finished (mlips, bus, ablations after fig4),
+// all drawing cells from one budget of -par tokens, and they print in
+// list order, identical at any -par. -progress reports on stderr each
+// experiment's start and wall time, and per cell how many
+// configurations came from stored results.
 //
 // The store is in memory unless -tracedir DIR makes it persistent:
 // then every emulator run and every simulation is performed at most
@@ -46,6 +45,7 @@ import (
 	"slices"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cliflag"
@@ -103,11 +103,7 @@ func realMain() int {
 
 	// Every entry is prepared from the flags before anything runs, so a
 	// bad value fails here, not after earlier experiments have printed.
-	type step struct {
-		name string
-		run  experiments.Run
-	}
-	var steps []step
+	var jobs []experiments.Job
 	for _, e := range suite {
 		q := url.Values{}
 		for _, pf := range paramFlags {
@@ -124,7 +120,7 @@ func realMain() int {
 			usageExit("-exp %s: %v", e.Name, err)
 		}
 		if *exp == "all" || *exp == e.Name {
-			steps = append(steps, step{e.Name, run})
+			jobs = append(jobs, experiments.Job{Name: e.Name, After: e.After, Run: run})
 		}
 	}
 	parN, err := cliflag.Resolve("par", *par)
@@ -162,18 +158,38 @@ func realMain() int {
 	if *progress {
 		r.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) }
 		fmt.Fprintf(os.Stderr, "experiments: grid parallelism %d\n", parN)
+		for i := range jobs {
+			name, run := jobs[i].Name, jobs[i].Run
+			jobs[i].Run = func(ctx context.Context, r *bench.Runner) (experiments.Result, error) {
+				r.Progressf("%s: started", name)
+				start := time.Now()
+				v, err := run(ctx, r)
+				verb := "finished"
+				if err != nil {
+					verb = "failed"
+				}
+				r.Progressf("%s: %s in %d ms", name, verb, time.Since(start).Milliseconds())
+				return v, err
+			}
+		}
 	}
 
-	// The first failing experiment sets the exit status and the rest
-	// are skipped.
-	for _, st := range steps {
-		v, err := st.run(ctx, r)
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "experiments: interrupted during %s; completed experiments were printed, the trace store holds only complete cells\n", st.name)
-			return 130
-		}
+	// The experiments run as one schedule and print in list order. The
+	// first failure in list order sets the exit status and cancels the
+	// rest; the cells in flight finish or clean up before the summary.
+	wait := experiments.Schedule(ctx, r, jobs)
+	for i, job := range jobs {
+		v, err := wait(i)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", st.name, err)
+			stopSignals()
+			for k := range jobs {
+				wait(k)
+			}
+			if errors.Is(err, context.Canceled) {
+				fmt.Fprintf(os.Stderr, "experiments: interrupted during %s; completed experiments were printed, the trace store holds only complete cells\n", job.Name)
+				return 130
+			}
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", job.Name, err)
 			return 1
 		}
 		fmt.Print(v.String())

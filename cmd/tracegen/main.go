@@ -16,7 +16,7 @@
 //	go tool pprof cpu.out
 //
 // generate runs the emulator once per missing (benchmark, PEs) cell —
-// independent cells concurrently on a bounded worker pool — streaming
+// independent cells concurrently, at most -par at once — streaming
 // each trace into the store's compact codec as it is produced, so even
 // traces larger than RAM generate in constant memory. -bench accepts a
 // comma-separated list of benchmark names (parameterized variants like

@@ -14,14 +14,14 @@ import (
 // String() rendering.
 //
 // Every driver runs on a Runner, which owns what runs share: the trace
-// store, the worker budget and the progress callback. Each
+// store, the cell budget and the progress callback. Each
 // (benchmark, PEs, sequential) cell is emulated once into the store and
 // replayed from it; the drivers that sweep parameter grids (Figure 4,
 // Table 3, MLIPS, the bus study and the cache ablations) simulate every
 // cache configuration consuming one trace concurrently in a single pass
-// over it, and execute independent grid cells on the Runner's bounded
-// worker pool. Results are identical at any pool width and over any
-// store; only wall-clock time changes.
+// over it, and execute independent grid cells concurrently under the
+// Runner's cell budget. Results are identical at any budget and over
+// any store; only wall-clock time changes.
 //
 // The package-level functions of the same names run on one shared
 // default Runner, configured through SetParallelism, SetProgress and
@@ -30,7 +30,7 @@ import (
 // configurations side by side build their own Runners.
 
 // Runner owns the state experiment and benchmark runs share — trace
-// store, grid worker budget, progress callback and the emulator-run
+// store, cell budget, progress callback and the emulator-run
 // counter. Two Runners never see each other's store or counts. Build
 // one with NewRunner.
 type Runner struct {
@@ -46,7 +46,7 @@ type Runner struct {
 // gives the Runner a private in-memory store with the same behaviour
 // for as long as it lives. par
 // bounds how many grid cells (engine runs and trace replays) execute
-// concurrently (<= 0: runtime.GOMAXPROCS(0)). progress (nil: silent)
+// concurrently across all its callers (<= 0: GOMAXPROCS). progress (nil: silent)
 // receives one short line per completed cell, possibly from several
 // goroutines at once.
 func NewRunner(store *TraceStore, par int, progress func(msg string)) *Runner {
@@ -56,11 +56,11 @@ func NewRunner(store *TraceStore, par int, progress func(msg string)) *Runner {
 // defaultRunner backs the package-level functions.
 var defaultRunner = NewRunner(nil, 0, nil)
 
-// SetParallelism sets the default Runner's grid worker budget (n <= 0:
-// runtime.GOMAXPROCS(0)).
+// SetParallelism sets the default Runner's cell budget (n <= 0:
+// runtime.GOMAXPROCS(0)); cells started afterwards use the new size.
 func SetParallelism(n int) { defaultRunner.r.Par = n }
 
-// Parallelism returns the default Runner's worker-pool width.
+// Parallelism returns the default Runner's cell budget.
 func Parallelism() int { return defaultRunner.r.Workers() }
 
 // SetProgress sets the default Runner's progress callback (nil
@@ -111,7 +111,7 @@ func (r *Runner) EngineRuns() int64 { return r.r.EngineRuns() }
 type TraceTarget = experiments.TraceTarget
 
 // GenerateTraces generates every missing target cell into the Runner's
-// trace store, independent cells concurrently on its worker pool.
+// trace store, independent cells concurrently under its cell budget.
 // cmd/tracegen's generate subcommand is a thin wrapper around it.
 func (r *Runner) GenerateTraces(ctx context.Context, targets []TraceTarget) error {
 	return experiments.GenerateTraces(ctx, &r.r, targets)

@@ -17,13 +17,13 @@ import (
 )
 
 // Runner owns everything benchmark runs and the experiments grid
-// share: the trace store, the one worker budget, the progress callback,
+// share: the trace store, the one cell budget, the progress callback,
 // and — unexported — the per-cell generation flights, the per-cell
 // locks and the engine-run counter. Nothing is ambient: every run names
 // its Runner,
 // so two Runners in one process (two servers, two test cases) never see
 // each other's store or counts. The zero value is ready to use (a
-// private in-memory store, GOMAXPROCS workers, no progress). Set the exported fields before the Runner's first use
+// private in-memory store, a budget of GOMAXPROCS cells, no progress). Set the exported fields before the Runner's first use
 // and leave them alone while a run is in flight; a Runner must not be
 // copied after first use.
 type Runner struct {
@@ -34,11 +34,11 @@ type Runner struct {
 	// DropTraces.
 	Store *tracestore.Store
 	// Par bounds the grid cells (engine runs and trace replays) in
-	// flight at once; <= 0 means runtime.GOMAXPROCS(0).
+	// flight at once across all callers; <= 0 means GOMAXPROCS.
 	Par int
 	// Progress, when non-nil, receives one short line per completed
 	// cell (e.g. "fig4: deriv @ 8 PEs: 24 configs in one pass"). It may
-	// be called from several worker goroutines concurrently.
+	// be called from several cell goroutines concurrently.
 	Progress func(msg string)
 
 	// engineRuns counts emulator executions (Run calls) — the
@@ -58,14 +58,43 @@ type Runner struct {
 	// memMu.
 	memMu sync.Mutex
 	mem   *tracestore.Store
+	// budget holds a token per cell in flight (AcquireCell).
+	budgetMu sync.Mutex
+	budget   chan struct{}
 }
 
-// Workers returns the grid worker-pool width Par resolves to.
+// Workers returns the cell budget Par resolves to.
 func (r *Runner) Workers() int {
 	if r.Par > 0 {
 		return r.Par
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// AcquireCell blocks until one of the Runner's Workers() cell tokens is
+// free, takes it and returns the function that gives it back; a
+// cancelled wait returns ctx.Err() and holds nothing. A cell never
+// waits for a second token, so cells that wait on each other (a
+// generation flight, a cell lock) wait on a holder that can finish.
+// A change of Par between runs resizes the budget for later cells.
+func (r *Runner) AcquireCell(ctx context.Context) (release func(), err error) {
+	r.budgetMu.Lock()
+	if n := r.Workers(); cap(r.budget) != n {
+		r.budget = make(chan struct{}, n)
+	}
+	budget := r.budget
+	r.budgetMu.Unlock()
+	//rapwam:allow determinism token-wait select: a granted token is given back when ctx is done, so both outcomes leave the budget as it was
+	select {
+	case budget <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		<-budget
+		return nil, err
+	}
+	return func() { <-budget }, nil
 }
 
 // Progressf reports one completed cell to the Progress callback.

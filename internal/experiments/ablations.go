@@ -83,7 +83,7 @@ type LineSizeSweep struct {
 
 // RunLineSizeSweep replays one benchmark trace across line sizes; all
 // line sizes are simulated concurrently in a single pass over the
-// memoized trace.
+// memoized trace, as one grid cell.
 func RunLineSizeSweep(ctx context.Context, r *bench.Runner, benchName string, pes, sizeWords int, lines []int) (*LineSizeSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
@@ -94,7 +94,7 @@ func RunLineSizeSweep(ctx context.Context, r *bench.Runner, benchName string, pe
 		cfgs[i] = paperConfig(pes, sizeWords, cache.WriteInBroadcast)
 		cfgs[i].LineWords = lw
 	}
-	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
+	sts, err := inCell(ctx, r, func() ([]cache.Stats, error) { return simulateAll(ctx, r, b, pes, pes == 1, cfgs) })
 	if err != nil {
 		return nil, err
 	}
@@ -129,14 +129,17 @@ type LockShare struct {
 	Total     int64
 }
 
-// RunLockShare measures one benchmark; the Table 1 reference counter
-// comes from the cell's run sidecar.
+// RunLockShare measures one benchmark, as one grid cell; the Table 1
+// reference counter comes from the cell's run sidecar.
 func RunLockShare(ctx context.Context, r *bench.Runner, benchName string, pes int) (*LockShare, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	_, refs, err := runStats(ctx, r, b, pes, false)
+	refs, err := inCell(ctx, r, func() (*trace.Counter, error) {
+		_, refs, err := runStats(ctx, r, b, pes, false)
+		return refs, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +217,8 @@ func (b *BusRecord) Decode(d *objcodec.Decoder) {
 const desVersion = cache.SimVersion + "+" + busmodel.Version
 
 // RunBusDES runs one benchmark's bus transactions through the DES bus
-// and the analytic model: from the cell's stored results, or a replay.
+// and the analytic model: from the cell's stored results, or a replay,
+// as one grid cell.
 func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cacheWords int, busWordsPerCycle float64) (*BusDES, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
@@ -222,30 +226,32 @@ func RunBusDES(ctx context.Context, r *bench.Runner, benchName string, pes, cach
 	}
 	cfg := paperConfig(pes, cacheWords, cache.WriteInBroadcast)
 	key := cfg.Key() + "|bus=" + strconv.FormatFloat(busWordsPerCycle, 'g', -1, 64)
-	recs, err := cellResults(ctx, r, b, pes, pes == 1, "des", desVersion, []string{key},
-		func([]int) (string, func(*tracestore.Store, tracestore.Key) ([]BusRecord, error)) {
-			return "replaying the bus transactions", func(s *tracestore.Store, k tracestore.Key) ([]BusRecord, error) {
-				// The DES needs the bus-transaction event stream in global
-				// order, so this replay is sequential (a single OnBus
-				// observer) and feeds the bus as the transactions happen.
-				bus, err := busmodel.NewBus(pes, busWordsPerCycle)
-				if err != nil {
-					return nil, err
-				}
-				sim := cache.New(cfg)
-				sim.OnBus = func(pe, words int, refIndex int64) {
-					// The reference index divided by the PE count approximates
-					// the per-PE clock of the interleaved machine. A failed
-					// Add is what Result reports.
-					_ = bus.Add(busmodel.Event{PE: pe, Time: float64(refIndex) / float64(pes), Words: words})
-				}
-				if err := replayCell(s, k, sim); err != nil {
-					return nil, err
-				}
-				des, _, err := bus.Result()
-				return []BusRecord{{DES: des, Stats: sim.Stats()}}, err
+	plan := func([]int) (string, func(*tracestore.Store, tracestore.Key) ([]BusRecord, error)) {
+		return "replaying the bus transactions", func(s *tracestore.Store, k tracestore.Key) ([]BusRecord, error) {
+			// The DES needs the bus-transaction event stream in global
+			// order, so this replay is sequential (a single OnBus
+			// observer) and feeds the bus as the transactions happen.
+			bus, err := busmodel.NewBus(pes, busWordsPerCycle)
+			if err != nil {
+				return nil, err
 			}
-		})
+			sim := cache.New(cfg)
+			sim.OnBus = func(pe, words int, refIndex int64) {
+				// The reference index divided by the PE count approximates
+				// the per-PE clock of the interleaved machine. A failed
+				// Add is what Result reports.
+				_ = bus.Add(busmodel.Event{PE: pe, Time: float64(refIndex) / float64(pes), Words: words})
+			}
+			if err := replayCell(s, k, sim); err != nil {
+				return nil, err
+			}
+			des, _, err := bus.Result()
+			return []BusRecord{{DES: des, Stats: sim.Stats()}}, err
+		}
+	}
+	recs, err := inCell(ctx, r, func() ([]BusRecord, error) {
+		return cellResults(ctx, r, b, pes, pes == 1, "des", desVersion, []string{key}, plan)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +292,7 @@ type AssocSweep struct {
 
 // RunAssocSweep replays one benchmark trace across associativities; all
 // ways are simulated concurrently in a single pass over the memoized
-// trace.
+// trace, as one grid cell.
 func RunAssocSweep(ctx context.Context, r *bench.Runner, benchName string, pes, sizeWords int, ways []int) (*AssocSweep, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
@@ -297,7 +303,7 @@ func RunAssocSweep(ctx context.Context, r *bench.Runner, benchName string, pes, 
 		cfgs[i] = paperConfig(pes, sizeWords, cache.WriteInBroadcast)
 		cfgs[i].Assoc = w
 	}
-	sts, err := simulateAll(ctx, r, b, pes, pes == 1, cfgs)
+	sts, err := inCell(ctx, r, func() ([]cache.Stats, error) { return simulateAll(ctx, r, b, pes, pes == 1, cfgs) })
 	if err != nil {
 		return nil, err
 	}

@@ -398,8 +398,8 @@ type Figure4 struct {
 // The sweep runs on the experiment grid: each benchmark is traced once
 // per PE count (memoized), every protocol × size configuration for that
 // trace is simulated concurrently in a single pass over it, and the
-// independent (PE count, benchmark) cells execute on the bounded worker
-// pool. The numbers are identical to the sequential formulation — only
+// independent (PE count, benchmark) cells execute as grid cells under
+// the Runner's cell budget. The numbers are identical to the sequential formulation — only
 // the wall clock changes.
 func RunFigure4(ctx context.Context, r *bench.Runner, peCounts, sizes []int) (*Figure4, error) {
 	protocols := []cache.Protocol{cache.WriteInBroadcast, cache.Hybrid, cache.WriteThrough}
@@ -534,7 +534,7 @@ type MLIPS struct {
 // ratio at the given cache size, and prices the paper's 2 MLIPS target.
 func RunMLIPS(ctx context.Context, r *bench.Runner, cacheWords int, targetMLIPS float64) (*MLIPS, error) {
 	// Sequential instruction/reference statistics: one grid cell per
-	// benchmark, summed after the pool drains.
+	// benchmark, summed after the grid drains.
 	seqBenches := append(bench.Paper(), bench.Large()...)
 	type seqStat struct{ instrs, refs, calls int64 }
 	seqStats := make([]seqStat, len(seqBenches))

@@ -33,57 +33,44 @@ import (
 //     up in the cell's stored results first; what is missing is
 //     computed in a single pass over the trace (the configurations
 //     concurrently, trace.FanOut) and stored for every later consumer;
-//  3. runGrid — independent grid cells (different traces) execute on a
-//     pool of Runner.Par workers.
+//  3. runGrid — independent grid cells (different traces) execute
+//     concurrently, each under one token of the Runner's cell budget
+//     (Runner.AcquireCell), which every caller of the Runner shares.
 //
 // The engine itself is a deterministic single-goroutine simulation and
 // every cache.Sim is driven by exactly one consumer goroutine, so the
 // results are bit-identical to the sequential formulation, whichever
 // backend holds the trace.
 
-// runGrid executes fn(0..n-1) on r's bounded worker pool and returns
+// runGrid executes fn(0..n-1), each call a cell under one token of r's
+// cell budget, started in index order as tokens come free, and returns
 // the first error. After an error, cells not yet started are skipped;
 // cells already in flight complete (engine runs inside them observe
-// ctx themselves and abort mid-run). Cancelling ctx stops the pool at
+// ctx themselves and abort mid-run). Cancelling ctx stops the grid at
 // the next cell boundary and returns ctx.Err(). Cells must write only
-// to their own result slots.
+// to their own result slots, and must not take a second token: fn may
+// not call runGrid or inCell.
 func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) error {
-	workers := r.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		wg       sync.WaitGroup
-		next     atomic.Int64
 		firstErr atomic.Pointer[error]
 	)
-	for w := 0; w < workers; w++ {
+	for i := 0; i < n; i++ {
+		release, err := r.AcquireCell(ctx)
+		if err != nil {
+			firstErr.CompareAndSwap(nil, &err)
+			break
+		}
+		if firstErr.Load() != nil {
+			release()
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for firstErr.Load() == nil {
-				if err := ctx.Err(); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-				}
+			defer release()
+			if err := fn(i); err != nil {
+				firstErr.CompareAndSwap(nil, &err)
 			}
 		}()
 	}
@@ -92,6 +79,17 @@ func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) 
 		return *p
 	}
 	return nil
+}
+
+// inCell runs fn as one grid cell, under one token of r's cell budget.
+func inCell[T any](ctx context.Context, r *bench.Runner, fn func() (T, error)) (T, error) {
+	release, err := r.AcquireCell(ctx)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer release()
+	return fn()
 }
 
 // replayCell streams the stored trace for k into the sinks in one
@@ -160,8 +158,8 @@ type TraceTarget struct {
 }
 
 // GenerateTraces makes sure r.Store holds every target cell,
-// generating missing ones concurrently on the grid's bounded worker
-// pool (r.Par) — each generation streaming straight into the store's
+// generating missing ones concurrently as grid cells under r's cell
+// budget — each generation streaming straight into the store's
 // compact codec. Duplicate targets and targets
 // already present cost nothing. Cancelling ctx aborts in-flight engine
 // runs (partial writes are cleaned up; completed cells stay). It

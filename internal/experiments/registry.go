@@ -75,6 +75,11 @@ type Experiment struct {
 	Summary string `json:"summary"`
 	// Params documents the accepted parameters.
 	Params []ParamDoc `json:"params"`
+	// After names the earlier entries whose stored results this one
+	// reuses: a suite run (Schedule) starts it once they have finished,
+	// so which entry computes a shared result — and with it the store's
+	// counters — does not depend on timing.
+	After []string `json:"-"`
 
 	// Prepare validates and canonicalizes the parameters — q holds them
 	// by name; an absent one takes its default — and binds the
@@ -333,6 +338,7 @@ func Registry() Suite {
 		},
 		{
 			Name:    "mlips",
+			After:   []string{"fig4"},
 			Summary: "the 2 MLIPS feasibility calculation from measured statistics (paper section 3.3)",
 			Params: []ParamDoc{
 				{Name: "cache", Default: "256", Doc: "cache size in words for the capture ratio"},
@@ -355,6 +361,7 @@ func Registry() Suite {
 		},
 		{
 			Name:    "bus",
+			After:   []string{"fig4"},
 			Summary: "bus contention: analytic M/M/1 study plus the discrete-event cross-check",
 			Params: []ParamDoc{
 				{Name: "pes", Default: "8", Doc: peDoc},
@@ -402,6 +409,7 @@ func Registry() Suite {
 		},
 		{
 			Name:    "ablations",
+			After:   []string{"fig4"},
 			Summary: "design-choice ablations: CGE granularity, line size, lock share, associativity",
 			Params: []ParamDoc{
 				{Name: "pes", Default: "8", Doc: fmt.Sprintf("PE count for the lock-share study, in [1, %d]", trace.MaxPEs)},

@@ -34,8 +34,8 @@ type Config struct {
 	// TraceBackend attaches a trace store even when TraceDir is "".
 	ResultBackend storage.Backend
 	TraceBackend  storage.Backend
-	// Parallelism bounds the server's experiments grid worker pool
-	// (<= 0: GOMAXPROCS).
+	// Parallelism bounds the grid cells in flight across all of the
+	// server's concurrent computes together (<= 0: GOMAXPROCS).
 	Parallelism int
 	// MaxComputes caps concurrent experiment computations (flights);
 	// 0 means unlimited. Cache hits are never throttled.

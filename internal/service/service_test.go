@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/storage"
 )
 
 // newTestServer builds a server over fresh temp directories (its own
@@ -631,4 +632,46 @@ func TestMachineFaultIsAnErrorResponse(t *testing.T) {
 		t.Fatalf("error %q does not name the machine fault", body.Error)
 	}
 	getOK(t, h, "/v1/experiments/table1")
+}
+
+// TestConcurrentComputesShareOneCellBudget: a server's Parallelism
+// bounds the cells in flight across all its computes, so at 1 two cold
+// computes that share cells take turns with one token — and both
+// finish, with the bodies each computes alone.
+func TestConcurrentComputesShareOneCellBudget(t *testing.T) {
+	s, err := New(Config{ResultBackend: storage.NewMem(), TraceBackend: storage.NewMem(), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/v1/experiments/table2?pes=2", "/v1/experiments/bus?pes=2"}
+	codes := make([]int, len(paths))
+	bodies := make([]string, len(paths))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i, path := range paths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := get(t, s.Handler(), path+"&format=text")
+				codes[i], bodies[i] = w.Code, w.Body.String()
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("two computes at Parallelism 1 did not finish")
+	}
+	for i, path := range paths {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, codes[i], bodies[i])
+		}
+		alone := getOK(t, newTestServer(t).Handler(), path+"&format=text").Body.String()
+		if bodies[i] != alone {
+			t.Errorf("GET %s: the body differs from the one computed alone", path)
+		}
+	}
 }

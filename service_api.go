@@ -34,8 +34,8 @@ type ServeConfig struct {
 	// TraceDir optionally attaches a persistent trace store so cold
 	// computations reuse — and warm — stored traces.
 	TraceDir string
-	// Parallelism bounds the service's experiments grid worker pool
-	// (<= 0: runtime.GOMAXPROCS(0)).
+	// Parallelism bounds the grid cells in flight across all of the
+	// service's concurrent computes together (<= 0: GOMAXPROCS).
 	Parallelism int
 	// MaxComputes caps concurrent experiment computations; 0 means
 	// unlimited. Cache hits and joins of an in-flight identical
