@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -209,7 +210,8 @@ func BenchmarkReplayFanOut(b *testing.B) {
 // BenchmarkReplayFigure4Cell replays qsort at 8 PEs through what one
 // Figure 4 cell asks of the simulator: 3 protocols × 8 sizes under the
 // paper's allocation policy, 24 configurations that the planner serves
-// from 4 multi-size structures.
+// from 4 multi-size structures. index-B is their residency indexes'
+// bytes at capacity after a replay.
 func BenchmarkReplayFigure4Cell(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 8, false)
@@ -226,13 +228,29 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 			})
 		}
 	}
+	var sims []trace.Sink
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.ReplayAll(cfgs); err != nil {
+		// tr.ReplayAll, keeping the simulators for their index bytes.
+		if _, err := cache.SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
+			sims = sinks
+			tr.buf.ReplayAll(sinks...)
+			return nil
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
+	b.ReportMetric(float64(indexBytes(sims...)), "index-B")
+}
+
+// indexBytes sums the simulators' residency index bytes.
+func indexBytes[S trace.Sink](sims ...S) int {
+	n := 0
+	for _, s := range sims {
+		n += cache.IndexBytes(s)
+	}
+	return n
 }
 
 // BenchmarkReplaySteadyState measures the pure kernel: one warm
@@ -243,7 +261,8 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 // broadcast at 1024 words with N ways; wt, update and hyb run the
 // write-through, write-through broadcast and hybrid write paths alone
 // at 1024 words, and cb1 runs copyback on a one-PE sequential trace, so
-// every protocol's write path has its own reading.
+// every protocol's write path has its own reading. index-B is the
+// simulators' residency index bytes at capacity.
 func BenchmarkReplaySteadyState(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 4, false)
@@ -288,6 +307,7 @@ func replaySteadyState(b *testing.B, tr *Trace, cfgs []CacheConfig) {
 		}
 	}
 	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
+	b.ReportMetric(float64(indexBytes(sims...)), "index-B")
 }
 
 // BenchmarkPerBenchmarkParallel runs each paper benchmark at 8 PEs

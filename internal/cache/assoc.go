@@ -10,19 +10,21 @@ package cache
 // The layout is a flat preallocated slab of entries addressed by int32
 // index. Slab slots 0…S−1 are the per-set LRU list sentinels and the
 // entries start at S, so no entry has index 0 and 0 doubles as the
-// "not resident" handle. Residency is one lineTable (store.go) for
-// every set. LRU order is an intrusive doubly-linked list per set,
-// threaded through the slab by index; a per-set count bounds each set
-// at ways, and one free list serves them all. Promoting an entry that
-// is already most-recently-used is a no-op (the common case on traces,
-// where consecutive words of a line are referenced back to back). No
-// operation allocates: the slab, table, counts and free list are sized
-// once at construction.
+// "not resident" handle. Residency, for every set, is the PE's view of
+// the page index the simulator's PEs share (store.go): a line's handle
+// is read by direct page indexing, not a hash probe. LRU order is an
+// intrusive doubly-linked list per set, threaded through the slab by
+// index; a per-set count bounds each set at ways, and one free list
+// serves them all. Promoting an entry that is already
+// most-recently-used is a no-op (the common case on traces, where
+// consecutive words of a line are referenced back to back). The slab,
+// counts and free list are sized once at construction, and the index
+// reuses released pages, so a warm cache replays without allocating.
 type assocCache struct {
 	// slab[s] for s < S is set s's sentinel (slab[s].next = its MRU,
 	// slab[s].prev = its LRU); slab[S:] are the entries.
-	slab  []slabEntry
-	table lineTable
+	slab []slabEntry
+	idx  pageView
 	// mru is the entry most recently pushed to the front of any set.
 	// An entry equal to it is at the front of its own set, so the
 	// replay loop's already-MRU check is one header-field load
@@ -40,22 +42,23 @@ type slabEntry struct {
 	st         state
 }
 
-// newAssocCache builds a cache of lines lines in sets of ways; ways 0
-// means one set (fully associative). ways must divide lines into a
-// power-of-two number of sets (Config.Validate checks it).
-func newAssocCache(lines, ways int) *assocCache {
+// newAssocCache builds PE pe's cache of lines lines in sets of ways,
+// over its view of ix; ways 0 means one set (fully associative). ways
+// must divide lines into a power-of-two number of sets (Config.Validate
+// checks it).
+func newAssocCache(lines, ways int, ix *pageIndex, pe int) *assocCache {
 	if ways == 0 {
 		ways = lines
 	}
 	sets := lines / ways
 	c := &assocCache{
 		slab:    make([]slabEntry, sets+lines),
-		table:   newLineTable(lines),
 		setMask: int32(sets - 1),
 		ways:    int32(ways),
 		cnt:     make([]int32, sets),
 		free:    make([]int32, 0, lines),
 	}
+	ix.attach(&c.idx, pe)
 	for s := range sets {
 		c.slab[s].prev, c.slab[s].next = int32(s), int32(s)
 	}
@@ -67,7 +70,7 @@ func newAssocCache(lines, ways int) *assocCache {
 
 // lookup returns line's handle, or 0 if it is not resident, without
 // disturbing LRU order (a remote snoop).
-func (c *assocCache) lookup(line int32) int32 { return c.table.lookup(line) }
+func (c *assocCache) lookup(line int32) int32 { return c.idx.lookup(line) }
 
 // relink moves resident entry e to the front of its set s; the replay
 // loop inlines it behind its own MRU check. The caller passes s:
@@ -114,24 +117,24 @@ func (c *assocCache) insert(line int32, st state) (h, victimLine int32, victimSt
 		// Evict the set's least recently used entry.
 		e = c.slab[s].prev
 		c.unlink(e)
-		c.table.delete(c.slab[e].line)
+		c.idx.clear(c.slab[e].line)
 		victimLine, victimSt, evicted = c.slab[e].line, c.slab[e].st, true
 	}
 	c.slab[e].line = line
 	c.slab[e].st = st
-	c.table.insert(line, e)
+	c.idx.set(line, e)
 	c.pushFront(e, s)
 	return e, victimLine, victimSt, evicted
 }
 
 // invalidate removes line if present, reporting whether it was held.
 func (c *assocCache) invalidate(line int32) bool {
-	e := c.table.lookup(line)
+	e := c.idx.lookup(line)
 	if e == 0 {
 		return false
 	}
 	c.unlink(e)
-	c.table.delete(line)
+	c.idx.clear(line)
 	c.cnt[line&c.setMask]--
 	c.free = append(c.free, e)
 	return true

@@ -3,11 +3,11 @@ package cache
 import "repro/internal/trace"
 
 // This file is Sim's one replay loop; Add is a batch of one. The
-// prologue every reference shares — PE filter, line, hash probe, MRU
-// relink and counts — runs inline: the probe and relink inline straight
-// into the loop, a hit on the line the PE promoted last is one compare
-// against the store's mru, and the set index is computed only to
-// relink, insert or invalidate. The common writes run inline too. A
+// prologue every reference shares — PE filter, line, index lookup, MRU
+// relink and counts — runs inline: the lookup and relink inline
+// straight into the loop, a hit on the line the PE promoted last is one
+// compare against the store's mru, and the set index is computed only
+// to relink, insert or invalidate. The common writes run inline too. A
 // write hit that needs no bus just sets the line Modified: any copyback
 // hit (plain copyback, hybrid Local data), and a broadcast protocol's
 // hit on a private line. A written-through write (conventional

@@ -25,16 +25,18 @@
 // The per-reference kernel is allocation-free and pointer-free in
 // steady state. Each PE's resident lines live in one store type
 // (assoc.go) for every associativity: a preallocated slab addressed by
-// int32 handles, an open-addressing line table, and one intrusive LRU
-// list per set threaded through the slab by index. The fully
-// associative model is the one-set case. A shared snoop directory
-// (directory.go) keeps a presence bitmask of holders per cached line,
-// so coherency actions visit only the PEs that actually hold the line
-// instead of scanning every cache. Every delivery, a batch or one
-// reference through Add, runs one replay loop (batch.go): the shared
-// per-reference prologue, the write hits that need no bus and the
-// written-through writes inline, read misses and the remaining writes
-// through one handler per protocol, so each protocol's rules are
+// int32 handles and one intrusive LRU list per set threaded through the
+// slab by index. The fully associative model is the one-set case. A
+// line's handle is found through a page index (store.go) that the
+// simulator's PEs share: a page of lines maps to each PE's page of
+// int32 handles, offsets into flat slices rather than pointers, and to
+// one page of presence bitmasks. The masks are the snoop directory
+// (directory.go), so coherency actions visit only the PEs that actually
+// hold the line instead of scanning every cache. Every delivery, a
+// batch or one reference through Add, runs one replay loop (batch.go):
+// the shared per-reference prologue, the write hits that need no bus
+// and the written-through writes inline, read misses and the remaining
+// writes through one handler per protocol, so each protocol's rules are
 // written down once.
 //
 // # Simulation planning
@@ -270,7 +272,7 @@ const (
 type Sim struct {
 	cfg       Config
 	caches    []*assocCache
-	dir       *snoopDir // presence directory; nil for single-PE machines
+	dir       *pageIndex // the index as snoop directory (directory.go); nil for single-PE machines
 	stats     Stats
 	lineShift uint
 	perPEBus  []int64 // bus words attributed to each PE (for bus model)
@@ -299,11 +301,12 @@ func New(cfg Config) *Sim {
 		perPERefs: make([]int64, cfg.PEs),
 	}
 	lines := cfg.SizeWords / cfg.LineWords
+	ix := newPageIndex(cfg.PEs)
 	for i := range s.caches {
-		s.caches[i] = newAssocCache(lines, cfg.Assoc)
+		s.caches[i] = newAssocCache(lines, cfg.Assoc, ix, i)
 	}
 	if cfg.PEs > 1 {
-		s.dir = newSnoopDir(cfg.PEs, lines)
+		s.dir = ix
 	}
 	return s
 }
@@ -359,23 +362,11 @@ func (s *Sim) remoteHolders(pe int, line int32) uint64 {
 
 // invalidateOthers removes the line from all caches except pe.
 func (s *Sim) invalidateOthers(pe int, line int32) {
-	if s.dir == nil {
-		return
-	}
-	slot := s.dir.find(line)
-	if slot < 0 {
-		return
-	}
-	m := s.dir.holdersAt(slot) &^ (1 << uint(pe))
-	if m == 0 {
-		return
-	}
-	for ; m != 0; m &= m - 1 {
+	for m := s.remoteHolders(pe, line); m != 0; m &= m - 1 {
 		if s.caches[bits.TrailingZeros64(m)].invalidate(line) {
 			s.stats.Invalidations++
 		}
 	}
-	s.dir.keepOnlyAt(slot, pe)
 }
 
 // updateOthers marks remote copies updated (word broadcast); they remain
@@ -409,22 +400,14 @@ func (s *Sim) fill(pe int, line int32, st state) int32 {
 	if s.OnBus != nil {
 		s.OnBus(pe, int(lw), s.stats.Refs)
 	}
-	h, vLine, vSt, evicted := s.caches[pe].insert(line, st)
-	if evicted {
-		if s.dir != nil {
-			s.dir.remove(pe, vLine)
+	h, _, vSt, evicted := s.caches[pe].insert(line, st)
+	if evicted && vSt == stateModified {
+		s.stats.WriteBacks++
+		s.stats.BusWords += lw
+		s.perPEBus[pe] += lw
+		if s.OnBus != nil {
+			s.OnBus(pe, int(lw), s.stats.Refs)
 		}
-		if vSt == stateModified {
-			s.stats.WriteBacks++
-			s.stats.BusWords += lw
-			s.perPEBus[pe] += lw
-			if s.OnBus != nil {
-				s.OnBus(pe, int(lw), s.stats.Refs)
-			}
-		}
-	}
-	if s.dir != nil {
-		s.dir.add(pe, line)
 	}
 	return h
 }

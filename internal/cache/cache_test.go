@@ -323,7 +323,7 @@ func setCounts(t *testing.T, c *assocCache) []int {
 // and, on a hit, promote it to the front of its set, returning its
 // handle; it returns 0 on a miss.
 func (c *assocCache) access(line int32) int32 {
-	e := c.table.lookup(line)
+	e := c.lookup(line)
 	if e != 0 && c.mru != e {
 		c.relink(e, line&c.setMask)
 	}
@@ -334,7 +334,7 @@ func TestSingleCacheNeverExceedsCapacity(t *testing.T) {
 	for _, ways := range storeWays {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			c := newAssocCache(16, ways)
+			c := newAssocCache(16, ways, newPageIndex(1), 0)
 			for i := 0; i < 1000; i++ {
 				line := int32(rng.Intn(64))
 				switch rng.Intn(3) {
@@ -377,7 +377,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 		}
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			c := newAssocCache(lines, ways)
+			c := newAssocCache(lines, ways, newPageIndex(1), 0)
 			model := make([][]int32, sets) // per set, most recent first
 			modelHas := func(line int32) (int, int) {
 				s := int(line) & (sets - 1)

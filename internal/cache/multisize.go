@@ -18,14 +18,15 @@ import (
 //
 // Per PE, one recency list over a slab sized for the largest size plus
 // one (a filled line is linked before the line it displaces leaves),
-// found through the lineTable assocCache uses too (store.go). Each
-// entry carries m, the index of the smallest size holding the line —
-// the line is resident at exactly the sizes k >= m — and two per-size
-// bitmasks, mod (dirty) and shr (Shared; Exclusive is neither), of
-// which only the bits k >= m mean anything. Per PE and size k there is
-// a resident count cnt[k] and a finger lru[k]: the last list entry
-// with m <= k, which is size k's LRU line. One snoop directory per
-// structure records which PEs hold a line at any size.
+// found through the PE's view of the structure's page index, the index
+// Sim uses too (store.go). Each entry carries m, the index of the
+// smallest size holding the line — the line is resident at exactly the
+// sizes k >= m — and two per-size bitmasks, mod (dirty) and shr
+// (Shared; Exclusive is neither), of which only the bits k >= m mean
+// anything. Per PE and size k there is a resident count cnt[k] and a
+// finger lru[k]: the last list entry with m <= k, which is size k's LRU
+// line. The index's presence masks are the structure's snoop directory
+// (directory.go): which PEs hold a line at any size.
 //
 // A reference to a line tagged m hits every size >= m and misses every
 // size < m, so the sizes that miss are always a prefix and the miss
@@ -34,8 +35,8 @@ import (
 // walks k = 0 … old m − 1 upward: cnt[k]++, and when that overflows
 // size k its LRU line lru[k] is evicted from size k alone (written back
 // iff its mod bit k is set; its m becomes k+1; the finger moves to the
-// nearest entry toward the head with m <= k; it leaves the list, table
-// and directory only when it leaves the largest size). Promotion and
+// nearest entry toward the head with m <= k; it leaves the list and
+// the index only when it leaves the largest size). Promotion and
 // removal repair the fingers for k = m, m+1, … only while lru[k] is the
 // entry: a line that is not size k's LRU is not a larger size's either.
 //
@@ -90,8 +91,8 @@ import (
 //
 // The recency-list code repeats assocCache's (assoc.go): the list
 // operations are a few lines each, and the finger repair around them is
-// this structure's own. The line table is shared. Like Sim's replay
-// loop this one allocates nothing after construction.
+// this structure's own. The page index is shared. Like Sim's replay
+// loop this one allocates nothing once warm.
 
 // maxSizes is the most sizes one multiSim serves: per-size state is a
 // uint8 bitmask. planSims splits larger classes.
@@ -110,12 +111,12 @@ type msCache struct {
 	// slab[1:] are the entries; slab[0] is the list sentinel
 	// (slab[0].next = MRU) with m = 0, so a finger walk toward the head
 	// stops there and yields 0, "no such line".
-	slab  []msEntry
-	table lineTable
-	mru   int32 // mirrors slab[0].next
-	free  int32 // head of the free list threaded through next; 0 = none
-	cnt   [maxSizes]int32
-	lru   [maxSizes]int32
+	slab []msEntry
+	idx  pageView
+	mru  int32 // mirrors slab[0].next
+	free int32 // head of the free list threaded through next; 0 = none
+	cnt  [maxSizes]int32
+	lru  [maxSizes]int32
 }
 
 // multiSim simulates one class of fully associative configurations —
@@ -126,7 +127,7 @@ type multiSim struct {
 	cfg       Config  // the class; SizeWords is not consulted
 	caps      []int32 // lines per size, ascending
 	pes       []msCache
-	dir       *snoopDir // nil for single-PE machines
+	dir       *pageIndex // the index as snoop directory; nil for single-PE machines
 	lineShift uint
 
 	refs, writes int64
@@ -158,17 +159,18 @@ func newMultiSim(cfg Config, sizes []int) *multiSim {
 		s.caps[k] = int32(words / cfg.LineWords)
 	}
 	lines := int(s.caps[len(sizes)-1])
+	ix := newPageIndex(cfg.PEs)
 	for i := range s.pes {
 		c := &s.pes[i]
 		c.slab = make([]msEntry, lines+2)
-		c.table = newLineTable(lines)
+		ix.attach(&c.idx, i)
 		for e := 1; e <= lines; e++ {
 			c.slab[e].next = int32(e + 1)
 		}
 		c.free = 1
 	}
 	if cfg.PEs > 1 {
-		s.dir = newSnoopDir(cfg.PEs, lines)
+		s.dir = ix
 	}
 	return s
 }
@@ -225,7 +227,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		c := &s.pes[pe]
-		e := c.table.lookup(line)
+		e := c.idx.lookup(line)
 		m := absent
 		if e != 0 {
 			m = int(c.slab[e].m)
@@ -243,7 +245,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 			if s.dir != nil {
 				supplied = s.snoop(pe, line, miss, false)
 			}
-			e = s.fill(c, pe, e, line, m)
+			e = s.fill(c, e, line, m)
 			ent := &c.slab[e]
 			ent.mod &^= miss
 			ent.shr = ent.shr&^miss | supplied
@@ -273,7 +275,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 		if m != 0 {
 			s.writeMiss[m]++
 			if wa {
-				e = s.fill(c, pe, e, line, m)
+				e = s.fill(c, e, line, m)
 				hit = all
 			} else {
 				s.wordMiss[m]++
@@ -305,7 +307,7 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 		line := int32(r.Addr >> shift)
 		nRefs++
 		c := &s.pes[pe]
-		e := c.table.lookup(line)
+		e := c.idx.lookup(line)
 		m := absent
 		if e != 0 {
 			m = int(c.slab[e].m)
@@ -319,7 +321,7 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 				continue
 			}
 			s.readMiss[m]++
-			e = s.fill(c, pe, e, line, m)
+			e = s.fill(c, e, line, m)
 			c.slab[e].mod &^= miss
 			continue
 		}
@@ -334,7 +336,7 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 			if m != 0 {
 				s.writeMiss[m]++
 				if wa {
-					e = s.fill(c, pe, e, line, m)
+					e = s.fill(c, e, line, m)
 					c.slab[e].mod &^= miss
 				}
 			}
@@ -347,7 +349,7 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 		}
 		s.writeMiss[m]++
 		if wa {
-			e = s.fill(c, pe, e, line, m)
+			e = s.fill(c, e, line, m)
 			c.slab[e].mod = all
 		} else {
 			s.wordMiss[m]++
@@ -366,13 +368,9 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 // removed whole if invalidate is set. It returns the sizes some holder
 // supplied.
 func (s *multiSim) snoop(pe int, line int32, fetch uint8, invalidate bool) (supplied uint8) {
-	slot := s.dir.find(line)
-	if slot < 0 {
-		return 0
-	}
-	for hs := s.dir.holdersAt(slot) &^ (1 << uint(pe)); hs != 0; hs &= hs - 1 {
+	for hs := s.dir.holders(line) &^ (1 << uint(pe)); hs != 0; hs &= hs - 1 {
 		c := &s.pes[bits.TrailingZeros64(hs)]
-		e := c.table.lookup(line)
+		e := c.idx.lookup(line)
 		ent := &c.slab[e]
 		if x := fetch &^ (1<<ent.m - 1); x != 0 {
 			for b := x & ent.mod; b != 0; b &= b - 1 {
@@ -387,9 +385,6 @@ func (s *multiSim) snoop(pe int, line int32, fetch uint8, invalidate bool) (supp
 			c.remove(e, len(s.caps))
 		}
 	}
-	if invalidate {
-		s.dir.keepOnlyAt(slot, pe)
-	}
 	return supplied
 }
 
@@ -398,7 +393,7 @@ func (s *multiSim) snoop(pe int, line int32, fetch uint8, invalidate bool) (supp
 // that overflows, and returns the line's entry. An existing entry is
 // already at the list head (the kernels promote before they fill). The
 // caller sets the mod and shr bits of the filled sizes.
-func (s *multiSim) fill(c *msCache, pe int, e int32, line int32, m int) int32 {
+func (s *multiSim) fill(c *msCache, e, line int32, m int) int32 {
 	fresh := e == 0
 	if fresh {
 		e = c.free
@@ -427,19 +422,13 @@ func (s *multiSim) fill(c *msCache, pe int, e int32, line int32, m int) int32 {
 		ve.m = uint8(k + 1)
 		if k == last {
 			c.unlink(v)
-			c.table.delete(ve.line)
-			if s.dir != nil {
-				s.dir.remove(pe, ve.line)
-			}
+			c.idx.clear(ve.line)
 			ve.next = c.free
 			c.free = v
 		}
 	}
 	if fresh {
-		c.table.insert(line, e)
-		if s.dir != nil {
-			s.dir.add(pe, line)
-		}
+		c.idx.set(line, e)
 	}
 	return e
 }
@@ -480,7 +469,7 @@ func (c *msCache) remove(e int32, sizes int) {
 	}
 	c.unlink(e)
 	c.mru = c.slab[0].next
-	c.table.delete(ent.line)
+	c.idx.clear(ent.line)
 	ent.next = c.free
 	c.free = e
 }

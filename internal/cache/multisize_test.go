@@ -132,7 +132,7 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 				for e := c.slab[0].next; e != 0; e = c.slab[e].next {
 					ent := c.slab[e]
 					held++
-					if c.table.lookup(ent.line) != e {
+					if c.idx.lookup(ent.line) != e {
 						t.Fatalf("%v wa=%v pe %d: line %d is listed but the table does not find it", p, wa, pe, ent.line)
 					}
 					if s.dir.holders(ent.line)&(1<<uint(pe)) == 0 {
@@ -151,8 +151,8 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 				}
 			}
 			dirBits := 0
-			for _, slot := range s.dir.table {
-				dirBits += bits.OnesCount64(slot.mask)
+			for _, mask := range s.dir.masks {
+				dirBits += bits.OnesCount64(mask)
 			}
 			if dirBits != held {
 				t.Errorf("%v wa=%v: directory tracks %d holder bits, caches hold %d lines", p, wa, dirBits, held)

@@ -192,8 +192,8 @@ func TestDirectoryStaysInSync(t *testing.T) {
 			// Every directory bit must be backed by a resident line: the
 			// total popcount equals the resident-line count.
 			bits := 0
-			for _, s := range sim.dir.table {
-				for m := s.mask; m != 0; m &= m - 1 {
+			for _, mask := range sim.dir.masks {
+				for m := mask; m != 0; m &= m - 1 {
 					bits++
 				}
 			}

@@ -222,3 +222,17 @@ func SimulateAllShards(buf *trace.Buffer, cfgs []Config, shards int) ([]Stats, e
 	}
 	return out, nil
 }
+
+// IndexBytes returns the residency index footprint, in bytes at
+// capacity, of a simulator SimulateAllStream builds (a *Sim or a
+// multi-size structure), and 0 for any other sink. Benchmarks report it
+// beside their replay rates, so a kernel change shows its memory side.
+func IndexBytes(sink trace.Sink) int {
+	switch s := sink.(type) {
+	case *Sim:
+		return s.caches[0].idx.ix.bytes()
+	case *multiSim:
+		return s.pes[0].idx.ix.bytes()
+	}
+	return 0
+}
