@@ -244,6 +244,29 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 	b.ReportMetric(float64(indexBytes(sims...)), "index-B")
 }
 
+// BenchmarkReplaySetAssocFanOut is replay-large's sa shape on qsort at
+// 8 PEs: write-in broadcast at 1024 words with 1, 2, 4 and 8 ways, four
+// Sims behind one fan-out, which finds each chunk's runs once for all
+// of them (trace.RunSink).
+func BenchmarkReplaySetAssocFanOut(b *testing.B) {
+	bm, _ := BenchmarkByName("qsort")
+	tr, err := TraceBenchmark(context.Background(), bm, 8, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []CacheConfig
+	for _, ways := range []int{1, 2, 4, 8} {
+		cfgs = append(cfgs, CacheConfig{PEs: 8, SizeWords: 1024, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true, Assoc: ways})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.ReplayAll(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
+}
+
 // indexBytes sums the simulators' residency index bytes.
 func indexBytes[S trace.Sink](sims ...S) int {
 	n := 0

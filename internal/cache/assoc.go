@@ -25,10 +25,10 @@ type assocCache struct {
 	// slab[s].prev = its LRU); slab[S:] are the entries.
 	slab []slabEntry
 	idx  pageView
-	// mru is the entry most recently pushed to the front of any set.
-	// An entry equal to it is at the front of its own set, so the
-	// replay loop's already-MRU check is one header-field load
-	// instead of a slab access.
+	// mru is the entry the replay loop last found or put at the front
+	// of its set, or 0 once invalidate frees it. It is always resident
+	// and first in its own set, so the replay loop tries it before the
+	// index: a line equal to its line needs no lookup and no relink.
 	mru     int32
 	setMask int32   // S - 1
 	ways    int32   // lines per set
@@ -73,17 +73,18 @@ func newAssocCache(lines, ways int, ix *pageIndex, pe int) *assocCache {
 func (c *assocCache) lookup(line int32) int32 { return c.idx.lookup(line) }
 
 // relink moves resident entry e to the front of its set s; the replay
-// loop inlines it behind its own MRU check. The caller passes s:
-// deriving it here from the entry's line would push relink over the
-// inlining budget.
+// loop inlines it behind its own MRU and first-in-set checks. The
+// caller passes s: deriving it here from the entry's line, or checking
+// here whether e is already first, would push relink over the inlining
+// budget.
 func (c *assocCache) relink(e, s int32) {
 	c.unlink(e)
 	c.pushFront(e, s)
 }
 
 // unlink does not refresh c.mru: every caller either pushes an entry to
-// the front right after (which sets it) or frees e (invalidate), and a
-// freed entry is not looked up again until insert reuses it.
+// the front right after (which sets it) or frees e (invalidate, which
+// drops mru if it was e).
 func (c *assocCache) unlink(e int32) {
 	p, n := c.slab[e].prev, c.slab[e].next
 	c.slab[p].next = n
@@ -134,6 +135,11 @@ func (c *assocCache) invalidate(line int32) bool {
 		return false
 	}
 	c.unlink(e)
+	if e == c.mru {
+		// The replay loop matches a line against the MRU entry before
+		// the index, so a freed entry must not stay there.
+		c.mru = 0
+	}
 	c.idx.clear(line)
 	c.cnt[line&c.setMask]--
 	c.free = append(c.free, e)

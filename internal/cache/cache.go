@@ -32,12 +32,14 @@
 // int32 handles, offsets into flat slices rather than pointers, and to
 // one page of presence bitmasks. The masks are the snoop directory
 // (directory.go), so coherency actions visit only the PEs that actually
-// hold the line instead of scanning every cache. Every delivery, a
-// batch or one reference through Add, runs one replay loop (batch.go):
-// the shared per-reference prologue, the write hits that need no bus
-// and the written-through writes inline, read misses and the remaining
-// writes through one handler per protocol, so each protocol's rules are
-// written down once.
+// hold the line instead of scanning every cache. Every delivery — a
+// batch with its same-line runs from the fan-out (trace.RunSink), a
+// batch alone, or one reference through Add — runs one replay loop
+// (batch.go), which takes a run of k references in one step: the first
+// in full, the other k−1 in closed form. In it the shared per-run
+// prologue, the write hits that need no bus and the written-through
+// writes run inline, read misses and the remaining writes through one
+// handler per protocol, so each protocol's rules are written down once.
 //
 // # Simulation planning
 //
@@ -265,10 +267,10 @@ const (
 	stateModified               // dirty, only this cache
 )
 
-// Sim is a multiprocessor cache simulation. It implements trace.Sink
-// and trace.BatchSink, so it can be attached directly to the engine or
-// fed from a trace.Buffer; both deliveries run the one replay loop
-// (batch.go).
+// Sim is a multiprocessor cache simulation. It implements trace.Sink,
+// trace.BatchSink and trace.RunSink, so it can be attached directly to
+// the engine, fed from a trace.Buffer or put behind a fan-out; every
+// delivery runs the one replay loop (batch.go).
 type Sim struct {
 	cfg       Config
 	caches    []*assocCache

@@ -89,6 +89,22 @@ import (
 // with a in the small cache and not in the large one, so (ii) fails
 // across policies and WriteAllocate is part of the class key.
 //
+// # Runs
+//
+// Like Sim (batch.go) the structure is a trace.RunSink, and each kernel
+// keeps one loop in which a run of k — back-to-back references by one
+// PE, of one operation and Global/Local class, to one four-word block —
+// is one reference in full and a closed-form repeat of k−1. Nothing
+// else touches the line in between, and no remote copy survives the
+// first write. After a read the line is tagged 0, resident at every
+// size and at the list head, so the rest only count. After a write the
+// line is dirty and private at every size that holds it, so the rest
+// are silent there, and where the first write missed without
+// allocating, each repeat misses the same sizes: writeMiss[m] and,
+// for copyback data, wordMiss[m], or for hybrid Global data a global
+// word. Both kernels try the PE's list head before the index. Lines
+// shorter than the block ignore the runs.
+//
 // The recency-list code repeats assocCache's (assoc.go): the list
 // operations are a few lines each, and the finger repair around them is
 // this structure's own. The page index is shared. Like Sim's replay
@@ -121,7 +137,7 @@ type msCache struct {
 
 // multiSim simulates one class of fully associative configurations —
 // cfg at each of len(caps) sizes — over one reference stream. It is a
-// trace.Sink and trace.BatchSink like Sim, and unexported: planSims
+// trace.Sink, BatchSink and RunSink like Sim, and unexported: planSims
 // decides when one is built.
 type multiSim struct {
 	cfg       Config  // the class; SizeWords is not consulted
@@ -178,16 +194,24 @@ func newMultiSim(cfg Config, sizes []int) *multiSim {
 // Add processes one reference (trace.Sink).
 func (s *multiSim) Add(r trace.Ref) {
 	one := [1]trace.Ref{r}
-	s.AddBatch(one[:])
+	s.AddRuns(one[:], nil)
 }
 
-// AddBatch processes a batch of references (trace.BatchSink); the slice
-// is treated as read-only.
-func (s *multiSim) AddBatch(refs []trace.Ref) {
+// AddBatch processes a batch of references (trace.BatchSink): every
+// reference is a run of its own.
+func (s *multiSim) AddBatch(refs []trace.Ref) { s.AddRuns(refs, nil) }
+
+// AddRuns processes a batch of references cut into runs
+// (trace.RunSink); the slices are treated as read-only. Lines shorter
+// than a run's block ignore the runs.
+func (s *multiSim) AddRuns(refs []trace.Ref, runs []int32) {
+	if s.cfg.LineWords < trace.RunWords {
+		runs = nil
+	}
 	if s.cfg.Protocol == WriteInBroadcast {
-		s.replayWriteInBroadcast(refs)
+		s.replayWriteInBroadcast(refs, runs)
 	} else {
-		s.replayHybrid(refs)
+		s.replayHybrid(refs, runs)
 	}
 }
 
@@ -213,30 +237,44 @@ func (s *multiSim) stats(k int) Stats {
 }
 
 //rapwam:hotpath
-func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
+func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 	npes, shift, wa := s.cfg.PEs, s.lineShift, s.cfg.WriteAllocate
 	absent := len(s.caps)
 	all := uint8(uint(1)<<uint(absent) - 1)
 	var nRefs, nWrites int64
-	for i := range refs {
+	k := 1 // the run's length; runs[0] is its start
+	for i := 0; i < len(refs); i += k {
 		r := refs[i]
+		if len(runs) > 1 {
+			k = int(runs[1] - runs[0])
+			runs = runs[1:]
+		}
+		rep := int64(k - 1) // the run's references after the first
 		pe := int(r.PE)
 		if pe >= npes {
 			continue
 		}
 		line := int32(r.Addr >> shift)
-		nRefs++
+		nRefs += int64(k)
 		c := &s.pes[pe]
-		e := c.idx.lookup(line)
-		m := absent
-		if e != 0 {
-			m = int(c.slab[e].m)
-			if c.mru != e {
+		// The head first: a run is usually the PE's next word of its
+		// last line, even after other PEs' references. An empty list's
+		// head is the sentinel, whose line may match, but then e = 0
+		// is the right answer.
+		e := c.mru
+		if c.slab[e].line != line {
+			if e = c.idx.lookup(line); e != 0 {
 				c.promote(e, absent)
 			}
 		}
+		m := absent
+		if e != 0 {
+			m = int(c.slab[e].m)
+		}
 		miss := uint8(uint(1)<<uint(m) - 1) // the sizes below m
 		if r.Op == trace.OpRead {
+			// The first read leaves the line resident at every size
+			// and most recently used: the rest of the run only count.
 			if m == 0 {
 				continue
 			}
@@ -251,11 +289,12 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 			ent.shr = ent.shr&^miss | supplied
 			continue
 		}
-		nWrites++
+		nWrites += int64(k)
 		hit := all &^ miss
 		shared := c.slab[e].shr & hit // hit is empty when e is the sentinel
 		if m == 0 && shared == 0 {
-			// Private at every size: silent.
+			// Private at every size: silent, and so is the rest of the
+			// run.
 			c.slab[e].mod = all
 			continue
 		}
@@ -278,10 +317,15 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 				e = s.fill(c, e, line, m)
 				hit = all
 			} else {
-				s.wordMiss[m]++
+				// The rest of the run misses the same sizes, with no
+				// remote copy left to snoop.
+				s.writeMiss[m] += rep
+				s.wordMiss[m] += int64(k)
 			}
 		}
 		if e != 0 {
+			// Dirty and private wherever resident: the rest of the
+			// run is silent there.
 			ent := &c.slab[e]
 			ent.mod |= hit
 			ent.shr &^= hit
@@ -292,31 +336,41 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref) {
 }
 
 //rapwam:hotpath
-func (s *multiSim) replayHybrid(refs []trace.Ref) {
+func (s *multiSim) replayHybrid(refs []trace.Ref, runs []int32) {
 	npes, shift, wa := s.cfg.PEs, s.lineShift, s.cfg.WriteAllocate
 	copyback := s.cfg.Protocol == Copyback
 	absent := len(s.caps)
 	all := uint8(uint(1)<<uint(absent) - 1)
 	var nRefs, nWrites int64
-	for i := range refs {
+	k := 1 // the run's length; runs[0] is its start
+	for i := 0; i < len(refs); i += k {
 		r := refs[i]
+		if len(runs) > 1 {
+			k = int(runs[1] - runs[0])
+			runs = runs[1:]
+		}
+		rep := int64(k - 1) // the run's references after the first
 		pe := int(r.PE)
 		if pe >= npes {
 			continue
 		}
 		line := int32(r.Addr >> shift)
-		nRefs++
+		nRefs += int64(k)
 		c := &s.pes[pe]
-		e := c.idx.lookup(line)
-		m := absent
-		if e != 0 {
-			m = int(c.slab[e].m)
-			if c.mru != e {
+		e := c.mru // the head first, as under write-in broadcast
+		if c.slab[e].line != line {
+			if e = c.idx.lookup(line); e != 0 {
 				c.promote(e, absent)
 			}
 		}
+		m := absent
+		if e != 0 {
+			m = int(c.slab[e].m)
+		}
 		miss := uint8(uint(1)<<uint(m) - 1) // the sizes below m
 		if r.Op == trace.OpRead {
+			// As under write-in broadcast, the rest of a read run only
+			// counts.
 			if m == 0 {
 				continue
 			}
@@ -325,11 +379,13 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 			c.slab[e].mod &^= miss
 			continue
 		}
-		nWrites++
+		nWrites += int64(k)
 		if !copyback && r.Obj.Global() {
 			// Written through at every size; the bus word invalidates
-			// remote copies and never dirties a present line.
-			s.globalWords++
+			// remote copies and never dirties a present line. The rest
+			// of the run writes through too, with nothing left to
+			// invalidate, and misses where the first did not allocate.
+			s.globalWords += int64(k)
 			if s.dir != nil {
 				s.snoop(pe, line, 0, true)
 			}
@@ -338,11 +394,14 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 				if wa {
 					e = s.fill(c, e, line, m)
 					c.slab[e].mod &^= miss
+				} else {
+					s.writeMiss[m] += rep
 				}
 			}
 			continue
 		}
-		// Local data: copyback, no coherency actions.
+		// Local data: copyback, no coherency actions. Once dirty at
+		// every size the rest of the run is silent.
 		if m == 0 {
 			c.slab[e].mod = all
 			continue
@@ -352,7 +411,8 @@ func (s *multiSim) replayHybrid(refs []trace.Ref) {
 			e = s.fill(c, e, line, m)
 			c.slab[e].mod = all
 		} else {
-			s.wordMiss[m]++
+			s.writeMiss[m] += rep
+			s.wordMiss[m] += int64(k)
 			if e != 0 {
 				c.slab[e].mod |= all &^ miss
 			}

@@ -162,7 +162,8 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 }
 
 // TestMultiSizeSteadyStateAllocsZero: like Sim, a warm multi-size
-// structure replays without allocating, by batch or by reference.
+// structure replays without allocating, by batch, by runs or by
+// reference.
 func TestMultiSizeSteadyStateAllocsZero(t *testing.T) {
 	buf := parityTrace(t, "qsort", 4, false)
 	seqBuf := parityTrace(t, "qsort", 1, true)
@@ -176,6 +177,10 @@ func TestMultiSizeSteadyStateAllocsZero(t *testing.T) {
 			s.AddBatch(refs) // warm: every size full
 			if n := testing.AllocsPerRun(3, func() { s.AddBatch(refs) }); n != 0 {
 				t.Errorf("%v wa=%v: batch replay allocates %.0f times per run, want 0", p, wa, n)
+			}
+			runs := trace.LineRuns(refs, nil)
+			if n := testing.AllocsPerRun(3, func() { s.AddRuns(refs, runs) }); n != 0 {
+				t.Errorf("%v wa=%v: run replay allocates %.0f times per run, want 0", p, wa, n)
 			}
 			if n := testing.AllocsPerRun(3, func() {
 				for _, r := range refs[:4096] {

@@ -206,7 +206,7 @@ func TestDirectoryStaysInSync(t *testing.T) {
 
 // TestSteadyStateReplayAllocsZero is the allocation regression test the
 // kernel exists for: once a simulator is warm, replaying traces through
-// it must not allocate at all, on either the batch or the per-reference
+// it must not allocate at all, on the batch, run or per-reference
 // path, for any protocol.
 func TestSteadyStateReplayAllocsZero(t *testing.T) {
 	buf := parityTrace(t, "qsort", 4, false)
@@ -225,12 +225,109 @@ func TestSteadyStateReplayAllocsZero(t *testing.T) {
 			if n := testing.AllocsPerRun(3, func() { sim.AddBatch(refs) }); n != 0 {
 				t.Errorf("%v assoc=%d: batch replay allocates %.0f times per run, want 0", p, assoc, n)
 			}
+			runs := trace.LineRuns(refs, nil)
+			if n := testing.AllocsPerRun(3, func() { sim.AddRuns(refs, runs) }); n != 0 {
+				t.Errorf("%v assoc=%d: run replay allocates %.0f times per run, want 0", p, assoc, n)
+			}
 			if n := testing.AllocsPerRun(3, func() {
 				for _, r := range refs[:4096] {
 					sim.Add(r)
 				}
 			}); n != 0 {
 				t.Errorf("%v assoc=%d: per-reference replay allocates %.0f times per run, want 0", p, assoc, n)
+			}
+		}
+	}
+}
+
+// TestRunsMatchPerReference: on deriv's engine traces (qsort's would
+// cost make race most of a minute more), a simulator fed its
+// batches with their runs (AddRuns) ends with the Stats, per-PE bus and
+// reference vectors it has when fed reference by reference, and after
+// Flush too — every protocol and allocation policy, fully associative
+// and 2-way, two-, four- and eight-word lines (two-word lines ignore
+// the runs), in fan-out-sized chunks; and so does a multi-size
+// structure.
+func TestRunsMatchPerReference(t *testing.T) {
+	const chunk = 8192
+	feed := func(s trace.RunSink, refs []trace.Ref) {
+		var runs []int32
+		for lo := 0; lo < len(refs); lo += chunk {
+			c := refs[lo:min(lo+chunk, len(refs))]
+			runs = trace.LineRuns(c, runs)
+			s.AddRuns(c, runs)
+		}
+	}
+	for _, p := range Protocols() {
+		pes, sequential := 8, false
+		if p == Copyback {
+			pes, sequential = 1, true
+		}
+		buf := parityTrace(t, "deriv", pes, sequential)
+		for _, wa := range []bool{false, true} {
+			for _, lw := range []int{2, 4, 8} {
+				for _, assoc := range []int{0, 2} {
+					cfg := Config{PEs: pes, SizeWords: 256, LineWords: lw, Protocol: p, WriteAllocate: wa, Assoc: assoc}
+					want, got := New(cfg), New(cfg)
+					want.AddBatch(buf.Refs)
+					feed(got, buf.Refs)
+					for _, when := range []string{"after the trace", "after Flush"} {
+						if got.Stats() != want.Stats() || !eqVec(got.PerPEBusWords(), want.PerPEBusWords()) || !eqVec(got.PerPERefs(), want.PerPERefs()) {
+							t.Errorf("%s %s: by runs %+v bus %v\nby reference %+v bus %v",
+								cfg.Key(), when, got.Stats(), got.PerPEBusWords(), want.Stats(), want.PerPEBusWords())
+						}
+						want.Flush()
+						got.Flush()
+					}
+				}
+				if p == WriteThrough || p == WriteThroughBroadcast {
+					continue
+				}
+				cfg := Config{PEs: pes, LineWords: lw, Protocol: p, WriteAllocate: wa}
+				sizes := []int{16 * lw, 64 * lw, 256 * lw}
+				want, got := newMultiSim(cfg, sizes), newMultiSim(cfg, sizes)
+				want.AddBatch(buf.Refs)
+				feed(got, buf.Refs)
+				for k := range sizes {
+					if got.stats(k) != want.stats(k) {
+						t.Errorf("%s at %d words: multi-size by runs %+v\nby reference %+v", cfg.Key(), sizes[k], got.stats(k), want.stats(k))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutObservedSimIsPerReference: a Sim with an OnBus observer
+// behind a FanOut — beside a plain Sim, so the fan-out finds runs —
+// sees the (pe, words, refIndex) sequence that Add, one reference at a
+// time, produces: an observed Sim takes no run in one step.
+func TestFanOutObservedSimIsPerReference(t *testing.T) {
+	buf := parityTrace(t, "qsort", 8, false)
+	for _, p := range []Protocol{WriteInBroadcast, WriteThroughBroadcast, Hybrid} {
+		cfg := Config{PEs: 8, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true}
+		record := func(events *[]busEvent) func(pe, words int, refIndex int64) {
+			return func(pe, words int, refIndex int64) {
+				*events = append(*events, busEvent{pe, words, refIndex})
+			}
+		}
+		var want, got []busEvent
+		ref := New(cfg)
+		ref.OnBus = record(&want)
+		for _, r := range buf.Refs {
+			ref.Add(r)
+		}
+		observed := New(cfg)
+		observed.OnBus = record(&got)
+		f := trace.NewFanOut(trace.FanOutConfig{ChunkRefs: 1000}, observed, New(cfg))
+		f.AddBatchStable(buf.Refs)
+		f.Close()
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d OnBus events behind the fan-out, %d by Add", p, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v: OnBus event %d is %+v behind the fan-out, %+v by Add", p, i, got[i], want[i])
 			}
 		}
 	}

@@ -457,7 +457,7 @@ func patchHeaderCount(out io.Writer, rawHdr []byte, refsOff int, declared, total
 	return err
 }
 
-// byteCountReader wraps a bufio.Reader tracking consumed bytes for
+// byteReader wraps a bufio.Reader tracking consumed bytes for
 // error positions.
 type byteReader struct {
 	br *bufio.Reader

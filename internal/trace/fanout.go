@@ -14,6 +14,75 @@ type BatchSink interface {
 	AddBatch(refs []Ref)
 }
 
+// RunSink is an optional extension of BatchSink for consumers that can
+// take a run of references in one step. A run is a maximal sequence of
+// back-to-back references that share a run key: the PE, the operation,
+// the Global/Local class of the object (ObjType.Global) and the
+// RunWords-word block of the address (Addr >> 2, the paper's four-word
+// line). Within a run nothing but the run's own PE touches the block,
+// so a cache simulator can take the first reference in full and the
+// rest in closed form.
+//
+// AddRuns receives a batch with its runs as LineRuns returns them:
+// runs[j] is the index of run j's first reference and the last entry
+// is len(refs). runs == nil means every reference is a run of its own,
+// so AddBatch(refs) is AddRuns(refs, nil). Both slices are read-only
+// and valid only for the call, as for AddBatch.
+type RunSink interface {
+	BatchSink
+	AddRuns(refs []Ref, runs []int32)
+}
+
+// RunWords is the run granularity in words: a run's references fall in
+// one aligned block of RunWords words. A consumer whose lines are
+// shorter must ignore the runs.
+const RunWords = 4
+
+// runKey packs the fields that define a run: the block, PE, operation
+// and Global class. Two references share a key iff they may share a
+// run.
+func runKey(r *Ref) uint64 {
+	return uint64(r.Addr>>2) | uint64(r.PE)<<32 | uint64(r.Op)<<40 | runClass[r.Obj]
+}
+
+// runClass is the run key's Global bit, bit 48, by object type: one
+// table load costs LineRuns less than ObjType.Global's variable shift
+// and its guard for types past 63.
+var runClass = func() (t [256]uint64) {
+	for o := range t {
+		if ObjType(o).Global() {
+			t[o] = 1 << 48
+		}
+	}
+	return t
+}()
+
+// LineRuns returns the runs of refs (see RunSink) in starts' storage:
+// the index of every run's first reference, then len(refs). starts is
+// reused when it has room for len(refs)+1 entries and reallocated
+// otherwise, so a caller that keeps the result allocates once.
+func LineRuns(refs []Ref, starts []int32) []int32 {
+	if cap(starts) < len(refs)+1 {
+		starts = make([]int32, len(refs)+1)
+	}
+	starts = starts[:len(refs)+1]
+	// Every index is written and the count advances only at a key
+	// change, so the loop has no branch on the run boundaries, which
+	// are too irregular on a real trace to predict.
+	n := 0
+	prev := ^uint64(0) // no reference has this key
+	for i := range refs {
+		k := runKey(&refs[i])
+		starts[n] = int32(i)
+		if k != prev {
+			n++
+		}
+		prev = k
+	}
+	starts[n] = int32(len(refs))
+	return starts[:n+1]
+}
+
 // FanOutConfig tunes the concurrent dispatcher. The zero value selects
 // sensible defaults.
 type FanOutConfig struct {
@@ -42,6 +111,19 @@ const (
 // deterministic consumer (e.g. a cache simulator) produces results
 // bit-identical to a sequential replay.
 //
+// Runs: when any consumer is a RunSink, the producer finds each chunk's
+// runs once (LineRuns) and every RunSink receives them beside the
+// chunk; the other consumers get the chunk alone. The finder's cost
+// lands on the producer, once per chunk, not once per consumer.
+//
+// Buffers: the chunks the FanOut copies into and the run starts it
+// finds live in a ring of Depth+2 buffers of each kind, made once per
+// FanOut. Chunk c takes slot c mod (Depth+2), which last held chunk
+// c−Depth−2, and every consumer has finished that one: the send of
+// chunk c−1 completed on every channel, a channel of Depth slots that
+// holds c−1 holds nothing older than c−Depth, so each consumer had
+// taken c−Depth−1 and, processing in order, finished c−Depth−2.
+//
 // The producer side (Add, AddBatch, Close) is single-goroutine, like
 // any other Sink. Consumers never see concurrent calls either: each
 // sink is driven by exactly one goroutine. The chunks handed to
@@ -52,11 +134,20 @@ const (
 // all consumers to drain. A FanOut must be Closed before the consumer
 // sinks' results are read; reading earlier is a data race.
 type FanOut struct {
-	chans     []chan []Ref
+	chans     []chan chunkMsg
 	wg        sync.WaitGroup
-	chunk     []Ref
+	chunk     []Ref // the partial chunk, in the next send's ring slot
 	chunkRefs int
 	closed    bool
+	sent      int       // chunks sent; chunk c takes ring slot c mod len(bufs)
+	bufs      [][]Ref   // the chunk ring; a slot is made on first use
+	runs      [][]int32 // the run-start ring; nil when no consumer is a RunSink
+}
+
+// chunkMsg is one dispatched chunk and, for RunSinks, its runs.
+type chunkMsg struct {
+	refs []Ref
+	runs []int32
 }
 
 // NewFanOut starts one consumer goroutine per sink and returns the
@@ -68,12 +159,17 @@ func NewFanOut(cfg FanOutConfig, sinks ...Sink) *FanOut {
 	if cfg.Depth <= 0 {
 		cfg.Depth = defaultDepth
 	}
+	ring := cfg.Depth + 2
 	f := &FanOut{
-		chans:     make([]chan []Ref, len(sinks)),
+		chans:     make([]chan chunkMsg, len(sinks)),
 		chunkRefs: cfg.ChunkRefs,
+		bufs:      make([][]Ref, ring),
 	}
 	for i, s := range sinks {
-		ch := make(chan []Ref, cfg.Depth)
+		if _, ok := s.(RunSink); ok && f.runs == nil {
+			f.runs = make([][]int32, ring)
+		}
+		ch := make(chan chunkMsg, cfg.Depth)
 		f.chans[i] = ch
 		f.wg.Add(1)
 		go consume(&f.wg, ch, s)
@@ -82,30 +178,52 @@ func NewFanOut(cfg FanOutConfig, sinks ...Sink) *FanOut {
 }
 
 // consume drains one consumer's chunk channel into its sink.
-func consume(wg *sync.WaitGroup, ch <-chan []Ref, s Sink) {
+func consume(wg *sync.WaitGroup, ch <-chan chunkMsg, s Sink) {
 	defer wg.Done()
-	if bs, ok := s.(BatchSink); ok {
-		for chunk := range ch {
-			bs.AddBatch(chunk)
+	switch s := s.(type) {
+	case RunSink:
+		for c := range ch {
+			s.AddRuns(c.refs, c.runs)
 		}
-		return
-	}
-	for chunk := range ch {
-		for _, r := range chunk {
-			s.Add(r)
+	case BatchSink:
+		for c := range ch {
+			s.AddBatch(c.refs)
+		}
+	default:
+		for c := range ch {
+			for _, r := range c.refs {
+				s.Add(r)
+			}
 		}
 	}
 }
 
-// send dispatches one ready chunk to every consumer. The chunk is
-// shared between consumers and must not be written after this point.
+// buffer returns the next send's ring slot as an empty chunk.
+func (f *FanOut) buffer() []Ref {
+	slot := f.sent % len(f.bufs)
+	if f.bufs[slot] == nil {
+		f.bufs[slot] = make([]Ref, 0, f.chunkRefs)
+	}
+	return f.bufs[slot][:0]
+}
+
+// send dispatches one ready chunk to every consumer, with its runs
+// when some consumer takes them. The chunk is shared between consumers
+// and must not be written after this point.
 func (f *FanOut) send(chunk []Ref) {
 	if len(chunk) == 0 {
 		return
 	}
-	for _, ch := range f.chans {
-		ch <- chunk
+	msg := chunkMsg{refs: chunk}
+	if f.runs != nil {
+		slot := f.sent % len(f.runs)
+		f.runs[slot] = LineRuns(chunk, f.runs[slot])
+		msg.runs = f.runs[slot]
 	}
+	for _, ch := range f.chans {
+		ch <- msg
+	}
+	f.sent++
 }
 
 // Add implements Sink: the reference is appended to the current chunk,
@@ -116,7 +234,7 @@ func (f *FanOut) Add(r Ref) {
 		panic("trace: FanOut.Add after Close")
 	}
 	if f.chunk == nil {
-		f.chunk = make([]Ref, 0, f.chunkRefs)
+		f.chunk = f.buffer()
 	}
 	f.chunk = append(f.chunk, r)
 	if len(f.chunk) == f.chunkRefs {
@@ -133,14 +251,17 @@ func (f *FanOut) AddBatch(refs []Ref) {
 	if f.closed {
 		panic("trace: FanOut.AddBatch after Close")
 	}
+	f.fill(refs)
+}
+
+// fill copies refs into the partial chunk, dispatching each chunk as
+// it fills.
+func (f *FanOut) fill(refs []Ref) {
 	for len(refs) > 0 {
 		if f.chunk == nil {
-			f.chunk = make([]Ref, 0, f.chunkRefs)
+			f.chunk = f.buffer()
 		}
-		n := f.chunkRefs - len(f.chunk)
-		if n > len(refs) {
-			n = len(refs)
-		}
+		n := min(f.chunkRefs-len(f.chunk), len(refs))
 		f.chunk = append(f.chunk, refs[:n]...)
 		refs = refs[n:]
 		if len(f.chunk) == f.chunkRefs {
@@ -169,20 +290,13 @@ type StableBatchSink interface {
 // dispatched to the consumers as sub-slices of refs without copying.
 func (f *FanOut) AddBatchStable(refs []Ref) {
 	if f.closed {
-		panic("trace: FanOut.AddBatch after Close")
+		panic("trace: FanOut.AddBatchStable after Close")
 	}
 	// Top up a partial chunk first so ordering is preserved.
-	for len(refs) > 0 && len(f.chunk) > 0 {
-		n := f.chunkRefs - len(f.chunk)
-		if n > len(refs) {
-			n = len(refs)
-		}
-		f.chunk = append(f.chunk, refs[:n]...)
+	if len(f.chunk) > 0 {
+		n := min(f.chunkRefs-len(f.chunk), len(refs))
+		f.fill(refs[:n])
 		refs = refs[n:]
-		if len(f.chunk) == f.chunkRefs {
-			f.send(f.chunk)
-			f.chunk = nil
-		}
 	}
 	// Dispatch full chunks directly from the caller's slice.
 	for len(refs) >= f.chunkRefs {
@@ -190,12 +304,7 @@ func (f *FanOut) AddBatchStable(refs []Ref) {
 		refs = refs[f.chunkRefs:]
 	}
 	// Buffer the tail.
-	if len(refs) > 0 {
-		if f.chunk == nil {
-			f.chunk = make([]Ref, 0, f.chunkRefs)
-		}
-		f.chunk = append(f.chunk, refs...)
-	}
+	f.fill(refs)
 }
 
 // Close flushes the partial chunk and blocks until every consumer has

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // synthRefs builds a deterministic pseudo-random reference stream.
@@ -100,13 +102,30 @@ func TestFanOutCloseIsIdempotentAndEmptyOK(t *testing.T) {
 	f2 := NewFanOut(FanOutConfig{})
 	f2.Add(Ref{})
 	f2.Close()
-	// A FanOut is dead after Close: Add must fail fast.
-	defer func() {
-		if recover() == nil {
-			t.Error("Add after Close did not panic")
-		}
-	}()
-	f2.Add(Ref{})
+}
+
+// TestFanOutPanicsAfterClose: a FanOut is dead after Close, and each
+// producer method fails fast naming itself.
+func TestFanOutPanicsAfterClose(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		call func(f *FanOut)
+	}{
+		{"trace: FanOut.Add after Close", func(f *FanOut) { f.Add(Ref{}) }},
+		{"trace: FanOut.AddBatch after Close", func(f *FanOut) { f.AddBatch([]Ref{{}}) }},
+		{"trace: FanOut.AddBatchStable after Close", func(f *FanOut) { f.AddBatchStable([]Ref{{}}) }},
+	} {
+		f := NewFanOut(FanOutConfig{}, &recordSink{})
+		f.Close()
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.call(f)
+		}()
+	}
 }
 
 func TestBufferReplayAllMatchesReplay(t *testing.T) {
@@ -159,4 +178,180 @@ func TestFanOutConcurrentConsumersRace(t *testing.T) {
 			t.Errorf("consumer %d checksum %d, want %d", i, c.sum, want)
 		}
 	}
+}
+
+// TestLineRuns: the runs partition the batch into maximal stretches of
+// one run key — PE, operation, Global/Local class and four-word block
+// — and each key field alone breaks a run.
+func TestLineRuns(t *testing.T) {
+	r := func(pe uint8, op Op, addr uint32, obj ObjType) Ref {
+		return Ref{Addr: addr, PE: pe, Op: op, Obj: obj}
+	}
+	for _, c := range []struct {
+		name string
+		refs []Ref
+		want []int32
+	}{
+		{"empty", nil, []int32{0}},
+		{"one reference", []Ref{r(0, OpRead, 9, ObjHeap)}, []int32{0, 1}},
+		{"one block", []Ref{r(1, OpWrite, 4, ObjHeap), r(1, OpWrite, 5, ObjHeap), r(1, OpWrite, 7, ObjHeap), r(1, OpWrite, 4, ObjHeap)}, []int32{0, 4}},
+		{"block boundary", []Ref{r(0, OpRead, 6, ObjHeap), r(0, OpRead, 7, ObjHeap), r(0, OpRead, 8, ObjHeap), r(0, OpRead, 11, ObjHeap)}, []int32{0, 2, 4}},
+		{"PE switch", []Ref{r(0, OpRead, 0, ObjHeap), r(1, OpRead, 1, ObjHeap), r(0, OpRead, 2, ObjHeap)}, []int32{0, 1, 2, 3}},
+		{"op switch", []Ref{r(0, OpRead, 0, ObjHeap), r(0, OpWrite, 1, ObjHeap), r(0, OpWrite, 2, ObjHeap)}, []int32{0, 1, 3}},
+		{"Global/Local split", []Ref{r(0, OpWrite, 0, ObjEnvPVar), r(0, OpWrite, 1, ObjEnvControl), r(0, OpWrite, 2, ObjEnvControl)}, []int32{0, 1, 3}},
+		{"object within a class", []Ref{r(0, OpRead, 0, ObjEnvPVar), r(0, OpRead, 1, ObjHeap), r(0, OpRead, 2, ObjTrail), r(0, OpRead, 3, ObjPDL)}, []int32{0, 2, 4}},
+		{"top of the address space", []Ref{r(0, OpRead, 1<<32-1, ObjHeap), r(0, OpRead, 0, ObjHeap)}, []int32{0, 1, 2}},
+	} {
+		got := LineRuns(c.refs, nil)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+		}
+	}
+	// On a random stream: starts ascend from 0 to len, every run holds
+	// one key, and neighbouring runs differ in it.
+	refs := synthRefs(5000)
+	for i := 1; i < len(refs); i += 3 {
+		refs[i] = refs[i-1]
+		refs[i].Addr ^= uint32(i) & 3
+	}
+	runs := LineRuns(refs, make([]int32, 0, 10))
+	if runs[0] != 0 || int(runs[len(runs)-1]) != len(refs) {
+		t.Fatalf("runs span [%d, %d), want [0, %d)", runs[0], runs[len(runs)-1], len(refs))
+	}
+	for j := 0; j+1 < len(runs); j++ {
+		lo, hi := runs[j], runs[j+1]
+		if lo >= hi {
+			t.Fatalf("run %d is [%d, %d)", j, lo, hi)
+		}
+		for i := lo + 1; i < hi; i++ {
+			if runKey(&refs[i]) != runKey(&refs[lo]) {
+				t.Fatalf("run %d: reference %d has another key than %d", j, i, lo)
+			}
+		}
+		if j > 0 && runKey(&refs[lo]) == runKey(&refs[lo-1]) {
+			t.Fatalf("run %d at %d is not maximal", j, lo)
+		}
+	}
+	if len(runs) > len(refs)*5/6 {
+		t.Errorf("%d runs over %d references with every third one repeated", len(runs)-1, len(refs))
+	}
+}
+
+// runCheckSink is a RunSink that recomputes the runs of every chunk it
+// gets and compares them with the runs it was handed; slow sleeps per
+// chunk, so the producer runs ahead of it as far as the channels allow.
+type runCheckSink struct {
+	recordSink
+	slow    bool
+	chunks  int
+	bad     int
+	scratch []int32
+}
+
+func (s *runCheckSink) AddBatch(refs []Ref) { s.AddRuns(refs, nil) }
+
+func (s *runCheckSink) AddRuns(refs []Ref, runs []int32) {
+	s.scratch = LineRuns(refs, s.scratch)
+	if !slices.Equal(runs, s.scratch) {
+		s.bad++
+	}
+	if s.slow {
+		time.Sleep(20 * time.Microsecond)
+	}
+	s.refs = append(s.refs, refs...)
+	s.chunks++
+}
+
+// TestFanOutRunsUnderUnevenConsumers: with a slow and a fast run
+// consumer and a plain batch consumer over many small chunks, fed by
+// every producer path, each RunSink gets every chunk with its own runs
+// — the ring's reuse never overwrites a chunk or its runs before the
+// slowest consumer is done — and everyone sees the whole stream. Run
+// under -race, this is the ring's synchronization test too.
+func TestFanOutRunsUnderUnevenConsumers(t *testing.T) {
+	want := synthRefs(20_000)
+	for i := 1; i < len(want); i += 2 {
+		want[i] = want[i-1]
+		want[i].Addr ^= 1
+	}
+	for _, path := range []string{"Add", "AddBatch", "AddBatchStable"} {
+		slow, fast := &runCheckSink{slow: true}, &runCheckSink{}
+		plain := &batchRecordSink{}
+		f := NewFanOut(FanOutConfig{ChunkRefs: 64, Depth: 2}, slow, plain, fast)
+		switch path {
+		case "Add":
+			for _, r := range want {
+				f.Add(r)
+			}
+		case "AddBatch":
+			for i := 0; i < len(want); i += 100 {
+				batch := slices.Clone(want[i:min(i+100, len(want))])
+				f.AddBatch(batch)
+				clear(batch) // the caller's slice is free on return
+			}
+		case "AddBatchStable":
+			for i := 0; i < len(want); i += 1000 {
+				f.AddBatchStable(want[i:min(i+1000, len(want))])
+			}
+		}
+		f.Close()
+		for _, s := range []*runCheckSink{slow, fast} {
+			if s.bad != 0 || s.chunks != (len(want)+63)/64 {
+				t.Errorf("%s: %d of %d chunks came with wrong runs, want 0 of %d", path, s.bad, s.chunks, (len(want)+63)/64)
+			}
+			sameRefs(t, path+" run consumer", s.refs, want)
+		}
+		sameRefs(t, path+" batch consumer", plain.refs, want)
+	}
+}
+
+// countRunSink is a RunSink that only counts what it gets.
+type countRunSink struct{ refs, runs int }
+
+func (s *countRunSink) Add(Ref)             { s.refs++ }
+func (s *countRunSink) AddBatch(refs []Ref) { s.refs += len(refs) }
+func (s *countRunSink) AddRuns(refs []Ref, runs []int32) {
+	s.refs += len(refs)
+	s.runs += len(runs) - 1
+}
+
+// TestFanOutBuffersPerFanOut: the chunk and run buffers are made once
+// per FanOut, not once per chunk — a stream of 64 chunks allocates no
+// more than one of 8.
+func TestFanOutBuffersPerFanOut(t *testing.T) {
+	refs := synthRefs(64 * 256)
+	allocs := func(chunks int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			f := NewFanOut(FanOutConfig{ChunkRefs: 256}, &countRunSink{}, &countRunSink{})
+			for i := 0; i < chunks*256; i += 100 {
+				f.AddBatch(refs[i:min(i+100, chunks*256)])
+			}
+			f.Close()
+		})
+	}
+	few, many := allocs(8), allocs(64)
+	if many > few {
+		t.Errorf("a FanOut over 64 chunks allocates %.0f times, over 8 chunks %.0f", many, few)
+	}
+}
+
+// BenchmarkLineRuns is the run finder alone on a synthetic stream in
+// which two references in five continue the previous one's run (real
+// traces: 0.49–0.74 runs per reference), in chunks of the fan-out's
+// default size.
+func BenchmarkLineRuns(b *testing.B) {
+	refs := synthRefs(defaultChunkRefs)
+	for i := range refs {
+		if i%5 >= 3 {
+			refs[i] = refs[i-1]
+			refs[i].Addr ^= 1
+		}
+	}
+	runs := LineRuns(refs, nil)
+	b.ResetTimer()
+	for range b.N {
+		runs = LineRuns(refs, runs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/ref")
+	b.ReportMetric(float64(len(runs)-1)/float64(len(refs)), "runs/ref")
 }

@@ -27,7 +27,9 @@
 // stream must be terminated with Close, which flushes buffered chunks
 // and blocks until every consumer has drained; consumer state may only
 // be read after Close returns. Buffer.ReplayAll packages the common
-// case: one buffered trace, many concurrent consumers, one pass.
+// case: one buffered trace, many concurrent consumers, one pass. A
+// consumer that is a RunSink also gets each chunk's same-line runs
+// (LineRuns), found once by the producer for every such consumer.
 //
 // # On-disk forms
 //
