@@ -451,7 +451,11 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := trace.ReadStream(bytes.NewReader(data), trace.Discard)
+		cr, err := trace.NewChunkReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := cr.Replay(trace.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

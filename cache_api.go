@@ -37,11 +37,6 @@ func (t *Trace) ReplayAll(cfgs []CacheConfig) ([]CacheStats, error) {
 	return cache.SimulateAll(t.buf, cfgs)
 }
 
-// WriteTo serializes the trace in the legacy fixed-record binary
-// format ("RWT1", 8 bytes per reference). Prefer WriteCompact for new
-// files: it is roughly 4× smaller and CRC-protected.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.buf.WriteTo(w) }
-
 // WriteCompact serializes the trace in the compact chunked format
 // ("RWT2": delta/varint encoded, CRC-protected chunks, self-describing
 // header — see docs/TRACE_FORMAT.md). meta carries the run parameters
@@ -51,12 +46,11 @@ func (t *Trace) WriteCompact(w io.Writer, meta TraceMeta) error {
 	return t.buf.WriteCompact(w, meta)
 }
 
-// ReadTrace parses a binary trace file in either format — the legacy
-// fixed-record "RWT1" or the compact chunked "RWT2" — sniffing the
-// magic bytes.
+// ReadTrace parses a compact trace file ("RWT2"), as WriteCompact
+// writes it.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	buf := &trace.Buffer{}
-	if _, err := buf.ReadFrom(r); err != nil {
+	buf, _, err := trace.ReadCompact(r)
+	if err != nil {
 		return nil, err
 	}
 	return &Trace{buf: buf}, nil

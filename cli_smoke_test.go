@@ -453,6 +453,48 @@ func TestCLICachesimRejectsTraceWiderThanMachine(t *testing.T) {
 	}
 }
 
+// TestCLITraceFileIsCompactWhateverTheSuffix pins the one trace file
+// format: rapwam -trace writes RWT2 at any path, cachesim reads it the
+// same from either name, and a file in the fixed-record format older
+// builds wrote is refused with the reader's error, not a panic.
+func TestCLITraceFileIsCompactWhateverTheSuffix(t *testing.T) {
+	dir := t.TempDir()
+	var files, sweeps []string
+	for _, name := range []string{"q4.rwt", "q4.rwt2"} {
+		path := filepath.Join(dir, name)
+		if code, out := runCLI(t, "rapwam", "-bench", "qsort", "-p", "4", "-trace", path); code != 0 {
+			t.Fatalf("rapwam -trace %s: exit %d\n%s", name, code, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), "RWT2") {
+			t.Errorf("rapwam -trace %s wrote a file starting %q, want RWT2", name, data[:min(4, len(data))])
+		}
+		code, out := runCLI(t, "cachesim", "-sweep", "-pes", "4", path)
+		if code != 0 {
+			t.Fatalf("cachesim -sweep %s: exit %d\n%s", name, code, out)
+		}
+		files, sweeps = append(files, string(data)), append(sweeps, out)
+	}
+	if files[0] != files[1] {
+		t.Errorf("the .rwt and .rwt2 traces differ (%d and %d bytes)", len(files[0]), len(files[1]))
+	}
+	if sweeps[0] != sweeps[1] {
+		t.Errorf("cachesim -sweep differs between the .rwt and .rwt2 traces:\n%s\n%s", sweeps[0], sweeps[1])
+	}
+	// Magic, a reference count of one, one 8-byte record.
+	old := filepath.Join(dir, "old.rwt")
+	if err := os.WriteFile(old, []byte("RWT1\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runCLI(t, "cachesim", "-sweep", "-pes", "4", old)
+	if code == 0 || !strings.Contains(out, "not a compact trace") || strings.Contains(out, "goroutine") {
+		t.Errorf("cachesim on a fixed-record trace: exit %d, want non-zero with the reader's error\n%s", code, out)
+	}
+}
+
 func TestCLIHelpDocumentsFlags(t *testing.T) {
 	for _, tc := range []struct {
 		bin      string

@@ -8,8 +8,8 @@
 //	cachesim -sweep -pes 8 trace.rwt     # paper-style size sweep
 //	cachesim -tracedir traces -bench qsort -pes 8 -sweep
 //
-// The trace argument may be either binary format (legacy "RWT1" or
-// compact "RWT2"; the magic is sniffed). Alternatively -tracedir DIR
+// The trace argument is a compact trace file ("RWT2", as rapwam -trace
+// and the trace store write it). Alternatively -tracedir DIR
 // with -bench NAME pulls the trace from a persistent trace store,
 // generating and storing it on first use (-seqtrace selects the
 // sequential WAM baseline cell).
@@ -185,8 +185,7 @@ func main() {
 }
 
 // loadTrace loads the trace main resolved: the (store, benchmark) cell,
-// generated on first use, or the file argument (either binary format,
-// sniffed).
+// generated on first use, or the file argument (a compact trace).
 func loadTrace(ctx context.Context, traceDir string, b rapwam.Benchmark, pes int, sequential bool) (*rapwam.Trace, error) {
 	if traceDir != "" {
 		store, err := rapwam.OpenTraceStore(traceDir)

@@ -13,10 +13,10 @@
 // The program file contains Prolog clauses with optional CGE
 // annotations: (conds | g1 & g2) or plain g1 & g2.
 //
-// -trace writes the memory-reference trace: a path ending in .rwt2
-// selects the compact chunked codec (delta/varint encoded,
-// CRC-protected — see docs/TRACE_FORMAT.md); any other path writes
-// the legacy fixed-record format. cmd/cachesim reads both.
+// -trace writes the memory-reference trace in the compact chunked
+// format ("RWT2": delta/varint encoded, CRC-protected — see
+// docs/TRACE_FORMAT.md), whatever the path's suffix; cmd/cachesim
+// reads it.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, for
 // working on the emulator hot path:
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro"
 
@@ -177,20 +176,14 @@ func report(res *rapwam.Result, stats bool) {
 	}
 }
 
-// writeTrace serializes the trace: .rwt2 paths get the compact chunked
-// codec, everything else the legacy fixed-record format.
+// writeTrace serializes the trace in the compact chunked format.
 func writeTrace(tr *rapwam.Trace, path string, meta rapwam.TraceMeta) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".rwt2") {
-		err = tr.WriteCompact(f, meta)
-	} else {
-		_, err = tr.WriteTo(f)
-	}
-	if err != nil {
+	if err := tr.WriteCompact(f, meta); err != nil {
 		fatal(err)
 	}
 }

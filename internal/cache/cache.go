@@ -45,18 +45,13 @@
 //
 // SimulateAll and SimulateAllStream do not build one simulator per
 // configuration (planSims, replay.go). A write-through-invalidate cache
-// holds the same lines in the same LRU order as the write-in broadcast
-// cache of the same geometry and allocation policy, so it shares that
-// simulator and its Stats are derived. And fully associative write-in
-// broadcast, hybrid or copyback configurations that differ only in
-// SizeWords share one multi-size structure (multisize.go): perfect-LRU
-// caches under one allocation policy obey inclusion, so one recency
-// list per PE, with each line tagged by the smallest size holding it
-// and coherence state kept per size, yields every size's Stats in one
-// pass at about one simulator's cost. Classes do not span allocation
-// policies (inclusion fails there), line sizes, PE counts or
-// associativities, and write-through broadcast is not
-// residency-equivalent to anything; a Sim used as a trace.Sink
+// holds the same lines in the same LRU order as its write-in broadcast
+// twin, so it shares that simulator and its Stats are derived. Fully
+// associative write-in broadcast, hybrid or copyback configurations
+// that differ only in SizeWords share one multi-size structure
+// (multisize.go): perfect-LRU caches under one allocation policy obey
+// inclusion, so one recency list per PE yields every size's Stats in
+// one pass at about one simulator's cost. A Sim used as a trace.Sink
 // simulates itself.
 package cache
 

@@ -65,21 +65,24 @@ import (
 // write-through word. So invalidation removes a remote entry whole, and
 // Invalidations is a histogram over the remote tag.
 //
-// Per-protocol state, with H the sizes that hit and Q those that miss:
+// One loop (AddRuns) serves every protocol, and it branches on the
+// protocol in three places: only write-in broadcast snoops on a read
+// miss and on a write, and hybrid Global writes take a path of their
+// own. A hybrid Local or copyback write (hybrid on one PE) is thus a
+// write-in broadcast write with no snoop, on a line never Shared. With
+// H the sizes that hit and Q those that miss:
 //
-//   - Write-in broadcast. A miss at Q snoops: each remote holder tagged
-//     m_r supplies the line at X = {k >= m_r} ∩ Q, writing back once
-//     per size in X ∩ mod_r, and is left clean and Shared at X; a read
-//     fills Shared at the sizes some remote supplied, Exclusive at the
-//     rest. A write spends one bus word per size in shr ∩ H, removes
-//     every remote copy (an allocating miss snoops first), dirties H,
-//     and fills Q dirty under write-allocate or sends one word to
-//     memory per size in Q.
-//   - Hybrid. Only mod matters. A read fills Q clean. A Global write
-//     sends one word at every size, removes every remote copy and
-//     fills Q clean under write-allocate; a Local write dirties H and
-//     fills Q dirty or sends one word per size in Q.
-//   - Copyback is hybrid's Local path on one PE.
+//   - A read miss fills Q clean. Under write-in broadcast it snoops
+//     first: each remote holder tagged m_r supplies the line at
+//     X = {k >= m_r} ∩ Q, writing back once per size in X ∩ mod_r, and
+//     is left clean and Shared at X; the read fills Shared at the sizes
+//     some remote supplied, Exclusive at the rest.
+//   - A write spends one bus word per size in shr ∩ H, dirties H, and
+//     fills Q dirty under write-allocate or sends one word to memory
+//     per size in Q. Under write-in broadcast it first removes every
+//     remote copy (an allocating miss snoops for the line).
+//   - A hybrid Global write sends one word at every size, removes every
+//     remote copy, and fills Q clean under write-allocate.
 //
 // Write-through is served from the write-in broadcast structure by
 // writeThroughStats, per size, as for a single Sim.
@@ -91,24 +94,20 @@ import (
 //
 // # Runs
 //
-// Like Sim (batch.go) the structure is a trace.RunSink, and each kernel
-// keeps one loop in which a run of k — back-to-back references by one
-// PE, of one operation and Global/Local class, to one four-word block —
-// is one reference in full and a closed-form repeat of k−1. Nothing
-// else touches the line in between, and no remote copy survives the
-// first write. After a read the line is tagged 0, resident at every
-// size and at the list head, so the rest only count. After a write the
-// line is dirty and private at every size that holds it, so the rest
-// are silent there, and where the first write missed without
-// allocating, each repeat misses the same sizes: writeMiss[m] and,
-// for copyback data, wordMiss[m], or for hybrid Global data a global
-// word. Both kernels try the PE's list head before the index. Lines
+// Like Sim (batch.go) the structure is a trace.RunSink: its loop takes
+// a run of k as one reference in full and a closed-form repeat of k−1.
+// Nothing else touches the line in between, and no remote copy
+// survives the first write. After a read the line is tagged 0,
+// resident at every size and at the list head, so the rest only count.
+// After a write the line is dirty and private at every size that holds
+// it, so the rest are silent there, and where the first write missed
+// without allocating, each repeat misses the same sizes: writeMiss[m]
+// and wordMiss[m], or for hybrid Global data a global word. Lines
 // shorter than the block ignore the runs.
 //
-// The recency-list code repeats assocCache's (assoc.go): the list
-// operations are a few lines each, and the finger repair around them is
-// this structure's own. The page index is shared. Like Sim's replay
-// loop this one allocates nothing once warm.
+// The recency-list code repeats assocCache's (assoc.go), with finger
+// repair of its own; the page index is shared. Like Sim's replay loop
+// this one allocates nothing once warm.
 
 // maxSizes is the most sizes one multiSim serves: per-size state is a
 // uint8 bitmask. planSims splits larger classes.
@@ -204,41 +203,16 @@ func (s *multiSim) AddBatch(refs []trace.Ref) { s.AddRuns(refs, nil) }
 // AddRuns processes a batch of references cut into runs
 // (trace.RunSink); the slices are treated as read-only. Lines shorter
 // than a run's block ignore the runs.
+//
+//rapwam:hotpath
 func (s *multiSim) AddRuns(refs []trace.Ref, runs []int32) {
 	if s.cfg.LineWords < trace.RunWords {
 		runs = nil
 	}
-	if s.cfg.Protocol == WriteInBroadcast {
-		s.replayWriteInBroadcast(refs, runs)
-	} else {
-		s.replayHybrid(refs, runs)
-	}
-}
-
-// stats assembles size k's statistics from the histograms.
-func (s *multiSim) stats(k int) Stats {
-	st := Stats{Refs: s.refs, Reads: s.refs - s.writes, Writes: s.writes}
-	st.WriteBacks = s.writeBacks[k]
-	st.WriteThroughs = s.globalWords
-	for m := k + 1; m <= len(s.caps); m++ {
-		st.ReadMisses += s.readMiss[m]
-		st.WriteMisses += s.writeMiss[m]
-		st.WriteThroughs += s.wordMiss[m]
-	}
-	for m := 0; m <= k; m++ {
-		st.Invalidations += s.invalidated[m]
-	}
-	st.LineFills = st.ReadMisses
-	if s.cfg.WriteAllocate {
-		st.LineFills += st.WriteMisses
-	}
-	st.BusWords = (st.LineFills+st.WriteBacks)*int64(s.cfg.LineWords) + st.WriteThroughs + s.sharedHits[k]
-	return st
-}
-
-//rapwam:hotpath
-func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 	npes, shift, wa := s.cfg.PEs, s.lineShift, s.cfg.WriteAllocate
+	// The three protocol branches (see the file comment).
+	snoops := s.dir != nil && s.cfg.Protocol == WriteInBroadcast
+	hybrid := s.cfg.Protocol == Hybrid
 	absent := len(s.caps)
 	all := uint8(uint(1)<<uint(absent) - 1)
 	var nRefs, nWrites int64
@@ -280,7 +254,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 			}
 			s.readMiss[m]++
 			var supplied uint8
-			if s.dir != nil {
+			if snoops {
 				supplied = s.snoop(pe, line, miss, false)
 			}
 			e = s.fill(c, e, line, m)
@@ -290,6 +264,27 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 			continue
 		}
 		nWrites += int64(k)
+		if hybrid && r.Obj.Global() {
+			// Written through at every size; the bus word invalidates
+			// remote copies and never dirties a present line. The rest
+			// of the run writes through too, with nothing left to
+			// invalidate, and misses where the first did not allocate.
+			s.globalWords += int64(k)
+			if s.dir != nil {
+				s.snoop(pe, line, 0, true)
+			}
+			if m != 0 {
+				s.writeMiss[m]++
+				if wa {
+					e = s.fill(c, e, line, m)
+					c.slab[e].mod &^= miss
+				} else {
+					s.writeMiss[m] += rep
+				}
+			}
+			continue
+		}
+		// Write-in broadcast, or hybrid Local data and copyback: never Shared.
 		hit := all &^ miss
 		shared := c.slab[e].shr & hit // hit is empty when e is the sentinel
 		if m == 0 && shared == 0 {
@@ -301,7 +296,7 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 		for b := shared; b != 0; b &= b - 1 {
 			s.sharedHits[bits.TrailingZeros8(b)]++
 		}
-		if s.dir != nil {
+		if snoops {
 			// No remote copy survives the write; an allocating miss
 			// fetches first, so dirty remote copies write back at the
 			// sizes that miss.
@@ -335,91 +330,25 @@ func (s *multiSim) replayWriteInBroadcast(refs []trace.Ref, runs []int32) {
 	s.writes += nWrites
 }
 
-//rapwam:hotpath
-func (s *multiSim) replayHybrid(refs []trace.Ref, runs []int32) {
-	npes, shift, wa := s.cfg.PEs, s.lineShift, s.cfg.WriteAllocate
-	copyback := s.cfg.Protocol == Copyback
-	absent := len(s.caps)
-	all := uint8(uint(1)<<uint(absent) - 1)
-	var nRefs, nWrites int64
-	k := 1 // the run's length; runs[0] is its start
-	for i := 0; i < len(refs); i += k {
-		r := refs[i]
-		if len(runs) > 1 {
-			k = int(runs[1] - runs[0])
-			runs = runs[1:]
-		}
-		rep := int64(k - 1) // the run's references after the first
-		pe := int(r.PE)
-		if pe >= npes {
-			continue
-		}
-		line := int32(r.Addr >> shift)
-		nRefs += int64(k)
-		c := &s.pes[pe]
-		e := c.mru // the head first, as under write-in broadcast
-		if c.slab[e].line != line {
-			if e = c.idx.lookup(line); e != 0 {
-				c.promote(e, absent)
-			}
-		}
-		m := absent
-		if e != 0 {
-			m = int(c.slab[e].m)
-		}
-		miss := uint8(uint(1)<<uint(m) - 1) // the sizes below m
-		if r.Op == trace.OpRead {
-			// As under write-in broadcast, the rest of a read run only
-			// counts.
-			if m == 0 {
-				continue
-			}
-			s.readMiss[m]++
-			e = s.fill(c, e, line, m)
-			c.slab[e].mod &^= miss
-			continue
-		}
-		nWrites += int64(k)
-		if !copyback && r.Obj.Global() {
-			// Written through at every size; the bus word invalidates
-			// remote copies and never dirties a present line. The rest
-			// of the run writes through too, with nothing left to
-			// invalidate, and misses where the first did not allocate.
-			s.globalWords += int64(k)
-			if s.dir != nil {
-				s.snoop(pe, line, 0, true)
-			}
-			if m != 0 {
-				s.writeMiss[m]++
-				if wa {
-					e = s.fill(c, e, line, m)
-					c.slab[e].mod &^= miss
-				} else {
-					s.writeMiss[m] += rep
-				}
-			}
-			continue
-		}
-		// Local data: copyback, no coherency actions. Once dirty at
-		// every size the rest of the run is silent.
-		if m == 0 {
-			c.slab[e].mod = all
-			continue
-		}
-		s.writeMiss[m]++
-		if wa {
-			e = s.fill(c, e, line, m)
-			c.slab[e].mod = all
-		} else {
-			s.writeMiss[m] += rep
-			s.wordMiss[m] += int64(k)
-			if e != 0 {
-				c.slab[e].mod |= all &^ miss
-			}
-		}
+// stats assembles size k's statistics from the histograms.
+func (s *multiSim) stats(k int) Stats {
+	st := Stats{Refs: s.refs, Reads: s.refs - s.writes, Writes: s.writes}
+	st.WriteBacks = s.writeBacks[k]
+	st.WriteThroughs = s.globalWords
+	for m := k + 1; m <= len(s.caps); m++ {
+		st.ReadMisses += s.readMiss[m]
+		st.WriteMisses += s.writeMiss[m]
+		st.WriteThroughs += s.wordMiss[m]
 	}
-	s.refs += nRefs
-	s.writes += nWrites
+	for m := 0; m <= k; m++ {
+		st.Invalidations += s.invalidated[m]
+	}
+	st.LineFills = st.ReadMisses
+	if s.cfg.WriteAllocate {
+		st.LineFills += st.WriteMisses
+	}
+	st.BusWords = (st.LineFills+st.WriteBacks)*int64(s.cfg.LineWords) + st.WriteThroughs + s.sharedHits[k]
+	return st
 }
 
 // snoop visits every cache other than pe that holds line. Each holder

@@ -19,9 +19,9 @@ package trace
 //
 // Emission order is preserved exactly: chunks concatenate to the
 // original stream, so replaying a decoded trace is bit-identical to
-// replaying the live engine's stream. Compared to the fixed 8-byte
-// legacy records (file.go), RAP-WAM traces encode in roughly 2 bytes
-// per reference because consecutive same-PE references are address-
+// replaying the live engine's stream. Compared to fixed 8-byte
+// records, RAP-WAM traces encode in roughly 2 bytes per reference
+// because consecutive same-PE references are address-
 // local (stack discipline) and PE switches come in runs.
 
 import (
@@ -35,6 +35,10 @@ import (
 
 // compactMagic opens a compact chunked trace file.
 var compactMagic = [4]byte{'R', 'W', 'T', '2'}
+
+// maxRefs bounds declared reference counts on decode, rejecting
+// implausible headers before allocating.
+const maxRefs = 1 << 31
 
 // CodecVersion is the version byte written into compact trace headers.
 // It changes only when the byte-level encoding changes incompatibly;

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -147,51 +148,43 @@ type addFunc func(Ref)
 
 func (f addFunc) Add(r Ref) { f(r) }
 
-func TestCompactSniffing(t *testing.T) {
+// TestCompactReadEntryPoints reads one trace through both read entry
+// points: ReadCompact materializes it, ChunkReader.Replay streams it
+// into a BatchSink.
+func TestCompactReadEntryPoints(t *testing.T) {
 	refs := synthTrace(5000, 4)
-	enc := encodeCompact(t, refs, Meta{Benchmark: "sniff", PEs: 4, EmulatorVersion: "t"})
+	enc := encodeCompact(t, refs, Meta{Benchmark: "entry", PEs: 4, EmulatorVersion: "t"})
 
-	// Buffer.ReadFrom sniffs the compact magic.
-	var b Buffer
-	if _, err := b.ReadFrom(bytes.NewReader(enc)); err != nil {
-		t.Fatalf("ReadFrom(compact): %v", err)
-	}
-	if len(b.Refs) != len(refs) {
-		t.Fatalf("ReadFrom decoded %d refs, want %d", len(b.Refs), len(refs))
-	}
-
-	// ReadStream sniffs too.
-	var c Counter
-	n, err := ReadStream(bytes.NewReader(enc), &c)
+	b, meta, err := ReadCompact(bytes.NewReader(enc))
 	if err != nil {
-		t.Fatalf("ReadStream(compact): %v", err)
+		t.Fatalf("ReadCompact: %v", err)
 	}
-	if n != int64(len(refs)) || c.Total() != int64(len(refs)) {
-		t.Fatalf("ReadStream delivered %d refs, counter %d", n, c.Total())
+	if !slices.Equal(b.Refs, refs) || meta.Refs != int64(len(refs)) {
+		t.Fatalf("ReadCompact decoded %d refs (header %d), want %d", len(b.Refs), meta.Refs, len(refs))
 	}
 
-	// The legacy format still round-trips through the same entry points.
-	var legacy bytes.Buffer
-	if _, err := (&Buffer{Refs: refs}).WriteTo(&legacy); err != nil {
+	cr, err := NewChunkReader(bytes.NewReader(enc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var lb Buffer
-	if _, err := lb.ReadFrom(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Fatalf("ReadFrom(legacy): %v", err)
+	var c Counter
+	n, err := cr.Replay(&c)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
-	if len(lb.Refs) != len(refs) {
-		t.Fatalf("legacy decoded %d refs", len(lb.Refs))
+	if n != int64(len(refs)) || c.Total() != int64(len(refs)) {
+		t.Fatalf("Replay delivered %d refs, counter %d", n, c.Total())
 	}
 }
 
 func TestCompactSize(t *testing.T) {
 	refs := synthTrace(100000, 8)
 	enc := encodeCompact(t, refs, Meta{Benchmark: "size", PEs: 8, EmulatorVersion: "t"})
-	legacyBytes := 12 + 8*len(refs)
-	if len(enc) >= legacyBytes {
-		t.Fatalf("compact encoding %d bytes is not smaller than legacy %d", len(enc), legacyBytes)
+	fixedBytes := 8 * len(refs)
+	if len(enc) >= fixedBytes {
+		t.Fatalf("compact encoding %d bytes is not smaller than 8-byte records' %d", len(enc), fixedBytes)
 	}
-	t.Logf("compact: %.2f bytes/ref (legacy: 8)", float64(len(enc))/float64(len(refs)))
+	t.Logf("compact: %.2f bytes/ref (fixed records: 8)", float64(len(enc))/float64(len(refs)))
 }
 
 // TestCompactCorruption flips every byte of a small encoded trace in
@@ -228,6 +221,9 @@ func TestCompactTruncation(t *testing.T) {
 	refs := synthTrace(20000, 4)
 	enc := encodeCompact(t, refs, Meta{Benchmark: "trunc", PEs: 4, EmulatorVersion: "t"})
 	for _, cut := range []int{1, 3, 10, 100, len(enc) / 2, len(enc) - 1} {
+		if _, _, err := ReadCompact(bytes.NewReader(enc[:cut])); err == nil {
+			t.Fatalf("ReadCompact: truncation at %d of %d bytes not detected", cut, len(enc))
+		}
 		cr, err := NewChunkReader(bytes.NewReader(enc[:cut]))
 		if err != nil {
 			continue // truncated inside the header: good

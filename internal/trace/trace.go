@@ -11,7 +11,7 @@
 // # The trace stream and the Sink contract
 //
 // A trace is an ordered stream of Refs. Producers (the engine, Buffer
-// replay, ReadStream) deliver the stream to a Sink by calling Add once
+// replay, ChunkReader.Replay) deliver the stream to a Sink by calling Add once
 // per reference, in emission order, from a single goroutine. A Sink
 // implementation may therefore be entirely unsynchronized; it only has
 // to tolerate one caller. Sinks that can consume whole batches more
@@ -31,16 +31,14 @@
 // consumer that is a RunSink also gets each chunk's same-line runs
 // (LineRuns), found once by the producer for every such consumer.
 //
-// # On-disk forms
+// # On-disk form
 //
-// Two binary formats exist, sniffed by magic at every read entry
-// point (Buffer.ReadFrom, ReadStream): the legacy fixed 8-byte record
-// format ("RWT1", file.go) and the compact chunked codec ("RWT2",
+// One binary format exists: the compact chunked codec ("RWT2",
 // codec.go — delta/varint encoded, CRC-protected, streaming in both
 // directions; specified in docs/TRACE_FORMAT.md). ChunkWriter encodes
 // a live stream without knowing its length; ChunkReader.Replay
 // decodes chunk by chunk into any Sink, so traces larger than memory
-// replay in constant space. The persistent trace store built on the
+// replay in constant space, and ReadCompact materializes a Buffer. The persistent trace store built on the
 // compact codec lives in internal/tracestore.
 package trace
 

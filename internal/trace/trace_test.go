@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -231,12 +232,12 @@ func TestFileRoundTrip(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if err := b.WriteCompact(&buf, Meta{PEs: 8}); err != nil {
+		t.Fatalf("WriteCompact: %v", err)
 	}
-	var back Buffer
-	if _, err := back.ReadFrom(&buf); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+	back, _, err := ReadCompact(&buf)
+	if err != nil {
+		t.Fatalf("ReadCompact: %v", err)
 	}
 	if len(back.Refs) != len(b.Refs) {
 		t.Fatalf("round trip: %d refs, want %d", len(back.Refs), len(b.Refs))
@@ -249,9 +250,11 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestFileRejectsBadMagic(t *testing.T) {
-	var back Buffer
-	if _, err := back.ReadFrom(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
-		t.Error("ReadFrom accepted bad magic")
+	if _, _, err := ReadCompact(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
+		t.Error("ReadCompact accepted bad magic")
+	}
+	if _, err := NewChunkReader(bytes.NewReader([]byte("XXXX\x02\x00\x00\x00"))); err == nil || !strings.Contains(err.Error(), "not a compact trace") {
+		t.Errorf("NewChunkReader on bad magic: %v, want a not-a-compact-trace error", err)
 	}
 }
 
@@ -264,11 +267,11 @@ func TestRefRoundTripProperty(t *testing.T) {
 		}
 		b := Buffer{Refs: []Ref{r}}
 		var buf bytes.Buffer
-		if _, err := b.WriteTo(&buf); err != nil {
+		if err := b.WriteCompact(&buf, Meta{PEs: int(pe) + 1}); err != nil {
 			return false
 		}
-		var back Buffer
-		if _, err := back.ReadFrom(&buf); err != nil {
+		back, _, err := ReadCompact(&buf)
+		if err != nil {
 			return false
 		}
 		return len(back.Refs) == 1 && back.Refs[0] == r
@@ -286,43 +289,6 @@ func TestAreaStrings(t *testing.T) {
 	}
 	if AreaHeap.String() != "heap" {
 		t.Errorf("AreaHeap = %q", AreaHeap.String())
-	}
-}
-
-func TestReadStreamAcceptsBufferFiles(t *testing.T) {
-	b := Buffer{Refs: []Ref{
-		{Addr: 1, PE: 0, Op: OpRead, Obj: ObjHeap},
-		{Addr: 2, PE: 3, Op: OpWrite, Obj: ObjTrail},
-		{Addr: 99, PE: 7, Op: OpRead, Obj: ObjGoalFrame},
-	}}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got []Ref
-	n, err := ReadStream(&buf, sinkFunc(func(r Ref) { got = append(got, r) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("read %d refs", n)
-	}
-	for i, want := range b.Refs {
-		if got[i] != want {
-			t.Errorf("ref %d: %v != %v", i, got[i], want)
-		}
-	}
-}
-
-func TestReadStreamDetectsTruncation(t *testing.T) {
-	b := Buffer{Refs: []Ref{{Addr: 5, Obj: ObjHeap}, {Addr: 6, Obj: ObjPDL}}}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-8] // drop one record
-	if _, err := ReadStream(bytes.NewReader(trunc), Discard); err == nil {
-		t.Error("truncated stream accepted")
 	}
 }
 
