@@ -210,8 +210,9 @@ func BenchmarkReplayFanOut(b *testing.B) {
 // BenchmarkReplayFigure4Cell replays qsort at 8 PEs through what one
 // Figure 4 cell asks of the simulator: 3 protocols × 8 sizes under the
 // paper's allocation policy, 24 configurations that the planner serves
-// from 4 multi-size structures. index-B is their residency indexes'
-// bytes at capacity after a replay.
+// from 2 multi-size structures, one per protocol with both allocation
+// policies. structures is that count (cache.Simulators) and index-B
+// their residency indexes' bytes at capacity after a replay.
 func BenchmarkReplayFigure4Cell(b *testing.B) {
 	bm, _ := BenchmarkByName("qsort")
 	tr, err := TraceBenchmark(context.Background(), bm, 8, false)
@@ -242,6 +243,7 @@ func BenchmarkReplayFigure4Cell(b *testing.B) {
 	}
 	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
 	b.ReportMetric(float64(indexBytes(sims...)), "index-B")
+	b.ReportMetric(float64(cache.Simulators(cfgs)), "structures")
 }
 
 // BenchmarkReplaySetAssocFanOut is replay-large's sa shape on qsort at

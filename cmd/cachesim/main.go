@@ -19,8 +19,8 @@
 // -par bounds the configurations per pass. Within a pass a size's
 // write-through and write-in broadcast configurations are simulated as
 // one (same residency, derived statistics), and a protocol's sizes
-// under one allocation policy share one multi-size structure: 4
-// structures for the paper's policy, 2 with -allocate yes or no.
+// share one multi-size structure whatever their allocation policy: 2
+// structures for the 24-config sweep under -allocate paper, yes or no.
 //
 // -pes must cover the trace: a trace holding references from PEs the
 // simulated machine lacks is rejected, not silently thinned.

@@ -48,10 +48,11 @@
 // holds the same lines in the same LRU order as its write-in broadcast
 // twin, so it shares that simulator and its Stats are derived. Fully
 // associative write-in broadcast, hybrid or copyback configurations
-// that differ only in SizeWords share one multi-size structure
-// (multisize.go): perfect-LRU caches under one allocation policy obey
-// inclusion, so one recency list per PE yields every size's Stats in
-// one pass at about one simulator's cost. A Sim used as a trace.Sink
+// that differ only in SizeWords and WriteAllocate share one multi-size
+// structure (multisize.go): every perfect-LRU cache's order is the
+// PE's one recency list restricted to its contents, whichever policy
+// fills it, so one list per PE yields every (size, policy) slot's Stats
+// in one pass at about one simulator's cost. A Sim used as a trace.Sink
 // simulates itself.
 package cache
 

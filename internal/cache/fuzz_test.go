@@ -14,10 +14,15 @@ import (
 
 // fuzzMultiSizeCase decodes fuzz input into a multi-size class and a
 // reference stream: a 3-byte header (PE count 1–8; allocation policy,
-// protocol, the far flag and the runs flag; line size and size count
-// 2–6), one byte per size (ascending, 1–60 lines), then the references
-// as fuzzRefs reads them.
-func fuzzMultiSizeCase(data []byte) (cfg Config, sizes []int, refs []trace.Ref, ok bool) {
+// protocol, the far flag, the runs flag and the mixed flag; line size
+// and size count 2–6), one byte per size (ascending, 1–60 lines), then
+// the references as fuzzRefs reads them. Without the mixed flag every
+// size takes the header's allocation policy and each size byte adds
+// 1–10 lines. With it, a size byte's top bit is that size's policy and
+// its low seven bits add 0–9 lines: a size may repeat the previous one
+// when the repeat allocates and the previous does not (planSims' slot
+// order), and otherwise adds at least one line.
+func fuzzMultiSizeCase(data []byte) (cfg Config, sizes []cacheSize, refs []trace.Ref, ok bool) {
 	if len(data) < 3 {
 		return Config{}, nil, nil, false
 	}
@@ -34,14 +39,29 @@ func fuzzMultiSizeCase(data []byte) (cfg Config, sizes []int, refs []trace.Ref, 
 	if len(data) < 3+n {
 		return Config{}, nil, nil, false
 	}
+	mixed := data[1]&fuzzMixedFlag != 0
 	lines := 0
 	for _, b := range data[3 : 3+n] {
-		lines += 1 + int(b%10)
-		sizes = append(sizes, lines*cfg.LineWords)
+		size := cacheSize{allocate: cfg.WriteAllocate}
+		step := 1 + int(b%10)
+		if mixed {
+			size.allocate = b&0x80 != 0
+			step = int(b&0x7f) % 10
+			if step == 0 && (lines == 0 || sizes[len(sizes)-1].allocate || !size.allocate) {
+				step = 1
+			}
+		}
+		lines += step
+		size.words = lines * cfg.LineWords
+		sizes = append(sizes, size)
 	}
 	far := data[1]>>3&1 != 0
 	return cfg, sizes, fuzzRefs(data[3+n:], far, data[1]&fuzzRunsFlag != 0, cfg), true
 }
+
+// fuzzMixedFlag is the header bit, byte 1 of fuzzMultiSizeCase, that
+// gives each size an allocation policy of its own.
+const fuzzMixedFlag = 1 << 6
 
 // fuzzRunsFlag is the header bit, byte 1 of both decoders, that makes
 // back-to-back references to one four-word block common (fuzzRefs).
@@ -291,6 +311,29 @@ func multiSizeRunSeeds() [][]byte {
 	return seeds
 }
 
+// multiSizeMixedSeeds are FuzzMultiSizeMatchesSim's seeds with the
+// mixed flag, each protocol's twice. First the stream that breaks
+// inclusion across allocation policies (TestMixedAllocationPoliciesShareExactly:
+// R a, R b, W x, W y, R a on one PE, one-word lines) through a 2-line
+// no-allocate cache and 3-line caches under both policies; then 4 PEs
+// sharing with the runs flag through 1 and 3 lines without allocation
+// and 2 and 5 lines with it, four-word lines.
+func multiSizeMixedSeeds() [][]byte {
+	var seeds [][]byte
+	for proto := range byte(3) {
+		// 1: one-word lines, 2 + 1%5 sizes; 0x80 repeats 3 lines, allocating.
+		inclusion := []byte{0, fuzzMixedFlag | proto<<1, 1, 2, 1, 0x80, 0, 0, 1, 0, 2, 1 << 3, 3, 1 << 3, 0, 0}
+		pes := byte(3)
+		if proto == 2 { // copyback
+			pes = 0
+		}
+		// 2<<6 | 2: four-word lines, 2 + 2%5 sizes.
+		sharing := []byte{pes, fuzzMixedFlag | fuzzRunsFlag | proto<<1, 2<<6 | 2, 1, 0x81, 1, 0x82}
+		seeds = append(seeds, inclusion, append(sharing, fuzzRunBody(150)...))
+	}
+	return seeds
+}
+
 // FuzzSimMatchesReference: whatever the configuration and the stream,
 // Sim equals the reference simulator (refsim_test.go) on Stats, on the
 // per-PE bus and reference vectors, and on Stats after Flush — fed as
@@ -381,11 +424,11 @@ func FuzzSimMatchesReference(f *testing.F) {
 // batch or the batch with the trace package's runs (AddRuns). The
 // committed corpus holds the stream that separates allocation policies
 // (plan_test.go) under each policy and small sharing streams under
-// each protocol; the seeds added here share far lines or set the runs
-// flag.
+// each protocol; the seeds added here share far lines, set the runs
+// flag or give each size its own allocation policy.
 func FuzzMultiSizeMatchesSim(f *testing.F) {
 	f.Add(multiSizeFarSeed())
-	for _, seed := range multiSizeRunSeeds() {
+	for _, seed := range slices.Concat(multiSizeRunSeeds(), multiSizeMixedSeeds()) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -397,7 +440,7 @@ func FuzzMultiSizeMatchesSim(f *testing.F) {
 		multi.AddBatch(refs)
 		runs.AddRuns(refs, trace.LineRuns(refs, nil))
 		for k, size := range sizes {
-			cfg.SizeWords = size
+			cfg.SizeWords, cfg.WriteAllocate = size.words, size.allocate
 			sim := New(cfg)
 			sim.AddBatch(refs)
 			for _, run := range []struct {
@@ -405,7 +448,7 @@ func FuzzMultiSizeMatchesSim(f *testing.F) {
 				multi *multiSim
 			}{{"batch", multi}, {"runs", runs}} {
 				if got, want := run.multi.stats(k), sim.Stats(); got != want {
-					t.Errorf("%s of sizes %v over %d references, %s:\nmulti-size %+v\n       Sim %+v", cfg.Key(), sizes, len(refs), run.path, got, want)
+					t.Errorf("%s of sizes %+v over %d references, %s:\nmulti-size %+v\n       Sim %+v", cfg.Key(), sizes, len(refs), run.path, got, want)
 				}
 			}
 		}
@@ -413,13 +456,15 @@ func FuzzMultiSizeMatchesSim(f *testing.F) {
 }
 
 // TestFuzzSeedsDecodeAsBefore: the far flag, the narrowed protocol
-// byte and the runs flag leave every seed that predates them — both
-// targets' near and far seeds and the committed FuzzMultiSizeMatchesSim
-// corpus — decoding to the config and references it did before they
-// existed: one reference per two body bytes, its word placed by
-// fuzzAddr from the first (the line byte itself without the far flag)
-// and its PE, operation and object tag read from the second, and the
-// protocol the header's byte 1 >> 1, mod the protocol count.
+// byte, the runs flag and the mixed flag leave every seed that predates
+// them — both targets' near and far seeds and the committed
+// FuzzMultiSizeMatchesSim corpus — decoding to the config and
+// references it did before they existed: one reference per two body
+// bytes, its word placed by fuzzAddr from the first (the line byte
+// itself without the far flag) and its PE, operation and object tag
+// read from the second, the protocol the header's byte 1 >> 1, mod the
+// protocol count, and every size 1–10 lines above the last under the
+// header's allocation policy.
 func TestFuzzSeedsDecodeAsBefore(t *testing.T) {
 	decodesAsBefore := func(name string, body []byte, far bool, refs []trace.Ref, cfg Config) {
 		if len(refs) != len(body)/2 {
@@ -455,11 +500,21 @@ func TestFuzzSeedsDecodeAsBefore(t *testing.T) {
 		}
 		decodesAsBefore("sim far seed "+strconv.Itoa(i), data[4:], true, refs, cfg)
 	}
+	sizesAsBefore := func(name string, data []byte, cfg Config, sizes []cacheSize) {
+		lines := 0
+		for k, b := range data[3 : 3+len(sizes)] {
+			lines += 1 + int(b%10)
+			if want := (cacheSize{lines * cfg.LineWords, data[1]&1 != 0}); sizes[k] != want {
+				t.Fatalf("%s: size %d is %+v, want %+v", name, k, sizes[k], want)
+			}
+		}
+	}
 	far := multiSizeFarSeed()
 	cfg, sizes, refs, ok := fuzzMultiSizeCase(far)
 	if !ok {
 		t.Fatal("the multi-size far seed does not decode")
 	}
+	sizesAsBefore("multi-size far seed", far, cfg, sizes)
 	decodesAsBefore("multi-size far seed", far[3+len(sizes):], true, refs, cfg)
 	dir := filepath.Join("testdata", "fuzz", "FuzzMultiSizeMatchesSim")
 	files, err := os.ReadDir(dir)
@@ -482,6 +537,7 @@ func TestFuzzSeedsDecodeAsBefore(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: does not decode", file.Name())
 		}
+		sizesAsBefore(file.Name(), data, cfg, sizes)
 		decodesAsBefore(file.Name(), data[3+len(sizes):], data[1]>>3&1 != 0, refs, cfg)
 	}
 }

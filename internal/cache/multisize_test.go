@@ -21,7 +21,8 @@ var figure4Sizes = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // sizeSweep is every multi-size protocol (write-through rides on
 // write-in broadcast; copyback on one PE only) × both allocation
-// policies at each size: one class per protocol and policy.
+// policies at each size: one class per protocol, whose slots mix the
+// policies.
 func sizeSweep(pes, lineWords int, sizes []int) []Config {
 	protos := []Protocol{WriteInBroadcast, WriteThrough, Hybrid}
 	if pes == 1 {
@@ -38,6 +39,15 @@ func sizeSweep(pes, lineWords int, sizes []int) []Config {
 		}
 	}
 	return cfgs
+}
+
+// uniform is words under one allocation policy, as a multiSim's slots.
+func uniform(words []int, allocate bool) []cacheSize {
+	sizes := make([]cacheSize, len(words))
+	for k, w := range words {
+		sizes[k] = cacheSize{w, allocate}
+	}
+	return sizes
 }
 
 // checkMultiSize compares SimulateAll's Stats for cfgs — which must
@@ -115,15 +125,24 @@ func TestMultiSizeMatchesReferenceUnderHeavySharing(t *testing.T) {
 }
 
 // TestMultiSizeStructureStaysConsistent cross-checks the bookkeeping the
-// kernel relies on after a full replay: per PE and size, the resident
+// kernel relies on after a full replay: per PE and slot, the resident
 // count and the LRU finger against the recency list, capacity, the
-// table against the list, and the snoop directory against both.
+// table against the list, and the snoop directory against both — under
+// each allocation policy and with the policies mixed.
 func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 	buf := sharingTrace(7, 4, 600, 40, 60_000)
-	sizes := []int{8, 16, 64, 256}
+	words := []int{8, 16, 64, 256}
 	for _, p := range []Protocol{WriteInBroadcast, Hybrid} {
-		for _, wa := range []bool{false, true} {
-			s := newMultiSim(Config{PEs: 4, LineWords: 4, Protocol: p, WriteAllocate: wa}, sizes)
+		for _, policy := range []struct {
+			name  string
+			sizes []cacheSize
+		}{
+			{"no-allocate", uniform(words, false)},
+			{"allocate", uniform(words, true)},
+			{"mixed", []cacheSize{{8, false}, {16, false}, {16, true}, {64, true}, {256, false}}},
+		} {
+			sizes, wa := policy.sizes, policy.name
+			s := newMultiSim(Config{PEs: 4, LineWords: 4, Protocol: p}, sizes)
 			s.AddBatch(buf.Refs)
 			held := 0
 			for pe := range s.pes {
@@ -132,20 +151,24 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 				for e := c.slab[0].next; e != 0; e = c.slab[e].next {
 					ent := c.slab[e]
 					held++
+					if ent.in == 0 {
+						t.Fatalf("%v %s pe %d: line %d is listed in no slot", p, wa, pe, ent.line)
+					}
 					if c.idx.lookup(ent.line) != e {
-						t.Fatalf("%v wa=%v pe %d: line %d is listed but the table does not find it", p, wa, pe, ent.line)
+						t.Fatalf("%v %s pe %d: line %d is listed but the table does not find it", p, wa, pe, ent.line)
 					}
 					if s.dir.holders(ent.line)&(1<<uint(pe)) == 0 {
-						t.Fatalf("%v wa=%v pe %d: line %d is held but the directory does not know", p, wa, pe, ent.line)
+						t.Fatalf("%v %s pe %d: line %d is held but the directory does not know", p, wa, pe, ent.line)
 					}
-					for k := int(ent.m); k < len(sizes); k++ {
+					for b := ent.in; b != 0; b &= b - 1 {
+						k := bits.TrailingZeros8(b)
 						cnt[k]++
 						lru[k] = e
 					}
 				}
 				for k := range sizes {
 					if c.cnt[k] != cnt[k] || cnt[k] > s.caps[k] || (cnt[k] > 0 && c.lru[k] != lru[k]) {
-						t.Errorf("%v wa=%v pe %d size %d: cnt %d lru %d, the list says %d and %d (capacity %d)",
+						t.Errorf("%v %s pe %d slot %d: cnt %d lru %d, the list says %d and %d (capacity %d)",
 							p, wa, pe, k, c.cnt[k], c.lru[k], cnt[k], lru[k], s.caps[k])
 					}
 				}
@@ -155,7 +178,7 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 				dirBits += bits.OnesCount64(mask)
 			}
 			if dirBits != held {
-				t.Errorf("%v wa=%v: directory tracks %d holder bits, caches hold %d lines", p, wa, dirBits, held)
+				t.Errorf("%v %s: directory tracks %d holder bits, caches hold %d lines", p, wa, dirBits, held)
 			}
 		}
 	}
@@ -173,7 +196,7 @@ func TestMultiSizeSteadyStateAllocsZero(t *testing.T) {
 			refs, pes = seqBuf.Refs, 1
 		}
 		for _, wa := range []bool{false, true} {
-			s := newMultiSim(Config{PEs: pes, LineWords: 4, Protocol: p, WriteAllocate: wa}, []int{64, 256, 1024})
+			s := newMultiSim(Config{PEs: pes, LineWords: 4, Protocol: p}, uniform([]int{64, 256, 1024}, wa))
 			s.AddBatch(refs) // warm: every size full
 			if n := testing.AllocsPerRun(3, func() { s.AddBatch(refs) }); n != 0 {
 				t.Errorf("%v wa=%v: batch replay allocates %.0f times per run, want 0", p, wa, n)

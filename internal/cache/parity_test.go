@@ -285,7 +285,7 @@ func TestRunsMatchPerReference(t *testing.T) {
 				}
 				cfg := Config{PEs: pes, LineWords: lw, Protocol: p, WriteAllocate: wa}
 				sizes := []int{16 * lw, 64 * lw, 256 * lw}
-				want, got := newMultiSim(cfg, sizes), newMultiSim(cfg, sizes)
+				want, got := newMultiSim(cfg, uniform(sizes, wa)), newMultiSim(cfg, uniform(sizes, wa))
 				want.AddBatch(buf.Refs)
 				feed(got, buf.Refs)
 				for k := range sizes {

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -37,7 +38,10 @@ func TestPlanSims(t *testing.T) {
 	at := func(p Protocol, wa bool, size int) Config {
 		return Config{PEs: 8, SizeWords: size, LineWords: 4, Protocol: p, WriteAllocate: wa}
 	}
-	unit := func(cfg Config, sizes ...int) simUnit { return simUnit{cfg: cfg, sizes: sizes} }
+	unit := func(cfg Config, sizes ...int) simUnit {
+		return simUnit{cfg: cfg, sizes: uniform(sizes, cfg.WriteAllocate)}
+	}
+	mixed := func(cfg Config, sizes ...cacheSize) simUnit { return simUnit{cfg: cfg, sizes: sizes} }
 	wib, hyb, wt := at(WriteInBroadcast, true, 1024), at(Hybrid, true, 1024), at(WriteThrough, true, 1024)
 	sa := wib
 	sa.Assoc = 2
@@ -58,13 +62,13 @@ func TestPlanSims(t *testing.T) {
 		{"write-through alone", []Config{wt}, []simUnit{unit(wib, 1024)}, []simSlot{{0, 0}}},
 		{"duplicate", []Config{hyb, hyb}, []simUnit{unit(hyb, 1024)}, []simSlot{{0, 0}, {0, 0}}},
 		{"allocation differs", []Config{wib, at(WriteThrough, false, 1024)},
-			[]simUnit{unit(wib, 1024), unit(at(WriteInBroadcast, false, 1024), 1024)}, []simSlot{{0, 0}, {1, 0}}},
+			[]simUnit{mixed(at(WriteInBroadcast, false, 1024), cacheSize{1024, false}, cacheSize{1024, true})}, []simSlot{{0, 1}, {0, 0}}},
 		{"sizes share a structure, in any order", []Config{wt, at(WriteInBroadcast, true, 512), at(WriteThrough, true, 4096), wib},
 			[]simUnit{unit(at(WriteInBroadcast, true, 512), 512, 1024, 4096)}, []simSlot{{0, 1}, {0, 0}, {0, 2}, {0, 1}}},
 		{"table 3 cell", []Config{{PEs: 1, SizeWords: 512, LineWords: 4, Protocol: Copyback, WriteAllocate: true}, {PEs: 1, SizeWords: 1024, LineWords: 4, Protocol: Copyback, WriteAllocate: true}},
 			[]simUnit{unit(Config{PEs: 1, SizeWords: 512, LineWords: 4, Protocol: Copyback, WriteAllocate: true}, 512, 1024)}, []simSlot{{0, 0}, {0, 1}}},
-		{"sizes of different policies stay apart", []Config{at(Hybrid, false, 512), hyb, at(Hybrid, false, 64)},
-			[]simUnit{unit(at(Hybrid, false, 64), 64, 512), unit(hyb, 1024)}, []simSlot{{0, 1}, {1, 0}, {0, 0}}},
+		{"sizes of different policies share a structure", []Config{at(Hybrid, false, 512), hyb, at(Hybrid, false, 64)},
+			[]simUnit{mixed(at(Hybrid, false, 64), cacheSize{64, false}, cacheSize{512, false}, cacheSize{1024, true})}, []simSlot{{0, 1}, {0, 2}, {0, 0}}},
 		{"line size and PE count are part of the class", []Config{wib, {PEs: 8, SizeWords: 512, LineWords: 8, Protocol: WriteInBroadcast, WriteAllocate: true}, {PEs: 4, SizeWords: 512, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}},
 			[]simUnit{unit(wib, 1024), unit(Config{PEs: 8, SizeWords: 512, LineWords: 8, Protocol: WriteInBroadcast, WriteAllocate: true}, 512), unit(Config{PEs: 4, SizeWords: 512, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}, 512)},
 			[]simSlot{{0, 0}, {1, 0}, {2, 0}}},
@@ -86,27 +90,30 @@ func TestPlanSims(t *testing.T) {
 	}
 
 	// A Figure 4 cell: write-in broadcast (with write-through riding on
-	// it) allocates from 512 words, hybrid from 1024, so each protocol
-	// splits into two classes at its policy boundary.
+	// it) allocates from 512 words, hybrid from 1024; each protocol's
+	// eight sizes share one structure across its policy boundary.
 	units, _ := planSims(figure4Request(8))
 	want := []simUnit{
-		unit(at(WriteInBroadcast, false, 64), 64, 128, 256),
-		unit(at(WriteInBroadcast, true, 512), 512, 1024, 2048, 4096, 8192),
-		unit(at(Hybrid, false, 64), 64, 128, 256, 512),
-		unit(at(Hybrid, true, 1024), 1024, 2048, 4096, 8192),
+		mixed(at(WriteInBroadcast, false, 64), slices.Concat(uniform([]int{64, 128, 256}, false), uniform([]int{512, 1024, 2048, 4096, 8192}, true))...),
+		mixed(at(Hybrid, false, 64), slices.Concat(uniform([]int{64, 128, 256, 512}, false), uniform([]int{1024, 2048, 4096, 8192}, true))...),
 	}
 	if !reflect.DeepEqual(units, want) {
 		t.Errorf("Figure 4 cell: planSims = %v, want %v", units, want)
 	}
+	for _, pes := range []int{1, 2, 4, 8} {
+		if n := Simulators(figure4Request(pes)); n != 2 {
+			t.Errorf("Figure 4 cell at %d PEs: %d simulators, want 2", pes, n)
+		}
+	}
 }
 
-// TestMixedAllocationPoliciesDoNotShare is the reason WriteAllocate is
-// part of the class key: LRU inclusion fails between a small
-// no-write-allocate cache and a larger write-allocate one. After
-// R a, R b, W x, W y the 2-line cache still holds a (its writes
-// allocated nothing) and the 3-line cache has evicted it, so the final
-// R a hits the small cache and misses the large one.
-func TestMixedAllocationPoliciesDoNotShare(t *testing.T) {
+// TestMixedAllocationPoliciesShareExactly: LRU inclusion fails between
+// a small no-write-allocate cache and a larger write-allocate one, and
+// the two still share one structure exactly. After R a, R b, W x, W y
+// the 2-line cache still holds a (its writes allocated nothing) and the
+// 3-line cache has evicted it, so the final R a hits the small cache
+// and misses the large one.
+func TestMixedAllocationPoliciesShareExactly(t *testing.T) {
 	small := Config{PEs: 1, SizeWords: 8, LineWords: 4, Protocol: WriteInBroadcast}
 	large := Config{PEs: 1, SizeWords: 12, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}
 	const a, b, x, y = 0, 4, 8, 12
@@ -118,8 +125,8 @@ func TestMixedAllocationPoliciesDoNotShare(t *testing.T) {
 	for _, p := range []Protocol{WriteInBroadcast, WriteThrough, Hybrid, Copyback} {
 		small.Protocol, large.Protocol = p, p
 		cfgs := []Config{small, large}
-		if n := Simulators(cfgs); n != 2 {
-			t.Errorf("%v: %d simulators for two allocation policies, want 2", p, n)
+		if n := Simulators(cfgs); n != 1 {
+			t.Errorf("%v: %d simulators for two allocation policies, want 1", p, n)
 		}
 		together, err := SimulateAll(buf, cfgs)
 		if err != nil {
@@ -267,11 +274,11 @@ func TestSimulateAllTogetherEqualsAlone(t *testing.T) {
 		{"qsort@8", parityTrace(t, "qsort", 8, false), 8},
 		{"sharing@4", sharingTrace(99, 4, 64, 50, 100_000), 4},
 	} {
-		// The whole Figure 4 request, with a duplicate, on 4 structures.
+		// The whole Figure 4 request, with a duplicate, on 2 structures.
 		cfgs := figure4Request(tr.pes)
 		cfgs = append(cfgs, cfgs[20])
-		if n := Simulators(cfgs); n != 4 {
-			t.Fatalf("%s: %d simulators for a Figure 4 cell, want 4", tr.name, n)
+		if n := Simulators(cfgs); n != 2 {
+			t.Fatalf("%s: %d simulators for a Figure 4 cell, want 2", tr.name, n)
 		}
 		together, err := SimulateAll(tr.buf, cfgs)
 		if err != nil {
@@ -302,8 +309,7 @@ func TestSimulateAllTogetherEqualsAlone(t *testing.T) {
 			t.Errorf("%s: as a pair %+v, in the group %+v %+v", tr.name, pair, together[4], together[20])
 		}
 		// Three of the eight sizes already stored: the other five run
-		// without them — write-in broadcast's 64 words on a lone Sim, the
-		// rest on smaller structures.
+		// without them, on smaller structures.
 		var rest []Config
 		var at []int
 		for i, cfg := range cfgs[:24] {

@@ -34,9 +34,10 @@ func SimulateAll(buf *trace.Buffer, cfgs []Config) ([]Stats, error) {
 // from disk without materializing them.
 //
 // The plan (planSims) simulates a WriteThrough configuration as its
-// WriteInBroadcast twin and the fully associative sizes of a class
-// with one multi-size structure (multisize.go). Any other structure is
-// a Sim, a lone size's too: a one-size multiSim pays for promote, a
+// WriteInBroadcast twin and the fully associative sizes of a class,
+// under either allocation policy, with one multi-size structure
+// (multisize.go): a Figure 4 cell's 24 configurations are 2 structures,
+// one per protocol. Any other structure is a Sim, a lone size's too: a one-size multiSim pays for promote, a
 // call with finger repair where Sim inlines its relink, and on qsort@8
 // one size per class (the 8 Figure 4 groups of {write-in broadcast,
 // hybrid, write-through}) replayed 12 % slower, in 12 of 12 pairs.
@@ -81,11 +82,12 @@ func Simulators(cfgs []Config) int {
 }
 
 // simUnit is one structure of a simulation plan: cfg at each of sizes
-// (words, ascending, distinct; cfg.SizeWords is sizes[0]). One size is
-// served by a Sim, several by a multiSim.
+// (distinct, ascending by words, a no-allocate slot before an
+// allocating one of the same size; cfg.SizeWords and cfg.WriteAllocate
+// are sizes[0]'s). One size is served by a Sim, several by a multiSim.
 type simUnit struct {
 	cfg   Config
-	sizes []int
+	sizes []cacheSize
 }
 
 // simSlot locates a requested configuration's statistics in a plan.
@@ -121,17 +123,17 @@ type simSlot struct {
 // updates remote copies instead of invalidating them.
 //
 // Rule 2: fully associative residency classes under WriteInBroadcast,
-// Hybrid or Copyback that are equal but for SizeWords — same PEs,
-// LineWords and WriteAllocate — share one multi-size structure, up to
-// maxSizes sizes each. The argument is in multisize.go; it needs one
-// allocation policy (a no-write-allocate cache can keep a line its
-// larger write-allocate neighbour evicted), and nothing asks for
-// set-indexed or update-protocol size sweeps, so those stay apart.
+// Hybrid or Copyback that are equal but for SizeWords and WriteAllocate
+// — same PEs and LineWords — share one multi-size structure, up to
+// maxSizes (size, policy) slots each. The argument is in multisize.go:
+// every slot's LRU order is the PE's one recency list restricted to its
+// contents, whichever policy fills it. Nothing asks for set-indexed or
+// update-protocol size sweeps, so those stay apart.
 func planSims(cfgs []Config) (units []simUnit, slot []simSlot) {
 	type class struct {
-		cfg   Config // SizeWords zeroed when sizes may share a structure
-		sizes []int  // distinct, sorted before the split
-		first int    // the class's first unit
+		cfg   Config      // SizeWords and WriteAllocate zeroed when sizes may share a structure
+		sizes []cacheSize // distinct, sorted before the split
+		first int         // the class's first unit
 	}
 	var classes []class
 	index := make(map[Config]int, len(cfgs))
@@ -140,9 +142,9 @@ func planSims(cfgs []Config) (units []simUnit, slot []simSlot) {
 		if cfg.Protocol == WriteThrough {
 			cfg.Protocol = WriteInBroadcast
 		}
-		size := cfg.SizeWords
+		size := cacheSize{cfg.SizeWords, cfg.WriteAllocate}
 		if cfg.Assoc == 0 && cfg.Protocol != WriteThroughBroadcast {
-			cfg.SizeWords = 0
+			cfg.SizeWords, cfg.WriteAllocate = 0, false
 		}
 		j, ok := index[cfg]
 		if !ok {
@@ -157,21 +159,35 @@ func planSims(cfgs []Config) (units []simUnit, slot []simSlot) {
 	}
 	for j := range classes {
 		c := &classes[j]
-		slices.Sort(c.sizes)
+		slices.SortFunc(c.sizes, compareSizes)
 		c.first = len(units)
 		for lo := 0; lo < len(c.sizes); lo += maxSizes {
 			u := simUnit{cfg: c.cfg, sizes: c.sizes[lo:min(lo+maxSizes, len(c.sizes))]}
-			u.cfg.SizeWords = u.sizes[0]
+			u.cfg.SizeWords, u.cfg.WriteAllocate = u.sizes[0].words, u.sizes[0].allocate
 			units = append(units, u)
 		}
 	}
 	slot = make([]simSlot, len(cfgs))
 	for i, cfg := range cfgs {
 		c := &classes[of[i]]
-		k, _ := slices.BinarySearch(c.sizes, cfg.SizeWords)
+		k, _ := slices.BinarySearchFunc(c.sizes, cacheSize{cfg.SizeWords, cfg.WriteAllocate}, compareSizes)
 		slot[i] = simSlot{unit: c.first + k/maxSizes, size: k % maxSizes}
 	}
 	return units, slot
+}
+
+// compareSizes orders slots by size, no-allocate first.
+func compareSizes(a, b cacheSize) int {
+	if a.words != b.words {
+		return a.words - b.words
+	}
+	if a.allocate == b.allocate {
+		return 0
+	}
+	if b.allocate {
+		return -1
+	}
+	return 1
 }
 
 // writeThroughStats derives a write-through-invalidate cache's

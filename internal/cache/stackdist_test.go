@@ -74,7 +74,7 @@ func TestMultiSizeMatchesStackDistances(t *testing.T) {
 				t.Parallel()
 				reads, writes := stackDistances(refs, 2, maxLines, wa)
 				cfg := Config{PEs: 1, LineWords: 4, Protocol: Copyback, WriteAllocate: wa}
-				perRef, byRuns := newMultiSim(cfg, figure4Sizes), newMultiSim(cfg, figure4Sizes)
+				perRef, byRuns := newMultiSim(cfg, uniform(figure4Sizes, wa)), newMultiSim(cfg, uniform(figure4Sizes, wa))
 				perRef.AddBatch(refs)
 				byRuns.AddRuns(refs, trace.LineRuns(refs, nil))
 				for k, size := range figure4Sizes {

@@ -602,20 +602,25 @@ func NewChunkReader(r io.Reader) (*ChunkReader, error) {
 func (cr *ChunkReader) Meta() Meta { return cr.meta }
 
 // Replay decodes every chunk into the sink and verifies the footer. The
-// sink receives references in exact emission order; a BatchSink gets
-// one freshly allocated batch per chunk (safe to hand to the fan-out
-// dispatcher, which shares batches across consumers asynchronously).
-// Replay returns the number of references delivered.
+// sink receives references in exact emission order. A Buffer gets each
+// chunk decoded straight into its tail; a StableBatchSink one freshly
+// allocated batch per chunk (safe to hand to the fan-out dispatcher,
+// which shares batches across consumers asynchronously); any other
+// sink one batch, reused for every chunk, as the BatchSink contract
+// allows. Replay returns the number of references delivered.
 func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 	if cr.done {
 		return 0, fmt.Errorf("trace: ChunkReader.Replay called twice")
 	}
 	cr.done = true
+	buf, isBuffer := sink.(*Buffer)
 	bs, isBatch := sink.(BatchSink)
 	// Decoded chunks are freshly allocated and never touched again, so
 	// a stable-batch consumer (e.g. the fan-out dispatcher) may retain
 	// and share them without the defensive copy AddBatch would make.
 	sbs, isStable := sink.(StableBatchSink)
+	var batch []Ref // the reused batch of a sink that keeps none
+	var crc [4]byte // a chunk's CRC: it escapes, so one per Replay, not per chunk
 	var total int64
 	perPE := make([]int64, cr.meta.PEs)
 	for {
@@ -636,7 +641,6 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		if payloadLen < refCount || payloadLen > refCount*maxEncodedRefBytes {
 			return total, fmt.Errorf("trace: chunk payload %d bytes implausible for %d refs", payloadLen, refCount)
 		}
-		var crc [4]byte
 		if err := cr.r.full(crc[:]); err != nil {
 			return total, fmt.Errorf("trace: reading chunk CRC at ref %d: %w", total, err)
 		}
@@ -650,12 +654,28 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		if got := crc32.ChecksumIEEE(payload); got != binary.LittleEndian.Uint32(crc[:]) {
 			return total, fmt.Errorf("trace: chunk CRC mismatch at ref %d (corrupt file)", total)
 		}
-		refs, err := decodeChunk(payload, int(refCount), cr.meta.PEs, perPE)
-		if err != nil {
+		n := int(refCount)
+		var refs []Ref
+		switch {
+		case isBuffer:
+			// The tail becomes part of the Buffer only once it decodes.
+			buf.reserve(n)
+			refs = buf.Refs[len(buf.Refs) : len(buf.Refs)+n]
+		case isStable:
+			refs = make([]Ref, n)
+		default:
+			if cap(batch) < n {
+				batch = make([]Ref, n)
+			}
+			refs = batch[:n]
+		}
+		if err := decodeChunk(refs, payload, cr.meta.PEs, perPE); err != nil {
 			return total, fmt.Errorf("trace: chunk at ref %d: %w", total, err)
 		}
-		total += int64(len(refs))
-		if isStable {
+		total += int64(n)
+		if isBuffer {
+			buf.Refs = buf.Refs[:len(buf.Refs)+n]
+		} else if isStable {
 			sbs.AddBatchStable(refs)
 		} else if isBatch {
 			bs.AddBatch(refs)
@@ -689,7 +709,6 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		footPerPE[i] = int64(v)
 		body = appendUvarint(body, v)
 	}
-	var crc [4]byte
 	if err := cr.r.full(crc[:]); err != nil {
 		return total, fmt.Errorf("trace: reading footer CRC: %w", err)
 	}
@@ -712,16 +731,17 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 	return total, nil
 }
 
-// decodeChunk decodes one chunk payload into a freshly allocated batch,
-// accumulating per-PE counts. The payload must contain exactly refCount
-// references and no trailing bytes.
+// decodeChunk decodes one chunk payload into refs, accumulating per-PE
+// counts; on error refs holds garbage and the counts are untouched. The
+// payload must contain exactly len(refs) references and no trailing
+// bytes.
 //
 // Fast path: while eight bytes remain, a reference whose address delta
 // takes at most three varint bytes (almost all of them) decodes from
 // one 8-byte load under every check of the general path; anything else
 // goes through the general path, which decodes it or reports the error.
-func decodeChunk(payload []byte, refCount, pes int, perPE []int64) ([]Ref, error) {
-	refs := make([]Ref, refCount)
+func decodeChunk(refs []Ref, payload []byte, pes int, perPE []int64) error {
+	refCount := len(refs)
 	var prevAddr [256]uint32
 	var counts [256]int64
 	prevPE := -1
@@ -761,33 +781,33 @@ func decodeChunk(payload []byte, refCount, pes int, perPE []int64) ([]Ref, error
 			}
 		}
 		if pos >= len(payload) {
-			return nil, fmt.Errorf("payload exhausted at ref %d of %d", i, refCount)
+			return fmt.Errorf("payload exhausted at ref %d of %d", i, refCount)
 		}
 		tag := payload[pos]
 		pos++
 		if tag&0x80 != 0 {
-			return nil, fmt.Errorf("reserved tag bit set at ref %d", i)
+			return fmt.Errorf("reserved tag bit set at ref %d", i)
 		}
 		pe := prevPE
 		if tag&tagSamePE == 0 {
 			if pos >= len(payload) {
-				return nil, fmt.Errorf("payload exhausted reading PE at ref %d", i)
+				return fmt.Errorf("payload exhausted reading PE at ref %d", i)
 			}
 			pe = int(payload[pos])
 			pos++
 			prevPE = pe
 		}
 		if pe < 0 || pe >= pes {
-			return nil, fmt.Errorf("PE %d out of range at ref %d", pe, i)
+			return fmt.Errorf("PE %d out of range at ref %d", pe, i)
 		}
 		delta, n := binary.Uvarint(payload[pos:])
 		if n <= 0 {
-			return nil, fmt.Errorf("bad address varint at ref %d", i)
+			return fmt.Errorf("bad address varint at ref %d", i)
 		}
 		pos += n
 		addr := int64(prevAddr[pe]) + unzigzag(delta)
 		if addr < 0 || addr > int64(^uint32(0)) {
-			return nil, fmt.Errorf("address %d out of range at ref %d", addr, i)
+			return fmt.Errorf("address %d out of range at ref %d", addr, i)
 		}
 		op := OpRead
 		if tag&tagOpWrite != 0 {
@@ -804,12 +824,12 @@ func decodeChunk(payload []byte, refCount, pes int, perPE []int64) ([]Ref, error
 		counts[pe]++
 	}
 	if pos != len(payload) {
-		return nil, fmt.Errorf("%d trailing bytes after %d refs", len(payload)-pos, refCount)
+		return fmt.Errorf("%d trailing bytes after %d refs", len(payload)-pos, refCount)
 	}
 	for p := range perPE {
 		perPE[p] += counts[p]
 	}
-	return refs, nil
+	return nil
 }
 
 // WriteCompact serializes the buffer in the compact chunked format.

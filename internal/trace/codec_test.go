@@ -256,6 +256,59 @@ func TestChunkWriterRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestReplayAllocatesNoBatchPerChunk: only a StableBatchSink may keep
+// a decoded chunk, so any other sink gets one reused batch and a Buffer
+// gets each chunk decoded into its tail. Replaying 16 chunks into
+// Discard or a Counter, or loading them with ReadCompact, allocates
+// what 2 chunks do.
+func TestReplayAllocatesNoBatchPerChunk(t *testing.T) {
+	chunk := synthTrace(codecChunkRefs, 4)
+	encode := func(chunks int) []byte {
+		var refs []Ref
+		for range chunks {
+			refs = append(refs, chunk...)
+		}
+		// The header declares the count, as a stored trace's does, so
+		// ReadCompact sizes the Buffer once.
+		return encodeCompact(t, refs, Meta{PEs: 4, EmulatorVersion: "t", Refs: int64(len(refs))})
+	}
+	few, many := encode(2), encode(16)
+	for _, tc := range []struct {
+		name string
+		load func(enc []byte) error
+	}{
+		{"Discard", func(enc []byte) error {
+			cr, err := NewChunkReader(bytes.NewReader(enc))
+			if err == nil {
+				_, err = cr.Replay(Discard)
+			}
+			return err
+		}},
+		{"Counter", func(enc []byte) error {
+			cr, err := NewChunkReader(bytes.NewReader(enc))
+			if err == nil {
+				_, err = cr.Replay(new(Counter))
+			}
+			return err
+		}},
+		{"ReadCompact", func(enc []byte) error {
+			_, _, err := ReadCompact(bytes.NewReader(enc))
+			return err
+		}},
+	} {
+		allocs := func(enc []byte) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := tc.load(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(few), allocs(many); a != b {
+			t.Errorf("%s: %.0f allocations for 2 chunks, %.0f for 16: one per chunk", tc.name, a, b)
+		}
+	}
+}
+
 func TestReplayTwiceRejected(t *testing.T) {
 	enc := encodeCompact(t, synthTrace(10, 2), Meta{PEs: 2, EmulatorVersion: "t"})
 	cr, err := NewChunkReader(bytes.NewReader(enc))

@@ -194,7 +194,8 @@ func FuzzDecodeChunkMatchesReference(f *testing.F) {
 		// cost the allocation before "payload exhausted".
 		n, pes := int(refCount)%(len(payload)+2), int(pesMinus1)+1
 		gotPE, wantPE := make([]int64, pes), make([]int64, pes)
-		got, gotErr := decodeChunk(payload, n, pes, gotPE)
+		got := make([]Ref, n)
+		gotErr := decodeChunk(got, payload, pes, gotPE)
 		want, wantErr := decodeChunkReference(payload, n, pes, wantPE)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("decodeChunk: %v; reference: %v", gotErr, wantErr)
