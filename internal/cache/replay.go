@@ -36,11 +36,12 @@ func SimulateAll(buf *trace.Buffer, cfgs []Config) ([]Stats, error) {
 // The plan (planSims) simulates a WriteThrough configuration as its
 // WriteInBroadcast twin and the fully associative sizes of a class,
 // under either allocation policy, with one multi-size structure
-// (multisize.go): a Figure 4 cell's 24 configurations are 2 structures,
-// one per protocol. Any other structure is a Sim, a lone size's too: a one-size multiSim pays for promote, a
-// call with finger repair where Sim inlines its relink, and on qsort@8
-// one size per class (the 8 Figure 4 groups of {write-in broadcast,
-// hybrid, write-through}) replayed 12 % slower, in 12 of 12 pairs.
+// (multisize.go): a Figure 4 cell's 24 configurations are 2
+// structures, one per protocol. Any other structure is a Sim, a lone
+// size's too: a one-size multiSim pays for promote, a call with finger
+// repair where Sim inlines its relink, and on qsort@8 one size per
+// class (the 8 Figure 4 groups of {write-in broadcast, hybrid,
+// write-through}) replayed 12 % slower, in 12 of 12 pairs.
 func SimulateAllStream(cfgs []Config, replay func(sinks []trace.Sink) error) ([]Stats, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {

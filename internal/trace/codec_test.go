@@ -304,7 +304,7 @@ func TestReplayAllocatesNoBatchPerChunk(t *testing.T) {
 			})
 		}
 		if a, b := allocs(few), allocs(many); a != b {
-			t.Errorf("%s: %.0f allocations for 2 chunks, %.0f for 16: one per chunk", tc.name, a, b)
+			t.Errorf("%s: %.0f allocations for 2 chunks, %.0f for 16: they grow with the chunks", tc.name, a, b)
 		}
 	}
 }
