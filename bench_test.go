@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/tracestore"
 )
 
 // BenchmarkTable1Classify exercises the Table 1 object classification on
@@ -263,6 +265,44 @@ func BenchmarkReplaySetAssocFanOut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.ReplayAll(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "simrefs/s")
+}
+
+// BenchmarkStreamReplayFanOut is replay-large's streamed shape on qsort
+// at 8 PEs: a stored trace in an in-memory store, decoded chunk by
+// chunk straight into one fan-out's ring, runs marked as it decodes,
+// for replay-large's fully associative group at 1024 words (write-in
+// broadcast, hybrid and write-through, which the planner serves with 2
+// Sims). B/op and allocs/op count the store read, the decoder, the
+// fan-out and the simulators, and stay flat in the trace's length: no
+// batch is made per chunk.
+func BenchmarkStreamReplayFanOut(b *testing.B) {
+	bm, _ := BenchmarkByName("qsort")
+	tr, err := TraceBenchmark(context.Background(), bm, 8, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := tracestore.NewOn(storage.NewMem())
+	k := TraceStoreKey("qsort", 8, false)
+	if err := store.Put(k, func(sink trace.Sink) error { tr.Replay(sink); return nil }); err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []CacheConfig
+	for _, proto := range []Protocol{WriteInBroadcast, Hybrid, WriteThrough} {
+		cfgs = append(cfgs, CacheConfig{PEs: 8, SizeWords: 1024, LineWords: 4, Protocol: proto, WriteAllocate: PaperWriteAllocate(proto, 1024)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.SimulateAllStream(cfgs, func(sinks []trace.Sink) error {
+			f := trace.NewFanOut(trace.FanOutConfig{}, sinks...)
+			_, err := store.Replay(k, f)
+			f.Close()
+			return err
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

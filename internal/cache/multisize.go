@@ -436,6 +436,9 @@ func (s *multiSim) fill(c *msCache, e, line int32, f uint8) int32 {
 		// Slot k is full: its LRU line v leaves it. The walk ends at e
 		// at the latest.
 		v := c.lru[k]
+		if v == 0 {
+			panic(staleFinger[k])
+		}
 		ve := &c.slab[v]
 		if ve.mod>>uint(k)&1 != 0 {
 			s.writeBacks[k]++
@@ -452,6 +455,22 @@ func (s *multiSim) fill(c *msCache, e, line int32, f uint8) int32 {
 		c.idx.set(line, e)
 	}
 	return e
+}
+
+// staleFinger is fill's panic when a full slot's LRU finger is the list
+// sentinel, which only a finger-repair bug can leave there: evicting the
+// sentinel would clear its in bits, and the next towardHead would walk
+// the list forever. A constant per slot, so that a broken structure
+// fails at once, naming the slot.
+var staleFinger = [maxSizes]string{
+	"cache: multi-size slot 0 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 1 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 2 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 3 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 4 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 5 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 6 is full but its LRU finger is the list sentinel",
+	"cache: multi-size slot 7 is full but its LRU finger is the list sentinel",
 }
 
 // towardHead returns the nearest entry at or before f, toward the list

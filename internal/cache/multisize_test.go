@@ -129,6 +129,23 @@ func TestMultiSizeMatchesReferenceUnderHeavySharing(t *testing.T) {
 // count and the LRU finger against the recency list, capacity, the
 // table against the list, and the snoop directory against both — under
 // each allocation policy and with the policies mixed.
+// TestStaleFingerPanics: a full slot whose LRU finger has gone stale
+// and points at the list sentinel makes the next fill panic, naming the
+// slot, instead of evicting the sentinel and looping in towardHead.
+func TestStaleFingerPanics(t *testing.T) {
+	s := newMultiSim(Config{PEs: 1, LineWords: 4, Protocol: WriteInBroadcast}, uniform([]int{8, 16}, true))
+	for line := range uint32(4) {
+		s.Add(trace.Ref{Addr: line * 4, Op: trace.OpRead, Obj: trace.ObjHeap})
+	}
+	s.pes[0].lru[1] = 0 // slot 1 (16 words, 4 lines) is full
+	defer func() {
+		if got := recover(); got != staleFinger[1] {
+			t.Errorf("panic %v, want %q", got, staleFinger[1])
+		}
+	}()
+	s.Add(trace.Ref{Addr: 4 * 4, Op: trace.OpRead, Obj: trace.ObjHeap})
+}
+
 func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 	buf := sharingTrace(7, 4, 600, 40, 60_000)
 	words := []int{8, 16, 64, 256}

@@ -602,25 +602,33 @@ func NewChunkReader(r io.Reader) (*ChunkReader, error) {
 func (cr *ChunkReader) Meta() Meta { return cr.meta }
 
 // Replay decodes every chunk into the sink and verifies the footer. The
-// sink receives references in exact emission order. A Buffer gets each
-// chunk decoded straight into its tail; a StableBatchSink one freshly
-// allocated batch per chunk (safe to hand to the fan-out dispatcher,
-// which shares batches across consumers asynchronously); any other
-// sink one batch, reused for every chunk, as the BatchSink contract
-// allows. Replay returns the number of references delivered.
+// sink receives references in exact emission order, and nothing is
+// allocated per chunk:
+//
+//   - a Buffer gets each chunk decoded straight into its tail;
+//   - a FanOut gets each chunk decoded straight into the ring slot it
+//     is sent from, with its runs when a consumer takes them, and sent
+//     as is — unless a partial chunk from Add or AddBatch is waiting,
+//     or the chunk is larger than the FanOut's, when it is decoded into
+//     a reused batch and copied in by AddBatch;
+//   - a RunSink gets one reused batch and its runs, found as the chunk
+//     decodes (decodeChunk), through AddRuns;
+//   - any other sink gets one reused batch, as the BatchSink contract
+//     allows, or each reference through Add.
+//
+// Replay returns the number of references delivered.
 func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 	if cr.done {
 		return 0, fmt.Errorf("trace: ChunkReader.Replay called twice")
 	}
 	cr.done = true
 	buf, isBuffer := sink.(*Buffer)
+	fan, isFan := sink.(*FanOut)
+	rs, isRuns := sink.(RunSink)
 	bs, isBatch := sink.(BatchSink)
-	// Decoded chunks are freshly allocated and never touched again, so
-	// a stable-batch consumer (e.g. the fan-out dispatcher) may retain
-	// and share them without the defensive copy AddBatch would make.
-	sbs, isStable := sink.(StableBatchSink)
-	var batch []Ref // the reused batch of a sink that keeps none
-	var crc [4]byte // a chunk's CRC: it escapes, so one per Replay, not per chunk
+	var batch []Ref  // the reused batch of a sink that keeps none
+	var runs []int32 // and its reused run starts, for a RunSink
+	var crc [4]byte  // a chunk's CRC: it escapes, so one per Replay, not per chunk
 	var total int64
 	perPE := make([]int64, cr.meta.PEs)
 	for {
@@ -656,34 +664,48 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		}
 		n := int(refCount)
 		var refs []Ref
+		var starts []int32 // where the decoder marks runs; nil when no one takes them
+		inPlace := false
+		if isFan {
+			refs, starts, inPlace = fan.slot(n)
+		}
 		switch {
+		case inPlace:
 		case isBuffer:
 			// The tail becomes part of the Buffer only once it decodes.
 			buf.reserve(n)
 			refs = buf.Refs[len(buf.Refs) : len(buf.Refs)+n]
-		case isStable:
-			refs = make([]Ref, n)
 		default:
 			if cap(batch) < n {
 				batch = make([]Ref, n)
 			}
 			refs = batch[:n]
+			if isRuns {
+				if cap(runs) < n+1 {
+					runs = make([]int32, n+1)
+				}
+				starts = runs[:n+1]
+			}
 		}
-		if err := decodeChunk(refs, payload, cr.meta.PEs, perPE); err != nil {
+		starts, err = decodeChunk(refs, starts, payload, cr.meta.PEs, perPE)
+		if err != nil {
 			return total, fmt.Errorf("trace: chunk at ref %d: %w", total, err)
 		}
-		total += int64(n)
-		if isBuffer {
+		switch {
+		case inPlace:
+			fan.dispatch(refs, starts)
+		case isBuffer:
 			buf.Refs = buf.Refs[:len(buf.Refs)+n]
-		} else if isStable {
-			sbs.AddBatchStable(refs)
-		} else if isBatch {
+		case isRuns:
+			rs.AddRuns(refs, starts)
+		case isBatch:
 			bs.AddBatch(refs)
-		} else {
+		default:
 			for _, r := range refs {
 				sink.Add(r)
 			}
 		}
+		total += int64(n)
 	}
 	// Footer: totals, CRC-protected.
 	body := make([]byte, 0, 64)
@@ -736,16 +758,25 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 // payload must contain exactly len(refs) references and no trailing
 // bytes.
 //
+// When runs is not nil it must have room for len(refs)+1 entries, and
+// decodeChunk returns the chunk's runs in its storage, as LineRuns
+// would find them: a run start is marked as each reference decodes,
+// with one compare of its run key, built from the tag, PE and address
+// already in registers, against the previous reference's. Runs are
+// derived, never stored: the payload is the same either way.
+//
 // Fast path: while eight bytes remain, a reference whose address delta
 // takes at most three varint bytes (almost all of them) decodes from
 // one 8-byte load under every check of the general path; anything else
 // goes through the general path, which decodes it or reports the error.
-func decodeChunk(refs []Ref, payload []byte, pes int, perPE []int64) error {
+func decodeChunk(refs []Ref, runs []int32, payload []byte, pes int, perPE []int64) ([]int32, error) {
 	refCount := len(refs)
 	var prevAddr [256]uint32
 	var counts [256]int64
 	prevPE := -1
 	var last uint32 // prevAddr[prevPE], kept out of memory
+	nr := 0         // runs marked so far
+	prevKey := ^uint64(0)
 	pos := 0
 	last8 := len(payload) - 8
 	for i := range refs {
@@ -777,37 +808,45 @@ func decodeChunk(refs []Ref, payload []byte, pes int, perPE []int64) error {
 				counts[pe]++
 				prevPE = int(pe)
 				pos += n
+				if runs != nil {
+					k := uint64(uint32(addr)>>2) | uint64(pe)<<32 | tagRunClass[tag&tagRunMask]
+					runs[nr] = int32(i)
+					if k != prevKey {
+						nr++
+					}
+					prevKey = k
+				}
 				continue
 			}
 		}
 		if pos >= len(payload) {
-			return fmt.Errorf("payload exhausted at ref %d of %d", i, refCount)
+			return nil, fmt.Errorf("payload exhausted at ref %d of %d", i, refCount)
 		}
 		tag := payload[pos]
 		pos++
 		if tag&0x80 != 0 {
-			return fmt.Errorf("reserved tag bit set at ref %d", i)
+			return nil, fmt.Errorf("reserved tag bit set at ref %d", i)
 		}
 		pe := prevPE
 		if tag&tagSamePE == 0 {
 			if pos >= len(payload) {
-				return fmt.Errorf("payload exhausted reading PE at ref %d", i)
+				return nil, fmt.Errorf("payload exhausted reading PE at ref %d", i)
 			}
 			pe = int(payload[pos])
 			pos++
 			prevPE = pe
 		}
 		if pe < 0 || pe >= pes {
-			return fmt.Errorf("PE %d out of range at ref %d", pe, i)
+			return nil, fmt.Errorf("PE %d out of range at ref %d", pe, i)
 		}
 		delta, n := binary.Uvarint(payload[pos:])
 		if n <= 0 {
-			return fmt.Errorf("bad address varint at ref %d", i)
+			return nil, fmt.Errorf("bad address varint at ref %d", i)
 		}
 		pos += n
 		addr := int64(prevAddr[pe]) + unzigzag(delta)
 		if addr < 0 || addr > int64(^uint32(0)) {
-			return fmt.Errorf("address %d out of range at ref %d", addr, i)
+			return nil, fmt.Errorf("address %d out of range at ref %d", addr, i)
 		}
 		op := OpRead
 		if tag&tagOpWrite != 0 {
@@ -822,15 +861,41 @@ func decodeChunk(refs []Ref, payload []byte, pes int, perPE []int64) error {
 		prevAddr[pe] = uint32(addr)
 		last = uint32(addr)
 		counts[pe]++
+		if runs != nil {
+			k := uint64(uint32(addr)>>2) | uint64(pe)<<32 | tagRunClass[tag&tagRunMask]
+			runs[nr] = int32(i)
+			if k != prevKey {
+				nr++
+			}
+			prevKey = k
+		}
 	}
 	if pos != len(payload) {
-		return fmt.Errorf("%d trailing bytes after %d refs", len(payload)-pos, refCount)
+		return nil, fmt.Errorf("%d trailing bytes after %d refs", len(payload)-pos, refCount)
 	}
 	for p := range perPE {
 		perPE[p] += counts[p]
 	}
-	return nil
+	if runs == nil {
+		return nil, nil
+	}
+	runs[nr] = int32(refCount)
+	return runs[:nr+1], nil
 }
+
+// tagRunMask selects a tag's operation and object type, the fields of
+// the run key it carries.
+const tagRunMask = tagOpWrite | tagObjMask
+
+// tagRunClass is the run key's operation and Global fields by tag, as
+// runKey packs them from a Ref, so the decoder keys a reference without
+// building one.
+var tagRunClass = func() (t [tagRunMask + 1]uint64) {
+	for tag := range t {
+		t[tag] = uint64(tag&tagOpWrite)<<40 | runClass[tag>>1]
+	}
+	return t
+}()
 
 // WriteCompact serializes the buffer in the compact chunked format.
 // meta.Refs is filled in from the buffer, so the header carries the

@@ -111,18 +111,22 @@ const (
 // deterministic consumer (e.g. a cache simulator) produces results
 // bit-identical to a sequential replay.
 //
-// Runs: when any consumer is a RunSink, the producer finds each chunk's
-// runs once (LineRuns) and every RunSink receives them beside the
-// chunk; the other consumers get the chunk alone. The finder's cost
-// lands on the producer, once per chunk, not once per consumer.
+// Runs: when any consumer is a RunSink, every RunSink receives each
+// chunk's runs beside it; the other consumers get the chunk alone. The
+// runs are found once per chunk, not once per consumer, on the
+// producer: a chunk ChunkReader.Replay decodes comes with the runs the
+// decoder marked, and any other chunk is scanned by LineRuns.
 //
-// Buffers: the chunks the FanOut copies into and the run starts it
-// finds live in a ring of Depth+2 buffers of each kind, made once per
-// FanOut. Chunk c takes slot c mod (Depth+2), which last held chunk
-// c−Depth−2, and every consumer has finished that one: the send of
-// chunk c−1 completed on every channel, a channel of Depth slots that
-// holds c−1 holds nothing older than c−Depth, so each consumer had
-// taken c−Depth−1 and, processing in order, finished c−Depth−2.
+// Buffers: chunks and their run starts live in a ring of Depth+2
+// buffers of each kind, each made on first use, once per FanOut. The
+// FanOut copies Add and AddBatch input into them, and ChunkReader.Replay
+// decodes each chunk straight into its slot, runs beside it, when no
+// partial chunk is waiting and the chunk fits. Chunk c takes slot c mod
+// (Depth+2), which last held chunk c−Depth−2, and every consumer has
+// finished that one: the send of chunk c−1 completed on every channel,
+// a channel of Depth slots that holds c−1 holds nothing older than
+// c−Depth, so each consumer had taken c−Depth−1 and, processing in
+// order, finished c−Depth−2.
 //
 // The producer side (Add, AddBatch, Close) is single-goroutine, like
 // any other Sink. Consumers never see concurrent calls either: each
@@ -207,19 +211,51 @@ func (f *FanOut) buffer() []Ref {
 	return f.bufs[slot][:0]
 }
 
-// send dispatches one ready chunk to every consumer, with its runs
-// when some consumer takes them. The chunk is shared between consumers
-// and must not be written after this point.
+// slot hands a decoder the next send's ring slot to fill in place with
+// a chunk of n references, and, when some consumer takes runs, the
+// run-start slot beside it with room for n+1 starts; dispatch then
+// sends them as they are. ok is false while a partial chunk waits,
+// whose references go first, and when n exceeds the chunk size: the
+// decoder then copies in through AddBatch. Like AddBatch, slot panics
+// after Close.
+func (f *FanOut) slot(n int) (refs []Ref, runs []int32, ok bool) {
+	if f.closed {
+		panic("trace: ChunkReader.Replay into a FanOut after Close")
+	}
+	if f.chunk != nil || n > f.chunkRefs {
+		return nil, nil, false
+	}
+	refs = f.buffer()[:n]
+	if f.runs != nil {
+		slot := f.sent % len(f.runs)
+		if cap(f.runs[slot]) <= f.chunkRefs {
+			f.runs[slot] = make([]int32, f.chunkRefs+1)
+		}
+		runs = f.runs[slot][:n+1]
+	}
+	return refs, runs, true
+}
+
+// send dispatches one ready chunk to every consumer, finding its runs
+// when some consumer takes them.
 func (f *FanOut) send(chunk []Ref) {
 	if len(chunk) == 0 {
 		return
 	}
-	msg := chunkMsg{refs: chunk}
+	var runs []int32
 	if f.runs != nil {
 		slot := f.sent % len(f.runs)
 		f.runs[slot] = LineRuns(chunk, f.runs[slot])
-		msg.runs = f.runs[slot]
+		runs = f.runs[slot]
 	}
+	f.dispatch(chunk, runs)
+}
+
+// dispatch sends one chunk and its runs, if any, to every consumer. The
+// chunk is shared between consumers and must not be written after this
+// point; runs is nil exactly when no consumer takes them.
+func (f *FanOut) dispatch(chunk []Ref, runs []int32) {
+	msg := chunkMsg{refs: chunk, runs: runs}
 	for _, ch := range f.chans {
 		ch <- msg
 	}
@@ -274,10 +310,11 @@ func (f *FanOut) fill(refs []Ref) {
 // StableBatchSink is the capability interface for batch consumers
 // that can ingest a batch without copying, provided the producer
 // guarantees the slice is immutable and outlives the sink's processing
-// (for a FanOut, until Close returns). Buffer.ReplayAll and
-// ChunkReader.Replay qualify as producers (an in-memory buffer and
-// freshly decoded chunks respectively) and prefer this path; a reused
+// (for a FanOut, until Close returns). Buffer.ReplayAll qualifies as a
+// producer (an in-memory buffer) and prefers this path; a reused
 // staging buffer does not qualify and must use AddBatch.
+// ChunkReader.Replay does not use it either: it decodes into a FanOut's
+// own ring instead.
 type StableBatchSink interface {
 	BatchSink
 	// AddBatchStable consumes the batch without copying; the caller

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"cmp"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -114,6 +116,9 @@ func TestFanOutPanicsAfterClose(t *testing.T) {
 		{"trace: FanOut.Add after Close", func(f *FanOut) { f.Add(Ref{}) }},
 		{"trace: FanOut.AddBatch after Close", func(f *FanOut) { f.AddBatch([]Ref{{}}) }},
 		{"trace: FanOut.AddBatchStable after Close", func(f *FanOut) { f.AddBatchStable([]Ref{{}}) }},
+		{"trace: ChunkReader.Replay into a FanOut after Close", func(f *FanOut) {
+			replayEncoded(t, encodeCompact(t, []Ref{{}}, Meta{EmulatorVersion: "t"}), f)
+		}},
 	} {
 		f := NewFanOut(FanOutConfig{}, &recordSink{})
 		f.Close()
@@ -239,27 +244,125 @@ func TestLineRuns(t *testing.T) {
 
 // runCheckSink is a RunSink that recomputes the runs of every chunk it
 // gets and compares them with the runs it was handed; slow sleeps per
-// chunk, so the producer runs ahead of it as far as the channels allow.
+// chunk before it looks, so the producer runs ahead of it as far as the
+// channels allow.
+// It keeps where each chunk and its runs lived, to tell a chunk decoded
+// in place from a copy.
 type runCheckSink struct {
 	recordSink
 	slow    bool
 	chunks  int
 	bad     int
 	scratch []int32
+	chunkAt []*Ref
+	runsAt  []*int32
 }
 
 func (s *runCheckSink) AddBatch(refs []Ref) { s.AddRuns(refs, nil) }
 
 func (s *runCheckSink) AddRuns(refs []Ref, runs []int32) {
+	if s.slow {
+		// Before reading the chunk: a producer that reuses its buffers
+		// too early overwrites them meanwhile.
+		time.Sleep(20 * time.Microsecond)
+	}
 	s.scratch = LineRuns(refs, s.scratch)
 	if !slices.Equal(runs, s.scratch) {
 		s.bad++
 	}
-	if s.slow {
-		time.Sleep(20 * time.Microsecond)
-	}
 	s.refs = append(s.refs, refs...)
 	s.chunks++
+	s.chunkAt = append(s.chunkAt, &refs[0])
+	if len(runs) > 0 {
+		s.runsAt = append(s.runsAt, &runs[0])
+	}
+}
+
+// runsStream is synthRefs with every second reference continuing the
+// previous one's run.
+func runsStream(n int) []Ref {
+	refs := synthRefs(n)
+	for i := 1; i < len(refs); i += 2 {
+		refs[i] = refs[i-1]
+		refs[i].Addr ^= 1
+	}
+	return refs
+}
+
+// replayEncoded decodes enc into sink with ChunkReader.Replay.
+func replayEncoded(t *testing.T, enc []byte, sink Sink) {
+	t.Helper()
+	cr, err := NewChunkReader(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.Replay(sink); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// inRing reports whether p is the start of one of the ring's slots.
+func inRing[T any](ring [][]T, p *T) bool {
+	return slices.ContainsFunc(ring, func(slot []T) bool { return cap(slot) > 0 && &slot[:1][0] == p })
+}
+
+// TestDecodedRunsReachRunSinks: a RunSink fed by ChunkReader.Replay —
+// alone, behind a FanOut, behind a FanOut that already holds a partial
+// chunk from Add, and behind one whose chunks are smaller than the
+// codec's — sees every reference once, in order, and with each batch
+// exactly the runs LineRuns finds in it. Alone it gets one batch per
+// codec chunk. Behind a FanOut with the codec's chunk size and nothing
+// pending, every chunk and its runs are the FanOut's own ring slots and
+// the short last chunk is sent at once, not kept as a partial chunk
+// until Close: the decoder filled the slots, so nothing was copied or
+// scanned again.
+func TestDecodedRunsReachRunSinks(t *testing.T) {
+	want := runsStream(5*codecChunkRefs + 1000)
+	enc := encodeCompact(t, want, Meta{PEs: 8, EmulatorVersion: "t"})
+	codecChunks := (len(want) + codecChunkRefs - 1) / codecChunkRefs
+
+	alone := &runCheckSink{}
+	replayEncoded(t, enc, alone)
+	if alone.bad != 0 || alone.chunks != codecChunks {
+		t.Errorf("alone: %d of %d batches came with wrong runs, want 0 of %d", alone.bad, alone.chunks, codecChunks)
+	}
+	sameRefs(t, "alone", alone.refs, want)
+
+	for _, c := range []struct {
+		name    string
+		cfg     FanOutConfig
+		pending []Ref // added before the replay
+	}{
+		{"FanOut", FanOutConfig{}, nil},
+		{"FanOut holding a partial chunk", FanOutConfig{}, synthRefs(100)},
+		{"FanOut with 64-reference chunks", FanOutConfig{ChunkRefs: 64}, nil},
+	} {
+		s, plain := &runCheckSink{}, &batchRecordSink{}
+		f := NewFanOut(c.cfg, s, plain)
+		for _, r := range c.pending {
+			f.Add(r)
+		}
+		replayEncoded(t, enc, f)
+		inPlace := c.pending == nil && c.cfg.ChunkRefs == 0
+		if inPlace && f.chunk != nil {
+			t.Errorf("%s: %d references wait in a partial chunk after the replay: the decoded chunks were copied", c.name, len(f.chunk))
+		}
+		f.Close()
+		all := slices.Concat(c.pending, want)
+		chunkRefs := cmp.Or(c.cfg.ChunkRefs, defaultChunkRefs)
+		if chunks := (len(all) + chunkRefs - 1) / chunkRefs; s.bad != 0 || s.chunks != chunks {
+			t.Errorf("%s: %d of %d chunks came with wrong runs, want 0 of %d", c.name, s.bad, s.chunks, chunks)
+		}
+		sameRefs(t, c.name, s.refs, all)
+		sameRefs(t, c.name+", batch consumer", plain.refs, all)
+		if inPlace {
+			for i := range s.chunkAt {
+				if !inRing(f.bufs, s.chunkAt[i]) || !inRing(f.runs, s.runsAt[i]) {
+					t.Fatalf("%s: chunk %d and its runs are not the ring's slots: they were copied", c.name, i)
+				}
+			}
+		}
+	}
 }
 
 // TestFanOutRunsUnderUnevenConsumers: with a slow and a fast run
@@ -269,11 +372,7 @@ func (s *runCheckSink) AddRuns(refs []Ref, runs []int32) {
 // slowest consumer is done — and everyone sees the whole stream. Run
 // under -race, this is the ring's synchronization test too.
 func TestFanOutRunsUnderUnevenConsumers(t *testing.T) {
-	want := synthRefs(20_000)
-	for i := 1; i < len(want); i += 2 {
-		want[i] = want[i-1]
-		want[i].Addr ^= 1
-	}
+	want := runsStream(20_000)
 	for _, path := range []string{"Add", "AddBatch", "AddBatchStable"} {
 		slow, fast := &runCheckSink{slow: true}, &runCheckSink{}
 		plain := &batchRecordSink{}
@@ -303,6 +402,30 @@ func TestFanOutRunsUnderUnevenConsumers(t *testing.T) {
 		}
 		sameRefs(t, path+" batch consumer", plain.refs, want)
 	}
+}
+
+// TestFanOutDecodedRunsUnderUnevenConsumers is the ring's
+// synchronization test for chunks the decoder fills in place: fed by
+// ChunkReader.Replay over many more chunks than the ring has slots,
+// with a slow and a fast run consumer and a plain batch consumer, each
+// RunSink gets every chunk with its own runs and everyone sees the
+// whole stream. Run it under -race.
+func TestFanOutDecodedRunsUnderUnevenConsumers(t *testing.T) {
+	const chunks = 16
+	want := runsStream(chunks * codecChunkRefs)
+	enc := encodeCompact(t, want, Meta{PEs: 8, EmulatorVersion: "t"})
+	slow, fast := &runCheckSink{slow: true}, &runCheckSink{}
+	plain := &batchRecordSink{}
+	f := NewFanOut(FanOutConfig{Depth: 2}, slow, plain, fast)
+	replayEncoded(t, enc, f)
+	f.Close()
+	for _, s := range []*runCheckSink{slow, fast} {
+		if s.bad != 0 || s.chunks != chunks {
+			t.Errorf("%d of %d chunks came with wrong runs, want 0 of %d", s.bad, s.chunks, chunks)
+		}
+		sameRefs(t, "run consumer", s.refs, want)
+	}
+	sameRefs(t, "batch consumer", plain.refs, want)
 }
 
 // countRunSink is a RunSink that only counts what it gets.

@@ -145,7 +145,9 @@ func decodeChunkReference(payload []byte, refCount, pes int, perPE []int64) ([]R
 // check: on arbitrary payload bytes, reference counts and PE counts,
 // decodeChunk and its general loop alone (decodeChunkReference) accept
 // and reject the same inputs with the same error, and what they accept
-// decodes to the same references and per-PE counts. The seeds are a
+// decodes to the same references and per-PE counts, and to the runs
+// LineRuns finds in those references, whether or not the decoder marks
+// them. The seeds are a
 // valid chunk of every delta width, that chunk truncated, with a
 // flipped byte and under a PE count one of its references exceeds, and
 // an address that a ±63 delta — the widest one-byte one — takes below 0
@@ -195,7 +197,7 @@ func FuzzDecodeChunkMatchesReference(f *testing.F) {
 		n, pes := int(refCount)%(len(payload)+2), int(pesMinus1)+1
 		gotPE, wantPE := make([]int64, pes), make([]int64, pes)
 		got := make([]Ref, n)
-		gotErr := decodeChunk(got, payload, pes, gotPE)
+		runs, gotErr := decodeChunk(got, make([]int32, n+1), payload, pes, gotPE)
 		want, wantErr := decodeChunkReference(payload, n, pes, wantPE)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("decodeChunk: %v; reference: %v", gotErr, wantErr)
@@ -208,6 +210,14 @@ func FuzzDecodeChunkMatchesReference(f *testing.F) {
 		}
 		if !slices.Equal(gotPE, wantPE) {
 			t.Fatalf("per-PE counts %v, reference %v", gotPE, wantPE)
+		}
+		if wantRuns := LineRuns(want, nil); !slices.Equal(runs, wantRuns) {
+			t.Fatalf("decoded runs %v, LineRuns %v", runs, wantRuns)
+		}
+		// Without run storage the decoder decodes the same and marks none.
+		again := make([]Ref, n)
+		if runs, err := decodeChunk(again, nil, payload, pes, make([]int64, pes)); err != nil || runs != nil || !slices.Equal(again, want) {
+			t.Fatalf("without runs: %v, runs %v, same references %t", err, runs, slices.Equal(again, want))
 		}
 	})
 }

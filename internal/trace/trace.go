@@ -28,8 +28,10 @@
 // and blocks until every consumer has drained; consumer state may only
 // be read after Close returns. Buffer.ReplayAll packages the common
 // case: one buffered trace, many concurrent consumers, one pass. A
-// consumer that is a RunSink also gets each chunk's same-line runs
-// (LineRuns), found once by the producer for every such consumer.
+// consumer that is a RunSink also gets each chunk's same-line runs,
+// found once for every such consumer: by the decoder as it decodes a
+// stored chunk (ChunkReader.Replay, which hands them to a lone RunSink
+// as well), and by LineRuns for any other chunk.
 //
 // # On-disk form
 //
