@@ -245,9 +245,8 @@ func TestLineRuns(t *testing.T) {
 // runCheckSink is a RunSink that recomputes the runs of every chunk it
 // gets and compares them with the runs it was handed; slow sleeps per
 // chunk before it looks, so the producer runs ahead of it as far as the
-// channels allow.
-// It keeps where each chunk and its runs lived, to tell a chunk decoded
-// in place from a copy.
+// channels allow. It keeps where each chunk and its runs lived, to tell
+// a chunk decoded in place from a copy.
 type runCheckSink struct {
 	recordSink
 	slow    bool
