@@ -507,3 +507,22 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
+
+// BenchmarkTraceCapture measures capturing a trace in memory: one
+// qsort@8 engine run into a trace.Buffer, as TraceBenchmark does
+// without a store. It reports refs/s with B/op and allocs/op, which
+// show what the Buffer's growth costs beside the engine's own.
+func BenchmarkTraceCapture(b *testing.B) {
+	bm, _ := BenchmarkByName("qsort")
+	r := NewRunner(nil, 1, nil)
+	b.ReportAllocs()
+	refs := 0
+	for i := 0; i < b.N; i++ {
+		tr, err := r.TraceBenchmark(context.Background(), bm, 8, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += tr.Len()
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}

@@ -28,3 +28,20 @@ func TestCLIExperimentsColdPeakRSS(t *testing.T) {
 		t.Errorf("cold experiments -exp all peaked at %d MB RSS, want below %d", rss, limitMB)
 	}
 }
+
+// TestCLITracePeakRSS guards rapwam -trace's streaming: the engine
+// feeds the encoder as it runs, so writing the 4.0 M references of
+// qsort-6500 at 8 PEs (an 11 MB file) peaks at 14 MB RSS; capturing the
+// trace first and encoding it after peaked at 69 MB.
+func TestCLITracePeakRSS(t *testing.T) {
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "rapwam"), "-bench", "qsort-6500", "-p", "8",
+		"-trace", filepath.Join(t.TempDir(), "q.rwt2"))
+	cmd.Stdout = io.Discard
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("rapwam -trace: %v", err)
+	}
+	const limitMB = 35
+	if rss := cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss / 1024; rss >= limitMB {
+		t.Errorf("rapwam -bench qsort-6500 -p 8 -trace peaked at %d MB RSS, want below %d", rss, limitMB)
+	}
+}

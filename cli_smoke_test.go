@@ -1,6 +1,8 @@
 package rapwam
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -492,6 +494,54 @@ func TestCLITraceFileIsCompactWhateverTheSuffix(t *testing.T) {
 	code, out := runCLI(t, "cachesim", "-sweep", "-pes", "4", old)
 	if code == 0 || !strings.Contains(out, "not a compact trace") || strings.Contains(out, "goroutine") {
 		t.Errorf("cachesim on a fixed-record trace: exit %d, want non-zero with the reader's error\n%s", code, out)
+	}
+}
+
+// TestCLITraceStreamMatchesWriteCompact: rapwam -trace streams the
+// engine into the encoder, and the file it writes, for a benchmark and
+// for a program file with a query, is byte for byte what capturing the
+// same run and calling Trace.WriteCompact writes.
+func TestCLITraceStreamMatchesWriteCompact(t *testing.T) {
+	dir := t.TempDir()
+	b, _ := BenchmarkByName("qsort")
+	prog := filepath.Join(dir, "qsort.pl")
+	if err := os.WriteFile(prog, []byte(b.Source), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	benchTrace, err := NewRunner(nil, 1, nil).TraceBenchmark(context.Background(), b, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MustCompile(b.Source, b.Query).Run(RunConfig{PEs: 2, CaptureTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		trace *Trace
+		meta  TraceMeta
+	}{
+		{"bench", []string{"-bench", "qsort", "-p", "4"}, benchTrace,
+			TraceMeta{Benchmark: "qsort", PEs: 4, EmulatorVersion: EmulatorVersion()}},
+		{"program", []string{"-q", b.Query, "-p", "2", prog}, res.Trace,
+			TraceMeta{PEs: 2, EmulatorVersion: EmulatorVersion()}},
+	} {
+		path := filepath.Join(dir, tc.name+".rwt2")
+		if code, out := runCLI(t, "rapwam", append([]string{"-trace", path}, tc.args...)...); code != 0 {
+			t.Fatalf("%s: rapwam -trace: exit %d\n%s", tc.name, code, out)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := tc.trace.WriteCompact(&want, tc.meta); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: rapwam -trace wrote %d bytes, WriteCompact %d, or not the same", tc.name, len(got), want.Len())
+		}
 	}
 }
 

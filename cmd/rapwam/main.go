@@ -16,7 +16,8 @@
 // -trace writes the memory-reference trace in the compact chunked
 // format ("RWT2": delta/varint encoded, CRC-protected — see
 // docs/TRACE_FORMAT.md), whatever the path's suffix; cmd/cachesim
-// reads it.
+// reads it. The engine streams into the encoder as it runs, so the
+// trace is never held in memory.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, for
 // working on the emulator hot path:
@@ -94,17 +95,19 @@ func main() {
 		fmt.Print(prog.Listing())
 		return
 	}
-	res, err := prog.Run(rapwam.RunConfig{PEs: *pes, CaptureTrace: *traceOut != ""})
-	if err != nil {
+	var res *rapwam.Result
+	if *traceOut != "" {
+		writeTrace(*traceOut, rapwam.TraceMeta{
+			PEs: *pes, Sequential: *seq,
+			EmulatorVersion: rapwam.EmulatorVersion(),
+		}, func(sink rapwam.Sink) (err error) {
+			res, err = prog.Run(rapwam.RunConfig{PEs: *pes, Sink: sink})
+			return err
+		})
+	} else if res, err = prog.Run(rapwam.RunConfig{PEs: *pes}); err != nil {
 		fatal(err)
 	}
 	report(res, *stats)
-	if *traceOut != "" {
-		writeTrace(res.Trace, *traceOut, rapwam.TraceMeta{
-			PEs: *pes, Sequential: *seq,
-			EmulatorVersion: rapwam.EmulatorVersion(),
-		})
-	}
 	if !res.Success {
 		stopProfiles()
 		os.Exit(1)
@@ -114,15 +117,14 @@ func main() {
 func runBench(b rapwam.Benchmark, pes int, seq, stats bool, traceOut string) {
 	ctx := context.Background()
 	if traceOut != "" {
-		tr, err := rapwam.TraceBenchmark(ctx, b, pes, seq)
-		if err != nil {
-			fatal(err)
-		}
-		writeTrace(tr, traceOut, rapwam.TraceMeta{
+		n := writeTrace(traceOut, rapwam.TraceMeta{
 			Benchmark: b.Name, PEs: pes, Sequential: seq,
 			EmulatorVersion: rapwam.EmulatorVersion(),
+		}, func(sink rapwam.Sink) error {
+			_, err := rapwam.TraceBenchmarkTo(ctx, b, pes, seq, sink)
+			return err
 		})
-		fmt.Printf("%s: %d references traced\n", b.Name, tr.Len())
+		fmt.Printf("%s: %d references traced\n", b.Name, n)
 		return
 	}
 	res, err := rapwam.RunBenchmark(ctx, b, pes, seq)
@@ -176,16 +178,31 @@ func report(res *rapwam.Result, stats bool) {
 	}
 }
 
-// writeTrace serializes the trace in the compact chunked format.
-func writeTrace(tr *rapwam.Trace, path string, meta rapwam.TraceMeta) {
+// writeTrace streams the trace of run, which feeds every reference to
+// the sink it is given, into a compact trace file at path, and returns
+// the number of references written. The file is seekable, so the
+// encoder's Close back-patches the header's count: the bytes are
+// Trace.WriteCompact's. A failed run leaves no file.
+func writeTrace(path string, meta rapwam.TraceMeta, run func(rapwam.Sink) error) int64 {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := tr.WriteCompact(f, meta); err != nil {
+	cw, err := trace.NewChunkWriter(f, meta)
+	if err == nil {
+		err = run(cw)
+	}
+	if err == nil {
+		err = cw.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
 		fatal(err)
 	}
+	return cw.Meta().Refs
 }
 
 func fatal(err error) {

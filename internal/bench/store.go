@@ -297,7 +297,7 @@ func (r *Runner) UseCell(ctx context.Context, b Benchmark, pes int, sequential b
 // RunConfig.
 func (r *Runner) Trace(ctx context.Context, b Benchmark, pes int, sequential bool) (*trace.Buffer, error) {
 	if r.Store == nil {
-		buf := trace.NewBuffer(1 << 20)
+		buf := new(trace.Buffer)
 		if _, err := r.Run(ctx, b, RunConfig{PEs: pes, Sequential: sequential, Sink: buf}); err != nil {
 			return nil, err
 		}

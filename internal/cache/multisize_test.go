@@ -86,7 +86,7 @@ func TestMultiSizeMatchesReferenceOnPaperTraces(t *testing.T) {
 		for _, pes := range []int{1, 2, 8} {
 			buf := parityTrace(t, name, pes, pes == 1)
 			if buf.Len() > paperPrefix {
-				buf = &trace.Buffer{Refs: buf.Refs[:paperPrefix]}
+				buf = bufferOf(refsOf(buf)[:paperPrefix])
 			}
 			t.Run(fmt.Sprintf("%s@%d", name, pes), func(t *testing.T) {
 				t.Parallel()
@@ -160,7 +160,7 @@ func TestMultiSizeStructureStaysConsistent(t *testing.T) {
 		} {
 			sizes, wa := policy.sizes, policy.name
 			s := newMultiSim(Config{PEs: 4, LineWords: 4, Protocol: p}, sizes)
-			s.AddBatch(buf.Refs)
+			s.AddBatch(refsOf(buf))
 			held := 0
 			for pe := range s.pes {
 				c := &s.pes[pe]
@@ -208,9 +208,9 @@ func TestMultiSizeSteadyStateAllocsZero(t *testing.T) {
 	buf := parityTrace(t, "qsort", 4, false)
 	seqBuf := parityTrace(t, "qsort", 1, true)
 	for _, p := range []Protocol{WriteInBroadcast, Hybrid, Copyback} {
-		refs, pes := buf.Refs, 4
+		refs, pes := refsOf(buf), 4
 		if p == Copyback {
-			refs, pes = seqBuf.Refs, 1
+			refs, pes = refsOf(seqBuf), 1
 		}
 		for _, wa := range []bool{false, true} {
 			s := newMultiSim(Config{PEs: pes, LineWords: 4, Protocol: p}, uniform([]int{64, 256, 1024}, wa))

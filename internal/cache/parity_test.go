@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -38,6 +39,16 @@ func parityTrace(t testing.TB, name string, pes int, sequential bool) *trace.Buf
 	return buf
 }
 
+// refsOf flattens a captured trace into one slice.
+func refsOf(buf *trace.Buffer) []trace.Ref { return slices.Concat(buf.Segments()...) }
+
+// bufferOf returns a Buffer holding refs.
+func bufferOf(refs []trace.Ref) *trace.Buffer {
+	buf := &trace.Buffer{}
+	buf.AddBatch(refs)
+	return buf
+}
+
 // busEvent records one OnBus observation.
 type busEvent struct {
 	pe, words int
@@ -54,7 +65,7 @@ func runRef(buf *trace.Buffer, cfg Config, record bool) (Stats, []int64, []int64
 			events = append(events, busEvent{pe, words, refIndex})
 		}
 	}
-	for _, r := range buf.Refs {
+	for _, r := range refsOf(buf) {
 		s.Add(r)
 	}
 	return s.stats, s.perPEBus, s.perPERefs, events
@@ -70,7 +81,7 @@ func runNew(buf *trace.Buffer, cfg Config, record bool) (Stats, []int64, []int64
 			events = append(events, busEvent{pe, words, refIndex})
 		}
 	}
-	s.AddBatch(buf.Refs)
+	s.AddBatch(refsOf(buf))
 	return s.Stats(), s.PerPEBusWords(), s.PerPERefs(), events
 }
 
@@ -149,17 +160,17 @@ func TestGoldenParityAgainstReferenceSim(t *testing.T) {
 // TestParityAfterFlush extends parity through the optional end-of-run
 // flush accounting.
 func TestParityAfterFlush(t *testing.T) {
-	buf := parityTrace(t, "qsort", 4, false)
+	refs := refsOf(parityTrace(t, "qsort", 4, false))
 	for _, p := range []Protocol{WriteInBroadcast, WriteThroughBroadcast, Hybrid} {
 		for _, assoc := range []int{0, 4} {
 			cfg := Config{PEs: 4, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true, Assoc: assoc}
 			ref := newRefSim(cfg)
-			for _, r := range buf.Refs {
+			for _, r := range refs {
 				ref.Add(r)
 			}
 			ref.Flush()
 			sim := New(cfg)
-			sim.AddBatch(buf.Refs)
+			sim.AddBatch(refs)
 			sim.Flush()
 			if sim.Stats() != ref.stats {
 				t.Errorf("%v assoc=%d: post-flush stats differ:\n got %+v\nwant %+v",
@@ -173,12 +184,12 @@ func TestParityAfterFlush(t *testing.T) {
 // per-PE stores after a full replay: every directory entry must match
 // residency exactly, at every associativity.
 func TestDirectoryStaysInSync(t *testing.T) {
-	buf := parityTrace(t, "qsort", 4, false)
+	refs := refsOf(parityTrace(t, "qsort", 4, false))
 	for _, p := range []Protocol{WriteThrough, WriteInBroadcast, WriteThroughBroadcast, Hybrid} {
 		for _, assoc := range []int{0, 2, 4} {
 			cfg := Config{PEs: 4, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true, Assoc: assoc}
 			sim := New(cfg)
-			sim.AddBatch(buf.Refs)
+			sim.AddBatch(refs)
 			resident := 0
 			for pe, c := range sim.caches {
 				c.forEach(func(h int32) {
@@ -212,10 +223,10 @@ func TestSteadyStateReplayAllocsZero(t *testing.T) {
 	buf := parityTrace(t, "qsort", 4, false)
 	seqBuf := parityTrace(t, "qsort", 1, true)
 	for _, p := range Protocols() {
-		refs := buf.Refs
+		refs := refsOf(buf)
 		pes := 4
 		if p == Copyback {
-			refs = seqBuf.Refs
+			refs = refsOf(seqBuf)
 			pes = 1
 		}
 		for _, assoc := range []int{0, 4} {
@@ -263,14 +274,14 @@ func TestRunsMatchPerReference(t *testing.T) {
 		if p == Copyback {
 			pes, sequential = 1, true
 		}
-		buf := parityTrace(t, "deriv", pes, sequential)
+		refs := refsOf(parityTrace(t, "deriv", pes, sequential))
 		for _, wa := range []bool{false, true} {
 			for _, lw := range []int{2, 4, 8} {
 				for _, assoc := range []int{0, 2} {
 					cfg := Config{PEs: pes, SizeWords: 256, LineWords: lw, Protocol: p, WriteAllocate: wa, Assoc: assoc}
 					want, got := New(cfg), New(cfg)
-					want.AddBatch(buf.Refs)
-					feed(got, buf.Refs)
+					want.AddBatch(refs)
+					feed(got, refs)
 					for _, when := range []string{"after the trace", "after Flush"} {
 						if got.Stats() != want.Stats() || !eqVec(got.PerPEBusWords(), want.PerPEBusWords()) || !eqVec(got.PerPERefs(), want.PerPERefs()) {
 							t.Errorf("%s %s: by runs %+v bus %v\nby reference %+v bus %v",
@@ -286,8 +297,8 @@ func TestRunsMatchPerReference(t *testing.T) {
 				cfg := Config{PEs: pes, LineWords: lw, Protocol: p, WriteAllocate: wa}
 				sizes := []int{16 * lw, 64 * lw, 256 * lw}
 				want, got := newMultiSim(cfg, uniform(sizes, wa)), newMultiSim(cfg, uniform(sizes, wa))
-				want.AddBatch(buf.Refs)
-				feed(got, buf.Refs)
+				want.AddBatch(refs)
+				feed(got, refs)
 				for k := range sizes {
 					if got.stats(k) != want.stats(k) {
 						t.Errorf("%s at %d words: multi-size by runs %+v\nby reference %+v", cfg.Key(), sizes[k], got.stats(k), want.stats(k))
@@ -303,7 +314,7 @@ func TestRunsMatchPerReference(t *testing.T) {
 // sees the (pe, words, refIndex) sequence that Add, one reference at a
 // time, produces: an observed Sim takes no run in one step.
 func TestFanOutObservedSimIsPerReference(t *testing.T) {
-	buf := parityTrace(t, "qsort", 8, false)
+	refs := refsOf(parityTrace(t, "qsort", 8, false))
 	for _, p := range []Protocol{WriteInBroadcast, WriteThroughBroadcast, Hybrid} {
 		cfg := Config{PEs: 8, SizeWords: 256, LineWords: 4, Protocol: p, WriteAllocate: true}
 		record := func(events *[]busEvent) func(pe, words int, refIndex int64) {
@@ -314,13 +325,13 @@ func TestFanOutObservedSimIsPerReference(t *testing.T) {
 		var want, got []busEvent
 		ref := New(cfg)
 		ref.OnBus = record(&want)
-		for _, r := range buf.Refs {
+		for _, r := range refs {
 			ref.Add(r)
 		}
 		observed := New(cfg)
 		observed.OnBus = record(&got)
 		f := trace.NewFanOut(trace.FanOutConfig{ChunkRefs: 1000}, observed, New(cfg))
-		f.AddBatchStable(buf.Refs)
+		f.AddBatchStable(refs)
 		f.Close()
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d OnBus events behind the fan-out, %d by Add", p, len(got), len(want))

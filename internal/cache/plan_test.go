@@ -117,11 +117,11 @@ func TestMixedAllocationPoliciesShareExactly(t *testing.T) {
 	small := Config{PEs: 1, SizeWords: 8, LineWords: 4, Protocol: WriteInBroadcast}
 	large := Config{PEs: 1, SizeWords: 12, LineWords: 4, Protocol: WriteInBroadcast, WriteAllocate: true}
 	const a, b, x, y = 0, 4, 8, 12
-	buf := &trace.Buffer{Refs: []trace.Ref{
+	buf := bufferOf([]trace.Ref{
 		{Addr: a, Op: trace.OpRead}, {Addr: b, Op: trace.OpRead},
 		{Addr: x, Op: trace.OpWrite}, {Addr: y, Op: trace.OpWrite},
 		{Addr: a, Op: trace.OpRead},
-	}}
+	})
 	for _, p := range []Protocol{WriteInBroadcast, WriteThrough, Hybrid, Copyback} {
 		small.Protocol, large.Protocol = p, p
 		cfgs := []Config{small, large}
@@ -196,7 +196,7 @@ func TestDerivedWriteThroughMatchesReferenceOnPaperTraces(t *testing.T) {
 		for _, pes := range []int{1, 2, 8} {
 			buf := parityTrace(t, name, pes, pes == 1)
 			if buf.Len() > paperPrefix {
-				buf = &trace.Buffer{Refs: buf.Refs[:paperPrefix]}
+				buf = bufferOf(refsOf(buf)[:paperPrefix])
 			}
 			cfgs := append(
 				writeThroughGrid(pes, []int{16, 64, 128, 256, 512, 1024, 4096}, []int{4}),
@@ -233,7 +233,7 @@ func sharingTrace(seed uint64, pes, span, writePct, n int) *trace.Buffer {
 			Obj:  trace.ObjType(next() % uint64(trace.NumObjTypes)),
 		}
 	}
-	return &trace.Buffer{Refs: refs}
+	return bufferOf(refs)
 }
 
 // TestDerivedWriteThroughMatchesReferenceUnderHeavySharing: per PE

@@ -28,7 +28,7 @@ func shardCounts() []int {
 // path (the same delivery the fan-out and grid use).
 func runSharded(buf *trace.Buffer, cfg Config, k int) (Stats, []int64, []int64) {
 	s := NewSharded(cfg, k)
-	s.AddBatchStable(buf.Refs)
+	s.AddBatchStable(refsOf(buf))
 	s.Close()
 	return s.Stats(), s.PerPEBusWords(), s.PerPERefs()
 }
@@ -166,7 +166,7 @@ func TestShardedSingleRefPath(t *testing.T) {
 	cfg := Config{PEs: 4, SizeWords: 256, LineWords: 4, Protocol: Hybrid, WriteAllocate: true, Assoc: 4}
 	wantStats, _, _, _ := runNew(buf, cfg, false)
 	s := NewSharded(cfg, 3)
-	for _, r := range buf.Refs {
+	for _, r := range refsOf(buf) {
 		s.Add(r)
 	}
 	s.Close()
@@ -197,13 +197,13 @@ func BenchmarkShardedReplay(b *testing.B) {
 	cfg := Config{PEs: 4, SizeWords: 1024, LineWords: 4, Protocol: Hybrid, WriteAllocate: true, Assoc: 2}
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(len(buf.Refs)))
+			b.SetBytes(int64(buf.Len()))
 			for i := 0; i < b.N; i++ {
 				if _, err := SimulateAllShards(buf, []Config{cfg}, k); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(buf.Refs))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+			b.ReportMetric(float64(buf.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 		})
 	}
 }

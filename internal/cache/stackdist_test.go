@@ -68,7 +68,7 @@ func TestMultiSizeMatchesStackDistances(t *testing.T) {
 	maxLines := figure4Sizes[len(figure4Sizes)-1] / 4
 	for _, name := range bench.Names() {
 		buf := parityTrace(t, name, 1, true)
-		refs := buf.Refs[:min(buf.Len(), paperPrefix)]
+		refs := refsOf(buf)[:min(buf.Len(), paperPrefix)]
 		for _, wa := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/allocate=%v", name, wa), func(t *testing.T) {
 				t.Parallel()

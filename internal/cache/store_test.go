@@ -34,7 +34,7 @@ func TestIndexFarAddressesBounded(t *testing.T) {
 					}
 				}
 			}
-			buf := &trace.Buffer{Refs: refs}
+			buf := bufferOf(refs)
 			for _, p := range []Protocol{WriteInBroadcast, Hybrid} {
 				for _, wa := range []bool{false, true} {
 					cfg := Config{PEs: pes, LineWords: lw, Protocol: p, WriteAllocate: wa}

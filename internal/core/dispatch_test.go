@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,14 +158,13 @@ func dispatchRun(t *testing.T, program, query string, pes int, reference bool, m
 // statistics and the counters.
 func sameRun(t *testing.T, pes int, refTrace, quantTrace *trace.Buffer, refRes, quantRes *Result) {
 	t.Helper()
-	if len(quantTrace.Refs) != len(refTrace.Refs) {
-		t.Fatalf("%d PEs: quantum emitted %d refs, reference %d",
-			pes, len(quantTrace.Refs), len(refTrace.Refs))
+	quant, ref := slices.Concat(quantTrace.Segments()...), slices.Concat(refTrace.Segments()...)
+	if len(quant) != len(ref) {
+		t.Fatalf("%d PEs: quantum emitted %d refs, reference %d", pes, len(quant), len(ref))
 	}
-	for i := range refTrace.Refs {
-		if quantTrace.Refs[i] != refTrace.Refs[i] {
-			t.Fatalf("%d PEs: ref %d differs: quantum %v, reference %v",
-				pes, i, quantTrace.Refs[i], refTrace.Refs[i])
+	for i := range ref {
+		if quant[i] != ref[i] {
+			t.Fatalf("%d PEs: ref %d differs: quantum %v, reference %v", pes, i, quant[i], ref[i])
 		}
 	}
 	if quantRes.Success != refRes.Success {

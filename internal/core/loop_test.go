@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"testing"
 
 	"repro/internal/compile"
@@ -93,6 +94,7 @@ func TestCycleLimitMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d PEs: unbounded run: %v", pes, err)
 		}
+		fullRefs := slices.Concat(full.Segments()...)
 		const limits = 50
 		for i := int64(1); i <= limits; i++ {
 			// The offsets move the limits off any common stride, across
@@ -108,13 +110,14 @@ func TestCycleLimitMatchesReference(t *testing.T) {
 			if gotErr == nil || gotErr.Error() != refErr.Error() {
 				t.Fatalf("%d PEs, limit %d: error %v, reference %v", pes, limit, gotErr, refErr)
 			}
-			if len(got.Refs) != len(ref.Refs) {
-				t.Fatalf("%d PEs, limit %d: emitted %d refs, reference %d", pes, limit, len(got.Refs), len(ref.Refs))
+			gotRefs, refRefs := slices.Concat(got.Segments()...), slices.Concat(ref.Segments()...)
+			if len(gotRefs) != len(refRefs) {
+				t.Fatalf("%d PEs, limit %d: emitted %d refs, reference %d", pes, limit, len(gotRefs), len(refRefs))
 			}
-			for j := range ref.Refs {
-				if got.Refs[j] != ref.Refs[j] || ref.Refs[j] != full.Refs[j] {
+			for j := range refRefs {
+				if gotRefs[j] != refRefs[j] || refRefs[j] != fullRefs[j] {
 					t.Fatalf("%d PEs, limit %d: ref %d differs: got %v, reference %v, unbounded %v",
-						pes, limit, j, got.Refs[j], ref.Refs[j], full.Refs[j])
+						pes, limit, j, gotRefs[j], refRefs[j], fullRefs[j])
 				}
 			}
 		}
@@ -129,21 +132,22 @@ func TestSoleRunnerCancelPrefix(t *testing.T) {
 	if _, err := loopRun(t, repNrev, "rep(1000)", 1, 1<<20, 1e8, false, full, nil); err != nil {
 		t.Fatalf("full run: %v", err)
 	}
-	cut := len(full.Refs) / 3
+	fullRefs := slices.Concat(full.Segments()...)
+	cut := len(fullRefs) / 3
 	if cut < 4*65536 {
-		t.Fatalf("run too short for a mid-run cancel: %d refs", len(full.Refs))
+		t.Fatalf("run too short for a mid-run cancel: %d refs", len(fullRefs))
 	}
 	sink := newCancelSink(cut)
 	_, err := loopRun(t, repNrev, "rep(1000)", 1, 1<<20, 1e8, false, sink, sink.stop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
-	got := sink.Buffer.Refs
-	if len(got) < cut || len(got) >= len(full.Refs) {
-		t.Fatalf("cancelled run emitted %d refs (cut %d, full %d)", len(got), cut, len(full.Refs))
+	got := slices.Concat(sink.Buffer.Segments()...)
+	if len(got) < cut || len(got) >= len(fullRefs) {
+		t.Fatalf("cancelled run emitted %d refs (cut %d, full %d)", len(got), cut, len(fullRefs))
 	}
 	for i := range got {
-		if got[i] != full.Refs[i] {
+		if got[i] != fullRefs[i] {
 			t.Fatalf("ref %d diverges from the full run", i)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,14 +70,15 @@ func TestShardedParity(t *testing.T) {
 				for _, shards := range shardCounts() {
 					shTrace, shRes := runDispatchShards(t, tc.program, tc.query, pes, shards)
 
-					if len(shTrace.Refs) != len(refTrace.Refs) {
+					sh, ref := slices.Concat(shTrace.Segments()...), slices.Concat(refTrace.Segments()...)
+					if len(sh) != len(ref) {
 						t.Fatalf("%d PEs, %d shards: sharded emitted %d refs, reference %d",
-							pes, shards, len(shTrace.Refs), len(refTrace.Refs))
+							pes, shards, len(sh), len(ref))
 					}
-					for i := range refTrace.Refs {
-						if shTrace.Refs[i] != refTrace.Refs[i] {
+					for i := range ref {
+						if sh[i] != ref[i] {
 							t.Fatalf("%d PEs, %d shards: ref %d differs: sharded %v, reference %v",
-								pes, shards, i, shTrace.Refs[i], refTrace.Refs[i])
+								pes, shards, i, sh[i], ref[i])
 						}
 					}
 					if shRes.Success != refRes.Success {
@@ -135,11 +137,12 @@ func TestShardedCancelPrefix(t *testing.T) {
 	// boundaries, and detection costs up to cancelMask+1 further cycles.
 	tc := struct{ program, query string }{dispatchCases[1].program, "tree(11, N)"}
 	const pes = 8
-	full, _ := runDispatch(t, tc.program, tc.query, pes, true)
-	if len(full.Refs) < 250_000 {
-		t.Fatalf("case too small for a mid-run cancel: %d refs", len(full.Refs))
+	fullTrace, _ := runDispatch(t, tc.program, tc.query, pes, true)
+	full := slices.Concat(fullTrace.Segments()...)
+	if len(full) < 250_000 {
+		t.Fatalf("case too small for a mid-run cancel: %d refs", len(full))
 	}
-	cut := len(full.Refs) / 3
+	cut := len(full) / 3
 
 	for _, shards := range []int{1, 2} {
 		var prev int = -1
@@ -167,13 +170,13 @@ func TestShardedCancelPrefix(t *testing.T) {
 			}
 			eng.Close()
 
-			got := sink.Buffer.Refs
-			if len(got) < cut || len(got) >= len(full.Refs) {
+			got := slices.Concat(sink.Buffer.Segments()...)
+			if len(got) < cut || len(got) >= len(full) {
 				t.Fatalf("%d shards: canceled run emitted %d refs (cut %d, full %d)",
-					shards, len(got), cut, len(full.Refs))
+					shards, len(got), cut, len(full))
 			}
 			for i := range got {
-				if got[i] != full.Refs[i] {
+				if got[i] != full[i] {
 					t.Fatalf("%d shards: ref %d diverges from the canonical stream", shards, i)
 				}
 			}

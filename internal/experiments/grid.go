@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +48,8 @@ import (
 // the first error. After an error, cells not yet started are skipped;
 // cells already in flight complete (engine runs inside them observe
 // ctx themselves and abort mid-run). Cancelling ctx stops the grid at
-// the next cell boundary and returns ctx.Err(). Cells must write only
+// the next cell boundary and returns ctx.Err(). A cell that panics
+// fails with the panic as its error (catchPanic). Cells must write only
 // to their own result slots, and must not take a second token: fn may
 // not call runGrid or inCell.
 func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) error {
@@ -69,7 +71,7 @@ func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) 
 		go func() {
 			defer wg.Done()
 			defer release()
-			if err := fn(i); err != nil {
+			if err := runCell(fn, i); err != nil {
 				firstErr.CompareAndSwap(nil, &err)
 			}
 		}()
@@ -81,15 +83,33 @@ func runGrid(ctx context.Context, r *bench.Runner, n int, fn func(i int) error) 
 	return nil
 }
 
-// inCell runs fn as one grid cell, under one token of r's cell budget.
-func inCell[T any](ctx context.Context, r *bench.Runner, fn func() (T, error)) (T, error) {
+// runCell is fn(i) with a panic caught as its error.
+func runCell(fn func(i int) error, i int) (err error) {
+	defer catchPanic(&err)
+	return fn(i)
+}
+
+// inCell runs fn as one grid cell, under one token of r's cell budget;
+// a panic in fn is its error.
+func inCell[T any](ctx context.Context, r *bench.Runner, fn func() (T, error)) (res T, err error) {
 	release, err := r.AcquireCell(ctx)
 	if err != nil {
-		var zero T
-		return zero, err
+		return res, err
 	}
 	defer release()
+	defer catchPanic(&err)
 	return fn()
+}
+
+// catchPanic, deferred, turns a panic into *err, with the stack it
+// panicked on, so a bug in a kernel fails the cell or job it ran in
+// instead of the process: every layer above reports an error (the
+// service answers 500). A fan-out consumer's panic arrives here from
+// FanOut.Close, carrying the consumer's own stack.
+func catchPanic(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("panic: %v\n\n%s", v, debug.Stack())
+	}
 }
 
 // replayCell streams the stored trace for k into the sinks in one

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
@@ -104,6 +106,40 @@ func TestRunGridPropagatesError(t *testing.T) {
 	// skipped once the error is recorded.
 	if ran.Load() < 5 {
 		t.Fatalf("ran %d cells, want >= 5", ran.Load())
+	}
+}
+
+// panicSink is a replay kernel with a bug: it panics on its first batch.
+type panicSink struct{}
+
+func (panicSink) Add(trace.Ref)        {}
+func (panicSink) AddBatch([]trace.Ref) { panic("kernel bug") }
+
+// TestRunGridCellPanicIsItsError: a cell whose fan-out consumer panics
+// fails the grid with the panic and the consumer's stack as its error,
+// and every other cell runs to the end (all have started before it
+// panics).
+func TestRunGridCellPanicIsItsError(t *testing.T) {
+	const cells = 8
+	var started sync.WaitGroup
+	started.Add(cells)
+	var ran atomic.Int64
+	buf := &trace.Buffer{}
+	buf.AddBatch(make([]trace.Ref, 20_000))
+	err := runGrid(context.Background(), &bench.Runner{Par: cells}, cells, func(i int) error {
+		started.Done()
+		started.Wait()
+		if i == 3 {
+			buf.ReplayAll(panicSink{}, trace.Discard)
+		}
+		ran.Add(1)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "kernel bug") || !strings.Contains(err.Error(), "panicSink") {
+		t.Fatalf("err = %v, want the consumer's panic and stack", err)
+	}
+	if ran.Load() != cells-1 {
+		t.Errorf("%d cells ran to the end, want %d", ran.Load(), cells-1)
 	}
 }
 

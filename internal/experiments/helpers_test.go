@@ -33,7 +33,7 @@ func cellBuffer(t *testing.T, r *bench.Runner, b bench.Benchmark, pes int, seque
 	t.Helper()
 	buf := new(trace.Buffer)
 	err := r.UseCell(context.Background(), b, pes, sequential, func(s *tracestore.Store, k tracestore.Key) error {
-		buf.Refs = buf.Refs[:0]
+		*buf = trace.Buffer{} // a retry starts over
 		return replayCell(s, k, buf)
 	})
 	if err != nil {

@@ -19,8 +19,9 @@ type Job struct {
 // After names have finished (names of no earlier job impose nothing),
 // and returns at once; wait(i) blocks until job i has finished and
 // returns its result. A job whose predecessor failed does not run: its
-// error wraps the predecessor's. All jobs draw on r's one cell budget,
-// so one job's last cells overlap the next one's instead of idling.
+// error wraps the predecessor's. A job that panics fails with the panic
+// as its error. All jobs draw on r's one cell budget, so one job's last
+// cells overlap the next one's instead of idling.
 func Schedule(ctx context.Context, r *bench.Runner, jobs []Job) (wait func(i int) (Result, error)) {
 	done := make([]chan struct{}, len(jobs))
 	results := make([]Result, len(jobs))
@@ -39,11 +40,17 @@ func Schedule(ctx context.Context, r *bench.Runner, jobs []Job) (wait func(i int
 					return
 				}
 			}
-			results[i], errs[i] = job.Run(ctx, r)
+			results[i], errs[i] = runJob(ctx, r, job)
 		}()
 	}
 	return func(i int) (Result, error) {
 		<-done[i]
 		return results[i], errs[i]
 	}
+}
+
+// runJob is job.Run with a panic caught as its error.
+func runJob(ctx context.Context, r *bench.Runner, job Job) (res Result, err error) {
+	defer catchPanic(&err)
+	return job.Run(ctx, r)
 }

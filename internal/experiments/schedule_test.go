@@ -168,7 +168,8 @@ func TestScheduleParOneFinishes(t *testing.T) {
 }
 
 // TestScheduleSkipsDependentsOfFailure: an entry after a failed one
-// does not run and reports the failure; an entry after nothing runs.
+// does not run and reports the failure; an entry after nothing runs;
+// an entry that panics fails with the panic and its stack.
 func TestScheduleSkipsDependentsOfFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Bool
@@ -179,6 +180,7 @@ func TestScheduleSkipsDependentsOfFailure(t *testing.T) {
 			return Table1(), nil
 		}},
 		{Name: "c", Run: func(context.Context, *bench.Runner) (Result, error) { return Table1(), nil }},
+		{Name: "d", Run: func(context.Context, *bench.Runner) (Result, error) { panic("job bug") }},
 	}
 	wait := Schedule(context.Background(), new(bench.Runner), jobs)
 	if _, err := wait(0); !errors.Is(err, boom) {
@@ -192,6 +194,9 @@ func TestScheduleSkipsDependentsOfFailure(t *testing.T) {
 	}
 	if v, err := wait(2); err != nil || v == nil {
 		t.Fatalf("c: %v, %v", v, err)
+	}
+	if _, err := wait(3); err == nil || !strings.Contains(err.Error(), "panic: job bug") || !strings.Contains(err.Error(), "runJob") {
+		t.Fatalf("d: %v, want its panic and stack", err)
 	}
 }
 

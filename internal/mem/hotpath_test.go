@@ -11,6 +11,7 @@ package mem
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestStagingPreservesOrder(t *testing.T) {
 	if buf.Len() != len(want) {
 		t.Fatalf("sink saw %d refs, want %d", buf.Len(), len(want))
 	}
-	for i, r := range buf.Refs {
+	for i, r := range slices.Concat(buf.Segments()...) {
 		if r != want[i] {
 			t.Fatalf("ref %d = %v, want %v", i, r, want[i])
 		}
@@ -77,9 +78,7 @@ func TestCounterMatchesPerRefTally(t *testing.T) {
 	}
 	m.Flush()
 	var want trace.Counter
-	for _, r := range buf.Refs {
-		want.Add(r)
-	}
+	buf.Replay(&want)
 	got := m.Counter()
 	if *got != want {
 		t.Errorf("materialized counter differs from per-ref reference:\n got %+v\nwant %+v", *got, want)

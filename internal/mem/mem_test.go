@@ -136,7 +136,7 @@ func TestReadWriteEmitRefs(t *testing.T) {
 	if buf.Len() != 2 {
 		t.Fatalf("emitted %d refs, want 2", buf.Len())
 	}
-	w, r := buf.Refs[0], buf.Refs[1]
+	w, r := buf.Segments()[0][0], buf.Segments()[0][1]
 	if w.Op != trace.OpWrite || w.PE != 1 || int(w.Addr) != heap.Base {
 		t.Errorf("write ref = %v", w)
 	}

@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// Mem is an in-memory backend for tests and benchmarks. It implements
-// the full Backend contract — atomic Put (the object appears only when
-// the write callback succeeds), seekable writers, sorted List — so
-// store-level tests exercise exactly the code paths production runs,
-// minus the disk.
+// Mem is an in-memory backend for tests, benchmarks and store-less
+// runs (a bench.Runner's private trace store). It implements the full
+// Backend contract — atomic Put (the object appears only when the write
+// callback succeeds), seekable writers, sorted List — so store-level
+// tests exercise exactly the code paths production runs, minus the
+// disk.
 type Mem struct {
 	mu      sync.RWMutex
 	objects map[string]memObject
@@ -83,7 +84,9 @@ func (w *memWriter) Seek(offset int64, whence int) (int64, error) {
 // Put implements Backend: the callback writes into a detached buffer;
 // only a successful return installs the object, so failed or panicking
 // writes leave the namespace untouched (the in-memory equivalent of
-// temp+rename).
+// temp+rename). The object is stored at its exact size: the writer's
+// doubling leaves up to half its buffer unused, which a store-less run
+// would otherwise hold for every object it keeps.
 func (m *Mem) Put(name string, write func(w io.Writer) error) error {
 	if !ValidName(name) {
 		return &Error{Op: "put", Backend: m.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
@@ -92,8 +95,13 @@ func (m *Mem) Put(name string, write func(w io.Writer) error) error {
 	if err := write(w); err != nil {
 		return err
 	}
+	data := w.buf
+	if cap(data) > len(data) {
+		data = make([]byte, len(w.buf))
+		copy(data, w.buf)
+	}
 	m.mu.Lock()
-	m.objects[name] = memObject{data: w.buf, modTime: time.Now()}
+	m.objects[name] = memObject{data: data, modTime: time.Now()}
 	m.mu.Unlock()
 	return nil
 }

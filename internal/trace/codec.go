@@ -605,7 +605,8 @@ func (cr *ChunkReader) Meta() Meta { return cr.meta }
 // sink receives references in exact emission order, and nothing is
 // allocated per chunk:
 //
-//   - a Buffer gets each chunk decoded straight into its tail;
+//   - a Buffer gets each chunk decoded straight into its tail segment,
+//     a new one when the chunk does not fit in what is left of it;
 //   - a FanOut gets each chunk decoded straight into the ring slot it
 //     is sent from, with its runs when a consumer takes them, and sent
 //     as is — unless a partial chunk from Add or AddBatch is waiting,
@@ -672,9 +673,8 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		switch {
 		case inPlace:
 		case isBuffer:
-			// The tail becomes part of the Buffer only once it decodes.
-			buf.reserve(n)
-			refs = buf.Refs[len(buf.Refs) : len(buf.Refs)+n]
+			// The slots become part of the Buffer only once they decode.
+			refs = buf.room(n)[:n]
 		default:
 			if cap(batch) < n {
 				batch = make([]Ref, n)
@@ -695,7 +695,7 @@ func (cr *ChunkReader) Replay(sink Sink) (int64, error) {
 		case inPlace:
 			fan.dispatch(refs, starts)
 		case isBuffer:
-			buf.Refs = buf.Refs[:len(buf.Refs)+n]
+			buf.commit(n)
 		case isRuns:
 			rs.AddRuns(refs, starts)
 		case isBatch:
@@ -906,7 +906,9 @@ func (b *Buffer) WriteCompact(w io.Writer, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	cw.AddBatch(b.Refs)
+	for _, seg := range b.Segments() {
+		cw.AddBatch(seg)
+	}
 	return cw.Close()
 }
 

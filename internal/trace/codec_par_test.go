@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,16 +164,17 @@ func TestParallelChunkWriterFilePatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening parallel file: %v", err)
 	}
-	var decoded Buffer
-	if _, err := cr.Replay(&decoded); err != nil {
+	var buf Buffer
+	if _, err := cr.Replay(&buf); err != nil {
 		t.Fatalf("decoding parallel file: %v", err)
 	}
-	if int(cr.Meta().Refs) != len(refs) || len(decoded.Refs) != len(refs) {
-		t.Fatalf("decoded %d refs (meta %d), want %d", len(decoded.Refs), cr.Meta().Refs, len(refs))
+	decoded := slices.Concat(buf.Segments()...)
+	if int(cr.Meta().Refs) != len(refs) || len(decoded) != len(refs) {
+		t.Fatalf("decoded %d refs (meta %d), want %d", len(decoded), cr.Meta().Refs, len(refs))
 	}
 	for i := range refs {
-		if decoded.Refs[i] != refs[i] {
-			t.Fatalf("ref %d: got %+v, want %+v", i, decoded.Refs[i], refs[i])
+		if decoded[i] != refs[i] {
+			t.Fatalf("ref %d: got %+v, want %+v", i, decoded[i], refs[i])
 		}
 	}
 }

@@ -82,12 +82,13 @@ func TestCompactRoundTrip(t *testing.T) {
 		if total != int64(n) {
 			t.Fatalf("n=%d: replayed %d refs", n, total)
 		}
-		if len(got.Refs) != n {
-			t.Fatalf("n=%d: decoded %d refs", n, len(got.Refs))
+		decoded := slices.Concat(got.Segments()...)
+		if len(decoded) != n {
+			t.Fatalf("n=%d: decoded %d refs", n, len(decoded))
 		}
 		for i := range refs {
-			if got.Refs[i] != refs[i] {
-				t.Fatalf("n=%d: ref %d: got %v want %v", n, i, got.Refs[i], refs[i])
+			if decoded[i] != refs[i] {
+				t.Fatalf("n=%d: ref %d: got %v want %v", n, i, decoded[i], refs[i])
 			}
 		}
 		m := cr.Meta()
@@ -159,8 +160,8 @@ func TestCompactReadEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCompact: %v", err)
 	}
-	if !slices.Equal(b.Refs, refs) || meta.Refs != int64(len(refs)) {
-		t.Fatalf("ReadCompact decoded %d refs (header %d), want %d", len(b.Refs), meta.Refs, len(refs))
+	if got := slices.Concat(b.Segments()...); !slices.Equal(got, refs) || meta.Refs != int64(len(refs)) {
+		t.Fatalf("ReadCompact decoded %d refs (header %d), want %d", len(got), meta.Refs, len(refs))
 	}
 
 	cr, err := NewChunkReader(bytes.NewReader(enc))
@@ -206,11 +207,12 @@ func TestCompactCorruption(t *testing.T) {
 			continue // rejected during decode: good
 		}
 		// Accepted: must be byte-for-byte the original stream.
-		if len(got.Refs) != len(refs) {
-			t.Fatalf("flip at byte %d accepted with %d refs (want %d)", i, len(got.Refs), len(refs))
+		decoded := slices.Concat(got.Segments()...)
+		if len(decoded) != len(refs) {
+			t.Fatalf("flip at byte %d accepted with %d refs (want %d)", i, len(decoded), len(refs))
 		}
 		for j := range refs {
-			if got.Refs[j] != refs[j] {
+			if decoded[j] != refs[j] {
 				t.Fatalf("flip at byte %d accepted with wrong ref %d", i, j)
 			}
 		}
@@ -260,10 +262,12 @@ func TestChunkWriterRejectsOutOfRange(t *testing.T) {
 // own per chunk. A Buffer gets each chunk decoded into its tail, a
 // FanOut into its ring, and any other sink one reused batch, a RunSink
 // with one reused run buffer beside it. Replaying 16 chunks into
-// Discard, a Counter or a lone RunSink, or loading them with
-// ReadCompact, allocates what 2 chunks do; into a FanOut, 2 chunks
-// plus the ring slots 2 chunks leave unmade (a chunk and a run buffer
-// for each of the Depth+2 slots but the 2 used).
+// Discard, a Counter or a lone RunSink allocates what 2 chunks do; into
+// a FanOut, 2 chunks plus the ring slots 2 chunks leave unmade (a chunk
+// and a run buffer for each of the Depth+2 slots but the 2 used); with
+// ReadCompact, 2 chunks plus the Buffer segments they leave unmade
+// (16 chunks fill segments of 1, 2, 4, 8 and the hint's last 1 chunk,
+// 2 chunks two of 1) and the two regrowths of the list that holds them.
 func TestReplayAllocatesNoBatchPerChunk(t *testing.T) {
 	chunk := synthTrace(codecChunkRefs, 4)
 	encode := func(chunks int) []byte {
@@ -300,7 +304,7 @@ func TestReplayAllocatesNoBatchPerChunk(t *testing.T) {
 		{"ReadCompact", func(enc []byte) error {
 			_, _, err := ReadCompact(bytes.NewReader(enc))
 			return err
-		}, 0},
+		}, (5 - 2) + 2},
 	} {
 		allocs := func(enc []byte) float64 {
 			return testing.AllocsPerRun(3, func() {

@@ -1,6 +1,11 @@
 package trace
 
-import "sync"
+import (
+	"fmt"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+)
 
 // BatchSink is an optional extension of Sink for consumers that can
 // process whole batches of references at once. The engine's staging
@@ -137,6 +142,12 @@ const (
 // Close flushes the partial chunk, closes the channels and waits for
 // all consumers to drain. A FanOut must be Closed before the consumer
 // sinks' results are read; reading earlier is a data race.
+//
+// A consumer sink that panics does not end the process from its own
+// goroutine, where no caller could recover: its consumer keeps draining
+// its channel, so the producer never blocks on it, and Close panics on
+// the producer's goroutine with the first such panic's value and stack
+// once every consumer has finished.
 type FanOut struct {
 	chans     []chan chunkMsg
 	wg        sync.WaitGroup
@@ -146,6 +157,19 @@ type FanOut struct {
 	sent      int       // chunks sent; chunk c takes ring slot c mod len(bufs)
 	bufs      [][]Ref   // the chunk ring; a slot is made on first use
 	runs      [][]int32 // the run-start ring; nil when no consumer is a RunSink
+
+	panicked atomic.Pointer[consumerPanic] // the first consumer panic, for Close
+}
+
+// consumerPanic is what Close panics with when a consumer sink
+// panicked: the sink's panic value and the stack it panicked on.
+type consumerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *consumerPanic) Error() string {
+	return fmt.Sprintf("trace: fan-out consumer panicked: %v\n\n%s", p.value, p.stack)
 }
 
 // chunkMsg is one dispatched chunk and, for RunSinks, its runs.
@@ -176,14 +200,23 @@ func NewFanOut(cfg FanOutConfig, sinks ...Sink) *FanOut {
 		ch := make(chan chunkMsg, cfg.Depth)
 		f.chans[i] = ch
 		f.wg.Add(1)
-		go consume(&f.wg, ch, s)
+		go f.consume(ch, s)
 	}
 	return f
 }
 
-// consume drains one consumer's chunk channel into its sink.
-func consume(wg *sync.WaitGroup, ch <-chan chunkMsg, s Sink) {
-	defer wg.Done()
+// consume drains one consumer's chunk channel into its sink. After the
+// sink panics, it keeps the panic for Close and drains the rest of the
+// channel unread.
+func (f *FanOut) consume(ch <-chan chunkMsg, s Sink) {
+	defer f.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			f.panicked.CompareAndSwap(nil, &consumerPanic{value: v, stack: debug.Stack()})
+			for range ch {
+			}
+		}
+	}()
 	switch s := s.(type) {
 	case RunSink:
 		for c := range ch {
@@ -346,7 +379,9 @@ func (f *FanOut) AddBatchStable(refs []Ref) {
 
 // Close flushes the partial chunk and blocks until every consumer has
 // processed its entire stream. After Close returns the consumer sinks
-// are quiescent and safe to read. Close is idempotent.
+// are quiescent and safe to read. Close is idempotent. If a consumer
+// sink panicked, Close panics with its value and stack (an error) once
+// the other consumers have finished.
 func (f *FanOut) Close() {
 	if f.closed {
 		return
@@ -358,11 +393,15 @@ func (f *FanOut) Close() {
 		close(ch)
 	}
 	f.wg.Wait()
+	if p := f.panicked.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // ReplayAll feeds the buffered trace to all sinks concurrently in a
 // single pass, returning once every sink has consumed the full trace.
-// The buffer is chunked by reference (no copying); sinks receive the
+// Each segment is chunked by reference (no copying: segment boundaries
+// are chunk boundaries); sinks receive the
 // references in buffer order, so deterministic sinks produce results
 // identical to sequential Replay.
 func (b *Buffer) ReplayAll(sinks ...Sink) {
@@ -373,6 +412,8 @@ func (b *Buffer) ReplayAll(sinks ...Sink) {
 		return
 	}
 	f := NewFanOut(FanOutConfig{}, sinks...)
-	f.AddBatchStable(b.Refs) // the buffer is immutable for the duration
+	for _, seg := range b.Segments() {
+		f.AddBatchStable(seg) // a segment never moves or changes
+	}
 	f.Close()
 }

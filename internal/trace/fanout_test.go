@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"cmp"
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,7 +137,8 @@ func TestFanOutPanicsAfterClose(t *testing.T) {
 }
 
 func TestBufferReplayAllMatchesReplay(t *testing.T) {
-	buf := &Buffer{Refs: synthRefs(33_333)}
+	buf := &Buffer{}
+	buf.AddBatch(synthRefs(33_333))
 	var seq recordSink
 	buf.Replay(&seq)
 
@@ -173,7 +177,8 @@ func TestFanOutConcurrentConsumersRace(t *testing.T) {
 		counts[i] = &countSink{}
 		sinks[i] = counts[i]
 	}
-	buf := &Buffer{Refs: refs}
+	buf := &Buffer{}
+	buf.AddBatch(refs)
 	buf.ReplayAll(sinks...)
 	for i, c := range counts {
 		if got := c.n.Load(); got != int64(len(refs)) {
@@ -476,4 +481,51 @@ func BenchmarkLineRuns(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/ref")
 	b.ReportMetric(float64(len(runs)-1)/float64(len(refs)), "runs/ref")
+}
+
+// panicSink panics on its third chunk.
+type panicSink struct{ chunks int }
+
+func (s *panicSink) Add(Ref) {}
+func (s *panicSink) AddBatch([]Ref) {
+	if s.chunks++; s.chunks == 3 {
+		panic("sink bug")
+	}
+}
+
+// TestFanOutConsumerPanicReachesClose: a consumer sink that panics on
+// chunk 3 of 16, behind a one-chunk channel, does not end the process
+// from its goroutine. The producer sends every chunk, the other
+// consumers get all of them, and Close panics with the sink's value
+// and stack, on the producer's goroutine, once they have finished; no
+// consumer goroutine outlives Close.
+func TestFanOutConsumerPanicReachesClose(t *testing.T) {
+	const chunkRefs, chunks = 100, 16
+	before := runtime.NumGoroutine()
+	want := synthRefs(chunkRefs * chunks)
+	others := []*batchRecordSink{{}, {}}
+	f := NewFanOut(FanOutConfig{ChunkRefs: chunkRefs, Depth: 1}, others[0], &panicSink{}, others[1])
+	f.AddBatch(want)
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		f.Close()
+		return nil
+	}()
+	p, ok := got.(*consumerPanic)
+	if !ok || p.value != "sink bug" || !strings.Contains(string(p.stack), "panicSink") {
+		t.Fatalf("Close panicked with %v, want the sink's value and stack", got)
+	}
+	if !strings.Contains(p.Error(), "sink bug") {
+		t.Errorf("the panic reads %q", p.Error())
+	}
+	for i, s := range others {
+		sameRefs(t, fmt.Sprintf("consumer %d beside the panicking one", i), s.refs, want)
+	}
+	// Close waited for every consumer's Done; give their goroutines the
+	// moment they need to exit after it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the FanOut", runtime.NumGoroutine(), before)
+		}
+	}
 }

@@ -296,57 +296,114 @@ func (t Tee) AddBatch(refs []Ref) {
 // Buffer accumulates references in memory for later replay (the paper's
 // trace-file stage: the emulator writes a trace which the cache
 // simulators then consume repeatedly with different parameters).
+//
+// The references live in a list of segments, and only the last one,
+// the tail, takes new references: a segment is never copied, moved or
+// reallocated once made, so a multi-million-reference capture writes
+// each reference once and never holds a discarded array beside the
+// live one. Segments double from segMinRefs references to segMaxRefs,
+// and segMinRefs is both the codec's chunk and FanOut's default chunk,
+// so a boundary between schedule-sized segments is a chunk boundary:
+// Replay, ReplayAll and WriteCompact walk the segments without copying.
+// The zero value is an empty Buffer ready to use.
 type Buffer struct {
-	Refs []Ref
+	segs [][]Ref // in order; only the last may have free slots
+	n    int     // references held
+	hint int     // references NewBuffer announced that no segment has room for yet
 }
 
-// NewBuffer returns a Buffer with capacity for n references
-// preallocated. Past n the buffer doubles: append's 1.25× policy for
-// large slices copies a multi-million-reference capture some seven
-// times over, with a collector cycle per regrow now that the heap holds
-// little else.
+const (
+	segMinRefs   = codecChunkRefs // the first segment: one codec chunk, one default FanOut chunk
+	segDoublings = 3
+	segMaxRefs   = segMinRefs << segDoublings // 512 KiB: the most slack a capture leaves
+)
+
+// NewBuffer returns an empty Buffer that expects n references. The
+// hint only sizes segments: while it lasts, a new segment is cut to
+// what remains of it, so a Buffer that receives exactly n references
+// has no free slot. Nothing is allocated before the first reference,
+// and past n segments go on doubling to their cap; an unknown length
+// is a hint of 0.
 func NewBuffer(n int) *Buffer {
-	return &Buffer{Refs: make([]Ref, 0, n)}
+	return &Buffer{hint: max(n, 0)}
 }
 
 // Add appends r.
 func (b *Buffer) Add(r Ref) {
-	b.reserve(1)
-	b.Refs = append(b.Refs, r)
+	b.room(1)[0] = r
+	b.commit(1)
 }
 
-// AddBatch appends a batch of references (BatchSink).
+// AddBatch appends a batch of references (BatchSink), filling the tail
+// and opening segments as it fills.
 func (b *Buffer) AddBatch(refs []Ref) {
-	b.reserve(len(refs))
-	b.Refs = append(b.Refs, refs...)
+	for len(refs) > 0 {
+		n := copy(b.room(1), refs)
+		b.commit(n)
+		refs = refs[n:]
+	}
 }
 
-// reserve makes room for n more references, at least doubling the
-// capacity when it has to reallocate.
-func (b *Buffer) reserve(n int) {
-	need := len(b.Refs) + n
-	if need <= cap(b.Refs) {
-		return
+// room returns the tail's free slots, first opening a new tail when
+// fewer than n are free. A caller fills a prefix and commits it.
+func (b *Buffer) room(n int) []Ref {
+	k := len(b.segs) - 1
+	if k < 0 || cap(b.segs[k])-len(b.segs[k]) < n {
+		b.open(n)
+		k = len(b.segs) - 1
 	}
-	grown := make([]Ref, len(b.Refs), max(need, 2*cap(b.Refs)))
-	copy(grown, b.Refs)
-	b.Refs = grown
+	tail := b.segs[k]
+	return tail[len(tail):cap(tail)]
+}
+
+// commit makes the first n free slots of the tail, which the caller
+// has filled, part of the Buffer.
+func (b *Buffer) commit(n int) {
+	k := len(b.segs) - 1
+	b.segs[k] = b.segs[k][:len(b.segs[k])+n]
+	b.n += n
+}
+
+// open appends a new tail with room for at least n references: the
+// next size on the doubling schedule, cut to what remains of the hint.
+func (b *Buffer) open(n int) {
+	size := segMinRefs << min(len(b.segs), segDoublings)
+	if b.hint > 0 {
+		size = min(size, b.hint)
+	}
+	size = max(size, n)
+	b.hint = max(b.hint-size, 0)
+	b.segs = append(b.segs, make([]Ref, 0, size))
 }
 
 // Len returns the number of buffered references.
-func (b *Buffer) Len() int { return len(b.Refs) }
+func (b *Buffer) Len() int { return b.n }
+
+// Segments returns the buffered references as a read-only list of
+// segments, in order; concatenated they are the trace. Every segment
+// holds at least one reference. The view shares the Buffer's storage:
+// it stays valid as the Buffer grows, but does not see what is added
+// after the call.
+func (b *Buffer) Segments() [][]Ref {
+	if k := len(b.segs); k > 0 && len(b.segs[k-1]) == 0 {
+		return b.segs[:k-1] // a tail a failed decode opened
+	}
+	return b.segs
+}
 
 // Replay feeds every buffered reference to sink in order. A sink that
-// implements BatchSink receives the whole buffer as one batch (the
-// zero-copy fast path); per the BatchSink contract it must treat the
-// slice as read-only.
+// implements BatchSink receives one batch per segment, without a copy;
+// per the BatchSink contract it must treat each as read-only.
 func (b *Buffer) Replay(sink Sink) {
-	if bs, ok := sink.(BatchSink); ok {
-		bs.AddBatch(b.Refs)
-		return
-	}
-	for _, r := range b.Refs {
-		sink.Add(r)
+	bs, isBatch := sink.(BatchSink)
+	for _, seg := range b.Segments() {
+		if isBatch {
+			bs.AddBatch(seg)
+			continue
+		}
+		for _, r := range seg {
+			sink.Add(r)
+		}
 	}
 }
 

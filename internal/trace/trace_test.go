@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,43 +149,6 @@ func BenchmarkCounterAddBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/ref")
 }
 
-// TestBufferGrowsByDoubling captures 4 M references the way the engine
-// delivers them (staging-buffer batches, plus single Adds) into the
-// capacity every caller preallocates and counts reallocations by
-// watching cap: doubling needs two, append's 1.25× policy seven.
-func TestBufferGrowsByDoubling(t *testing.T) {
-	b := NewBuffer(1 << 20)
-	batch := make([]Ref, 65536)
-	const total = 4_000_000
-	reallocs, last := 0, cap(b.Refs)
-	for n := 0; n < total; {
-		if total-n >= len(batch) {
-			for i := range batch {
-				batch[i].Addr = uint32(n + i)
-			}
-			b.AddBatch(batch)
-			n += len(batch)
-		} else {
-			b.Add(Ref{Addr: uint32(n)})
-			n++
-		}
-		if c := cap(b.Refs); c != last {
-			reallocs, last = reallocs+1, c
-		}
-	}
-	if reallocs > 2 {
-		t.Errorf("capturing %d refs reallocated %d times, want at most 2", total, reallocs)
-	}
-	if b.Len() != total {
-		t.Fatalf("buffer holds %d refs, want %d", b.Len(), total)
-	}
-	for i, r := range b.Refs {
-		if r.Addr != uint32(i) {
-			t.Fatalf("ref %d has address %d: growth lost data", i, r.Addr)
-		}
-	}
-}
-
 func TestBufferReplayPreservesOrder(t *testing.T) {
 	b := NewBuffer(4)
 	in := []Ref{
@@ -239,12 +203,13 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCompact: %v", err)
 	}
-	if len(back.Refs) != len(b.Refs) {
-		t.Fatalf("round trip: %d refs, want %d", len(back.Refs), len(b.Refs))
+	got, want := slices.Concat(back.Segments()...), slices.Concat(b.Segments()...)
+	if len(got) != len(want) {
+		t.Fatalf("round trip: %d refs, want %d", len(got), len(want))
 	}
-	for i := range b.Refs {
-		if back.Refs[i] != b.Refs[i] {
-			t.Fatalf("ref %d: got %v, want %v", i, back.Refs[i], b.Refs[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ref %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -265,7 +230,8 @@ func TestRefRoundTripProperty(t *testing.T) {
 		if op {
 			r.Op = OpWrite
 		}
-		b := Buffer{Refs: []Ref{r}}
+		var b Buffer
+		b.Add(r)
 		var buf bytes.Buffer
 		if err := b.WriteCompact(&buf, Meta{PEs: int(pe) + 1}); err != nil {
 			return false
@@ -274,7 +240,8 @@ func TestRefRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(back.Refs) == 1 && back.Refs[0] == r
+		got := slices.Concat(back.Segments()...)
+		return len(got) == 1 && got[0] == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

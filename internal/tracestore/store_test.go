@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,21 +64,16 @@ func TestStorePutReplayRoundTrip(t *testing.T) {
 	if meta.Refs != int64(len(refs)) || meta.Benchmark != k.Benchmark {
 		t.Fatalf("meta = %+v", meta)
 	}
-	if len(got.Refs) != len(refs) {
-		t.Fatalf("replayed %d refs, want %d", len(got.Refs), len(refs))
-	}
-	for i := range refs {
-		if got.Refs[i] != refs[i] {
-			t.Fatalf("ref %d mismatch", i)
-		}
+	if !slices.Equal(slices.Concat(got.Segments()...), refs) {
+		t.Fatalf("replayed %d refs, want the %d written", got.Len(), len(refs))
 	}
 
 	buf, _, err := s.Load(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf.Refs) != len(refs) {
-		t.Fatalf("Load got %d refs", len(buf.Refs))
+	if buf.Len() != len(refs) {
+		t.Fatalf("Load got %d refs", buf.Len())
 	}
 
 	st := s.Stats()

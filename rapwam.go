@@ -182,7 +182,7 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	var buf *trace.Buffer
 	var sink trace.Sink
 	if cfg.CaptureTrace {
-		buf = trace.NewBuffer(1 << 20)
+		buf = new(trace.Buffer)
 		sink = buf
 	}
 	if cfg.Sink != nil {

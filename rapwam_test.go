@@ -186,7 +186,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(back.buf.Refs, res.Trace.buf.Refs) {
+	if !slices.Equal(slices.Concat(back.buf.Segments()...), slices.Concat(res.Trace.buf.Segments()...)) {
 		t.Errorf("round trip: %d refs back of %d, or not the same", back.Len(), res.Trace.Len())
 	}
 }
