@@ -144,12 +144,35 @@ func TestBufferSegmentBoundaries(t *testing.T) {
 			var b Buffer
 			replayEncoded(t, oddChunks(t, want, sizes...), &b)
 			sameRefs(t, label, slices.Concat(b.Segments()...), want)
-			for i, s := range b.Segments() {
-				if len(s) == 0 {
-					t.Errorf("%s: segment %d is empty", label, i)
-				}
-			}
+			checkNonEmpty(t, label, &b)
 		}
+
+		// A chunk that passes its CRC but fails to decode, too large
+		// for the tail, leaves the segment opened for it out of view.
+		label := fmt.Sprintf("%d refs, then a chunk that fails to decode", n)
+		var bad bytes.Buffer
+		cw, err := NewChunkWriter(&bad, Meta{PEs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw.AddBatch(want)
+		cw.flushChunk()
+		junk := bytes.Repeat([]byte{0x80}, 40_000) // tags with the reserved bit set
+		cw.w.Write(chunkFrame(len(junk), junk))
+		cw.w.Write(junk)
+		cw.Close()
+		cr, err := NewChunkReader(bytes.NewReader(bad.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var partial Buffer
+		if _, err := cr.Replay(&partial); err == nil {
+			t.Fatalf("%s: a chunk of bad tags decoded", label)
+		}
+		if got := slices.Concat(partial.Segments()...); partial.Len() != n || !slices.Equal(got, want) {
+			t.Errorf("%s: after a failed decode the view holds %d refs, Len %d, want the %d before", label, len(got), partial.Len(), n)
+		}
+		checkNonEmpty(t, label, &partial)
 	}
 }
 
@@ -165,17 +188,24 @@ func inSegment(b *Buffer, p *Ref) bool {
 	return false
 }
 
+func checkNonEmpty(t *testing.T, label string, b *Buffer) {
+	t.Helper()
+	for i, s := range b.Segments() {
+		if len(s) == 0 {
+			t.Errorf("%s: segment %d is empty", label, i)
+		}
+	}
+}
+
 // checkSegments checks b's segments against the schedule: every one
 // holds a reference, is full but for the last, starts on a chunk
 // boundary and, unless b was hinted, has the schedule's size. An exact
 // hint leaves no free slot.
 func checkSegments(t *testing.T, label string, b *Buffer, hinted bool) {
 	t.Helper()
+	checkNonEmpty(t, label, b)
 	segs, at := b.Segments(), 0
 	for i, s := range segs {
-		if len(s) == 0 {
-			t.Errorf("%s: segment %d is empty", label, i)
-		}
 		if i < len(segs)-1 && len(s) != cap(s) {
 			t.Errorf("%s: segment %d holds %d of %d", label, i, len(s), cap(s))
 		}

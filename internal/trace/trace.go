@@ -26,12 +26,16 @@
 // produce results bit-identical to a sequential replay. With FanOut the
 // stream must be terminated with Close, which flushes buffered chunks
 // and blocks until every consumer has drained; consumer state may only
-// be read after Close returns. Buffer.ReplayAll packages the common
-// case: one buffered trace, many concurrent consumers, one pass. A
-// consumer that is a RunSink also gets each chunk's same-line runs,
-// found once for every such consumer: by the decoder as it decodes a
-// stored chunk (ChunkReader.Replay, which hands them to a lone RunSink
-// as well), and by LineRuns for any other chunk.
+// be read after Close returns. If a consumer sink panics, Close panics
+// with its value and stack on the producer's goroutine. Buffer.ReplayAll
+// packages the common case: one buffered trace, many concurrent
+// consumers, one pass. A Buffer holds its references in segments that
+// never move once made, so it grows without copying, and every read
+// path walks the segments in place. A consumer that is a RunSink also
+// gets each chunk's same-line runs, found once for every such consumer:
+// by the decoder as it decodes a stored chunk (ChunkReader.Replay,
+// which hands them to a lone RunSink as well), and by LineRuns for any
+// other chunk.
 //
 // # On-disk form
 //
@@ -381,9 +385,8 @@ func (b *Buffer) Len() int { return b.n }
 
 // Segments returns the buffered references as a read-only list of
 // segments, in order; concatenated they are the trace. Every segment
-// holds at least one reference. The view shares the Buffer's storage:
-// it stays valid as the Buffer grows, but does not see what is added
-// after the call.
+// holds at least one reference. The view shares the Buffer's storage
+// and holds until the Buffer next grows.
 func (b *Buffer) Segments() [][]Ref {
 	if k := len(b.segs); k > 0 && len(b.segs[k-1]) == 0 {
 		return b.segs[:k-1] // a tail a failed decode opened
