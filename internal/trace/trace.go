@@ -324,10 +324,11 @@ const (
 
 // NewBuffer returns an empty Buffer that expects n references. The
 // hint only sizes segments: while it lasts, a new segment is cut to
-// what remains of it, so a Buffer that receives exactly n references
-// has no free slot. Nothing is allocated before the first reference,
-// and past n segments go on doubling to their cap; an unknown length
-// is a hint of 0.
+// what remains of it, so exactly n references filled in end to end (by
+// Add and AddBatch, or decoded from the codec's chunks) leave no free
+// slot. Nothing is allocated before the first reference, and past n
+// segments go on doubling to their cap; an unknown length is a hint of
+// 0.
 func NewBuffer(n int) *Buffer {
 	return &Buffer{hint: max(n, 0)}
 }
