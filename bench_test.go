@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -285,7 +285,7 @@ func BenchmarkStreamReplayFanOut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := tracestore.NewOn(storage.NewMem())
+	store := tracestore.NewOn(blob.NewMem())
 	k := TraceStoreKey("qsort", 8, false)
 	if err := store.Put(k, func(sink trace.Sink) error { tr.Replay(sink); return nil }); err != nil {
 		b.Fatal(err)

@@ -218,6 +218,26 @@ func TestCLIListingHonoursBench(t *testing.T) {
 	}
 }
 
+// TestBatchCLIsLinkNoHTTP: only rapwamd serves HTTP, so only it may
+// link the HTTP stack. The batch CLIs and the library reach storage
+// through its HTTP-free core (internal/storage/blob); linking net/http
+// or crypto/tls again would cost every one of their processes about a
+// millisecond of start-up, a fifth of a warm experiments run.
+func TestBatchCLIsLinkNoHTTP(t *testing.T) {
+	for _, pkg := range []string{"./cmd/experiments", "./cmd/tracegen", "./cmd/cachesim", "./cmd/rapwam", "."} {
+		out, err := exec.Command("go", "list", "-deps", pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			switch dep {
+			case "net/http", "crypto/tls", "repro/internal/service":
+				t.Errorf("%s links %s", pkg, dep)
+			}
+		}
+	}
+}
+
 // TestCLIShardFlagsAreUnknown pins the removal of -shards and
 // -exec-shards from every command: each rejects them as undefined
 // flags (exit 2, one line naming the flag) and none documents them.

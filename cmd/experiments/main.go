@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments -exp all          # everything (≈0.15 s cold, store-less, on a 2-vCPU Xeon guest)
+//	experiments -exp all          # everything (≈0.26 s store-less; ≈7 ms warm with -tracedir; 2-vCPU Xeon guest)
 //	experiments -exp table1
 //	experiments -exp fig2 [-maxpes 40]
 //	experiments -exp table2 [-pes 8]

@@ -74,7 +74,9 @@ import (
 	"repro"
 
 	"repro/internal/cliflag"
-	"repro/internal/storage"
+	"repro/internal/service"
+	"repro/internal/storage/blob"
+	"repro/internal/tracestore"
 )
 
 func main() {
@@ -106,8 +108,10 @@ func main() {
 	// Validate the chaos spec up front so a typo'd knob is a startup
 	// error naming the flag, not a daemon that launched without the
 	// faults the operator asked for.
+	var faults blob.Faults
 	if *chaos != "" {
-		if _, err := storage.ParseFaults(*chaos); err != nil {
+		var err error
+		if faults, err = blob.ParseFaults(*chaos); err != nil {
 			fmt.Fprintf(os.Stderr, "rapwamd: -chaos: %v\n", err)
 			os.Exit(2)
 		}
@@ -135,8 +139,7 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	cfg := rapwam.ServeConfig{
-		Addr:           *addr,
+	cfg := service.Config{
 		ResultDir:      *resultDir,
 		TraceDir:       *traceDir,
 		Parallelism:    parN,
@@ -145,13 +148,15 @@ func main() {
 		ComputeTimeout: *budget,
 		StaleTempAge:   *sweepAge,
 		ScrubInterval:  *scrub,
-		Chaos:          *chaos,
 		Peers:          peerList,
 		SelfURL:        *self,
-		DrainTimeout:   *drain,
 	}
 	if *chaos != "" {
 		fmt.Fprintf(os.Stderr, "rapwamd: CHAOS MODE: injecting storage faults (%s)\n", *chaos)
+		if err := chaosBackends(&cfg, faults); err != nil {
+			fmt.Fprintln(os.Stderr, "rapwamd:", err)
+			os.Exit(1)
+		}
 	}
 	if *verbose {
 		cfg.Log = func(msg string) { fmt.Fprintf(os.Stderr, "rapwamd: %s\n", msg) }
@@ -162,11 +167,38 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "rapwamd: serving on %s (results %s, traces %s, emulator %s)\n",
 		*addr, *resultDir, orNone(*traceDir), rapwam.EmulatorVersion())
-	if err := rapwam.Serve(ctx, cfg); err != nil {
+	srv, err := service.New(cfg)
+	if err == nil {
+		err = service.Serve(ctx, *addr, nil, srv, *drain)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rapwamd:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "rapwamd: shut down cleanly")
+}
+
+// chaosBackends wraps both stores' directories in the deterministic
+// fault injector: the service must keep returning correct answers
+// under it.
+func chaosBackends(cfg *service.Config, faults blob.Faults) error {
+	tempAge := cfg.StaleTempAge
+	if tempAge <= 0 {
+		tempAge = tracestore.StaleTempAge
+	}
+	rb, err := blob.NewDir(cfg.ResultDir, tempAge)
+	if err != nil {
+		return err
+	}
+	cfg.ResultBackend = blob.NewFault(rb, faults)
+	if cfg.TraceDir != "" {
+		tb, err := blob.NewDir(cfg.TraceDir, tempAge)
+		if err != nil {
+			return err
+		}
+		cfg.TraceBackend = blob.NewFault(tb, faults)
+	}
+	return nil
 }
 
 func orNone(s string) string {

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -35,7 +35,7 @@ func readCell(ctx context.Context, r *Runner, b Benchmark) (cellOutcome, error) 
 }
 
 // flipStoredTrace damages one mid-file byte of the only stored trace.
-func flipStoredTrace(t *testing.T, m *storage.Mem) {
+func flipStoredTrace(t *testing.T, m *blob.Mem) {
 	t.Helper()
 	names, err := m.List("")
 	if err != nil {
@@ -54,7 +54,7 @@ func flipStoredTrace(t *testing.T, m *storage.Mem) {
 }
 
 // TestUseCellHealsAndDegrades drives the one heal/degrade rule through
-// its three outcomes over storage.Fault: a corrupt object quarantines
+// its three outcomes over blob.Fault: a corrupt object quarantines
 // and regenerates, a flaky read retries, and a store that keeps failing
 // (reads or writes) is bypassed through the in-memory store with the
 // context marked degraded — the consumer sees the identical cell every
@@ -74,7 +74,7 @@ func TestUseCellHealsAndDegrades(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		faults storage.Faults
+		faults blob.Faults
 		// damage, when set, corrupts the stored trace after a first
 		// healthy read.
 		damage bool
@@ -85,14 +85,14 @@ func TestUseCellHealsAndDegrades(t *testing.T) {
 		wantInjected    bool
 	}{
 		{name: "corrupt regenerates", damage: true, wantRuns: 1, wantQuarantines: 1},
-		{name: "transient retries", faults: storage.Faults{Seed: 3, ReadErr: 0.4}, wantRuns: 1, wantInjected: true},
-		{name: "unreadable degrades", faults: storage.Faults{ReadErr: 1}, wantRuns: 2, wantDegraded: true, wantInjected: true},
-		{name: "unwritable degrades", faults: storage.Faults{WriteErr: 1}, wantRuns: 1, wantDegraded: true},
+		{name: "transient retries", faults: blob.Faults{Seed: 3, ReadErr: 0.4}, wantRuns: 1, wantInjected: true},
+		{name: "unreadable degrades", faults: blob.Faults{ReadErr: 1}, wantRuns: 2, wantDegraded: true, wantInjected: true},
+		{name: "unwritable degrades", faults: blob.Faults{WriteErr: 1}, wantRuns: 1, wantDegraded: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			media := storage.NewMem()
-			fault := storage.NewFault(media, tc.faults)
+			media := blob.NewMem()
+			fault := blob.NewFault(media, tc.faults)
 			r := &Runner{Store: tracestore.NewOn(fault)}
 			if tc.damage {
 				if _, err := readCell(context.Background(), r, b); err != nil {
@@ -101,7 +101,7 @@ func TestUseCellHealsAndDegrades(t *testing.T) {
 				flipStoredTrace(t, media)
 			}
 			before := r.EngineRuns()
-			ctx, flag := storage.WithDegraded(context.Background())
+			ctx, flag := blob.WithDegraded(context.Background())
 			got, err := readCell(ctx, r, b)
 			if err != nil {
 				t.Fatalf("storage trouble cost the answer: %v", err)

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/tracestore"
 )
 
@@ -14,7 +14,7 @@ import (
 // nobody holds or awaits leaves nothing behind on the Runner.
 func TestLockCellSerializesOneCell(t *testing.T) {
 	r := new(Runner)
-	s, other := tracestore.NewOn(storage.NewMem()), tracestore.NewOn(storage.NewMem())
+	s, other := tracestore.NewOn(blob.NewMem()), tracestore.NewOn(blob.NewMem())
 	k, k2 := StoreKey("deriv", 2, false), StoreKey("deriv", 4, false)
 
 	const holders, rounds = 8, 200
@@ -56,7 +56,7 @@ func TestLockCellSerializesOneCell(t *testing.T) {
 func TestConcurrentUseCellCountsEveryCaller(t *testing.T) {
 	const callers = 8
 	b := Tak()
-	s := tracestore.NewOn(storage.NewMem())
+	s := tracestore.NewOn(blob.NewMem())
 	r := &Runner{Store: s}
 	useAll := func() {
 		t.Helper()

@@ -11,7 +11,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -169,7 +169,7 @@ func (r *Runner) memStore() *tracestore.Store {
 	r.memMu.Lock()
 	defer r.memMu.Unlock()
 	if r.mem == nil {
-		r.mem = tracestore.NewOn(storage.NewMem())
+		r.mem = tracestore.NewOn(blob.NewMem())
 	}
 	return r.mem
 }

@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/objcodec"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -247,7 +247,7 @@ const storeHealAttempts = 3
 // in-memory store bypasses it). Everything else — a failing benchmark,
 // cancellation — propagates.
 func storeHealable(err error) bool {
-	return tracestore.IsCorrupt(err) || storage.AsBackendError(err)
+	return tracestore.IsCorrupt(err) || blob.AsBackendError(err)
 }
 
 // UseCell is how a cell's stored trace and sidecar are consumed, and
@@ -284,7 +284,7 @@ func (r *Runner) UseCell(ctx context.Context, b Benchmark, pes int, sequential b
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	storage.MarkDegraded(ctx, "trace-store")
+	blob.MarkDegraded(ctx, "trace-store")
 	r.Progressf("%s @ %d PEs: trace store keeps failing, using the in-memory store: %v", b.Name, pes, err)
 	return try(r.memStore())
 }

@@ -1,6 +1,6 @@
 package cache
 
-import "fmt"
+import "strconv"
 
 // SimVersion identifies the simulator's observable behaviour: the
 // Stats a Config produces over a given reference stream. A stored
@@ -17,8 +17,21 @@ const SimVersion = "sim1"
 // Key renders the configuration in the canonical form stored
 // simulation results are keyed by. It covers every Config field
 // (TestConfigKeyCoversEveryField): two configurations that could
-// simulate differently never share a key.
+// simulate differently never share a key. It is built with strconv,
+// not fmt: a warm run keys every stored configuration.
 func (c Config) Key() string {
-	return fmt.Sprintf("pes=%d size=%d line=%d proto=%s walloc=%t assoc=%d",
-		c.PEs, c.SizeWords, c.LineWords, c.Protocol, c.WriteAllocate, c.Assoc)
+	b := make([]byte, 0, 64)
+	b = append(b, "pes="...)
+	b = strconv.AppendInt(b, int64(c.PEs), 10)
+	b = append(b, " size="...)
+	b = strconv.AppendInt(b, int64(c.SizeWords), 10)
+	b = append(b, " line="...)
+	b = strconv.AppendInt(b, int64(c.LineWords), 10)
+	b = append(b, " proto="...)
+	b = append(b, c.Protocol.String()...)
+	b = append(b, " walloc="...)
+	b = strconv.AppendBool(b, c.WriteAllocate)
+	b = append(b, " assoc="...)
+	b = strconv.AppendInt(b, int64(c.Assoc), 10)
+	return string(b)
 }

@@ -85,3 +85,24 @@ func TestSimVersionGolden(t *testing.T) {
 			SimVersion, goldenSimVersion, SimVersion, digest)
 	}
 }
+
+// TestConfigKeyPinned pins Key for a handful of configurations: stored
+// result objects are keyed by these strings, so building them any
+// other way must not move a byte. The values are the ones the
+// fmt.Sprintf form produced.
+func TestConfigKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{PEs: 8, SizeWords: 1024, LineWords: 4, Protocol: Hybrid, WriteAllocate: true}, "pes=8 size=1024 line=4 proto=hybrid walloc=true assoc=0"},
+		{Config{PEs: 1, SizeWords: 64, LineWords: 4, Protocol: WriteThrough}, "pes=1 size=64 line=4 proto=write-through walloc=false assoc=0"},
+		{Config{PEs: 4, SizeWords: 8192, LineWords: 8, Protocol: WriteInBroadcast, Assoc: 4}, "pes=4 size=8192 line=8 proto=write-in-broadcast walloc=false assoc=4"},
+		{Config{PEs: 64, SizeWords: 256, LineWords: 1, Protocol: WriteThroughBroadcast, WriteAllocate: true, Assoc: 1}, "pes=64 size=256 line=1 proto=write-through-broadcast walloc=true assoc=1"},
+		{Config{PEs: -1, Protocol: Protocol(9), Assoc: -2}, "pes=-1 size=0 line=0 proto=protocol(9) walloc=false assoc=-2"},
+	} {
+		if got := c.cfg.Key(); got != c.want {
+			t.Errorf("%+v: Key %q, want %q", c.cfg, got, c.want)
+		}
+	}
+}

@@ -15,8 +15,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/busmodel"
 	"repro/internal/cache"
-	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 	"repro/internal/tracestore"
 )
 
@@ -29,7 +29,7 @@ import (
 // replayCounter counts the trace objects opened through it: every
 // Replay of a stored trace is one Get of a .rwt2 object.
 type replayCounter struct {
-	storage.Backend
+	blob.Backend
 	replays atomic.Int64
 }
 
@@ -50,7 +50,7 @@ func (c *replayCounter) Get(name string) (io.ReadCloser, error) {
 func TestExpAllColdWarmDifferential(t *testing.T) {
 	want := expAll(t, new(bench.Runner))
 
-	backend := &replayCounter{Backend: storage.NewMem()}
+	backend := &replayCounter{Backend: blob.NewMem()}
 	store := tracestore.NewOn(backend)
 	coldRunner := &bench.Runner{Store: store}
 	if got := expAll(t, coldRunner); got != want {
@@ -104,7 +104,7 @@ func TestExpAllColdWarmDifferential(t *testing.T) {
 // qsort@8 is replayed once for the bus DES, one object is written, and
 // the run after that opens no trace.
 func TestParentWrittenStoreGainsOnlyTheDESObject(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	backend := &replayCounter{Backend: mem}
 	store := tracestore.NewOn(backend)
 	want := expAll(t, &bench.Runner{Store: store})
@@ -164,7 +164,7 @@ const (
 // is fully warm.
 func TestParentFormatStoreUpgrades(t *testing.T) {
 	want := expAll(t, new(bench.Runner))
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	store := tracestore.NewOn(mem)
 	expAll(t, &bench.Runner{Store: store})
 	names, err := mem.List("")
@@ -223,7 +223,7 @@ func TestParentFormatStoreUpgrades(t *testing.T) {
 // A stored record renders exactly what a computed one does.
 func TestBusDESPartialFill(t *testing.T) {
 	ctx := context.Background()
-	backend := &replayCounter{Backend: storage.NewMem()}
+	backend := &replayCounter{Backend: blob.NewMem()}
 	r := &bench.Runner{Store: tracestore.NewOn(backend)}
 	round := func(widths []float64, replays, hits, misses, puts int64) {
 		t.Helper()
@@ -451,18 +451,18 @@ func assertSameStats(t *testing.T, got, want []cache.Stats) {
 
 // failingResultReads fails every read of a result object with a
 // transient error, leaving traces and sidecars readable.
-type failingResultReads struct{ storage.Backend }
+type failingResultReads struct{ blob.Backend }
 
 func (b failingResultReads) Get(name string) (io.ReadCloser, error) {
 	if strings.HasSuffix(name, ".sim"+tracestore.ObjectExt) {
-		return nil, storage.Transient(fmt.Errorf("get %q: %w", name, storage.ErrInjected))
+		return nil, blob.Transient(fmt.Errorf("get %q: %w", name, blob.ErrInjected))
 	}
 	return b.Backend.Get(name)
 }
 
 // TestResultObjectUnderBackendFaults drives the result object through
 // a misbehaving backend: a write that silently commits damage
-// (storage.Fault's bit flip) is caught by the next read, quarantined
+// (blob.Fault's bit flip) is caught by the next read, quarantined
 // and recomputed; a write that fails is reported and does not fail the
 // cell; reads that keep failing are not corruption — nothing is
 // quarantined, and the cell degrades to the in-memory store like a
@@ -472,9 +472,9 @@ func TestResultObjectUnderBackendFaults(t *testing.T) {
 	b, _ := benchByName(t, "deriv")
 	cfgs := testConfigs(2)
 	// media holds the cell's trace; each subtest starts without results.
-	newMedia := func(t *testing.T) (*storage.Mem, []cache.Stats) {
+	newMedia := func(t *testing.T) (*blob.Mem, []cache.Stats) {
 		t.Helper()
-		media := storage.NewMem()
+		media := blob.NewMem()
 		r := &bench.Runner{Store: tracestore.NewOn(media)}
 		if _, err := r.EnsureStored(ctx, b, 2, false); err != nil {
 			t.Fatal(err)
@@ -488,7 +488,7 @@ func TestResultObjectUnderBackendFaults(t *testing.T) {
 
 	t.Run("bit-flipped write", func(t *testing.T) {
 		media, want := newMedia(t)
-		flipping := tracestore.NewOn(storage.NewFault(media, storage.Faults{Seed: 2, BitFlip: 1}))
+		flipping := tracestore.NewOn(blob.NewFault(media, blob.Faults{Seed: 2, BitFlip: 1}))
 		got, err := simulateAll(ctx, &bench.Runner{Store: flipping}, b, 2, false, cfgs)
 		if err != nil {
 			t.Fatal(err)
@@ -509,7 +509,7 @@ func TestResultObjectUnderBackendFaults(t *testing.T) {
 	t.Run("failed write", func(t *testing.T) {
 		media, want := newMedia(t)
 		var progress []string // simulateAll reports from the calling goroutine
-		s := tracestore.NewOn(storage.NewFault(media, storage.Faults{Seed: 3, WriteErr: 1}))
+		s := tracestore.NewOn(blob.NewFault(media, blob.Faults{Seed: 3, WriteErr: 1}))
 		r := &bench.Runner{Store: s, Progress: func(msg string) { progress = append(progress, msg) }}
 		got, err := simulateAll(ctx, r, b, 2, false, cfgs)
 		if err != nil {
@@ -530,7 +530,7 @@ func TestResultObjectUnderBackendFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := tracestore.NewOn(failingResultReads{media})
-		dctx, degraded := storage.WithDegraded(ctx)
+		dctx, degraded := blob.WithDegraded(ctx)
 		r := &bench.Runner{Store: s}
 		got, err := simulateAll(dctx, r, b, 2, false, cfgs)
 		if err != nil {
@@ -554,7 +554,7 @@ func TestConcurrentConsumersOfOneCellReplayOnce(t *testing.T) {
 	ctx := context.Background()
 	b, _ := benchByName(t, "deriv")
 	cfgs := testConfigs(2)
-	backend := &replayCounter{Backend: storage.NewMem()}
+	backend := &replayCounter{Backend: blob.NewMem()}
 	r := &bench.Runner{Store: tracestore.NewOn(backend)}
 
 	const consumers = 2

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/tracestore"
 )
 
@@ -52,7 +52,7 @@ func scheduleText(t *testing.T, r *bench.Runner, jobs []Job, limit time.Duration
 // memRunner is a Runner over a fresh in-memory store it can read the
 // counters of.
 func memRunner(par int) *bench.Runner {
-	return &bench.Runner{Store: tracestore.NewOn(storage.NewMem()), Par: par}
+	return &bench.Runner{Store: tracestore.NewOn(blob.NewMem()), Par: par}
 }
 
 // TestScheduleAfterNamesEarlierEntries: every After edge names an entry

@@ -6,7 +6,7 @@ import (
 )
 
 // ErrorTaxonomy enforces the PR-7 failure taxonomy on storage
-// consumers: a function that reads through a storage.Backend (or the
+// consumers: a function that reads through a blob.Backend (or the
 // stores built on one) and can return an error must classify what it
 // saw — transient (retry), backend failure (degrade) or neither
 // (corruption, quarantine) — before handing the error up. Concretely:
@@ -16,9 +16,14 @@ import (
 //   - a Backend method call whose error result is discarded (blank
 //     identifier or bare expression statement) is flagged;
 //   - a function that calls fallible Backend methods and returns error
-//     without any classification call (storage.IsTransient,
-//     storage.AsBackendError, storage.Transient, errors.Is, errors.As)
+//     without any classification call (blob.IsTransient,
+//     blob.AsBackendError, blob.Transient, errors.Is, errors.As)
 //     — directly or via a same-package helper — is flagged.
+//
+// The Backend interface and the classifiers are matched by where they
+// are declared: anywhere on or under an internal/storage path
+// (pathInScope), so the storage core in internal/storage/blob and any
+// later split of it stay covered.
 var ErrorTaxonomy = &Analyzer{
 	Name: "errortaxonomy",
 	Doc:  "storage read paths classify errors (Transient/Degrade/Corrupt) before returning them",
@@ -35,7 +40,7 @@ var fallibleBackendMethods = map[string]bool{
 // Degrade/Corrupt classification must gate before they propagate: the
 // read paths, where an unclassified error is the difference between
 // healing corruption and serving it. Write-path errors arrive already
-// wrapped (*storage.Error) and degrade at the caller.
+// wrapped (*blob.Error) and degrade at the caller.
 var backendReadMethods = map[string]bool{
 	"Get": true, "Stat": true, "List": true,
 }
@@ -102,7 +107,7 @@ func runErrorTaxonomy(pass *Pass) {
 				checkDroppedBackendError(pass, info, n)
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok && isBackendCall(info, call, fallibleBackendMethods) {
-					pass.Reportf(call.Pos(), "storage backend call's error is discarded: classify it (storage.IsTransient / storage.AsBackendError / errors.Is(err, fs.ErrNotExist)) or handle the failure")
+					pass.Reportf(call.Pos(), "storage backend call's error is discarded: classify it (blob.IsTransient / blob.AsBackendError / errors.Is(err, fs.ErrNotExist)) or handle the failure")
 				}
 			}
 			return true
@@ -119,7 +124,7 @@ func runErrorTaxonomy(pass *Pass) {
 			// errors for consumers above the interface to classify.
 			return
 		}
-		pass.Reportf(fd.Name.Pos(), "%s reads through a storage.Backend and returns error without classifying it: route backend errors through storage.IsTransient / storage.AsBackendError / errors.Is(err, fs.ErrNotExist) so transient faults retry, backend faults degrade and corruption quarantines", fd.Name.Name)
+		pass.Reportf(fd.Name.Pos(), "%s reads through a storage.Backend and returns error without classifying it: route backend errors through blob.IsTransient / blob.AsBackendError / errors.Is(err, fs.ErrNotExist) so transient faults retry, backend faults degrade and corruption quarantines", fd.Name.Name)
 	})
 }
 
@@ -131,7 +136,7 @@ func isOsIsNotExist(info *types.Info, call *ast.CallExpr) bool {
 
 // isBackendCall reports whether call invokes one of the named methods
 // through the storage Backend interface (an interface named Backend
-// declared in a package whose path ends in internal/storage).
+// declared in a package on or under an internal/storage path).
 func isBackendCall(info *types.Info, call *ast.CallExpr, methods map[string]bool) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !methods[sel.Sel.Name] {
@@ -159,7 +164,7 @@ func isBackendCall(info *types.Info, call *ast.CallExpr, methods map[string]bool
 
 // isClassifierCall matches the taxonomy's classification calls:
 // errors.Is / errors.As, and IsTransient / AsBackendError / Transient
-// from the storage package.
+// from the storage packages.
 func isClassifierCall(info *types.Info, call *ast.CallExpr) bool {
 	obj := calleeObject(info, call)
 	if obj == nil || obj.Pkg() == nil {
@@ -232,7 +237,7 @@ func checkDroppedBackendError(pass *Pass, info *types.Info, as *ast.AssignStmt) 
 	}
 	last := as.Lhs[len(as.Lhs)-1]
 	if id, ok := ast.Unparen(last).(*ast.Ident); ok && id.Name == "_" {
-		pass.Reportf(as.Pos(), "storage backend call's error is dropped into _: classify it (storage.IsTransient / storage.AsBackendError / errors.Is(err, fs.ErrNotExist)) or handle the failure")
+		pass.Reportf(as.Pos(), "storage backend call's error is dropped into _: classify it (blob.IsTransient / blob.AsBackendError / errors.Is(err, fs.ErrNotExist)) or handle the failure")
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -168,7 +168,7 @@ func (e *memEntry) render(exp *experiments.Experiment, format string) ([]byte, e
 // have been. Transient backend read errors also read as misses (the
 // recompute path is the retry), but never quarantine.
 type ResultCache struct {
-	b   storage.Backend
+	b   blob.Backend
 	dir string // filesystem root when directory-backed, "" otherwise
 
 	memHits     atomic.Int64
@@ -194,7 +194,7 @@ func OpenResultCacheDir(dir string, tempAge time.Duration) (*ResultCache, error)
 	if dir == "" {
 		return nil, fmt.Errorf("service: empty result cache directory")
 	}
-	d, err := storage.NewDir(dir, tempAge)
+	d, err := blob.NewDir(dir, tempAge)
 	if err != nil {
 		return nil, fmt.Errorf("service: result cache: %w", err)
 	}
@@ -204,16 +204,16 @@ func OpenResultCacheDir(dir string, tempAge time.Duration) (*ResultCache, error)
 // NewResultCacheOn opens a result cache over an arbitrary backend
 // (in-memory caches for tests, fault-injection wrappers for chaos
 // runs).
-func NewResultCacheOn(b storage.Backend) *ResultCache {
+func NewResultCacheOn(b blob.Backend) *ResultCache {
 	c := &ResultCache{b: b, mem: make(map[string]*memEntry)}
-	if d, ok := b.(*storage.Dir); ok {
+	if d, ok := b.(*blob.Dir); ok {
 		c.dir = d.Root()
 	}
 	return c
 }
 
 // Backend returns the cache's storage backend.
-func (c *ResultCache) Backend() storage.Backend { return c.b }
+func (c *ResultCache) Backend() blob.Backend { return c.b }
 
 // Dir returns the cache's root directory ("" when the backend is not a
 // local directory).
@@ -387,7 +387,7 @@ func (c *ResultCache) lookup(k CacheKey, h string, record bool) (e *memEntry, so
 	body, err := io.ReadAll(rc)
 	rc.Close()
 	if err != nil {
-		if !storage.IsTransient(err) && !storage.AsBackendError(err) {
+		if !blob.IsTransient(err) && !blob.AsBackendError(err) {
 			c.quarantine(k.name(), h)
 		}
 		return miss()
@@ -412,7 +412,7 @@ func (c *ResultCache) quarantine(name, hash string) {
 	c.mu.Lock()
 	delete(c.mem, hash)
 	c.mu.Unlock()
-	if err := c.b.Rename(name, storage.QuarantinePrefix+name); err != nil {
+	if err := c.b.Rename(name, blob.QuarantinePrefix+name); err != nil {
 		if c.b.Delete(name) != nil {
 			return
 		}
@@ -512,7 +512,7 @@ func (c *ResultCache) Scrub() CacheScrubReport {
 		body, err := io.ReadAll(rc)
 		rc.Close()
 		if err != nil {
-			if storage.IsTransient(err) || storage.AsBackendError(err) {
+			if blob.IsTransient(err) || blob.AsBackendError(err) {
 				rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, err))
 				continue
 			}

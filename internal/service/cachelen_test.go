@@ -6,13 +6,13 @@ import (
 	iofs "io/fs"
 	"testing"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // listErrBackend fails List with a fixed error; everything else is the
 // in-memory backend.
 type listErrBackend struct {
-	storage.Backend
+	blob.Backend
 	err error
 }
 
@@ -27,7 +27,7 @@ func (b *listErrBackend) List(prefix string) ([]string, error) { return nil, b.e
 // through the taxonomy.
 func TestResultCacheLenClassifiesListErrors(t *testing.T) {
 	missing := NewResultCacheOn(&listErrBackend{
-		Backend: storage.NewMem(),
+		Backend: blob.NewMem(),
 		err:     fmt.Errorf("peer: %w", iofs.ErrNotExist),
 	})
 	if n, err := missing.Len(); err != nil || n != 0 {
@@ -35,8 +35,8 @@ func TestResultCacheLenClassifiesListErrors(t *testing.T) {
 	}
 
 	broken := NewResultCacheOn(&listErrBackend{
-		Backend: storage.NewMem(),
-		err:     storage.Transient(errors.New("disk wobble")),
+		Backend: blob.NewMem(),
+		err:     blob.Transient(errors.New("disk wobble")),
 	})
 	n, err := broken.Len()
 	if err == nil {
@@ -45,7 +45,7 @@ func TestResultCacheLenClassifiesListErrors(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Len over a failing backend = %d, want 0", n)
 	}
-	if !storage.IsTransient(err) {
+	if !blob.IsTransient(err) {
 		t.Fatalf("Len error %v lost its transient classification in the wrapping", err)
 	}
 }

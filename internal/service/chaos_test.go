@@ -10,16 +10,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // newChaosServer builds a server whose result cache AND trace store sit
 // on fault-injected in-memory backends.
-func newChaosServer(t *testing.T, f storage.Faults) *Server {
+func newChaosServer(t *testing.T, f blob.Faults) *Server {
 	t.Helper()
 	s, err := New(Config{
-		ResultBackend: storage.NewFault(storage.NewMem(), f),
-		TraceBackend:  storage.NewFault(storage.NewMem(), f),
+		ResultBackend: blob.NewFault(blob.NewMem(), f),
+		TraceBackend:  blob.NewFault(blob.NewMem(), f),
 		Parallelism:   2,
 	})
 	if err != nil {
@@ -49,7 +49,7 @@ func TestChaosByteIdentity(t *testing.T) {
 
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := newChaosServer(t, storage.Faults{
+			s := newChaosServer(t, blob.Faults{
 				Seed:      seed,
 				ReadErr:   0.15,
 				WriteErr:  0.10,
@@ -156,7 +156,7 @@ func TestResultCorruptionHealsTransparently(t *testing.T) {
 // admit one, queue one, and shed the rest with 429 + Retry-After.
 func TestLoadShedding(t *testing.T) {
 	s, err := New(Config{
-		ResultBackend: storage.NewMem(),
+		ResultBackend: blob.NewMem(),
 		MaxComputes:   1,
 		MaxQueue:      1,
 		Parallelism:   2,
@@ -228,7 +228,7 @@ func TestLoadShedding(t *testing.T) {
 // only ONE compute slot — joiners must not consume admission capacity.
 func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
 	s, err := New(Config{
-		ResultBackend: storage.NewMem(),
+		ResultBackend: blob.NewMem(),
 		MaxComputes:   1,
 		MaxQueue:      1,
 		Parallelism:   2,
@@ -277,7 +277,7 @@ func TestSingleFlightRidesFreeThroughAdmission(t *testing.T) {
 // disconnect) and counts in /v1/stats.
 func TestComputeTimeout504(t *testing.T) {
 	s, err := New(Config{
-		ResultBackend:  storage.NewMem(),
+		ResultBackend:  blob.NewMem(),
 		ComputeTimeout: 50 * time.Millisecond,
 		Parallelism:    2,
 	})
@@ -316,7 +316,7 @@ func TestHealthzProbesComponents(t *testing.T) {
 	}
 
 	broken, err := New(Config{
-		ResultBackend: storage.NewFault(storage.NewMem(), storage.Faults{WriteErr: 1}),
+		ResultBackend: blob.NewFault(blob.NewMem(), blob.Faults{WriteErr: 1}),
 		Parallelism:   2,
 	})
 	if err != nil {
@@ -343,7 +343,7 @@ func TestDegradedServeWithoutCaching(t *testing.T) {
 	want := append([]byte(nil), getOK(t, golden.Handler(), path).Body.Bytes()...)
 
 	s, err := New(Config{
-		ResultBackend: storage.NewFault(storage.NewMem(), storage.Faults{WriteErr: 1}),
+		ResultBackend: blob.NewFault(blob.NewMem(), blob.Faults{WriteErr: 1}),
 		Parallelism:   2,
 	})
 	if err != nil {

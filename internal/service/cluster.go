@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // proxyHeader marks a request as already proxied once. The owner
@@ -98,14 +99,14 @@ func newCluster(cfg Config) (*cluster, error) {
 
 // peerBackend builds the remote tier for one store namespace
 // ("results" or "traces"): a Peer over every OTHER member's blob API,
-// optionally wrapped (the cluster tests inject storage.Fault here to
+// optionally wrapped (the cluster tests inject blob.Fault here to
 // make the wire hostile).
-func (c *cluster) peerBackend(store string, wrap func(storage.Backend) storage.Backend) storage.Backend {
+func (c *cluster) peerBackend(store string, wrap func(blob.Backend) blob.Backend) blob.Backend {
 	urls := make([]string, len(c.others))
 	for i, o := range c.others {
 		urls[i] = o + "/v1/blobs/" + store
 	}
-	var b storage.Backend = storage.NewPeer(c.client, urls)
+	var b blob.Backend = storage.NewPeer(c.client, urls)
 	if wrap != nil {
 		b = wrap(b)
 	}
@@ -144,8 +145,8 @@ func (c *cluster) reachable(timeout time.Duration) (up, total int) {
 // localBackend unwraps a Tiered composition to its local tier, so
 // health probes measure this node's own storage rather than the
 // fleet's.
-func localBackend(b storage.Backend) storage.Backend {
-	if t, ok := b.(interface{ Local() storage.Backend }); ok {
+func localBackend(b blob.Backend) blob.Backend {
+	if t, ok := b.(interface{ Local() blob.Backend }); ok {
 		return t.Local()
 	}
 	return b

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // Cluster-tier benchmarks: what a warm request costs when the answer is on
@@ -22,7 +23,7 @@ var clusterBenchKey = CacheKey{Experiment: "table2", Params: "pes=2"}
 
 // benchFleet builds a two-node fleet with the benchmark cell warmed on
 // the cell's owner, returning (fleet, owner index, non-owner index).
-func benchFleet(b *testing.B, wrap func(storage.Backend) storage.Backend) (*testFleet, int, int) {
+func benchFleet(b *testing.B, wrap func(blob.Backend) blob.Backend) (*testFleet, int, int) {
 	b.Helper()
 	f := newBenchFleet(b, 2, wrap)
 	owner := -1
@@ -48,11 +49,11 @@ func benchFleet(b *testing.B, wrap func(storage.Backend) storage.Backend) (*test
 }
 
 // newBenchFleet is newTestFleet for benchmarks (testing.B cleanup).
-func newBenchFleet(b *testing.B, n int, wrap func(storage.Backend) storage.Backend) *testFleet {
+func newBenchFleet(b *testing.B, n int, wrap func(blob.Backend) blob.Backend) *testFleet {
 	b.Helper()
 	f := &testFleet{wrap: wrap}
 	for i := 0; i < n; i++ {
-		nd := &testNode{result: storage.NewMem()}
+		nd := &testNode{result: blob.NewMem()}
 		nd.hts = newNodeListener(nd)
 		b.Cleanup(nd.hts.Close)
 		nd.url = nd.hts.URL
@@ -138,8 +139,8 @@ func BenchmarkClusterWarmPeerFetch(b *testing.B) {
 // warm owner, verification and local write-through. The delta over
 // WarmPeerFetch is what the proxy hop itself costs.
 func BenchmarkClusterColdProxyHop(b *testing.B) {
-	f, _, other := benchFleet(b, func(bk storage.Backend) storage.Backend {
-		return storage.NewFault(bk, storage.Faults{Seed: 1, ReadErr: 1})
+	f, _, other := benchFleet(b, func(bk blob.Backend) blob.Backend {
+		return blob.NewFault(bk, blob.Faults{Seed: 1, ReadErr: 1})
 	})
 	client := &http.Client{Timeout: 30 * time.Second}
 	url := f.nodes[other].url + clusterBenchPath

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/tracestore"
 )
 
@@ -26,7 +27,7 @@ import (
 // probes all cross real sockets. Nodes can be killed (connections
 // reset), restarted over their surviving storage, or restarted over
 // fresh storage (disk loss), and the peer wire can be made hostile by
-// injecting storage.Fault via Config.PeerWrap.
+// injecting blob.Fault via Config.PeerWrap.
 
 // testNode is one fleet member: a fixed URL whose handler can be
 // swapped — the live server, or a connection-resetting tombstone when
@@ -36,29 +37,29 @@ type testNode struct {
 	url     string
 	hts     *httptest.Server
 	handler atomic.Pointer[http.Handler]
-	result  *storage.Mem
-	trace   *storage.Mem
+	result  *blob.Mem
+	trace   *blob.Mem
 	srv     *Server
 }
 
 // loseDisk replaces the node's storage with empty backends (reboot it
 // to rejoin empty).
 func (nd *testNode) loseDisk() {
-	nd.result, nd.trace = storage.NewMem(), storage.NewMem()
+	nd.result, nd.trace = blob.NewMem(), blob.NewMem()
 }
 
 type testFleet struct {
 	t     *testing.T
 	nodes []*testNode
 	urls  []string
-	wrap  func(storage.Backend) storage.Backend
+	wrap  func(blob.Backend) blob.Backend
 }
 
 // newTestFleet starts n clustered nodes. wrap, when non-nil, wraps
-// every node's peer-fetch backend (inject storage.Fault here to make
+// every node's peer-fetch backend (inject blob.Fault here to make
 // the wire hostile; the proxy path and each node's local storage stay
 // clean).
-func newTestFleet(t *testing.T, n int, wrap func(storage.Backend) storage.Backend) *testFleet {
+func newTestFleet(t *testing.T, n int, wrap func(blob.Backend) blob.Backend) *testFleet {
 	t.Helper()
 	f := &testFleet{t: t, wrap: wrap}
 	for i := 0; i < n; i++ {
@@ -185,7 +186,7 @@ func (f *testFleet) owner(key CacheKey) int {
 
 // corruptObject flips one byte in the middle of a stored object,
 // in place — silent at-rest corruption on one node's disk.
-func corruptObject(t *testing.T, b storage.Backend, name string) {
+func corruptObject(t *testing.T, b blob.Backend, name string) {
 	t.Helper()
 	rc, err := b.Get(name)
 	if err != nil {
@@ -295,7 +296,7 @@ func TestClusterEngineRunsOncePerCell(t *testing.T) {
 
 // peerGets records the names a node reads through its peer tiers.
 type peerGets struct {
-	storage.Backend
+	blob.Backend
 	mu    *sync.Mutex
 	names *[]string
 }
@@ -319,7 +320,7 @@ func TestClusterCellResultsTravelByName(t *testing.T) {
 		mu      sync.Mutex
 		fetched []string
 	)
-	f := newTestFleet(t, 2, func(b storage.Backend) storage.Backend {
+	f := newTestFleet(t, 2, func(b blob.Backend) blob.Backend {
 		return peerGets{Backend: b, mu: &mu, names: &fetched}
 	})
 	// serveLocally is what a proxying peer sends: the receiving node
@@ -346,7 +347,7 @@ func TestClusterCellResultsTravelByName(t *testing.T) {
 	if n := f.nodes[0].srv.runner.EngineRuns(); n != 4 {
 		t.Fatalf("node 0 ran the emulator %d times for the cold bus study, want 4", n)
 	}
-	f.nodes[0].result = storage.NewMem()
+	f.nodes[0].result = blob.NewMem()
 	f.boot(f.nodes[0])
 	mu.Lock()
 	fetched = nil
@@ -488,7 +489,7 @@ func TestClusterKilledOwnerDegradesThenRejoinsWarm(t *testing.T) {
 	}
 }
 
-// TestClusterChaosOnWireNeverServesCorrupt points storage.Fault at the
+// TestClusterChaosOnWireNeverServesCorrupt points blob.Fault at the
 // peer transport — read errors, failed operations and in-flight bit
 // flips on every blob a node fetches from its peers — and demands the
 // client contract hold anyway: every response is a 200 byte-identical
@@ -498,7 +499,7 @@ func TestClusterKilledOwnerDegradesThenRejoinsWarm(t *testing.T) {
 func TestClusterChaosOnWireNeverServesCorrupt(t *testing.T) {
 	// Fault-free golden bodies, from a solo server sharing nothing with
 	// the fleet but the deterministic computation.
-	solo, err := New(Config{ResultBackend: storage.NewMem(), Parallelism: 2})
+	solo, err := New(Config{ResultBackend: blob.NewMem(), Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +515,8 @@ func TestClusterChaosOnWireNeverServesCorrupt(t *testing.T) {
 		golden[cell] = append([]byte(nil), w.Body.Bytes()...)
 	}
 
-	f := newTestFleet(t, 3, func(b storage.Backend) storage.Backend {
-		return storage.NewFault(b, storage.Faults{
+	f := newTestFleet(t, 3, func(b blob.Backend) blob.Backend {
+		return blob.NewFault(b, blob.Faults{
 			Seed:     7,
 			ReadErr:  0.3,
 			OpErr:    0.2,
@@ -644,7 +645,7 @@ func TestClusterStatsAndHealth(t *testing.T) {
 // construction loudly; degenerate ones (solo, or self-only lists)
 // cleanly disable clustering.
 func TestClusterConfigValidation(t *testing.T) {
-	mem := func() storage.Backend { return storage.NewMem() }
+	mem := func() blob.Backend { return blob.NewMem() }
 	for _, tc := range []struct {
 		name    string
 		cfg     Config

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -32,8 +33,8 @@ type Config struct {
 	// directory backends — in-memory backends for tests, fault
 	// wrappers for chaos runs, networked backends later. A non-nil
 	// TraceBackend attaches a trace store even when TraceDir is "".
-	ResultBackend storage.Backend
-	TraceBackend  storage.Backend
+	ResultBackend blob.Backend
+	TraceBackend  blob.Backend
 	// Parallelism bounds the grid cells in flight across all of the
 	// server's concurrent computes together (<= 0: GOMAXPROCS).
 	Parallelism int
@@ -69,9 +70,9 @@ type Config struct {
 	// computes (nil: a 10-second-timeout default).
 	PeerClient *http.Client
 	// PeerWrap, when non-nil, wraps each store's peer-fetch backend —
-	// the cluster tests inject storage.Fault here to make the wire
+	// the cluster tests inject blob.Fault here to make the wire
 	// hostile.
-	PeerWrap func(b storage.Backend) storage.Backend
+	PeerWrap func(b blob.Backend) blob.Backend
 	// Log, when non-nil, receives one line per notable server event
 	// (startup, compute begin/end, cache write failures, scrubs) and,
 	// prefixed "grid: ", one per completed grid cell.
@@ -124,25 +125,25 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Resolve the LOCAL backends first: they are what this node
 	// mutates, scrubs, and serves to peers over the blob API.
-	var localResult storage.Backend
+	var localResult blob.Backend
 	if cfg.ResultBackend != nil {
 		localResult = cfg.ResultBackend
 	} else {
 		if cfg.ResultDir == "" {
 			return nil, fmt.Errorf("service: empty result cache directory")
 		}
-		d, err := storage.NewDir(cfg.ResultDir, tempAge)
+		d, err := blob.NewDir(cfg.ResultDir, tempAge)
 		if err != nil {
 			return nil, fmt.Errorf("service: result cache: %w", err)
 		}
 		localResult = d
 	}
-	var localTrace storage.Backend
+	var localTrace blob.Backend
 	switch {
 	case cfg.TraceBackend != nil:
 		localTrace = cfg.TraceBackend
 	case cfg.TraceDir != "":
-		d, err := storage.NewDir(cfg.TraceDir, tempAge)
+		d, err := blob.NewDir(cfg.TraceDir, tempAge)
 		if err != nil {
 			return nil, fmt.Errorf("tracestore: %w", err)
 		}
@@ -266,8 +267,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	defer s.healthMu.Unlock()
 	components := map[string]string{}
 	healthy := true
-	probe := func(name string, b storage.Backend) {
-		if err := storage.Probe(b); err != nil {
+	probe := func(name string, b blob.Backend) {
+		if err := blob.Probe(b); err != nil {
 			components[name] = err.Error()
 			healthy = false
 		} else {
@@ -490,7 +491,7 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps exp
 		// The degraded flag rides the compute context: the grid marks
 		// it when a trace-store failure forces the storeless path, and
 		// every waiter on this flight reports the same components.
-		cctx, flag := storage.WithDegraded(cctx)
+		cctx, flag := blob.WithDegraded(cctx)
 		// Cross-node single-flight: a cold cell another member owns is
 		// proxied to the owner (one flight here covers all local
 		// waiters; the owner's own flight group covers the fleet). An
@@ -506,7 +507,7 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps exp
 				if final {
 					return flightResult{}, err
 				}
-				storage.MarkDegraded(cctx, "peer-proxy")
+				blob.MarkDegraded(cctx, "peer-proxy")
 				s.cluster.proxyFallbacks.Add(1)
 				s.logf("proxy of %s?%s to owner %s failed (%v); computing locally", key.Experiment, key.Params, owner, err)
 			}
@@ -535,7 +536,7 @@ func (s *Server) computeOnce(ctx context.Context, key CacheKey, h string, ps exp
 func (s *Server) cacheResult(ctx context.Context, key CacheKey, h string, body []byte) *memEntry {
 	ent, err := s.cache.put(key, h, body)
 	if err != nil {
-		storage.MarkDegraded(ctx, "result-cache")
+		blob.MarkDegraded(ctx, "result-cache")
 		s.logf("result cache write for %s failed: %v", key.Experiment, err)
 		return &memEntry{body: body}
 	}

@@ -20,7 +20,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // newTestServer builds a server over fresh temp directories (its own
@@ -639,7 +639,7 @@ func TestMachineFaultIsAnErrorResponse(t *testing.T) {
 // computes that share cells take turns with one token — and both
 // finish, with the bodies each computes alone.
 func TestConcurrentComputesShareOneCellBudget(t *testing.T) {
-	s, err := New(Config{ResultBackend: storage.NewMem(), TraceBackend: storage.NewMem(), Parallelism: 1})
+	s, err := New(Config{ResultBackend: blob.NewMem(), TraceBackend: blob.NewMem(), Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/storage/blob"
 )
 
 // blobInfo is one entry in a blob listing.
@@ -18,7 +20,7 @@ type blobInfo struct {
 	ModTime time.Time `json:"mod_time"`
 }
 
-// BlobHandler serves a Backend over the content-addressed blob
+// BlobHandler serves a blob.Backend over the content-addressed blob
 // protocol Peer speaks. Mount it under a namespace root with
 // http.StripPrefix, e.g.:
 //
@@ -39,13 +41,13 @@ type blobInfo struct {
 // a node answering blob requests out of its own peer fetcher would
 // bounce misses around the cluster. Misses map to 404, invalid names
 // to 400, and every backend failure to 503 — the remote taxonomy Peer
-// folds back into TransientError on the client side.
-func BlobHandler(b Backend) http.Handler {
+// folds back into blob.TransientError on the client side.
+func BlobHandler(b blob.Backend) http.Handler {
 	return &blobHandler{b: b}
 }
 
 type blobHandler struct {
-	b Backend
+	b blob.Backend
 }
 
 func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -54,7 +56,7 @@ func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.serveRoot(w, r)
 		return
 	}
-	if !ValidName(name) {
+	if !blob.ValidName(name) {
 		http.Error(w, "invalid object name", http.StatusBadRequest)
 		return
 	}
@@ -71,7 +73,7 @@ func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		to := r.URL.Query().Get("to")
-		if !ValidName(to) {
+		if !blob.ValidName(to) {
 			http.Error(w, "invalid rename target", http.StatusBadRequest)
 			return
 		}

@@ -1,4 +1,4 @@
-package storage
+package blob
 
 import (
 	"bytes"
@@ -34,15 +34,16 @@ func NewMem() *Mem {
 // Name implements Backend.
 func (m *Mem) Name() string { return "mem" }
 
-// memWriter is the seekable write target handed to Put callbacks: the
-// same grow-on-write + seek semantics as an *os.File, so the trace
-// codec's header back-patch works against Mem too.
-type memWriter struct {
+// Buffer is the seekable in-memory write target Mem and the cluster
+// tier's Peer hand Put callbacks: the same grow-on-write + seek
+// semantics as an *os.File, so the trace codec's header back-patch
+// works against them too. The zero value is empty and ready to use.
+type Buffer struct {
 	buf []byte
 	off int64
 }
 
-func (w *memWriter) Write(p []byte) (int, error) {
+func (w *Buffer) Write(p []byte) (int, error) {
 	end := w.off + int64(len(p))
 	if end > int64(cap(w.buf)) {
 		// Double, and copy once: append's policy for large slices
@@ -62,7 +63,10 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (w *memWriter) Seek(offset int64, whence int) (int64, error) {
+// Bytes returns the bytes written so far (the buffer's own storage).
+func (w *Buffer) Bytes() []byte { return w.buf }
+
+func (w *Buffer) Seek(offset int64, whence int) (int64, error) {
 	var abs int64
 	switch whence {
 	case io.SeekStart:
@@ -91,7 +95,7 @@ func (m *Mem) Put(name string, write func(w io.Writer) error) error {
 	if !ValidName(name) {
 		return &Error{Op: "put", Backend: m.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
 	}
-	w := &memWriter{}
+	w := &Buffer{}
 	if err := write(w); err != nil {
 		return err
 	}

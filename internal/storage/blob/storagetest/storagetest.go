@@ -1,4 +1,4 @@
-// Package storagetest exports the storage.Backend contract as a
+// Package storagetest exports the blob.Backend contract as a
 // reusable test suite: every backend — local, in-memory, networked, or
 // a composition — must behave identically above the interface, and the
 // only way to keep that true as backends multiply is to run them all
@@ -17,19 +17,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // Factory returns a fresh, empty backend for one subtest. Register
 // cleanup on t; the suite never closes backends itself.
-type Factory func(t *testing.T) storage.Backend
+type Factory func(t *testing.T) blob.Backend
 
 // TestBackend runs the full Backend contract over backends produced
 // by open. Each subtest gets its own fresh instance.
 func TestBackend(t *testing.T, open Factory) {
 	suite := []struct {
 		name string
-		run  func(t *testing.T, b storage.Backend)
+		run  func(t *testing.T, b blob.Backend)
 	}{
 		{"RoundTrip", testRoundTrip},
 		{"MissIsNotExist", testMissIsNotExist},
@@ -51,7 +51,7 @@ func TestBackend(t *testing.T, open Factory) {
 }
 
 // Put writes content as name, failing the test on error.
-func Put(t *testing.T, b storage.Backend, name, content string) {
+func Put(t *testing.T, b blob.Backend, name, content string) {
 	t.Helper()
 	if err := b.Put(name, func(w io.Writer) error {
 		_, err := io.WriteString(w, content)
@@ -62,7 +62,7 @@ func Put(t *testing.T, b storage.Backend, name, content string) {
 }
 
 // Get reads name fully, failing the test on error.
-func Get(t *testing.T, b storage.Backend, name string) string {
+func Get(t *testing.T, b blob.Backend, name string) string {
 	t.Helper()
 	rc, err := b.Get(name)
 	if err != nil {
@@ -76,7 +76,7 @@ func Get(t *testing.T, b storage.Backend, name string) string {
 	return string(data)
 }
 
-func testRoundTrip(t *testing.T, b storage.Backend) {
+func testRoundTrip(t *testing.T, b blob.Backend) {
 	Put(t, b, "a.bin", "hello")
 	if got := Get(t, b, "a.bin"); got != "hello" {
 		t.Fatalf("round trip: got %q", got)
@@ -92,7 +92,7 @@ func testRoundTrip(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testMissIsNotExist(t *testing.T, b storage.Backend) {
+func testMissIsNotExist(t *testing.T, b blob.Backend) {
 	if _, err := b.Get("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("get miss: %v", err)
 	}
@@ -104,7 +104,7 @@ func testMissIsNotExist(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testPutInvalidName(t *testing.T, b storage.Backend) {
+func testPutInvalidName(t *testing.T, b blob.Backend) {
 	for _, name := range []string{"", "/abs.bin", "a/../b.bin", "trail/"} {
 		err := b.Put(name, func(w io.Writer) error {
 			_, err := io.WriteString(w, "x")
@@ -119,7 +119,7 @@ func testPutInvalidName(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testPutFailureLeavesNoTrace(t *testing.T, b storage.Backend) {
+func testPutFailureLeavesNoTrace(t *testing.T, b blob.Backend) {
 	boom := errors.New("generator exploded")
 	Put(t, b, "keep.bin", "original")
 	err := b.Put("keep.bin", func(w io.Writer) error {
@@ -141,7 +141,7 @@ func testPutFailureLeavesNoTrace(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testPutPanicCleansUp(t *testing.T, b storage.Backend) {
+func testPutPanicCleansUp(t *testing.T, b blob.Backend) {
 	func() {
 		defer func() { recover() }()
 		//rapwam:allow errortaxonomy the writer panics deliberately; the assertion below is that no object materialized
@@ -155,7 +155,7 @@ func testPutPanicCleansUp(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testWriterSeeks(t *testing.T, b storage.Backend) {
+func testWriterSeeks(t *testing.T, b blob.Backend) {
 	// The trace codec back-patches its header; every backend must hand
 	// Put an io.WriteSeeker.
 	err := b.Put("patched.bin", func(w io.Writer) error {
@@ -180,10 +180,10 @@ func testWriterSeeks(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testListAndNamespaces(t *testing.T, b storage.Backend) {
+func testListAndNamespaces(t *testing.T, b blob.Backend) {
 	Put(t, b, "b.bin", "1")
 	Put(t, b, "a.bin", "2")
-	Put(t, b, storage.QuarantinePrefix+"c.bin", "3")
+	Put(t, b, blob.QuarantinePrefix+"c.bin", "3")
 	root, err := b.List("")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func testListAndNamespaces(t *testing.T, b storage.Backend) {
 	if fmt.Sprint(root) != "[a.bin b.bin]" {
 		t.Fatalf("root list: %v (quarantine must not leak into the root namespace)", root)
 	}
-	quar, err := b.List(storage.QuarantinePrefix)
+	quar, err := b.List(blob.QuarantinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,22 +205,22 @@ func testListAndNamespaces(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testRenameQuarantines(t *testing.T, b storage.Backend) {
+func testRenameQuarantines(t *testing.T, b blob.Backend) {
 	Put(t, b, "bad.bin", "damaged")
-	if err := b.Rename("bad.bin", storage.QuarantinePrefix+"bad.bin"); err != nil {
+	if err := b.Rename("bad.bin", blob.QuarantinePrefix+"bad.bin"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Stat("bad.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("rename left the source: %v", err)
 	}
-	if got := Get(t, b, storage.QuarantinePrefix+"bad.bin"); got != "damaged" {
+	if got := Get(t, b, blob.QuarantinePrefix+"bad.bin"); got != "damaged" {
 		t.Fatalf("quarantined content: %q", got)
 	}
 }
 
-func testSweepAgesOutQuarantine(t *testing.T, b storage.Backend) {
+func testSweepAgesOutQuarantine(t *testing.T, b blob.Backend) {
 	Put(t, b, "live.bin", "keep me")
-	Put(t, b, storage.QuarantinePrefix+"old.bin", "age me out")
+	Put(t, b, blob.QuarantinePrefix+"old.bin", "age me out")
 	// Age by waiting: backends time quarantine entries by commit time,
 	// and the factory may not expose the medium (a peer backend's
 	// objects live in another process's namespace).
@@ -228,7 +228,7 @@ func testSweepAgesOutQuarantine(t *testing.T, b storage.Backend) {
 	if n := b.Sweep(10 * time.Millisecond); n != 1 {
 		t.Fatalf("sweep removed %d objects, want 1", n)
 	}
-	if _, err := b.Stat(storage.QuarantinePrefix + "old.bin"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := b.Stat(blob.QuarantinePrefix + "old.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("aged quarantine object survived: %v", err)
 	}
 	if got := Get(t, b, "live.bin"); got != "keep me" {
@@ -236,7 +236,7 @@ func testSweepAgesOutQuarantine(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testConcurrentPuts(t *testing.T, b storage.Backend) {
+func testConcurrentPuts(t *testing.T, b blob.Backend) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -265,8 +265,8 @@ func testConcurrentPuts(t *testing.T, b storage.Backend) {
 	}
 }
 
-func testProbe(t *testing.T, b storage.Backend) {
-	if err := storage.Probe(b); err != nil {
+func testProbe(t *testing.T, b blob.Backend) {
+	if err := blob.Probe(b); err != nil {
 		t.Fatal(err)
 	}
 	// The probe cleans up after itself.

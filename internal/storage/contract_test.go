@@ -8,7 +8,8 @@ import (
 	"time"
 
 	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 )
 
 // Every shipped backend — and the cluster compositions — passes the
@@ -17,8 +18,8 @@ import (
 // listener), so the suite exercises the wire protocol too.
 
 func TestDirContract(t *testing.T) {
-	storagetest.TestBackend(t, func(t *testing.T) storage.Backend {
-		d, err := storage.NewDir(filepath.Join(t.TempDir(), "store"), 0)
+	storagetest.TestBackend(t, func(t *testing.T) blob.Backend {
+		d, err := blob.NewDir(filepath.Join(t.TempDir(), "store"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,8 +28,8 @@ func TestDirContract(t *testing.T) {
 }
 
 func TestMemContract(t *testing.T) {
-	storagetest.TestBackend(t, func(t *testing.T) storage.Backend {
-		return storage.NewMem()
+	storagetest.TestBackend(t, func(t *testing.T) blob.Backend {
+		return blob.NewMem()
 	})
 }
 
@@ -37,7 +38,7 @@ func TestMemContract(t *testing.T) {
 func blobServer(t *testing.T) string {
 	t.Helper()
 	srv := httptest.NewServer(http.StripPrefix("/v1/blobs/results/",
-		storage.BlobHandler(storage.NewMem())))
+		storage.BlobHandler(blob.NewMem())))
 	t.Cleanup(srv.Close)
 	return srv.URL + "/v1/blobs/results"
 }
@@ -45,7 +46,7 @@ func blobServer(t *testing.T) string {
 func peerClient() *http.Client { return &http.Client{Timeout: 5 * time.Second} }
 
 func TestPeerContract(t *testing.T) {
-	storagetest.TestBackend(t, func(t *testing.T) storage.Backend {
+	storagetest.TestBackend(t, func(t *testing.T) blob.Backend {
 		return storage.NewPeer(peerClient(), []string{blobServer(t)})
 	})
 }
@@ -53,14 +54,14 @@ func TestPeerContract(t *testing.T) {
 func TestPeerTwoNodeContract(t *testing.T) {
 	// Two remote nodes: rendezvous routing must still present one
 	// coherent namespace (puts land on the owner, reads find them).
-	storagetest.TestBackend(t, func(t *testing.T) storage.Backend {
+	storagetest.TestBackend(t, func(t *testing.T) blob.Backend {
 		return storage.NewPeer(peerClient(), []string{blobServer(t), blobServer(t)})
 	})
 }
 
 func TestTieredContract(t *testing.T) {
-	storagetest.TestBackend(t, func(t *testing.T) storage.Backend {
+	storagetest.TestBackend(t, func(t *testing.T) blob.Backend {
 		remote := storage.NewPeer(peerClient(), []string{blobServer(t)})
-		return storage.NewTiered(storage.NewMem(), remote)
+		return storage.NewTiered(blob.NewMem(), remote)
 	})
 }

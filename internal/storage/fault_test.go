@@ -1,4 +1,4 @@
-package storage
+package storage_test
 
 import (
 	"bytes"
@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/storage/blob"
 )
 
 // opSequence drives a fixed operation sequence against a fault backend
 // and records which operations failed — the determinism fixture.
-func opSequence(t *testing.T, b *Fault) string {
+func opSequence(t *testing.T, b *blob.Fault) string {
 	t.Helper()
 	var log strings.Builder
 	mark := func(op string, err error) {
@@ -46,13 +48,13 @@ func opSequence(t *testing.T, b *Fault) string {
 }
 
 func TestFaultDeterminism(t *testing.T) {
-	spec := Faults{Seed: 7, ReadErr: 0.2, WriteErr: 0.15, OpErr: 0.1}
-	a := opSequence(t, NewFault(NewMem(), spec))
-	b := opSequence(t, NewFault(NewMem(), spec))
+	spec := blob.Faults{Seed: 7, ReadErr: 0.2, WriteErr: 0.15, OpErr: 0.1}
+	a := opSequence(t, blob.NewFault(blob.NewMem(), spec))
+	b := opSequence(t, blob.NewFault(blob.NewMem(), spec))
 	if a != b {
 		t.Fatalf("same seed, same op order, different faults:\n%s\n%s", a, b)
 	}
-	c := opSequence(t, NewFault(NewMem(), Faults{Seed: 8, ReadErr: 0.2, WriteErr: 0.15, OpErr: 0.1}))
+	c := opSequence(t, blob.NewFault(blob.NewMem(), blob.Faults{Seed: 8, ReadErr: 0.2, WriteErr: 0.15, OpErr: 0.1}))
 	if a == c {
 		t.Fatal("different seeds produced identical fault sequences (suspicious)")
 	}
@@ -62,12 +64,12 @@ func TestFaultDeterminism(t *testing.T) {
 }
 
 func TestFaultInjectedErrorsAreTransient(t *testing.T) {
-	b := NewFault(NewMem(), Faults{WriteErr: 1})
+	b := blob.NewFault(blob.NewMem(), blob.Faults{WriteErr: 1})
 	err := b.Put("x.bin", func(w io.Writer) error { return nil })
-	if !IsTransient(err) || !errors.Is(err, ErrInjected) {
+	if !blob.IsTransient(err) || !errors.Is(err, blob.ErrInjected) {
 		t.Fatalf("injected write error must be transient and wrap ErrInjected: %v", err)
 	}
-	b = NewFault(NewMem(), Faults{ReadErr: 1, Seed: 3})
+	b = blob.NewFault(blob.NewMem(), blob.Faults{ReadErr: 1, Seed: 3})
 	// At ReadErr=1 every Get fails: half open errors, half mid-stream.
 	inner := b.Inner()
 	if err := inner.Put("x.bin", func(w io.Writer) error {
@@ -85,14 +87,14 @@ func TestFaultInjectedErrorsAreTransient(t *testing.T) {
 				t.Fatal("ReadErr=1 Get read through cleanly")
 			}
 		}
-		if !IsTransient(err) {
+		if !blob.IsTransient(err) {
 			t.Fatalf("injected read error must be transient: %v", err)
 		}
 	}
 }
 
 func TestFaultTornWriteCommitsPrefix(t *testing.T) {
-	b := NewFault(NewMem(), Faults{TornWrite: 1, Seed: 1})
+	b := blob.NewFault(blob.NewMem(), blob.Faults{TornWrite: 1, Seed: 1})
 	full := bytes.Repeat([]byte("0123456789abcdef"), 16<<10) // 256 KiB > 64 KiB cut window
 	if err := b.Put("torn.bin", func(w io.Writer) error {
 		_, err := w.Write(full)
@@ -122,7 +124,7 @@ func TestFaultTornWriteCommitsPrefix(t *testing.T) {
 }
 
 func TestFaultBitFlipDamagesCopyNotCaller(t *testing.T) {
-	b := NewFault(NewMem(), Faults{BitFlip: 1, Seed: 2})
+	b := blob.NewFault(blob.NewMem(), blob.Faults{BitFlip: 1, Seed: 2})
 	orig := bytes.Repeat([]byte{0x5A}, 4096)
 	mine := append([]byte(nil), orig...)
 	if err := b.Put("flip.bin", func(w io.Writer) error {
@@ -164,7 +166,7 @@ func popcount(b byte) int {
 }
 
 func TestFaultZeroSpecIsTransparent(t *testing.T) {
-	b := NewFault(NewMem(), Faults{})
+	b := blob.NewFault(blob.NewMem(), blob.Faults{})
 	for i := 0; i < 100; i++ {
 		if err := b.Put("x.bin", func(w io.Writer) error {
 			_, err := io.WriteString(w, "clean")
@@ -189,16 +191,16 @@ func TestFaultZeroSpecIsTransparent(t *testing.T) {
 }
 
 func TestParseFaults(t *testing.T) {
-	f, err := ParseFaults("seed=7,readerr=0.1,writeerr=0.2,operr=0.02,tornwrite=0.05,bitflip=0.03,latency=2ms")
+	f, err := blob.ParseFaults("seed=7,readerr=0.1,writeerr=0.2,operr=0.02,tornwrite=0.05,bitflip=0.03,latency=2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Faults{Seed: 7, ReadErr: 0.1, WriteErr: 0.2, OpErr: 0.02, TornWrite: 0.05, BitFlip: 0.03, MaxLatency: 2 * time.Millisecond}
+	want := blob.Faults{Seed: 7, ReadErr: 0.1, WriteErr: 0.2, OpErr: 0.02, TornWrite: 0.05, BitFlip: 0.03, MaxLatency: 2 * time.Millisecond}
 	if f != want {
 		t.Fatalf("parsed %+v, want %+v", f, want)
 	}
 	for _, bad := range []string{"", "readerr=2", "readerr=-0.1", "bogus=1", "readerr", "latency=-1s", "seed=x"} {
-		if _, err := ParseFaults(bad); err == nil {
+		if _, err := blob.ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) accepted an invalid spec", bad)
 		}
 	}

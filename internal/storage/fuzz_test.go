@@ -1,8 +1,10 @@
-package storage
+package storage_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/storage/blob"
 )
 
 // FuzzParseFaults feeds arbitrary specs to the fault-spec parser used
@@ -26,7 +28,7 @@ func FuzzParseFaults(f *testing.F) {
 	f.Add("seed=9223372036854775807,latency=1h")
 
 	f.Fuzz(func(t *testing.T, spec string) {
-		faults, err := ParseFaults(spec)
+		faults, err := blob.ParseFaults(spec)
 		if err != nil {
 			return // rejected: the only requirement is no panic
 		}

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/storage/blob"
 )
 
 // Rendezvous orders nodes by highest-random-weight (HRW) hash for key:
@@ -45,14 +47,14 @@ func Rendezvous(key string, nodes []string) []string {
 	return out
 }
 
-// Peer is a Backend client for the blob protocol other rapwamd nodes
+// Peer is a blob.Backend client for the blob protocol other rapwamd nodes
 // serve under /v1/blobs/ (see BlobHandler). Each node URL is the base
 // of one remote namespace, e.g. "http://host:8080/v1/blobs/results".
 //
 // Reads (Get/Stat) try nodes in Rendezvous order for the object name —
 // owner first, so the common warm fetch is one round trip. A name no
 // node has is a miss (fs.ErrNotExist); any transport failure without a
-// hit is a TransientError, never corruption, so a flaky network cannot
+// hit is a blob.TransientError, never corruption, so a flaky network cannot
 // get healthy objects quarantined. Put goes to the rendezvous owner
 // only; Delete and Rename fan out to every node; List unions all
 // nodes; Sweep asks each node to sweep itself.
@@ -80,7 +82,7 @@ func NewPeer(client *http.Client, nodes []string) *Peer {
 	return &Peer{client: client, nodes: trimmed}
 }
 
-// Name implements Backend.
+// Name implements blob.Backend.
 func (p *Peer) Name() string { return "peer(" + strings.Join(p.nodes, ",") + ")" }
 
 // Nodes returns the configured node base URLs.
@@ -126,7 +128,7 @@ func (p *Peer) Get(name string) (io.ReadCloser, error) {
 		}
 	}
 	if lastErr != nil {
-		return nil, Transient(fmt.Errorf("peer get %q: %w", name, lastErr))
+		return nil, blob.Transient(fmt.Errorf("peer get %q: %w", name, lastErr))
 	}
 	// Every node answered 404 (or none are configured): a true miss.
 	return nil, p.notExist("get", name)
@@ -144,21 +146,21 @@ type peerBody struct {
 func (r *peerBody) Read(p []byte) (int, error) {
 	n, err := r.rc.Read(p)
 	if err != nil && err != io.EOF {
-		err = Transient(fmt.Errorf("peer read %q: %w", r.name, err))
+		err = blob.Transient(fmt.Errorf("peer read %q: %w", r.name, err))
 	}
 	return n, err
 }
 
 func (r *peerBody) Close() error { return r.rc.Close() }
 
-// Stat implements Backend via HEAD, same node order and miss/transient
+// Stat implements blob.Backend via HEAD, same node order and miss/transient
 // classification as Get.
-func (p *Peer) Stat(name string) (Info, error) {
+func (p *Peer) Stat(name string) (blob.Info, error) {
 	var lastErr error
 	for _, node := range Rendezvous(name, p.nodes) {
 		req, err := http.NewRequest(http.MethodHead, objectURL(node, name), nil)
 		if err != nil {
-			return Info{}, wrapOp(p.Name(), "stat", name, err)
+			return blob.Info{}, &blob.Error{Op: "stat", Backend: p.Name(), Name: name, Err: err}
 		}
 		resp, err := p.client.Do(req)
 		if err != nil {
@@ -168,7 +170,7 @@ func (p *Peer) Stat(name string) (Info, error) {
 		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var info Info
+			var info blob.Info
 			info.Size = resp.ContentLength
 			if t, err := http.ParseTime(resp.Header.Get("Last-Modified")); err == nil {
 				info.ModTime = t
@@ -181,9 +183,9 @@ func (p *Peer) Stat(name string) (Info, error) {
 		}
 	}
 	if lastErr != nil {
-		return Info{}, Transient(fmt.Errorf("peer stat %q: %w", name, lastErr))
+		return blob.Info{}, blob.Transient(fmt.Errorf("peer stat %q: %w", name, lastErr))
 	}
-	return Info{}, p.notExist("stat", name)
+	return blob.Info{}, p.notExist("stat", name)
 }
 
 // Put implements Backend: the callback writes into a detached seekable
@@ -192,34 +194,34 @@ func (p *Peer) Stat(name string) (Info, error) {
 // object is PUT to the rendezvous owner in one request. The owner's
 // own backend makes the commit atomic.
 func (p *Peer) Put(name string, write func(w io.Writer) error) error {
-	if !ValidName(name) {
-		return &Error{Op: "put", Backend: p.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
+	if !blob.ValidName(name) {
+		return &blob.Error{Op: "put", Backend: p.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
 	}
 	if len(p.nodes) == 0 {
-		return Transient(fmt.Errorf("peer put %q: no peer nodes configured", name))
+		return blob.Transient(fmt.Errorf("peer put %q: no peer nodes configured", name))
 	}
-	w := &memWriter{}
+	w := &blob.Buffer{}
 	if err := write(w); err != nil {
 		return err
 	}
 	owner := Rendezvous(name, p.nodes)[0]
-	req, err := http.NewRequest(http.MethodPut, objectURL(owner, name), bytes.NewReader(w.buf))
+	req, err := http.NewRequest(http.MethodPut, objectURL(owner, name), bytes.NewReader(w.Bytes()))
 	if err != nil {
-		return wrapOp(p.Name(), "put", name, err)
+		return &blob.Error{Op: "put", Backend: p.Name(), Name: name, Err: err}
 	}
-	req.ContentLength = int64(len(w.buf))
+	req.ContentLength = int64(len(w.Bytes()))
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return Transient(fmt.Errorf("peer put %q: %w", name, err))
+		return blob.Transient(fmt.Errorf("peer put %q: %w", name, err))
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return Transient(fmt.Errorf("peer put %q: %s: status %s", name, owner, resp.Status))
+		return blob.Transient(fmt.Errorf("peer put %q: %s: status %s", name, owner, resp.Status))
 	}
 	return nil
 }
 
-// Delete implements Backend, fanning out to every node (an object may
+// Delete implements blob.Backend, fanning out to every node (an object may
 // have been written through on several). Any successful delete makes
 // the whole delete succeed; all nodes missing it is fs.ErrNotExist.
 func (p *Peer) Delete(name string) error {
@@ -228,7 +230,7 @@ func (p *Peer) Delete(name string) error {
 	for _, node := range p.nodes {
 		req, err := http.NewRequest(http.MethodDelete, objectURL(node, name), nil)
 		if err != nil {
-			return wrapOp(p.Name(), "delete", name, err)
+			return &blob.Error{Op: "delete", Backend: p.Name(), Name: name, Err: err}
 		}
 		resp, err := p.client.Do(req)
 		if err != nil {
@@ -249,16 +251,16 @@ func (p *Peer) Delete(name string) error {
 		return nil
 	}
 	if lastErr != nil {
-		return Transient(fmt.Errorf("peer delete %q: %w", name, lastErr))
+		return blob.Transient(fmt.Errorf("peer delete %q: %w", name, lastErr))
 	}
 	return p.notExist("delete", name)
 }
 
-// Rename implements Backend, fanning out to every node so quarantining
+// Rename implements blob.Backend, fanning out to every node so quarantining
 // a corrupt object removes it from serving everywhere it exists.
 func (p *Peer) Rename(old, new string) error {
-	if !ValidName(new) {
-		return &Error{Op: "rename", Backend: p.Name(), Name: new, Err: fmt.Errorf("invalid object name")}
+	if !blob.ValidName(new) {
+		return &blob.Error{Op: "rename", Backend: p.Name(), Name: new, Err: fmt.Errorf("invalid object name")}
 	}
 	var lastErr error
 	found := false
@@ -283,12 +285,12 @@ func (p *Peer) Rename(old, new string) error {
 		return nil
 	}
 	if lastErr != nil {
-		return Transient(fmt.Errorf("peer rename %q: %w", old, lastErr))
+		return blob.Transient(fmt.Errorf("peer rename %q: %w", old, lastErr))
 	}
 	return p.notExist("rename", old)
 }
 
-// List implements Backend, unioning every node's listing (sorted,
+// List implements blob.Backend, unioning every node's listing (sorted,
 // deduplicated). A node that cannot answer makes the whole listing
 // transient — a silently partial listing would let a scrubber conclude
 // objects are gone.
@@ -297,11 +299,11 @@ func (p *Peer) List(prefix string) ([]string, error) {
 	for _, node := range p.nodes {
 		resp, err := p.client.Get(node + "/?prefix=" + url.QueryEscape(prefix))
 		if err != nil {
-			return nil, Transient(fmt.Errorf("peer list %q: %w", prefix, err))
+			return nil, blob.Transient(fmt.Errorf("peer list %q: %w", prefix, err))
 		}
 		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
-			return nil, Transient(fmt.Errorf("peer list %q: %s: status %s", prefix, node, resp.Status))
+			return nil, blob.Transient(fmt.Errorf("peer list %q: %s: status %s", prefix, node, resp.Status))
 		}
 		var body struct {
 			Objects []struct {
@@ -311,7 +313,7 @@ func (p *Peer) List(prefix string) ([]string, error) {
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if err != nil {
-			return nil, Transient(fmt.Errorf("peer list %q: %s: %w", prefix, node, err))
+			return nil, blob.Transient(fmt.Errorf("peer list %q: %s: %w", prefix, node, err))
 		}
 		for _, o := range body.Objects {
 			seen[o.Name] = true
@@ -321,7 +323,8 @@ func (p *Peer) List(prefix string) ([]string, error) {
 	for n := range seen {
 		names = append(names, n)
 	}
-	return sortedNames(names), nil
+	sort.Strings(names)
+	return names, nil
 }
 
 // Sweep implements Backend: ask each node to sweep itself, summing
@@ -345,7 +348,7 @@ func (p *Peer) Sweep(olderThan time.Duration) int {
 	return total
 }
 
-var _ Backend = (*Peer)(nil)
+var _ blob.Backend = (*Peer)(nil)
 
 // parseOlderThan parses the sweep cutoff accepted by the blob API:
 // a Go duration ("24h") or a bare integer of seconds.

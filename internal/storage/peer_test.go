@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
@@ -58,7 +59,7 @@ func TestPeerAllNodesDownIsTransient(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // connection refused from here on
 	p := storage.NewPeer(peerClient(), []string{dead.URL})
-	if _, err := p.Get("a.bin"); !storage.IsTransient(err) {
+	if _, err := p.Get("a.bin"); !blob.IsTransient(err) {
 		t.Fatalf("get with all peers down must be transient, got %v", err)
 	}
 	if errors.Is(func() error { _, err := p.Get("a.bin"); return err }(), fs.ErrNotExist) {
@@ -68,10 +69,10 @@ func TestPeerAllNodesDownIsTransient(t *testing.T) {
 		_, err := io.WriteString(w, "x")
 		return err
 	})
-	if !storage.IsTransient(err) {
+	if !blob.IsTransient(err) {
 		t.Fatalf("put with all peers down must be transient, got %v", err)
 	}
-	if _, err := p.List(""); !storage.IsTransient(err) {
+	if _, err := p.List(""); !blob.IsTransient(err) {
 		t.Fatalf("list with a node down must be transient, got %v", err)
 	}
 }
@@ -111,7 +112,7 @@ func TestPeerReadsPreferOwner(t *testing.T) {
 	// Two nodes; only the rendezvous owner holds the object. The first
 	// request must go to the owner (one request total, no fan-out).
 	var hits [2]int
-	mems := [2]*storage.Mem{storage.NewMem(), storage.NewMem()}
+	mems := [2]*blob.Mem{blob.NewMem(), blob.NewMem()}
 	var urls []string
 	for i := 0; i < 2; i++ {
 		i := i
@@ -148,7 +149,7 @@ func TestPeerReadsPreferOwner(t *testing.T) {
 }
 
 func TestBlobHandlerRejectsEscapes(t *testing.T) {
-	srv := httptest.NewServer(http.StripPrefix("/", storage.BlobHandler(storage.NewMem())))
+	srv := httptest.NewServer(http.StripPrefix("/", storage.BlobHandler(blob.NewMem())))
 	t.Cleanup(srv.Close)
 	for _, path := range []string{"/..%2Fescape.bin", "/a%2F..%2F..%2Fb"} {
 		req, err := http.NewRequest(http.MethodPut, srv.URL+path, strings.NewReader("x"))

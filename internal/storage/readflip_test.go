@@ -5,12 +5,12 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 )
 
 func TestFaultReadFlipDamagesExactlyOneBit(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	payload := bytes.Repeat([]byte("deterministic payload "), 100)
 	if err := mem.Put("a.bin", func(w io.Writer) error {
 		_, err := w.Write(payload)
@@ -18,7 +18,7 @@ func TestFaultReadFlipDamagesExactlyOneBit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f := storage.NewFault(mem, storage.Faults{Seed: 42, ReadFlip: 1})
+	f := blob.NewFault(mem, blob.Faults{Seed: 42, ReadFlip: 1})
 	rc, err := f.Get("a.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -51,13 +51,13 @@ func TestFaultReadFlipDamagesExactlyOneBit(t *testing.T) {
 
 func TestFaultReadFlipDeterministicPerSeed(t *testing.T) {
 	read := func(seed int64) []byte {
-		mem := storage.NewMem()
+		mem := blob.NewMem()
 		payload := bytes.Repeat([]byte("x"), 4096)
 		mem.Put("a.bin", func(w io.Writer) error {
 			_, err := w.Write(payload)
 			return err
 		})
-		f := storage.NewFault(mem, storage.Faults{Seed: seed, ReadFlip: 1})
+		f := blob.NewFault(mem, blob.Faults{Seed: seed, ReadFlip: 1})
 		rc, err := f.Get("a.bin")
 		if err != nil {
 			t.Fatal(err)
@@ -75,14 +75,14 @@ func TestFaultReadFlipDeterministicPerSeed(t *testing.T) {
 }
 
 func TestParseFaultsReadFlip(t *testing.T) {
-	f, err := storage.ParseFaults("seed=3,readflip=0.25")
+	f, err := blob.ParseFaults("seed=3,readflip=0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.ReadFlip != 0.25 || f.Seed != 3 {
 		t.Fatalf("parsed: %+v", f)
 	}
-	if _, err := storage.ParseFaults("readflip=1.5"); err == nil {
+	if _, err := blob.ParseFaults("readflip=1.5"); err == nil {
 		t.Fatal("out-of-range readflip must be rejected")
 	}
 }

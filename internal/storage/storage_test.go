@@ -1,4 +1,4 @@
-package storage
+package storage_test
 
 import (
 	"bytes"
@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/storage/blob"
 )
 
 // The generic Backend contract lives in storagetest and runs over
@@ -21,7 +23,7 @@ import (
 // trace store's callers match with os.IsNotExist, which does not
 // unwrap %w chains.
 func TestDirMissMatchesOsIsNotExist(t *testing.T) {
-	d, err := NewDir(filepath.Join(t.TempDir(), "store"), 0)
+	d, err := blob.NewDir(filepath.Join(t.TempDir(), "store"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestDirMissMatchesOsIsNotExist(t *testing.T) {
 
 func TestDirSweepRemovesStaleTemps(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "store")
-	d, err := NewDir(root, 0)
+	d, err := blob.NewDir(root, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,63 +63,63 @@ func TestValidName(t *testing.T) {
 	good := []string{"a.bin", "quarantine/a.bin", "sub/deep.bin"}
 	bad := []string{"", "/abs", "trail/", "a//b", "./x", "../x", "a/../b"}
 	for _, n := range good {
-		if !ValidName(n) {
+		if !blob.ValidName(n) {
 			t.Errorf("ValidName(%q) = false, want true", n)
 		}
 	}
 	for _, n := range bad {
-		if ValidName(n) {
+		if blob.ValidName(n) {
 			t.Errorf("ValidName(%q) = true, want false", n)
 		}
 	}
 }
 
 func TestProbeBrokenBackend(t *testing.T) {
-	b := NewFault(NewMem(), Faults{WriteErr: 1})
-	if err := Probe(b); err == nil {
+	b := blob.NewFault(blob.NewMem(), blob.Faults{WriteErr: 1})
+	if err := blob.Probe(b); err == nil {
 		t.Fatal("probe of a write-dead backend must fail")
 	}
 }
 
 func TestErrorClassification(t *testing.T) {
 	plain := errors.New("compute failed")
-	if AsBackendError(plain) || IsTransient(plain) {
+	if blob.AsBackendError(plain) || blob.IsTransient(plain) {
 		t.Fatal("plain errors must not classify as storage failures")
 	}
-	tr := Transient(plain)
-	if !IsTransient(tr) || !AsBackendError(tr) {
+	tr := blob.Transient(plain)
+	if !blob.IsTransient(tr) || !blob.AsBackendError(tr) {
 		t.Fatal("Transient must classify as transient and backend-side")
 	}
-	be := &Error{Op: "put", Backend: "dir:x", Name: "a", Err: plain}
-	if !AsBackendError(be) || IsTransient(be) {
-		t.Fatal("*Error must classify as backend-side but not transient")
+	be := &blob.Error{Op: "put", Backend: "dir:x", Name: "a", Err: plain}
+	if !blob.AsBackendError(be) || blob.IsTransient(be) {
+		t.Fatal("*blob.Error must classify as backend-side but not transient")
 	}
 	pe := &fs.PathError{Op: "write", Path: "/x", Err: errors.New("EIO")}
-	if !AsBackendError(fmt.Errorf("wrapped: %w", pe)) {
+	if !blob.AsBackendError(fmt.Errorf("wrapped: %w", pe)) {
 		t.Fatal("wrapped *fs.PathError must classify as backend-side")
 	}
-	if Transient(nil) != nil {
+	if blob.Transient(nil) != nil {
 		t.Fatal("Transient(nil) must stay nil")
 	}
 }
 
 func TestDegradedFlag(t *testing.T) {
-	ctx, flag := WithDegraded(t.Context())
-	MarkDegraded(ctx, "trace-store")
-	MarkDegraded(ctx, "result-cache")
-	MarkDegraded(ctx, "trace-store") // deduplicated
+	ctx, flag := blob.WithDegraded(t.Context())
+	blob.MarkDegraded(ctx, "trace-store")
+	blob.MarkDegraded(ctx, "result-cache")
+	blob.MarkDegraded(ctx, "trace-store") // deduplicated
 	if got := fmt.Sprint(flag.Components()); got != "[trace-store result-cache]" {
 		t.Fatalf("components: %v", got)
 	}
 	// No flag planted: a no-op, never a panic.
-	MarkDegraded(t.Context(), "whatever")
-	var nilFlag *DegradedFlag
+	blob.MarkDegraded(t.Context(), "whatever")
+	var nilFlag *blob.DegradedFlag
 	if nilFlag.Components() != nil {
 		t.Fatal("nil flag must read as empty")
 	}
 }
 
-// TestMemWriterMatchesFile drives memWriter and an *os.File through the
+// TestMemWriterMatchesFile drives blob.Buffer (Mem's writer) and an *os.File through the
 // same sequence — appends, a write past the end after a seek (a hole),
 // an overwrite of the start after Seek(0) (the trace codec's header
 // back-patch), then more appends from the end — and requires equal
@@ -128,7 +130,7 @@ func TestMemWriterMatchesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	w := &memWriter{}
+	var w blob.Buffer
 	steps := []struct {
 		seek   bool
 		off    int64
@@ -161,46 +163,8 @@ func TestMemWriterMatchesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(w.buf, want) {
-		t.Errorf("memWriter holds %d bytes that differ from the file's %d", len(w.buf), len(want))
-	}
-}
-
-// TestMemStoresExactSize: an object written in pieces, then patched
-// after a seek back to its start as the trace codec patches its header,
-// is stored at its exact size, not in the writer's doubled buffer, and
-// Get returns the bytes written.
-func TestMemStoresExactSize(t *testing.T) {
-	m := NewMem()
-	want := make([]byte, 300_000)
-	for i := range want {
-		want[i] = byte(i * 7)
-	}
-	err := m.Put("obj", func(w io.Writer) error {
-		for off := 0; off < len(want); off += 4096 {
-			if _, err := w.Write(want[off:min(off+4096, len(want))]); err != nil {
-				return err
-			}
-		}
-		if _, err := w.(io.Seeker).Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		_, err := w.Write(want[:8])
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data := m.objects["obj"].data; len(data) != len(want) || cap(data) != len(data) {
-		t.Errorf("stored %d bytes in a buffer of %d, want %d in %d", len(data), cap(data), len(want), len(want))
-	}
-	rc, err := m.Get("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("Get returned %d bytes (%v), not the %d written", len(got), err, len(want))
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Errorf("Buffer holds %d bytes that differ from the file's %d", len(w.Bytes()), len(want))
 	}
 }
 
@@ -209,19 +173,19 @@ func TestMemStoresExactSize(t *testing.T) {
 // allocation; append's policy for large slices took several times that,
 // recopying the object each time.
 func TestMemWriterGrowsGeometrically(t *testing.T) {
-	w := &memWriter{}
+	var w blob.Buffer
 	chunk := make([]byte, 64<<10)
-	reallocs, last := 0, cap(w.buf)
+	reallocs, last := 0, cap(w.Bytes())
 	for i := 0; i < 256; i++ {
 		if _, err := w.Write(chunk); err != nil {
 			t.Fatal(err)
 		}
-		if c := cap(w.buf); c != last {
+		if c := cap(w.Bytes()); c != last {
 			reallocs, last = reallocs+1, c
 		}
 	}
-	if len(w.buf) != 16<<20 {
-		t.Fatalf("wrote %d bytes, want %d", len(w.buf), 16<<20)
+	if len(w.Bytes()) != 16<<20 {
+		t.Fatalf("wrote %d bytes, want %d", len(w.Bytes()), 16<<20)
 	}
 	if reallocs > 9 {
 		t.Errorf("%d reallocations for 256 chunks, want at most 9 (the first allocation, then doubling)", reallocs)

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/storage/blob"
 )
 
 // TieredStats is a point-in-time snapshot of a Tiered backend's
@@ -43,8 +45,8 @@ type TieredStats struct {
 // a corrupt peer blob is quarantined and healed exactly like a corrupt
 // local one.
 type Tiered struct {
-	local  Backend
-	remote Backend
+	local  blob.Backend
+	remote blob.Backend
 
 	localHits         atomic.Int64
 	peerHits          atomic.Int64
@@ -55,11 +57,11 @@ type Tiered struct {
 }
 
 // NewTiered composes local and remote into a tiered backend.
-func NewTiered(local, remote Backend) *Tiered {
+func NewTiered(local, remote blob.Backend) *Tiered {
 	return &Tiered{local: local, remote: remote}
 }
 
-// Name implements Backend.
+// Name implements blob.Backend.
 func (t *Tiered) Name() string {
 	return "tiered(" + t.local.Name() + " + " + t.remote.Name() + ")"
 }
@@ -67,10 +69,10 @@ func (t *Tiered) Name() string {
 // Local returns the local tier. The serving layer mounts BlobHandler
 // over this (never over the Tiered itself) so peers are served only
 // node-local objects.
-func (t *Tiered) Local() Backend { return t.local }
+func (t *Tiered) Local() blob.Backend { return t.local }
 
 // Remote returns the remote tier.
-func (t *Tiered) Remote() Backend { return t.remote }
+func (t *Tiered) Remote() blob.Backend { return t.remote }
 
 // Stats snapshots the tier counters.
 func (t *Tiered) Stats() TieredStats {
@@ -133,7 +135,7 @@ func (t *Tiered) Get(name string) (io.ReadCloser, error) {
 
 // Stat implements Backend: local first, then remote (no write-through
 // — stat is metadata, not content).
-func (t *Tiered) Stat(name string) (Info, error) {
+func (t *Tiered) Stat(name string) (blob.Info, error) {
 	info, localErr := t.local.Stat(name)
 	if localErr == nil {
 		return info, nil
@@ -141,27 +143,27 @@ func (t *Tiered) Stat(name string) (Info, error) {
 	if info, err := t.remote.Stat(name); err == nil {
 		return info, nil
 	}
-	return Info{}, localErr
+	return blob.Info{}, localErr
 }
 
-// Put implements Backend (local tier only).
+// Put implements blob.Backend (local tier only).
 func (t *Tiered) Put(name string, write func(w io.Writer) error) error {
 	return t.local.Put(name, write)
 }
 
-// Delete implements Backend (local tier only).
+// Delete implements blob.Backend (local tier only).
 func (t *Tiered) Delete(name string) error { return t.local.Delete(name) }
 
-// Rename implements Backend (local tier only): quarantining removes
+// Rename implements blob.Backend (local tier only): quarantining removes
 // the corrupt object from this node's serving set — and from the blob
 // API, so peers stop fetching it too.
 func (t *Tiered) Rename(old, new string) error { return t.local.Rename(old, new) }
 
-// List implements Backend (local tier only, so scrubbing stays
+// List implements blob.Backend (local tier only, so scrubbing stays
 // node-local).
 func (t *Tiered) List(prefix string) ([]string, error) { return t.local.List(prefix) }
 
-// Sweep implements Backend (local tier only; each node sweeps itself).
+// Sweep implements blob.Backend (local tier only; each node sweeps itself).
 func (t *Tiered) Sweep(olderThan time.Duration) int { return t.local.Sweep(olderThan) }
 
-var _ Backend = (*Tiered)(nil)
+var _ blob.Backend = (*Tiered)(nil)

@@ -9,18 +9,19 @@ import (
 	"testing"
 
 	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 )
 
 // tieredOverMem wires a Tiered backend whose remote tier is a real
 // blob server over remoteMem, returning both ends.
-func tieredOverMem(t *testing.T) (*storage.Tiered, *storage.Mem) {
+func tieredOverMem(t *testing.T) (*storage.Tiered, *blob.Mem) {
 	t.Helper()
-	remoteMem := storage.NewMem()
+	remoteMem := blob.NewMem()
 	srv := httptest.NewServer(storage.BlobHandler(remoteMem))
 	t.Cleanup(srv.Close)
 	peer := storage.NewPeer(peerClient(), []string{srv.URL})
-	return storage.NewTiered(storage.NewMem(), peer), remoteMem
+	return storage.NewTiered(blob.NewMem(), peer), remoteMem
 }
 
 func TestTieredPeerFetchWritesThrough(t *testing.T) {
@@ -78,7 +79,7 @@ func TestTieredRemoteFailureReadsAsLocalMiss(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	peer := storage.NewPeer(peerClient(), []string{dead.URL})
-	tiered := storage.NewTiered(storage.NewMem(), peer)
+	tiered := storage.NewTiered(blob.NewMem(), peer)
 	_, err := tiered.Get("gone.bin")
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("dead peer tier must surface the local miss, got %v", err)
@@ -135,7 +136,7 @@ func TestTieredTornPeerTransferWritesNothingThrough(t *testing.T) {
 		}
 	}))
 	t.Cleanup(srv.Close)
-	local := storage.NewMem()
+	local := blob.NewMem()
 	tiered := storage.NewTiered(local, storage.NewPeer(peerClient(), []string{srv.URL}))
 	_, err := tiered.Get("torn.bin")
 	if !errors.Is(err, fs.ErrNotExist) {

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/objcodec"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 )
 
@@ -213,14 +213,14 @@ func TestSidecarSilentFlipQuarantines(t *testing.T) {
 }
 
 func TestTransientReadDoesNotQuarantine(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	s := NewOn(mem)
 	k := testKey()
 	fillCell(t, s, k)
 
 	// Same objects behind a 100%-failing read path: every Load errors,
 	// but transiently — the healthy object must stay in place.
-	flaky := NewOn(storage.NewFault(mem, storage.Faults{ReadErr: 1, Seed: 9}))
+	flaky := NewOn(blob.NewFault(mem, blob.Faults{ReadErr: 1, Seed: 9}))
 	for i := 0; i < 10; i++ {
 		_, _, err := flaky.Load(k)
 		if err == nil {
@@ -229,7 +229,7 @@ func TestTransientReadDoesNotQuarantine(t *testing.T) {
 		if IsCorrupt(err) {
 			t.Fatalf("transient read error classified as corruption: %v", err)
 		}
-		if !storage.AsBackendError(err) {
+		if !blob.AsBackendError(err) {
 			t.Fatalf("transient read error must classify as backend-side: %v", err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestScrubQuarantinesAndReportsRecoverable(t *testing.T) {
 // generic damage: for a spread of single-byte corruptions the replayed
 // reference stream after healing matches the original exactly.
 func TestReplayDamageByteIdentity(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	s := NewOn(mem)
 	k := testKey()
 	want := fillCell(t, s, k)

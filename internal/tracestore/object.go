@@ -12,7 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/objcodec"
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 )
 
@@ -243,7 +243,7 @@ func (s *Store) loadObject(name string, decode func(data []byte) error) (ok bool
 	data, err := io.ReadAll(rc)
 	rc.Close()
 	if err != nil {
-		if storage.IsTransient(err) || storage.AsBackendError(err) {
+		if blob.IsTransient(err) || blob.AsBackendError(err) {
 			return false, fmt.Errorf("tracestore: %s: %w", name, err)
 		}
 		s.quarantine(name)

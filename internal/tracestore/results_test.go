@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/objcodec"
-	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
+	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 )
 
 // result stands in for a consumer's per-configuration result (and, in
@@ -36,7 +36,7 @@ func eachKind(t *testing.T, f func(t *testing.T, kind string)) {
 // invisible to a lookup of another kind.
 func TestResultsRoundTripAndAccounting(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind string) {
-		s := NewOn(storage.NewMem())
+		s := NewOn(blob.NewMem())
 		k := testKey()
 		fillCell(t, s, k)
 		s.ResetStats()
@@ -120,7 +120,7 @@ func TestResultsBytesDeterministic(t *testing.T) {
 // is until a write replaces it.
 func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind string) {
-		mem := storage.NewMem()
+		mem := blob.NewMem()
 		s := NewOn(mem)
 		k := testKey()
 		if err := PutResults(s, k, kind, "v1", map[string]result{"a": {1, 1}}); err != nil {
@@ -152,7 +152,7 @@ func TestStaleResultsIgnoredNotQuarantined(t *testing.T) {
 // the caller's write-back is then the only object, and serves.
 func TestCorruptResultsQuarantinedThenHealed(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind string) {
-		mem := storage.NewMem()
+		mem := blob.NewMem()
 		s := NewOn(mem)
 		k := testKey()
 		want := map[string]result{"a": {1, 1}}
@@ -248,7 +248,7 @@ func TestVerifyChecksEnvelopesReadOnly(t *testing.T) {
 // and Verify counts them as legacy without checking them. So does an
 // object of another format version.
 func TestLegacyJSONObjectsAreForeign(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	s := NewOn(mem)
 	k := testKey()
 	fillCell(t, s, k)

@@ -10,8 +10,8 @@
 //
 // # Layout
 //
-// A store is one storage.Backend namespace (a local directory in
-// production — storage.Dir — or storage.Mem in tests). Each cell owns
+// A store is one blob.Backend namespace (a local directory in
+// production — blob.Dir — or blob.Mem in tests). Each cell owns
 // a trace, a run sidecar and one result object per kind of result:
 //
 //	<bench>-p<PEs>-<seq|par>-<emuver>-<key hash>.rwt2   compact trace
@@ -39,7 +39,7 @@
 // bumps the Quarantines counter, and surfaces a *CorruptError that also matches
 // errors.Is(err, fs.ErrNotExist), so every caller already handling
 // misses regenerates transparently. Corruption costs one regeneration,
-// never correctness. Transient backend errors (storage.IsTransient)
+// never correctness. Transient backend errors (blob.IsTransient)
 // are NOT corruption and never quarantine — a flaky read must not
 // evict a healthy object.
 //
@@ -62,11 +62,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 )
 
@@ -100,36 +101,63 @@ func (k Key) String() string {
 // NUL never occurs in a component, so distinct part lists can never
 // collide by concatenation.
 func ContentHash(parts ...string) string {
-	h := sha256.Sum256([]byte(strings.Join(parts, "\x00")))
+	return hashPrefix([]byte(strings.Join(parts, "\x00")))
+}
+
+// hashPrefix is ContentHash of already-joined bytes.
+func hashPrefix(joined []byte) string {
+	h := sha256.Sum256(joined)
 	return hex.EncodeToString(h[:6])
 }
 
-// hash returns the 12-hex-digit content address of the key.
+// hash returns the 12-hex-digit content address of the key: ContentHash
+// of its benchmark, PEs, sequential flag, emulator version and "v" +
+// codec version, joined here without fmt (a warm run names hundreds of
+// objects).
 func (k Key) hash() string {
-	return ContentHash(k.Benchmark, fmt.Sprint(k.PEs), fmt.Sprint(k.Sequential),
-		k.EmulatorVersion, fmt.Sprintf("v%d", trace.CodecVersion))
+	b := make([]byte, 0, 64)
+	b = append(b, k.Benchmark...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(k.PEs), 10)
+	b = append(b, 0)
+	b = strconv.AppendBool(b, k.Sequential)
+	b = append(b, 0)
+	b = append(b, k.EmulatorVersion...)
+	b = append(b, 0, 'v')
+	b = strconv.AppendInt(b, trace.CodecVersion, 10)
+	return hashPrefix(b)
 }
 
-// stem is the key's object name without extension.
+// stem is the key's object name without extension:
+// <benchmark>-p<PEs>-<par|seq>-<emulator version>-<hash>.
 func (k Key) stem() string {
-	mode := "par"
+	mode := "-par-"
 	if k.Sequential {
-		mode = "seq"
+		mode = "-seq-"
 	}
-	name := sanitize(k.Benchmark)
-	return fmt.Sprintf("%s-p%d-%s-%s-%s", name, k.PEs, mode, sanitize(k.EmulatorVersion), k.hash())
+	b := make([]byte, 0, 80)
+	b = appendSanitized(b, k.Benchmark)
+	b = append(b, "-p"...)
+	b = strconv.AppendInt(b, int64(k.PEs), 10)
+	b = append(b, mode...)
+	b = appendSanitized(b, k.EmulatorVersion)
+	b = append(b, '-')
+	b = append(b, k.hash()...)
+	return string(b)
 }
 
-// sanitize keeps object names portable.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
+// appendSanitized appends s with every rune outside [A-Za-z0-9_-]
+// replaced by '_', keeping object names portable.
+func appendSanitized(b []byte, s string) []byte {
+	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
+			b = append(b, byte(r))
 		default:
-			return '_'
+			b = append(b, '_')
 		}
-	}, s)
+	}
+	return b
 }
 
 // TraceExt is the extension of stored compact traces.
@@ -153,7 +181,7 @@ type Stats struct {
 
 // Store is a trace store over one storage backend.
 type Store struct {
-	b   storage.Backend
+	b   blob.Backend
 	dir string // filesystem root when directory-backed, "" otherwise
 
 	hits        atomic.Int64
@@ -187,7 +215,7 @@ func OpenDir(dir string, tempAge time.Duration) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("tracestore: empty directory")
 	}
-	d, err := storage.NewDir(dir, tempAge)
+	d, err := blob.NewDir(dir, tempAge)
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
@@ -197,16 +225,16 @@ func OpenDir(dir string, tempAge time.Duration) (*Store, error) {
 // NewOn opens a store over an arbitrary backend (in-memory stores for
 // tests, fault-injection wrappers for chaos runs, networked backends
 // later).
-func NewOn(b storage.Backend) *Store {
+func NewOn(b blob.Backend) *Store {
 	s := &Store{b: b}
-	if d, ok := b.(*storage.Dir); ok {
+	if d, ok := b.(*blob.Dir); ok {
 		s.dir = d.Root()
 	}
 	return s
 }
 
 // Backend returns the store's storage backend.
-func (s *Store) Backend() storage.Backend { return s.b }
+func (s *Store) Backend() blob.Backend { return s.b }
 
 // Dir returns the store's root directory ("" when the backend is not a
 // local directory).
@@ -305,7 +333,7 @@ func IsCorrupt(err error) bool {
 // one outcome self-healing cannot allow. Both failing is fine: the
 // object stays, the next read fails verification again and retries.
 func (s *Store) quarantine(name string) {
-	if err := s.b.Rename(name, storage.QuarantinePrefix+name); err != nil {
+	if err := s.b.Rename(name, blob.QuarantinePrefix+name); err != nil {
 		if s.b.Delete(name) != nil {
 			return
 		}
@@ -318,7 +346,7 @@ func (s *Store) quarantine(name string) {
 // anything else is corruption — quarantine and report a *CorruptError
 // that reads as a miss.
 func (s *Store) readFail(k Key, name string, err error) error {
-	if storage.IsTransient(err) || storage.AsBackendError(err) {
+	if blob.IsTransient(err) || blob.AsBackendError(err) {
 		return fmt.Errorf("tracestore: %s: %w", name, err)
 	}
 	s.quarantine(name)
@@ -554,7 +582,7 @@ func (s *Store) scan(repair bool) ScrubReport {
 		if verr == nil {
 			continue
 		}
-		if storage.IsTransient(verr) || storage.AsBackendError(verr) {
+		if blob.IsTransient(verr) || blob.AsBackendError(verr) {
 			// A flaky read is not corruption; report it and move on.
 			rep.Errors = append(rep.Errors, fmt.Errorf("%s: %w", name, verr))
 			continue
@@ -651,7 +679,7 @@ func (s *Store) verifyObject(name string) error {
 	rc, err := s.b.Get(name)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return storage.Transient(err)
+			return blob.Transient(err)
 		}
 		return err
 	}

@@ -341,3 +341,28 @@ func TestPutPanicLeavesNoDroppings(t *testing.T) {
 		t.Errorf("panicking Put left %s behind", e.Name())
 	}
 }
+
+// TestKeyNamesPinned pins the object names of a handful of keys, odd
+// characters included: they are on-disk names, so building them any
+// other way must not move a byte. The values are the ones the
+// fmt.Sprintf form of stem and hash produced.
+func TestKeyNamesPinned(t *testing.T) {
+	for _, c := range []struct {
+		k          Key
+		trace, sim string
+	}{
+		{Key{Benchmark: "qsort", PEs: 8, EmulatorVersion: "emu1"}, "qsort-p8-par-emu1-e0504e43fb53.rwt2", "qsort-p8-par-emu1-e0504e43fb53.sim.rwo1"},
+		{Key{Benchmark: "deriv", PEs: 1, Sequential: true, EmulatorVersion: "emu1"}, "deriv-p1-seq-emu1-88b9c508f828.rwt2", "deriv-p1-seq-emu1-88b9c508f828.sim.rwo1"},
+		{Key{Benchmark: "matrix-32", PEs: 64, EmulatorVersion: "emu1"}, "matrix-32-p64-par-emu1-a80684fa3426.rwt2", "matrix-32-p64-par-emu1-a80684fa3426.sim.rwo1"},
+		{Key{Benchmark: "qsort-6540", PEs: 4, EmulatorVersion: "v2.0+dirty"}, "qsort-6540-p4-par-v2_0_dirty-db4f7a6f589c.rwt2", "qsort-6540-p4-par-v2_0_dirty-db4f7a6f589c.sim.rwo1"},
+		{Key{Benchmark: "näive rev/x", PEs: 0, Sequential: true, EmulatorVersion: "e\xffmu"}, "n_ive_rev_x-p0-seq-e_mu-8019f4bd06ef.rwt2", "n_ive_rev_x-p0-seq-e_mu-8019f4bd06ef.sim.rwo1"},
+		{Key{PEs: -3}, "-p-3-par--9ef0acffdf35.rwt2", "-p-3-par--9ef0acffdf35.sim.rwo1"},
+	} {
+		if got := c.k.name(); got != c.trace {
+			t.Errorf("%+v: trace name %q, want %q", c.k, got, c.trace)
+		}
+		if got := c.k.objectName("sim"); got != c.sim {
+			t.Errorf("%+v: sim object name %q, want %q", c.k, got, c.sim)
+		}
+	}
+}

@@ -6,14 +6,14 @@ import (
 	"io/fs"
 	"testing"
 
-	"repro/internal/storage"
+	"repro/internal/storage/blob"
 )
 
 // vanishBackend makes Get on one object report a miss while List and
 // Stat still see it: the window where a concurrent sweep, delete or
 // quarantine removes an object between a scrub's listing and its read.
 type vanishBackend struct {
-	storage.Backend
+	blob.Backend
 	gone string
 }
 
@@ -32,7 +32,7 @@ func (b *vanishBackend) Get(name string) (io.ReadCloser, error) {
 // and report phantom corruption. A vanished object is a transient
 // condition: reported, never quarantined.
 func TestScrubVanishedObjectNotQuarantined(t *testing.T) {
-	mem := storage.NewMem()
+	mem := blob.NewMem()
 	healthy := NewOn(mem)
 	k := testKey()
 	fillCell(t, healthy, k)
@@ -47,7 +47,7 @@ func TestScrubVanishedObjectNotQuarantined(t *testing.T) {
 	}
 	transient := false
 	for _, err := range rep.Errors {
-		if storage.IsTransient(err) {
+		if blob.IsTransient(err) {
 			transient = true
 		}
 	}
