@@ -20,8 +20,8 @@ all: build test
 check: build test lint
 
 # build also cross-compiles the two platforms that select the other
-# side of internal/mem's slab build tags (slab_unix.go maps OS pages,
-# slab_heap.go is the portable slice): windows for everything but the
+# side of internal/osmem's build tags (map_unix.go maps OS pages,
+# map_heap.go is the portable heap slice): windows for everything but the
 # unix-only harness, darwin for all of it. The standard library
 # cross-compiles offline.
 build:
@@ -75,12 +75,13 @@ fuzz:
 # race covers every concurrent subsystem; internal/core and
 # internal/mem run their sharded-execution suites (ExecShards > 1,
 # retained for the benchmark's per-layer probes) under the detector
-# here. Under -race the engine's word slab is in the Go heap by build
-# tag (internal/mem/slab_heap.go) — the detector does not see accesses
-# to mapped pages — which is what keeps the speculative dispatcher's
-# cross-goroutine memory accesses visible to it.
+# here. Under -race internal/osmem hands out Go heap by build tag
+# (map_heap.go, tested here) — the detector does not see accesses to
+# mapped pages — which is what keeps the speculative dispatcher's
+# cross-goroutine memory accesses, and blob.Mem's object pages,
+# visible to it.
 race:
-	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/...
+	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/osmem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/...
 
 # bench runs the repo's benchmark (cmd/rapwambench, declared in
 # BENCHMARK.json): four end-to-end workloads with per-layer

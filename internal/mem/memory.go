@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/osmem"
 	"repro/internal/trace"
 )
 
@@ -123,7 +125,7 @@ type Memory struct {
 	// struct because Read/Write touch it on every reference.
 	stage  *[stageRefs]Ref
 	nStage int
-	// words views the slab newSlab handed out: anonymous, lazily
+	// words views the slab osmem.Map handed out: anonymous, lazily
 	// zero-filled OS pages on unix (a run pays only for the pages it
 	// touches), the Go heap under -race and elsewhere. nil after
 	// Release, so a late access is an index panic, never a fault.
@@ -166,8 +168,8 @@ type Ref = trace.Ref
 // classTabs caches the classification table per (normalized) layout.
 var classTabs sync.Map // Layout -> []uint16
 
-// liveBytes is the total size of the slabs handed out by newSlab and
-// not yet given back.
+// liveBytes is the total size of the slabs NewMemory mapped and not
+// yet given back.
 var liveBytes atomic.Int64
 
 // LiveBytes reports the bytes of address space held by Memory values
@@ -190,10 +192,11 @@ func NewMemory(l Layout, sink trace.Sink) (*Memory, error) {
 		panic(fmt.Sprintf("mem: layout has %d workers, limit %d", l.Workers, trace.MaxPEs))
 	}
 	n := l.normalized()
-	words, err := newSlab(n.TotalWords())
+	b, err := osmem.Map(n.TotalWords() * wordBytes)
 	if err != nil {
 		return nil, fmt.Errorf("mem: %d-word address space: %w", n.TotalWords(), err)
 	}
+	words := unsafe.Slice((*Word)(unsafe.Pointer(&b[0])), n.TotalWords())
 	liveBytes.Add(int64(len(words)) * wordBytes)
 	m := &Memory{
 		stage:   new([stageRefs]Ref),
@@ -498,5 +501,5 @@ func (m *Memory) free() {
 	words := m.words
 	m.words = nil
 	liveBytes.Add(-int64(len(words)) * wordBytes)
-	freeSlab(words)
+	osmem.Unmap(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*wordBytes))
 }

@@ -1,0 +1,16 @@
+//go:build unix && !race
+
+package osmem
+
+import "syscall"
+
+// Map returns n (> 0) zeroed bytes of anonymous, private memory. There
+// is deliberately no fallback to the Go heap when the mapping is
+// refused: the caller gets the error.
+func Map(n int) ([]byte, error) {
+	return syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+}
+
+// Unmap gives back a region Map returned, whole. Munmap fails only for
+// a range that is not a mapping, which Map's contract rules out.
+func Unmap(b []byte) { _ = syscall.Munmap(b) }

@@ -181,26 +181,6 @@ type ResultCache struct {
 	mem map[string]*memEntry
 }
 
-// OpenResultCache creates (if needed) and opens a result cache
-// directory with the default sweep age. See OpenResultCacheDir.
-func OpenResultCache(dir string) (*ResultCache, error) {
-	return OpenResultCacheDir(dir, tracestore.StaleTempAge)
-}
-
-// OpenResultCacheDir creates (if needed) and opens a result cache
-// directory, sweeping stale *.tmp droppings left by a killed writer
-// and aged quarantined entries (same hygiene as tracestore.OpenDir).
-func OpenResultCacheDir(dir string, tempAge time.Duration) (*ResultCache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("service: empty result cache directory")
-	}
-	d, err := blob.NewDir(dir, tempAge)
-	if err != nil {
-		return nil, fmt.Errorf("service: result cache: %w", err)
-	}
-	return &ResultCache{b: d, dir: dir, mem: make(map[string]*memEntry)}, nil
-}
-
 // NewResultCacheOn opens a result cache over an arbitrary backend
 // (in-memory caches for tests, fault-injection wrappers for chaos
 // runs).

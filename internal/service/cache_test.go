@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -23,11 +24,19 @@ func testEnvelope(t *testing.T, key CacheKey) []byte {
 	return body
 }
 
-func TestResultCacheRoundTrip(t *testing.T) {
-	c, err := OpenResultCache(t.TempDir())
+// openDirCache opens a result cache over dir as service.New does,
+// sweeping stale temps and aged quarantined entries.
+func openDirCache(t *testing.T, dir string) *ResultCache {
+	t.Helper()
+	d, err := blob.NewDir(dir, tracestore.StaleTempAge)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewResultCacheOn(d)
+}
+
+func TestResultCacheRoundTrip(t *testing.T) {
+	c := openDirCache(t, t.TempDir())
 	key := CacheKey{Experiment: "fig4", Params: "pes=2"}
 	if _, _, ok := c.Get(key); ok {
 		t.Fatal("empty cache reported a hit")
@@ -43,10 +52,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 
 	// A fresh cache over the same directory serves the identical bytes
 	// from disk — the daemon-restart path.
-	c2, err := OpenResultCache(c.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := openDirCache(t, c.Dir())
 	got2, source2, ok := c2.Get(key)
 	if !ok || source2 != "disk" || !bytes.Equal(got2, body) {
 		t.Fatalf("Get after reopen: ok=%v source=%q identical=%v", ok, source2, bytes.Equal(got2, body))
@@ -78,10 +84,7 @@ func TestResultCacheKeyDistinguishesParams(t *testing.T) {
 }
 
 func TestResultCacheRejectsForeignEnvelope(t *testing.T) {
-	c, err := OpenResultCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openDirCache(t, t.TempDir())
 	key := CacheKey{Experiment: "fig4", Params: "pes=2"}
 	// A file at the right path carrying the wrong experiment (or plain
 	// garbage) must read as a miss, not as a hit for the wrong cell.
@@ -117,11 +120,9 @@ func TestResultCacheOpenSweepsStaleTemps(t *testing.T) {
 	if err := os.WriteFile(fresh, []byte("partial"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenResultCache(dir); err != nil {
-		t.Fatal(err)
-	}
+	openDirCache(t, dir)
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp survived OpenResultCache")
+		t.Error("stale temp survived opening the cache")
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Errorf("young temp should survive: %v", err)

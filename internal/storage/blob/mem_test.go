@@ -3,43 +3,88 @@ package blob
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 )
 
-// TestMemStoresExactSize: an object written in pieces, then patched
-// after a seek back to its start as the trace codec patches its header,
-// is stored at its exact size, not in the writer's doubled buffer, and
-// Get returns the bytes written.
-func TestMemStoresExactSize(t *testing.T) {
-	m := NewMem()
-	want := make([]byte, 300_000)
-	for i := range want {
-		want[i] = byte(i * 7)
+// TestMemReaderOutlivesObject: a reader Get returned keeps reading the
+// bytes it was opened on after its object is deleted, overwritten,
+// renamed over or swept, and after the whole Mem is dropped (as
+// bench.Runner.DropTraces drops its private store), through forced
+// collections. Once the readers are gone too, the finalizers give every
+// mapped page back.
+func TestMemReaderOutlivesObject(t *testing.T) {
+	before := memBytes.Load()
+	// Every object has its own bytes: pages mapped after an early unmap
+	// may land at the old addresses, and must not pass for the old pages.
+	content := func(seed int) []byte {
+		b := make([]byte, 3<<20+12345)
+		for i := range b {
+			b[i] = byte(i*7 + i>>12 + seed*31)
+		}
+		return b
 	}
-	err := m.Put("obj", func(w io.Writer) error {
-		for off := 0; off < len(want); off += 4096 {
-			if _, err := w.Write(want[off:min(off+4096, len(want))]); err != nil {
+	other := bytes.Repeat([]byte("other "), 1000)
+	// readers[i] was opened on an object holding content(i).
+	readers := func() []io.ReadCloser {
+		m := NewMem()
+		put := func(name string, data []byte) {
+			t.Helper()
+			if err := m.Put(name, func(w io.Writer) error {
+				_, err := w.Write(data)
 				return err
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := w.(io.Seeker).Seek(0, io.SeekStart); err != nil {
-			return err
+		var rs []io.ReadCloser
+		open := func(name string) {
+			t.Helper()
+			put(name, content(len(rs)))
+			rc, err := m.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = append(rs, rc)
 		}
-		_, err := w.Write(want[:8])
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+		open("deleted")
+		if err := m.Delete("deleted"); err != nil {
+			t.Fatal(err)
+		}
+		open("overwritten")
+		put("overwritten", other)
+		open("renamed")
+		put("source", other)
+		if err := m.Rename("source", "renamed"); err != nil {
+			t.Fatal(err)
+		}
+		open(QuarantinePrefix + "swept")
+		if n := m.Sweep(-time.Hour); n != 1 {
+			t.Fatalf("swept %d objects, want 1", n)
+		}
+		open("dropped with the store")
+		return rs
+	}()
+	runtime.GC()
+	runtime.GC()
+	for i, rc := range readers {
+		want := content(i)
+		got, err := io.ReadAll(rc)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("reader %d: read %d bytes (%v), not the %d written", i, len(got), err, len(want))
+		}
+		rc.Close()
 	}
-	if data := m.objects["obj"].data; len(data) != len(want) || cap(data) != len(data) {
-		t.Errorf("stored %d bytes in a buffer of %d, want %d in %d", len(data), cap(data), len(want), len(want))
+	if memBytes.Load() == before {
+		t.Fatal("no pages mapped while readers hold objects")
 	}
-	rc, err := m.Get("obj")
-	if err != nil {
-		t.Fatal(err)
+	readers = nil
+	for i := 0; i < 100 && memBytes.Load() != before; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
-	defer rc.Close()
-	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("Get returned %d bytes (%v), not the %d written", len(got), err, len(want))
+	if got := memBytes.Load(); got != before {
+		t.Errorf("%d bytes still mapped after the readers went, want %d", got, before)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,7 @@ func TestBackend(t *testing.T, open Factory) {
 		{"PutFailureLeavesNoTrace", testPutFailureLeavesNoTrace},
 		{"PutPanicCleansUp", testPutPanicCleansUp},
 		{"WriterSeeks", testWriterSeeks},
+		{"LargeObjectWrites", testLargeObjectWrites},
 		{"ListAndNamespaces", testListAndNamespaces},
 		{"RenameQuarantines", testRenameQuarantines},
 		{"SweepAgesOutQuarantine", testSweepAgesOutQuarantine},
@@ -177,6 +179,67 @@ func testWriterSeeks(t *testing.T, b blob.Backend) {
 	}
 	if got := Get(t, b, "patched.bin"); got != "headrest" {
 		t.Fatalf("patched object: %q", got)
+	}
+}
+
+func testLargeObjectWrites(t *testing.T, b blob.Backend) {
+	// An object of several MiB written in odd-sized pieces, patched
+	// after seeks back across every OS page boundary (an in-memory
+	// backend's own pages start at such boundaries), then extended by a
+	// write past the end that leaves a gap of more than a MiB. want
+	// models the file the backend must hold.
+	page := os.Getpagesize()
+	want := make([]byte, 0, 5<<20)
+	for len(want) < 5<<19 {
+		want = append(want, byte(len(want)*7), byte(len(want)>>8))
+	}
+	err := b.Put("large.bin", func(w io.Writer) error {
+		ws, ok := w.(io.WriteSeeker)
+		if !ok {
+			return fmt.Errorf("writer is %T, not an io.WriteSeeker", w)
+		}
+		for off, piece := 0, 4093; off < len(want); off, piece = off+piece, 7919+4093-piece {
+			if _, err := ws.Write(want[off:min(off+piece, len(want))]); err != nil {
+				return err
+			}
+		}
+		for off := page; off+3 <= len(want); off += page {
+			patch := []byte{0xF0, 0xF1, 0xF2, 0xF3, 0xF4}
+			copy(want[off-2:], patch)
+			if _, err := ws.Seek(int64(off-2), io.SeekStart); err != nil {
+				return err
+			}
+			if _, err := ws.Write(patch); err != nil {
+				return err
+			}
+		}
+		gap := 3<<19 + 5
+		if _, err := ws.Seek(int64(gap), io.SeekEnd); err != nil {
+			return err
+		}
+		want = append(want, make([]byte, gap)...)
+		want = append(want, "tail"...)
+		_, err := io.WriteString(ws, "tail")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := b.Stat("large.bin")
+	if err != nil || info.Size != int64(len(want)) {
+		t.Fatalf("stat: %+v, %v; want size %d", info, err, len(want))
+	}
+	got := Get(t, b, "large.bin")
+	if got == string(want) {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d bytes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d reads %#x, want %#x", i, got[i], want[i])
+		}
 	}
 }
 
