@@ -119,11 +119,11 @@ func TestDegradedFlag(t *testing.T) {
 	}
 }
 
-// TestMemWriterMatchesFile drives blob.Buffer (Mem's writer) and an *os.File through the
+// TestMemWriterMatchesFile drives blob.Buffer (Peer.Put's writer) and an *os.File through the
 // same sequence — appends, a write past the end after a seek (a hole),
 // an overwrite of the start after Seek(0) (the trace codec's header
 // back-patch), then more appends from the end — and requires equal
-// content, so Mem keeps the file semantics its Put callbacks rely on.
+// content, so Peer keeps the file semantics its Put callbacks rely on.
 func TestMemWriterMatchesFile(t *testing.T) {
 	f, err := os.Create(filepath.Join(t.TempDir(), "ref"))
 	if err != nil {
