@@ -24,7 +24,7 @@ import (
 // any store; only wall-clock time changes.
 //
 // The package-level functions of the same names run on one shared
-// default Runner, configured through SetParallelism, SetProgress and
+// default Runner, configured through SetParallelism and
 // SetTraceStore / SetTraceDir. Configure it before starting work on
 // it, not while a driver is running; programs that need two
 // configurations side by side build their own Runners.
@@ -59,13 +59,6 @@ var defaultRunner = NewRunner(nil, 0, nil)
 // SetParallelism sets the default Runner's cell budget (n <= 0:
 // runtime.GOMAXPROCS(0)); cells started afterwards use the new size.
 func SetParallelism(n int) { defaultRunner.r.Par = n }
-
-// Parallelism returns the default Runner's cell budget.
-func Parallelism() int { return defaultRunner.r.Workers() }
-
-// SetProgress sets the default Runner's progress callback (nil
-// disables reporting).
-func SetProgress(f func(msg string)) { defaultRunner.r.Progress = f }
 
 // ResetTraceCache discards the default Runner's private in-memory
 // trace store — traces, run statistics and simulation results — so its

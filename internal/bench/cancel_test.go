@@ -66,7 +66,7 @@ func TestRunCancelsMidRun(t *testing.T) {
 
 // TestRunGivesMemoryBackOnFault: a run that dies of a machine fault (a
 // layout too small for the program) unmaps its address space on the way
-// out, like a successful one — not at some later finalizer.
+// out, like a successful one — not at some later cleanup.
 func TestRunGivesMemoryBackOnFault(t *testing.T) {
 	live := mem.LiveBytes()
 	var r Runner

@@ -145,7 +145,7 @@ func (r *Runner) Run(ctx context.Context, b Benchmark, cfg RunConfig) (*core.Res
 	}
 	// The result is self-contained (bindings are rendered strings), so
 	// the address space goes back on every return: a cancelled or
-	// faulting run must not wait for a finalizer.
+	// faulting run must not wait for a cleanup.
 	defer eng.Close()
 	res, err := eng.Run()
 	if err != nil {

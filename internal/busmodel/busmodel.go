@@ -9,7 +9,6 @@ package busmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Params describes the bus and the offered load.
@@ -95,9 +94,9 @@ func MaxPEs(p Params, target float64) (int, error) {
 	return best, nil
 }
 
-// Version identifies Simulate's observable behaviour, as cache.SimVersion
+// Version identifies the Bus's observable behaviour, as cache.SimVersion
 // does the cache kernels': stored DES results are stamped with both, so
-// bump it whenever a change moves any Result Simulate returns
+// bump it whenever a change moves any Result a Bus returns
 // (experiments.TestBusDESGolden fails when one moves and this does not).
 const Version = "des1"
 
@@ -111,27 +110,7 @@ type Event struct {
 	Words int
 }
 
-// Simulate runs a FIFO single-server bus over the given transactions
-// and returns per-PE stall totals plus the aggregate result. Events
-// need not be globally sorted; they are ordered by issue time (ties in
-// the order given) and fed to a Bus.
-func Simulate(events []Event, pes int, busWordsPerCycle float64) (Result, []float64, error) {
-	b, err := NewBus(pes, busWordsPerCycle)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	evs := make([]Event, len(events))
-	copy(evs, events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
-	for _, ev := range evs {
-		if err := b.Add(ev); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	return b.Result()
-}
-
-// Bus is the streaming form of Simulate: a FIFO single-server bus fed
+// Bus is the discrete-event simulation: a FIFO single-server bus fed
 // one transaction at a time, in issue-time order, as a replay produces
 // them — no event is stored. An event issued before its predecessor is
 // an error; so is one from a PE out of range. The first failed Add is

@@ -2,9 +2,31 @@ package busmodel
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Simulate runs a FIFO single-server bus over the given transactions
+// and returns per-PE stall totals plus the aggregate result. Events
+// need not be globally sorted; they are ordered by issue time (ties in
+// the order given) and fed to a Bus. It is the reference over a stored
+// event list that TestBusMatchesSimulate holds the streaming Bus to.
+func Simulate(events []Event, pes int, busWordsPerCycle float64) (Result, []float64, error) {
+	b, err := NewBus(pes, busWordsPerCycle)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	evs := make([]Event, len(events))
+	copy(evs, events)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+	for _, ev := range evs {
+		if err := b.Add(ev); err != nil {
+			return Result{}, nil, err
+		}
+	}
+	return b.Result()
+}
 
 func TestAnalyticZeroTrafficIsPerfect(t *testing.T) {
 	r, err := Analytic(Params{PEs: 8, RefsPerCycle: 1, TrafficRatio: 0, BusWordsPerCycle: 1})

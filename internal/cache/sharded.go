@@ -115,7 +115,6 @@ func (w *shardWorker) AddBatchStable(refs []trace.Ref) { w.AddBatch(refs) }
 // stats before Close is a programming error and panics.
 type Sharded struct {
 	cfg       Config
-	shards    int
 	fan       *trace.FanOut
 	workers   []*shardWorker
 	stats     Stats
@@ -138,7 +137,6 @@ func NewSharded(cfg Config, k int) *Sharded {
 	}
 	s := &Sharded{
 		cfg:       cfg,
-		shards:    k,
 		workers:   make([]*shardWorker, k),
 		perPEBus:  make([]int64, cfg.PEs),
 		perPERefs: make([]int64, cfg.PEs),
@@ -159,9 +157,6 @@ func NewSharded(cfg Config, k int) *Sharded {
 	s.fan = trace.NewFanOut(trace.FanOutConfig{}, sinks...)
 	return s
 }
-
-// Shards returns the effective shard worker count.
-func (s *Sharded) Shards() int { return s.shards }
 
 // Config returns the simulated configuration.
 func (s *Sharded) Config() Config { return s.cfg }

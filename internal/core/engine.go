@@ -285,7 +285,7 @@ func (e *Engine) Memory() *mem.Memory { return e.mem }
 
 // Close gives the engine's address space back to the operating system
 // at once (see mem.Memory.Release); without it the space stays mapped
-// until a finalizer reclaims it, some collector cycles after the engine
+// until a cleanup reclaims it, some collector cycles after the engine
 // becomes unreachable. The engine must not be used after Close; calling
 // Close more than once is harmless.
 func (e *Engine) Close() { e.mem.Release() }

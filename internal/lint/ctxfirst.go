@@ -71,7 +71,7 @@ func checkCtxParamFirst(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 }
 
 func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -150,7 +150,7 @@ func isBackendCall(info *types.Info, call *ast.CallExpr, methods map[string]bool
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()
 	}
-	named, ok := recv.(*types.Named)
+	named, ok := types.Unalias(recv).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -252,7 +252,7 @@ func returnsError(info *types.Info, fd *ast.FuncDecl) bool {
 		return false
 	}
 	for i := 0; i < sig.Results().Len(); i++ {
-		if named, ok := sig.Results().At(i).Type().(*types.Named); ok &&
+		if named, ok := types.Unalias(sig.Results().At(i).Type()).(*types.Named); ok &&
 			named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
 			return true
 		}

@@ -8,6 +8,15 @@ func Fetch(name string, ctx context.Context) error { // want `exported Fetch tak
 	return ctx.Err()
 }
 
+// Ctx names context.Context through an alias.
+type Ctx = context.Context
+
+// FetchAliased takes ctx second under the alias's name: flagged.
+func FetchAliased(name string, ctx Ctx) error { // want `exported FetchAliased takes context\.Context as parameter 2`
+	_ = name
+	return ctx.Err()
+}
+
 // Get takes ctx first: passes.
 func Get(ctx context.Context, name string) error {
 	_ = name

@@ -36,6 +36,23 @@ func First(b storage.Backend) ([]string, error) { // want `First reads through a
 	return names, nil
 }
 
+// Store names the Backend through an alias.
+type Store = storage.Backend
+
+// failure names error through an alias.
+type failure = error
+
+// Aliased reads through the Backend under the alias's name and returns
+// the raw error: flagged.
+func Aliased(b Store) ([]string, error) { // want `Aliased reads through a storage\.Backend and returns error without classifying it`
+	return b.List("")
+}
+
+// Size returns the raw error under the alias's name: flagged.
+func Size(b storage.Backend, name string) (int64, failure) { // want `Size reads through a storage\.Backend and returns error without classifying it`
+	return b.Stat(name)
+}
+
 // Misses counts with the unwrapping-blind helper: flagged.
 func Misses(b storage.Backend, names []string) int {
 	n := 0

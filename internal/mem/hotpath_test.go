@@ -9,12 +9,15 @@ package mem
 // and every slab is given back exactly once.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/storage/blob"
 	"repro/internal/trace"
 )
 
@@ -192,10 +195,70 @@ func TestDroppedMemoryIsFinalized(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for LiveBytes() != before {
 		if time.Now().After(deadline) {
-			t.Fatalf("live bytes = %d, want %d: finalizer did not run", LiveBytes(), before)
+			t.Fatalf("live bytes = %d, want %d: cleanup did not run", LiveBytes(), before)
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReleaseStopsTheCleanup: once a released Memory is unreachable,
+// nothing unmaps its range again. The new address space and store
+// object are mapped while the released Memory is still reachable, so
+// the kernel may hand them its freed range; a cleanup that Release left
+// armed would then unmap the new Memory's pages under it (a fault on
+// the reads below, not a Go panic), or, wherever they landed, take the
+// slab off LiveBytes a second time. The -race build maps Go heap, so
+// there only the second shows.
+func TestReleaseStopsTheCleanup(t *testing.T) {
+	before := LiveBytes()
+	old, err := NewMemory(refLayout, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := 0; addr < old.Size(); addr++ {
+		old.Poke(addr, MakeInt(-1))
+	}
+	old.Release()
+	runtime.GC()
+	runtime.GC()
+
+	m := newTestMemory(t, refLayout, nil)
+	for addr := 0; addr < m.Size(); addr++ {
+		m.Poke(addr, MakeInt(int64(addr)*3+1))
+	}
+	data := make([]byte, 3<<20+4321)
+	for i := range data {
+		data[i] = byte(i*5 + i>>12)
+	}
+	store := blob.NewMem()
+	if err := store.Put("object", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(old)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+
+	for addr := 0; addr < m.Size(); addr++ {
+		if w, want := m.Peek(addr), MakeInt(int64(addr)*3+1); w != want {
+			t.Fatalf("word %d = %v, want %v", addr, w, want)
+		}
+	}
+	rc, err := store.Get("object")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("store object: read %d bytes (%v), not the %d written", len(got), err, len(data))
+	}
+	if got, want := LiveBytes()-before, int64(m.Size())*wordBytes; got != want {
+		t.Errorf("live bytes = %d over the start, want %d: a released slab was given back twice", got, want)
 	}
 }
 

@@ -115,7 +115,7 @@ const alignShift = 6
 // per-worker buffers would reorder the stream and break the trace
 // store's byte-identity contract. Flush runs automatically when the
 // buffer fills; anything that hands the stream downstream (end of run,
-// SetSink, Release) flushes first.
+// Release) flushes first.
 type Memory struct {
 	// stage is the pending-reference staging buffer (a fixed-size
 	// array; nStage is the fill level). A fixed array plus index
@@ -130,6 +130,9 @@ type Memory struct {
 	// touches), the Go heap under -race and elsewhere. nil after
 	// Release, so a late access is an index panic, never a fault.
 	words []Word
+	// cleanup frees words if the Memory is dropped without Release;
+	// Release stops it before it unmaps.
+	cleanup runtime.Cleanup
 	// tally folds the Flush loop's two counter updates into one:
 	// entry (obj<<1|op)<<6|pe counts references of that object type,
 	// operation and PE. Counter() unfolds it into the public
@@ -179,7 +182,7 @@ func LiveBytes() int64 { return liveBytes.Load() }
 // NewMemory allocates the all-zero address space for the given layout;
 // the only error is the operating system refusing the mapping. Release
 // gives the space back at once; a Memory dropped without Release is
-// reclaimed by a finalizer some collector cycles later. The counter is
+// reclaimed by a cleanup some collector cycles later. The counter is
 // always attached (cheap array increments); sink may be trace.Discard.
 // Layouts are limited to trace.MaxPEs workers — the counter, the trace
 // tooling and the cache simulators all size their per-PE state to that
@@ -207,7 +210,7 @@ func NewMemory(l Layout, sink trace.Sink) (*Memory, error) {
 		sink:    sink,
 		counter: &trace.Counter{},
 	}
-	runtime.SetFinalizer(m, (*Memory).free)
+	m.cleanup = runtime.AddCleanup(m, freeWords, words)
 	if m.sink == nil {
 		m.sink = trace.Discard
 	}
@@ -276,17 +279,6 @@ func (m *Memory) Counter() *trace.Counter {
 		c.ByPE[pe] += n
 	}
 	return c
-}
-
-// SetSink replaces the trace sink (e.g. to start/stop full tracing),
-// flushing staged references to the previous sink first.
-func (m *Memory) SetSink(s trace.Sink) {
-	m.Flush()
-	if s == nil {
-		s = trace.Discard
-	}
-	m.sink = s
-	m.batch, _ = s.(trace.BatchSink)
 }
 
 // Region returns the region of the given worker and area.
@@ -490,16 +482,19 @@ func (m *Memory) Release() {
 		return
 	}
 	m.Flush()
-	runtime.SetFinalizer(m, nil)
-	m.free()
+	// Stop first: a cleanup left armed would unmap this range again
+	// after a later mapping (another engine's, a blob.Mem page) reuses
+	// it.
+	m.cleanup.Stop()
+	freeWords(m.words)
+	m.words = nil
 }
 
-// free gives the slab back; it is also the finalizer of a Memory that
-// was dropped without Release. A finalizer runs on the runtime's own
-// goroutine, so it does not flush: the sink belongs to someone else.
-func (m *Memory) free() {
-	words := m.words
-	m.words = nil
+// freeWords gives a slab back; it is also the cleanup of a Memory that
+// was dropped without Release. A cleanup gets the slab, not the
+// Memory, and runs on the runtime's own goroutine, so it does not
+// flush: the sink belongs to someone else.
+func freeWords(words []Word) {
 	liveBytes.Add(-int64(len(words)) * wordBytes)
 	osmem.Unmap(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*wordBytes))
 }

@@ -88,12 +88,6 @@ func (w Word) Index() int { return int(w >> tagBits) }
 // Int extracts the signed integer value of an int word.
 func (w Word) Int() int64 { return int64(w) >> tagBits }
 
-// IsRef reports whether the word is a variable reference.
-func (w Word) IsRef() bool { return w.Tag() == TagRef }
-
-// IsAtomic reports whether the word is a constant or integer.
-func (w Word) IsAtomic() bool { t := w.Tag(); return t == TagCon || t == TagInt }
-
 // String formats the word for debugging, e.g. "ref@42", "int(7)".
 func (w Word) String() string {
 	switch w.Tag() {

@@ -5,6 +5,29 @@ import (
 	"testing/quick"
 )
 
+// ListSlice flattens a proper list term into a slice; ok is false if the
+// term is not a proper list.
+func ListSlice(t Term) (items []Term, ok bool) {
+	for {
+		switch tt := t.(type) {
+		case Atom:
+			if tt == "[]" {
+				return items, true
+			}
+			return nil, false
+		case *Compound:
+			if tt.Functor == "." && len(tt.Args) == 2 {
+				items = append(items, tt.Args[0])
+				t = tt.Args[1]
+				continue
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
+	}
+}
+
 func mustTerm(t *testing.T, src string) Term {
 	t.Helper()
 	tm, err := OneTerm(src)

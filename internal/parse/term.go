@@ -162,29 +162,6 @@ var Nil = Atom("[]")
 // IsNil reports whether t is the empty list.
 func IsNil(t Term) bool { a, ok := t.(Atom); return ok && a == "[]" }
 
-// ListSlice flattens a proper list term into a slice; ok is false if the
-// term is not a proper list.
-func ListSlice(t Term) (items []Term, ok bool) {
-	for {
-		switch tt := t.(type) {
-		case Atom:
-			if tt == "[]" {
-				return items, true
-			}
-			return nil, false
-		case *Compound:
-			if tt.Functor == "." && len(tt.Args) == 2 {
-				items = append(items, tt.Args[0])
-				t = tt.Args[1]
-				continue
-			}
-			return nil, false
-		default:
-			return nil, false
-		}
-	}
-}
-
 // Vars returns the distinct variables of t in first-occurrence order.
 func Vars(t Term) []*Var {
 	var out []*Var

@@ -65,22 +65,30 @@ func pageLen(i int) int {
 }
 
 // memObject is one stored object and the handle on its pages. Only its
-// finalizer unmaps them: a reader Get returned holds the handle, so
+// cleanup unmaps them: a reader Get returned holds the handle, so
 // Delete, Rename over the name, an overwrite, Sweep or dropping the
 // whole Mem never unmaps bytes a replay may still be reading. After the
 // Put that made it, nothing writes the object again.
 type memObject struct {
-	pages   [][]byte
+	*memPages
 	size    int64
 	modTime time.Time
 }
 
-func (o *memObject) free() {
-	for _, p := range o.pages {
+// memPages is an object's page list, kept apart from the object so
+// that it can be the object's cleanup argument: Put arms the cleanup
+// before the writer maps any page, and the writer appends to this
+// list, which the cleanup then reads whole.
+type memPages struct {
+	pages [][]byte
+}
+
+func (l *memPages) free() {
+	for _, p := range l.pages {
 		memBytes.Add(-int64(len(p)))
 		osmem.Unmap(p)
 	}
-	o.pages = nil
+	l.pages = nil
 }
 
 // NewMem returns an empty in-memory backend.
@@ -96,7 +104,7 @@ func (m *Mem) Name() string { return "mem" }
 // as an *os.File, so the trace codec's header back-patch works against
 // it too. A request body lives only as long as its request; in Mem's
 // mapped pages it would stay resident until a collection ran the
-// finalizer. The zero value is empty and ready to use.
+// object's cleanup. The zero value is empty and ready to use.
 type Buffer struct {
 	buf []byte
 	off int64
@@ -213,7 +221,7 @@ func (r *memReader) Read(p []byte) (int, error) {
 		n += c
 		r.off += int64(c)
 	}
-	// The copies above read pages the handle's finalizer unmaps.
+	// The copies above read pages the handle's cleanup unmaps.
 	runtime.KeepAlive(o)
 	return n, nil
 }
@@ -223,13 +231,13 @@ func (r *memReader) Close() error { return nil }
 // Put implements Backend: the callback writes into a detached object's
 // pages; only a successful return installs the object, so failed or
 // panicking writes leave the namespace untouched (the in-memory
-// equivalent of temp+rename), and the finalizer unmaps what they wrote.
+// equivalent of temp+rename), and the cleanup unmaps what they wrote.
 func (m *Mem) Put(name string, write func(w io.Writer) error) error {
 	if !ValidName(name) {
 		return &Error{Op: "put", Backend: m.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
 	}
-	obj := &memObject{}
-	runtime.SetFinalizer(obj, (*memObject).free)
+	obj := &memObject{memPages: &memPages{}}
+	runtime.AddCleanup(obj, (*memPages).free, obj.memPages)
 	if err := write(&memWriter{obj: obj, name: name}); err != nil {
 		return err
 	}

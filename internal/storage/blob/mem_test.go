@@ -12,7 +12,7 @@ import (
 // bytes it was opened on after its object is deleted, overwritten,
 // renamed over or swept, and after the whole Mem is dropped (as
 // bench.Runner.DropTraces drops its private store), through forced
-// collections. Once the readers are gone too, the finalizers give every
+// collections. Once the readers are gone too, the cleanups give every
 // mapped page back.
 func TestMemReaderOutlivesObject(t *testing.T) {
 	before := memBytes.Load()

@@ -85,9 +85,6 @@ func NewPeer(client *http.Client, nodes []string) *Peer {
 // Name implements blob.Backend.
 func (p *Peer) Name() string { return "peer(" + strings.Join(p.nodes, ",") + ")" }
 
-// Nodes returns the configured node base URLs.
-func (p *Peer) Nodes() []string { return append([]string(nil), p.nodes...) }
-
 // objectURL builds the blob URL for name on node, escaping each path
 // segment (names may contain slashes: "quarantine/...").
 func objectURL(node, name string) string {

@@ -71,9 +71,6 @@ func (t *Tiered) Name() string {
 // node-local objects.
 func (t *Tiered) Local() blob.Backend { return t.local }
 
-// Remote returns the remote tier.
-func (t *Tiered) Remote() blob.Backend { return t.remote }
-
 // Stats snapshots the tier counters.
 func (t *Tiered) Stats() TieredStats {
 	return TieredStats{

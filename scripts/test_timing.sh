@@ -9,7 +9,8 @@
 # Runs `go test -json -count=1` once (a cached result has no time), then
 # prints each package's elapsed time, slowest first, and the ten slowest
 # top-level tests. It exits non-zero
-# when the suite fails (printing the failing tests' output) or when a
+# when the suite fails (printing the failing tests' output and the
+# compiler errors of each package that did not build) or when a
 # package takes more than 70 % of go test's default 600 s timeout,
 # 420 s, so a package creeping toward the timeout fails here, naming
 # itself, before it fails CI by timing out. Needs jq.
@@ -37,9 +38,13 @@ jq -r 'select(.Test != null and (.Test | contains("/") | not) and (.Action == "p
 
 if [ "$status" -ne 0 ]; then
 	echo "test_timing: the suite failed; output of what failed:" >&2
+	# A package that did not build reports only "[build failed]"; its
+	# compiler errors are the build-output events of its build-fail.
 	jq -rj --slurp '
 		(map(select(.Action == "fail") | {key: "\(.Package) \(.Test // "")", value: true}) | from_entries) as $failed
-		| .[] | select(.Action == "output" and $failed["\(.Package) \(.Test // "")"]) | .Output' "$events" >&2
+		| (map(select(.Action == "build-fail") | {key: .ImportPath, value: true}) | from_entries) as $broken
+		| .[] | select((.Action == "output" and $failed["\(.Package) \(.Test // "")"])
+			or (.Action == "build-output" and $broken[.ImportPath])) | .Output' "$events" >&2
 fi
 
 over=$(jq -r --argjson limit "$limit" 'select(.Test == null and .Elapsed != null and .Elapsed > $limit)
