@@ -130,9 +130,6 @@ type Memory struct {
 	// touches), the Go heap under -race and elsewhere. nil after
 	// Release, so a late access is an index panic, never a fault.
 	words []Word
-	// cleanup frees words if the Memory is dropped without Release;
-	// Release stops it before it unmaps.
-	cleanup runtime.Cleanup
 	// tally folds the Flush loop's two counter updates into one:
 	// entry (obj<<1|op)<<6|pe counts references of that object type,
 	// operation and PE. Counter() unfolds it into the public
@@ -163,6 +160,11 @@ type Memory struct {
 	areaOff  [trace.NumAreas]int
 	areaSize [trace.NumAreas]int
 	span     int
+
+	// cleanup frees words if the Memory is dropped without Release;
+	// Release stops it before it unmaps. Last: the reference path
+	// never reads it.
+	cleanup runtime.Cleanup
 }
 
 // Ref is re-exported locally to keep the hot-path append monomorphic.
