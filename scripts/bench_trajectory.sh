@@ -88,9 +88,9 @@ for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
 		[ "$(jq .unstable "$out/$w.json")" = false ] && break
 	done
 	workloads=$(jq -c --arg w "$w" --argjson names "$metrics" --argjson runs "$run" --slurpfile r "$out/$w.json" '
-		. + {($w): ($r[0].metrics | with_entries(select(.key as $k | $names | index($k)))
+		. + {($w): (($r[0].metrics | with_entries(select(.key as $k | $names | index($k)))
 			| map_values({unit, q1, median, q3}))
-			+ {unstable: $r[0].unstable, calib_ms: $r[0].calib_ms, host_factor: $r[0].host_factor, runs: $runs}}' <<<"$workloads")
+			+ {unstable: $r[0].unstable, calib_ms: $r[0].calib_ms, host_factor: $r[0].host_factor, runs: $runs})}' <<<"$workloads")
 done
 
 jq -n --argjson pr "$pr" --arg commit "$commit" --arg cpu "$cpu" --argjson vcpus "$vcpus" \
