@@ -88,69 +88,76 @@ func Names() []string {
 // the requested name, so parameterized variants key distinctly in the
 // trace store.
 func ByName(name string) (Benchmark, bool) {
-	// Fixed names construct only the benchmark asked for: requests are
-	// validated and cells resolved through here on every call.
-	switch name {
-	case "deriv":
-		return Deriv(), true
-	case "tak":
-		return Tak(), true
-	case "qsort":
-		return Qsort(), true
-	case "matrix":
-		return Matrix(), true
-	case "nrev":
-		return NRev(), true
-	case "queens":
-		return Queens(), true
-	case "primes":
-		return Primes(), true
-	case "zebra":
-		return Zebra(), true
-	case "deriv-checked":
-		return DerivChecked(), true
-	}
-	base, arg, ok := splitSizedName(name)
+	build, ok := resolve(name)
 	if !ok {
 		return Benchmark{}, false
 	}
+	return build(), true
+}
+
+// Known reports whether ByName resolves name, without building the
+// program text: requests are validated through here on every call,
+// cache hits included.
+func Known(name string) bool {
+	_, ok := resolve(name)
+	return ok
+}
+
+// resolve parses a benchmark name into the constructor of the
+// benchmark it names; ByName calls it, Known only parses.
+func resolve(name string) (func() Benchmark, bool) {
+	switch name {
+	case "deriv":
+		return Deriv, true
+	case "tak":
+		return Tak, true
+	case "qsort":
+		return Qsort, true
+	case "matrix":
+		return Matrix, true
+	case "nrev":
+		return NRev, true
+	case "queens":
+		return Queens, true
+	case "primes":
+		return Primes, true
+	case "zebra":
+		return Zebra, true
+	case "deriv-checked":
+		return DerivChecked, true
+	}
+	base, arg, ok := splitSizedName(name)
+	if !ok {
+		return nil, false
+	}
 	if base == "deriv" && len(arg) > 1 && arg[0] == 'd' {
 		if depth, ok := parseSize(arg[1:], 0, 16); ok {
-			return DerivDepth(depth), true
+			return func() Benchmark { return DerivDepth(depth) }, true
 		}
-		return Benchmark{}, false
+		return nil, false
 	}
 	n, numOK := parseSize(arg, 1, 1<<20)
 	if !numOK {
-		return Benchmark{}, false
+		return nil, false
 	}
-	switch base {
-	case "deriv":
-		if n <= 512 {
-			return DerivSized(n), true
-		}
-	case "qsort":
-		if n <= 20000 {
-			return QsortSized(n), true
-		}
-	case "matrix":
-		if n <= 32 {
-			return MatrixSized(n), true
-		}
-	case "nrev":
-		if n <= 5000 {
-			return NRevSized(n), true
-		}
-	case "queens":
-		if n >= 4 && n <= 12 {
-			return QueensSized(n), true
-		}
-	case "primes":
-		if n >= 2 && n <= 100000 {
-			return PrimesSized(n), true
-		}
+	var sized func(int) Benchmark
+	switch {
+	case base == "deriv" && n <= 512:
+		sized = DerivSized
+	case base == "qsort" && n <= 20000:
+		sized = QsortSized
+	case base == "matrix" && n <= 32:
+		sized = MatrixSized
+	case base == "nrev" && n <= 5000:
+		sized = NRevSized
+	case base == "queens" && n >= 4 && n <= 12:
+		sized = QueensSized
+	case base == "primes" && n >= 2 && n <= 100000:
+		sized = PrimesSized
+	default:
+		return nil, false
 	}
-	return Benchmark{}, false
+	return func() Benchmark { return sized(n) }, true
 }
 
 // splitSizedName splits "nrev-220" into ("nrev", "220"). The parameter

@@ -89,3 +89,30 @@ func TestSizedVariantsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestKnownAgreesWithByName: the name-only check the request paths
+// validate with accepts exactly what ByName resolves — every fixed
+// name, each sized variant at and just past its bounds, and malformed
+// names — and builds no program text, so it allocates nothing for a
+// fixed name.
+func TestKnownAgreesWithByName(t *testing.T) {
+	names := append(Names(),
+		"deriv-d0", "deriv-d16", "deriv-d17", "deriv-d", "deriv-d3x", "deriv-d-1", "deriv-dd3", "deriv-d016",
+		"deriv-1", "deriv-512", "deriv-513", "deriv-0",
+		"qsort-1", "qsort-20000", "qsort-20001", "qsort-0",
+		"matrix-1", "matrix-32", "matrix-33",
+		"nrev-1", "nrev-5000", "nrev-5001", "nrev-05", "nrev-50x", "nrev--5", "nrev-+5",
+		"queens-3", "queens-4", "queens-12", "queens-13",
+		"primes-1", "primes-2", "primes-100000", "primes-100001", "primes-1048577",
+		"tak-5", "zebra-3", "deriv-checked-1", "qsort-", "-5", "-", "", "unknown", "qsort2", "QSORT",
+	)
+	for _, name := range names {
+		_, want := ByName(name)
+		if got := Known(name); got != want {
+			t.Errorf("Known(%q) = %v, ByName resolves it: %v", name, got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { Known("qsort") }); a != 0 {
+		t.Errorf("Known(\"qsort\") allocates %.0f times, want 0", a)
+	}
+}

@@ -309,6 +309,7 @@ func (e *Engine) Run() (res *Result, err error) {
 				panic(r)
 			}
 			res, err = nil, fmt.Errorf("cycle %d pc %d: %s", e.cycle, me.pc, me.msg)
+			e.mem.Flush() // a failed run, too, ends with its sink idle
 		}
 	}()
 

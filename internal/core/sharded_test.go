@@ -104,8 +104,13 @@ func TestShardedParity(t *testing.T) {
 
 // cancelSink cancels the engine once n references have been emitted:
 // a deterministic point in the canonical reference stream, independent
-// of wall-clock. The engine polls the channel on its own goroutine, so
-// the cut lands at a deterministic cycle for a given shard count.
+// of wall-clock. The sink closes the channel on a drain goroutine of
+// the engine's memory, and the engine polls it on its own goroutine
+// once every cancelMask+1 cycles. In TestShardedCancelPrefix that is
+// ~127 k references, so between the hand-off of the half that crosses
+// n and the next poll lies at least one more hand-off, which waits for
+// the drain that closed the channel: the cut lands at a deterministic
+// cycle for a given shard count.
 type cancelSink struct {
 	trace.Buffer
 	after int

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -140,6 +141,42 @@ func TestRunGridCellPanicIsItsError(t *testing.T) {
 	}
 	if ran.Load() != cells-1 {
 		t.Errorf("%d cells ran to the end, want %d", ran.Load(), cells-1)
+	}
+}
+
+// secondBatchPanics is an engine sink with a bug: it panics on the
+// second batch it is handed, which reaches it on a drain goroutine of
+// the engine's memory.
+type secondBatchPanics struct{ batches int }
+
+func (s *secondBatchPanics) Add(trace.Ref) {}
+
+func (s *secondBatchPanics) AddBatch([]trace.Ref) {
+	if s.batches++; s.batches == 2 {
+		panic("engine sink bug")
+	}
+}
+
+// TestRunGridEngineSinkPanicIsItsError: an engine sink's panic, raised
+// off the engine's goroutine, still fails the grid cell that ran the
+// engine with that panic as its error, and the engine's address space
+// is given back.
+func TestRunGridEngineSinkPanicIsItsError(t *testing.T) {
+	live := mem.LiveBytes()
+	b, _ := benchByName(t, "qsort")
+	sink := &secondBatchPanics{}
+	err := runGrid(context.Background(), new(bench.Runner), 1, func(int) error {
+		_, err := new(bench.Runner).Run(context.Background(), b, bench.RunConfig{PEs: 4, Sink: sink})
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic: engine sink bug") {
+		t.Fatalf("err = %v, want the sink's panic", err)
+	}
+	if sink.batches < 2 {
+		t.Fatalf("the sink saw %d batches: the run is too short to reach the panic", sink.batches)
+	}
+	if got := mem.LiveBytes(); got != live {
+		t.Errorf("the failed cell left %d bytes of engine memory mapped", got-live)
 	}
 }
 

@@ -386,7 +386,7 @@ func Registry() Suite {
 				if desBench == "" {
 					desBench = "qsort"
 				}
-				if _, ok := bench.ByName(desBench); !ok {
+				if !bench.Known(desBench) {
 					return nil, nil, &ParamError{"desbench", strconv.Quote(desBench), "unknown benchmark"}
 				}
 				ps := Canonical{

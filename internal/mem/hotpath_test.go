@@ -182,23 +182,30 @@ func TestReleaseIsTerminal(t *testing.T) {
 }
 
 // TestDroppedMemoryIsFinalized checks the backstop: a Memory nobody
-// Released gives its slab back once the collector finds it unreachable.
+// Released gives its slab back once the collector finds it unreachable,
+// also when it was dropped with a half handed off to a drain goroutine
+// (which holds the Memory only until its batch is delivered).
 func TestDroppedMemoryIsFinalized(t *testing.T) {
-	before := LiveBytes()
-	func() {
-		m, err := NewMemory(DefaultLayout(8), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, refs := range []int{0, stageRefs + 1, 2*stageRefs + 1} {
+		before := LiveBytes()
+		func() {
+			m, err := NewMemory(DefaultLayout(8), trace.NewBuffer(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Poke(m.Size()-1, MakeInt(1))
+			for i := 0; i < refs; i++ {
+				m.Write(i%8, m.Region(i%8, trace.AreaHeap).Base, MakeInt(int64(i)), trace.ObjHeap)
+			}
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for LiveBytes() != before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d refs staged: live bytes = %d, want %d: cleanup did not run", refs, LiveBytes(), before)
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
 		}
-		m.Poke(m.Size()-1, MakeInt(1))
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for LiveBytes() != before {
-		if time.Now().After(deadline) {
-			t.Fatalf("live bytes = %d, want %d: cleanup did not run", LiveBytes(), before)
-		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -83,15 +83,18 @@ func (r Region) Contains(addr int) bool { return addr >= r.Base && addr < r.Limi
 // Size returns the region size in words.
 func (r Region) Size() int { return r.Limit - r.Base }
 
-// stageRefs is the staging-buffer capacity in references — a multiple
-// of the compact codec's chunk size, so a flush into a ChunkWriter
-// encodes whole chunks straight from the staging slice with no
-// intermediate copy. The size (512 KiB of references) is tuned so the
-// flush pipeline (fold + encode) amortizes its cache warm-up across
-// several chunks without evicting the emulator's working set; both
-// smaller (8K) and larger (128K) measurably lose on the qsort@4PE
-// cold-generation benchmark.
-const stageRefs = 65536
+// stageRefs is the capacity of each of the two staging halves, in
+// references: a multiple of the compact codec's chunk size, so a drain
+// into a ChunkWriter encodes whole chunks straight from the half with
+// no intermediate copy. The two halves together hold what the single
+// buffer held before the drain left the engine's goroutine, so no
+// run's resident memory moves. Re-measured with the drain on its own
+// goroutine (harness emulate-large, seed 5, three 10-s runs per size,
+// 2-vCPU Xeon; medians of 8-PE stream / capture Mrefs/s): halves of
+// 8K read 60.7 / 54.6, 16K 56.4 / 55.5, 32K 60.7 / 58.6, 64K 64.7 /
+// 63.7, one 64K buffer with the drain inline 53.6 / 51.5. Halves of
+// 64K win a further few percent but double the staging memory.
+const stageRefs = 32768
 
 // alignShift is log2(Align); every Align-word block lies entirely
 // inside one (worker, area) region, which is what makes the
@@ -106,23 +109,32 @@ const alignShift = 6
 // # The staged reference path
 //
 // Read and Write do not call the sink per reference: they append the
-// reference to a flat staging buffer — a bounds-checked slice append,
-// no allocation, no interface dispatch — which Flush drains as one
-// batch into the sink (trace.BatchSink when implemented) while folding
-// the counter tallies into the same flat loop. The engine is a
-// single-goroutine deterministic simulation, so one staging buffer per
-// address space preserves the interleaved emission order exactly;
-// per-worker buffers would reorder the stream and break the trace
-// store's byte-identity contract. Flush runs automatically when the
-// buffer fills; anything that hands the stream downstream (end of run,
-// Release) flushes first.
+// reference to a staging half — an indexed store, no allocation, no
+// interface dispatch. The engine is a single-goroutine deterministic
+// simulation, and one staging stream per address space preserves the
+// interleaved emission order exactly; per-worker buffers would reorder
+// the stream and break the trace store's byte-identity contract.
+//
+// There are two halves. When Read or Write fills one, it hands that
+// half to a goroutine of its own, which folds the counter tallies in
+// one flat loop and passes the half to the sink as one batch
+// (trace.BatchSink when implemented), and the engine stages into the
+// other half meanwhile. It waits only when that half fills too before
+// the drain has ended, so at most one drain is in flight, and each
+// drain goroutine ends with its batch. The sink is therefore called
+// from goroutines other than the engine's, one call at a time, each
+// ordered after the one before it. Flush, Counter and Release first
+// wait for the in-flight half, so every batch reaches the sink once,
+// in emission order, before they return. A sink that panics on a
+// drain goroutine panics the engine's goroutine with the same value at
+// the next hand-off, Flush, Counter or Release.
 type Memory struct {
-	// stage is the pending-reference staging buffer (a fixed-size
-	// array; nStage is the fill level). A fixed array plus index
-	// stores one reference and one integer per Read/Write — an append
-	// would also write the slice header back every call — and lets the
-	// compiler drop the store's bounds check. It is first in the
-	// struct because Read/Write touch it on every reference.
+	// stage is the staging half being filled (a fixed-size array;
+	// nStage is the fill level). A fixed array plus index stores one
+	// reference and one integer per Read/Write — an append would also
+	// write the slice header back every call — and lets the compiler
+	// drop the store's bounds check. It is first in the struct because
+	// Read/Write touch it on every reference.
 	stage  *[stageRefs]Ref
 	nStage int
 	// words views the slab osmem.Map handed out: anonymous, lazily
@@ -130,7 +142,7 @@ type Memory struct {
 	// touches), the Go heap under -race and elsewhere. nil after
 	// Release, so a late access is an index panic, never a fault.
 	words []Word
-	// tally folds the Flush loop's two counter updates into one:
+	// tally folds the drain loop's two counter updates into one:
 	// entry (obj<<1|op)<<6|pe counts references of that object type,
 	// operation and PE. Counter() unfolds it into the public
 	// trace.Counter shape on demand.
@@ -138,6 +150,14 @@ type Memory struct {
 	counter *trace.Counter
 	sink    trace.Sink
 	batch   trace.BatchSink // non-nil when sink implements BatchSink
+
+	// spare is the other staging half: the one in flight while
+	// draining is set, idle otherwise. drained receives the in-flight
+	// drain's end — the value its sink panicked with, or nil — and
+	// holds one, so a drain never blocks on a Memory nobody waits on.
+	spare    *[stageRefs]Ref
+	draining bool
+	drained  chan any
 
 	// shards routes references into per-PE staging buffers while the
 	// sharded execution mode runs an epoch (core.Config.ExecShards):
@@ -205,6 +225,8 @@ func NewMemory(l Layout, sink trace.Sink) (*Memory, error) {
 	liveBytes.Add(int64(len(words)) * wordBytes)
 	m := &Memory{
 		stage:   new([stageRefs]Ref),
+		spare:   new([stageRefs]Ref),
+		drained: make(chan any, 1),
 		words:   words,
 		tally:   make([]int64, trace.NumObjTypes*2*trace.MaxPEs),
 		layout:  n,
@@ -265,9 +287,11 @@ func classTabFor(l Layout, areaOff, areaSize [trace.NumAreas]int) []uint16 {
 func (m *Memory) Layout() Layout { return m.layout }
 
 // Counter returns the always-on reference counter, materialized from
-// the flat flush tally. Totals include staged references only after a
-// Flush (the engine flushes before it reports results).
+// the flat drain tally once the in-flight half, if any, is drained.
+// Totals include the half being staged only after a Flush (the engine
+// flushes before it reports results).
 func (m *Memory) Counter() *trace.Counter {
+	m.wait()
 	c := m.counter
 	*c = trace.Counter{}
 	for idx, n := range m.tally {
@@ -325,7 +349,7 @@ func (m *Memory) Read(pe int, addr int, obj trace.ObjType) Word {
 	}
 	n := uint(m.nStage)
 	if n >= stageRefs {
-		m.Flush()
+		m.handOff()
 		n = 0
 	}
 	m.stage[n] = Ref{Addr: uint32(addr), PE: uint8(pe), Op: trace.OpRead, Obj: obj}
@@ -356,7 +380,7 @@ func (m *Memory) Write(pe int, addr int, w Word, obj trace.ObjType) {
 	}
 	n := uint(m.nStage)
 	if n >= stageRefs {
-		m.Flush()
+		m.handOff()
 		n = 0
 	}
 	m.stage[n] = Ref{Addr: uint32(addr), PE: uint8(pe), Op: trace.OpWrite, Obj: obj}
@@ -364,15 +388,41 @@ func (m *Memory) Write(pe int, addr int, w Word, obj trace.ObjType) {
 	m.words[addr] = w
 }
 
-// Flush drains the staging buffer: counter tallies are folded in one
-// flat pass, then the batch is handed to the sink (one AddBatch call
-// when the sink supports batches) and the buffer is reset for reuse.
-// Flush is idempotent and cheap when the buffer is empty.
-func (m *Memory) Flush() {
-	refs := m.stage[:m.nStage]
-	if len(refs) == 0 {
+// handOff starts the full staging half's drain on a goroutine of its
+// own and swaps in the other half, first waiting for that half's
+// drain, so at most one is ever in flight.
+func (m *Memory) handOff() {
+	m.wait()
+	full := m.stage[:]
+	m.stage, m.spare = m.spare, m.stage
+	m.nStage = 0
+	m.draining = true
+	go m.drain(full)
+}
+
+// drain delivers one half on the goroutine handOff started for it and
+// reports its end, and a sink panic's value, on drained.
+func (m *Memory) drain(refs []Ref) {
+	defer func() { m.drained <- recover() }()
+	m.deliver(refs)
+}
+
+// wait returns once no drain is in flight. A sink panic on the drain
+// goroutine panics the caller with the same value.
+func (m *Memory) wait() {
+	if !m.draining {
 		return
 	}
+	m.draining = false
+	if v := <-m.drained; v != nil {
+		panic(v)
+	}
+}
+
+// deliver folds the counter tallies of refs in one flat pass, then
+// hands them to the sink: one AddBatch call when the sink supports
+// batches.
+func (m *Memory) deliver(refs []Ref) {
 	tally := m.tally
 	for _, r := range refs {
 		// One read-modify-write tallies (obj, op, PE) at once; the
@@ -386,7 +436,20 @@ func (m *Memory) Flush() {
 			m.sink.Add(r)
 		}
 	}
+}
+
+// Flush waits for the in-flight half, then delivers the half being
+// staged on the caller's goroutine, so when Flush returns the sink has
+// every reference staged so far and no drain is running. Flush is
+// idempotent and cheap when nothing is staged.
+func (m *Memory) Flush() {
+	m.wait()
+	refs := m.stage[:m.nStage]
+	if len(refs) == 0 {
+		return
+	}
 	m.nStage = 0
+	m.deliver(refs)
 }
 
 // ShardStage is a per-PE reference staging buffer for the sharded
@@ -439,18 +502,18 @@ func (m *Memory) ClearShards() {
 }
 
 // StageMerged appends already-ordered references to the shared staging
-// buffer, flushing at the usual capacity boundaries. Because RWT2
-// encoding is independent of AddBatch granularity, the resulting byte
-// stream is identical to the same references arriving one Read/Write
-// at a time — this is how the sharded execution mode re-serializes
-// per-PE speculation into the canonical trace.
+// stream, handing a half off at the usual capacity boundaries. Because
+// RWT2 encoding is independent of AddBatch granularity, the resulting
+// byte stream is identical to the same references arriving one
+// Read/Write at a time — this is how the sharded execution mode
+// re-serializes per-PE speculation into the canonical trace.
 func (m *Memory) StageMerged(refs []Ref) {
 	for len(refs) > 0 {
 		n := copy(m.stage[m.nStage:], refs)
 		m.nStage += n
 		refs = refs[n:]
 		if m.nStage == stageRefs {
-			m.Flush()
+			m.handOff()
 		}
 	}
 }
@@ -476,9 +539,9 @@ func (m *Memory) Poke(addr int, w Word) { m.words[addr] = w }
 // Size returns the total address-space size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// Release flushes the staging buffer and gives the address space back
-// to the operating system. The Memory must not be used after Release
-// (any access panics); calling Release again is harmless.
+// Release flushes the staged references and gives the address space
+// back to the operating system. The Memory must not be used after
+// Release (any access panics); calling Release again is harmless.
 func (m *Memory) Release() {
 	if m.words == nil {
 		return

@@ -2,7 +2,10 @@
 
 package osmem
 
-import "syscall"
+import (
+	"fmt"
+	"syscall"
+)
 
 // Map returns n (> 0) zeroed bytes of anonymous, private memory. There
 // is deliberately no fallback to the Go heap when the mapping is
@@ -12,5 +15,11 @@ func Map(n int) ([]byte, error) {
 }
 
 // Unmap gives back a region Map returned, whole. Munmap fails only for
-// a range that is not a mapping, which Map's contract rules out.
-func Unmap(b []byte) { _ = syscall.Munmap(b) }
+// a range that is not a live mapping — one unmapped already, or one Map
+// did not return — and only a bug in the caller can pass one, so Unmap
+// panics rather than let the slip pass.
+func Unmap(b []byte) {
+	if err := syscall.Munmap(b); err != nil {
+		panic(fmt.Sprintf("osmem: unmapping %d bytes: %v", len(b), err))
+	}
+}

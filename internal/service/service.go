@@ -643,7 +643,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("bench")
-	if _, ok := bench.ByName(name); !ok {
+	if !bench.Known(name) {
 		s.fail(w, http.StatusNotFound, "unknown benchmark %q", name)
 		return
 	}

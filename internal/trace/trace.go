@@ -253,10 +253,11 @@ func (r Ref) String() string {
 
 // Sink consumes references as they are generated by the engine.
 // Implementations include Buffer, Counter, cache simulators and file
-// writers. Add must be safe for single-goroutine use only; the engine is
-// a deterministic interleaved simulation and never emits concurrently,
-// and the FanOut dispatcher likewise drives each sink from exactly one
-// goroutine.
+// writers. A sink's calls never overlap, so it needs no locking: the
+// engine's memory delivers each full staging half from a goroutine
+// started for that batch, one at a time and each ordered after the one
+// before it, and the FanOut dispatcher drives each sink from exactly
+// one goroutine.
 type Sink interface {
 	Add(r Ref)
 }

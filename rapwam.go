@@ -126,7 +126,9 @@ const MaxPEs = trace.MaxPEs
 type Ref = trace.Ref
 
 // Sink re-exports the trace consumer interface. A Sink receives every
-// memory reference in emission order from a single goroutine; cache
+// memory reference in emission order, one call at a time, all before
+// the run returns; the engine runs on while the sink takes a batch, so
+// most calls come from goroutines other than the caller's. Cache
 // simulators (NewCacheSim), trace buffers and file writers all
 // implement it. See internal/trace for the full stream contract.
 type Sink = trace.Sink
