@@ -120,8 +120,8 @@ func TestHandOffDeliversEachRefOnceInOrder(t *testing.T) {
 	}
 }
 
-// gateSink holds its first batch until the gate opens and records the
-// order in which calls entered it.
+// gateSink holds its first batch until the gate opens, then records
+// it like every later one.
 type gateSink struct {
 	recordSink
 	entered chan struct{}
@@ -130,22 +130,19 @@ type gateSink struct {
 }
 
 func (s *gateSink) AddBatch(refs []trace.Ref) {
-	s.enter()
-	defer s.inCall.Add(-1)
 	if !s.first {
 		s.first = true
 		close(s.entered)
 		<-s.gate
 	}
-	s.refs = append(s.refs, refs...)
-	s.batches = append(s.batches, len(refs))
+	s.recordSink.AddBatch(refs)
 }
 
 // TestFlushWaitsForTheInFlightHalf: Flush with a drain still in the
 // sink returns only after that drain, and delivers its own tail after
-// it: the sink's calls never overlap and arrive in emission order. The
-// in-flight drain is held until a timer opens its gate, so a Flush that
-// did not wait would deliver its tail into the held sink first.
+// it, in emission order. The in-flight drain is held until a timer
+// opens its gate, so a Flush that did not wait would record its tail
+// first.
 func TestFlushWaitsForTheInFlightHalf(t *testing.T) {
 	sink := &gateSink{recordSink: recordSink{t: t}, entered: make(chan struct{}), gate: make(chan struct{})}
 	m := newTestMemory(t, refLayout, sink)
