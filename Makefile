@@ -72,14 +72,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDispatcherParity -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/compile/
 
-# race covers every concurrent subsystem; internal/core and
-# internal/mem run their sharded-execution suites (ExecShards > 1,
-# retained for the benchmark's per-layer probes) under the detector
-# here. Under -race internal/osmem hands out Go heap by build tag
-# (map_heap.go, tested here) — the detector does not see accesses to
-# mapped pages — which is what keeps the speculative dispatcher's
-# cross-goroutine memory accesses, and blob.Mem's object pages,
-# visible to it.
+# race covers every concurrent subsystem; internal/mem and internal/core
+# are here for the staging hand-off, whose drain goroutine delivers
+# each full half to the engine's sink while the engine runs on. Under
+# -race internal/osmem hands out Go heap by build tag (map_heap.go,
+# tested here) — the detector does not see accesses to mapped pages —
+# which is what keeps blob.Mem's object pages, read by replays on
+# other goroutines, visible to it.
 race:
 	$(GO) test -race ./internal/core/ ./internal/mem/ ./internal/osmem/ ./internal/trace/ ./internal/cache/ ./internal/experiments/ ./internal/tracestore/ ./internal/bench/ ./internal/service/ ./internal/storage/...
 

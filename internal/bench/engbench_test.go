@@ -60,13 +60,7 @@ func compileCell(b *testing.B, name string, seq bool) *isa.Code {
 // accumulates (refs, inferences).
 func runEngine(b *testing.B, code *isa.Code, pes int, sink trace.Sink, refs, inf *int64) {
 	b.Helper()
-	runEngineShards(b, code, pes, 1, sink, refs, inf)
-}
-
-// runEngineShards is runEngine under the sharded dispatcher.
-func runEngineShards(b *testing.B, code *isa.Code, pes, shards int, sink trace.Sink, refs, inf *int64) {
-	b.Helper()
-	eng, err := core.New(code, core.Config{PEs: pes, Sink: sink, ExecShards: shards})
+	eng, err := core.New(code, core.Config{PEs: pes, Sink: sink})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,31 +104,6 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRunShards measures the sharded dispatcher
-// (core.Config.ExecShards) on the multi-PE cells it targets: 1 shard
-// is the serial dispatcher baseline, higher counts speculate
-// independent PEs' cycles on host goroutines and merge deterministically
-// (the trace is byte-identical, so this isolates wall-clock alone).
-// On a single-core host the >1 counts measure the mode's overhead
-// (snapshotting, footprint validation, merge); on multi-core hosts
-// they measure its scaling.
-func BenchmarkEngineRunShards(b *testing.B) {
-	for _, bench := range []string{"deriv", "qsort"} {
-		for _, shards := range []int{1, 2, 4} {
-			bench, shards := bench, shards
-			b.Run(nameCell(bench, 8)+"-s"+strconv.Itoa(shards), func(b *testing.B) {
-				code := compileCell(b, bench, false)
-				var refs, inf int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runEngineShards(b, code, 8, shards, trace.Discard, &refs, &inf)
-				}
-				reportEngineMetrics(b, refs, inf)
-			})
-		}
-	}
-}
-
 // BenchmarkTraceGeneration measures the cold trace-store path: emulate
 // and stream the reference trace through the compact codec (the exact
 // work a store miss pays, minus the file write).
@@ -164,56 +133,11 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGenerationWorkers measures pipelined generation
-// (emulate on one goroutine, chunk encoding on workers) through
-// trace.ParallelChunkWriter, which no product path uses. workers=1 is
-// pure emulate/encode overlap; higher counts add parallel chunk
-// encoders. Output bytes are identical at every worker count, so this
-// isolates the wall-clock effect alone.
-func BenchmarkTraceGenerationWorkers(b *testing.B) {
-	cells := []struct {
-		bench string
-		pes   int
-	}{
-		{"deriv", 8},
-		{"qsort", 8},
-	}
-	for _, cell := range cells {
-		for _, workers := range []int{1, 2, 4} {
-			cell, workers := cell, workers
-			b.Run(nameCell(cell.bench, cell.pes)+"-w"+strconv.Itoa(workers), func(b *testing.B) {
-				code := compileCell(b, cell.bench, false)
-				var refs, inf int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cw, err := trace.NewParallelChunkWriter(io.Discard, trace.Meta{
-						Benchmark:       cell.bench,
-						PEs:             cell.pes,
-						EmulatorVersion: core.EmulatorVersion,
-					}, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					runEngine(b, code, cell.pes, cw, &refs, &inf)
-					if err := cw.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportEngineMetrics(b, refs, inf)
-			})
-		}
-	}
-}
-
-// nameCell formats a sub-benchmark name ("qsort-4pe").
-func nameCell(bench string, pes int) string {
-	return bench + "-" + strconv.Itoa(pes) + "pe"
-}
-
-// cellName is nameCell with a "-seq" suffix on sequential cells.
+// cellName formats a sub-benchmark name ("qsort-4pe", "qsort-1pe-seq").
 func cellName(bench string, pes int, seq bool) string {
+	name := bench + "-" + strconv.Itoa(pes) + "pe"
 	if seq {
-		return nameCell(bench, pes) + "-seq"
+		name += "-seq"
 	}
-	return nameCell(bench, pes)
+	return name
 }

@@ -204,38 +204,14 @@ func writeThroughStats(st Stats, lineWords int) Stats {
 	return st
 }
 
-// SimulateAllShards is SimulateAll with each set-shardable
-// configuration (see EffectiveShards) replayed by up to shards workers
-// partitioned by cache set and merged by the deterministic reduction
-// in Sharded.Close — bit-identical to SimulateAll. No product code
-// calls it: it is retained, with sharded.go, for the benchmark
-// harness's per-layer probe (cache.sharded2_mrefcfg_s).
+// SimulateAllShards returns SimulateAll(buf, cfgs); shards is
+// ignored.
+//
+// Deprecated: kept only so cmd/rapwambench, whose files change only
+// with the benchmark (ROADMAP 1(a)), still builds; it goes when the
+// harness stops calling it.
 func SimulateAllShards(buf *trace.Buffer, cfgs []Config, shards int) ([]Stats, error) {
-	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	sinks := make([]trace.Sink, len(cfgs))
-	for i, cfg := range cfgs {
-		if EffectiveShards(cfg, shards) > 1 {
-			sinks[i] = NewSharded(cfg, shards)
-		} else {
-			sinks[i] = New(cfg)
-		}
-	}
-	buf.ReplayAll(sinks...)
-	out := make([]Stats, len(cfgs))
-	for i, sink := range sinks {
-		switch s := sink.(type) {
-		case *Sharded:
-			s.Close()
-			out[i] = s.Stats()
-		case *Sim:
-			out[i] = s.Stats()
-		}
-	}
-	return out, nil
+	return SimulateAll(buf, cfgs)
 }
 
 // IndexBytes returns the residency index footprint, in bytes at

@@ -59,21 +59,11 @@ type Config struct {
 	// StealInterval is the number of idle cycles between steal probes
 	// (default 4).
 	StealInterval int
-	// ExecShards sets the host-goroutine budget for the sharded
-	// execution mode: when > 1 (and PEs > 1, and ReferenceDispatch is
-	// off), stretches where several simulated PEs run straight-line
-	// code are executed speculatively in parallel — one goroutine per
-	// host shard, each driving a subset of the runnable PEs — and the
-	// per-PE reference batches are merged back in the reference
-	// round-robin's canonical (cycle, PE) order, so the emitted trace
-	// and statistics are byte- and value-identical to runMulti's (the
-	// golden digests pin this at several shard counts with no
-	// EmulatorVersion bump). Soundness rests on the machine's own
-	// independence model: goals of a parallel conjunction never share
-	// unbound variables (what CGE conditions guarantee), hence
-	// concurrently speculating PEs touch disjoint words. Programs
-	// violating that model must use ExecShards <= 1 (the default) or
-	// ReferenceDispatch. 0 or 1 disables sharded execution.
+	// ExecShards is ignored: the engine runs every PE on one goroutine.
+	//
+	// Deprecated: kept only so cmd/rapwambench, whose files change only
+	// with the benchmark (ROADMAP 1(a)), still builds; it goes when the
+	// harness stops setting it.
 	ExecShards int
 	// ReferenceDispatch forces the plain one-instruction-per-tick
 	// round-robin scheduler with every poll and steal sweep executed
@@ -173,7 +163,9 @@ type Result struct {
 	Refs *trace.Counter
 }
 
-// Engine executes a compiled program on P workers.
+// Engine executes a compiled program on P workers, interleaving them
+// on the caller's goroutine; only the trace sink runs elsewhere (see
+// mem.Memory's staging hand-off).
 type Engine struct {
 	cfg     Config
 	code    *isa.Code
@@ -188,9 +180,9 @@ type Engine struct {
 	// nRun counts workers in StateRun, maintained by worker.setState;
 	// the quantum dispatcher's eligibility check starts with it.
 	nRun int
-	// runners holds the running workers in PE order while a quantum or
-	// an epoch runs, filled by quantumEligible (capacity PEs: collecting
-	// them never allocates).
+	// runners holds the running workers in PE order while a quantum
+	// runs, filled by quantumEligible (capacity PEs: collecting them
+	// never allocates).
 	runners []*worker
 	// quantumCycles counts the cycles dispatched inside quanta; the rest
 	// went through the round-robin (tests read the split).
@@ -220,21 +212,6 @@ type Engine struct {
 	goalsStolen   int64
 	stealProbes   int64
 	kills         int64
-
-	// Sharded execution state (Config.ExecShards > 1; see sharded.go).
-	// execShards is the effective host-worker budget (0 = mode off);
-	// shards holds one reusable speculation context per PE; epochHold
-	// forces serial cycles after an epoch that made no parallel
-	// progress or was discarded on a cross-shard conflict; specMark is
-	// the per-word mark array of the commit-time footprint check; and
-	// scratch absorbs the discarded emissions of snapshot replays.
-	execShards     int
-	shards         []shardCtx
-	parts          []*shardCtx
-	epochHold      int
-	conflictStreak int
-	specMark       []uint8
-	scratch        mem.ShardStage
 }
 
 // New builds an engine for the given code. PEs beyond trace.MaxPEs are
@@ -267,15 +244,6 @@ func New(code *isa.Code, cfg Config) (*Engine, error) {
 		runners: make([]*worker, 0, cfg.PEs), ineligibleSeq: ^uint64(0)}
 	for pe := 0; pe < cfg.PEs; pe++ {
 		e.workers = append(e.workers, newWorker(e, pe))
-	}
-	// Sharded execution needs several PEs to overlap and is pointless
-	// (and undefined) under the reference scheduler.
-	if cfg.ExecShards > 1 && cfg.PEs > 1 && !cfg.ReferenceDispatch {
-		e.execShards = cfg.ExecShards
-		if e.execShards > cfg.PEs {
-			e.execShards = cfg.PEs
-		}
-		e.shards = make([]shardCtx, cfg.PEs)
 	}
 	return e, nil
 }
@@ -313,12 +281,9 @@ func (e *Engine) Run() (res *Result, err error) {
 		}
 	}()
 
-	switch {
-	case e.cfg.ReferenceDispatch:
+	if e.cfg.ReferenceDispatch {
 		err = e.runReference()
-	case e.execShards > 1:
-		err = e.runSharded()
-	default:
+	} else {
 		err = e.runMulti()
 	}
 	e.mem.Flush() // deliver staged references before anyone reads results
@@ -452,8 +417,7 @@ func (e *Engine) roundRobin() {
 //     steal, so a non-empty stack matters only while one is idle.
 //
 // Runners need no kill flag either, so that a quantum may step them
-// without the tick's kill check. The quantum and the sharded mode's
-// epochs (runSharded) both start from this predicate.
+// without the tick's kill check.
 //
 // Everything the predicate reads changes only with a schedSeq bump,
 // except an idle worker's tick clearing a stray kill flag, which can

@@ -612,13 +612,6 @@ func (w *worker) pushLocalValue(d mem.Word) mem.Word {
 // report goal/query failure when none exists.
 func (w *worker) fail() {
 	if w.b == none {
-		// Failing out of the whole goal (or query) is an observable
-		// scheduler action; speculation must stop one step short and
-		// let the serial dispatcher take it. Backtracking to a choice
-		// point below stays pure and speculates fine.
-		if w.spec {
-			panic(errSpecUnsafe)
-		}
 		if w.gm != none {
 			w.parGoalFail()
 			return

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
@@ -128,8 +129,25 @@ func TestCycleLimitMatchesReference(t *testing.T) {
 // 1-PE run — one sole-runner quantum — surfaces context.Canceled, and
 // the references emitted before it are a prefix of the full run's.
 func TestSoleRunnerCancelPrefix(t *testing.T) {
+	checkCancelPrefix(t, repNrev, "rep(1000)", 1, 1<<20, 1)
+}
+
+// TestMultiPECancelPrefix is the same contract at 8 PEs, where the cut
+// falls among round-robin cycles and multi-runner quanta, and where it
+// is also deterministic run to run (see cancelSink).
+func TestMultiPECancelPrefix(t *testing.T) {
+	checkCancelPrefix(t, dispatchCases[1].program, "tree(13, N)", 8, 1<<16, 2)
+}
+
+// checkCancelPrefix runs program/query in full, then runs more times
+// with a Cancel fired a third of the way through the full run's
+// references. Each cancelled run must surface context.Canceled and emit
+// a prefix of the full run's references, and all must stop at the same
+// length.
+func checkCancelPrefix(t *testing.T, program, query string, pes, heap, runs int) {
+	t.Helper()
 	full := trace.NewBuffer(1 << 20)
-	if _, err := loopRun(t, repNrev, "rep(1000)", 1, 1<<20, 1e8, false, full, nil); err != nil {
+	if _, err := loopRun(t, program, query, pes, heap, 1e8, false, full, nil); err != nil {
 		t.Fatalf("full run: %v", err)
 	}
 	fullRefs := slices.Concat(full.Segments()...)
@@ -137,18 +155,54 @@ func TestSoleRunnerCancelPrefix(t *testing.T) {
 	if cut < 4*65536 {
 		t.Fatalf("run too short for a mid-run cancel: %d refs", len(fullRefs))
 	}
-	sink := newCancelSink(cut)
-	_, err := loopRun(t, repNrev, "rep(1000)", 1, 1<<20, 1e8, false, sink, sink.stop)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
-	}
-	got := slices.Concat(sink.Buffer.Segments()...)
-	if len(got) < cut || len(got) >= len(fullRefs) {
-		t.Fatalf("cancelled run emitted %d refs (cut %d, full %d)", len(got), cut, len(fullRefs))
-	}
-	for i := range got {
-		if got[i] != fullRefs[i] {
-			t.Fatalf("ref %d diverges from the full run", i)
+	prev := -1
+	for range runs {
+		sink := newCancelSink(cut)
+		_, err := loopRun(t, program, query, pes, heap, 1e8, false, sink, sink.stop)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
+		got := slices.Concat(sink.Buffer.Segments()...)
+		if len(got) < cut || len(got) >= len(fullRefs) {
+			t.Fatalf("cancelled run emitted %d refs (cut %d, full %d)", len(got), cut, len(fullRefs))
+		}
+		for i := range got {
+			if got[i] != fullRefs[i] {
+				t.Fatalf("ref %d diverges from the full run", i)
+			}
+		}
+		if prev >= 0 && len(got) != prev {
+			t.Fatalf("cancelled length varies run to run: %d vs %d", len(got), prev)
+		}
+		prev = len(got)
 	}
 }
+
+// cancelSink cancels the engine once n references have been emitted:
+// a deterministic point in the reference stream, independent of
+// wall-clock. The sink closes the channel on a drain goroutine of the
+// engine's memory, and the engine polls it on its own goroutine once
+// every cancelMask+1 cycles. At 8 PEs that is ~127 k references, so
+// between the hand-off of the half that crosses n and the next poll
+// lies at least one more hand-off, which waits for the drain that
+// closed the channel: the cut lands at a deterministic cycle. At 1 PE
+// a poll can come first, so only the prefix holds.
+type cancelSink struct {
+	trace.Buffer
+	after int
+	once  sync.Once
+	stop  chan struct{}
+}
+
+func newCancelSink(after int) *cancelSink {
+	return &cancelSink{after: after, stop: make(chan struct{})}
+}
+
+func (c *cancelSink) check() {
+	if c.Len() >= c.after {
+		c.once.Do(func() { close(c.stop) })
+	}
+}
+
+func (c *cancelSink) Add(r trace.Ref)           { c.Buffer.Add(r); c.check() }
+func (c *cancelSink) AddBatch(refs []trace.Ref) { c.Buffer.AddBatch(refs); c.check() }

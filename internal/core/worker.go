@@ -68,15 +68,6 @@ type worker struct {
 	waitSeq   uint64
 	idleInert bool
 	idleSeq   uint64
-
-	// spec is set while this worker executes speculatively on a shard
-	// goroutine (Engine.runEpoch). Speculation may only take pure
-	// straight-line steps; the risky-opcode screen in specRun keeps it
-	// on that path statically, and the guards in fail, noteSchedEvent
-	// and setState abort it dynamically (panic(errSpecUnsafe)) should
-	// an impure step slip through, rolling the worker back to its last
-	// completed cycle for exact serial re-execution.
-	spec bool
 }
 
 const (
@@ -270,9 +261,6 @@ func (w *worker) tick() {
 // dispatcher and the inert-poll elision both rely on the sequence to
 // know when a skipped poll could have changed outcome.
 func (w *worker) noteSchedEvent() {
-	if w.spec {
-		panic(errSpecUnsafe)
-	}
 	w.eng.schedSeq++
 }
 
@@ -281,9 +269,6 @@ func (w *worker) noteSchedEvent() {
 // eligibility pre-check) and moving the scheduler sequence, since a
 // state change ends a quantum. Every state change goes through here.
 func (w *worker) setState(s WorkerState) {
-	if w.spec {
-		panic(errSpecUnsafe)
-	}
 	if w.state == StateRun {
 		w.eng.nRun--
 	}
@@ -294,10 +279,10 @@ func (w *worker) setState(s WorkerState) {
 	w.eng.schedSeq++
 }
 
-// accountInert credits this worker with k cycles of a quantum or an
-// epoch that no tick of its own recorded (see Engine.settle). The
-// closed forms reproduce exactly what k consecutive ticks would have
-// recorded given that nothing observable happened: a runner accrues
+// accountInert credits this worker with k cycles of a quantum that no
+// tick of its own recorded (see Engine.settle). The closed forms
+// reproduce exactly what k consecutive ticks would have recorded
+// given that nothing observable happened: a runner accrues
 // run cycles (a quantum steps runners without counting); a waiter
 // accrues wait cycles; an idle worker accrues idle cycles plus the
 // steal probes its clock would have fired — each empty probe round

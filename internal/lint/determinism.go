@@ -51,7 +51,7 @@ func runDeterminism(pass *Pass) {
 			case *ast.CallExpr:
 				if obj := calleeObject(info, n); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" {
 					if obj.Name() == "Now" || obj.Name() == "Since" {
-						pass.Reportf(n.Pos(), "time.%s in a trace-affecting package: wall-clock reads differ across runs and shard counts; thread timing through the caller or drop it", obj.Name())
+						pass.Reportf(n.Pos(), "time.%s in a trace-affecting package: wall-clock reads differ across runs; thread timing through the caller or drop it", obj.Name())
 					}
 				}
 			case *ast.RangeStmt:

@@ -5,7 +5,7 @@
 //
 //   - determinism — trace-affecting packages must not consult wall
 //     clocks, PRNGs, map iteration order or racy selects (PRs 1/4/6/9:
-//     traces are byte-identical across shard counts and restarts);
+//     traces are byte-identical across grid widths and restarts);
 //   - errortaxonomy — every storage read path classifies errors
 //     through the Transient/Degrade/Corrupt taxonomy before returning
 //     (PR 7: corruption heals instead of serving plausible 200s);

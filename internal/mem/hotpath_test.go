@@ -106,7 +106,7 @@ func TestClassifyMatchesArithmetic(t *testing.T) {
 		{trace.AreaGoal, m.Layout().Goal},
 		{trace.AreaMsg, m.Layout().Msg},
 	}
-	for addr := 0; addr < m.Size(); addr++ {
+	for addr := 0; addr < len(m.words); addr++ {
 		wantPE := addr / span
 		off := addr % span
 		wantArea := trace.AreaNone
@@ -125,7 +125,7 @@ func TestClassifyMatchesArithmetic(t *testing.T) {
 	if pe, a := m.Classify(-1); pe != -1 || a != trace.AreaNone {
 		t.Errorf("Classify(-1) = (%d,%v)", pe, a)
 	}
-	if pe, a := m.Classify(m.Size()); pe != -1 || a != trace.AreaNone {
+	if pe, a := m.Classify(len(m.words)); pe != -1 || a != trace.AreaNone {
 		t.Errorf("Classify(size) = (%d,%v)", pe, a)
 	}
 }
@@ -145,11 +145,11 @@ func TestNewMemoryIsZeroAfterRelease(t *testing.T) {
 		addr := reg.Base + int(rng>>45)%reg.Size()
 		m.Write((pe+1)%refLayout.Workers, addr, MakeInt(-1), trace.ObjHeap) // cross-PE attribution
 	}
-	m.Poke(m.Size()-1, MakeInt(42))
+	m.Poke(len(m.words)-1, MakeInt(42))
 	m.Release()
 
 	m2 := newTestMemory(t, refLayout, nil)
-	for addr := 0; addr < m2.Size(); addr++ {
+	for addr := 0; addr < len(m2.words); addr++ {
 		if w := m2.Peek(addr); w != 0 {
 			t.Fatalf("new address space not zero at %d: %v", addr, w)
 		}
@@ -165,7 +165,7 @@ func TestReleaseIsTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := LiveBytes()-before, int64(m.Size())*wordBytes; got != want {
+	if got, want := LiveBytes()-before, int64(len(m.words))*wordBytes; got != want {
 		t.Errorf("NewMemory added %d live bytes, want %d", got, want)
 	}
 	m.Release()
@@ -193,7 +193,7 @@ func TestDroppedMemoryIsFinalized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Poke(m.Size()-1, MakeInt(1))
+			m.Poke(len(m.words)-1, MakeInt(1))
 			for i := 0; i < refs; i++ {
 				m.Write(i%8, m.Region(i%8, trace.AreaHeap).Base, MakeInt(int64(i)), trace.ObjHeap)
 			}
@@ -223,7 +223,7 @@ func TestReleaseStopsTheCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for addr := 0; addr < old.Size(); addr++ {
+	for addr := 0; addr < len(old.words); addr++ {
 		old.Poke(addr, MakeInt(-1))
 	}
 	old.Release()
@@ -231,7 +231,7 @@ func TestReleaseStopsTheCleanup(t *testing.T) {
 	runtime.GC()
 
 	m := newTestMemory(t, refLayout, nil)
-	for addr := 0; addr < m.Size(); addr++ {
+	for addr := 0; addr < len(m.words); addr++ {
 		m.Poke(addr, MakeInt(int64(addr)*3+1))
 	}
 	data := make([]byte, 3<<20+4321)
@@ -251,7 +251,7 @@ func TestReleaseStopsTheCleanup(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	for addr := 0; addr < m.Size(); addr++ {
+	for addr := 0; addr < len(m.words); addr++ {
 		if w, want := m.Peek(addr), MakeInt(int64(addr)*3+1); w != want {
 			t.Fatalf("word %d = %v, want %v", addr, w, want)
 		}
@@ -264,7 +264,7 @@ func TestReleaseStopsTheCleanup(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("store object: read %d bytes (%v), not the %d written", len(got), err, len(data))
 	}
-	if got, want := LiveBytes()-before, int64(m.Size())*wordBytes; got != want {
+	if got, want := LiveBytes()-before, int64(len(m.words))*wordBytes; got != want {
 		t.Errorf("live bytes = %d over the start, want %d: a released slab was given back twice", got, want)
 	}
 }

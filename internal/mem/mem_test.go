@@ -93,8 +93,8 @@ func TestLayoutRegionsDisjointAndAligned(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != m.Size() {
-		t.Errorf("regions cover %d words, address space is %d", len(seen), m.Size())
+	if len(seen) != len(m.words) {
+		t.Errorf("regions cover %d words, address space is %d", len(seen), len(m.words))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestClassifyInvertsRegion(t *testing.T) {
 	if pe, a := m.Classify(-1); pe != -1 || a != trace.AreaNone {
 		t.Errorf("Classify(-1) = (%d,%v)", pe, a)
 	}
-	if pe, a := m.Classify(m.Size()); pe != -1 || a != trace.AreaNone {
+	if pe, a := m.Classify(len(m.words)); pe != -1 || a != trace.AreaNone {
 		t.Errorf("Classify(size) = (%d,%v)", pe, a)
 	}
 }

@@ -159,17 +159,6 @@ type Memory struct {
 	draining bool
 	drained  chan any
 
-	// shards routes references into per-PE staging buffers while the
-	// sharded execution mode runs an epoch (core.Config.ExecShards):
-	// each speculating worker appends to its own ShardStage from its
-	// own goroutine, and the engine later merges the per-PE batches
-	// into the shared staging buffer in canonical (cycle, PE) order via
-	// StageMerged. Outside epochs shards is nil, so the normal path
-	// pays one predictable not-taken branch per reference. shardsBuf
-	// retains the backing slice between epochs.
-	shards    []*ShardStage
-	shardsBuf []*ShardStage
-
 	// classTab maps addr>>alignShift to pe<<3|area. It is shared,
 	// read-only, and cached per layout (engines of the same shape are
 	// constructed constantly during parallel trace generation).
@@ -336,17 +325,6 @@ func (m *Memory) Classify(addr int) (pe int, area trace.Area) {
 //
 //rapwam:hotpath
 func (m *Memory) Read(pe int, addr int, obj trace.ObjType) Word {
-	if m.shards != nil {
-		if s := m.shards[pe]; s != nil {
-			//rapwam:allow hotpath shard staging buffers are reused across epochs, so append amortizes to an indexed store
-			s.Refs = append(s.Refs, Ref{Addr: uint32(addr), PE: uint8(pe), Op: trace.OpRead, Obj: obj})
-			// Atomic load: another shard may be writing this word
-			// concurrently (a cross-shard conflict). The engine detects
-			// the overlap afterwards and discards the epoch, but the
-			// racing access itself must stay untorn and race-clean.
-			return Word(atomic.LoadUint64((*uint64)(&m.words[addr])))
-		}
-	}
 	n := uint(m.nStage)
 	if n >= stageRefs {
 		m.handOff()
@@ -362,22 +340,6 @@ func (m *Memory) Read(pe int, addr int, obj trace.ObjType) Word {
 //
 //rapwam:hotpath
 func (m *Memory) Write(pe int, addr int, w Word, obj trace.ObjType) {
-	if m.shards != nil {
-		if s := m.shards[pe]; s != nil {
-			//rapwam:allow hotpath shard staging buffers are reused across epochs, so append amortizes to an indexed store
-			s.Refs = append(s.Refs, Ref{Addr: uint32(addr), PE: uint8(pe), Op: trace.OpWrite, Obj: obj})
-			// The atomic swap both publishes the write race-cleanly and
-			// captures exactly the word it displaced: even when several
-			// shards race on one address, the captured Old values chain
-			// (each one is some other write's New, except the pre-epoch
-			// word), which is what lets a conflicted epoch's rollback
-			// recover the base value of a multi-writer word.
-			old := Word(atomic.SwapUint64((*uint64)(&m.words[addr]), uint64(w)))
-			//rapwam:allow hotpath the undo log is a reused per-epoch buffer; append amortizes to an indexed store
-			s.Undo = append(s.Undo, UndoEntry{Addr: uint32(addr), Old: old, New: w})
-			return
-		}
-	}
 	n := uint(m.nStage)
 	if n >= stageRefs {
 		m.handOff()
@@ -452,92 +414,12 @@ func (m *Memory) Flush() {
 	m.deliver(refs)
 }
 
-// ShardStage is a per-PE reference staging buffer for the sharded
-// execution mode. While a shard is installed with SetShard, that PE's
-// Read/Write references append here (a growable slice owned by one
-// speculating goroutine) instead of the shared staging buffer; the
-// engine merges completed cycles back into the canonical stream with
-// StageMerged and discards abandoned speculation by truncating Refs.
-//
-// Undo is the value log of every speculated Write (address, the word
-// it displaced and the word it stored, in write order). Speculation is
-// rolled back by applying the log backward — a complete restore of the
-// epoch's memory effects, sound even where a trail unwind is not (pop-
-// and-repush sequences overwrite stack words no trail entry covers).
-// The Old/New pair also makes a cross-shard write conflict recoverable:
-// the displaced values of all writes to one address chain through each
-// other, so the pre-epoch word is the one Old no conflicting write
-// produced (see core's discarded-epoch rollback).
-type ShardStage struct {
-	Refs []Ref
-	Undo []UndoEntry
-}
-
-// UndoEntry records one speculated write: the word it displaced (via
-// atomic swap, so Old is exact even under a write/write race) and the
-// word it stored.
-type UndoEntry struct {
-	Addr uint32
-	Old  Word
-	New  Word
-}
-
-// SetShard installs a per-PE staging buffer (nil detaches that PE).
-// Must not be called while speculating goroutines are running.
-func (m *Memory) SetShard(pe int, s *ShardStage) {
-	if m.shardsBuf == nil {
-		m.shardsBuf = make([]*ShardStage, m.layout.Workers)
-	}
-	m.shardsBuf[pe] = s
-	m.shards = m.shardsBuf
-}
-
-// ClearShards detaches every per-PE staging buffer, restoring the
-// single-branch normal reference path.
-func (m *Memory) ClearShards() {
-	if m.shardsBuf != nil {
-		clear(m.shardsBuf)
-	}
-	m.shards = nil
-}
-
-// StageMerged appends already-ordered references to the shared staging
-// stream, handing a half off at the usual capacity boundaries. Because
-// RWT2 encoding is independent of AddBatch granularity, the resulting
-// byte stream is identical to the same references arriving one
-// Read/Write at a time — this is how the sharded execution mode
-// re-serializes per-PE speculation into the canonical trace.
-func (m *Memory) StageMerged(refs []Ref) {
-	for len(refs) > 0 {
-		n := copy(m.stage[m.nStage:], refs)
-		m.nStage += n
-		refs = refs[n:]
-		if m.nStage == stageRefs {
-			m.handOff()
-		}
-	}
-}
-
-// UndoWrites rolls back every write the shard speculated, newest
-// first, restoring the exact pre-speculation words, and resets the
-// log.
-func (m *Memory) UndoWrites(s *ShardStage) {
-	for i := len(s.Undo) - 1; i >= 0; i-- {
-		u := s.Undo[i]
-		m.Poke(int(u.Addr), u.Old)
-	}
-	s.Undo = s.Undo[:0]
-}
-
 // Peek reads addr without instrumentation. Host-side use only (answer
 // extraction, tests, debuggers).
 func (m *Memory) Peek(addr int) Word { return m.words[addr] }
 
 // Poke writes addr without instrumentation. Host-side use only.
 func (m *Memory) Poke(addr int, w Word) { m.words[addr] = w }
-
-// Size returns the total address-space size in words.
-func (m *Memory) Size() int { return len(m.words) }
 
 // Release flushes the staged references and gives the address space
 // back to the operating system. The Memory must not be used after

@@ -185,11 +185,20 @@ func NewChunkWriter(w io.Writer, meta Meta) (*ChunkWriter, error) {
 	return cw, nil
 }
 
+// NewParallelChunkWriter returns NewChunkWriter(w, meta); workers is
+// ignored.
+//
+// Deprecated: kept only so cmd/rapwambench, whose files change only
+// with the benchmark (ROADMAP 1(a)), still builds; it goes when the
+// harness stops calling it.
+func NewParallelChunkWriter(w io.Writer, meta Meta, workers int) (*ChunkWriter, error) {
+	return NewChunkWriter(w, meta)
+}
+
 // compactHeader builds the compact-format header for meta (without its
 // trailing CRC) and returns it along with the offset of the fixed
 // 8-byte reference-count field, which Close back-patches on a seekable
-// writer once the streamed count is known. Shared by ChunkWriter and
-// ParallelChunkWriter so the two emit byte-identical headers.
+// writer once the streamed count is known.
 func compactHeader(meta Meta) (hdr []byte, refsOff int) {
 	hdr = make([]byte, 0, 256)
 	hdr = append(hdr, compactMagic[:]...)
@@ -307,11 +316,9 @@ func (cw *ChunkWriter) encodeChunk(refs []Ref) {
 // encodePayload encodes one chunk's references into buf, which must
 // have room for len(refs)*maxEncodedRefBytes bytes, and returns the
 // encoded length. Delta state (previous address per PE, previous PE)
-// is chunk-local by design — every chunk decodes independently — which
-// is exactly what makes chunks encodable in parallel: the bytes a
-// chunk encodes to depend only on the chunk's own references.
-// Per-reference counts are accumulated into perPE. Shared by
-// ChunkWriter and ParallelChunkWriter.
+// is chunk-local by design — every chunk decodes independently: the
+// bytes a chunk encodes to depend only on the chunk's own references.
+// Per-reference counts are accumulated into perPE.
 func encodePayload(refs []Ref, pes int, buf []byte, perPE *[256]int64) (int, error) {
 	i := 0
 	// Per-PE state lives in stack-local tables indexed by the raw PE
@@ -415,7 +422,6 @@ func (cw *ChunkWriter) Close() error {
 
 // compactFooter builds the stream trailer: the end-of-chunks marker
 // followed by the CRC-protected footer body (total and per-PE counts).
-// Shared by ChunkWriter and ParallelChunkWriter.
 func compactFooter(total int64, perPE []int64) []byte {
 	footer := appendUvarint(nil, 0) // end-of-chunks marker
 	body := appendUvarint(nil, uint64(total))
@@ -432,8 +438,7 @@ func compactFooter(total int64, perPE []int64) []byte {
 // patchHeaderCount back-fills the header's reference count (and its
 // CRC) after a streamed write, when the underlying writer is seekable
 // (a file). On a pure stream the header keeps count zero and readers
-// rely on the footer instead. Shared by ChunkWriter and
-// ParallelChunkWriter.
+// rely on the footer instead.
 func patchHeaderCount(out io.Writer, rawHdr []byte, refsOff int, declared, total int64) error {
 	if declared == total {
 		return nil // header already carries the exact count

@@ -246,15 +246,47 @@ func TestCompactRejectsWrongVersion(t *testing.T) {
 	}
 }
 
+// TestChunkWriterRejectsOutOfRange: a writer fed what its header does
+// not allow fails at Close with the reason, and a second Close returns
+// the same error.
 func TestChunkWriterRejectsOutOfRange(t *testing.T) {
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, Meta{PEs: 2, EmulatorVersion: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw.Add(Ref{Addr: 1, PE: 5}) // PE outside the declared 2
-	if err := cw.Close(); err == nil {
-		t.Fatal("out-of-range PE not rejected")
+	for _, tc := range []struct {
+		name string
+		refs int64 // the header's declared count (0: unknown)
+		feed func(cw *ChunkWriter)
+		want string
+	}{
+		{"pe-outside-header", 0, func(cw *ChunkWriter) {
+			cw.Add(Ref{Addr: 1, PE: 5}) // PE outside the declared 2
+			// Feeding on after the poisoned chunk neither panics nor
+			// replaces the error.
+			cw.AddBatch(synthTrace(3*codecChunkRefs, 2))
+		}, "reference PE 5 outside the declared 2 PEs"},
+		{"count-differs-from-header", 10, func(cw *ChunkWriter) {
+			cw.AddBatch(synthTrace(11, 2))
+		}, "header declared 10 refs, wrote 11"},
+		{"add-after-close", 0, func(cw *ChunkWriter) {
+			if err := cw.Close(); err != nil {
+				t.Fatalf("Close of an empty trace: %v", err)
+			}
+			cw.Add(Ref{})
+		}, "Add after Close"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			cw, err := NewChunkWriter(&buf, Meta{PEs: 2, EmulatorVersion: "t", Refs: tc.refs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.feed(cw)
+			err = cw.Close()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Close = %v, want an error containing %q", err, tc.want)
+			}
+			if again := cw.Close(); again != err {
+				t.Fatalf("second Close = %v, want the same error %v", again, err)
+			}
+		})
 	}
 }
 

@@ -340,24 +340,13 @@ func (f *FanOut) fill(refs []Ref) {
 	}
 }
 
-// StableBatchSink is the capability interface for batch consumers
-// that can ingest a batch without copying, provided the producer
-// guarantees the slice is immutable and outlives the sink's processing
-// (for a FanOut, until Close returns). Buffer.ReplayAll qualifies as a
-// producer (an in-memory buffer) and prefers this path; a reused
-// staging buffer does not qualify and must use AddBatch.
-// ChunkReader.Replay does not use it either: it decodes into a FanOut's
-// own ring instead.
-type StableBatchSink interface {
-	BatchSink
-	// AddBatchStable consumes the batch without copying; the caller
-	// promises never to mutate the slice while the sink can still
-	// read it.
-	AddBatchStable(refs []Ref)
-}
-
-// AddBatchStable implements StableBatchSink: full chunks are
-// dispatched to the consumers as sub-slices of refs without copying.
+// AddBatchStable is AddBatch without the copy: full chunks are
+// dispatched to the consumers as sub-slices of refs. The caller
+// promises never to mutate refs while a consumer can still read it,
+// that is until Close returns. Buffer.ReplayAll is the producer that
+// qualifies (a segment never moves or changes); a reused staging
+// buffer does not and must use AddBatch, and ChunkReader.Replay
+// decodes into the fan-out's own ring instead.
 func (f *FanOut) AddBatchStable(refs []Ref) {
 	if f.closed {
 		panic("trace: FanOut.AddBatchStable after Close")
