@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -140,6 +141,49 @@ func TestCompactRoundTripSingleRefs(t *testing.T) {
 	for i := range refs {
 		if got[i] != refs[i] {
 			t.Fatalf("ref %d: got %v want %v", i, got[i], refs[i])
+		}
+	}
+}
+
+// TestParallelChunkWriterByteParity pins the contract of the deprecated
+// NewParallelChunkWriter forwarder, which cmd/rapwambench's encoder probe
+// still calls: at any worker count and any delivery granularity (one
+// reference at a time, or batches smaller than, equal to and larger
+// than a chunk) its writer produces exactly the bytes of a single
+// AddBatch into NewChunkWriter. The test goes with the forwarder.
+func TestParallelChunkWriterByteParity(t *testing.T) {
+	meta := Meta{Benchmark: "synth", PEs: 8, EmulatorVersion: "test"}
+	sizes := []int{0, 1, 100, codecChunkRefs - 1, codecChunkRefs, codecChunkRefs + 1, 3*codecChunkRefs + 17}
+	for _, n := range sizes {
+		refs := synthTrace(n, meta.PEs)
+		want := encodeCompact(t, refs, meta)
+		for _, workers := range []int{1, 2, 4} {
+			for _, batch := range []int{0, 1000, codecChunkRefs, 65536} {
+				t.Run(fmt.Sprintf("n=%d/workers=%d/batch=%d", n, workers, batch), func(t *testing.T) {
+					var buf bytes.Buffer
+					cw, err := NewParallelChunkWriter(&buf, meta, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batch == 0 {
+						for _, r := range refs {
+							cw.Add(r)
+						}
+					} else {
+						for rest := refs; len(rest) > 0; {
+							k := min(batch, len(rest))
+							cw.AddBatch(rest[:k])
+							rest = rest[k:]
+						}
+					}
+					if err := cw.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf.Bytes(), want) {
+						t.Fatalf("got %d bytes, want %d: encodings differ", buf.Len(), len(want))
+					}
+				})
+			}
 		}
 	}
 }
