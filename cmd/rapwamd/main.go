@@ -38,12 +38,14 @@
 //
 // Clustering: -peers lists every member's base URL (this node's
 // included) and -self names this node's own entry. Members then form a
-// peer-fetch tier — each daemon serves its local objects to the others
-// under /v1/blobs/, local cache misses fetch from peers and write
-// through locally — and route each cold computation to its
+// peer-fetch tier — each daemon serves its local objects read-only to
+// the others under /v1/blobs/, local cache misses fetch from peers and
+// write through locally — and route each cold computation to its
 // deterministic owner (rendezvous hashing), so a fleet of N replicas
 // runs every experiment cell exactly once cluster-wide. A dead peer
 // degrades to local compute (X-Degraded: peer-proxy) and rejoins warm.
+// Nothing authenticates a peer, so members and the network between
+// them must be trusted.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the cancellation
 // reaches in-flight grid computations (and the emulator's instruction

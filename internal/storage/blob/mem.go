@@ -99,48 +99,6 @@ func NewMem() *Mem {
 // Name implements Backend.
 func (m *Mem) Name() string { return "mem" }
 
-// Buffer is the seekable in-heap write target the cluster tier's
-// Peer.Put hands its callback: the same grow-on-write + seek semantics
-// as an *os.File, so the trace codec's header back-patch works against
-// it too. A request body lives only as long as its request; in Mem's
-// mapped pages it would stay resident until a collection ran the
-// object's cleanup. The zero value is empty and ready to use.
-type Buffer struct {
-	buf []byte
-	off int64
-}
-
-func (w *Buffer) Write(p []byte) (int, error) {
-	end := w.off + int64(len(p))
-	if end > int64(cap(w.buf)) {
-		// Double, and copy once: append's policy for large slices
-		// recopies a multi-megabyte trace several times over.
-		grown := make([]byte, len(w.buf), max(end, 2*int64(cap(w.buf))))
-		copy(grown, w.buf)
-		w.buf = grown
-	}
-	if end > int64(len(w.buf)) {
-		// Bytes between the old length and w.off (a write past the end
-		// after a seek) are zero: make zeroed them and nothing else
-		// writes beyond len.
-		w.buf = w.buf[:end]
-	}
-	copy(w.buf[w.off:end], p)
-	w.off = end
-	return len(p), nil
-}
-
-// Bytes returns the bytes written so far (the buffer's own storage).
-func (w *Buffer) Bytes() []byte { return w.buf }
-
-func (w *Buffer) Seek(offset int64, whence int) (int64, error) {
-	abs, err := seekTo(w.off, int64(len(w.buf)), offset, whence)
-	if err == nil {
-		w.off = abs
-	}
-	return abs, err
-}
-
 // seekTo resolves an io.Seeker request against a writer at off over
 // size bytes.
 func seekTo(off, size, offset int64, whence int) (int64, error) {

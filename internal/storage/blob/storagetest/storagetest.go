@@ -4,7 +4,8 @@
 // only way to keep that true as backends multiply is to run them all
 // through the same tests. Backend implementations call TestBackend
 // from their own test files with a factory for a fresh, empty
-// instance.
+// instance; a read-only backend (a blob-protocol client) calls
+// TestReader, whose cases write through the backends it reads from.
 package storagetest
 
 import (
@@ -25,29 +26,63 @@ import (
 // cleanup on t; the suite never closes backends itself.
 type Factory func(t *testing.T) blob.Backend
 
+// ReaderFactory returns a fresh, empty read-only backend r for one
+// subtest, and a backend w whose objects r reads (for a network
+// client: the serving nodes' own backends).
+type ReaderFactory func(t *testing.T) (r, w blob.Backend)
+
+// readCases are the cases about what a reader observes of the objects
+// a writer made: each writes through w and reads through r.
+var readCases = []struct {
+	name string
+	run  func(t *testing.T, w, r blob.Backend)
+}{
+	{"RoundTrip", testRoundTrip},
+	{"MissIsNotExist", testMissIsNotExist},
+	{"LargeObjectWrites", testLargeObjectWrites},
+	{"ListAndNamespaces", testListAndNamespaces},
+	{"RenameQuarantines", testRenameQuarantines},
+}
+
+// writeCases are the rest of the contract: what a backend's own
+// writes do.
+var writeCases = []struct {
+	name string
+	run  func(t *testing.T, b blob.Backend)
+}{
+	{"PutInvalidName", testPutInvalidName},
+	{"PutFailureLeavesNoTrace", testPutFailureLeavesNoTrace},
+	{"PutPanicCleansUp", testPutPanicCleansUp},
+	{"WriterSeeks", testWriterSeeks},
+	{"SweepAgesOutQuarantine", testSweepAgesOutQuarantine},
+	{"ConcurrentPuts", testConcurrentPuts},
+	{"Probe", testProbe},
+}
+
 // TestBackend runs the full Backend contract over backends produced
-// by open. Each subtest gets its own fresh instance.
+// by open, each read case with one backend as writer and reader. Each
+// subtest gets its own fresh instance.
 func TestBackend(t *testing.T, open Factory) {
-	suite := []struct {
-		name string
-		run  func(t *testing.T, b blob.Backend)
-	}{
-		{"RoundTrip", testRoundTrip},
-		{"MissIsNotExist", testMissIsNotExist},
-		{"PutInvalidName", testPutInvalidName},
-		{"PutFailureLeavesNoTrace", testPutFailureLeavesNoTrace},
-		{"PutPanicCleansUp", testPutPanicCleansUp},
-		{"WriterSeeks", testWriterSeeks},
-		{"LargeObjectWrites", testLargeObjectWrites},
-		{"ListAndNamespaces", testListAndNamespaces},
-		{"RenameQuarantines", testRenameQuarantines},
-		{"SweepAgesOutQuarantine", testSweepAgesOutQuarantine},
-		{"ConcurrentPuts", testConcurrentPuts},
-		{"Probe", testProbe},
+	for _, tc := range readCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := open(t)
+			tc.run(t, b, b)
+		})
 	}
-	for _, tc := range suite {
+	for _, tc := range writeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, open(t))
+		})
+	}
+}
+
+// TestReader runs the read half of the contract: every read case
+// writes through the w that open returns and reads through its r.
+func TestReader(t *testing.T, open ReaderFactory) {
+	for _, tc := range readCases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, w := open(t)
+			tc.run(t, w, r)
 		})
 	}
 }
@@ -78,30 +113,30 @@ func Get(t *testing.T, b blob.Backend, name string) string {
 	return string(data)
 }
 
-func testRoundTrip(t *testing.T, b blob.Backend) {
-	Put(t, b, "a.bin", "hello")
-	if got := Get(t, b, "a.bin"); got != "hello" {
+func testRoundTrip(t *testing.T, w, r blob.Backend) {
+	Put(t, w, "a.bin", "hello")
+	if got := Get(t, r, "a.bin"); got != "hello" {
 		t.Fatalf("round trip: got %q", got)
 	}
 	// Replace atomically.
-	Put(t, b, "a.bin", "world")
-	if got := Get(t, b, "a.bin"); got != "world" {
+	Put(t, w, "a.bin", "world")
+	if got := Get(t, r, "a.bin"); got != "world" {
 		t.Fatalf("replace: got %q", got)
 	}
-	info, err := b.Stat("a.bin")
+	info, err := r.Stat("a.bin")
 	if err != nil || info.Size != 5 {
 		t.Fatalf("stat: %+v, %v", info, err)
 	}
 }
 
-func testMissIsNotExist(t *testing.T, b blob.Backend) {
-	if _, err := b.Get("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
+func testMissIsNotExist(t *testing.T, w, r blob.Backend) {
+	if _, err := r.Get("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("get miss: %v", err)
 	}
-	if _, err := b.Stat("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := r.Stat("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("stat miss: %v", err)
 	}
-	if err := b.Delete("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
+	if err := w.Delete("nope.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("delete miss: %v", err)
 	}
 }
@@ -182,7 +217,7 @@ func testWriterSeeks(t *testing.T, b blob.Backend) {
 	}
 }
 
-func testLargeObjectWrites(t *testing.T, b blob.Backend) {
+func testLargeObjectWrites(t *testing.T, w, r blob.Backend) {
 	// An object of several MiB written in odd-sized pieces, patched
 	// after seeks back across every OS page boundary (an in-memory
 	// backend's own pages start at such boundaries), then extended by a
@@ -193,10 +228,10 @@ func testLargeObjectWrites(t *testing.T, b blob.Backend) {
 	for len(want) < 5<<19 {
 		want = append(want, byte(len(want)*7), byte(len(want)>>8))
 	}
-	err := b.Put("large.bin", func(w io.Writer) error {
-		ws, ok := w.(io.WriteSeeker)
+	err := w.Put("large.bin", func(out io.Writer) error {
+		ws, ok := out.(io.WriteSeeker)
 		if !ok {
-			return fmt.Errorf("writer is %T, not an io.WriteSeeker", w)
+			return fmt.Errorf("writer is %T, not an io.WriteSeeker", out)
 		}
 		for off, piece := 0, 4093; off < len(want); off, piece = off+piece, 7919+4093-piece {
 			if _, err := ws.Write(want[off:min(off+piece, len(want))]); err != nil {
@@ -225,11 +260,11 @@ func testLargeObjectWrites(t *testing.T, b blob.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := b.Stat("large.bin")
+	info, err := r.Stat("large.bin")
 	if err != nil || info.Size != int64(len(want)) {
 		t.Fatalf("stat: %+v, %v; want size %d", info, err, len(want))
 	}
-	got := Get(t, b, "large.bin")
+	got := Get(t, r, "large.bin")
 	if got == string(want) {
 		return
 	}
@@ -243,18 +278,18 @@ func testLargeObjectWrites(t *testing.T, b blob.Backend) {
 	}
 }
 
-func testListAndNamespaces(t *testing.T, b blob.Backend) {
-	Put(t, b, "b.bin", "1")
-	Put(t, b, "a.bin", "2")
-	Put(t, b, blob.QuarantinePrefix+"c.bin", "3")
-	root, err := b.List("")
+func testListAndNamespaces(t *testing.T, w, r blob.Backend) {
+	Put(t, w, "b.bin", "1")
+	Put(t, w, "a.bin", "2")
+	Put(t, w, blob.QuarantinePrefix+"c.bin", "3")
+	root, err := r.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(root) != "[a.bin b.bin]" {
 		t.Fatalf("root list: %v (quarantine must not leak into the root namespace)", root)
 	}
-	quar, err := b.List(blob.QuarantinePrefix)
+	quar, err := r.List(blob.QuarantinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,21 +297,21 @@ func testListAndNamespaces(t *testing.T, b blob.Backend) {
 		t.Fatalf("quarantine list: %v", quar)
 	}
 	// Absent sub-namespace is empty, not an error.
-	none, err := b.List("absent/")
+	none, err := r.List("absent/")
 	if err != nil || len(none) != 0 {
 		t.Fatalf("absent namespace: %v, %v", none, err)
 	}
 }
 
-func testRenameQuarantines(t *testing.T, b blob.Backend) {
-	Put(t, b, "bad.bin", "damaged")
-	if err := b.Rename("bad.bin", blob.QuarantinePrefix+"bad.bin"); err != nil {
+func testRenameQuarantines(t *testing.T, w, r blob.Backend) {
+	Put(t, w, "bad.bin", "damaged")
+	if err := w.Rename("bad.bin", blob.QuarantinePrefix+"bad.bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Stat("bad.bin"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := r.Stat("bad.bin"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("rename left the source: %v", err)
 	}
-	if got := Get(t, b, blob.QuarantinePrefix+"bad.bin"); got != "damaged" {
+	if got := Get(t, r, blob.QuarantinePrefix+"bad.bin"); got != "damaged" {
 		t.Fatalf("quarantined content: %q", got)
 	}
 }
@@ -285,8 +320,7 @@ func testSweepAgesOutQuarantine(t *testing.T, b blob.Backend) {
 	Put(t, b, "live.bin", "keep me")
 	Put(t, b, blob.QuarantinePrefix+"old.bin", "age me out")
 	// Age by waiting: backends time quarantine entries by commit time,
-	// and the factory may not expose the medium (a peer backend's
-	// objects live in another process's namespace).
+	// and the factory may not expose the medium.
 	time.Sleep(50 * time.Millisecond)
 	if n := b.Sweep(10 * time.Millisecond); n != 1 {
 		t.Fatalf("sweep removed %d objects, want 1", n)

@@ -1,17 +1,16 @@
 package storage
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,20 +46,22 @@ func Rendezvous(key string, nodes []string) []string {
 	return out
 }
 
-// Peer is a blob.Backend client for the blob protocol other rapwamd nodes
-// serve under /v1/blobs/ (see BlobHandler). Each node URL is the base
-// of one remote namespace, e.g. "http://host:8080/v1/blobs/results".
+// Peer is a read-only blob.Backend client for the blob protocol other
+// rapwamd nodes serve under /v1/blobs/ (see BlobHandler). Each node URL
+// is the base of one remote namespace, e.g.
+// "http://host:8080/v1/blobs/results".
 //
 // Reads (Get/Stat) try nodes in Rendezvous order for the object name —
 // owner first, so the common warm fetch is one round trip. A name no
 // node has is a miss (fs.ErrNotExist); any transport failure without a
 // hit is a blob.TransientError, never corruption, so a flaky network cannot
-// get healthy objects quarantined. Put goes to the rendezvous owner
-// only; Delete and Rename fan out to every node; List unions all
-// nodes; Sweep asks each node to sweep itself.
+// get healthy objects quarantined. List unions all nodes. The protocol
+// has no writes: Put, Delete and Rename return an error wrapping
+// errors.ErrUnsupported without sending anything, and Sweep removes
+// nothing.
 //
 // Peer holds no local state — compose it behind a local backend with
-// NewTiered for the read-through/write-through cluster tier.
+// NewTiered for the cluster read tier.
 type Peer struct {
 	client *http.Client
 	nodes  []string
@@ -68,9 +69,8 @@ type Peer struct {
 
 // NewPeer returns a Peer over the given node base URLs (trailing
 // slashes are trimmed). A nil client gets a 10-second timeout default.
-// An empty node list is legal and behaves as an always-missing,
-// unwritable backend, so "no peers configured" needs no special-casing
-// in callers.
+// An empty node list is legal and behaves as an always-missing
+// backend, so "no peers configured" needs no special-casing in callers.
 func NewPeer(client *http.Client, nodes []string) *Peer {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -185,106 +185,21 @@ func (p *Peer) Stat(name string) (blob.Info, error) {
 	return blob.Info{}, p.notExist("stat", name)
 }
 
-// Put implements Backend: the callback writes into a detached seekable
-// buffer (nothing leaves this process unless it succeeds — the remote
-// can never observe a failed or panicking write), then the complete
-// object is PUT to the rendezvous owner in one request. The owner's
-// own backend makes the commit atomic.
-func (p *Peer) Put(name string, write func(w io.Writer) error) error {
-	if !blob.ValidName(name) {
-		return &blob.Error{Op: "put", Backend: p.Name(), Name: name, Err: fmt.Errorf("invalid object name")}
-	}
-	if len(p.nodes) == 0 {
-		return blob.Transient(fmt.Errorf("peer put %q: no peer nodes configured", name))
-	}
-	w := &blob.Buffer{}
-	if err := write(w); err != nil {
-		return err
-	}
-	owner := Rendezvous(name, p.nodes)[0]
-	req, err := http.NewRequest(http.MethodPut, objectURL(owner, name), bytes.NewReader(w.Bytes()))
-	if err != nil {
-		return &blob.Error{Op: "put", Backend: p.Name(), Name: name, Err: err}
-	}
-	req.ContentLength = int64(len(w.Bytes()))
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return blob.Transient(fmt.Errorf("peer put %q: %w", name, err))
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return blob.Transient(fmt.Errorf("peer put %q: %s: status %s", name, owner, resp.Status))
-	}
-	return nil
+// Put implements blob.Backend by refusing: the blob protocol is
+// read-only, so a Peer sends no write. Each node's objects change only
+// through its own stores.
+func (p *Peer) Put(name string, _ func(w io.Writer) error) error {
+	return &blob.Error{Op: "put", Backend: p.Name(), Name: name, Err: errors.ErrUnsupported}
 }
 
-// Delete implements blob.Backend, fanning out to every node (an object may
-// have been written through on several). Any successful delete makes
-// the whole delete succeed; all nodes missing it is fs.ErrNotExist.
+// Delete implements blob.Backend by refusing, as Put does.
 func (p *Peer) Delete(name string) error {
-	var lastErr error
-	found := false
-	for _, node := range p.nodes {
-		req, err := http.NewRequest(http.MethodDelete, objectURL(node, name), nil)
-		if err != nil {
-			return &blob.Error{Op: "delete", Backend: p.Name(), Name: name, Err: err}
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode/100 == 2:
-			found = true
-		case resp.StatusCode == http.StatusNotFound:
-			// fine
-		default:
-			lastErr = fmt.Errorf("%s: status %s", node, resp.Status)
-		}
-	}
-	if found {
-		return nil
-	}
-	if lastErr != nil {
-		return blob.Transient(fmt.Errorf("peer delete %q: %w", name, lastErr))
-	}
-	return p.notExist("delete", name)
+	return &blob.Error{Op: "delete", Backend: p.Name(), Name: name, Err: errors.ErrUnsupported}
 }
 
-// Rename implements blob.Backend, fanning out to every node so quarantining
-// a corrupt object removes it from serving everywhere it exists.
-func (p *Peer) Rename(old, new string) error {
-	if !blob.ValidName(new) {
-		return &blob.Error{Op: "rename", Backend: p.Name(), Name: new, Err: fmt.Errorf("invalid object name")}
-	}
-	var lastErr error
-	found := false
-	for _, node := range p.nodes {
-		u := objectURL(node, old) + "?op=rename&to=" + url.QueryEscape(new)
-		resp, err := p.client.Post(u, "", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode/100 == 2:
-			found = true
-		case resp.StatusCode == http.StatusNotFound:
-			// fine
-		default:
-			lastErr = fmt.Errorf("%s: status %s", node, resp.Status)
-		}
-	}
-	if found {
-		return nil
-	}
-	if lastErr != nil {
-		return blob.Transient(fmt.Errorf("peer rename %q: %w", old, lastErr))
-	}
-	return p.notExist("rename", old)
+// Rename implements blob.Backend by refusing, as Put does.
+func (p *Peer) Rename(old, _ string) error {
+	return &blob.Error{Op: "rename", Backend: p.Name(), Name: old, Err: errors.ErrUnsupported}
 }
 
 // List implements blob.Backend, unioning every node's listing (sorted,
@@ -324,37 +239,8 @@ func (p *Peer) List(prefix string) ([]string, error) {
 	return names, nil
 }
 
-// Sweep implements Backend: ask each node to sweep itself, summing
-// what they report. Best-effort, like every Sweep.
-func (p *Peer) Sweep(olderThan time.Duration) int {
-	total := 0
-	for _, node := range p.nodes {
-		u := node + "/?op=sweep&older-than=" + url.QueryEscape(olderThan.String())
-		resp, err := p.client.Post(u, "", nil)
-		if err != nil {
-			continue
-		}
-		var body struct {
-			Removed int `json:"removed"`
-		}
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&body) == nil {
-			total += body.Removed
-		}
-		resp.Body.Close()
-	}
-	return total
-}
+// Sweep implements blob.Backend: each node sweeps itself, so a Peer
+// removes nothing.
+func (p *Peer) Sweep(time.Duration) int { return 0 }
 
 var _ blob.Backend = (*Peer)(nil)
-
-// parseOlderThan parses the sweep cutoff accepted by the blob API:
-// a Go duration ("24h") or a bare integer of seconds.
-func parseOlderThan(s string) (time.Duration, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d, nil
-	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Duration(n) * time.Second, nil
-	}
-	return 0, fmt.Errorf("invalid older-than %q", s)
-}

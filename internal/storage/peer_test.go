@@ -1,16 +1,20 @@
 package storage_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
 	"repro/internal/storage/blob"
+	"repro/internal/storage/blob/storagetest"
 )
 
 func TestRendezvousDeterministicAndOrderIndependent(t *testing.T) {
@@ -65,13 +69,6 @@ func TestPeerAllNodesDownIsTransient(t *testing.T) {
 	if errors.Is(func() error { _, err := p.Get("a.bin"); return err }(), fs.ErrNotExist) {
 		t.Fatal("an unreachable fleet must not read as a miss")
 	}
-	err := p.Put("a.bin", func(w io.Writer) error {
-		_, err := io.WriteString(w, "x")
-		return err
-	})
-	if !blob.IsTransient(err) {
-		t.Fatalf("put with all peers down must be transient, got %v", err)
-	}
 	if _, err := p.List(""); !blob.IsTransient(err) {
 		t.Fatalf("list with a node down must be transient, got %v", err)
 	}
@@ -91,20 +88,35 @@ func TestPeerNoNodesIsAlwaysMiss(t *testing.T) {
 	}
 }
 
-func TestPeerPutFailedCallbackSendsNothing(t *testing.T) {
-	requests := 0
+// TestPeerRefusesWrites: the blob protocol is read-only, so every Peer
+// mutation fails with errors.ErrUnsupported, never calls a write
+// callback and sends no request.
+func TestPeerRefusesWrites(t *testing.T) {
+	var requests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests++
+		requests.Add(1)
 		http.NotFound(w, r)
 	}))
 	t.Cleanup(srv.Close)
 	p := storage.NewPeer(peerClient(), []string{srv.URL})
-	boom := errors.New("generator exploded")
-	if err := p.Put("a.bin", func(w io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("put must return the callback error, got %v", err)
+	refusals := map[string]error{
+		"put": p.Put("a.bin", func(w io.Writer) error {
+			t.Error("put called its write callback")
+			return nil
+		}),
+		"delete": p.Delete("a.bin"),
+		"rename": p.Rename("a.bin", blob.QuarantinePrefix+"a.bin"),
 	}
-	if requests != 0 {
-		t.Fatalf("failed put callback reached the wire: %d requests", requests)
+	for op, err := range refusals {
+		if !errors.Is(err, errors.ErrUnsupported) {
+			t.Errorf("%s: %v, want errors.ErrUnsupported", op, err)
+		}
+	}
+	if n := p.Sweep(0); n != 0 {
+		t.Errorf("sweep removed %d objects, want 0", n)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("refused writes sent %d requests", n)
 	}
 }
 
@@ -151,18 +163,79 @@ func TestPeerReadsPreferOwner(t *testing.T) {
 func TestBlobHandlerRejectsEscapes(t *testing.T) {
 	srv := httptest.NewServer(http.StripPrefix("/", storage.BlobHandler(blob.NewMem())))
 	t.Cleanup(srv.Close)
-	for _, path := range []string{"/..%2Fescape.bin", "/a%2F..%2F..%2Fb"} {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+path, strings.NewReader("x"))
-		if err != nil {
-			t.Fatal(err)
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		for _, path := range []string{"/..%2Fescape.bin", "/a%2F..%2F..%2Fb"} {
+			req, err := http.NewRequest(method, srv.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400", method, path, resp.StatusCode)
+			}
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("PUT %s: status %d, want 400", path, resp.StatusCode)
-		}
+	}
+}
+
+// countingBackend counts the List and Stat calls made on its backend.
+type countingBackend struct {
+	blob.Backend
+	lists, stats atomic.Int64
+}
+
+func (c *countingBackend) List(prefix string) ([]string, error) {
+	c.lists.Add(1)
+	return c.Backend.List(prefix)
+}
+
+func (c *countingBackend) Stat(name string) (blob.Info, error) {
+	c.stats.Add(1)
+	return c.Backend.Stat(name)
+}
+
+// TestBlobHandlerHeadRootListsNothing: HEAD on a namespace root is the
+// cluster's reachability probe and answers with headers alone, while
+// GET on the root still lists and stats every object.
+func TestBlobHandlerHeadRootListsNothing(t *testing.T) {
+	b := &countingBackend{Backend: blob.NewMem()}
+	storagetest.Put(t, b, "a.bin", "one")
+	storagetest.Put(t, b, "b.bin", "two")
+	srv := httptest.NewServer(http.StripPrefix("/", storage.BlobHandler(b)))
+	t.Cleanup(srv.Close)
+
+	resp, err := http.Head(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || b.lists.Load() != 0 || b.stats.Load() != 0 {
+		t.Fatalf("HEAD /: status %d after %d List and %d Stat calls, want 200 after none",
+			resp.StatusCode, b.lists.Load(), b.stats.Load())
+	}
+
+	resp, err = http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Objects []struct {
+			Name string `json:"name"`
+			Size int64  `json:"size"`
+		} `json:"objects"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(body.Objects); got != "[{a.bin 3} {b.bin 3}]" {
+		t.Fatalf("GET / listed %s", got)
+	}
+	if b.lists.Load() != 1 || b.stats.Load() != 2 {
+		t.Fatalf("GET /: %d List and %d Stat calls, want 1 and 2", b.lists.Load(), b.stats.Load())
 	}
 }

@@ -7,13 +7,19 @@
 //
 // The implementations here compose blob.Backends across nodes:
 //
-//   - Peer — an HTTP client backend over the blob protocol other
-//     rapwamd nodes serve (BlobHandler), reads routed owner-first by
-//     rendezvous hashing (Rendezvous);
+//   - Peer — a read-only HTTP client backend over the blob protocol
+//     other rapwamd nodes serve (BlobHandler), reads routed
+//     owner-first by rendezvous hashing (Rendezvous);
 //   - Tiered — local-first composition with peer-fetch + local
 //     write-through on miss: the cluster read tier;
 //   - BlobHandler — the server side of that protocol over a node's
-//     local backend.
+//     local backend: GET and HEAD only, so no client can change what
+//     a node stores.
+//
+// The blob protocol is unauthenticated. The content checks above it
+// (envelope key fields and result_sha256, RWT2 chunk CRCs, the RWO1
+// SHA-256) catch corruption, not forgery: anyone can compute them. A
+// cluster's members, and the network between them, must be trusted.
 package storage
 
 import (

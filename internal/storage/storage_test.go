@@ -1,10 +1,8 @@
 package storage_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -116,78 +114,5 @@ func TestDegradedFlag(t *testing.T) {
 	var nilFlag *blob.DegradedFlag
 	if nilFlag.Components() != nil {
 		t.Fatal("nil flag must read as empty")
-	}
-}
-
-// TestMemWriterMatchesFile drives blob.Buffer (Peer.Put's writer) and an *os.File through the
-// same sequence — appends, a write past the end after a seek (a hole),
-// an overwrite of the start after Seek(0) (the trace codec's header
-// back-patch), then more appends from the end — and requires equal
-// content, so Peer keeps the file semantics its Put callbacks rely on.
-func TestMemWriterMatchesFile(t *testing.T) {
-	f, err := os.Create(filepath.Join(t.TempDir(), "ref"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var w blob.Buffer
-	steps := []struct {
-		seek   bool
-		off    int64
-		whence int
-		data   []byte
-	}{
-		{data: bytes.Repeat([]byte{0xAA}, 100)},
-		{data: bytes.Repeat([]byte{0xBB}, 5000)},
-		{seek: true, off: 300, whence: io.SeekEnd, data: []byte("past the end")},
-		{seek: true, off: 0, whence: io.SeekStart, data: []byte("HEADER")},
-		{seek: true, off: -4, whence: io.SeekCurrent, data: []byte("xy")},
-		{seek: true, off: 0, whence: io.SeekEnd, data: bytes.Repeat([]byte{0xCC}, 70000)},
-	}
-	for i, s := range steps {
-		if s.seek {
-			fo, ferr := f.Seek(s.off, s.whence)
-			wo, werr := w.Seek(s.off, s.whence)
-			if ferr != nil || werr != nil || fo != wo {
-				t.Fatalf("step %d: seek = (%d, %v), file (%d, %v)", i, wo, werr, fo, ferr)
-			}
-		}
-		if _, err := f.Write(s.data); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := w.Write(s.data); n != len(s.data) || err != nil {
-			t.Fatalf("step %d: write = (%d, %v)", i, n, err)
-		}
-	}
-	want, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w.Bytes(), want) {
-		t.Errorf("Buffer holds %d bytes that differ from the file's %d", len(w.Bytes()), len(want))
-	}
-}
-
-// TestMemWriterGrowsGeometrically: 16 MB of 64 KB writes (a trace's
-// chunks) reallocate at most ⌈log₂ 256⌉ = 8 times after the first
-// allocation; append's policy for large slices took several times that,
-// recopying the object each time.
-func TestMemWriterGrowsGeometrically(t *testing.T) {
-	var w blob.Buffer
-	chunk := make([]byte, 64<<10)
-	reallocs, last := 0, cap(w.Bytes())
-	for i := 0; i < 256; i++ {
-		if _, err := w.Write(chunk); err != nil {
-			t.Fatal(err)
-		}
-		if c := cap(w.Bytes()); c != last {
-			reallocs, last = reallocs+1, c
-		}
-	}
-	if len(w.Bytes()) != 16<<20 {
-		t.Fatalf("wrote %d bytes, want %d", len(w.Bytes()), 16<<20)
-	}
-	if reallocs > 9 {
-		t.Errorf("%d reallocations for 256 chunks, want at most 9 (the first allocation, then doubling)", reallocs)
 	}
 }

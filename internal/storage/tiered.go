@@ -33,10 +33,11 @@ type TieredStats struct {
 // Tiered composes a local backend with a remote (peer) backend into
 // the cluster read path: Get serves from local first and on a local
 // miss fetches from the remote, writing the object through to local so
-// the next read is a local hit. Everything else — Put, Delete, Rename,
-// List, Sweep, Stat(local-first) — operates on the local tier only:
-// each node owns its own mutations and hygiene, and objects spread
-// between nodes only by being read.
+// the next read is a local hit; Stat also falls back to the remote.
+// Put, Delete, Rename, List and Sweep operate on the local tier only:
+// each node owns its own mutations and hygiene, the remote tier (a
+// Peer) is read-only, and objects spread between nodes only by being
+// read.
 //
 // A remote failure is never surfaced from Get: the caller sees the
 // local miss and recomputes (results here are pure functions — a

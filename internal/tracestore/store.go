@@ -568,16 +568,11 @@ func (s *Store) scan(repair bool) ScrubReport {
 	for _, name := range names {
 		rep.Checked++
 		rep.Traces++
-		verr := s.verifyObject(name)
-		var k Key
-		haveKey := false
-		if meta, _, err := s.readObjectHeader(name); err == nil {
-			k = Key{Benchmark: meta.Benchmark, PEs: meta.PEs,
-				Sequential: meta.Sequential, EmulatorVersion: meta.EmulatorVersion}
-			haveKey = true
-			if verr == nil && k.name() != name {
-				verr = fmt.Errorf("object name %s does not match header key %v (want %s)", name, k, k.name())
-			}
+		meta, haveKey, verr := s.verifyObject(name)
+		k := Key{Benchmark: meta.Benchmark, PEs: meta.PEs,
+			Sequential: meta.Sequential, EmulatorVersion: meta.EmulatorVersion}
+		if haveKey && verr == nil && k.name() != name {
+			verr = fmt.Errorf("object name %s does not match header key %v (want %s)", name, k, k.name())
 		}
 		if verr == nil {
 			continue
@@ -643,7 +638,8 @@ func (s *Store) traceNames() ([]string, error) {
 	return out, nil
 }
 
-// readObjectHeader decodes only the compact header of one object.
+// readObjectHeader decodes only the compact header of one object
+// (List).
 // Misses pass through raw so errors.Is(err, fs.ErrNotExist) keeps
 // working; backend failures gain store context.
 func (s *Store) readObjectHeader(name string) (trace.Meta, int64, error) {
@@ -669,27 +665,29 @@ func (s *Store) readObjectHeader(name string) (trace.Meta, int64, error) {
 	return cr.Meta(), info.Size, nil
 }
 
-// verifyObject fully decodes one stored trace. An object that
+// verifyObject fully decodes one stored trace in one read, returning
+// its header and whether the header parsed (a trace whose header
+// parsed names its cell even when a chunk is corrupt). An object that
 // vanished between listing and reading (a concurrent sweep, delete or
 // quarantine) is a transient condition, not corruption: without the
 // classification, Scrub's transient gate would miss the raw
 // fs.ErrNotExist and try to quarantine an object that no longer
 // exists.
-func (s *Store) verifyObject(name string) error {
+func (s *Store) verifyObject(name string) (trace.Meta, bool, error) {
 	rc, err := s.b.Get(name)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return blob.Transient(err)
+			return trace.Meta{}, false, blob.Transient(err)
 		}
-		return err
+		return trace.Meta{}, false, err
 	}
 	defer rc.Close()
 	cr, err := trace.NewChunkReader(rc)
 	if err != nil {
-		return err
+		return trace.Meta{}, false, err
 	}
 	_, err = cr.Replay(trace.Discard)
-	return err
+	return cr.Meta(), true, err
 }
 
 // ReadFileMeta decodes the header of a compact trace file outside any

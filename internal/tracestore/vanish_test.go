@@ -61,3 +61,38 @@ func TestScrubVanishedObjectNotQuarantined(t *testing.T) {
 		t.Fatalf("follow-up scrub over the healthy backend: quarantined %v, errors %v", rep.Quarantined, rep.Errors)
 	}
 }
+
+// getCounter counts the Gets made on each object of its backend (from
+// one goroutine: a scan reads sequentially).
+type getCounter struct {
+	blob.Backend
+	gets map[string]int
+}
+
+func (b *getCounter) Get(name string) (io.ReadCloser, error) {
+	b.gets[name]++
+	return b.Backend.Get(name)
+}
+
+// TestScanReadsEachTraceOnce: Verify and Scrub take a trace's cell key
+// from the header the verifying decode parsed, so each trace is read
+// once per scan.
+func TestScanReadsEachTraceOnce(t *testing.T) {
+	mem := blob.NewMem()
+	keys := []Key{testKey(), {Benchmark: "synth2", PEs: 2, Sequential: true, EmulatorVersion: "emuT"}}
+	for _, k := range keys {
+		fillCell(t, NewOn(mem), k)
+	}
+	for name, scan := range map[string]func(*Store) ScrubReport{"Verify": (*Store).Verify, "Scrub": (*Store).Scrub} {
+		b := &getCounter{Backend: mem, gets: map[string]int{}}
+		rep := scan(NewOn(b))
+		if rep.Traces != len(keys) || len(rep.Errors) != 0 {
+			t.Fatalf("%s: %d traces, errors %v; want %d clean", name, rep.Traces, rep.Errors, len(keys))
+		}
+		for _, k := range keys {
+			if n := b.gets[k.name()]; n != 1 {
+				t.Errorf("%s read %s %d times, want once", name, k.name(), n)
+			}
+		}
+	}
+}
